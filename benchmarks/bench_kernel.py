@@ -35,7 +35,6 @@ import argparse
 import json
 import os
 import platform
-import subprocess
 import sys
 import time
 
@@ -44,6 +43,7 @@ if __package__ in (None, ""):  # executed as a script: self-locate
     sys.path.insert(0, os.path.join(_root, "src"))
     sys.path.insert(0, _root)
 
+from repro.prof.trend import head_sha
 from repro.sim import Environment, SimulationError
 
 DEFAULT_PROCS = 100
@@ -189,16 +189,7 @@ def host_fingerprint():
 
 def git_sha():
     """Short HEAD SHA, or None outside a git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-    except OSError:
-        return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return head_sha(os.path.dirname(os.path.abspath(__file__)))
 
 
 def main(argv=None) -> int:

@@ -74,7 +74,6 @@ from repro.check.oracle import CommitRecord, check_history
 from repro.net.message import Message
 from repro.sim.core import Environment, ScheduleController, SimulationError
 from repro.sim.events import Condition, Event
-from repro.sim.process import Process
 
 __all__ = [
     "ExploreConfig",
@@ -167,8 +166,9 @@ def _sites_of(event: Event, depth: int = 0) -> Optional[FrozenSet[int]]:
 
     Mirrors the race detector's happens-before model: a message delivery
     executes at its destination; every other event's only effect is
-    running its callbacks, so it belongs to the nodes of the processes
-    those callbacks resume (an empty callback list is a no-op event —
+    running its callbacks, so it belongs to the nodes their owners name:
+    the processes they resume and the inbox servers whose service period
+    they end (an empty callback list is a no-op event —
     the empty site set, independent of everything; a late waiter added
     by a reordered peer runs synchronously either way, see
     ``Environment.step``).  Unknown attribution means "assume dependent
@@ -189,18 +189,19 @@ def _sites_of(event: Event, depth: int = 0) -> Optional[FrozenSet[int]]:
     sites: set[int] = set()
     for callback in callbacks:
         owner = getattr(callback, "__self__", None)
-        if isinstance(owner, Process):
-            node = _node_of_process(owner.name)
-            if node is None:
-                return None
-            sites.add(node)
-        elif isinstance(owner, Condition):
+        if isinstance(owner, Condition):
             sub = _sites_of(owner, depth + 1)
             if sub is None:
                 return None
             sites |= sub
-        else:
+            continue
+        # A named owner — a Process, or a node's inbox server — runs at
+        # the node its name encodes.
+        name = getattr(owner, "name", None)
+        node = _node_of_process(name) if isinstance(name, str) else None
+        if node is None:
             return None
+        sites.add(node)
     return frozenset(sites)
 
 

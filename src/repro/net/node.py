@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Generator, Optional
 
 from repro.net.clocks import NodeClock
 from repro.net.message import Message, MessageType
-from repro.sim import Environment
+from repro.sim import Environment, Event, Timeout
 
 __all__ = ["Node", "RpcError"]
 
@@ -32,6 +32,49 @@ Handler = Callable[[Message], Any]
 
 class RpcError(RuntimeError):
     """A request did not complete (timeout)."""
+
+
+class _InboxServer:
+    """Serial message server of one node: one message per service period.
+
+    A callback chain, not a process: a message arriving at an idle
+    server schedules one service Timeout, whose callback dispatches the
+    head of the queue and then schedules the next period or goes idle —
+    two kernel events per message (link delay + service).  ``name`` is
+    what the kernel profiler and the explorer attribute those events to.
+    The Timeout carries no value: the explorer reads a Message-valued
+    Timeout as an in-flight remote delivery.
+    """
+
+    __slots__ = ("name", "node", "queue", "busy")
+
+    def __init__(self, node: "Node") -> None:
+        self.name = f"n{node.node_id}.inbox"
+        self.node = node
+        self.queue: deque = deque()  # (arrival time, message)
+        self.busy = False
+
+    def accept(self, msg: Message) -> None:
+        node = self.node
+        env = node.env
+        self.queue.append((env.now, msg))
+        if not self.busy:
+            self.busy = True
+            Timeout(env, node.msg_process_time).callbacks.append(self._served)
+
+    def _served(self, _event: Event) -> None:
+        node = self.node
+        env = node.env
+        arrived, msg = self.queue.popleft()
+        node.messages_processed += 1
+        node.total_queueing_delay += env.now - arrived
+        # busy stays set across the dispatch: a handler that sends to its
+        # own node queues behind this chain instead of starting a second
+        node._dispatch(msg)
+        if self.queue:
+            Timeout(env, node.msg_process_time).callbacks.append(self._served)
+        else:
+            self.busy = False
 
 
 class Node:
@@ -57,8 +100,7 @@ class Node:
         #: with retries pay for it — the "additional requests incur more
         #: contention" effect of the paper (§IV-C).
         self.msg_process_time = float(msg_process_time)
-        self._inbox: deque = deque()
-        self._server_busy = False
+        self._inbox = _InboxServer(self)
         #: total messages processed and cumulative queueing delay
         self.messages_processed = 0
         self.total_queueing_delay = 0.0
@@ -87,20 +129,7 @@ class Node:
         if self.msg_process_time <= 0.0:
             self._dispatch(msg)
             return
-        self._inbox.append((self.env.now, msg))
-        if not self._server_busy:
-            self._server_busy = True
-            self.env.process(self._serve(), name=f"n{self.node_id}.inbox")
-
-    def _serve(self):
-        """Serial message server: one message per service period."""
-        while self._inbox:
-            arrived, msg = self._inbox.popleft()
-            yield self.env.timeout(self.msg_process_time)
-            self.messages_processed += 1
-            self.total_queueing_delay += self.env.now - arrived
-            self._dispatch(msg)
-        self._server_busy = False
+        self._inbox.accept(msg)
 
     def _dispatch(self, msg: Message) -> None:
         # TFA rule: advance the local transactional clock to any larger

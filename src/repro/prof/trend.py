@@ -22,10 +22,13 @@ CLI (``python -m repro.prof.trend``)::
 
 ``append`` accepts either a row-shaped payload or the raw
 ``bench_kernel --json`` output (its ``events_per_sec`` map becomes the
-metrics).  ``check`` exits non-zero on a violated floor or a regression
-beyond the threshold — the CI perf-trend job gates on it.  All output is
-byte-deterministic for a fixed input (dates come from the payload or
-``--date``; this module never reads the wall clock).
+metrics).  A row must be attributable: a payload without ``git_sha``
+gets the short HEAD sha of the checkout the history file lives in, and
+a row still lacking ``git_sha`` or ``host`` is refused unless ``--sha``
+names the commit by hand.  ``check`` exits non-zero on a violated floor
+or a regression beyond the threshold — the CI perf-trend job gates on
+it.  All output is byte-deterministic for a fixed input (dates come from
+the payload or ``--date``; this module never reads the wall clock).
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -40,6 +44,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "append_row",
     "check_history",
+    "head_sha",
     "load_history",
     "main",
     "render_show",
@@ -128,6 +133,20 @@ def row_from_payload(
         row["note"] = note or payload["note"]
     validate_row(row)
     return row
+
+
+def head_sha(directory: str) -> Optional[str]:
+    """Short HEAD sha of the git checkout containing ``directory``, or
+    None outside one (or without git)."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, timeout=10, cwd=directory,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    sha = done.stdout.strip()
+    return sha if done.returncode == 0 and sha else None
 
 
 def append_row(path: str, row: Dict[str, Any]) -> None:
@@ -369,7 +388,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_append.add_argument("run", help="benchmark --json payload")
     p_append.add_argument("--bench", default=None, help="bench id override")
     p_append.add_argument("--date", default=None, help="ISO date override")
-    p_append.add_argument("--sha", default=None, help="git SHA override")
+    p_append.add_argument("--sha", default=None,
+                          help="git SHA override (also admits a row "
+                               "without a host fingerprint)")
     p_append.add_argument("--note", default=None)
 
     p_show = sub.add_parser("show", help="print the trajectory table")
@@ -404,10 +425,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "append":
             with open(args.run, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
+            sha = args.sha or payload.get("git_sha") or head_sha(
+                os.path.dirname(os.path.abspath(args.history))
+            )
             row = row_from_payload(
                 payload, bench=args.bench, date=args.date,
-                git_sha=args.sha, note=args.note,
+                git_sha=sha, note=args.note,
             )
+            if args.sha is None and (row["git_sha"] is None or row["host"] is None):
+                missing = "git_sha" if row["git_sha"] is None else "host"
+                raise TrendError(
+                    f"refusing an unattributable row ({missing} is null): "
+                    "record it from the benchmark's --json output inside "
+                    "a git checkout, or name the commit with --sha"
+                )
             load_history(args.history)  # validate before appending
             append_row(args.history, row)
             print(f"appended {row['bench']} @ {row['date']} to {args.history}")

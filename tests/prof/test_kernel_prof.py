@@ -36,6 +36,23 @@ class TestSiteNormalisation:
         proc = env.process(gen(), name="dispatch[3][1]")
         assert site_of(proc._resume) == "dispatch"
 
+    def test_site_of_inbox_service_callback(self):
+        """The callback-chained inbox server is no Process, but its
+        service events still aggregate under the ``n*.inbox`` site."""
+        from repro.net import MessageType, Network, Node, Topology
+        from repro.sim import RngRegistry
+
+        env = Environment()
+        net = Network(env, Topology(8, RngRegistry(seed=4).stream("topo")))
+        nodes = [Node(env, net, i, msg_process_time=0.01) for i in (0, 7)]
+        nodes[1].on(MessageType.PING, lambda m: None)
+        nodes[0].send(7, MessageType.PING)
+        env.run(until=net.topology.delay(0, 7))
+        (entry,) = env.pending_entries()
+        (callback,) = entry[3].callbacks
+        assert callback.__self__.name == "n7.inbox"
+        assert site_of(callback) == "n*.inbox"
+
 
 def _drive(profiler=None, procs=5, events=500):
     env = Environment()

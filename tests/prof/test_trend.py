@@ -10,6 +10,7 @@ from repro.prof.trend import (
     TrendError,
     append_row,
     check_history,
+    head_sha,
     load_history,
     main,
     row_from_payload,
@@ -195,6 +196,8 @@ class TestSeedLegacyArtifacts:
         ok, _ = check_history(kernel, "bench_kernel", floor=50000)
         assert ok
         assert any(r["bench"] == "bench_payload" for r in rows)
+        # the trajectory is attributable: every row names its commit
+        assert all(isinstance(r.get("git_sha"), str) for r in rows)
 
 
 class TestCli:
@@ -202,6 +205,7 @@ class TestCli:
         run = tmp_path / "run.json"
         run.write_text(json.dumps({
             "bench": "bench_kernel", "date": "2026-08-08",
+            "git_sha": "abc1234", "host": {"python": "3.11.7"},
             "events_per_sec": {"timeout-chain": 250000},
         }))
         hist = str(tmp_path / "h.jsonl")
@@ -212,6 +216,46 @@ class TestCli:
                      "--floor", "100000"]) == 0
         assert main(["check", hist, "--bench", "bench_kernel",
                      "--floor", "999999999"]) == 1
+
+    @pytest.mark.parametrize("missing", ["git_sha", "host"])
+    def test_append_refuses_an_unattributable_row(self, tmp_path, capsys, missing):
+        """Outside a checkout nothing can fill the sha, and nothing ever
+        fills the host: such a row needs --sha to be named by hand."""
+        payload = {
+            "bench": "bench_kernel", "date": "2026-08-08",
+            "git_sha": "abc1234", "host": {"python": "3.11.7"},
+            "events_per_sec": {"timeout-chain": 250000},
+        }
+        payload[missing] = None
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps(payload))
+        hist = str(tmp_path / "h.jsonl")
+        assert main(["append", hist, str(run)]) == 1
+        assert f"{missing} is null" in capsys.readouterr().err
+        assert load_history(hist) == []
+        assert main(["append", hist, str(run), "--sha", "feedbee"]) == 0
+        (row,) = load_history(hist)
+        assert row["git_sha"] == "feedbee"
+
+    def test_append_fills_the_sha_inside_a_checkout(self, tmp_path):
+        import shutil
+        import subprocess
+
+        if shutil.which("git") is None:
+            pytest.skip("needs git")
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(tmp_path)]
+        subprocess.run(git + ["init", "-q"], check=True)
+        subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"], check=True)
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps({
+            "bench": "bench_kernel", "date": "2026-08-08",
+            "host": {"python": "3.11.7"},
+            "events_per_sec": {"timeout-chain": 250000},
+        }))
+        hist = str(tmp_path / "h.jsonl")
+        assert main(["append", hist, str(run)]) == 0
+        (row,) = load_history(hist)
+        assert row["git_sha"] == head_sha(str(tmp_path)) is not None
 
     def test_check_requires_a_gate(self, tmp_path):
         hist = str(tmp_path / "h.jsonl")

@@ -4,11 +4,12 @@ import pytest
 
 from repro.core import ArrivalConfig, ClusterConfig, SchedulerKind
 from repro.core.experiment import ExperimentResult, run_experiment
+from tests.rpc.test_equivalence import PINS, digest
 
 #: the closed-loop pin from tests/rpc/test_equivalence.py — re-asserted
-#: here because this PR touched the workload draw paths: with
+#: here because the traffic layer touched the workload draw paths: with
 #: arrival.enabled=False the draws must stay byte-identical
-CLOSED_LOOP_PIN = {("dht", 6, 3): (515, 23, 23149)}
+CLOSED_LOOP_CELL = ("dht", 6, 3)
 
 
 def _config(seed=1, nodes=4, **arrival_kwargs):
@@ -27,23 +28,23 @@ def _run(config, workload="bank", read_fraction=0.5, horizon=6.0):
 class TestClosedLoopUnchanged:
     def test_disabled_arrival_preserves_the_pin(self):
         """ArrivalConfig(enabled=False) — the default — must leave the
-        closed-loop path byte-identical: same commits, same aborts, same
-        kernel event count as the pre-traffic pin."""
-        (workload, nodes, seed), pin = next(iter(CLOSED_LOOP_PIN.items()))
+        closed-loop path byte-identical: the protocol-observable digest
+        of the pre-traffic pin."""
+        workload, nodes, seed = CLOSED_LOOP_CELL
         cfg = ClusterConfig(num_nodes=nodes, seed=seed,
                             scheduler=SchedulerKind.RTS, cl_threshold=4)
         r = run_experiment(workload, cfg, read_fraction=0.9,
                            workers_per_node=2, horizon=8.0)
-        assert (r.commits, r.root_aborts, r.sim_events) == pin
+        assert digest(r) == PINS[CLOSED_LOOP_CELL]
 
     def test_explicit_disabled_is_the_default(self):
-        (workload, nodes, seed), pin = next(iter(CLOSED_LOOP_PIN.items()))
+        workload, nodes, seed = CLOSED_LOOP_CELL
         cfg = ClusterConfig(num_nodes=nodes, seed=seed,
                             scheduler=SchedulerKind.RTS, cl_threshold=4,
                             arrival=ArrivalConfig(enabled=False))
         r = run_experiment(workload, cfg, read_fraction=0.9,
                            workers_per_node=2, horizon=8.0)
-        assert (r.commits, r.root_aborts, r.sim_events) == pin
+        assert digest(r) == PINS[CLOSED_LOOP_CELL]
         # ... and no open-loop extras leak into a closed-loop result
         assert "offered_rate" not in r.extra
         assert "stable" not in r.extra
