@@ -1,9 +1,11 @@
 """DES-kernel microbenchmark — raw events/sec of the schedule-pop loop.
 
-The simulation's host-side cost at large node counts is dominated by the
-kernel's run loop (heap pop, timeout firing, callback dispatch), so this
-bench measures it in isolation — no D-STM layers, no network.  Four
-workloads of increasing callback weight:
+Measures ``Environment.run`` (calendar-queue pop, timeout firing,
+callback dispatch) in isolation — no D-STM layers, no network.  It is a
+floor and a trajectory, not the perf surface: a real cell runs at about
+a fifth of these rates and kernel changes are judged on the end-to-end
+ledger (``benchmarks/e2e/run.py``).  Four workloads of increasing
+callback weight:
 
 * ``timeout-chain`` — N independent processes, each a tight
   yield-timeout loop: the pure pop/fire/resume path;
@@ -14,8 +16,9 @@ workloads of increasing callback weight:
 * ``message-storm`` — the real 10–80-node event-type mix: bursts of
   remote deliveries quantized to the millisecond link grid (many events
   tied at one timestamp) plus sparse lease-reclaim-scale timers that sit
-  far in the future.  This is the distribution the calendar-queue core
-  batch-drains; BENCH_KERNEL.json records it before/after the switch.
+  far in the future.  This is the distribution the calendar queue was
+  built for; BENCH_KERNEL.json records it before/after the switch from
+  a binary heap.
 
 Usage::
 
@@ -87,9 +90,9 @@ def _message_storm(env, node, fanout=16, leases=1000):
         env.timeout(60.0 + 0.5 * (node * leases + j))
     # Delivery bursts on the 1-5 ms link-hop grid: every process resumed
     # in the same slot computes the same hop, so burst deliveries tie
-    # timestamp-exactly across the resumed cohort — the same-(time,
-    # priority) classes the kernel batch-drains.  Every short-horizon
-    # push and pop has to coexist with the standing far band above.
+    # timestamp-exactly across the resumed cohort and share one calendar
+    # bucket.  Every short-horizon push and pop has to coexist with the
+    # standing far band above.
     wave = 0
     while True:
         wave += 1
@@ -164,7 +167,7 @@ WORKLOADS = {
 
 
 def test_kernel_sustains_throughput():
-    """The inlined run loop must stay comfortably above CI noise floor."""
+    """The run loop must stay comfortably above CI noise floor."""
     eps = bench_timeout_chain(procs=50, events=50_000)
     assert eps > 20_000, f"kernel unreasonably slow: {eps:.0f} events/s"
 

@@ -327,7 +327,7 @@ def run_locator_ablation(
     from near the previous holder stay cheap).  Reported: mean
     location-to-grant latency and messages per migration.
     """
-    from repro.dstm.arrow import ArrowDirectory, build_spanning_tree
+    from repro.analysis.arrow import ArrowDirectory, build_spanning_tree
     from repro.net.network import Network
     from repro.net.node import Node
     from repro.net.topology import Topology

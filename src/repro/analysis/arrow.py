@@ -25,7 +25,7 @@ Protocol sketch — distributed queuing over a spanning tree:
 The protocol's classic guarantees — every find terminates, each node has
 at most one successor, concurrent finds serialise into a single queue —
 are exercised by the property tests in
-``tests/dstm/test_arrow.py``.
+``tests/analysis/test_arrow.py``.
 """
 
 from __future__ import annotations

@@ -22,15 +22,12 @@ Layering, bottom-up:
   fixes holder-wins; requester-wins is provided for ablation).
 """
 
-from repro.dstm.arrow import ArrowDirectory, build_spanning_tree
 from repro.dstm.errors import AbortReason, TransactionAborted, TransactionError
 from repro.dstm.objects import ObjectMode, ObjectState, VersionedObject
 from repro.dstm.transaction import ETS, NestingModel, Transaction, TxStatus
 
 __all__ = [
     "AbortReason",
-    "ArrowDirectory",
-    "build_spanning_tree",
     "ETS",
     "NestingModel",
     "ObjectMode",

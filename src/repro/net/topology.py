@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Topology", "TopologyKind", "MS"]
 
@@ -148,6 +150,8 @@ class Topology:
 
     def to_graph(self) -> nx.Graph:
         """A complete weighted graph view (weights = delays), for analysis."""
+        import networkx as nx  # lazy: only analysis code needs the graph view
+
         g = nx.Graph()
         for i in range(self.num_nodes):
             g.add_node(i, pos=tuple(self.positions[i]))

@@ -1,9 +1,8 @@
 """Opt-in DES-kernel profiler: where does the run loop spend its time?
 
-The ROADMAP's "kernel raw speed" item needs evidence of *where* the
-schedule-pop loop burns host time before committing to structural
-rewrites (calendar queue, batch draining).  This profiler attributes
-every processed kernel event to ``(event kind, consumer site)``:
+Before changing the kernel for speed one needs evidence of *where* the
+schedule-pop loop burns host time.  This profiler attributes every
+processed kernel event to ``(event kind, consumer site)``:
 
 * **kind** — the event's class (``Timeout``, ``Event``, ``Process``,
   ``AnyOf``, ...), i.e. the kernel mechanism exercised;
@@ -30,8 +29,9 @@ Exports: :meth:`KernelProfiler.folded` (folded-stack flamegraph text,
 byte-deterministic in counters mode.
 
 The hook is strictly additive: ``Environment.run`` pays exactly one
-``is not None`` guard when no profiler is installed; the profiled loop
-is a separate copy of the run loop (``Environment._run_profiled``).
+``is None`` guard per event when no profiler is installed; with one it
+hands each fired event's callbacks to :meth:`KernelProfiler.dispatch`,
+so all the accounting lives here and the kernel has a single run loop.
 """
 
 from __future__ import annotations
@@ -39,7 +39,10 @@ from __future__ import annotations
 import json
 import re
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.sim.events import Event
 
 __all__ = ["KernelProfiler", "site_of"]
 
@@ -77,12 +80,11 @@ class KernelProfiler:
 
     __slots__ = (
         "wall", "clock", "counts", "wall_ns", "event_counts", "events",
-        "batches", "max_batch",
     )
 
     def __init__(self, wall: bool = False) -> None:
         self.wall = bool(wall)
-        #: the kernel loop reads this once per run; None = counters only
+        #: host-nanosecond clock metered around callbacks; None = counters only
         self.clock: Optional[Callable[[], int]] = _wall_clock if wall else None
         #: (kind, site) -> callback dispatch count
         self.counts: Dict[Tuple[str, str], int] = {}
@@ -91,16 +93,38 @@ class KernelProfiler:
         #: event kind -> processed-event count (callback-free events too)
         self.event_counts: Dict[str, int] = {}
         self.events = 0
-        #: (when, prio) batch drains the run loop performed; events/batches
-        #: is the same-timestamp burstiness of the workload
-        self.batches = 0
-        #: largest single batch (events tied at one (when, prio))
-        self.max_batch = 0
 
     def install(self, env: Any) -> "KernelProfiler":
         """Attach to an :class:`~repro.sim.core.Environment`."""
         env.profiler = self
         return self
+
+    def dispatch(
+        self, event: "Event", callbacks: List[Callable[["Event"], None]]
+    ) -> None:
+        """Account one fired event and run its callbacks.
+
+        ``Environment.run`` calls this in place of its plain callback
+        loop.  It only counts (and, in wall mode, meters host time
+        around) the callbacks — it never touches the schedule, so the
+        processed event sequence is byte-identical to an unprofiled run.
+        """
+        kind = type(event).__name__
+        self.events += 1
+        event_counts = self.event_counts
+        event_counts[kind] = event_counts.get(kind, 0) + 1
+        counts = self.counts
+        wall_ns = self.wall_ns
+        clock = self.clock
+        for callback in callbacks:
+            key = (kind, site_of(callback))
+            counts[key] = counts.get(key, 0) + 1
+            if clock is None:
+                callback(event)
+            else:
+                t0 = clock()
+                callback(event)
+                wall_ns[key] = wall_ns.get(key, 0) + clock() - t0
 
     # -- snapshots -------------------------------------------------------
 
@@ -125,8 +149,6 @@ class KernelProfiler:
         return {
             "events": self.events,
             "mode": "wall" if self.wall else "counters",
-            "batches": self.batches,
-            "max_batch": self.max_batch,
             "by_event": dict(sorted(self.event_counts.items())),
             "sites": len(self.counts),
             "top": rows,

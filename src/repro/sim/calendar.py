@@ -190,8 +190,7 @@ class CalendarQueue:
                 # _count tracks the *bucketed* population only; the
                 # current bucket's live population is len - _cpos, so
                 # current-bucket inserts and drain pops need no counter
-                # maintenance (the drain loops pop with a bare pointer
-                # bump).
+                # maintenance (a pop is a bare cursor bump).
                 if idx <= self._cursor:
                     cur = self._current
                     if not cur or cur[-1] < entry:
@@ -215,9 +214,10 @@ class CalendarQueue:
         """The globally minimal entry without removing it (None if empty).
 
         **Pure read** — unlike :meth:`pop` this never adopts buckets,
-        migrates far entries, or retunes, so it is safe to call from
-        event callbacks while a run loop holds the drain cursor in
-        locals (``Environment.peek`` is exactly that call).  The global
+        migrates far entries, or retunes, so event callbacks can call it
+        mid-run (``Environment.peek`` is exactly that call) and the
+        schedule controller can call it with the ready set detached
+        (``Environment._select``).  The global
         minimum is the least of three candidates: the current bucket's
         sorted remnant head, the minimum of the earliest occupied near
         bucket (the index-heap head; equal timestamps never straddle
@@ -240,9 +240,9 @@ class CalendarQueue:
     def pop(self) -> Optional[Entry]:
         """Remove and return the globally minimal entry (None if empty).
 
-        The run loops inline the post-:meth:`_advance` pointer walk for
-        batch draining; this method is the single-step reference form of
-        the very same sequence (``Environment.step`` uses it).
+        ``Environment.run`` spells the same two steps out — it has to
+        look at the head before deciding to pop it; ``Environment.step``
+        calls this.
         """
         if self._advance():
             cpos = self._cpos
@@ -265,14 +265,13 @@ class CalendarQueue:
         """Make ``_current[_cpos]`` the global minimum; False when empty.
 
         This is the only place buckets are adopted, windows slide, far
-        entries migrate in, and retunes run — the run loops re-derive
-        their locals after every call, so structural surgery is safe
-        here and nowhere else.  In particular the read-only inspectors
+        entries migrate in, and retunes run.  The read-only inspectors
         (:meth:`head`, :meth:`next_time`, :meth:`entries`,
-        :meth:`stats`) must never route through this method: event
-        callbacks call them (via ``Environment.peek``) while a run loop
-        is mid-batch with the drain cursor held in locals, and surgery
-        under their feet would corrupt the deferred cursor write-back.
+        :meth:`stats`) must never route through this method: they are
+        called from event callbacks (``Environment.peek``) and from
+        ``Environment._select`` while it holds the ready set detached
+        from ``_current``, and neither expects the queue to restructure
+        under it.
         """
         if self._cpos < len(self._current):
             return True

@@ -7,12 +7,20 @@ therefore every simulation in this repository — fully deterministic.
 
 The schedule lives in a :class:`~repro.sim.calendar.CalendarQueue`
 (time buckets + far-future overflow heap) rather than a global binary
-heap: near-term pushes are amortized O(1) appends and the run loops
-drain every event tied at the current ``(time, priority)`` in one batch,
-which is where the 10–80-node event mix spends its time.  The queue pops
-in exact ``(time, priority, sequence)`` tuple order, so the processed
-event sequence is byte-identical to the old heap build (pinned in
+heap: near-term pushes are amortized O(1) appends and a pop is a cursor
+bump over the sorted current bucket.  The queue pops in exact ``(time,
+priority, sequence)`` tuple order, so the processed event sequence is
+byte-identical to a heap build (pinned in
 ``tests/rpc/test_equivalence.py`` and ``tests/sim/test_calendar.py``).
+
+There is exactly one run loop, :meth:`Environment.run`.  An installed
+:class:`ScheduleController` (the systematic explorer) swaps its pop for
+:meth:`Environment._select`; an installed
+:class:`~repro.prof.kernel.KernelProfiler` swaps its callback dispatch
+for ``KernelProfiler.dispatch``.  The schedule the explorer checks, the
+schedule the profiler attributes and the schedule the benchmarks time
+are therefore the same code.  :meth:`Environment.step` is the single-pop
+reference the tests compare that loop against.
 
 Typical use::
 
@@ -37,7 +45,6 @@ from repro.sim.events import (
     AnyOf,
     Event,
     Timeout,
-    PRIORITY_NORMAL,
     _PENDING,
 )
 from repro.sim.process import Process
@@ -56,10 +63,10 @@ class EmptySchedule(SimulationError):
 class ScheduleController:
     """Hook over the kernel's schedule-pop choice points.
 
-    When installed (``env.controller = controller``) the run loop takes a
-    separate copy of itself (:meth:`Environment._run_controlled`) that, at
-    every pop, hands the controller the *ready set* — every pending entry
-    tied at the minimal ``(time, priority)`` — and lets it either
+    When installed (``env.controller = controller``) the run loop pops
+    through :meth:`Environment._select`, which at every pop hands the
+    controller the *ready set* — every pending entry tied at the minimal
+    ``(time, priority)`` — and lets it either
 
     * **pick** which tied entry to process (``return i``), overriding the
       sequence-number tie-break, or
@@ -71,8 +78,8 @@ class ScheduleController:
 
     The default implementation always returns ``0`` (the seq-minimal
     entry), which reproduces the uncontrolled schedule exactly; with no
-    controller installed the run loop below is untouched (one
-    ``is not None`` guard), keeping default runs byte-identical.
+    controller installed the pop is a cursor bump behind one
+    ``is None`` guard, keeping default runs byte-identical.
     """
 
     def select(
@@ -103,18 +110,18 @@ class Environment:
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue = CalendarQueue(origin=self._now)
-        # Bound push, pre-resolved for the kernel hot sites (Timeout
-        # construction, Event.succeed/fail, process bootstrap): one
-        # attribute load instead of two on every schedule insert.
+        # Bound push, pre-resolved for the inlined scheduling sites
+        # (Timeout construction, Event.succeed/fail, process bootstrap):
+        # one attribute load instead of two on every schedule insert.
         self._qpush = self._queue.push
         self._seq = 0
         #: number of events processed so far (useful for progress/limits)
         self.events_processed = 0
         #: opt-in kernel profiler (:class:`repro.prof.KernelProfiler`);
-        #: None keeps run() on the unprofiled fast loop (one guard)
+        #: when set, run() dispatches callbacks through its ``dispatch``
         self.profiler: Optional[Any] = None
-        #: opt-in schedule controller (:class:`ScheduleController`); None
-        #: keeps run() on the uncontrolled fast loop (one guard)
+        #: opt-in schedule controller (:class:`ScheduleController`);
+        #: when set, run() pops through :meth:`_select`
         self.controller: Optional[ScheduleController] = None
 
     # -- clock ---------------------------------------------------------------
@@ -151,9 +158,10 @@ class Environment:
     # -- scheduling (kernel-internal) ------------------------------------------
 
     def _enqueue(self, delay: float, priority: int, event: Event) -> None:
-        # Reference scheduling path.  The kernel hot sites (Timeout
-        # construction, Event.succeed/fail, process bootstrap) inline this
-        # push; they must stay semantically identical to it.
+        # The checked scheduling path.  Event.succeed/fail, Timeout
+        # construction and the process bootstrap inline its last two
+        # lines (see the measurement note in Event.succeed) and fall back
+        # to it for the scheduled-twice diagnostic.
         if event._scheduled:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
@@ -171,50 +179,78 @@ class Environment:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when none remain.
 
-        Pure read: safe to call from process/event callbacks while a run
-        loop is mid-batch (the queue's ``next_time`` never restructures).
+        Pure read: safe to call from process/event callbacks while the
+        run loop is going (the queue's ``next_time`` never restructures).
         """
         return self._queue.next_time()
 
-    def _pop_next(self) -> Entry:
-        """Pop the globally next schedule entry (the shared pop helper).
-
-        :meth:`step` calls this per event; the run loops inline its
-        batch form (``CalendarQueue._advance`` + pointer walk) over the
-        very same structure, so single-step and batch execution follow
-        one ordering authority (pinned by
-        ``tests/sim/test_calendar.py::test_step_matches_run``).
-        """
-        entry = self._queue.pop()
-        if entry is None:
-            raise EmptySchedule("no events scheduled")
-        return entry
-
     def step(self) -> None:
-        """Process exactly one event.
+        """Process exactly one event — the single-pop reference for
+        :meth:`run` (``tests/sim/test_calendar.py::TestKernelEquivalence``).
 
         Raises :class:`EmptySchedule` when the schedule is empty, and
         re-raises the exception of any *failed* event that no process
         consumed (an uncaught failure anywhere in the simulation should
         crash the run loudly, never vanish).
         """
-        when, _prio, _seq, event = self._pop_next()
+        entry = self._queue.pop()
+        if entry is None:
+            raise EmptySchedule("no events scheduled")
+        when, _prio, _seq, event = entry
         self._now = when
         self.events_processed += 1
-
         if event._value is _PENDING:
             # Auto-firing event (Timeout): materialise its value now.
             event._ok = True
-            event._value = getattr(event, "_fire_value", None)
-
+            event._value = event._fire_value
         callbacks = event.callbacks
         event.callbacks = None  # late add_callback() now runs synchronously
         event._processed = True
         for callback in callbacks:
             callback(event)
-
         if not event._ok and not event._defused:
             raise event._value
+
+    def _select(
+        self, controller: ScheduleController, head: Entry
+    ) -> Optional[Event]:
+        """Controlled pop: let ``controller`` choose among the entries tied
+        with ``head``.  Returns the event to process, or ``None`` when the
+        controller deferred one instead (nothing is processed this turn).
+
+        The ready set is the contiguous run of entries tied at the minimal
+        ``(time, priority)``.  The current bucket is sorted, and a tie
+        class can never straddle a bucket boundary (equal times share one
+        bucket) or reach into the far heap, so the slice IS the complete
+        tie.  It is detached from the schedule while the controller
+        deliberates, so ``next_time`` sees only what lies behind it.
+        """
+        queue = self._queue
+        cur = queue._current
+        cpos = queue._cpos
+        when, prio = head[0], head[1]
+        j = cpos + 1
+        n = len(cur)
+        while j < n and cur[j][0] == when and cur[j][1] == prio:
+            j += 1
+        ready = cur[cpos:j]
+        del cur[cpos:j]
+
+        choice = controller.select(self, when, prio, ready, queue.next_time())
+        event: Optional[Event] = None
+        if isinstance(choice, tuple):
+            kind, index, delta = choice
+            if kind != "defer" or not delta > 0.0:
+                raise SimulationError(
+                    f"controller returned invalid choice {choice!r}"
+                )
+            self._seq += 1
+            queue.push((when + delta, prio, self._seq, ready.pop(index)[3]))
+        else:
+            event = ready.pop(choice)[3]
+        for entry in ready:
+            queue.push(entry)
+        return event
 
     def run(
         self,
@@ -228,26 +264,14 @@ class Environment:
         ``None`` (run the schedule dry).  ``max_events`` bounds the number of
         processed events as a runaway guard.
 
-        The loop body is :meth:`step` inlined with the calendar queue's
-        drain cursor held in locals, plus **batch draining**: every event
-        tied at the current ``(time, priority)`` is consumed by one inner
-        walk over the sorted current bucket — same-timestamp delivery
-        bursts pay the outer-loop bookkeeping once, not per event
-        (``benchmarks/bench_kernel.py --workload message-storm`` measures
-        exactly this).  Ties created *during* the batch (zero-delay
-        cascades) insert into the live tail and are swept up by the same
-        walk.  :meth:`step` remains the reference implementation for
-        single-step callers; the two must stay semantically identical.
+        This is the kernel's only loop.  Per event it checks the stop
+        conditions against the schedule head, pops it (a cursor bump, or
+        :meth:`_select` under a :attr:`controller`), fires it, dispatches
+        its callbacks (through ``profiler.dispatch`` under a
+        :attr:`profiler`) and raises an undefused failure.  A callback
+        that schedules a same-time *urgent* event therefore sees it run
+        next: the head is re-read from the queue on every turn.
         """
-        if self.profiler is not None:
-            # Single additive guard: profiled runs take a separate copy
-            # of the loop so the unprofiled path below stays untouched.
-            return self._run_profiled(until, max_events)
-        if self.controller is not None:
-            # Same additive pattern: controlled (explored) runs take
-            # their own copy of the loop; the fast path stays untouched.
-            return self._run_controlled(until, max_events)
-
         stop_event: Optional[Event] = None
         stop_time = float("inf")
         if isinstance(until, Event):
@@ -256,310 +280,47 @@ class Environment:
             stop_time = float(until)
             if stop_time < self._now:
                 raise ValueError(f"until={stop_time} is in the past (now={self._now})")
+        limit = (
+            None if max_events is None else self.events_processed + max_events
+        )
 
         queue = self._queue
         advance = queue._advance
-        processed_at_start = self.events_processed
-        processed = self.events_processed
-        try:
-            while advance():
-                if stop_event is not None and stop_event._processed:
-                    break
-                cur = queue._current
-                cpos = queue._cpos
-                head = cur[cpos]
-                when = head[0]
-                if when > stop_time:
-                    self._now = stop_time
-                    break
-                prio = head[1]
-                self._now = when
-                # Batch-drain the (when, prio) tie class with a bare
-                # pointer walk.  Drain state (queue cursor, processed
-                # count) is synced to the queue only where user code can
-                # observe or escape the loop — before callback dispatch
-                # and at batch end — so the callback-free majority of a
-                # delivery burst pays no bookkeeping stores at all.
-                # `n` bounds indexing, not the batch: ties appended past
-                # it are swept by the next advance() round, and the live
-                # cur[cpos] re-read below keeps a same-time *urgent*
-                # push correctly ordered (it breaks the batch).
-                n = len(cur)
-                if max_events is not None:
-                    allowed = processed_at_start + max_events - processed
-                    if allowed <= 0:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}"
-                        )
-                    if n - cpos > allowed:
-                        n = cpos + allowed
-                base = cpos
-                while True:
-                    event = cur[cpos][3]
-                    cpos += 1
-
-                    if event._value is _PENDING:
-                        # Auto-firing event (Timeout): materialise its value.
-                        event._ok = True
-                        event._value = event._fire_value
-
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if callbacks:
-                        queue._cpos = cpos
-                        processed += cpos - base
-                        base = cpos
-                        for callback in callbacks:
-                            callback(event)
-
-                    if not event._ok and not event._defused:
-                        queue._cpos = cpos
-                        processed += cpos - base
-                        raise event._value
-                    if stop_event is not None and stop_event._processed:
-                        break
-                    if cpos < n:
-                        nxt = cur[cpos]
-                        if nxt[0] == when and nxt[1] == prio:
-                            continue
-                    break
-                queue._cpos = cpos
-                processed += cpos - base
-        finally:
-            self.events_processed = processed
-
-        if stop_event is not None:
-            if not stop_event.triggered:
-                raise SimulationError(
-                    "run(until=event) exhausted the schedule before the event fired"
-                )
-            if not stop_event.ok:
-                raise stop_event.value
-            return stop_event.value
-        if until is not None and stop_time != float("inf") and self._now < stop_time:
-            # Schedule ran dry before the horizon: advance to it for callers
-            # that compute rates over the requested window.
-            self._now = stop_time
-        return None
-
-    def _run_profiled(
-        self,
-        until: Optional[float | Event] = None,
-        max_events: Optional[int] = None,
-    ) -> Any:
-        """The run loop with kernel-profiler accounting.
-
-        Must stay semantically identical to :meth:`run`: the profiler
-        only counts (and, in wall mode, meters host time around)
-        callback dispatches plus batch-drain shape — it never touches
-        the schedule, so the processed event sequence is byte-identical
-        to an unprofiled run.
-        """
-        from repro.prof.kernel import site_of  # lazy: only profiled runs
-
-        stop_event: Optional[Event] = None
-        stop_time = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise ValueError(f"until={stop_time} is in the past (now={self._now})")
-
-        prof = self.profiler
-        counts = prof.counts
-        event_counts = prof.event_counts
-        wall_ns = prof.wall_ns
-        clock = prof.clock
-        queue = self._queue
-        advance = queue._advance
-        processed_at_start = self.events_processed
-        processed = self.events_processed
-        prof_events = prof.events
-        prof_batches = prof.batches
-        prof_max_batch = prof.max_batch
-        try:
-            while advance():
-                if stop_event is not None and stop_event._processed:
-                    break
-                cur = queue._current
-                cpos = queue._cpos
-                head = cur[cpos]
-                when = head[0]
-                if when > stop_time:
-                    self._now = stop_time
-                    break
-                prio = head[1]
-                self._now = when
-                prof_batches += 1
-                batch_size = 0
-                while True:
-                    if (
-                        max_events is not None
-                        and processed - processed_at_start >= max_events
-                    ):
-                        raise SimulationError(f"exceeded max_events={max_events}")
-
-                    event = cur[cpos][3]
-                    cpos += 1
-                    queue._cpos = cpos
-                    processed += 1
-                    prof_events += 1
-                    batch_size += 1
-                    kind = type(event).__name__
-                    event_counts[kind] = event_counts.get(kind, 0) + 1
-
-                    if event._value is _PENDING:
-                        event._ok = True
-                        event._value = event._fire_value
-
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    if clock is not None:
-                        for callback in callbacks:
-                            key = (kind, site_of(callback))
-                            counts[key] = counts.get(key, 0) + 1
-                            t0 = clock()
-                            callback(event)
-                            wall_ns[key] = wall_ns.get(key, 0) + clock() - t0
-                    else:
-                        for callback in callbacks:
-                            key = (kind, site_of(callback))
-                            counts[key] = counts.get(key, 0) + 1
-                            callback(event)
-
-                    if not event._ok and not event._defused:
-                        raise event._value
-                    if stop_event is not None and stop_event._processed:
-                        break
-                    if cpos < len(cur):
-                        nxt = cur[cpos]
-                        if nxt[0] == when and nxt[1] == prio:
-                            continue
-                    break
-                if batch_size > prof_max_batch:
-                    prof_max_batch = batch_size
-        finally:
-            self.events_processed = processed
-            prof.events = prof_events
-            prof.batches = prof_batches
-            prof.max_batch = prof_max_batch
-
-        if stop_event is not None:
-            if not stop_event.triggered:
-                raise SimulationError(
-                    "run(until=event) exhausted the schedule before the event fired"
-                )
-            if not stop_event.ok:
-                raise stop_event.value
-            return stop_event.value
-        if until is not None and stop_time != float("inf") and self._now < stop_time:
-            self._now = stop_time
-        return None
-
-    def _run_controlled(
-        self,
-        until: Optional[float | Event] = None,
-        max_events: Optional[int] = None,
-    ) -> Any:
-        """The run loop with schedule-controller choice points.
-
-        Semantically :meth:`run` with two extra degrees of freedom at
-        every pop, both exposed through :class:`ScheduleController`:
-        the tie-break among entries at the minimal ``(time, priority)``
-        becomes an explicit choice, and any ready entry may be deferred
-        by a positive delay (a bounded message-delay jitter).  The ready
-        set materialises as one contiguous slice of the calendar queue's
-        sorted current bucket — a bucket scan, not repeated heap pops.
-        A controller that always returns ``0`` reproduces the
-        uncontrolled schedule event-for-event (pinned in the equivalence
-        tests).
-        """
-        stop_event: Optional[Event] = None
-        stop_time = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise ValueError(f"until={stop_time} is in the past (now={self._now})")
-
         controller = self.controller
-        assert controller is not None
-        queue = self._queue
-        advance = queue._advance
-        processed_at_start = self.events_processed
-        processed = self.events_processed
-        try:
-            while advance():
-                if stop_event is not None and stop_event._processed:
-                    break
-                cur = queue._current
-                cpos = queue._cpos
-                head = cur[cpos]
-                when = head[0]
-                if when > stop_time:
-                    self._now = stop_time
-                    break
-                if (
-                    max_events is not None
-                    and processed - processed_at_start >= max_events
-                ):
-                    raise SimulationError(f"exceeded max_events={max_events}")
-
-                # Materialise the ready set: the contiguous run of
-                # entries tied at the minimal (time, priority).  The
-                # current bucket is sorted, and a tie class can never
-                # straddle a bucket boundary (equal times share one
-                # bucket) or reach into the far heap, so the slice IS
-                # the complete tie — no repeated pop/push.  It is
-                # detached from the schedule while the controller
-                # deliberates, exactly like the heap build popped it.
-                prio = head[1]
-                j = cpos + 1
-                n = len(cur)
-                while j < n and cur[j][0] == when and cur[j][1] == prio:
-                    j += 1
-                ready = cur[cpos:j]
-                del cur[cpos:j]
-                next_time = queue.next_time()
-
-                choice = controller.select(self, when, prio, ready, next_time)
-                if isinstance(choice, tuple):
-                    kind, index, delta = choice
-                    if kind != "defer" or not delta > 0.0:
-                        raise SimulationError(
-                            f"controller returned invalid choice {choice!r}"
-                        )
-                    deferred = ready.pop(index)
-                    self._seq += 1
-                    queue.push((when + delta, prio, self._seq, deferred[3]))
-                    for entry in ready:
-                        queue.push(entry)
+        profiler = self.profiler
+        while advance():
+            if stop_event is not None and stop_event._processed:
+                break
+            head = queue._current[queue._cpos]
+            when = head[0]
+            if when > stop_time:
+                break
+            if limit is not None and self.events_processed >= limit:
+                raise SimulationError(f"exceeded max_events={max_events}")
+            if controller is None:
+                queue._cpos += 1
+                event = head[3]
+            else:
+                event = self._select(controller, head)
+                if event is None:
                     continue
+            self._now = when
+            self.events_processed += 1
 
-                when, _prio, _seq, event = ready.pop(choice)
-                for entry in ready:
-                    queue.push(entry)
-                self._now = when
-                processed += 1
-
-                if event._value is _PENDING:
-                    event._ok = True
-                    event._value = event._fire_value
-
-                callbacks = event.callbacks
-                event.callbacks = None
-                event._processed = True
+            if event._value is _PENDING:
+                # Auto-firing event (Timeout): materialise its value now.
+                event._ok = True
+                event._value = event._fire_value
+            callbacks = event.callbacks
+            event.callbacks = None  # late add_callback() now runs synchronously
+            event._processed = True
+            if profiler is None:
                 for callback in callbacks:
                     callback(event)
-
-                if not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            self.events_processed = processed
+            else:
+                profiler.dispatch(event, callbacks)
+            if not event._ok and not event._defused:
+                raise event._value
 
         if stop_event is not None:
             if not stop_event.triggered:
@@ -569,6 +330,8 @@ class Environment:
             if not stop_event.ok:
                 raise stop_event.value
             return stop_event.value
-        if until is not None and stop_time != float("inf") and self._now < stop_time:
+        if self._now < stop_time < float("inf"):
+            # Stopped at, or ran dry before, the horizon: advance to it for
+            # callers that compute rates over the requested window.
             self._now = stop_time
         return None

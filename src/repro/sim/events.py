@@ -15,7 +15,6 @@ number, which makes the simulation fully deterministic.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Any, Callable, Iterable, Optional
 
 __all__ = [
@@ -62,8 +61,7 @@ class Event:
         self._processed = False
         self._scheduled = False
         # True unless a failure is in flight that nobody has consumed yet;
-        # initialised here so the event loop can read the slot directly
-        # (the schedule-pop loop is the simulation's hottest path).
+        # initialised here so the event loop can read the slot directly.
         self._defused = True
 
     # -- state inspection -------------------------------------------------
@@ -99,13 +97,18 @@ class Event:
         """Trigger the event successfully with ``value``."""
         if self._value is not _PENDING:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
-        self._ok = True
-        self._value = value
-        # Inlined Environment._enqueue (succeed() is a kernel hot path);
-        # the slow path keeps the scheduled-twice diagnostics.
         env = self.env
         if self._scheduled:
+            # A pending Timeout: _enqueue raises "scheduled twice",
+            # before this call has touched the event's outcome.
             env._enqueue(0.0, PRIORITY_NORMAL, self)
+        self._ok = True
+        self._value = value
+        # Environment._enqueue's push, inlined here, in fail(), in
+        # Timeout.__init__ and in the Process bootstrap: calling it (and
+        # Event.__init__) instead measured +3.8 % host_us_per_commit on
+        # lowcont_bank_80, slower on 5 of 6 pairs (EXPERIMENTS.md, "One
+        # kernel run loop").
         self._scheduled = True
         env._seq += 1
         env._qpush((env._now, PRIORITY_NORMAL, env._seq, self))
@@ -117,13 +120,13 @@ class Event:
             raise TypeError(f"fail() needs an exception, got {exception!r}")
         if self._value is not _PENDING:
             raise EventAlreadyTriggered(f"{self!r} already triggered")
-        self._ok = False
-        self._value = exception
-        self._defused = False
         env = self.env
         if self._scheduled:
             env._enqueue(0.0, PRIORITY_NORMAL, self)
-        self._scheduled = True
+        self._ok = False
+        self._value = exception
+        self._defused = False
+        self._scheduled = True  # inlined _enqueue push; see succeed()
         env._seq += 1
         env._qpush((env._now, PRIORITY_NORMAL, env._seq, self))
         return self
@@ -185,9 +188,10 @@ class Timeout(Event):
     ) -> None:
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        # Inlined Event.__init__ (one slot-store sequence instead of a
-        # super() call; this constructor runs once per delivery, deadline
-        # and timer).  Must stay field-for-field identical to it.
+        # Event.__init__ and Environment._enqueue's push inlined (the
+        # measurement is in Event.succeed); field-for-field identical to
+        # them.  A fresh Timeout cannot already be scheduled, so the
+        # scheduled-twice guard is statically satisfied.
         self.env = env
         self.callbacks = []
         self._value = _PENDING
@@ -196,39 +200,9 @@ class Timeout(Event):
         self._defused = True
         self.delay = delay
         self._fire_value = value
-        # Inlined Environment._enqueue plus the *future-near-bucket*
-        # fast path of CalendarQueue.push: a fresh Timeout cannot
-        # already be scheduled (the double-scheduling guard is
-        # statically satisfied), and timeout construction is the
-        # kernel's hottest scheduling site — every delivery, deadline
-        # and lease timer lands here, almost always a positive delay
-        # into a future near bucket.  Every other routing case
-        # (current-bucket insert, far overflow, non-finite timestamps)
-        # falls through to CalendarQueue.push so the tricky routing
-        # lives in exactly one place; the boundary-for-boundary
-        # equivalence is pinned in
-        # tests/sim/test_events.py::TestTimeoutPushRouting.
         self._scheduled = True
         env._seq += 1
-        q = env._queue
-        when = env._now + delay
-        entry = (when, priority, env._seq, self)
-        if when < q._horizon:
-            try:
-                idx = int(when * q._inv_width)
-            except OverflowError:
-                q.push(entry)
-                return
-            if q._cursor < idx < q._limit:
-                bucket = q._buckets.get(idx)
-                if bucket is None:
-                    q._buckets[idx] = [entry]
-                    heappush(q._idx_heap, idx)
-                else:
-                    bucket.append(entry)
-                q._count += 1
-                return
-        q.push(entry)
+        env._qpush((env._now + delay, priority, env._seq, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r}>"

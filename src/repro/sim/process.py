@@ -60,8 +60,8 @@ class Process(Event):
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off the process at the current time, urgently so that a
         # just-created process starts before same-time normal events.
-        # Scheduling is Environment._enqueue inlined (process creation is
-        # a kernel hot path; the fresh event cannot be scheduled twice).
+        # Environment._enqueue's push inlined (measurement in
+        # Event.succeed); the fresh event cannot be scheduled twice.
         bootstrap = Event(env)
         bootstrap._ok = True
         bootstrap._value = None

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dstm.arrow import ArrowDirectory, build_spanning_tree
+from repro.analysis.arrow import ArrowDirectory, build_spanning_tree
 from repro.net import Network, Node, Topology
 from repro.sim import Environment, RngRegistry
 

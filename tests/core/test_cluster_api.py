@@ -86,3 +86,25 @@ class TestPackageSurface:
     def test_version_string(self):
         assert isinstance(repro.__version__, str)
         assert repro.__version__.count(".") == 2
+
+    def test_default_import_graph_leaves_optional_packages_out(self):
+        # A default cell pays for what it imports (the ledger's setup_s):
+        # networkx and the opt-in tooling packages load only on demand.
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        optional = ["networkx", "repro.prof", "repro.obs", "repro.traffic",
+                    "repro.analysis"]
+        code = (
+            "import sys\n"
+            "import repro.core.cluster, repro.core.experiment\n"
+            f"print([m for m in {optional!r} if m in sys.modules])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

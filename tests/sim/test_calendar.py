@@ -6,16 +6,17 @@ tuple order no matter how entries land in buckets, migrate from the
 far-future overflow heap, or get redistributed by a self-tuning resize.
 These tests drive the structure through its structural edge cases
 (bucket rotation across empty bands, far-future overflow, flash-crowd
-resize) and pin the kernel-level equivalences the ISSUE requires:
-``step()`` against the batch-draining ``run()``, and a pass-through
-``ScheduleController`` against the default loop.
+resize) and pin the kernel-level equivalence: ``step()``, ``run()``, a
+pass-through ``ScheduleController`` and both ``KernelProfiler`` modes
+process one and the same schedule under every stop condition.
 """
 
 import random
 
 import pytest
 
-from repro.sim import Environment, ScheduleController, SimulationError
+from repro.prof import KernelProfiler
+from repro.sim import Environment, Event, ScheduleController, SimulationError
 from repro.sim.calendar import CalendarQueue
 from repro.sim.events import PRIORITY_URGENT, PRIORITY_NORMAL, PRIORITY_LOW
 
@@ -241,8 +242,52 @@ class TestEntriesAndLen:
         assert sorted(queue.entries()) == sorted(entries)[2:]
 
 
+def _reference_run(env, until=None, max_events=None):
+    """``Environment.run``'s contract spelled out over ``step()``."""
+    stop_time = float("inf") if until is None or isinstance(until, Event) else until
+    limit = None if max_events is None else env.events_processed + max_events
+    while env._queue:
+        if isinstance(until, Event) and until.processed:
+            break
+        if env.peek() > stop_time:
+            break
+        if limit is not None and env.events_processed >= limit:
+            raise SimulationError(f"exceeded max_events={max_events}")
+        env.step()
+    if isinstance(until, Event):
+        return until.value
+    if env.now < stop_time < float("inf"):
+        env._now = stop_time  # the horizon epilogue
+    return None
+
+
+#: every way the kernel can execute a schedule
+MODES = ["step", "run", "controller", "profiled", "profiled-wall"]
+
+
+def _execute(env, mode, **run_args):
+    """Run ``env`` under ``mode``; returns ``(result, profiler)`` where
+    ``result`` is run()'s return value or the exception it raised."""
+    profiler = None
+    if mode == "controller":
+        env.controller = ScheduleController()
+    elif mode.startswith("profiled"):
+        profiler = KernelProfiler(wall=mode == "profiled-wall").install(env)
+    try:
+        if mode == "step":
+            result = _reference_run(env, **run_args)
+        else:
+            result = env.run(**run_args)
+    except (SimulationError, ValueError) as exc:
+        result = (type(exc).__name__, str(exc))
+    return result, profiler
+
+
 class TestKernelEquivalence:
-    """The ISSUE's byte-identity pins at the Environment level."""
+    """One loop, five ways to drive it: ``step()`` (the single-pop
+    reference), plain ``run()``, a pass-through controller and both
+    profiler modes must process the identical event sequence under every
+    stop condition."""
 
     @staticmethod
     def _storm(env, node, log):
@@ -255,44 +300,69 @@ class TestKernelEquivalence:
             log.append((round(env.now, 9), node))
             yield deliveries[node % 4]
 
+    @staticmethod
+    def _bomb(env):
+        yield env.timeout(0.0505)
+        raise ValueError("boom")
+
     @classmethod
-    def _run_storm(cls, mode):
+    def _run_storm(cls, mode, stop="max_events"):
         env = Environment()
         log = []
         for node in range(12):
             env.process(cls._storm(env, node, log), name=f"n{node}")
-        if mode == "controller":
-            env.controller = ScheduleController()
-        if mode == "step":
-            from repro.sim.core import EmptySchedule
+        if stop == "max_events":  # overrun: SimulationError after 4000
+            run_args = {"max_events": 4000}
+        elif stop == "until-time":
+            run_args = {"until": 0.2005}
+        elif stop == "until-event":
+            run_args = {"until": env.timeout(0.1505, "done")}
+        else:  # an undefused failure crashes the run
+            assert stop == "failure"
+            env.process(cls._bomb(env), name="bomb")
+            run_args = {}
+        result, profiler = _execute(env, mode, **run_args)
+        return (env.events_processed, env.now, log, result), profiler
 
-            try:
-                while env.events_processed < 4000:
-                    env.step()
-            except EmptySchedule:  # pragma: no cover - storm never drains
-                pass
-        else:
-            with pytest.raises(SimulationError):
-                env.run(max_events=4000)
-        return env.events_processed, env.now, log
+    @pytest.mark.parametrize(
+        "stop", ["max_events", "until-time", "until-event", "failure"]
+    )
+    def test_every_mode_matches_run(self, stop):
+        outcomes = {mode: self._run_storm(mode, stop)[0] for mode in MODES}
+        events, now, log, result = outcomes["run"]
+        assert events > 500 and len(log) > 100  # the storm really ran
+        assert result == {
+            "max_events": ("SimulationError", "exceeded max_events=4000"),
+            "until-time": None,
+            "until-event": "done",
+            "failure": ("ValueError", "boom"),
+        }[stop]
+        if stop == "max_events":
+            assert events == 4000
+        if stop == "until-time":
+            assert now == 0.2005
+        for mode in MODES:
+            assert outcomes[mode] == outcomes["run"], mode
 
-    def test_step_matches_run(self):
-        # step() goes through the queue's single-pop reference path;
-        # run() batch-drains with inlined pointer walks.  Identical
-        # event sequence, clock and process interleaving.
-        assert self._run_storm("step") == self._run_storm("run")
+    @pytest.mark.parametrize("mode", ["profiled", "profiled-wall"])
+    def test_profiler_counts_are_the_batch_drain_builds(self, mode):
+        # Counts recorded from the build that profiled through its own
+        # copy of the run loop (PR 15); dispatch() must attribute the
+        # same storm identically.
+        (events, _now, _log, _result), profiler = self._run_storm(mode)
+        assert profiler.events == events == 4000
+        assert profiler.event_counts == {"Event": 12, "Timeout": 3988}
+        assert profiler.counts == {("Event", "n*"): 12, ("Timeout", "n*"): 996}
+        assert set(profiler.wall_ns) == (
+            set(profiler.counts) if mode == "profiled-wall" else set()
+        )
 
-    def test_passthrough_controller_matches_run(self):
-        # The controlled loop materialises ready sets as bucket-slice
-        # scans; a default controller must reproduce the uncontrolled
-        # schedule event-for-event.
-        assert self._run_storm("controller") == self._run_storm("run")
-
-    def test_urgent_push_breaks_a_same_time_batch(self):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_urgent_push_runs_before_the_remaining_ties(self, mode):
         # A process spawned from inside a callback schedules its
         # bootstrap *urgently* at the current time: it must run before
-        # the remaining normal-priority ties of the batch being drained,
-        # exactly as the old heap ordered it ((t, 0, seq) < (t, 1, seq')).
+        # the remaining normal-priority ties at that time, in every
+        # mode ((t, 0, seq) < (t, 1, seq') in tuple order).
         env = Environment()
         order = []
 
@@ -313,11 +383,12 @@ class TestKernelEquivalence:
             two.add_callback(lambda event: order.append("cb2"))
             three.add_callback(lambda event: order.append("cb3"))
             # All three land as normal-priority ties at t=1; cb1 then
-            # pushes the child's urgent bootstrap into the live batch.
+            # pushes the child's urgent bootstrap in front of two/three.
             one.succeed(None)
             two.succeed(None)
             three.succeed(None)
 
         env.process(root(env), name="root")
-        env.run()
+        result, _profiler = _execute(env, mode)
+        assert result is None
         assert order == ["cb1", "child", "cb2", "cb3"]

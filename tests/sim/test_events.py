@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Event, EventAlreadyTriggered, Timeout
-from repro.sim.calendar import DEFAULT_SPAN, DEFAULT_WIDTH
+from repro.sim import Environment, EventAlreadyTriggered, SimulationError, Timeout
 from repro.sim.events import AllOf, AnyOf, PRIORITY_URGENT, PRIORITY_NORMAL
 
 
@@ -125,6 +124,23 @@ class TestTimeout:
     def test_pending_timeout_not_triggered(self, env):
         to = env.timeout(5)
         assert not to.triggered
+
+    @pytest.mark.parametrize(
+        "trigger",
+        [lambda t: t.fail(ValueError("boom")), lambda t: t.succeed("early")],
+        ids=["fail", "succeed"],
+    )
+    def test_refused_trigger_leaves_the_timeout_intact(self, env, trigger):
+        # A Timeout is already scheduled: fail()/succeed() must refuse
+        # *before* touching its outcome, or the later run delivers the
+        # value (or crashes with the exception) the caller was told had
+        # been rejected.
+        timeout = env.timeout(5.0, "tick")
+        with pytest.raises(SimulationError, match="scheduled twice"):
+            trigger(timeout)
+        assert not timeout.triggered
+        assert env.run(until=timeout) == "tick"
+        assert env.now == 5.0
 
     def test_repr(self, env):
         assert "2" in repr(env.timeout(2))
@@ -252,64 +268,3 @@ class TestPriorities:
             t.add_callback(lambda e, i=i: order.append(i))
         env.run()
         assert order == [0, 1, 2, 3, 4]
-
-
-class TestTimeoutPushRouting:
-    """Timeout.__init__ inlines only CalendarQueue.push's future-bucket
-    fast path; every routing boundary must land structurally identically
-    to the queue's own push (REVIEW pin against silent divergence of the
-    two scheduling sites)."""
-
-    BOUNDARY_DELAYS = [
-        0.0,                                  # current (cursor) bucket
-        DEFAULT_WIDTH / 4,                    # same bucket as `now`
-        DEFAULT_WIDTH * 2,                    # future near bucket (fast path)
-        DEFAULT_WIDTH * 2,                    # append to that existing bucket
-        DEFAULT_WIDTH * (DEFAULT_SPAN - 2),   # near the window limit
-        DEFAULT_WIDTH * DEFAULT_SPAN,         # beyond the limit -> far heap
-        3600.0,                               # lease-scale far timer
-        float("inf"),                         # never-fires sentinel
-    ]
-
-    @staticmethod
-    def _reference_schedule(env, delay):
-        """Schedule an identical entry through CalendarQueue.push."""
-        ev = Event(env)
-        ev._scheduled = True
-        env._seq += 1
-        env._queue.push((env._now + delay, PRIORITY_NORMAL, env._seq, ev))
-
-    @staticmethod
-    def _assert_same_routing(probe, ref):
-        assert probe._queue.stats() == ref._queue.stats()
-        assert [e[:3] for e in probe._queue.entries()] == [
-            e[:3] for e in ref._queue.entries()
-        ]
-
-    def test_boundary_delays_route_like_queue_push(self):
-        probe, ref = Environment(), Environment()
-        for delay in self.BOUNDARY_DELAYS:
-            Timeout(probe, delay)
-            self._reference_schedule(ref, delay)
-            self._assert_same_routing(probe, ref)
-
-    def test_boundary_delays_route_like_queue_push_mid_drain(self):
-        # Same pin against a drained-forward queue: the cursor has
-        # advanced and the current bucket holds a live tail, so a
-        # zero-delay Timeout exercises push's current-bucket insert.
-        def ticker(env):
-            while True:
-                yield env.timeout(0.0015)
-
-        def build():
-            env = Environment()
-            env.process(ticker(env), name="tick")
-            env.run(until=0.01)
-            return env
-
-        probe, ref = build(), build()
-        self._assert_same_routing(probe, ref)
-        for delay in self.BOUNDARY_DELAYS:
-            Timeout(probe, delay)
-            self._reference_schedule(ref, delay)
-            self._assert_same_routing(probe, ref)
