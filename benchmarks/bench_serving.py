@@ -27,6 +27,7 @@ if __package__ in (None, ""):  # executed as a script: self-locate
     sys.path.insert(0, os.path.join(_root, "src"))
     sys.path.insert(0, _root)
 
+from benchmarks.bench_kernel import git_sha, host_fingerprint
 from benchmarks.conftest import BENCH_SEED, BENCH_WORKERS, cell_spec, run_cell
 from repro.par import add_par_args, run_cells
 from repro.traffic import max_sustainable_rate
@@ -253,6 +254,9 @@ def main(argv=None) -> int:
         _profile_saturation(stable_rates, args.nodes, args.seed, horizon)
 
     payload = {
+        # attribution for the trajectory (repro.prof.trend seed)
+        "git_sha": git_sha(),
+        "host": host_fingerprint(),
         "workload": SERVING_WORKLOAD,
         "read_fraction": SERVING_READ_FRACTION,
         "zipf_s": SERVING_ZIPF,

@@ -41,7 +41,7 @@ from repro.dstm.objects import ObjectMode, ObjectState, VersionedObject, home_no
 from repro.dstm.transaction import ETS, Transaction
 from repro.net.message import Message, MessageType
 from repro.net.node import Node
-from repro.rpc import ENDPOINTS, LookupCache, PeerUnreachable, RpcClient
+from repro.rpc import ENDPOINTS, Endpoint, LookupCache, PeerUnreachable, RpcClient
 from repro.scheduler.base import (
     ConflictContext,
     ConflictDecision,
@@ -321,21 +321,32 @@ class TMProxy:
         mtype: MessageType,
         payload: Optional[Dict[str, Any]] = None,
     ) -> Generator[Any, Any, Message]:
-        """A proxy RPC (generator; ``yield from``).
+        """A proxy RPC (returns a generator; ``yield from``).
 
         Delegates to the node's :class:`~repro.rpc.RpcClient` — the
         substrate owns the tracing/metrics and (via
         :meth:`~repro.net.node.Node.request`) the single retry loop.
         Without a policy (fault-free build) the call is a plain blocking
-        wait, no timeout events; with one, a peer silent through every
-        growing-timeout attempt surfaces as
-        :class:`~repro.dstm.errors.OwnerUnreachable`.
+        wait, no timeout events — the client's generator, returned as
+        is; with one, a peer silent through every growing-timeout
+        attempt surfaces as :class:`~repro.dstm.errors.OwnerUnreachable`.
+        A type no endpoint requests with is a :class:`TransactionError`,
+        raised here.
         """
         endpoint = ENDPOINTS.for_request(mtype)
         if endpoint is None:
-            raise TransactionError(f"no endpoint registered for {mtype.value}")
+            raise TransactionError(
+                f"no endpoint registered for {getattr(mtype, 'value', mtype)}"
+            )
+        if self.rpc_policy is None:
+            return self.rpc_client.call(dst, endpoint, payload)
+        return self._rpc_under_policy(dst, endpoint, payload)
+
+    def _rpc_under_policy(
+        self, dst: int, endpoint: Endpoint, payload: Optional[Dict[str, Any]]
+    ) -> Generator[Any, Any, Message]:
         try:
-            reply = yield from self.rpc_client.call(dst, endpoint.name, payload)
+            reply = yield from self.rpc_client.call(dst, endpoint, payload)
         except OwnerUnreachable:
             raise
         except PeerUnreachable as exc:

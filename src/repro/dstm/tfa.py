@@ -40,8 +40,13 @@ from repro.dstm.objects import ObjectMode, ObjectState, home_node
 from repro.dstm.proxy import TMProxy
 from repro.dstm.transaction import NestingModel, ReadEntry, Transaction, TxStatus
 from repro.net.message import MessageType
+from repro.rpc import ENDPOINTS
+from repro.sim import Event
 
 __all__ = ["TFAEngine"]
+
+_READ_VALIDATE = ENDPOINTS.get("read_validate")
+_DIR_UPDATE = ENDPOINTS.get("dir_update")
 
 
 class TFAEngine:
@@ -60,6 +65,9 @@ class TFAEngine:
         self.proxy = proxy
         self.node = proxy.node
         self.env = proxy.env
+        #: what the kernel profiler and the explorer attribute this
+        #: engine's reply-event callbacks to
+        self.name = f"n{self.node.node_id}.tfa"
         self.op_local_time = float(op_local_time)
         self.nesting = NestingModel(nesting)
         self.nested_commit_validation = bool(nested_commit_validation)
@@ -244,7 +252,24 @@ class TFAEngine:
             else:
                 remote.append((idx, oid, version))
 
-        if remote:
+        if remote and self.proxy.rpc_policy is None:
+            # Each call is its reply event: no process per call, and the
+            # reply folds into the lookup cache at the event it lands on.
+            submit = self.proxy.rpc_client.submit
+            num_nodes = self.node.network.num_nodes
+            replies = []
+            for _idx, oid, version in remote:
+                reply = submit(
+                    home_node(oid, num_nodes), _READ_VALIDATE,
+                    {"oid": oid, "version": version},
+                )
+                reply.callbacks.append(self._fold_validate)
+                replies.append(reply)
+            answers = yield self.env.all_of(replies)
+            for (idx, _oid, _version), reply in zip(remote, replies):
+                results[idx] = bool(answers[reply].payload["valid"])
+        elif remote:
+            # Under a retry policy every call needs its own loop.
             events = []
             for idx, oid, version in remote:
                 home = home_node(oid, self.node.network.num_nodes)
@@ -257,6 +282,11 @@ class TFAEngine:
                 answer = answers[proc]
                 results[idx] = None if answer is None else bool(answer)
         return [results[i] for i in range(len(pairs))]
+
+    def _fold_validate(self, reply: Event) -> None:
+        """Reply-event callback: :meth:`_one_validate`'s cache fold."""
+        p = reply.value.payload
+        self.proxy.owner_hints.note_version(p["oid"], p.get("registered_version"))
 
     def _one_validate(
         self, home: int, oid: str, version: int
@@ -413,16 +443,26 @@ class TFAEngine:
             old_versions = {oid: self.proxy.store[oid].version for oid in root.wset}
             new_versions = {oid: v + 1 for oid, v in old_versions.items()}
             order = sorted(root.wset)
-            procs = []
+            policy_free = self.proxy.rpc_policy is None
+            calls = []
             for oid in order:
                 home = home_node(oid, self.node.network.num_nodes)
-                procs.append(
-                    self.env.process(
+                if policy_free:
+                    # the registration is its reply event (as in
+                    # _validate_versions); the ack folds as it lands
+                    call = self.proxy.rpc_client.submit(
+                        home, _DIR_UPDATE,
+                        {"oid": oid, "owner": self.node.node_id,
+                         "version": new_versions[oid], "txid": root.txid},
+                    )
+                    call.callbacks.append(self._fold_register)
+                else:
+                    call = self.env.process(
                         self._register(home, oid, new_versions[oid], root.txid),
                         name=f"n{self.node.node_id}.register",
                     )
-                )
-            answers = yield self.env.all_of(procs)
+                calls.append(call)
+            answers = yield self.env.all_of(calls)
             registered = True
 
             # 2b. Inspect the acks (no-ops in the fault-free build, where
@@ -432,8 +472,9 @@ class TFAEngine:
             #     *unreachable* home leaves the registration unknown:
             #     also abort; the withdraws in the except-arm roll back
             #     whatever did land.
-            for oid, proc in zip(order, procs):
-                ack = answers[proc] or {}
+            for oid, call in zip(order, calls):
+                # a reply event carries the ack message, a process its payload
+                ack = (answers[call].payload if policy_free else answers[call]) or {}
                 if ack.get("ok", True):
                     continue
                 if ack.get("unreachable"):
@@ -537,7 +578,15 @@ class TFAEngine:
             )
         except OwnerUnreachable:
             return {"oid": oid, "ok": False, "unreachable": True}
-        ack = reply.payload
+        self._note_ack(oid, reply.payload)
+        return reply.payload
+
+    def _fold_register(self, reply: Event) -> None:
+        """Reply-event callback: :meth:`_register`'s cache fold."""
+        ack = reply.value.payload
+        self._note_ack(ack["oid"], ack)
+
+    def _note_ack(self, oid: str, ack: Dict[str, Any]) -> None:
         if not ack.get("ok", True) and ack.get("registered_owner") is not None:
             # A fenced registration ack is authoritative: it names the
             # real owner and version — refresh the lookup cache with it
@@ -546,7 +595,6 @@ class TFAEngine:
                 oid, ack.get("registered_version"),
                 owner=ack["registered_owner"],
             )
-        return ack
 
     def _withdraw_registrations(
         self, old_versions: Dict[str, int], txid: str

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.net.message import Message, MessageType
 from repro.net.topology import Topology
-from repro.sim import Counter, Environment, Tracer
+from repro.sim import Counter, Environment, Timeout, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.node import Node
@@ -114,41 +114,43 @@ class Network:
 
     def send(self, msg: Message) -> float:
         """Dispatch ``msg``; returns the scheduled delivery time."""
-        if msg.dst not in self._nodes:
-            raise KeyError(f"unknown destination node {msg.dst}")
-        msg.sent_at = self.env.now
-        delay = (
-            self.local_delay
-            if msg.src == msg.dst
-            else self._link_delay(msg.src, msg.dst)
-        )
-        if self.cost is not None and msg.src != msg.dst:
-            delay += self.cost.extra_delay(msg.src, msg.dst, msg.wire_bytes)
-            self.control_bytes += self.cost.control_size
+        src = msg.src
+        dst = msg.dst
+        if dst not in self._nodes:
+            raise KeyError(f"unknown destination node {dst}")
+        env = self.env
+        now = env.now
+        mtype = msg.mtype
+        remote = src != dst
+        msg.sent_at = now
+        delay = self._link_delay(src, dst) if remote else self.local_delay
+        cost = self.cost
+        if cost is not None and remote:
+            delay += cost.extra_delay(src, dst, msg.wire_bytes)
+            self.control_bytes += cost.control_size
             self.payload_bytes += msg.wire_bytes
-        self.messages_sent.increment()
-        self.per_type[msg.mtype] = self.per_type.get(msg.mtype, 0) + 1
+        self.messages_sent.value += 1
+        per_type = self.per_type
+        per_type[mtype] = per_type.get(mtype, 0) + 1
         self.total_delay += delay
-        if self.tracer.wants("net.send"):
-            self.tracer.emit(
-                self.env.now, "net.send", f"msg{msg.msg_id}",
-                mtype=msg.mtype.value, src=msg.src, dst=msg.dst, delay=delay,
+        tracer = self.tracer
+        if tracer.enabled and tracer.wants("net.send"):
+            tracer.emit(
+                now, "net.send", f"msg{msg.msg_id}",
+                mtype=mtype.value, src=src, dst=dst, delay=delay,
             )
-        if self.batcher is not None and msg.src != msg.dst:
+        if self.batcher is not None and remote:
             return self.batcher.enqueue(msg, delay)
-        deliver_at = self.env.now + delay
         if self.injector is not None:
             delays = self.injector.on_send(msg, delay)
             if not delays:
-                return deliver_at  # dropped on the wire
+                return now + delay  # dropped on the wire
             for i, d in enumerate(delays):
                 copy = msg if i == 0 else self._clone(msg)
-                timeout = self.env.timeout(d, value=copy)
-                timeout.add_callback(self._deliver)
-            return self.env.now + delays[0]
-        timeout = self.env.timeout(delay, value=msg)
-        timeout.add_callback(self._deliver)
-        return deliver_at
+                Timeout(env, d, copy).callbacks.append(self._deliver)
+            return now + delays[0]
+        Timeout(env, delay, msg).callbacks.append(self._deliver)
+        return now + delay
 
     def _clone(self, msg: Message) -> Message:
         """A duplicate delivery: fresh msg_id (the wire re-delivered the
@@ -171,13 +173,15 @@ class Network:
     def _deliver_one(self, msg: Message) -> None:
         if self.injector is not None and not self.injector.on_deliver(msg):
             return  # destination crashed while the message was in flight
-        self.messages_delivered.increment()
-        if self.tracer.wants("net.recv"):
-            self.tracer.emit(
+        self.messages_delivered.value += 1
+        dst = msg.dst
+        tracer = self.tracer
+        if tracer.enabled and tracer.wants("net.recv"):
+            tracer.emit(
                 self.env.now, "net.recv", f"msg{msg.msg_id}",
-                mtype=msg.mtype.value, src=msg.src, dst=msg.dst,
+                mtype=msg.mtype.value, src=msg.src, dst=dst,
             )
-        self._nodes[msg.dst].deliver(msg)
+        self._nodes[dst].deliver(msg)
 
     # -- batched path (repro.rpc.PiggybackBatcher) -------------------------
 

@@ -10,6 +10,8 @@ The :meth:`Node.request` helper implements blocking RPC for process code::
 
     reply = yield from node.request(dst, MessageType.DIR_LOOKUP, {"oid": oid})
 
+:meth:`Node.submit` is the non-blocking form: it returns the reply event,
+so a fan-out can send *k* requests and ``yield env.all_of(events)``.
 Replies are matched on ``reply_to``; an optional timeout turns a lost/slow
 reply into :class:`RpcError` (the simulated network is reliable, so in
 practice timeouts only fire when a peer deliberately withholds a reply —
@@ -203,6 +205,20 @@ class Node:
             to.src, mtype, payload, reply_to=to.msg_id, wire_bytes=wire_bytes
         )
 
+    def submit(
+        self, dst: int, mtype: MessageType, payload: Optional[dict] = None
+    ) -> Event:
+        """Non-blocking RPC: send the request, return its reply event.
+
+        The event succeeds with the reply :class:`Message` when the reply
+        is dispatched here.  No deadline and no retry — it never fires if
+        the reply is lost; those need the loop in :meth:`request`.
+        """
+        msg = self.send(dst, mtype, payload)
+        waiter = Event(self.env)
+        self._pending_replies[msg.msg_id] = waiter
+        return waiter
+
     def request(
         self,
         dst: int,
@@ -244,12 +260,12 @@ class Node:
                 f"node {self.node_id}: no reply to {mtype.value} from node "
                 f"{dst} after {attempts} attempts"
             )
+        if reply_timeout is None:
+            reply = yield self.submit(dst, mtype, payload)
+            return reply
         msg = self.send(dst, mtype, payload)
         waiter = self.env.event()
         self._pending_replies[msg.msg_id] = waiter
-        if reply_timeout is None:
-            reply = yield waiter
-            return reply
         expiry = self.env.timeout(reply_timeout)
         outcome = yield (waiter | expiry)
         if waiter in outcome:

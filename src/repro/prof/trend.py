@@ -24,8 +24,9 @@ CLI (``python -m repro.prof.trend``)::
 ``bench_kernel --json`` output (its ``events_per_sec`` map becomes the
 metrics).  A row must be attributable: a payload without ``git_sha``
 gets the short HEAD sha of the checkout the history file lives in, and
-a row still lacking ``git_sha`` or ``host`` is refused unless ``--sha``
-names the commit by hand.  ``check`` exits non-zero on a violated floor
+a row still lacking ``git_sha`` or ``host``, or stamped ``<sha>-dirty``
+(code that is in no commit), is refused unless ``--sha`` names the
+commit by hand.  ``check`` exits non-zero on a violated floor
 or a regression beyond the threshold — the CI perf-trend job gates on
 it.  All output is byte-deterministic for a fixed input (dates come from
 the payload or ``--date``; this module never reads the wall clock).
@@ -333,7 +334,7 @@ def seed_rows(
                     "schema": SCHEMA_VERSION,
                     "bench": "bench_serving",
                     "date": serving.get("date") or date or "unknown",
-                    "git_sha": git_sha,
+                    "git_sha": git_sha or serving.get("git_sha"),
                     "host": serving.get("host"),
                     "metrics": metrics,
                     "note": "max sustainable offered rate (bisection), tx/s",
@@ -390,7 +391,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_append.add_argument("--date", default=None, help="ISO date override")
     p_append.add_argument("--sha", default=None,
                           help="git SHA override (also admits a row "
-                               "without a host fingerprint)")
+                               "without a host fingerprint or stamped "
+                               "-dirty)")
     p_append.add_argument("--note", default=None)
 
     p_show = sub.add_parser("show", help="print the trajectory table")
@@ -438,6 +440,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"refusing an unattributable row ({missing} is null): "
                     "record it from the benchmark's --json output inside "
                     "a git checkout, or name the commit with --sha"
+                )
+            if args.sha is None and row["git_sha"].endswith("-dirty"):
+                raise TrendError(
+                    f"refusing a row stamped {row['git_sha']}: its code is "
+                    "in no commit — commit first and append from a clean "
+                    "checkout, or name the commit with --sha"
                 )
             load_history(args.history)  # validate before appending
             append_row(args.history, row)

@@ -17,15 +17,15 @@ reclaim) folds ownership observations into the *same* cache.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Dict, Generator, Optional, Union
 
-from repro.net.message import Message
+from repro.net.message import Message, MessageType
 from repro.net.node import Node, RpcError
 from repro.rpc.cache import LookupCache
-from repro.rpc.endpoint import ENDPOINTS, EndpointRegistry
+from repro.rpc.endpoint import ENDPOINTS, Endpoint, EndpointRegistry
 from repro.rpc.errors import EndpointError, PeerUnreachable
 from repro.rpc.policy import RetryPolicy
-from repro.sim import Tracer
+from repro.sim import Event, Tracer
 
 __all__ = ["RpcClient"]
 
@@ -55,25 +55,81 @@ class RpcClient:
         self.calls = 0
         self.failures = 0
 
+    def _admit(
+        self, endpoint: Union[Endpoint, str], payload: Optional[Dict[str, Any]]
+    ) -> MessageType:
+        """Resolve, shape-check and count one call; returns its request
+        type.  Raises :class:`EndpointError` before anything is sent."""
+        if endpoint.__class__ is str:
+            endpoint = self.registry.get(endpoint)
+        if endpoint.reply is None:
+            raise EndpointError(
+                f"endpoint {endpoint.name!r} is one-way; use Node.send, "
+                "not call()"
+            )
+        endpoint.check_request(payload)
+        self.calls += 1
+        return endpoint.request
+
     def call(
         self,
         dst: int,
-        name: str,
+        endpoint: Union[Endpoint, str],
         payload: Optional[Dict[str, Any]] = None,
     ) -> Generator[Any, Any, Message]:
-        """Issue endpoint ``name`` at ``dst`` (generator; ``yield from``).
+        """Issue ``endpoint`` (or its name) at ``dst``; blocking — the
+        returned generator is for ``yield from``.
 
         Returns the reply :class:`~repro.net.message.Message`; raises
         :class:`PeerUnreachable` when the policy's attempts are exhausted.
+        With neither a policy nor tracing there is nothing to add around
+        :meth:`~repro.net.node.Node.request`, so its generator is returned
+        as is.
         """
-        endpoint = self.registry.get(name)
-        if not endpoint.is_rpc:
+        mtype = self._admit(endpoint, payload)
+        if self.policy is None and not self.tracer.enabled:
+            return self.node.request(dst, mtype, payload)
+        return self._call(dst, mtype, payload)
+
+    def submit(
+        self,
+        dst: int,
+        endpoint: Union[Endpoint, str],
+        payload: Optional[Dict[str, Any]] = None,
+    ) -> Event:
+        """Issue ``endpoint`` at ``dst`` without blocking: returns the
+        reply event (:meth:`~repro.net.node.Node.submit`), which *is* the
+        call — fan-outs join on it with ``env.all_of``.
+
+        Refused under a :class:`RetryPolicy`: a retry needs the loop in
+        :meth:`call`.
+        """
+        if self.policy is not None:
             raise EndpointError(
-                f"endpoint {name!r} is one-way; use Node.send, not call()"
+                "submit() cannot retry; a client with a RetryPolicy must "
+                "use call()"
             )
-        endpoint.check_request(payload)
-        mtype = endpoint.request
-        self.calls += 1
+        mtype = self._admit(endpoint, payload)
+        tracer = self.tracer
+        if not (tracer.enabled and tracer.wants("rpc.issue")):
+            return self.node.submit(dst, mtype, payload)
+        node = f"n{self.node.node_id}"
+        tracer.emit(self.env.now, "rpc.issue", mtype.value, node=node, dst=dst)
+        reply = self.node.submit(dst, mtype, payload)
+
+        def done(_reply: Event) -> None:
+            tracer.emit(
+                self.env.now, "rpc.done", mtype.value,
+                node=node, dst=dst, ok=True, retries=0,
+            )
+
+        reply.callbacks.append(done)
+        return reply
+
+    def _call(
+        self, dst: int, mtype: MessageType, payload: Optional[Dict[str, Any]]
+    ) -> Generator[Any, Any, Message]:
+        """:meth:`call` with tracing and/or retry accounting around it."""
         rpc_trace = self.tracer.wants("rpc.issue")
         if rpc_trace:
             self.tracer.emit(

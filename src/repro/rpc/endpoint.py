@@ -42,14 +42,13 @@ class Endpoint:
 
     def check_request(self, payload: Optional[dict]) -> None:
         """Raise :class:`EndpointError` on a malformed request payload."""
-        if not self.required:
-            return
-        have = payload.keys() if payload else ()
-        missing = [k for k in self.required if k not in have]
-        if missing:
-            raise EndpointError(
-                f"endpoint {self.name}: request payload missing {missing}"
-            )
+        have = payload if payload else ()
+        for key in self.required:
+            if key not in have:
+                missing = [k for k in self.required if k not in have]
+                raise EndpointError(
+                    f"endpoint {self.name}: request payload missing {missing}"
+                )
 
 
 class EndpointRegistry:
@@ -80,7 +79,13 @@ class EndpointRegistry:
             ) from None
 
     def for_request(self, mtype: MessageType) -> Optional[Endpoint]:
-        return self._by_request.get(MessageType(mtype))
+        """The endpoint whose request type is ``mtype``, else None.
+
+        ``mtype`` may be the raw wire string (a str-enum member hashes
+        and compares equal to its value); an unknown string, or a member
+        no endpoint requests with (a reply type), is None.
+        """
+        return self._by_request.get(mtype)
 
     def __iter__(self) -> Iterator[Endpoint]:
         return iter(self._by_name.values())

@@ -46,6 +46,26 @@ def test_small_config_is_exhaustive_clean_and_pruned(scheduler):
     assert report.pruning_ratio > 2.0
 
 
+@pytest.mark.parametrize(
+    "scheduler, runs, naive, kept, events_before",
+    [("rts", 10, 91, 35, 812), ("tfa", 7, 55, 21, 496)],
+)
+def test_reply_event_fanouts_leave_the_choice_points_alone(
+    scheduler, runs, naive, kept, events_before
+):
+    """Validation and registration calls are reply events joined by an
+    ``AllOf``, not one process each: runs and naive/kept branches are
+    what they were with the processes (recorded at 317ae3b); only the
+    kernel events spent enumerating them fall."""
+    report = explore(ExploreConfig(nodes=2, txns=2, objects=1,
+                                   scheduler=scheduler))
+    assert report.exhaustive and report.violations == []
+    assert (report.runs, report.naive_branches, report.kept_branches) == (
+        runs, naive, kept
+    )
+    assert report.events_total < events_before
+
+
 def test_service_events_are_attributed_to_their_node():
     """An inbox service completion belongs to its node (by the owner's
     name, as a process does), not to "unknown = dependent with all":

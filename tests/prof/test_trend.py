@@ -187,6 +187,24 @@ class TestSeedLegacyArtifacts:
         assert max(proxy) / min(proxy) < 1.5
         assert max(eager) / min(eager) > 1_000
 
+    def test_bench_serving_stamps_what_seeding_needs(self, tmp_path):
+        """A fresh BENCH_SERVING.json carries ``host`` and ``git_sha``,
+        so its seeded row is attributable without ``--sha``."""
+        from benchmarks import bench_serving
+
+        out = tmp_path / "serving.json"
+        assert bench_serving.main(["--smoke", "--out", str(out)]) == 0
+        serving = json.loads(out.read_text())
+        assert serving["host"]["python"] and serving["host"]["os_cpu_count"] >= 1
+        assert serving["git_sha"] == head_sha(REPO)
+        # --smoke skips the bisection the row is made of: borrow it
+        with open(os.path.join(REPO, "BENCH_SERVING.json")) as fh:
+            serving["bisection"] = json.load(fh)["bisection"]
+        (row,) = seed_rows(serving=serving, date="2026-10-02")
+        assert row["bench"] == "bench_serving"
+        assert row["host"] == serving["host"]
+        assert row["git_sha"] == serving["git_sha"]
+
     def test_checked_in_history_is_valid_and_fresh(self):
         """BENCH_HISTORY.jsonl in the repo root must load, validate and
         match the artifacts it was seeded from."""
@@ -232,6 +250,23 @@ class TestCli:
         hist = str(tmp_path / "h.jsonl")
         assert main(["append", hist, str(run)]) == 1
         assert f"{missing} is null" in capsys.readouterr().err
+        assert load_history(hist) == []
+        assert main(["append", hist, str(run), "--sha", "feedbee"]) == 0
+        (row,) = load_history(hist)
+        assert row["git_sha"] == "feedbee"
+
+    def test_append_refuses_a_dirty_sha(self, tmp_path, capsys):
+        """``<sha>-dirty`` names code that is in no commit: the row is
+        appended from a clean checkout, or the commit named by hand."""
+        run = tmp_path / "run.json"
+        run.write_text(json.dumps({
+            "bench": "bench_e2e", "date": "2026-10-02",
+            "git_sha": "317ae3b-dirty", "host": {"python": "3.11.7"},
+            "metrics": {"lowcont_bank_80.host_us_per_commit": 1023.0},
+        }))
+        hist = str(tmp_path / "h.jsonl")
+        assert main(["append", hist, str(run)]) == 1
+        assert "317ae3b-dirty" in capsys.readouterr().err
         assert load_history(hist) == []
         assert main(["append", hist, str(run), "--sha", "feedbee"]) == 0
         (row,) = load_history(hist)

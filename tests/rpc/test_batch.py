@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import ClusterConfig, SchedulerKind
 from repro.core.experiment import run_experiment
-from repro.net import MessageType, Network, Node, Topology
+from repro.net import Message, MessageType, Network, Node, Topology
 from repro.net.topology import TopologyKind
 from repro.rpc import PiggybackBatcher
 from repro.sim import RngRegistry
@@ -100,3 +100,29 @@ class TestClusterWithBatching:
         assert a.sim_events == b.sim_events
         assert a.extra["rpc_batches"] == b.extra["rpc_batches"]
         assert a.extra["rpc_batched_messages"] == b.extra["rpc_batched_messages"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="Network.deliver_batch ships every rider at the first member's "
+    "delay, so with the wire-cost model on a coalesced payload rides free; "
+    "fixing it moves serve_proxy_bank_8's simulated timeline (own PR, own "
+    "digest change) — DESIGN.md §3d/§3i",
+)
+def test_batched_member_pays_its_own_wire_cost(env, net2):
+    from repro.net.network import WireCostModel
+
+    network, nodes = net2
+    PiggybackBatcher(env, window=0.010).install(network)
+    # 1 MB/s link, no serialization cost, empty control envelope
+    network.cost = WireCostModel(lambda src, dst: 1_000_000.0, 0.0, 0)
+    arrivals = []
+    nodes[1].on(MessageType.PING, lambda msg: arrivals.append(env.now))
+    nodes[0].send(1, MessageType.PING)
+    promised = network.send(
+        Message(MessageType.PING, 0, 1, wire_bytes=1_000_000)
+    )
+    env.run()
+    link = network.topology.delay(0, 1)
+    assert promised == pytest.approx(0.010 + link + 1.0)
+    assert arrivals[1] == pytest.approx(promised)  # today: 0.010 + link
