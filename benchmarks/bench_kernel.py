@@ -1,7 +1,7 @@
 """DES-kernel microbenchmark — raw events/sec of the schedule-pop loop.
 
-Measures ``Environment.run`` (calendar-queue pop, timeout firing,
-callback dispatch) in isolation — no D-STM layers, no network.  It is a
+Measures ``Environment.run`` (heap pop, timeout firing, callback
+dispatch) in isolation — no D-STM layers, no network.  It is a
 floor and a trajectory, not the perf surface: a real cell runs at about
 a fifth of these rates and kernel changes are judged on the end-to-end
 ledger (``benchmarks/e2e/run.py``).  Four workloads of increasing
@@ -13,12 +13,13 @@ callback weight:
   timeout callback: the succeed()-then-process path;
 * ``anyof-race`` — processes racing an event against a timeout deadline
   in an AnyOf, the RPC wait-with-deadline shape from ``Node.request``;
-* ``message-storm`` — the real 10–80-node event-type mix: bursts of
-  remote deliveries quantized to the millisecond link grid (many events
-  tied at one timestamp) plus sparse lease-reclaim-scale timers that sit
-  far in the future.  This is the distribution the calendar queue was
-  built for; BENCH_KERNEL.json records it before/after the switch from
-  a binary heap.
+* ``message-storm`` — a stress band, not a model of any cell: bursts of
+  deliveries quantized to the millisecond link grid (many events tied
+  at one timestamp) over 100 x 1000 = 100 000 standing far-future
+  timers, 330x the largest pending population of any ledger or fault
+  cell (305 entries; directory leases are a lazily checked field, not
+  timers).  It is the one workload where the calendar queue the heap
+  replaced was faster; BENCH_KERNEL.json records both directions.
 
 Usage::
 
@@ -81,18 +82,16 @@ def _anyof_race(env):
 
 
 def _message_storm(env, node, fanout=16, leases=1000):
-    # The standing far band: per-object lease-reclaim / crash-window /
-    # orphan-sweep timers, armed at session start and renewed far beyond
-    # the bench window.  A 10-80 node run keeps thousands of these
-    # pending at all times; every short-horizon delivery must coexist
-    # with them in the schedule.
+    # The standing far band: ``leases`` timers per process armed far
+    # beyond the bench window, so every short-horizon push and pop sifts
+    # through a heap 100 000 deep at the default 100 processes.  No cell
+    # of the ledger holds such a band (see the module docstring); this
+    # measures how the schedule degrades if one ever did.
     for j in range(leases):
         env.timeout(60.0 + 0.5 * (node * leases + j))
     # Delivery bursts on the 1-5 ms link-hop grid: every process resumed
     # in the same slot computes the same hop, so burst deliveries tie
-    # timestamp-exactly across the resumed cohort and share one calendar
-    # bucket.  Every short-horizon push and pop has to coexist with the
-    # standing far band above.
+    # timestamp-exactly across the resumed cohort.
     wave = 0
     while True:
         wave += 1

@@ -13,7 +13,6 @@ most importantly tie-breaking and therefore reproducibility — is fully under
 our control: two runs with the same seeds produce byte-identical traces.
 """
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.core import Environment, ScheduleController, SimulationError
 from repro.sim.events import (
     AllOf,
@@ -33,7 +32,6 @@ from repro.sim.trace import TraceRecord, TraceSink, Tracer
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "Counter",
     "Environment",
     "Event",

@@ -5,13 +5,15 @@ Schedule entries are keyed ``(time, priority, sequence)``; the
 monotonically increasing sequence number makes processing order — and
 therefore every simulation in this repository — fully deterministic.
 
-The schedule lives in a :class:`~repro.sim.calendar.CalendarQueue`
-(time buckets + far-future overflow heap) rather than a global binary
-heap: near-term pushes are amortized O(1) appends and a pop is a cursor
-bump over the sorted current bucket.  The queue pops in exact ``(time,
-priority, sequence)`` tuple order, so the processed event sequence is
-byte-identical to a heap build (pinned in
-``tests/rpc/test_equivalence.py`` and ``tests/sim/test_calendar.py``).
+The schedule is a plain ``list`` kept as a binary heap by :mod:`heapq`
+over ``(time, priority, sequence, event)`` tuples.  The sequence number
+is unique, so a comparison never reaches the event and the pop order is
+ascending tuple order by construction — the invariant every digest in
+this repository rests on (``tests/rpc/test_equivalence.py``).  No
+ledger or fault cell holds more than a few hundred pending entries; at
+that population the calendar queue this replaced was 7-15 % slower on
+two of the three ledger cells and no faster on the third
+(EXPERIMENTS.md, "The event core is ``heapq``").
 
 There is exactly one run loop, :meth:`Environment.run`.  An installed
 :class:`ScheduleController` (the systematic explorer) swaps its pop for
@@ -37,9 +39,10 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, Iterator, Optional
+from functools import partial
+from heapq import heappop, heappush
+from typing import Any, Generator, Iterable, Optional
 
-from repro.sim.calendar import CalendarQueue, Entry
 from repro.sim.events import (
     AllOf,
     AnyOf,
@@ -50,6 +53,9 @@ from repro.sim.events import (
 from repro.sim.process import Process
 
 __all__ = ["Environment", "ScheduleController", "SimulationError", "EmptySchedule"]
+
+#: one pending entry: (when, priority, seq, event)
+Entry = tuple[float, int, int, Event]
 
 
 class SimulationError(RuntimeError):
@@ -78,7 +84,7 @@ class ScheduleController:
 
     The default implementation always returns ``0`` (the seq-minimal
     entry), which reproduces the uncontrolled schedule exactly; with no
-    controller installed the pop is a cursor bump behind one
+    controller installed the pop is a ``heappop`` behind one
     ``is None`` guard, keeping default runs byte-identical.
     """
 
@@ -109,11 +115,12 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue = CalendarQueue(origin=self._now)
-        # Bound push, pre-resolved for the inlined scheduling sites
-        # (Timeout construction, Event.succeed/fail, process bootstrap):
-        # one attribute load instead of two on every schedule insert.
-        self._qpush = self._queue.push
+        #: the schedule: a heapq-ordered list of :data:`Entry` tuples
+        self._queue: list[Entry] = []
+        # The push, pre-bound for the inlined scheduling sites (Timeout
+        # construction, Event.succeed/fail, process bootstrap): a C call
+        # with no Python frame on every schedule insert.
+        self._qpush = partial(heappush, self._queue)
         self._seq = 0
         #: number of events processed so far (useful for progress/limits)
         self.events_processed = 0
@@ -166,37 +173,33 @@ class Environment:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
         self._seq += 1
-        self._queue.push((self._now + delay, priority, self._seq, event))
+        self._qpush((self._now + delay, priority, self._seq, event))
 
-    def pending_entries(self) -> Iterator[Entry]:
-        """Snapshot iterator over the scheduled ``(when, prio, seq, event)``
-        entries (deterministic order, not time-sorted).  Read-only: used
-        by the systematic explorer's independence checks and by tests."""
-        return self._queue.entries()
+    def pending_entries(self) -> list[Entry]:
+        """Snapshot of the scheduled ``(when, prio, seq, event)`` entries
+        (deterministic order, not time-sorted).  Read-only: used by the
+        systematic explorer's independence checks and by tests."""
+        return list(self._queue)
 
     # -- execution ----------------------------------------------------------------
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` when none remain.
-
-        Pure read: safe to call from process/event callbacks while the
-        run loop is going (the queue's ``next_time`` never restructures).
-        """
-        return self._queue.next_time()
+        """Time of the next scheduled event, or ``inf`` when none remain."""
+        queue = self._queue
+        return queue[0][0] if queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event — the single-pop reference for
-        :meth:`run` (``tests/sim/test_calendar.py::TestKernelEquivalence``).
+        :meth:`run` (``tests/sim/test_core.py::TestKernelEquivalence``).
 
         Raises :class:`EmptySchedule` when the schedule is empty, and
         re-raises the exception of any *failed* event that no process
         consumed (an uncaught failure anywhere in the simulation should
         crash the run loudly, never vanish).
         """
-        entry = self._queue.pop()
-        if entry is None:
+        if not self._queue:
             raise EmptySchedule("no events scheduled")
-        when, _prio, _seq, event = entry
+        when, _prio, _seq, event = heappop(self._queue)
         self._now = when
         self.events_processed += 1
         if event._value is _PENDING:
@@ -211,32 +214,24 @@ class Environment:
         if not event._ok and not event._defused:
             raise event._value
 
-    def _select(
-        self, controller: ScheduleController, head: Entry
-    ) -> Optional[Event]:
+    def _select(self, controller: ScheduleController) -> Optional[Event]:
         """Controlled pop: let ``controller`` choose among the entries tied
-        with ``head``.  Returns the event to process, or ``None`` when the
+        with the head.  Returns the event to process, or ``None`` when the
         controller deferred one instead (nothing is processed this turn).
 
-        The ready set is the contiguous run of entries tied at the minimal
-        ``(time, priority)``.  The current bucket is sorted, and a tie
-        class can never straddle a bucket boundary (equal times share one
-        bucket) or reach into the far heap, so the slice IS the complete
-        tie.  It is detached from the schedule while the controller
-        deliberates, so ``next_time`` sees only what lies behind it.
+        The ready set is every entry tied with the head on ``(time,
+        priority)``, popped off the heap — so it arrives in seq order and
+        is detached from the schedule while the controller deliberates:
+        ``next_time`` sees only what lies behind it.  Unchosen entries go
+        back with their own seq, a deferred one with a fresh seq.
         """
         queue = self._queue
-        cur = queue._current
-        cpos = queue._cpos
-        when, prio = head[0], head[1]
-        j = cpos + 1
-        n = len(cur)
-        while j < n and cur[j][0] == when and cur[j][1] == prio:
-            j += 1
-        ready = cur[cpos:j]
-        del cur[cpos:j]
+        ready = [heappop(queue)]
+        when, prio = ready[0][0], ready[0][1]
+        while queue and queue[0][0] == when and queue[0][1] == prio:
+            ready.append(heappop(queue))
 
-        choice = controller.select(self, when, prio, ready, queue.next_time())
+        choice = controller.select(self, when, prio, ready, self.peek())
         event: Optional[Event] = None
         if isinstance(choice, tuple):
             kind, index, delta = choice
@@ -245,11 +240,11 @@ class Environment:
                     f"controller returned invalid choice {choice!r}"
                 )
             self._seq += 1
-            queue.push((when + delta, prio, self._seq, ready.pop(index)[3]))
+            heappush(queue, (when + delta, prio, self._seq, ready.pop(index)[3]))
         else:
             event = ready.pop(choice)[3]
         for entry in ready:
-            queue.push(entry)
+            heappush(queue, entry)
         return event
 
     def run(
@@ -265,7 +260,7 @@ class Environment:
         processed events as a runaway guard.
 
         This is the kernel's only loop.  Per event it checks the stop
-        conditions against the schedule head, pops it (a cursor bump, or
+        conditions against the schedule head, pops it (``heappop``, or
         :meth:`_select` under a :attr:`controller`), fires it, dispatches
         its callbacks (through ``profiler.dispatch`` under a
         :attr:`profiler`) and raises an undefused failure.  A callback
@@ -278,30 +273,29 @@ class Environment:
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
-                raise ValueError(f"until={stop_time} is in the past (now={self._now})")
+            if not stop_time >= self._now:  # also refuses NaN
+                raise ValueError(
+                    f"until={stop_time} is NaN or in the past (now={self._now})"
+                )
         limit = (
             None if max_events is None else self.events_processed + max_events
         )
 
         queue = self._queue
-        advance = queue._advance
         controller = self.controller
         profiler = self.profiler
-        while advance():
+        while queue:
             if stop_event is not None and stop_event._processed:
                 break
-            head = queue._current[queue._cpos]
-            when = head[0]
+            when = queue[0][0]
             if when > stop_time:
                 break
             if limit is not None and self.events_processed >= limit:
                 raise SimulationError(f"exceeded max_events={max_events}")
             if controller is None:
-                queue._cpos += 1
-                event = head[3]
+                event = heappop(queue)[3]
             else:
-                event = self._select(controller, head)
+                event = self._select(controller)
                 if event is None:
                     continue
             self._now = when

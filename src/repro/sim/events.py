@@ -186,8 +186,8 @@ class Timeout(Event):
         value: Any = None,
         priority: int = PRIORITY_NORMAL,
     ) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
+        if not delay >= 0:  # one comparison; false for NaN too
+            raise ValueError(f"delay must be >= 0 and not NaN, got {delay!r}")
         # Event.__init__ and Environment._enqueue's push inlined (the
         # measurement is in Event.succeed); field-for-field identical to
         # them.  A fresh Timeout cannot already be scheduled, so the

@@ -37,8 +37,9 @@ def test_small_config_is_exhaustive_clean_and_pruned(scheduler):
     assert report.violations == []
     assert report.counterexample is None
     assert report.exhaustive, "2/2/1 must be fully enumerable"
-    # the enumeration the heap-era explorer saw, unchanged by the
-    # calendar queue and by the callback-chained inbox server
+    # pinned enumeration: the ready sets are the ties in tuple order,
+    # whatever holds the schedule; unchanged by the callback-chained
+    # inbox server
     assert report.runs == {"rts": 10, "tfa": 7}[scheduler]
     assert report.truncated_runs == 0
     # DPOR-style pruning must beat the naive fan-out by at least 2x.

@@ -3,7 +3,14 @@ deferrals, and the invalid-choice contract (`sim/core.py`)."""
 
 import pytest
 
-from repro.sim import Environment, ScheduleController, SimulationError
+from repro.sim import (
+    PRIORITY_NORMAL,
+    PRIORITY_URGENT,
+    Environment,
+    ScheduleController,
+    SimulationError,
+    Timeout,
+)
 
 
 def _three_tied_processes(env, order):
@@ -87,10 +94,10 @@ def test_defer_repushes_at_when_plus_delta():
     assert env.now == pytest.approx(1.5)
 
 
-def test_invalid_choice_is_a_simulation_error():
+def _run_deferring_by(delta):
     class Bad(ScheduleController):
         def select(self, env, when, priority, ready, next_time):
-            return ("defer", 0, -1.0)
+            return ("defer", 0, delta)
 
     def once(env):
         yield env.timeout(1.0)
@@ -98,8 +105,20 @@ def test_invalid_choice_is_a_simulation_error():
     env = Environment()
     env.process(once(env))
     env.controller = Bad()
+    env.run()
+
+
+def test_invalid_choice_is_a_simulation_error():
     with pytest.raises(SimulationError, match="invalid choice"):
-        env.run()
+        _run_deferring_by(-1.0)
+
+
+@pytest.mark.parametrize("delta", [0.0, float("nan")])
+def test_zero_and_nan_deferrals_are_invalid_choices(delta):
+    # A zero deferral would loop forever; a NaN one would enter the
+    # schedule at a time that compares false with everything.
+    with pytest.raises(SimulationError, match="invalid choice"):
+        _run_deferring_by(delta)
 
 
 def test_controller_and_ready_set_see_next_time():
@@ -119,3 +138,52 @@ def test_controller_and_ready_set_see_next_time():
     env.run()
     # The final pop has nothing behind it.
     assert seen[-1][1] == float("inf")
+
+
+class _SeqSpy(ScheduleController):
+    """Plays back ``choices`` (then 0s), recording each call as
+    ``(when, priority, ready seqs, next_time)``."""
+
+    def __init__(self, choices=()):
+        self.choices = list(choices)
+        self.seen = []
+
+    def select(self, env, when, priority, ready, next_time):
+        self.seen.append((when, priority, [entry[2] for entry in ready], next_time))
+        return self.choices.pop(0) if self.choices else 0
+
+
+def test_ready_set_is_every_tie_in_seq_order_and_nothing_else():
+    # The t=1 normal ties are pushed with another time and a same-time
+    # urgent entry between them: the ready set is all three, in seq
+    # order, never the urgent one; next_time looks past the detached set.
+    env = Environment()
+    env.timeout(1.0)  # seq 1
+    env.timeout(2.0)  # seq 2
+    env.timeout(1.0)  # seq 3
+    Timeout(env, 1.0, priority=PRIORITY_URGENT)  # seq 4
+    env.timeout(1.0)  # seq 5
+    env.controller = spy = _SeqSpy()
+    env.run()
+    assert spy.seen == [
+        (1.0, PRIORITY_URGENT, [4], 1.0),
+        (1.0, PRIORITY_NORMAL, [1, 3, 5], 2.0),
+        (1.0, PRIORITY_NORMAL, [3, 5], 2.0),
+        (1.0, PRIORITY_NORMAL, [5], 2.0),
+        (2.0, PRIORITY_NORMAL, [2], float("inf")),
+    ]
+
+
+def test_unchosen_entries_keep_their_seq_and_a_deferred_one_gets_a_fresh_one():
+    env = Environment()
+    for _ in range(3):
+        env.timeout(1.0)  # seqs 1, 2, 3
+    env.controller = spy = _SeqSpy([2, ("defer", 0, 0.5)])
+    env.run()
+    assert spy.seen == [
+        (1.0, PRIORITY_NORMAL, [1, 2, 3], float("inf")),  # picks seq 3
+        (1.0, PRIORITY_NORMAL, [1, 2], float("inf")),  # defers seq 1
+        (1.0, PRIORITY_NORMAL, [2], 1.5),
+        (1.5, PRIORITY_NORMAL, [4], float("inf")),
+    ]
+    assert env.events_processed == 3

@@ -1,8 +1,12 @@
-"""Unit tests for the Environment event loop."""
+"""Unit tests for the Environment event loop, and the kernel-level
+equivalence pins: ``step()``, ``run()``, a pass-through
+``ScheduleController`` and both ``KernelProfiler`` modes process one and
+the same schedule under every stop condition."""
 
 import pytest
 
-from repro.sim import Environment, SimulationError
+from repro.prof import KernelProfiler
+from repro.sim import Environment, Event, ScheduleController, SimulationError
 from repro.sim.core import EmptySchedule
 
 
@@ -24,6 +28,14 @@ class TestClockAndRun:
         env.run(until=5)
         with pytest.raises(ValueError):
             env.run(until=2)
+
+    def test_run_until_nan_rejected(self, env):
+        # Both of run()'s comparisons against a NaN horizon are false:
+        # unrefused, it would run the schedule dry and return.
+        env.timeout(1)
+        with pytest.raises(ValueError, match="nan"):
+            env.run(until=float("nan"))
+        assert env.now == 0.0 and env.events_processed == 0
 
     def test_run_until_event_returns_value(self, env):
         def body(env):
@@ -103,11 +115,9 @@ class TestStepAndPeek:
         assert env.now == 2.5
 
     def test_peek_inside_callbacks_does_not_perturb_the_run(self):
-        # REVIEW regression: peek() used to restructure the calendar
-        # queue (bucket adoption) under the batch-draining run loop's
-        # locally held cursor, silently dropping the adopted bucket's
-        # events.  A run with processes that peek between yields must be
-        # byte-identical to one without.
+        # peek() is a pure read of the schedule head: a run with
+        # processes that peek between yields must be byte-identical to
+        # one without.
         def worker(env, log, peeking):
             for i in range(4):
                 yield env.timeout(0.001)
@@ -181,3 +191,155 @@ class TestSchedulingInvariants:
         ev = env.event().succeed(1)
         with pytest.raises(SimulationError):
             env._enqueue(0.0, 1, ev)
+
+
+def _reference_run(env, until=None, max_events=None):
+    """``Environment.run``'s contract spelled out over ``step()``."""
+    stop_time = float("inf") if until is None or isinstance(until, Event) else until
+    limit = None if max_events is None else env.events_processed + max_events
+    while env._queue:
+        if isinstance(until, Event) and until.processed:
+            break
+        if env.peek() > stop_time:
+            break
+        if limit is not None and env.events_processed >= limit:
+            raise SimulationError(f"exceeded max_events={max_events}")
+        env.step()
+    if isinstance(until, Event):
+        return until.value
+    if env.now < stop_time < float("inf"):
+        env._now = stop_time  # the horizon epilogue
+    return None
+
+
+#: every way the kernel can execute a schedule
+MODES = ["step", "run", "controller", "profiled", "profiled-wall"]
+
+
+def _execute(env, mode, **run_args):
+    """Run ``env`` under ``mode``; returns ``(result, profiler)`` where
+    ``result`` is run()'s return value or the exception it raised."""
+    profiler = None
+    if mode == "controller":
+        env.controller = ScheduleController()
+    elif mode.startswith("profiled"):
+        profiler = KernelProfiler(wall=mode == "profiled-wall").install(env)
+    try:
+        if mode == "step":
+            result = _reference_run(env, **run_args)
+        else:
+            result = env.run(**run_args)
+    except (SimulationError, ValueError) as exc:
+        result = (type(exc).__name__, str(exc))
+    return result, profiler
+
+
+class TestKernelEquivalence:
+    """One loop, five ways to drive it: ``step()`` (the single-pop
+    reference), plain ``run()``, a pass-through controller and both
+    profiler modes must process the identical event sequence under every
+    stop condition."""
+
+    @staticmethod
+    def _storm(env, node, log):
+        while True:
+            slot = int(round(env.now * 1000.0))
+            hop = 0.001 * (1 + (slot + node) % 5)
+            deliveries = [env.timeout(hop + 0.001 * k) for k in range(4)]
+            if (slot + node) % 7 == 0:
+                env.timeout(300.0)  # never fires; far-band ballast
+            log.append((round(env.now, 9), node))
+            yield deliveries[node % 4]
+
+    @staticmethod
+    def _bomb(env):
+        yield env.timeout(0.0505)
+        raise ValueError("boom")
+
+    @classmethod
+    def _run_storm(cls, mode, stop="max_events"):
+        env = Environment()
+        log = []
+        for node in range(12):
+            env.process(cls._storm(env, node, log), name=f"n{node}")
+        if stop == "max_events":  # overrun: SimulationError after 4000
+            run_args = {"max_events": 4000}
+        elif stop == "until-time":
+            run_args = {"until": 0.2005}
+        elif stop == "until-event":
+            run_args = {"until": env.timeout(0.1505, "done")}
+        else:  # an undefused failure crashes the run
+            assert stop == "failure"
+            env.process(cls._bomb(env), name="bomb")
+            run_args = {}
+        result, profiler = _execute(env, mode, **run_args)
+        return (env.events_processed, env.now, log, result), profiler
+
+    @pytest.mark.parametrize(
+        "stop", ["max_events", "until-time", "until-event", "failure"]
+    )
+    def test_every_mode_matches_run(self, stop):
+        outcomes = {mode: self._run_storm(mode, stop)[0] for mode in MODES}
+        events, now, log, result = outcomes["run"]
+        assert events > 500 and len(log) > 100  # the storm really ran
+        assert result == {
+            "max_events": ("SimulationError", "exceeded max_events=4000"),
+            "until-time": None,
+            "until-event": "done",
+            "failure": ("ValueError", "boom"),
+        }[stop]
+        if stop == "max_events":
+            assert events == 4000
+        if stop == "until-time":
+            assert now == 0.2005
+        for mode in MODES:
+            assert outcomes[mode] == outcomes["run"], mode
+
+    @pytest.mark.parametrize("mode", ["profiled", "profiled-wall"])
+    def test_profiler_counts_are_the_batch_drain_builds(self, mode):
+        # Counts recorded from the build that profiled through its own
+        # copy of the run loop (PR 15); dispatch() must attribute the
+        # same storm identically.
+        (events, _now, _log, _result), profiler = self._run_storm(mode)
+        assert profiler.events == events == 4000
+        assert profiler.event_counts == {"Event": 12, "Timeout": 3988}
+        assert profiler.counts == {("Event", "n*"): 12, ("Timeout", "n*"): 996}
+        assert set(profiler.wall_ns) == (
+            set(profiler.counts) if mode == "profiled-wall" else set()
+        )
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_urgent_push_runs_before_the_remaining_ties(self, mode):
+        # A process spawned from inside a callback schedules its
+        # bootstrap *urgently* at the current time: it must run before
+        # the remaining normal-priority ties at that time, in every
+        # mode ((t, 0, seq) < (t, 1, seq') in tuple order).
+        env = Environment()
+        order = []
+
+        def child(env):
+            order.append("child")
+            return
+            yield  # pragma: no cover - makes child() a generator
+
+        def root(env):
+            yield env.timeout(1.0)
+            one, two, three = env.event(), env.event(), env.event()
+
+            def cb1(event):
+                order.append("cb1")
+                env.process(child(env))
+
+            one.add_callback(cb1)
+            two.add_callback(lambda event: order.append("cb2"))
+            three.add_callback(lambda event: order.append("cb3"))
+            # All three land as normal-priority ties at t=1; cb1 then
+            # pushes the child's urgent bootstrap in front of two/three.
+            one.succeed(None)
+            two.succeed(None)
+            three.succeed(None)
+
+        env.process(root(env), name="root")
+        result, _profiler = _execute(env, mode)
+        assert result is None
+        assert order == ["cb1", "child", "cb2", "cb3"]

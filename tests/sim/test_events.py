@@ -101,6 +101,22 @@ class TestTimeout:
         with pytest.raises(ValueError):
             env.timeout(-1)
 
+    def test_nan_delay_rejected_before_it_reaches_the_schedule(self, env):
+        # NaN compares false with everything: on the heap it would sit
+        # wherever it landed and break the pop order silently.
+        with pytest.raises(ValueError, match="nan"):
+            env.timeout(float("nan"))
+        assert env.pending_entries() == []
+
+    def test_infinite_delay_is_legal_and_pops_last(self, env):
+        order = []
+        env.timeout(float("inf")).add_callback(lambda e: order.append("never"))
+        env.timeout(5.0).add_callback(lambda e: order.append("soon"))
+        env.run(until=1e9)
+        assert order == ["soon"] and env.now == 1e9
+        env.run()
+        assert order == ["soon", "never"] and env.now == float("inf")
+
     def test_zero_delay_allowed(self, env):
         out = []
 

@@ -3,10 +3,84 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment
+from repro.sim import (
+    PRIORITY_LOW,
+    PRIORITY_NORMAL,
+    PRIORITY_URGENT,
+    Environment,
+    Timeout,
+)
+
+#: few distinct delays, so generated schedules are full of exact ties
+_DELAYS = (0.0, 0.0, 0.001, 0.001, 0.25, 3.0, float("inf"))
+_PRIORITIES = (PRIORITY_URGENT, PRIORITY_NORMAL, PRIORITY_LOW)
+#: a push: (delay, priority, pushes made from inside its callback)
+_pushes = st.recursive(
+    st.tuples(st.sampled_from(_DELAYS), st.sampled_from(_PRIORITIES), st.just(())),
+    lambda children: st.tuples(
+        st.sampled_from(_DELAYS),
+        st.sampled_from(_PRIORITIES),
+        st.lists(children, max_size=3).map(tuple),
+    ),
+    max_leaves=12,
+)
+
+
+def _play(program, drive):
+    """Schedule ``program``, let ``drive(env)`` execute it; returns one
+    ``(when, prio, seq, seq high-water mark at the pop)`` per processed
+    entry, in processing order."""
+    env = Environment()
+    processed = []
+
+    def push(node):
+        delay, prio, children = node
+        event = Timeout(env, delay, priority=prio)
+        seq = env._seq
+
+        def fire(event):
+            processed.append((env.now, prio, seq, env._seq))
+            for child in children:
+                push(child)
+
+        event.add_callback(fire)
+
+    for node in program:
+        push(node)
+    drive(env)
+    return processed
+
+
+def _step_dry(env):
+    while env.pending_entries():
+        env.step()
 
 
 class TestEventOrderingProperties:
+    @given(
+        st.lists(_pushes, min_size=1, max_size=8),
+        st.lists(st.sampled_from((0.0, 0.001, 0.002, 0.25, 1.0, 3.0, 10.0)), max_size=4),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pops_ascend_in_tuple_order_and_match_the_step_reference(
+        self, program, horizons
+    ):
+        def run_in_slices(env):
+            for horizon in sorted(horizons):
+                env.run(until=horizon)
+            env.run()
+
+        ran = _play(program, run_in_slices)
+        assert ran == _play(program, _step_dry)
+        for (when, prio, seq, mark), after in zip(ran, ran[1:]):
+            if after[2] <= mark:
+                # both were pending together: strict tuple order
+                assert (when, prio, seq) < after[:3]
+            else:
+                # pushed by the callback just run: may outrank it on
+                # priority (a same-time urgent push), never on time
+                assert when <= after[0]
+
     @given(st.lists(st.floats(min_value=0.0, max_value=100.0,
                               allow_nan=False), min_size=1, max_size=50))
     @settings(max_examples=80, deadline=None)
