@@ -1,19 +1,14 @@
 """The event loop: :class:`Environment`.
 
-The environment owns the simulated clock and the pending-event schedule.
-Schedule entries are keyed ``(time, priority, sequence)``; the
-monotonically increasing sequence number makes processing order — and
-therefore every simulation in this repository — fully deterministic.
-
-The schedule is a plain ``list`` kept as a binary heap by :mod:`heapq`
-over ``(time, priority, sequence, event)`` tuples.  The sequence number
-is unique, so a comparison never reaches the event and the pop order is
-ascending tuple order by construction — the invariant every digest in
-this repository rests on (``tests/rpc/test_equivalence.py``).  No
-ledger or fault cell holds more than a few hundred pending entries; at
-that population the calendar queue this replaced was 7-15 % slower on
-two of the three ledger cells and no faster on the third
-(EXPERIMENTS.md, "The event core is ``heapq``").
+The environment owns the simulated clock and the pending-event
+schedule: a plain ``list`` kept as a binary heap by :mod:`heapq` over
+``(time, priority, sequence, event)`` tuples.  The monotonically
+increasing sequence number is unique, so a comparison never reaches the
+event and pop order is ascending tuple order by construction — which
+makes every simulation in this repository deterministic, and is the
+invariant every digest rests on (``tests/rpc/test_equivalence.py``).  No
+cell holds more than a few hundred pending entries, so nothing cleverer
+pays (EXPERIMENTS.md, "The event core is ``heapq``").
 
 There is exactly one run loop, :meth:`Environment.run`.  An installed
 :class:`ScheduleController` (the systematic explorer) swaps its pop for
