@@ -10,6 +10,7 @@ committing write — version equality is all TFA's validation needs.
 from __future__ import annotations
 
 import enum
+import functools
 import zlib
 from dataclasses import dataclass, field
 from typing import Any
@@ -23,8 +24,13 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def home_node(oid: str, num_nodes: int) -> int:
-    """The directory shard responsible for ``oid`` (stable hash)."""
+    """The directory shard responsible for ``oid`` (stable hash).
+
+    Memoised: a pure function of its arguments that every open,
+    validation and registration asks again (≈ 10× per commit).
+    """
     return zlib.crc32(oid.encode("utf-8")) % num_nodes
 
 

@@ -23,7 +23,7 @@ __all__ = ["NodeClock"]
 class NodeClock:
     """The clock pair of a single node."""
 
-    __slots__ = ("node_id", "skew", "drift", "_tfa_clock")
+    __slots__ = ("node_id", "skew", "drift", "tfa_clock")
 
     def __init__(
         self,
@@ -39,7 +39,10 @@ class NodeClock:
         else:
             self.skew = float(rng.uniform(-max_skew, max_skew))
             self.drift = float(rng.uniform(-max_drift, max_drift))
-        self._tfa_clock = 0
+        #: the logical clock's reading; a plain attribute (one read per
+        #: message sent and received) that only :meth:`tick` and
+        #: :meth:`advance_to` write
+        self.tfa_clock = 0
 
     # -- wall clock -----------------------------------------------------------
 
@@ -49,24 +52,20 @@ class NodeClock:
 
     # -- TFA logical clock ------------------------------------------------------
 
-    @property
-    def tfa_clock(self) -> int:
-        return self._tfa_clock
-
     def tick(self) -> int:
         """Bump on local write-commit; returns the new value."""
-        self._tfa_clock += 1
-        return self._tfa_clock
+        self.tfa_clock += 1
+        return self.tfa_clock
 
     def advance_to(self, observed: int) -> bool:
         """Advance to an observed remote clock; True if we actually moved."""
-        if observed > self._tfa_clock:
-            self._tfa_clock = observed
+        if observed > self.tfa_clock:
+            self.tfa_clock = observed
             return True
         return False
 
     def __repr__(self) -> str:
         return (
-            f"<NodeClock node={self.node_id} tfa={self._tfa_clock} "
+            f"<NodeClock node={self.node_id} tfa={self.tfa_clock} "
             f"skew={self.skew:+.3f}s drift={self.drift:+.2e}>"
         )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 __all__ = ["Message", "MessageType", "reset_msg_ids"]
@@ -71,37 +70,51 @@ class MessageType(str, enum.Enum):
     PONG = "pong"
 
 
-@dataclass(slots=True)
 class Message:
     """An envelope travelling between two nodes.
 
-    ``slots=True``: messages are the simulation's highest-volume
-    allocation (one per protocol hop), and dropping the per-instance
-    ``__dict__`` measurably cuts both allocation time and memory on the
-    large-node sweeps (see BENCH_PAR.json).
+    Hand-written ``__slots__`` class: messages are the simulation's
+    highest-volume allocation (one per protocol hop), so construction is
+    one Python frame and an instance carries no ``__dict__``.  Messages
+    compare and hash by identity — ``msg_id`` is unique within a
+    simulation, so no two distinct envelopes were ever field-wise equal.
     """
 
-    mtype: MessageType
-    src: int
-    dst: int
-    payload: Dict[str, Any] = field(default_factory=dict)
-    #: sender's TFA node-clock value at send time (piggybacked everywhere)
-    clock: int = 0
-    #: id of the request this message answers, if any
-    reply_to: Optional[int] = None
-    msg_id: int = field(default_factory=lambda: next(_msg_ids))
-    #: simulation time the message was sent (set by the network)
-    sent_at: float = 0.0
-    #: payload-plane bytes riding this message, on top of the control
-    #: envelope (0 for pure control traffic; only the network's optional
-    #: bytes-on-wire cost model ever reads it)
-    wire_bytes: int = 0
+    __slots__ = (
+        "mtype", "src", "dst", "payload", "clock", "reply_to",
+        "msg_id", "sent_at", "wire_bytes",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        mtype: MessageType,
+        src: int,
+        dst: int,
+        payload: Optional[Dict[str, Any]] = None,
+        clock: int = 0,
+        reply_to: Optional[int] = None,
+        wire_bytes: int = 0,
+    ) -> None:
         # Coerce only when needed: almost every construction site already
         # passes a MessageType, and the enum-call lookup is hot-path cost.
-        if self.mtype.__class__ is not MessageType:
-            self.mtype = MessageType(self.mtype)
+        if mtype.__class__ is not MessageType:
+            mtype = MessageType(mtype)
+        self.mtype = mtype
+        self.src = src
+        self.dst = dst
+        self.payload: Dict[str, Any] = {} if payload is None else payload
+        #: sender's TFA node-clock value at send time (piggybacked everywhere)
+        self.clock = clock
+        #: id of the request this message answers, if any
+        self.reply_to = reply_to
+        # the module global, read at call time: reset_msg_ids() rebinds it
+        self.msg_id = next(_msg_ids)
+        #: simulation time the message was sent (set by the network)
+        self.sent_at = 0.0
+        #: payload-plane bytes riding this message, on top of the control
+        #: envelope (0 for pure control traffic; only the network's optional
+        #: bytes-on-wire cost model ever reads it)
+        self.wire_bytes = wire_bytes
 
     def is_reply(self) -> bool:
         return self.reply_to is not None

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.net.message import Message, MessageType
 from repro.net.topology import Topology
-from repro.sim import Counter, Environment, Timeout, Tracer
+from repro.sim import Counter, Environment, Event, Timeout, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.node import Node
@@ -64,8 +64,11 @@ class Network:
     ) -> None:
         self.env = env
         self.topology = topology
-        #: bound per-message delay lookup (hot path: one call per send)
-        self._link_delay = topology.delay
+        #: the topology's static delay table, indexed ``[src][dst]`` per send
+        self._delay_rows = topology.delay_rows
+        #: THE delivery callback, bound once: every delivery Timeout that
+        #: :meth:`send` or :meth:`deliver_batch` schedules fires this
+        self._on_arrival = self._deliver
         self.tracer = tracer or Tracer()
         self.local_delay = float(local_delay)
         self._nodes: Dict[int, "Node"] = {}
@@ -119,11 +122,11 @@ class Network:
         if dst not in self._nodes:
             raise KeyError(f"unknown destination node {dst}")
         env = self.env
-        now = env.now
+        now = env._now
         mtype = msg.mtype
         remote = src != dst
         msg.sent_at = now
-        delay = self._link_delay(src, dst) if remote else self.local_delay
+        delay = self._delay_rows[src][dst] if remote else self.local_delay
         cost = self.cost
         if cost is not None and remote:
             delay += cost.extra_delay(src, dst, msg.wire_bytes)
@@ -146,10 +149,10 @@ class Network:
             if not delays:
                 return now + delay  # dropped on the wire
             for i, d in enumerate(delays):
-                copy = msg if i == 0 else self._clone(msg)
-                Timeout(env, d, copy).callbacks.append(self._deliver)
+                member = msg if i == 0 else self._clone(msg)
+                Timeout(env, d, member).callbacks.append(self._on_arrival)
             return now + delays[0]
-        Timeout(env, delay, msg).callbacks.append(self._deliver)
+        Timeout(env, delay, msg).callbacks.append(self._on_arrival)
         return now + delay
 
     def _clone(self, msg: Message) -> Message:
@@ -161,14 +164,17 @@ class Network:
         that now-live state instead of re-delivering the original bytes."""
         dup = Message(
             msg.mtype, msg.src, msg.dst, copy.deepcopy(msg.payload),
-            clock=msg.clock, reply_to=msg.reply_to,
+            msg.clock, msg.reply_to, msg.wire_bytes,
         )
         dup.sent_at = msg.sent_at
-        dup.wire_bytes = msg.wire_bytes
         return dup
 
-    def _deliver(self, event) -> None:
-        self._deliver_one(event.value)
+    def _deliver(self, event: Event) -> None:
+        """The delivery callback of every link-delay Timeout.  It stays a
+        method of ``Network``: the kernel profiler, the ledger's
+        ``net.events_per_msg`` and the explorer attribute delivery events
+        to the object that owns this callback."""
+        self._deliver_one(event._value)
 
     def _deliver_one(self, msg: Message) -> None:
         if self.injector is not None and not self.injector.on_deliver(msg):
@@ -198,18 +204,18 @@ class Network:
                 continue
             delays = self.injector.on_send(msg, delay)
             for i, d in enumerate(delays):
-                copy = msg if i == 0 else self._clone(msg)
+                member = msg if i == 0 else self._clone(msg)
                 if d == delay:
-                    riders.append(copy)
+                    riders.append(member)
                 else:
-                    timeout = self.env.timeout(d, value=copy)
-                    timeout.add_callback(self._deliver)
+                    Timeout(self.env, d, member).callbacks.append(self._on_arrival)
         if riders:
-            timeout = self.env.timeout(link_delay, value=riders)
-            timeout.add_callback(self._deliver_riders)
+            Timeout(self.env, link_delay, riders).callbacks.append(
+                self._deliver_riders
+            )
 
-    def _deliver_riders(self, event) -> None:
-        for msg in event.value:
+    def _deliver_riders(self, event: Event) -> None:
+        for msg in event._value:
             self._deliver_one(msg)
 
     def broadcast(

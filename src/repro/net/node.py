@@ -26,6 +26,7 @@ from typing import Any, Callable, Dict, Generator, Optional
 from repro.net.clocks import NodeClock
 from repro.net.message import Message, MessageType
 from repro.sim import Environment, Event, Timeout
+from repro.sim.events import _PENDING
 
 __all__ = ["Node", "RpcError"]
 
@@ -39,11 +40,12 @@ class RpcError(RuntimeError):
 class _InboxServer:
     """Serial message server of one node: one message per service period.
 
-    A callback chain, not a process: a message arriving at an idle
-    server schedules one service Timeout, whose callback dispatches the
-    head of the queue and then schedules the next period or goes idle —
-    two kernel events per message (link delay + service).  ``name`` is
-    what the kernel profiler and the explorer attribute those events to.
+    A callback chain, not a process: :meth:`Node.deliver` queues an
+    arriving message and, if the server is idle, schedules one service
+    Timeout, whose callback dispatches the head of the queue and then
+    schedules the next period or goes idle — two kernel events per
+    message (link delay + service).  ``name`` is what the kernel
+    profiler and the explorer attribute those events to.
     The Timeout carries no value: the explorer reads a Message-valued
     Timeout as an in-flight remote delivery.
     """
@@ -56,20 +58,12 @@ class _InboxServer:
         self.queue: deque = deque()  # (arrival time, message)
         self.busy = False
 
-    def accept(self, msg: Message) -> None:
-        node = self.node
-        env = node.env
-        self.queue.append((env.now, msg))
-        if not self.busy:
-            self.busy = True
-            Timeout(env, node.msg_process_time).callbacks.append(self._served)
-
     def _served(self, _event: Event) -> None:
         node = self.node
         env = node.env
         arrived, msg = self.queue.popleft()
         node.messages_processed += 1
-        node.total_queueing_delay += env.now - arrived
+        node.total_queueing_delay += env._now - arrived
         # busy stays set across the dispatch: a handler that sends to its
         # own node queues behind this chain instead of starting a second
         node._dispatch(msg)
@@ -92,6 +86,8 @@ class Node:
     ) -> None:
         self.env = env
         self.network = network
+        #: the one way a message leaves this node, bound once
+        self._net_send = network.send
         self.node_id = node_id
         self.clock = clock or NodeClock(node_id)
         self._handlers: Dict[MessageType, Handler] = {}
@@ -126,21 +122,30 @@ class Node:
         """Entry point called by the network on message arrival.
 
         With a zero service time the message dispatches inline; otherwise
-        it queues behind the node's serial message server.
+        it queues behind the node's serial message server, starting a
+        service period if the server is idle.
         """
-        if self.msg_process_time <= 0.0:
+        service = self.msg_process_time
+        if service <= 0.0:
             self._dispatch(msg)
             return
-        self._inbox.accept(msg)
+        inbox = self._inbox
+        env = self.env
+        inbox.queue.append((env._now, msg))
+        if not inbox.busy:
+            inbox.busy = True
+            Timeout(env, service).callbacks.append(inbox._served)
 
     def _dispatch(self, msg: Message) -> None:
         # TFA rule: advance the local transactional clock to any larger
         # observed value before processing.
-        self.clock.advance_to(msg.clock)
+        clock = self.clock
+        if msg.clock > clock.tfa_clock:
+            clock.advance_to(msg.clock)
 
         if msg.reply_to is not None:
             waiter = self._pending_replies.pop(msg.reply_to, None)
-            if waiter is not None and not waiter.triggered:
+            if waiter is not None and waiter._value is _PENDING:
                 waiter.succeed(msg)
                 return
             # Fall through: unsolicited/late replies go to handlers too
@@ -181,16 +186,10 @@ class Node:
         patched onto the message afterwards.
         """
         msg = Message(
-            mtype,
-            self.node_id,
-            dst,
-            payload or {},
-            clock=self.clock.tfa_clock,
-            reply_to=reply_to,
+            mtype, self.node_id, dst, payload or {},
+            self.clock.tfa_clock, reply_to, wire_bytes,
         )
-        if wire_bytes:
-            msg.wire_bytes = wire_bytes
-        self.network.send(msg)
+        self._net_send(msg)
         return msg
 
     def reply(
@@ -201,9 +200,12 @@ class Node:
         wire_bytes: int = 0,
     ) -> Message:
         """Answer a request message."""
-        return self.send(
-            to.src, mtype, payload, reply_to=to.msg_id, wire_bytes=wire_bytes
+        msg = Message(
+            mtype, self.node_id, to.src, payload or {},
+            self.clock.tfa_clock, to.msg_id, wire_bytes,
         )
+        self._net_send(msg)
+        return msg
 
     def submit(
         self, dst: int, mtype: MessageType, payload: Optional[dict] = None
@@ -214,7 +216,10 @@ class Node:
         is dispatched here.  No deadline and no retry — it never fires if
         the reply is lost; those need the loop in :meth:`request`.
         """
-        msg = self.send(dst, mtype, payload)
+        msg = Message(
+            mtype, self.node_id, dst, payload or {}, self.clock.tfa_clock
+        )
+        self._net_send(msg)
         waiter = Event(self.env)
         self._pending_replies[msg.msg_id] = waiter
         return waiter

@@ -72,8 +72,9 @@ class Topology:
         # message, and scalar-indexing the numpy matrix (plus the float()
         # coercion) costs several times a plain nested-list index.
         # ``tolist`` preserves the exact float values, so behaviour is
-        # bit-identical to reading the matrix.
-        self._delay_rows: list[list[float]] = self.delays.tolist()
+        # bit-identical to reading the matrix.  ``Network.send`` indexes
+        # the rows itself: ``delay_rows[src][dst]``.
+        self.delay_rows: list[list[float]] = self.delays.tolist()
         n = self.num_nodes
         self._mean_delay: float = (
             float(self.delays.sum() / (n * (n - 1))) if n >= 2 else 0.0
@@ -116,7 +117,7 @@ class Topology:
 
     def delay(self, src: int, dst: int) -> float:
         """One-way link delay between ``src`` and ``dst`` (0 for src==dst)."""
-        return self._delay_rows[src][dst]
+        return self.delay_rows[src][dst]
 
     def bandwidth_of(self, src: int, dst: int) -> float:
         """Link bandwidth in bytes/second between ``src`` and ``dst``.

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.net.message import Message
-from repro.sim import Environment, Tracer
+from repro.sim import Environment, Event, Timeout, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
@@ -71,25 +71,25 @@ class PiggybackBatcher:
         buffer = self._buffers.get(key)
         if buffer is None:
             self._buffers[key] = [(msg, delay)]
-            timeout = self.env.timeout(self.window, value=key)
-            timeout.add_callback(self._flush)
+            Timeout(self.env, self.window, key).callbacks.append(self._flush)
         else:
             buffer.append((msg, delay))
         # Every member leaves when the window closes and rides one link
         # traversal (static per-link delay, so one time fits all).
-        return self.env.now + self.window + delay
+        return self.env._now + self.window + delay
 
-    def _flush(self, event) -> None:
-        key = event.value
+    def _flush(self, event: Event) -> None:
+        key = event._value
         batch = self._buffers.pop(key)
         size = len(batch)
         self.batches += 1
         self.batched_messages += size
         if size > self.max_batch:
             self.max_batch = size
-        if self.tracer.wants("rpc.batch"):
+        tracer = self.tracer
+        if tracer.enabled and tracer.wants("rpc.batch"):
             src, dst = key
-            self.tracer.emit(
+            tracer.emit(
                 self.env.now, "rpc.batch", f"{src}->{dst}",
                 src=src, dst=dst, size=size,
             )

@@ -67,7 +67,10 @@ class RpcClient:
                 f"endpoint {endpoint.name!r} is one-way; use Node.send, "
                 "not call()"
             )
-        endpoint.check_request(payload)
+        have = payload if payload else ()
+        for key in endpoint.required:
+            if key not in have:
+                endpoint.check_request(payload)  # raises, naming every missing key
         self.calls += 1
         return endpoint.request
 

@@ -152,10 +152,12 @@ def serve(
         def handler(msg: Message) -> None:
             fn(msg)
     else:
+        reply, reply_type = node.reply, endpoint.reply
+
         def handler(msg: Message) -> None:
             out = fn(msg)
             if out is not None:
-                node.reply(msg, endpoint.reply, out)
+                reply(msg, reply_type, out)
 
     node.on(endpoint.request, handler)
     return endpoint

@@ -101,7 +101,13 @@ class ScheduleController:
 
 
 class Environment:
-    """A deterministic discrete-event simulation environment."""
+    """A deterministic discrete-event simulation environment.
+
+    :attr:`now` is the clock.  Code that runs per event or per message
+    (``repro.sim.events``, ``Network.send``, the node inbox server) reads
+    the ``_now`` slot behind the property to save its Python frame; only
+    this class writes it.
+    """
 
     __slots__ = (
         "_now", "_queue", "_qpush", "_seq",

@@ -225,26 +225,44 @@ class Condition(Event):
         evaluate: Callable[[list["Event"], int], bool],
         events: Iterable[Event],
     ) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        self._count = 0
+        Event.__init__(self, env)
+        self._events = children = list(events)
         self._evaluate = evaluate
-        for ev in self._events:
+        # One pass over the children (a join is built per RPC fan-out):
+        # refuse a foreign one, count the triggered and the processed,
+        # find the first that already failed.
+        triggered = processed = 0
+        failed: Optional[Event] = None
+        for ev in children:
             if ev.env is not env:
                 raise ValueError("cannot mix events from different environments")
-        # Check immediately in case children already triggered (or no children).
-        if self._evaluate(self._events, sum(1 for e in self._events if e.triggered)):
-            self._count = sum(1 for e in self._events if e.triggered)
+            if ev._value is not _PENDING:
+                triggered += 1
+                if ev.callbacks is None:
+                    processed += 1
+                if failed is None and not ev._ok:
+                    failed = ev
+        # What _check counts: a triggered child counts once it is processed.
+        self._count = processed
+        if failed is not None:
+            failed._defused = True  # as _check does for a later failure
+            self.fail(failed._value)
+        elif evaluate(children, triggered):
             self.succeed(self._collect())
         else:
-            for ev in self._events:
-                ev.add_callback(self._check)
+            check = self._check
+            for ev in children:
+                if ev.callbacks is not None:
+                    ev.callbacks.append(check)
 
     def _collect(self) -> dict:
-        return {ev: ev._value for ev in self._events if ev.triggered and ev._ok}
+        return {
+            ev: ev._value for ev in self._events
+            if ev._value is not _PENDING and ev._ok
+        }
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
         if not event._ok:
             event._defused = True

@@ -150,7 +150,10 @@ class Process(Event):
             self.fail(RuntimeError("yielded an event from a different environment"))
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        if target.callbacks is not None:
+            target.callbacks.append(self._resume)
+        else:  # already processed: resumes synchronously
+            target.add_callback(self._resume)
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else ("ok" if self._ok else "failed")

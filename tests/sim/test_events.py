@@ -266,6 +266,75 @@ class TestConditions:
             AnyOf(env, [env.event(), other.event()])
 
 
+class TestConditionOverFailedChild:
+    """A child that failed before the condition was built fails it — the
+    class docstring's promise, whether or not the kernel has processed
+    the child yet."""
+
+    @staticmethod
+    def failed(env):
+        return env.event().fail(ValueError("boom"))
+
+    def test_allof_fails_with_the_childs_exception(self, env):
+        a, b = self.failed(env), env.event().succeed(1)
+        cond = env.all_of([a, b])
+        assert cond.triggered and not cond.ok
+        assert cond.value is a.value
+
+        def waiter(env):
+            with pytest.raises(ValueError, match="boom"):
+                yield cond
+            return "handled"
+
+        proc = env.process(waiter(env))
+        env.run()  # the child's failure was consumed: nothing escapes
+        assert proc.value == "handled"
+
+    def test_anyof_fails_rather_than_succeeding_empty(self, env):
+        cond = env.any_of([self.failed(env)])
+        assert not cond.ok and str(cond.value) == "boom"
+        cond._defused = True
+        env.run()
+
+    @pytest.mark.parametrize("combine", [
+        lambda a, b: a & b, lambda a, b: b & a,
+        lambda a, b: a | b, lambda a, b: b | a,
+    ], ids=["a&b", "b&a", "a|b", "b|a"])
+    def test_operators(self, env, combine):
+        cond = combine(self.failed(env), env.event().succeed(1))
+        assert not cond.ok and str(cond.value) == "boom"
+        cond._defused = True
+        env.run()
+
+    def test_fails_at_construction_while_a_sibling_is_pending(self, env):
+        pending = env.event()
+        cond = env.all_of([pending, self.failed(env)])
+        assert cond.triggered and not cond.ok
+        cond._defused = True
+        env.run()
+        pending.succeed()  # a late sibling does not re-trigger it
+        env.run()
+        assert not cond.ok
+
+    def test_first_failed_child_in_child_order_wins(self, env):
+        first = env.event().fail(KeyError("first"))
+        second = env.event().fail(ValueError("second"))
+        cond = env.all_of([env.event().succeed(), first, second])
+        assert cond.value is first.value
+        cond._defused = second._defused = True
+        env.run()
+
+    def test_failed_and_already_processed_child(self, env):
+        a = self.failed(env)
+        a._defused = True  # somebody handled it
+        env.run()
+        assert a.processed
+        for cond in (env.all_of([a, env.event()]), env.any_of([a]), a | env.event()):
+            assert cond.triggered and not cond.ok and cond.value is a.value
+            cond._defused = True
+        env.run()
+
+
 class TestPriorities:
     def test_urgent_beats_normal_at_same_time(self, env):
         order = []
