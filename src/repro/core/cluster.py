@@ -24,7 +24,7 @@ from repro.dstm.directory import DirectoryShard
 from repro.dstm.objects import home_node
 from repro.dstm.proxy import TMProxy
 from repro.dstm.tfa import TFAEngine
-from repro.faults import FaultInjector, FaultPlan, RpcPolicy
+from repro.faults import FaultInjector, FaultPlan, NodeRecovery, RpcPolicy
 from repro.net.clocks import NodeClock
 from repro.net.network import Network
 from repro.net.node import Node
@@ -211,7 +211,6 @@ class Cluster:
                 fallback_exec_estimate=config.fallback_exec_estimate,
                 winner_policy=config.winner_policy,
                 conflict_scope=config.conflict_scope,
-                metrics=self.metrics,
                 rpc_client=rpc_client,
             )
             directory.proxy = proxy
@@ -221,14 +220,17 @@ class Cluster:
                 proxy.sanitizer = self.sanitizer
                 rpc_client.cache.sanitizer = self.sanitizer
             if self.payload_plane is not None:
-                proxy.enable_payload(self.payload_plane.nodes[node_id])
+                proxy.payload = self.payload_plane.nodes[node_id].attach(
+                    rpc_client, self.sanitizer
+                )
+            if fc.enabled:
+                proxy.recovery = NodeRecovery(proxy)
             engine = TFAEngine(
                 proxy,
                 op_local_time=config.op_local_time,
                 nesting=config.nesting,
                 nested_commit_validation=config.nested_commit_validation,
                 abort_overhead=config.abort_overhead,
-                publish_commits=fc.enabled,
                 nested_retry_cap=fc.nested_retry_cap if fc.enabled else None,
             )
             engine.on_commit_hook = self.metrics.on_commit
@@ -247,7 +249,7 @@ class Cluster:
             for node_id, proxy in enumerate(self.proxies):
                 offset = interval * (node_id + 1) / (config.num_nodes + 1)
                 self.env.process(
-                    proxy.lease_heartbeat(interval, offset=offset),
+                    proxy.recovery.lease_heartbeat(interval, offset=offset),
                     name=f"n{node_id}.heartbeat",
                 )
             if fc.orphan_sweep_interval is not None:
@@ -256,7 +258,7 @@ class Cluster:
                 for node_id, proxy in enumerate(self.proxies):
                     offset = sweep * (node_id + 1) / (config.num_nodes + 1)
                     self.env.process(
-                        proxy.orphan_sweep(
+                        proxy.recovery.orphan_sweep(
                             sweep, min_age=fc.orphan_min_age, offset=offset
                         ),
                         name=f"n{node_id}.orphan_sweep",

@@ -387,8 +387,8 @@ class PayloadConfig:
       traffic scales with object size — today's semantics, now costed.
     * ``proxy=True`` (*control-plane proxies*, ProxyStore's
       pass-by-reference model): migrations move only a constant-size
-      :class:`~repro.dstm.objects.ObjectProxy` (factory + home + version
-      fence); bytes resolve lazily over a ``PAYLOAD_FETCH`` RPC only
+      ObjectProxy descriptor (the factory node, ``psrc``, beside the
+      version fence); bytes resolve lazily over a ``PAYLOAD_FETCH`` RPC only
       when the destination actually reads the object, backed by a
       per-node resolved-bytes cache keyed by the version fences — fence
       bumps invalidate stale bytes by construction, and validation-only
@@ -538,6 +538,14 @@ class ClusterConfig:
             raise ValueError("op_local_time must be >= 0")
         if self.cl_threshold is not None and self.cl_threshold < 1:
             raise ValueError("cl_threshold must be >= 1 (or None for adaptive)")
+        for name, allowed in (
+            ("conflict_scope", ("root", "level", "mixed")),
+            ("rts_admission", ("paper", "economic")),
+        ):
+            if getattr(self, name) not in allowed:
+                raise ValueError(
+                    f"{name} must be one of {allowed}, got {getattr(self, name)!r}"
+                )
         # Coerce enum-ish fields so strings work ergonomically.
         object.__setattr__(self, "scheduler", SchedulerKind(self.scheduler))
         object.__setattr__(self, "topology", TopologyKind(self.topology))

@@ -3,6 +3,11 @@
 :class:`AbortReason` distinguishes every way a transaction can die; the
 metrics layer aggregates these into the paper's Table I (nested aborts
 caused by a parent abort vs. nested aborts from validation/conflicts).
+
+A peer that stays silent through every RPC retry has no exception of its
+own here: callers catch :class:`repro.rpc.errors.PeerUnreachable` where
+they call, and turn it into a :class:`TransactionAborted` with reason
+:attr:`AbortReason.OWNER_FAILURE`.
 """
 
 from __future__ import annotations
@@ -10,11 +15,8 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from repro.rpc.errors import PeerUnreachable
-
 __all__ = [
     "AbortReason",
-    "OwnerUnreachable",
     "TransactionAborted",
     "TransactionError",
 ]
@@ -49,17 +51,6 @@ class AbortReason(str, enum.Enum):
 
 class TransactionError(RuntimeError):
     """Programming errors against the transaction API (not aborts)."""
-
-
-class OwnerUnreachable(PeerUnreachable):
-    """An RPC peer stayed silent through every timeout/retry attempt.
-
-    The D-STM face of :class:`repro.rpc.errors.PeerUnreachable` (which it
-    subclasses): raised by :meth:`repro.dstm.proxy.TMProxy.rpc` under
-    fault injection; protocol layers convert it into a
-    :class:`TransactionAborted` with reason
-    :attr:`AbortReason.OWNER_FAILURE`.
-    """
 
 
 class TransactionAborted(Exception):

@@ -17,7 +17,6 @@ from typing import Any
 
 __all__ = [
     "ObjectMode",
-    "ObjectProxy",
     "ObjectState",
     "VersionedObject",
     "home_node",
@@ -62,52 +61,6 @@ class ObjectState(str, enum.Enum):
     #: locked for commit-time validation (the paper's conflict window —
     #: "in use" in Algorithm 3's sense).
     VALIDATING = "validating"
-
-
-@dataclass(slots=True, frozen=True)
-class ObjectProxy:
-    """The control-plane stand-in for an object's bulk payload.
-
-    ProxyStore's pass-by-reference model: when the payload plane runs in
-    proxy mode, grants and ownership migrations ship this constant-size
-    descriptor instead of the bytes.  ``factory`` names the node whose
-    resolved-bytes store can materialise the payload at ``version``
-    (the committer that last installed it); ``home`` is the directory
-    shard whose fence arbitrates staleness.  A proxy is *transparent*:
-    the engine resolves it exactly when a transaction actually reads the
-    object, and never for validation-only or blind-write paths.
-    """
-
-    oid: str
-    #: node holding the authoritative bytes for ``version``
-    factory: int
-    #: directory shard of ``oid`` (fence authority)
-    home: int
-    #: version fence the bytes are valid at — a later committed version
-    #: invalidates every cached copy keyed by this fence
-    version: int
-    #: declared payload size, bytes
-    size: int
-
-    def as_payload(self) -> dict:
-        """Wire form (a plain dict, so message payloads stay JSON-ish)."""
-        return {
-            "oid": self.oid,
-            "factory": self.factory,
-            "home": self.home,
-            "version": self.version,
-            "size": self.size,
-        }
-
-    @classmethod
-    def from_payload(cls, data: dict) -> "ObjectProxy":
-        return cls(
-            oid=data["oid"],
-            factory=int(data["factory"]),
-            home=int(data["home"]),
-            version=int(data["version"]),
-            size=int(data["size"]),
-        )
 
 
 @dataclass

@@ -30,17 +30,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
-from repro.dstm.errors import (
-    AbortReason,
-    OwnerUnreachable,
-    TransactionAborted,
-    TransactionError,
-)
+from repro.dstm.errors import AbortReason, TransactionAborted, TransactionError
 from repro.dstm.objects import ObjectMode, ObjectState, home_node
 from repro.dstm.proxy import TMProxy
 from repro.dstm.transaction import NestingModel, ReadEntry, Transaction, TxStatus
 from repro.net.message import MessageType
-from repro.rpc import ENDPOINTS
+from repro.rpc import ENDPOINTS, PeerUnreachable
 from repro.sim import Event
 
 __all__ = ["TFAEngine"]
@@ -59,7 +54,6 @@ class TFAEngine:
         nesting: NestingModel = NestingModel.CLOSED,
         nested_commit_validation: bool = True,
         abort_overhead: float = 0.01,
-        publish_commits: bool = False,
         nested_retry_cap: Optional[int] = None,
     ) -> None:
         self.proxy = proxy
@@ -72,9 +66,6 @@ class TFAEngine:
         self.nesting = NestingModel(nesting)
         self.nested_commit_validation = bool(nested_commit_validation)
         self.abort_overhead = float(abort_overhead)
-        #: fault mode: sync every committed (version, value) to its home
-        #: directory's recovery snapshot right after commit.
-        self.publish_commits = bool(publish_commits)
         #: fault mode: default bound on child retries before a nested
         #: abort escalates to the root (None = unbounded, the paper's
         #: fault-free semantics).  ``TransactionHandle.nested`` reads it.
@@ -144,7 +135,9 @@ class TFAEngine:
             # version fence; a miss is one PAYLOAD_FETCH round trip).
             # Repeated reads above never reach here, blind writes and
             # commit-time acquisitions never resolve at all.
-            yield from self.proxy.resolve_payload(grant)
+            yield from self.proxy.payload.resolve_payload(
+                grant.oid, grant.version, grant.psrc
+            )
         entry = ReadEntry(oid, grant.version, grant.served_by)
         entry.value = grant.value
         tx.rset[oid] = entry
@@ -292,10 +285,10 @@ class TFAEngine:
         self, home: int, oid: str, version: int
     ) -> Generator[Any, Any, Optional[bool]]:
         try:
-            reply = yield from self.proxy.rpc(
-                home, MessageType.READ_VALIDATE, {"oid": oid, "version": version}
+            reply = yield from self.proxy.rpc_client.call(
+                home, _READ_VALIDATE, {"oid": oid, "version": version}
             )
-        except OwnerUnreachable:
+        except PeerUnreachable:
             return None
         # The reply names the registered version: a lookup-cache entry
         # learned at an older version is provably stale — fence it so the
@@ -537,9 +530,11 @@ class TFAEngine:
                     oid, self.node.node_id, new_versions[oid]
                 )
         root.status = TxStatus.COMMITTED
-        if self.publish_commits:
-            # Capture before release: the hand-off may migrate the object
-            # away in the same turn.
+        recovery = self.proxy.recovery
+        if recovery is not None:
+            # Fault mode: sync every committed (version, value) to its
+            # home's recovery snapshot.  Capture before release: the
+            # hand-off may migrate the object away in the same turn.
             to_publish = [
                 (oid, new_versions[oid], root.wset[oid]) for oid in sorted(root.wset)
             ]
@@ -553,7 +548,7 @@ class TFAEngine:
             self.proxy.release_object(oid, committed=True)
         for oid, version, value in to_publish:
             self.env.process(
-                self.proxy.publish_commit(oid, version, value), name="publish"
+                recovery.publish_commit(oid, version, value), name="publish"
             )
         self._finalize_commit(root)
         if span_on:
@@ -571,12 +566,12 @@ class TFAEngine:
         registration by the same owner.
         """
         try:
-            reply = yield from self.proxy.rpc(
-                home, MessageType.DIR_UPDATE,
+            reply = yield from self.proxy.rpc_client.call(
+                home, _DIR_UPDATE,
                 {"oid": oid, "owner": self.node.node_id, "version": version,
                  "txid": txid},
             )
-        except OwnerUnreachable:
+        except PeerUnreachable:
             return {"oid": oid, "ok": False, "unreachable": True}
         self._note_ack(oid, reply.payload)
         return reply.payload
@@ -628,8 +623,8 @@ class TFAEngine:
         self, home: int, payload: Dict[str, Any]
     ) -> Generator[Any, Any, None]:
         try:
-            yield from self.proxy.rpc(home, MessageType.DIR_UPDATE, payload)
-        except OwnerUnreachable:
+            yield from self.proxy.rpc_client.call(home, _DIR_UPDATE, payload)
+        except PeerUnreachable:
             pass  # crashed home: its stale registration heals via reclaim
 
     def _commit_record(

@@ -245,11 +245,6 @@ class Transaction:
 
     # -- bookkeeping -------------------------------------------------------------
 
-    def all_acquired(self) -> Set[str]:
-        """Objects write-acquired by this transaction's whole subtree view
-        (this level plus everything merged into it)."""
-        return set(self.acquired)
-
     def my_cl(self) -> int:
         """The paper's myCL: transactions wanting objects this tx is using."""
         return sum(self.known_cl.values())

@@ -11,10 +11,12 @@ The subsystem has two halves:
 * **recovery** — :class:`RpcPolicy` (an alias of
   :class:`repro.rpc.RetryPolicy`, the stack's single retry/backoff
   policy object) parameterises the RPC substrate's timeout/retry loop;
-  the lease/reclaim machinery lives in
-  :class:`~repro.dstm.directory.DirectoryShard` and the heartbeat,
-  commit-publish, and orphan-sweep processes in
-  :class:`~repro.dstm.proxy.TMProxy`.
+  the home's lease/reclaim machinery lives in
+  :class:`~repro.dstm.directory.DirectoryShard`; the owner's side — the
+  re-grant memory, the late-response and lease-ack handlers, the
+  heartbeat, commit-publish and orphan-sweep processes — is one
+  :class:`NodeRecovery` per node (:mod:`repro.faults.recovery`), which
+  the cluster builds only when ``faults.enabled``.
 
 Everything is driven from config-seeded RNG streams: identical seeds
 produce identical fault timelines and therefore bit-identical runs.
@@ -22,13 +24,14 @@ produce identical fault timelines and therefore bit-identical runs.
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import CrashWindow, FaultPlan, MessageFate, PartitionWindow
-from repro.faults.recovery import RpcPolicy
+from repro.faults.recovery import NodeRecovery, RpcPolicy
 
 __all__ = [
     "CrashWindow",
     "FaultInjector",
     "FaultPlan",
     "MessageFate",
+    "NodeRecovery",
     "PartitionWindow",
     "RpcPolicy",
 ]

@@ -12,10 +12,11 @@ The :meth:`Node.request` helper implements blocking RPC for process code::
 
 :meth:`Node.submit` is the non-blocking form: it returns the reply event,
 so a fan-out can send *k* requests and ``yield env.all_of(events)``.
-Replies are matched on ``reply_to``; an optional timeout turns a lost/slow
-reply into :class:`RpcError` (the simulated network is reliable, so in
-practice timeouts only fire when a peer deliberately withholds a reply —
-which the RTS backoff path exercises).
+Replies are matched on ``reply_to``.  A deadline is a property of a
+:class:`repro.rpc.RetryPolicy`: under one, a reply that misses every
+growing window turns into :class:`RpcError` (the simulated network is
+reliable, so that only happens under fault injection or when a peer
+deliberately withholds a reply).
 """
 
 from __future__ import annotations
@@ -229,14 +230,13 @@ class Node:
         dst: int,
         mtype: MessageType,
         payload: Optional[dict] = None,
-        reply_timeout: Optional[float] = None,
         policy: Optional[Any] = None,
         on_timeout: Optional[Callable[[int, float, bool], None]] = None,
     ) -> Generator[Any, Any, Message]:
         """Blocking RPC (generator; use with ``yield from``).
 
-        Returns the reply :class:`Message`; raises :class:`RpcError` if
-        ``reply_timeout`` elapses first.
+        Returns the reply :class:`Message`.  Without a ``policy`` this is
+        one wait on :meth:`submit`'s reply event — no deadline.
 
         With a ``policy`` (a :class:`repro.rpc.RetryPolicy`) this is THE
         retry loop of the whole stack: each attempt re-sends the request
@@ -245,7 +245,6 @@ class Node:
         attempt is exhausted (:class:`RpcError`).  ``on_timeout(attempt,
         window, will_retry)`` is invoked after each expired window so
         callers can count/trace retries without owning the loop.
-        ``reply_timeout`` is ignored when a policy is given.
         """
         if policy is not None:
             attempts = policy.max_retries + 1
@@ -265,21 +264,8 @@ class Node:
                 f"node {self.node_id}: no reply to {mtype.value} from node "
                 f"{dst} after {attempts} attempts"
             )
-        if reply_timeout is None:
-            reply = yield self.submit(dst, mtype, payload)
-            return reply
-        msg = self.send(dst, mtype, payload)
-        waiter = self.env.event()
-        self._pending_replies[msg.msg_id] = waiter
-        expiry = self.env.timeout(reply_timeout)
-        outcome = yield (waiter | expiry)
-        if waiter in outcome:
-            return outcome[waiter]
-        self._pending_replies.pop(msg.msg_id, None)
-        raise RpcError(
-            f"node {self.node_id}: no reply to {mtype.value} from node {dst} "
-            f"within {reply_timeout}"
-        )
+        reply = yield self.submit(dst, mtype, payload)
+        return reply
 
     # -- local time -------------------------------------------------------------------
 

@@ -22,7 +22,7 @@ from typing import Any, Dict, Generator, Optional, Union
 from repro.net.message import Message, MessageType
 from repro.net.node import Node, RpcError
 from repro.rpc.cache import LookupCache
-from repro.rpc.endpoint import ENDPOINTS, Endpoint, EndpointRegistry
+from repro.rpc.endpoint import ENDPOINTS, Endpoint
 from repro.rpc.errors import EndpointError, PeerUnreachable
 from repro.rpc.policy import RetryPolicy
 from repro.sim import Event, Tracer
@@ -40,7 +40,6 @@ class RpcClient:
         tracer: Optional[Tracer] = None,
         metrics: Optional[Any] = None,
         cache: Optional[LookupCache] = None,
-        registry: EndpointRegistry = ENDPOINTS,
     ) -> None:
         self.node = node
         self.env = node.env
@@ -50,7 +49,6 @@ class RpcClient:
         self.tracer = tracer or Tracer()
         self.metrics = metrics
         self.cache = cache if cache is not None else LookupCache()
-        self.registry = registry
         #: host-side call counters (feed the obs report)
         self.calls = 0
         self.failures = 0
@@ -61,7 +59,7 @@ class RpcClient:
         """Resolve, shape-check and count one call; returns its request
         type.  Raises :class:`EndpointError` before anything is sent."""
         if endpoint.__class__ is str:
-            endpoint = self.registry.get(endpoint)
+            endpoint = ENDPOINTS.get(endpoint)
         if endpoint.reply is None:
             raise EndpointError(
                 f"endpoint {endpoint.name!r} is one-way; use Node.send, "
@@ -85,13 +83,12 @@ class RpcClient:
 
         Returns the reply :class:`~repro.net.message.Message`; raises
         :class:`PeerUnreachable` when the policy's attempts are exhausted.
-        With neither a policy nor tracing there is nothing to add around
-        :meth:`~repro.net.node.Node.request`, so its generator is returned
-        as is.
+        The call is admitted here, where it is written; the request is
+        sent when the generator is first resumed.
         """
         mtype = self._admit(endpoint, payload)
-        if self.policy is None and not self.tracer.enabled:
-            return self.node.request(dst, mtype, payload)
+        if self.policy is None:
+            return self._await(dst, mtype, payload)
         return self._call(dst, mtype, payload)
 
     def submit(
@@ -112,7 +109,23 @@ class RpcClient:
                 "submit() cannot retry; a client with a RetryPolicy must "
                 "use call()"
             )
-        mtype = self._admit(endpoint, payload)
+        return self._issue(dst, self._admit(endpoint, payload), payload)
+
+    def _await(
+        self, dst: int, mtype: MessageType, payload: Optional[Dict[str, Any]]
+    ) -> Generator[Any, Any, Message]:
+        """The policy-free :meth:`call`: :meth:`submit`'s issue step on
+        the first resume, then one ``yield`` on its reply event."""
+        reply = yield self._issue(dst, mtype, payload)
+        return reply
+
+    def _issue(
+        self, dst: int, mtype: MessageType, payload: Optional[Dict[str, Any]]
+    ) -> Event:
+        """Send one admitted request and return its reply event.  Traced,
+        ``rpc.issue`` is emitted at the send and ``rpc.done`` from a
+        callback put on the reply event ahead of whoever waits on it —
+        the one place the policy-free pair is written."""
         tracer = self.tracer
         if not (tracer.enabled and tracer.wants("rpc.issue")):
             return self.node.submit(dst, mtype, payload)
@@ -132,7 +145,8 @@ class RpcClient:
     def _call(
         self, dst: int, mtype: MessageType, payload: Optional[Dict[str, Any]]
     ) -> Generator[Any, Any, Message]:
-        """:meth:`call` with tracing and/or retry accounting around it."""
+        """:meth:`call` under a policy: retry accounting and tracing
+        around the loop in :meth:`~repro.net.node.Node.request`."""
         rpc_trace = self.tracer.wants("rpc.issue")
         if rpc_trace:
             self.tracer.emit(
@@ -140,15 +154,6 @@ class RpcClient:
                 node=f"n{self.node.node_id}", dst=dst,
             )
         pol = self.policy
-        if pol is None:
-            reply = yield from self.node.request(dst, mtype, payload)
-            if rpc_trace:
-                self.tracer.emit(
-                    self.env.now, "rpc.done", mtype.value,
-                    node=f"n{self.node.node_id}", dst=dst, ok=True, retries=0,
-                )
-            return reply
-
         retries_used = 0
 
         def note_timeout(attempt: int, window: float, will_retry: bool) -> None:

@@ -52,7 +52,7 @@ class Endpoint:
 
 
 class EndpointRegistry:
-    """Name -> :class:`Endpoint` catalogue (also indexed by request type)."""
+    """Name -> :class:`Endpoint` catalogue (one endpoint per request type)."""
 
     def __init__(self) -> None:
         self._by_name: Dict[str, Endpoint] = {}
@@ -77,15 +77,6 @@ class EndpointRegistry:
             raise EndpointError(
                 f"unknown endpoint {name!r}; known: {sorted(self._by_name)}"
             ) from None
-
-    def for_request(self, mtype: MessageType) -> Optional[Endpoint]:
-        """The endpoint whose request type is ``mtype``, else None.
-
-        ``mtype`` may be the raw wire string (a str-enum member hashes
-        and compares equal to its value); an unknown string, or a member
-        no endpoint requests with (a reply type), is None.
-        """
-        return self._by_request.get(mtype)
 
     def __iter__(self) -> Iterator[Endpoint]:
         return iter(self._by_name.values())
@@ -137,7 +128,6 @@ def serve(
     node: "Node",  # noqa: F821  (repro.net.node.Node; avoids import cycle)
     name: str,
     fn: Callable[[Message], Optional[dict]],
-    registry: EndpointRegistry = ENDPOINTS,
 ) -> Endpoint:
     """Bind ``fn`` as the server side of endpoint ``name`` on ``node``.
 
@@ -146,7 +136,7 @@ def serve(
     withhold the reply (the caller's deadline machinery then governs).
     One-way endpoints never reply; ``fn``'s return value is ignored.
     """
-    endpoint = registry.get(name)
+    endpoint = ENDPOINTS.get(name)
 
     if endpoint.reply is None:
         def handler(msg: Message) -> None:

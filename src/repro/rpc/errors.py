@@ -12,10 +12,11 @@ class EndpointError(ValueError):
 class PeerUnreachable(RuntimeError):
     """An RPC peer stayed silent through every timeout/retry attempt.
 
-    Protocol layers convert this into their domain failure —
-    :class:`repro.dstm.errors.OwnerUnreachable` subclasses it, so code
-    catching the dstm exception keeps working while the rpc layer stays
-    free of dstm imports.
+    The one exception for it: raised by :meth:`repro.rpc.RpcClient.call`
+    under a :class:`~repro.rpc.RetryPolicy`, caught where the call is
+    made.  The D-STM layer turns it into a ``TransactionAborted`` with
+    reason ``OWNER_FAILURE`` (or, in its background processes, gives up
+    until the next period).
     """
 
     def __init__(self, dst: int, what: str, attempts: int) -> None:

@@ -15,11 +15,16 @@ pass-by-reference design:
   ``oid -> version fence``.  A fence bump (any committed write) makes
   every remote cache entry stale *by construction* — no invalidation
   traffic exists or is needed;
-* in proxy mode, :meth:`~repro.dstm.proxy.TMProxy.resolve_payload`
-  consults the cache when a transaction actually **reads** an object and
-  issues a ``PAYLOAD_FETCH`` RPC on a miss; blind writes, commit-time
+* in proxy mode, :meth:`NodePayload.resolve_payload` consults the cache
+  when a transaction actually **reads** an object and issues a
+  ``PAYLOAD_FETCH`` RPC on a miss; blind writes, commit-time
   acquisitions and validation-only paths never touch the plane, so they
   never pull bytes.
+
+How bytes resolve is decided in this module only: the protocol core
+(:class:`~repro.dstm.proxy.TMProxy`) holds its node's :class:`NodePayload`
+only when the plane is on and calls :meth:`~NodePayload.stamp` where a
+value leaves the node, :meth:`~NodePayload.adopt` where custody arrives.
 
 In eager mode there are no fetches: grants and hand-offs bill the full
 declared size inline (``Message.wire_bytes``), which is the pre-split
@@ -30,10 +35,17 @@ against.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
+
+from repro.net.message import Message, MessageType
+from repro.rpc.endpoint import ENDPOINTS
+from repro.rpc.errors import PeerUnreachable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids core<->rpc cycle)
     from repro.core.config import PayloadConfig
+    from repro.rpc.client import RpcClient
+
+_PAYLOAD_FETCH = ENDPOINTS.get("payload_fetch")
 
 __all__ = ["NodePayload", "PayloadPlane"]
 
@@ -44,6 +56,7 @@ class NodePayload:
     __slots__ = (
         "plane", "node_id", "cache", "capacity",
         "hits", "misses", "fetches", "served", "refused",
+        "client", "sanitizer",
     )
 
     def __init__(
@@ -64,6 +77,127 @@ class NodePayload:
         self.served = 0
         #: fetches this node could not answer (fence mismatch)
         self.refused = 0
+        #: this node's RPC client and the cluster's invariant sanitizer
+        #: (or None), bound by :meth:`attach`
+        self.client: Optional["RpcClient"] = None
+        self.sanitizer: Optional[Any] = None
+
+    def attach(self, client: "RpcClient", sanitizer: Optional[Any]) -> "NodePayload":
+        """Bind to this node's RPC client and start serving
+        ``PAYLOAD_FETCH`` (cluster bootstrap, payload plane on only)."""
+        self.client = client
+        self.sanitizer = sanitizer
+        client.node.on(MessageType.PAYLOAD_FETCH, self._on_payload_fetch)
+        return self
+
+    def stamp(
+        self, payload: Dict[str, Any], oid: str, payload_src: Optional[int]
+    ) -> int:
+        """A grant or hand-off carrying ``oid``'s value is about to leave
+        this node in ``payload``; returns the bytes it ships.  Proxy mode
+        advertises the byte factory instead of shipping the payload (the
+        bulk bytes resolve lazily at the reader)."""
+        if self.plane.proxy_mode:
+            payload["psrc"] = payload_src
+        return self.plane.grant_bytes(oid)
+
+    def adopt(self, obj: Any, psrc: Optional[int]) -> None:
+        """Custody of ``obj`` (a :class:`~repro.dstm.objects.VersionedObject`)
+        just migrated to this node with a message advertising ``psrc``."""
+        if self.plane.proxy_mode:
+            # Ownership migrated; the bytes did not.  Keep pointing at
+            # the factory until a commit materializes new bytes here.
+            obj.payload_src = int(psrc) if psrc is not None else None
+        else:
+            # Eager mode: the payload rode the transfer inline.
+            obj.payload_src = self.node_id
+            self.plane.note_materialize(self.node_id, obj.oid, obj.version)
+
+    def resolve_payload(
+        self, oid: str, version: int, psrc: Optional[int]
+    ) -> Generator[Any, Any, None]:
+        """Materialise at this node the bytes behind a grant of ``oid`` at
+        ``version`` advertising ``psrc`` (generator; ``yield from``).
+
+        Proxy mode only — eager mode shipped the bytes with the grant.
+        The resolved-bytes cache is keyed by the version fence, so a hit
+        costs nothing and a fence bump (any committed write) misses by
+        construction.  A miss fetches from the grant's advertised
+        factory, falling back once to the plane's current source; if
+        both refuse (the fence moved mid-flight) or the factory is
+        unreachable under faults, the read proceeds without bytes — the
+        semantic value is already in hand, and commit-time validation
+        arbitrates staleness exactly as before.
+        """
+        plane = self.plane
+        if not plane.proxy_mode:
+            return
+        hit = self.lookup(oid, version)
+        client = self.client
+        if client.tracer.wants("payload.fetch"):
+            client.tracer.emit(
+                client.env.now, "payload.fetch", oid,
+                node=f"n{self.node_id}", hit=hit,
+                bytes=0 if hit else plane.size_of(oid),
+            )
+        if hit:
+            return
+        src = psrc if psrc is not None else plane.source.get(oid)
+        if src is None or src == self.node_id:
+            # We are the factory (we committed these bytes, or the grant
+            # predates the plane's bookkeeping): materialise locally.
+            self.install(oid, version)
+            return
+        ok = yield from self._fetch_payload(oid, version, src)
+        if not ok:
+            alt = plane.source.get(oid)
+            if alt is not None and alt not in (src, self.node_id):
+                yield from self._fetch_payload(oid, version, alt)
+
+    def _fetch_payload(
+        self, oid: str, version: int, src: int
+    ) -> Generator[Any, Any, bool]:
+        self.fetches += 1
+        try:
+            reply = yield from self.client.call(
+                src, _PAYLOAD_FETCH, {"oid": oid, "version": version}
+            )
+        except PeerUnreachable:
+            return False
+        p = reply.payload
+        if p.get("ok"):
+            self.install(oid, int(p["version"]))
+            return True
+        return False
+
+    def _on_payload_fetch(self, msg: Message) -> None:
+        """Serve bytes for ``(oid, version)`` from this node's resolved
+        store.  Serves only at the exact requested fence — bytes for any
+        other fence would be stale (or fabricated) the moment they land."""
+        p = msg.payload
+        oid: str = p["oid"]
+        want = int(p["version"])
+        node = self.client.node
+        have = self.cache.get(oid)
+        if have == want:
+            if self.sanitizer is not None:
+                self.sanitizer.check_payload_serve(
+                    oid, want, node=self.node_id, now=node.env.now
+                )
+            size = self.plane.size_of(oid)
+            self.served += 1
+            self.plane.fetch_bytes += size
+            node.reply(
+                msg, MessageType.PAYLOAD_FETCH_REPLY,
+                {"oid": oid, "ok": True, "version": want},
+                wire_bytes=size,
+            )
+        else:
+            self.refused += 1
+            node.reply(
+                msg, MessageType.PAYLOAD_FETCH_REPLY,
+                {"oid": oid, "ok": False, "version": have},
+            )
 
     # -- client side ----------------------------------------------------
 

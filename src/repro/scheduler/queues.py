@@ -91,10 +91,6 @@ class RequesterList:
             return None
         return self._entries.pop(0)
 
-    def drop(self, txid: str) -> bool:
-        """Alias of :meth:`remove_duplicate` used on explicit cancels."""
-        return self.remove_duplicate(txid)
-
     def reset_backlog(self) -> None:
         """Clear ``bk`` (called when the object frees up / queue drains)."""
         self.bk = 0.0

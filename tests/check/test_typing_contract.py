@@ -1,8 +1,8 @@
 """The pyproject mypy override promises `disallow_untyped_defs` for
-`repro.check.*` and `repro.sim.*`.  The container this repo tests in
-does not ship mypy, so this test enforces the same contract with a
-small AST walk: every def in those packages annotates every parameter
-and its return type.  (When mypy IS available the `[[tool.mypy.overrides]]`
+`repro.check.*`, `repro.sim.*` and `repro.faults.recovery`.  The
+container this repo tests in does not ship mypy, so this test enforces
+the same contract with a small AST walk: every def in those packages
+annotates every parameter and its return type.  (When mypy IS available the `[[tool.mypy.overrides]]`
 block makes it the stricter referee; this test keeps the floor.)"""
 
 import ast
@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-STRICT_PACKAGES = ("check", "sim")
+#: packages (every module under them) and single modules held to it
+STRICT_PACKAGES = ("check", "sim", "faults/recovery.py")
 
 
 def _untyped_defs(path: Path) -> list:
@@ -44,6 +45,7 @@ def test_pyproject_declares_the_strict_override():
     text = (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     assert "[[tool.mypy.overrides]]" in text
     assert '"repro.check.*"' in text and '"repro.sim.*"' in text
+    assert '"repro.faults.recovery"' in text
     assert "disallow_untyped_defs = true" in text
     assert "disallow_incomplete_defs = true" in text
 
@@ -51,7 +53,8 @@ def test_pyproject_declares_the_strict_override():
 @pytest.mark.parametrize("package", STRICT_PACKAGES)
 def test_every_def_is_fully_annotated(package):
     offenders = {}
-    for path in sorted((SRC / package).rglob("*.py")):
+    root = SRC / package
+    for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
         bad = _untyped_defs(path)
         if bad:
             offenders[str(path.relative_to(SRC.parents[1]))] = bad

@@ -32,6 +32,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             ClusterConfig(cl_threshold=0)
 
+    def test_bad_conflict_scope_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="conflict_scope.*'bogus'"):
+            ClusterConfig(conflict_scope="bogus")
+
+    @pytest.mark.parametrize("scheduler", ["rts", "tfa"])
+    def test_bad_rts_admission_rejected_whatever_the_scheduler(self, scheduler):
+        with pytest.raises(ValueError, match="rts_admission.*'nope'"):
+            ClusterConfig(scheduler=scheduler, rts_admission="nope")
+
     def test_bad_conflict_scope_rejected_at_cluster(self):
         from repro.core.cluster import Cluster
 

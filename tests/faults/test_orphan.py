@@ -3,7 +3,7 @@
 The dropped-hand-off scenario: the owner grants an ownership transfer
 (deleting its copy; the grant cache keeps the idempotent re-grant), the
 response is lost, and the requester never retries — the single writable
-copy now exists only in the old owner's ``_granted`` cache.  The sweep
+copy now exists only in the old owner's recovery memory.  The sweep
 must return it to the home snapshot *before* lease expiry would re-host
 an older value.
 """
@@ -46,7 +46,7 @@ def drop_handoff(cluster, oid, txid="root1"):
     cluster.run(until=0.2)
     assert replies[0]["granted"] and replies[0]["transferred"]
     assert oid not in cluster.proxies[0].store, "transfer deletes the copy"
-    assert oid in cluster.proxies[0]._granted
+    assert oid in cluster.proxies[0].recovery.granted
     return replies[0]
 
 
@@ -61,7 +61,7 @@ class TestRepatriation:
         cluster.run(until=2.0)
 
         assert cluster.metrics.orphan_returns.value == 1
-        assert cluster.proxies[0]._granted == {}, "sweep drops the cache"
+        assert cluster.proxies[0].recovery.granted == {}, "sweep drops the cache"
         # Re-hosted at home under a fenced (bumped) version.
         obj = cluster.proxies[0].store[oid]
         assert obj.value == 42 and obj.version > before
@@ -93,7 +93,7 @@ class TestRepatriation:
         drop_handoff(cluster, oid)
         cluster.run(until=3.0)
         assert cluster.metrics.orphan_returns.value == 0
-        assert oid in cluster.proxies[0]._granted
+        assert oid in cluster.proxies[0].recovery.granted
 
 
 class TestFencedReturn:
@@ -117,6 +117,6 @@ class TestFencedReturn:
         cluster.run(until=2.0)
 
         assert cluster.metrics.orphan_returns.value == 0
-        assert cluster.proxies[0]._granted == {}, "fenced reply drops cache"
+        assert cluster.proxies[0].recovery.granted == {}, "fenced reply drops cache"
         assert cluster.directories[0].owner_of(oid) == 1
         assert cluster.directories[0].registered_version(oid) == 9

@@ -8,11 +8,12 @@ import pytest
 from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig, FaultConfig
 from repro.dstm.directory import DirectoryShard
-from repro.dstm.errors import AbortReason, OwnerUnreachable
+from repro.dstm.errors import AbortReason
 from repro.dstm.objects import home_node
 from repro.faults import CrashWindow, RpcPolicy
 from repro.net import MessageType, Network, Node, Topology
 from repro.net.topology import TopologyKind
+from repro.rpc import PeerUnreachable
 from repro.sim import RngRegistry
 
 
@@ -60,8 +61,8 @@ class TestProxyRetries:
 
         def proc():
             try:
-                yield from proxy.rpc(1, MessageType.DIR_LOOKUP, {"oid": "x"})
-            except OwnerUnreachable as exc:
+                yield from proxy.rpc_client.call(1, "dir_lookup", {"oid": "x"})
+            except PeerUnreachable as exc:
                 outcome["at"] = cluster.env.now
                 outcome["exc"] = exc
 
@@ -83,8 +84,8 @@ class TestProxyRetries:
         got = {}
 
         def proc():
-            reply = yield from proxy.rpc(
-                home_node("x", 2), MessageType.DIR_LOOKUP, {"oid": "x"}
+            reply = yield from proxy.rpc_client.call(
+                home_node("x", 2), "dir_lookup", {"oid": "x"}
             )
             got["payload"] = reply.payload
 

@@ -4,7 +4,11 @@ import pytest
 
 from repro.net import Message, MessageType, Network, Node, RpcError, Topology
 from repro.net.topology import TopologyKind
+from repro.rpc import RetryPolicy
 from repro.sim import Environment, RngRegistry, Tracer
+
+#: one 10 ms reply window, no retry
+ONE_WINDOW = RetryPolicy(timeout=0.01, max_retries=0)
 
 
 @pytest.fixture
@@ -119,7 +123,7 @@ class TestRpc:
 
         def client(env):
             with pytest.raises(RpcError):
-                yield from nodes[0].request(1, MessageType.PING, reply_timeout=0.01)
+                yield from nodes[0].request(1, MessageType.PING, policy=ONE_WINDOW)
             return True
 
         p = env.process(client(env))
@@ -143,7 +147,7 @@ class TestRpc:
 
         def client(env):
             try:
-                yield from nodes[0].request(1, MessageType.PING, reply_timeout=0.01)
+                yield from nodes[0].request(1, MessageType.PING, policy=ONE_WINDOW)
             except RpcError:
                 pass
 

@@ -1,12 +1,8 @@
-"""The non-blocking client call, eager validation, and endpoint lookup
-by request type."""
+"""The non-blocking client call and eager validation."""
 
 import pytest
 
-from repro.core.api import Cluster
-from repro.core.config import ClusterConfig
-from repro.dstm.errors import TransactionError
-from repro.net import MessageType, Network, Node, Topology
+from repro.net import Network, Node, Topology
 from repro.net.topology import TopologyKind
 from repro.rpc import (
     ENDPOINTS,
@@ -109,27 +105,3 @@ class TestSubmit:
                 for r in tracer.records()
             ])
         assert records[0] == records[1] and len(records[0]) == 2
-
-
-class TestForRequest:
-    def test_raw_wire_string_resolves_like_the_member(self):
-        assert ENDPOINTS.for_request("dir_lookup") is ENDPOINTS.get("dir_lookup")
-
-    @pytest.mark.parametrize(
-        "mtype", ["teleport", MessageType.PONG, MessageType.ARROW_FIND]
-    )
-    def test_no_endpoint_is_none_not_an_error(self, mtype):
-        assert ENDPOINTS.for_request(mtype) is None
-
-
-class TestProxyRpcWithoutEndpoint:
-    @pytest.mark.parametrize(
-        "mtype, named",
-        [("teleport", "teleport"), (MessageType.PONG, "pong"),
-         (MessageType.ARROW_FIND, "arrow_find")],
-    )
-    def test_raises_transaction_error_naming_the_type(self, mtype, named):
-        cluster = Cluster(ClusterConfig(num_nodes=2, seed=1))
-        with pytest.raises(TransactionError, match=f"no endpoint.*{named}$"):
-            cluster.proxies[0].rpc(1, mtype, {})
-        assert cluster.network.messages_sent.value == 0
