@@ -29,7 +29,7 @@ from typing import Any, Callable, Generator, Optional, Tuple
 from repro.core.cluster import Cluster
 from repro.core.config import SchedulerKind
 from repro.dstm.errors import AbortReason, TransactionAborted, TransactionError
-from repro.dstm.tfa import TFAEngine
+from repro.dstm.tfa import OP_LOCAL_TIME, TFAEngine
 from repro.dstm.transaction import NestingModel, Transaction, TxStatus
 
 __all__ = [
@@ -179,7 +179,7 @@ class TransactionHandle:
                 # Restart is never free: at minimum the begin/rollback
                 # bookkeeping costs one local operation, which also keeps
                 # simulated time advancing on zero-backoff retry storms.
-                yield engine.env.timeout(max(stall, engine.op_local_time))
+                yield engine.env.timeout(max(stall, OP_LOCAL_TIME))
                 if max_retries is not None and retries > max_retries:
                     # Escalate: give up on the child, abort the root.
                     raise TransactionAborted(
@@ -342,4 +342,4 @@ def run_root(
             # overhead (config.abort_overhead) before the body re-runs,
             # which also keeps zero-backoff retry storms off the
             # same-timestamp fast path.
-            yield env.timeout(max(stall, engine.abort_overhead, engine.op_local_time))
+            yield env.timeout(max(stall, engine.abort_overhead, OP_LOCAL_TIME))

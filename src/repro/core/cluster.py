@@ -44,6 +44,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Cluster"]
 
+#: clock skew/drift bounds for the asynchronous node clocks
+MAX_CLOCK_SKEW = 0.05
+MAX_CLOCK_DRIFT = 1e-5
+#: loopback delivery delay for node-local protocol messages (must be
+#: positive: a zero-cost local conflict/retry cycle would let a spinning
+#: transaction starve the event loop without advancing time)
+LOCAL_LOOPBACK_DELAY = 2e-5
+
 
 class Cluster:
     """A fully wired simulated D-STM deployment."""
@@ -95,14 +103,13 @@ class Cluster:
         self.topology = Topology(
             config.num_nodes,
             self.rngs.stream("topology"),
-            kind=config.topology,
             min_delay=config.min_link_delay,
             max_delay=config.max_link_delay,
             bandwidth=config.payload.bandwidth if config.payload.enabled else None,
         )
         self.network = Network(
             self.env, self.topology, tracer=self.tracer,
-            local_delay=config.local_loopback_delay,
+            local_delay=LOCAL_LOOPBACK_DELAY,
         )
 
         # Payload plane (repro.rpc.payload).  Strictly additive: the
@@ -180,8 +187,8 @@ class Cluster:
             clock = NodeClock(
                 node_id,
                 rng=clock_rng,
-                max_skew=config.max_clock_skew,
-                max_drift=config.max_clock_drift,
+                max_skew=MAX_CLOCK_SKEW,
+                max_drift=MAX_CLOCK_DRIFT,
             )
             node = Node(self.env, self.network, node_id, clock=clock,
                         msg_process_time=config.msg_process_time)
@@ -205,10 +212,8 @@ class Cluster:
             self.rpc_clients.append(rpc_client)
             proxy = TMProxy(
                 node,
-                directory,
                 scheduler,
                 tracer=self.tracer,
-                fallback_exec_estimate=config.fallback_exec_estimate,
                 winner_policy=config.winner_policy,
                 conflict_scope=config.conflict_scope,
                 rpc_client=rpc_client,
@@ -227,9 +232,7 @@ class Cluster:
                 proxy.recovery = NodeRecovery(proxy)
             engine = TFAEngine(
                 proxy,
-                op_local_time=config.op_local_time,
                 nesting=config.nesting,
-                nested_commit_validation=config.nested_commit_validation,
                 abort_overhead=config.abort_overhead,
                 nested_retry_cap=fc.nested_retry_cap if fc.enabled else None,
             )
@@ -280,20 +283,11 @@ class Cluster:
                 threshold = AdaptiveThreshold()
             else:
                 threshold = int(cfg.cl_threshold)
-            return RtsScheduler(
-                cl_threshold=threshold,
-                contention_window=cfg.contention_window,
-                max_backoff=cfg.max_enqueue_backoff,
-                admission=cfg.rts_admission,
-            )
+            return RtsScheduler(cl_threshold=threshold, admission=cfg.rts_admission)
         if kind is SchedulerKind.TFA:
             return TfaScheduler()
         if kind is SchedulerKind.TFA_BACKOFF:
-            return BackoffScheduler(
-                base=cfg.backoff_base,
-                cap=cfg.backoff_cap,
-                rng=self.rngs.stream(f"backoff[{node_id}]"),
-            )
+            return BackoffScheduler(rng=self.rngs.stream(f"backoff[{node_id}]"))
         raise AssertionError(f"unhandled scheduler kind {kind}")
 
     # ------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Cluster configuration.
 
-One dataclass holds every knob of the simulated system; experiment sweeps
-are expressed as ``dataclasses.replace`` over a base configuration, which
-keeps parameter provenance obvious in the benchmark harness.
+:class:`ClusterConfig` holds the knobs of the simulated system that an
+experiment turns — every field is swept by an ablation, benchmark,
+example or ledger cell, or is a parameter the paper names (DESIGN.md §2,
+"`ClusterConfig` survivors"); a value nobody turns is a module constant
+next to its reader.  Each opt-in subsystem has its own sub-config
+(faults, rpc, arrival, obs, check, prof, payload), given as an instance
+or a dict.  Sweeps are ``dataclasses.replace`` over a base
+configuration, which keeps parameter provenance obvious in the harness.
 """
 
 from __future__ import annotations
@@ -10,11 +15,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Any, Optional
 
 from repro.dstm.contention import WinnerPolicy
 from repro.dstm.transaction import NestingModel
-from repro.net.topology import MS, TopologyKind
+from repro.net.topology import MS
 
 __all__ = [
     "ArrivalConfig",
@@ -35,6 +40,14 @@ class SchedulerKind(str, enum.Enum):
     RTS = "rts"
     TFA = "tfa"
     TFA_BACKOFF = "tfa-backoff"
+
+
+def _refuse_unless_enabled(cfg: Any, what: str, *names: str) -> None:
+    """A setting the disabled subsystem would silently ignore is an error."""
+    if not cfg.enabled:
+        for name in names:
+            if getattr(cfg, name):
+                raise ValueError(f"{name} is set but {what} is not enabled")
 
 
 @dataclass(frozen=True)
@@ -117,7 +130,7 @@ class FaultConfig:
     #: unbounded paper semantics.
     nested_retry_cap: int = 16
 
-    def replace(self, **changes) -> "FaultConfig":
+    def replace(self, **changes: Any) -> "FaultConfig":
         """A modified copy (sugar over :func:`dataclasses.replace`)."""
         return dataclasses.replace(self, **changes)
 
@@ -178,7 +191,7 @@ class RpcConfig:
     #: bound on cached lookup entries per node (None = unbounded)
     cache_capacity: Optional[int] = None
 
-    def replace(self, **changes) -> "RpcConfig":
+    def replace(self, **changes: Any) -> "RpcConfig":
         """A modified copy (sugar over :func:`dataclasses.replace`)."""
         return dataclasses.replace(self, **changes)
 
@@ -211,13 +224,14 @@ class ObsConfig:
     #: per-node throughput/abort bucketing window (simulated seconds)
     window: float = 0.25
 
-    def replace(self, **changes) -> "ObsConfig":
+    def replace(self, **changes: Any) -> "ObsConfig":
         """A modified copy (sugar over :func:`dataclasses.replace`)."""
         return dataclasses.replace(self, **changes)
 
     def __post_init__(self) -> None:
         if self.window <= 0:
             raise ValueError(f"window must be > 0, got {self.window}")
+        _refuse_unless_enabled(self, "obs", "jsonl_path", "chrome_path")
 
 
 @dataclass(frozen=True)
@@ -241,7 +255,7 @@ class CheckConfig:
 
     sanitize: bool = False
 
-    def replace(self, **changes) -> "CheckConfig":
+    def replace(self, **changes: Any) -> "CheckConfig":
         """A modified copy (sugar over :func:`dataclasses.replace`)."""
         return dataclasses.replace(self, **changes)
 
@@ -271,9 +285,12 @@ class ProfConfig:
     #: write a Chrome trace_event (Perfetto-loadable) overlay here
     chrome_path: Optional[str] = None
 
-    def replace(self, **changes) -> "ProfConfig":
+    def replace(self, **changes: Any) -> "ProfConfig":
         """A modified copy (sugar over :func:`dataclasses.replace`)."""
         return dataclasses.replace(self, **changes)
+
+    def __post_init__(self) -> None:
+        _refuse_unless_enabled(self, "prof", "wall", "folded_path", "chrome_path")
 
 
 @dataclass(frozen=True)
@@ -319,15 +336,13 @@ class ArrivalConfig:
     #: "diurnal"); None = a single steady phase
     scenario: Optional[str] = None
 
-    # -- admission control + stability ----------------------------------
+    # -- admission control ------------------------------------------------
     #: per-node admission queue bound
     queue_capacity: int = 64
     #: who is shed when a queue is full: "drop-newest" or "drop-oldest"
     shed_policy: str = "drop-newest"
-    #: stability-detector integration window (simulated seconds)
-    stability_window: float = 1.0
 
-    def replace(self, **changes) -> "ArrivalConfig":
+    def replace(self, **changes: Any) -> "ArrivalConfig":
         """A modified copy (sugar over :func:`dataclasses.replace`)."""
         return dataclasses.replace(self, **changes)
 
@@ -358,8 +373,6 @@ class ArrivalConfig:
             raise ValueError("hotspot_period must be > 0 (or None)")
         if self.queue_capacity < 1:
             raise ValueError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
-        if self.stability_window <= 0:
-            raise ValueError("stability_window must be > 0")
         if self.process == "trace" and self.enabled and not self.trace:
             raise ValueError("trace arrival process needs a non-empty trace")
         if not isinstance(self.trace, tuple):
@@ -408,13 +421,10 @@ class PayloadConfig:
     ser_per_byte: float = 1e-9
     #: control envelope charged per remote message, bytes
     control_size: int = 256
-    #: extra control-plane bytes a proxy-mode grant carries (the
-    #: ObjectProxy descriptor itself)
-    proxy_size: int = 64
     #: per-node resolved-bytes cache capacity (objects); None = unbounded
     cache_capacity: Optional[int] = None
 
-    def replace(self, **changes) -> "PayloadConfig":
+    def replace(self, **changes: Any) -> "PayloadConfig":
         """A modified copy (sugar over :func:`dataclasses.replace`)."""
         return dataclasses.replace(self, **changes)
 
@@ -425,8 +435,8 @@ class PayloadConfig:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
         if self.ser_per_byte < 0:
             raise ValueError("ser_per_byte must be >= 0")
-        if self.control_size < 0 or self.proxy_size < 0:
-            raise ValueError("control_size/proxy_size must be >= 0")
+        if self.control_size < 0:
+            raise ValueError("control_size must be >= 0")
         if self.cache_capacity is not None and self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1 (or None)")
 
@@ -438,7 +448,6 @@ class ClusterConfig:
     # -- deployment ---------------------------------------------------------
     num_nodes: int = 8
     seed: int = 0
-    topology: TopologyKind = TopologyKind.UNIFORM
     #: static per-link delay band (paper §IV-A: 1-50 ms)
     min_link_delay: float = 1.0 * MS
     max_link_delay: float = 50.0 * MS
@@ -447,17 +456,10 @@ class ClusterConfig:
     scheduler: SchedulerKind = SchedulerKind.RTS
     #: RTS contention-level threshold; None selects the adaptive controller
     cl_threshold: Optional[int] = None
-    #: RTS contention-tracking window (seconds, local clock)
-    contention_window: float = 1.0
-    #: RTS cap on assigned backoffs
-    max_enqueue_backoff: float = 2.0
     #: RTS execution-time admission rule: "paper" (Algorithm 3 literal,
     #: maximal abort economy) or "economic" (also charges the validator's
     #: remaining time; fail-fast for early-stage transactions)
     rts_admission: str = "paper"
-    #: TFA+Backoff base / cap
-    backoff_base: float = 5.0 * MS
-    backoff_cap: float = 0.25
 
     # -- transaction engine -----------------------------------------------------
     nesting: NestingModel = NestingModel.CLOSED
@@ -468,23 +470,11 @@ class ClusterConfig:
     #: requesting nested level only) or "mixed" (copy fetches abort the
     #: level, commit-time acquisitions abort the root) — ablations
     conflict_scope: str = "root"
-    #: closed-nested commits validate the inner read set (Turcu &
-    #: Ravindran's closed-nesting model — the source of the paper's
-    #: "own-cause" nested aborts); disable for the ablation
-    nested_commit_validation: bool = True
-    #: local CPU time consumed per transactional operation
-    op_local_time: float = 5e-5
-    #: loopback delivery delay for node-local protocol messages (must be
-    #: positive: a zero-cost local conflict/retry cycle would let a
-    #: spinning transaction starve the event loop without advancing time)
-    local_loopback_delay: float = 2e-5
     #: per-message CPU service time of each node's proxy stack (serial
     #: server).  Positive values make hot nodes congestible, so retry
     #: storms cost real capacity — "additional requests incur more
     #: contention" (§IV-C).  0 disables queueing.
     msg_process_time: float = 5e-4
-    #: execution-time estimate used before the stats table has history
-    fallback_exec_estimate: float = 0.05
     #: local time a root transaction pays per abort before restarting,
     #: modelling the framework's rollback cost (HyFlow-style Java D-STM:
     #: context teardown, object-graph re-instantiation, serialisation
@@ -492,9 +482,6 @@ class ClusterConfig:
     #: only their re-communication, understating what retry storms cost
     #: the real system; ablation A7 sweeps this.
     abort_overhead: float = 0.01
-    #: clock skew/drift bounds for the asynchronous node clocks
-    max_clock_skew: float = 0.05
-    max_clock_drift: float = 1e-5
 
     # -- fault injection -----------------------------------------------------
     #: deterministic fault plan; disabled by default (strictly additive)
@@ -511,6 +498,7 @@ class ClusterConfig:
 
     # -- tracing -------------------------------------------------------------------
     trace: bool = False
+    #: category filter of the tracer; needs ``trace`` or ``obs`` on
     trace_categories: Optional[tuple[str, ...]] = None
     #: observability layer (spans, time-series, exports); disabled by
     #: default and strictly additive like ``faults``
@@ -525,7 +513,7 @@ class ClusterConfig:
     #: additive — no cost model, no proxies, no payload caches
     payload: PayloadConfig = PayloadConfig()
 
-    def replace(self, **changes) -> "ClusterConfig":
+    def replace(self, **changes: Any) -> "ClusterConfig":
         """A modified copy (sugar over :func:`dataclasses.replace`)."""
         return dataclasses.replace(self, **changes)
 
@@ -534,8 +522,6 @@ class ClusterConfig:
             raise ValueError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if not 0 < self.min_link_delay <= self.max_link_delay:
             raise ValueError("need 0 < min_link_delay <= max_link_delay")
-        if self.op_local_time < 0:
-            raise ValueError("op_local_time must be >= 0")
         if self.cl_threshold is not None and self.cl_threshold < 1:
             raise ValueError("cl_threshold must be >= 1 (or None for adaptive)")
         for name, allowed in (
@@ -548,7 +534,6 @@ class ClusterConfig:
                 )
         # Coerce enum-ish fields so strings work ergonomically.
         object.__setattr__(self, "scheduler", SchedulerKind(self.scheduler))
-        object.__setattr__(self, "topology", TopologyKind(self.topology))
         object.__setattr__(self, "nesting", NestingModel(self.nesting))
         object.__setattr__(self, "winner_policy", WinnerPolicy(self.winner_policy))
         if isinstance(self.faults, dict):
@@ -565,3 +550,7 @@ class ClusterConfig:
             object.__setattr__(self, "prof", ProfConfig(**self.prof))
         if isinstance(self.payload, dict):
             object.__setattr__(self, "payload", PayloadConfig(**self.payload))
+        if self.trace_categories and not (self.trace or self.obs.enabled):
+            raise ValueError(
+                "trace_categories is set but neither trace nor obs is enabled"
+            )

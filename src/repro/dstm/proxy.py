@@ -36,7 +36,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.dstm.contention import DoomRegistry, WinnerPolicy
-from repro.dstm.directory import DirectoryShard
 from repro.dstm.errors import AbortReason, TransactionAborted, TransactionError
 from repro.dstm.objects import ObjectMode, ObjectState, VersionedObject, home_node
 from repro.dstm.transaction import ETS, Transaction
@@ -57,6 +56,9 @@ __all__ = ["Grant", "TMProxy"]
 
 _DIR_LOOKUP = ENDPOINTS.get("dir_lookup")
 _RETRIEVE = ENDPOINTS.get("retrieve")
+
+#: execution-time estimate used before the stats table has history
+FALLBACK_EXEC_ESTIMATE = 0.05
 
 
 class Grant:
@@ -98,17 +100,14 @@ class TMProxy:
     def __init__(
         self,
         node: Node,
-        directory: DirectoryShard,
         scheduler: SchedulerPolicy,
         tracer: Optional[Tracer] = None,
-        fallback_exec_estimate: float = 0.05,
         winner_policy: WinnerPolicy = WinnerPolicy.HOLDER_WINS,
         conflict_scope: str = "root",
         rpc_client: Optional[RpcClient] = None,
     ) -> None:
         self.node = node
         self.env = node.env
-        self.directory = directory
         self.scheduler = scheduler
         self.tracer = tracer or Tracer()
         #: the typed caller side of the RPC substrate: every call this
@@ -120,7 +119,6 @@ class TMProxy:
         #: timeout/retry policy for RPCs (:class:`repro.rpc.RetryPolicy`);
         #: None (fault-free build) keeps every RPC a plain blocking wait.
         self.rpc_policy = rpc_client.policy
-        self.fallback_exec_estimate = float(fallback_exec_estimate)
         self.winner_policy = WinnerPolicy(winner_policy)
         if conflict_scope not in ("root", "level", "mixed"):
             raise ValueError(
@@ -353,7 +351,7 @@ class TMProxy:
     def _build_ets(self, root: Transaction) -> ETS:
         now = self.node.now_local
         expected = self.scheduler.expected_duration(
-            root.profile, self.fallback_exec_estimate
+            root.profile, FALLBACK_EXEC_ESTIMATE
         )
         return ETS(
             start=root.start_local_time,

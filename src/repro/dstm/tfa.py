@@ -38,7 +38,11 @@ from repro.net.message import MessageType
 from repro.rpc import ENDPOINTS, PeerUnreachable
 from repro.sim import Event
 
-__all__ = ["TFAEngine"]
+__all__ = ["OP_LOCAL_TIME", "TFAEngine"]
+
+#: local CPU time consumed per transactional operation (and the floor of
+#: a retry's restart stall, ``repro.core.api``)
+OP_LOCAL_TIME = 5e-5
 
 _READ_VALIDATE = ENDPOINTS.get("read_validate")
 _DIR_UPDATE = ENDPOINTS.get("dir_update")
@@ -50,9 +54,7 @@ class TFAEngine:
     def __init__(
         self,
         proxy: TMProxy,
-        op_local_time: float = 5e-5,
         nesting: NestingModel = NestingModel.CLOSED,
-        nested_commit_validation: bool = True,
         abort_overhead: float = 0.01,
         nested_retry_cap: Optional[int] = None,
     ) -> None:
@@ -62,9 +64,7 @@ class TFAEngine:
         #: what the kernel profiler and the explorer attribute this
         #: engine's reply-event callbacks to
         self.name = f"n{self.node.node_id}.tfa"
-        self.op_local_time = float(op_local_time)
         self.nesting = NestingModel(nesting)
-        self.nested_commit_validation = bool(nested_commit_validation)
         self.abort_overhead = float(abort_overhead)
         #: fault mode: default bound on child retries before a nested
         #: abort escalates to the root (None = unbounded, the paper's
@@ -115,7 +115,7 @@ class TFAEngine:
 
         # Own (or ancestor) uncommitted write shadows everything.
         if tx.has_local_value(oid):
-            yield self.env.timeout(self.op_local_time)
+            yield self.env.timeout(OP_LOCAL_TIME)
             return tx.lookup_write(oid)
 
         # Repeated read: serve the recorded value (same version — repeated
@@ -123,7 +123,7 @@ class TFAEngine:
         for level in tx.ancestors():
             entry = level.rset.get(oid)
             if entry is not None:
-                yield self.env.timeout(self.op_local_time)
+                yield self.env.timeout(OP_LOCAL_TIME)
                 return entry.value
 
         grant = yield from self.proxy.open_object(tx, oid, ObjectMode.READ)
@@ -141,7 +141,7 @@ class TFAEngine:
         entry = ReadEntry(oid, grant.version, grant.served_by)
         entry.value = grant.value
         tx.rset[oid] = entry
-        yield self.env.timeout(self.op_local_time)
+        yield self.env.timeout(OP_LOCAL_TIME)
         return grant.value
 
     def write(self, tx: Transaction, oid: str, value: Any) -> Generator[Any, Any, None]:
@@ -161,7 +161,7 @@ class TFAEngine:
             entry = ReadEntry(oid, grant.version, grant.served_by, grant.value)
             tx.rset[oid] = entry
         tx.record_write(oid, value)
-        yield self.env.timeout(self.op_local_time)
+        yield self.env.timeout(OP_LOCAL_TIME)
 
     def compute(self, tx: Transaction, duration: float) -> Generator[Any, Any, None]:
         """Local computation inside the transaction body."""
@@ -317,7 +317,7 @@ class TFAEngine:
         if tx.is_root:
             raise TransactionError(f"{tx.txid} is a root; use commit_root")
         self._ensure_live(tx)
-        if self.nested_commit_validation and tx.rset:
+        if tx.rset:
             tracer = self.proxy.tracer
             span_on = tracer.wants("span.phase")
             if span_on:

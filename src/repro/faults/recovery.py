@@ -30,9 +30,8 @@ from repro.rpc.policy import RetryPolicy as RpcPolicy
 if TYPE_CHECKING:  # pragma: no cover - typing only (dstm never imports faults)
     from repro.dstm.proxy import TMProxy
 
-#: the re-exports (tests/rpc/test_policy.py pins the list: one policy
-#: class, no second); :class:`NodeRecovery` is exported by ``repro.faults``
-__all__ = ["RpcPolicy", "validate_policy"]
+#: tests/rpc/test_policy.py pins the list: one policy class, no second
+__all__ = ["NodeRecovery", "RpcPolicy", "validate_policy"]
 
 _COMMIT_PUBLISH = ENDPOINTS.get("commit_publish")
 _ORPHAN_RETURN = ENDPOINTS.get("orphan_return")

@@ -21,7 +21,7 @@ from repro.net.clocks import NodeClock
 from repro.net.message import Message, MessageType
 from repro.net.network import Network
 from repro.net.node import Node, RpcError
-from repro.net.topology import Topology, TopologyKind
+from repro.net.topology import Topology
 
 __all__ = [
     "Message",
@@ -31,5 +31,4 @@ __all__ = [
     "NodeClock",
     "RpcError",
     "Topology",
-    "TopologyKind",
 ]

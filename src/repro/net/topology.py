@@ -1,24 +1,16 @@
 """Metric-space network topologies with static link delays.
 
-A :class:`Topology` places ``num_nodes`` nodes in a 2-D metric space and
-derives a symmetric delay matrix, affinely mapping metric distance onto the
-paper's [1 ms, 50 ms] link-delay band.  Supported placements:
+A :class:`Topology` places ``num_nodes`` nodes i.i.d. uniformly in the
+unit square (the paper's "nodes scattered in a metric space") and derives
+a symmetric delay matrix, affinely mapping metric distance onto the
+paper's [1 ms, 50 ms] link-delay band.
 
-* ``UNIFORM`` — i.i.d. uniform positions in the unit square (default; the
-  paper's "nodes scattered in a metric space"),
-* ``GRID`` — a regular √N×√N grid,
-* ``RING`` — nodes on a circle (maximises distance spread),
-* ``CLUSTERED`` — Gaussian blobs around a few cluster heads, modelling
-  rack locality.
-
-All delays are deterministic functions of (seed, kind, num_nodes): the
-network is *static*, exactly as in §IV-A of the paper.
+All delays are deterministic functions of (seed, num_nodes): the network
+is *static*, exactly as in §IV-A of the paper.
 """
 
 from __future__ import annotations
 
-import enum
-import math
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -26,17 +18,10 @@ import numpy as np
 if TYPE_CHECKING:
     import networkx as nx
 
-__all__ = ["Topology", "TopologyKind", "MS"]
+__all__ = ["Topology", "MS"]
 
 #: One millisecond in simulation time units (we simulate in seconds).
 MS = 1e-3
-
-
-class TopologyKind(str, enum.Enum):
-    UNIFORM = "uniform"
-    GRID = "grid"
-    RING = "ring"
-    CLUSTERED = "clustered"
 
 
 class Topology:
@@ -46,10 +31,8 @@ class Topology:
         self,
         num_nodes: int,
         rng: np.random.Generator,
-        kind: TopologyKind = TopologyKind.UNIFORM,
         min_delay: float = 1.0 * MS,
         max_delay: float = 50.0 * MS,
-        num_clusters: int = 4,
         bandwidth: Optional[float] = None,
     ) -> None:
         if num_nodes < 1:
@@ -63,10 +46,9 @@ class Topology:
         #: per-link lookup the wire cost model binds.
         self.link_bandwidth = float(bandwidth) if bandwidth is not None else None
         self.num_nodes = num_nodes
-        self.kind = TopologyKind(kind)
         self.min_delay = float(min_delay)
         self.max_delay = float(max_delay)
-        self.positions = self._place(rng, num_clusters)
+        self.positions = rng.uniform(0.0, 1.0, size=(num_nodes, 2))
         self.delays = self._delay_matrix()
         # Hot-path memoisation: the simulation pays a delay lookup per
         # message, and scalar-indexing the numpy matrix (plus the float()
@@ -81,24 +63,6 @@ class Topology:
         )
 
     # -- construction -------------------------------------------------------
-
-    def _place(self, rng: np.random.Generator, num_clusters: int) -> np.ndarray:
-        n = self.num_nodes
-        if self.kind is TopologyKind.UNIFORM:
-            return rng.uniform(0.0, 1.0, size=(n, 2))
-        if self.kind is TopologyKind.GRID:
-            side = int(math.ceil(math.sqrt(n)))
-            xs, ys = np.meshgrid(np.linspace(0, 1, side), np.linspace(0, 1, side))
-            return np.column_stack([xs.ravel(), ys.ravel()])[:n]
-        if self.kind is TopologyKind.RING:
-            theta = 2.0 * np.pi * np.arange(n) / n
-            return 0.5 + 0.5 * np.column_stack([np.cos(theta), np.sin(theta)])
-        if self.kind is TopologyKind.CLUSTERED:
-            heads = rng.uniform(0.1, 0.9, size=(max(1, num_clusters), 2))
-            assignment = rng.integers(0, len(heads), size=n)
-            jitter = rng.normal(0.0, 0.04, size=(n, 2))
-            return np.clip(heads[assignment] + jitter, 0.0, 1.0)
-        raise AssertionError(f"unhandled kind {self.kind}")
 
     def _delay_matrix(self) -> np.ndarray:
         pos = self.positions
@@ -179,6 +143,6 @@ class Topology:
 
     def __repr__(self) -> str:
         return (
-            f"<Topology {self.kind.value} n={self.num_nodes} "
+            f"<Topology n={self.num_nodes} "
             f"delay=[{self.min_delay * 1e3:.0f}ms, {self.max_delay * 1e3:.0f}ms]>"
         )

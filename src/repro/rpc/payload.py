@@ -47,7 +47,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids core<->rpc cycle)
 
 _PAYLOAD_FETCH = ENDPOINTS.get("payload_fetch")
 
-__all__ = ["NodePayload", "PayloadPlane"]
+__all__ = ["NodePayload", "PayloadPlane", "PROXY_SIZE"]
+
+#: control-plane bytes a proxy-mode grant carries: the ObjectProxy
+#: descriptor itself
+PROXY_SIZE = 64
 
 
 class NodePayload:
@@ -295,7 +299,7 @@ class PayloadPlane:
         wire: the full declared size in eager mode, only the constant
         ObjectProxy descriptor in proxy mode."""
         if self.proxy_mode:
-            return self.config.proxy_size
+            return PROXY_SIZE
         return self.size_of(oid)
 
     # -- reporting ------------------------------------------------------

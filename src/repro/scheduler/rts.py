@@ -55,7 +55,6 @@ class RtsScheduler(SchedulerPolicy):
     def __init__(
         self,
         cl_threshold: Union[int, AdaptiveThreshold, None] = None,
-        contention_window: float = 1.0,
         min_enqueue_backoff: float = 1e-3,
         max_backoff: float = 2.0,
         backoff_safety: float = 2.0,
@@ -65,7 +64,7 @@ class RtsScheduler(SchedulerPolicy):
         if cl_threshold is None:
             cl_threshold = AdaptiveThreshold()
         self._threshold = cl_threshold
-        self.contention = ContentionTracker(window=contention_window)
+        self.contention = ContentionTracker()
         if min_enqueue_backoff <= 0 or max_backoff < min_enqueue_backoff:
             raise ValueError(
                 f"need 0 < min_enqueue_backoff <= max_backoff, got "

@@ -44,6 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["OpenLoopExecutor"]
 
+#: stability-detector integration window (simulated seconds)
+STABILITY_WINDOW = 1.0
+
 
 class OpenLoopExecutor:
     """Runs a workload under an open-loop arrival process."""
@@ -223,7 +226,7 @@ class OpenLoopExecutor:
             )
             for node in range(cluster.num_nodes)
         ]
-        self.monitor = StabilityMonitor(env, self.queues, cfg.stability_window)
+        self.monitor = StabilityMonitor(env, self.queues, STABILITY_WINDOW)
         env.process(self.monitor.run(), name="traffic.monitor")
         if self.scenario is not None:
             env.process(self._scenario_proc(), name="traffic.scenario")

@@ -5,7 +5,6 @@ import pytest
 from repro.core.config import ClusterConfig, SchedulerKind
 from repro.dstm.contention import WinnerPolicy
 from repro.dstm.transaction import NestingModel
-from repro.net.topology import TopologyKind
 
 
 class TestValidation:
@@ -23,10 +22,6 @@ class TestValidation:
             ClusterConfig(min_link_delay=0.1, max_link_delay=0.01)
         with pytest.raises(ValueError):
             ClusterConfig(min_link_delay=0.0)
-
-    def test_negative_op_time_rejected(self):
-        with pytest.raises(ValueError):
-            ClusterConfig(op_local_time=-1)
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -48,12 +43,43 @@ class TestValidation:
             Cluster(ClusterConfig(num_nodes=2, conflict_scope="bogus"))
 
 
+#: case id -> (ClusterConfig kwargs, the field the error names): each is
+#: a setting a disabled subsystem would silently ignore
+IGNORED_SETTINGS = {
+    "obs.jsonl_path": (dict(obs=dict(jsonl_path="run.jsonl")), "jsonl_path"),
+    "obs.chrome_path": (dict(obs=dict(chrome_path="run.json")), "chrome_path"),
+    "prof.wall": (dict(prof=dict(wall=True)), "wall"),
+    "prof.folded_path": (dict(prof=dict(folded_path="run.folded")), "folded_path"),
+    "prof.chrome_path": (dict(prof=dict(chrome_path="prof.json")), "chrome_path"),
+    "trace_categories": (dict(trace_categories=("txn",)), "trace_categories"),
+}
+
+
+class TestIgnoredSettingsRejected:
+    @pytest.mark.parametrize(
+        "kwargs,field", IGNORED_SETTINGS.values(), ids=IGNORED_SETTINGS.keys()
+    )
+    def test_rejected_at_construction(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            ClusterConfig(num_nodes=2, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(obs=dict(enabled=True, jsonl_path="run.jsonl")),
+            dict(prof=dict(enabled=True, wall=True, folded_path="run.folded")),
+            dict(trace=True, trace_categories=("txn",)),
+            dict(obs=dict(enabled=True), trace_categories=("txn",)),
+        ],
+        ids=["obs", "prof", "trace", "obs-categories"],
+    )
+    def test_same_settings_accepted_when_enabled(self, kwargs):
+        ClusterConfig(num_nodes=2, **kwargs)
+
+
 class TestCoercion:
     def test_string_scheduler(self):
         assert ClusterConfig(scheduler="tfa").scheduler is SchedulerKind.TFA
-
-    def test_string_topology(self):
-        assert ClusterConfig(topology="ring").topology is TopologyKind.RING
 
     def test_string_nesting(self):
         assert ClusterConfig(nesting="flat").nesting is NestingModel.FLAT

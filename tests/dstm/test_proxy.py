@@ -258,6 +258,6 @@ class TestBootstrap:
         cluster = make_cluster()
         with pytest.raises(ValueError):
             TMProxy(
-                cluster.nodes[0], cluster.directories[0],
-                cluster.proxies[0].scheduler, conflict_scope="nope",
+                cluster.nodes[0], cluster.proxies[0].scheduler,
+                conflict_scope="nope",
             )

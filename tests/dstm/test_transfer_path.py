@@ -16,16 +16,15 @@ from repro.core.config import ClusterConfig, FaultConfig, SchedulerKind
 from repro.dstm.objects import ObjectMode, ObjectState, VersionedObject
 from repro.dstm.transaction import ETS
 from repro.net import MessageType
+from repro.rpc.payload import PROXY_SIZE
 from repro.scheduler.queues import Requester, RequesterList
 
 SIZE = 4096
-PROXY_SIZE = 64
 #: plane -> (PayloadConfig kwargs, bytes a value-carrying message ships)
 PLANES = {
     "off": (None, 0),
     "eager": (dict(enabled=True, proxy=False, size=SIZE), SIZE),
-    "proxy": (dict(enabled=True, proxy=True, size=SIZE,
-                   proxy_size=PROXY_SIZE), PROXY_SIZE),
+    "proxy": (dict(enabled=True, proxy=True, size=SIZE), PROXY_SIZE),
 }
 OID = "x"
 

@@ -5,7 +5,6 @@ import pytest
 from repro.core.config import FaultConfig
 from repro.faults import CrashWindow, FaultInjector, FaultPlan, PartitionWindow
 from repro.net import MessageType, Network, Node, Topology
-from repro.net.topology import TopologyKind
 from repro.sim import RngRegistry
 
 
@@ -13,7 +12,7 @@ def build(env, num_nodes=4, **cfg_kw):
     """Network + nodes with an installed injector (zero rates by default,
     so tests can hand-craft windows on the plan)."""
     rngs = RngRegistry(seed=5)
-    topo = Topology(num_nodes, rngs.stream("topology"), kind=TopologyKind.UNIFORM)
+    topo = Topology(num_nodes, rngs.stream("topology"))
     network = Network(env, topo)
     nodes = [Node(env, network, i) for i in range(num_nodes)]
     plan = FaultPlan(
@@ -178,7 +177,7 @@ class TestInstallation:
 
     def test_uninstalled_network_unaffected(self, env):
         rngs = RngRegistry(seed=5)
-        topo = Topology(2, rngs.stream("topology"), kind=TopologyKind.UNIFORM)
+        topo = Topology(2, rngs.stream("topology"))
         network = Network(env, topo)
         nodes = [Node(env, network, i) for i in range(2)]
         got = collect(env, nodes[1])

@@ -12,7 +12,6 @@ from repro.dstm.errors import AbortReason
 from repro.dstm.objects import home_node
 from repro.faults import CrashWindow, RpcPolicy
 from repro.net import MessageType, Network, Node, Topology
-from repro.net.topology import TopologyKind
 from repro.rpc import PeerUnreachable
 from repro.sim import RngRegistry
 
@@ -98,7 +97,7 @@ class TestProxyRetries:
 @pytest.fixture
 def dirnet(env):
     rngs = RngRegistry(seed=3)
-    topo = Topology(2, rngs.stream("topology"), kind=TopologyKind.UNIFORM)
+    topo = Topology(2, rngs.stream("topology"))
     network = Network(env, topo)
     nodes = [Node(env, network, i) for i in range(2)]
     shard = DirectoryShard(nodes[0], lease_duration=1.0, reclaim_grace=0.5)
@@ -293,7 +292,7 @@ class TestLeases:
 
     def test_no_lease_mode_never_reclaims(self, env):
         rngs = RngRegistry(seed=4)
-        topo = Topology(2, rngs.stream("topology"), kind=TopologyKind.UNIFORM)
+        topo = Topology(2, rngs.stream("topology"))
         network = Network(env, topo)
         nodes = [Node(env, network, i) for i in range(2)]
         shard = DirectoryShard(nodes[0])  # lease_duration=None
@@ -371,7 +370,7 @@ class TestReclaimRefreshesStaleLocalCopy:
         from repro.scheduler.tfa_baseline import TfaScheduler
 
         nodes, shard = dirnet
-        proxy = TMProxy(nodes[0], shard, TfaScheduler())
+        proxy = TMProxy(nodes[0], TfaScheduler())
         shard.proxy = proxy
         shard.metrics = MetricsCollector()
         proxy.store["s"] = VersionedObject("s", "stale", 2)

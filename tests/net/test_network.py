@@ -3,7 +3,6 @@
 import pytest
 
 from repro.net import Message, MessageType, Network, Node, RpcError, Topology
-from repro.net.topology import TopologyKind
 from repro.rpc import RetryPolicy
 from repro.sim import Environment, RngRegistry, Tracer
 
@@ -14,7 +13,7 @@ ONE_WINDOW = RetryPolicy(timeout=0.01, max_retries=0)
 @pytest.fixture
 def net(env):
     rng = RngRegistry(seed=2).stream("topology")
-    topo = Topology(4, rng, kind=TopologyKind.UNIFORM)
+    topo = Topology(4, rng)
     network = Network(env, topo, tracer=Tracer(enabled=True))
     nodes = [Node(env, network, i) for i in range(4)]
     return network, nodes

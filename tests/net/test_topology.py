@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import Topology, TopologyKind
+from repro.net import Topology
 from repro.net.topology import MS
 from repro.sim import RngRegistry
 
 
-def make_topology(n=10, kind=TopologyKind.UNIFORM, seed=1, **kw):
+def make_topology(n=10, seed=1, **kw):
     rng = RngRegistry(seed=seed).stream("topology")
-    return Topology(n, rng, kind=kind, **kw)
+    return Topology(n, rng, **kw)
 
 
 class TestConstruction:
@@ -26,13 +26,9 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_topology(min_delay=0.0)
 
-    @pytest.mark.parametrize("kind", list(TopologyKind))
-    def test_all_kinds_produce_n_positions(self, kind):
-        topo = make_topology(n=17, kind=kind)
+    def test_produces_n_positions(self):
+        topo = make_topology(n=17)
         assert topo.positions.shape == (17, 2)
-
-    def test_kind_accepts_string(self):
-        assert make_topology(kind="ring").kind is TopologyKind.RING
 
     def test_single_node(self):
         topo = make_topology(n=1)
@@ -69,8 +65,7 @@ class TestDelayMatrix:
         assert not np.array_equal(a.delays, b.delays)
 
     def test_metric_properties_hold(self):
-        for kind in TopologyKind:
-            assert make_topology(n=15, kind=kind).verify_metric()
+        assert make_topology(n=15).verify_metric()
 
     @given(n=st.integers(min_value=2, max_value=40),
            seed=st.integers(min_value=0, max_value=1000))
@@ -104,10 +99,5 @@ class TestQueries:
         assert g.number_of_edges() == 15
         assert g[0][1]["weight"] == pytest.approx(topo.delay(0, 1))
 
-    def test_grid_positions_regular(self):
-        topo = make_topology(n=9, kind=TopologyKind.GRID)
-        xs = sorted(set(np.round(topo.positions[:, 0], 9)))
-        assert len(xs) == 3
-
     def test_repr(self):
-        assert "uniform" in repr(make_topology())
+        assert "n=10" in repr(make_topology())

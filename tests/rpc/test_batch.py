@@ -5,7 +5,6 @@ import pytest
 from repro.core import ClusterConfig, SchedulerKind
 from repro.core.experiment import run_experiment
 from repro.net import Message, MessageType, Network, Node, Topology
-from repro.net.topology import TopologyKind
 from repro.rpc import PiggybackBatcher
 from repro.sim import RngRegistry
 
@@ -13,7 +12,7 @@ from repro.sim import RngRegistry
 @pytest.fixture
 def net2(env):
     rngs = RngRegistry(seed=5)
-    topo = Topology(2, rngs.stream("topology"), kind=TopologyKind.UNIFORM)
+    topo = Topology(2, rngs.stream("topology"))
     network = Network(env, topo)
     nodes = [Node(env, network, i) for i in range(2)]
     return network, nodes

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.net import MessageType, Network, Node, Topology
-from repro.net.topology import TopologyKind
 from repro.rpc import (
     ENDPOINTS,
     Endpoint,
@@ -20,7 +19,7 @@ from repro.sim import RngRegistry
 @pytest.fixture
 def net2(env):
     rngs = RngRegistry(seed=7)
-    topo = Topology(2, rngs.stream("topology"), kind=TopologyKind.UNIFORM)
+    topo = Topology(2, rngs.stream("topology"))
     network = Network(env, topo)
     return [Node(env, network, i) for i in range(2)]
 

@@ -83,8 +83,8 @@ class TestPayloadPlane:
         assert plane.nodes[2].cache_version("a") == 7
 
     def test_grant_bytes_by_mode(self):
-        eager = make_plane(size=4_096, proxy=False, proxy_size=64)
-        proxy = make_plane(size=4_096, proxy=True, proxy_size=64)
+        eager = make_plane(size=4_096, proxy=False)
+        proxy = make_plane(size=4_096, proxy=True)
         eager.register("a", 0)
         proxy.register("a", 0)
         assert eager.grant_bytes("a") == 4_096

@@ -49,9 +49,10 @@ class TestSinglePolicyObject:
 
         assert RpcPolicy is RetryPolicy
         assert recovery.RpcPolicy is RetryPolicy
-        # The shim re-exports the one policy class plus the repro.check
-        # consistency gate over it — still no second policy object.
-        assert recovery.__all__ == ["RpcPolicy", "validate_policy"]
+        # The module exports the owner side of recovery plus the one
+        # policy class and the repro.check consistency gate over it —
+        # still no second policy object.
+        assert recovery.__all__ == ["NodeRecovery", "RpcPolicy", "validate_policy"]
 
     def test_node_request_honours_policy_ladder(self, env):
         """Node.request owns the retry loop: a silent peer costs exactly
@@ -59,11 +60,10 @@ class TestSinglePolicyObject:
         from repro.net import Network, Node, Topology
         from repro.net.node import RpcError
         from repro.net.message import MessageType
-        from repro.net.topology import TopologyKind
         from repro.sim import RngRegistry
 
         rngs = RngRegistry(seed=11)
-        topo = Topology(2, rngs.stream("topology"), kind=TopologyKind.UNIFORM)
+        topo = Topology(2, rngs.stream("topology"))
         network = Network(env, topo)
         nodes = [Node(env, network, i) for i in range(2)]
         # Node 1 swallows pings without answering: every attempt times out.

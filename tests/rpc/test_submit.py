@@ -3,7 +3,6 @@
 import pytest
 
 from repro.net import Network, Node, Topology
-from repro.net.topology import TopologyKind
 from repro.rpc import (
     ENDPOINTS,
     EndpointError,
@@ -17,7 +16,7 @@ from repro.sim import RngRegistry, Tracer
 @pytest.fixture
 def net2(env):
     rngs = RngRegistry(seed=7)
-    topo = Topology(2, rngs.stream("topology"), kind=TopologyKind.UNIFORM)
+    topo = Topology(2, rngs.stream("topology"))
     network = Network(env, topo)
     return network, [Node(env, network, i) for i in range(2)]
 
