@@ -182,7 +182,7 @@ def test_all_workloads_complete():
 
 
 def host_fingerprint():
-    """Host metadata for trajectory rows (BENCH_PAR.json's host shape)."""
+    """Host metadata for trajectory rows."""
     return {
         "os_cpu_count": os.cpu_count() or 1,
         "python": platform.python_version(),

@@ -35,6 +35,7 @@ if __package__ in (None, ""):  # executed as a script: self-locate
     sys.path.insert(0, os.path.join(_root, "src"))
     sys.path.insert(0, _root)
 
+from benchmarks.bench_kernel import git_sha, host_fingerprint
 from benchmarks.conftest import BENCH_SEED, cell_spec, run_cell
 from repro.par import add_par_args, run_cells
 
@@ -101,6 +102,17 @@ def _row(mode, size, result):
         "hit_rate": x["payload_cache_hit_rate"],
         "mean_commit_latency": round(result.mean_commit_latency, 6),
     }
+
+
+def _metrics(rows):
+    """The trajectory metrics: grant bytes per commit per (mode, size),
+    and the proxy resolve-cache hit rate per size."""
+    metrics = {}
+    for r in rows:
+        metrics[f"grant_bpc_{r['mode']}_{r['size']}"] = r["grant_bytes_per_commit"]
+        if r["mode"] == "proxy":
+            metrics[f"hit_rate_proxy_{r['size']}"] = r["hit_rate"]
+    return metrics
 
 
 def _verdict(rows):
@@ -273,6 +285,11 @@ def main(argv=None) -> int:
         print(f"FAIL: {failure}")
 
     payload = {
+        # a trajectory row for ``python -m repro.prof.trend append``
+        "bench": "bench_payload",
+        "git_sha": git_sha(),
+        "host": host_fingerprint(),
+        "metrics": _metrics(rows),
         "workload": PAYLOAD_WORKLOAD,
         "read_fraction": args.read_fraction,
         "nodes": args.nodes,

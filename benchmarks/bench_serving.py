@@ -254,7 +254,8 @@ def main(argv=None) -> int:
         _profile_saturation(stable_rates, args.nodes, args.seed, horizon)
 
     payload = {
-        # attribution for the trajectory (repro.prof.trend seed)
+        # a trajectory row for ``python -m repro.prof.trend append``
+        "bench": "bench_serving",
         "git_sha": git_sha(),
         "host": host_fingerprint(),
         "workload": SERVING_WORKLOAD,
@@ -269,6 +270,7 @@ def main(argv=None) -> int:
         print(f"\nmax sustainable rate (bisection over "
               f"[{BISECT_LO}, {BISECT_HI}] tx/s):")
         payload["bisection"] = {}
+        payload["metrics"] = {}
         best = {}
         for sched in SCHEDULERS:
             def probe(rate, _sched=sched):
@@ -282,6 +284,7 @@ def main(argv=None) -> int:
                 "max_rate": round(rate, 4),
                 "probes": [[round(r, 4), ok] for r, ok in probes],
             }
+            payload["metrics"][f"max_rate_{sched}"] = round(rate, 4)
             print(f"  {sched:>5}: {rate:6.2f} tx/s "
                   f"({len(probes)} probes)")
         if best["rts"] > best["tfa"]:

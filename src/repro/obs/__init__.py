@@ -4,13 +4,14 @@ Layered on the simulation tracer's sink interface: when enabled (see
 :class:`~repro.core.config.ObsConfig`), the cluster attaches an
 :class:`ObsRecorder` that converts every accepted trace record into a
 flat schema event and streams it to exporters while folding it into
-bounded in-memory aggregates.
+in-memory aggregates (windowed series, and one float per closed span
+phase and finished span for the exact latency rows).
 
 Pieces:
 
 * :mod:`repro.obs.events` — the event schema + validators;
 * :mod:`repro.obs.sink` — JSONL / in-memory export sinks;
-* :mod:`repro.obs.spans` — offline span reconstruction (report, tests);
+* :mod:`repro.obs.spans` — the one span fold (recorder, Chrome, report);
 * :mod:`repro.obs.series` — per-node / per-object time-series reducer;
 * :mod:`repro.obs.chrome` — streaming Chrome ``trace_event`` exporter;
 * :mod:`repro.obs.recorder` — the live sink wiring it all together;
@@ -30,10 +31,19 @@ from repro.obs.events import (
     validate_event,
     validate_events,
 )
-from repro.obs.recorder import ObsRecorder, PhaseStat
+from repro.obs.recorder import ObsRecorder
 from repro.obs.series import NodeSeries, ObjectSeries, SeriesTracker
 from repro.obs.sink import JsonlSink, MemorySink, dumps_event
-from repro.obs.spans import Phase, Span, SpanBuilder, build_spans, phase_durations
+from repro.obs.spans import (
+    Phase,
+    PhaseSamples,
+    Span,
+    SpanBuilder,
+    SpanList,
+    build_spans,
+    latency_row,
+    phase_durations,
+)
 
 __all__ = [
     "OBS_CATEGORIES",
@@ -45,13 +55,15 @@ __all__ = [
     "ObjectSeries",
     "ObsRecorder",
     "Phase",
-    "PhaseStat",
+    "PhaseSamples",
     "SchemaError",
     "SeriesTracker",
     "Span",
     "SpanBuilder",
+    "SpanList",
     "build_spans",
     "dumps_event",
+    "latency_row",
     "phase_durations",
     "record_to_event",
     "validate_event",

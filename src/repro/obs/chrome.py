@@ -4,21 +4,25 @@ Layout: one *process* per simulated node (pid = node id, named via ``M``
 metadata events) and one *thread* per logical task (retry chain), so a
 transaction's attempts — and its nested children, which share the task —
 line up on one track.  Spans and phases are emitted as complete (``X``)
-duration events when they close; scheduler decisions and faults are
-instants (``i``); queue depths are counters (``C``).
+duration events when they close — the writer is a
+:class:`~repro.obs.spans.SpanBuilder` consumer and pairs no edges
+itself; scheduler decisions and faults are instants (``i``); queue
+depths are counters (``C``).
 
 Timestamps are microseconds (``t * 1e6``): the standard trace_event unit.
 
 The writer is a streaming sink: events are serialised as they complete,
-and in-memory state is bounded by the number of *live* spans, never by
-run length.  Serialisation is canonical (sorted keys, compact
-separators), so same-seed runs export byte-identical traces.
+and it keeps only the pid / tid track maps.  Serialisation is canonical
+(sorted keys, compact separators), so same-seed runs export
+byte-identical traces.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, List, Optional, Tuple, Union
+from typing import Any, Dict, IO, Optional, Tuple, Union
+
+from repro.obs.spans import Phase, Span
 
 __all__ = ["ChromeTraceWriter"]
 
@@ -49,10 +53,6 @@ class ChromeTraceWriter:
         #: (pid, task) -> tid, allocated in first-seen order (deterministic)
         self._tids: Dict[Tuple[int, str], int] = {}
         self._next_tid: Dict[int, int] = {}
-        #: txid -> {begin info} for live spans
-        self._spans: Dict[str, Dict[str, Any]] = {}
-        #: txid -> [(phase, begin time)] for open phases
-        self._phases: Dict[str, List[Tuple[str, float]]] = {}
         self.count = 0
 
     # -- low-level emission ----------------------------------------------
@@ -96,50 +96,13 @@ class ChromeTraceWriter:
     # -- event stream ----------------------------------------------------
 
     def feed(self, event: Dict[str, Any]) -> None:
+        """Instants, counters and track metadata; span and phase slices
+        come from :meth:`on_phase` / :meth:`on_span`, which a
+        :class:`~repro.obs.spans.SpanBuilder` fed the same events calls."""
         cat = event["cat"]
         t = event["t"]
         if cat == "span.begin":
-            pid = self._pid(event["node"])
-            tid = self._tid(pid, event["task"])
-            self._spans[event["sub"]] = {
-                "t": t, "pid": pid, "tid": tid,
-                "task": event["task"], "attempt": event["attempt"],
-                "profile": event["profile"], "depth": event["depth"],
-            }
-            self._phases[event["sub"]] = []
-        elif cat == "span.phase":
-            stack = self._phases.get(event["sub"])
-            if stack is None:
-                return
-            if event["edge"] == "B":
-                stack.append((event["phase"], t))
-            else:
-                for i in range(len(stack) - 1, -1, -1):
-                    if stack[i][0] == event["phase"]:
-                        name, begun = stack.pop(i)
-                        self._emit_phase(event["sub"], name, begun, t)
-                        break
-        elif cat == "span.end":
-            span = self._spans.pop(event["sub"], None)
-            if span is None:
-                return
-            for name, begun in self._phases.pop(event["sub"], []):
-                self._emit_phase_raw(span, name, begun, t)
-            args = {
-                "txid": event["sub"], "attempt": span["attempt"],
-                "outcome": event["outcome"], "depth": span["depth"],
-            }
-            reason = event.get("reason")
-            if reason:
-                args["reason"] = reason
-            self._write(
-                {
-                    "ph": "X", "cat": "span", "name": span["profile"],
-                    "pid": span["pid"], "tid": span["tid"],
-                    "ts": span["t"] * 1e6, "dur": (t - span["t"]) * 1e6,
-                    "args": args,
-                }
-            )
+            self._tid(self._pid(event["node"]), event["task"])
         elif cat == "sched.decision":
             pid = self._pid(event["node"])
             self._write(
@@ -174,19 +137,31 @@ class ChromeTraceWriter:
                 }
             )
 
-    def _emit_phase(self, txid: str, name: str, begun: float, end: float) -> None:
-        span = self._spans.get(txid)
-        if span is not None:
-            self._emit_phase_raw(span, name, begun, end)
-
-    def _emit_phase_raw(
-        self, span: Dict[str, Any], name: str, begun: float, end: float
-    ) -> None:
+    def on_phase(self, span: Span, phase: Phase) -> None:
+        pid = self._pid(span.node)
         self._write(
             {
-                "ph": "X", "cat": "phase", "name": name,
-                "pid": span["pid"], "tid": span["tid"],
-                "ts": begun * 1e6, "dur": (end - begun) * 1e6,
+                "ph": "X", "cat": "phase", "name": phase.name,
+                "pid": pid, "tid": self._tid(pid, span.task),
+                "ts": phase.start * 1e6, "dur": (phase.end - phase.start) * 1e6,
+            }
+        )
+
+    def on_span(self, span: Span) -> None:
+        args = {
+            "txid": span.txid, "attempt": span.attempt,
+            "outcome": span.outcome, "depth": span.depth,
+        }
+        if span.reason:
+            args["reason"] = span.reason
+        pid = self._pid(span.node)
+        self._write(
+            {
+                "ph": "X", "cat": "span", "name": span.profile,
+                "pid": pid, "tid": self._tid(pid, span.task),
+                "ts": span.start * 1e6,
+                "dur": (span.end - span.start) * 1e6,  # type: ignore[operator]
+                "args": args,
             }
         )
 

@@ -22,7 +22,8 @@ Categories (the span/series/audit model; see DESIGN.md "Observability"):
     A phase edge inside an attempt: ``phase`` names it (``open``,
     ``queue``, ``commit``, ``acquire``, ``register``, ``validate``),
     ``edge`` is ``B`` (begin) or ``E`` (end).  Phases nest; an abort may
-    leave phases open — consumers close them at the span's ``span.end``.
+    leave phases open — the span fold (:mod:`repro.obs.spans`) closes
+    them at the span's ``span.end``.
 ``sched.decision``
     One owner-side scheduler verdict for a conflicting retrieve request:
     ``action`` (``enqueue`` | ``abort`` | ``local_wait``), ``cause``

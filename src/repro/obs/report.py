@@ -3,13 +3,16 @@
 Usage::
 
     python -m repro.obs.report run.jsonl
-    python -m repro.obs.report run.jsonl --validate --top 5
+    python -m repro.obs.report run.jsonl --top 5
     python -m repro.obs.report run.jsonl --chrome run.trace.json
     python -m repro.obs.report run.jsonl --json
 
-Reads the JSONL event log one line at a time (O(1) memory for the
-series; span phases are collected as raw samples for *exact*
-percentiles, which is fine offline) and prints:
+Reads the JSONL event log one line at a time, checks every event against
+the schema (a malformed log exits 1 with one ``schema error:`` line),
+folds spans with the same :class:`~repro.obs.spans.SpanBuilder` and
+:class:`~repro.obs.spans.PhaseSamples` the live recorder uses — so the
+phase rows equal a run's ``extra["obs"]["phases"]`` exactly — and
+prints:
 
 * a run overview (event count, simulated time range);
 * the per-node table — commits, aborts, abort ratio, throughput, RPC
@@ -43,8 +46,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional
 from repro.obs.chrome import ChromeTraceWriter
 from repro.obs.events import SchemaError, validate_event
 from repro.obs.series import SeriesTracker
-from repro.obs.spans import SpanBuilder, phase_durations
-from repro.sim.monitor import Tally
+from repro.obs.spans import PhaseSamples, SpanBuilder, SpanList
 
 __all__ = ["load_events", "main", "render", "summarize"]
 
@@ -66,42 +68,28 @@ def summarize(
     events: Iterable[Dict[str, Any]],
     window: float = 0.25,
     top: int = 10,
-    validate: bool = False,
     chrome: Optional[ChromeTraceWriter] = None,
 ) -> Dict[str, Any]:
-    """Reduce an event stream to the report's summary dict."""
+    """Reduce an event stream to the report's summary dict.
+
+    Every event is schema-checked first, so a malformed log fails with
+    :class:`SchemaError` rather than deep inside a reducer.
+    """
     series = SeriesTracker(window=window)
-    spans = SpanBuilder()
-    outcome_tallies = {
-        "commit": Tally("span.commit", keep_samples=True),
-        "abort": Tally("span.abort", keep_samples=True),
-    }
+    samples = PhaseSamples()
+    completed = SpanList()
+    consumers = [samples, completed] if chrome is None else [samples, completed, chrome]
+    spans = SpanBuilder(*consumers)
     dispatch: Dict[str, float] = {}
     for event in events:
-        if validate:
-            validate_event(event)
+        validate_event(event)
         series.feed(event)
         spans.feed(event)
-        if event.get("cat") == "traffic.dispatch":
+        if event["cat"] == "traffic.dispatch":
             # task id -> admission-queue arrival, for latency anatomy
             dispatch[event["sub"]] = float(event["arrived"])
         if chrome is not None:
             chrome.feed(event)
-
-    completed = spans.finish()
-    for span in completed:
-        if span.duration is not None and span.outcome in outcome_tallies:
-            outcome_tallies[span.outcome].observe(span.duration)
-
-    phases: Dict[str, Dict[str, float]] = {}
-    for name, durations in sorted(phase_durations(completed).items()):
-        tally = Tally(name, keep_samples=True)
-        for d in durations:
-            tally.observe(d)
-        phases[name] = _percentile_row(tally)
-    for outcome, tally in sorted(outcome_tallies.items()):
-        if tally.count:
-            phases[f"span.{outcome}"] = _percentile_row(tally)
 
     summary = {
         "window": window,
@@ -114,7 +102,7 @@ def summarize(
         "objects": series.object_rows(top=top),
         "decisions": series.decision_rows(),
         "batching": series.batch_row(),
-        "phases": phases,
+        "phases": samples.rows(),
         "faults": list(series.faults),
         "faults_dropped": series.faults_dropped,
     }
@@ -142,16 +130,6 @@ def summarize(
             shed_by_node=shed_by_node,
         )
     return summary
-
-
-def _percentile_row(tally: Tally) -> Dict[str, float]:
-    return {
-        "count": tally.count,
-        "mean": tally.mean,
-        "p50": tally.percentile(50.0),
-        "p95": tally.percentile(95.0),
-        "p99": tally.percentile(99.0),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +395,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="time-series window (simulated seconds)")
     parser.add_argument("--top", type=int, default=10,
                         help="how many contended objects to list")
-    parser.add_argument("--validate", action="store_true",
-                        help="check every event against the schema")
     parser.add_argument("--chrome", metavar="OUT",
                         help="also export a Chrome trace_event JSON file")
     parser.add_argument("--json", action="store_true", dest="as_json",
@@ -431,8 +407,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         summary = summarize(
             load_events(args.jsonl),
-            window=args.window, top=args.top,
-            validate=args.validate, chrome=chrome,
+            window=args.window, top=args.top, chrome=chrome,
         )
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

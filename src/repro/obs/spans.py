@@ -1,19 +1,32 @@
-"""Reconstruct transaction lifecycle spans from an event stream.
+"""Fold a span event stream into transaction lifecycle spans.
 
 The emitters (``core.api``, ``dstm.tfa``, ``dstm.proxy``) publish flat
-``span.begin`` / ``span.phase`` / ``span.end`` events keyed by txid; this
-module folds them back into :class:`Span` objects with per-phase
-intervals, parent links (nested children) and retry chains (attempts
-sharing a ``task`` id).  It is the offline half of the span model — the
-report CLI and the tests use it; nothing in the hot path does.
+``span.begin`` / ``span.phase`` / ``span.end`` events keyed by txid.
+:class:`SpanBuilder` is the one place those edges are paired: it folds
+them back into :class:`Span` objects with per-phase intervals, parent
+links (nested children) and retry chains (attempts sharing a ``task``
+id), and hands each closed phase and each finished span to its
+consumers — the live recorder's :class:`PhaseSamples`, the Chrome
+exporter, and the report CLI, which also keeps the spans in a
+:class:`SpanList`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-__all__ = ["Phase", "Span", "SpanBuilder", "build_spans", "phase_durations"]
+__all__ = [
+    "Phase",
+    "PhaseSamples",
+    "Span",
+    "SpanBuilder",
+    "SpanList",
+    "build_spans",
+    "latency_row",
+    "phase_durations",
+]
 
 
 @dataclass
@@ -59,14 +72,25 @@ class Span:
 
 
 class SpanBuilder:
-    """Incremental span reconstruction; feed events in time order."""
+    """Incremental span reconstruction; feed events in time order.
 
-    def __init__(self) -> None:
+    Each consumer gets ``on_phase(span, phase)`` the moment a phase
+    closes and ``on_span(span)`` when its span ends.  Aborts can leave
+    phases open: ``span.end`` closes whatever remains, innermost last,
+    before the span itself is handed on.
+    """
+
+    def __init__(self, *consumers: Any) -> None:
+        self._consumers = consumers
         self._open: Dict[str, Span] = {}
-        # per-txid stack of (phase-name, begin-time); aborts can leave
-        # phases open, so span.end force-closes whatever remains.
+        # per-txid stack of (phase-name, begin-time)
         self._stacks: Dict[str, List[Tuple[str, float]]] = {}
-        self.spans: List[Span] = []
+
+    def _close(self, span: Span, name: str, begun: float, end: float) -> None:
+        phase = Phase(name, begun, end)
+        span.phases.append(phase)
+        for consumer in self._consumers:
+            consumer.on_phase(span, phase)
 
     def feed(self, event: Dict[str, Any]) -> None:
         cat = event.get("cat")
@@ -95,7 +119,7 @@ class SpanBuilder:
                 for i in range(len(stack) - 1, -1, -1):
                     if stack[i][0] == event["phase"]:
                         name, begun = stack.pop(i)
-                        span.phases.append(Phase(name, begun, event["t"]))
+                        self._close(span, name, begun, event["t"])
                         break
         elif cat == "span.end":
             txid = event["sub"]
@@ -106,20 +130,29 @@ class SpanBuilder:
             span.outcome = event["outcome"]
             span.reason = event.get("reason")
             for name, begun in self._stacks.pop(txid, []):
-                span.phases.append(Phase(name, begun, span.end))
+                self._close(span, name, begun, span.end)
             span.phases.sort(key=lambda p: (p.start, p.name))
-            self.spans.append(span)
+            for consumer in self._consumers:
+                consumer.on_span(span)
 
-    def finish(self) -> List[Span]:
-        """Return all completed spans; still-open ones stay pending."""
-        return self.spans
+
+class SpanList(List[Span]):
+    """Consumer that keeps every finished span, in end order (offline
+    use: the report's anatomy and wasted-work passes, tests)."""
+
+    def on_phase(self, span: Span, phase: Phase) -> None:
+        pass
+
+    def on_span(self, span: Span) -> None:
+        self.append(span)
 
 
 def build_spans(events: Iterable[Dict[str, Any]]) -> List[Span]:
-    builder = SpanBuilder()
+    spans = SpanList()
+    builder = SpanBuilder(spans)
     for event in events:
         builder.feed(event)
-    return builder.finish()
+    return spans
 
 
 def phase_durations(spans: Iterable[Span]) -> Dict[str, List[float]]:
@@ -129,3 +162,47 @@ def phase_durations(spans: Iterable[Span]) -> Dict[str, List[float]]:
         for phase in span.phases:
             out.setdefault(phase.name, []).append(phase.duration)
     return out
+
+
+class PhaseSamples:
+    """Consumer that keeps one float per closed phase, by phase name, and
+    one per finished span, under ``span.commit`` / ``span.abort``."""
+
+    def __init__(self) -> None:
+        self.samples: Dict[str, List[float]] = {}
+
+    def on_phase(self, span: Span, phase: Phase) -> None:
+        self.samples.setdefault(phase.name, []).append(phase.end - phase.start)
+
+    def on_span(self, span: Span) -> None:
+        self.samples.setdefault(f"span.{span.outcome}", []).append(
+            span.end - span.start  # type: ignore[operator]
+        )
+
+    def rows(self) -> Dict[str, Dict[str, float]]:
+        """Per-name :func:`latency_row`: phases by name, then outcomes."""
+        names = sorted(self.samples, key=lambda n: (n.startswith("span."), n))
+        return {name: latency_row(self.samples[name]) for name in names}
+
+
+def latency_row(samples: List[float]) -> Dict[str, float]:
+    """Exact count / mean / p50 / p95 / p99 of non-empty ``samples``.
+
+    Percentiles interpolate linearly between the closest ranks of the
+    sorted samples; the mean is ``math.fsum`` over them, so the row does
+    not depend on the order the samples arrived in.
+    """
+    data = sorted(samples)
+    n = len(data)
+
+    def pct(q: float) -> float:
+        idx = (n - 1) * q / 100.0
+        lo, hi = math.floor(idx), math.ceil(idx)
+        if lo == hi:
+            return data[lo]
+        return data[lo] + (data[hi] - data[lo]) * (idx - lo)
+
+    return {
+        "count": n, "mean": math.fsum(data) / n,
+        "p50": pct(50.0), "p95": pct(95.0), "p99": pct(99.0),
+    }

@@ -17,16 +17,16 @@ CLI (``python -m repro.prof.trend``)::
     trend show HISTORY [--bench B]                       # trajectory table
     trend check HISTORY --bench B --floor 50000          # absolute floor
     trend check HISTORY --bench B --regress-pct 20       # vs best previous
-    trend seed HISTORY --par BENCH_PAR.json --serving BENCH_SERVING.json \
-        --payload BENCH_PAYLOAD.json
 
-``append`` accepts either a row-shaped payload or the raw
-``bench_kernel --json`` output (its ``events_per_sec`` map becomes the
-metrics).  A row must be attributable: a payload without ``git_sha``
-gets the short HEAD sha of the checkout the history file lives in, and
-a row still lacking ``git_sha`` or ``host``, or stamped ``<sha>-dirty``
-(code that is in no commit), is refused unless ``--sha`` names the
-commit by hand.  ``check`` exits non-zero on a violated floor
+``append`` is the one way into the history.  It accepts a row-shaped
+payload — the ``--out`` files of ``bench_serving`` and ``bench_payload``
+and the ledger's ``--json`` carry a top-level ``metrics`` object — or
+the raw ``bench_kernel --json`` output (its ``events_per_sec`` map
+becomes the metrics).  A row must be attributable: a payload without
+``git_sha`` gets the short HEAD sha of the checkout the history file
+lives in, and a row still lacking ``git_sha`` or ``host``, or stamped
+``<sha>-dirty`` (code that is in no commit), is refused unless ``--sha``
+names the commit by hand.  ``check`` exits non-zero on a violated floor
 or a regression beyond the threshold — the CI perf-trend job gates on
 it.  All output is byte-deterministic for a fixed input (dates come from
 the payload or ``--date``; this module never reads the wall clock).
@@ -50,7 +50,6 @@ __all__ = [
     "main",
     "render_show",
     "row_from_payload",
-    "seed_rows",
     "validate_row",
 ]
 
@@ -254,125 +253,6 @@ def render_show(rows: List[Dict[str, Any]], bench: Optional[str] = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# legacy normalisation (BENCH_PAR.json / BENCH_SERVING.json)
-# ---------------------------------------------------------------------------
-
-
-def seed_rows(
-    par: Optional[Dict[str, Any]] = None,
-    serving: Optional[Dict[str, Any]] = None,
-    payload: Optional[Dict[str, Any]] = None,
-    git_sha: Optional[str] = None,
-    date: Optional[str] = None,
-) -> List[Dict[str, Any]]:
-    """Normalise the pre-schema perf artifacts into trajectory rows.
-
-    BENCH_PAR.json contributes the kernel events/sec trajectory (its
-    before/after pair becomes two ``bench_kernel`` rows) plus one
-    ``fig4_sweep`` wall-clock row; BENCH_SERVING.json contributes the
-    bisection capacities as one ``bench_serving`` row;
-    BENCH_PAYLOAD.json contributes the per-commit grant bytes and proxy
-    hit rates across the size axis as one ``bench_payload`` row.
-    """
-    rows: List[Dict[str, Any]] = []
-    if par is not None:
-        date = par.get("date") or date or "unknown"
-        host = par.get("host")
-        if isinstance(host, dict):
-            # keep the machine fingerprint, drop prose annotations
-            host = {k: v for k, v in host.items() if k != "note"}
-        kernel = par.get("kernel_events_per_sec", {})
-        for key, note in (
-            ("before_slots_and_inlining", "pre hot-path pass"),
-            ("after_slots_and_inlining", "post hot-path pass (PR 5)"),
-        ):
-            metrics = kernel.get(key)
-            if isinstance(metrics, dict) and metrics:
-                rows.append(
-                    {
-                        "schema": SCHEMA_VERSION,
-                        "bench": "bench_kernel",
-                        "date": date,
-                        "git_sha": git_sha,
-                        "host": host,
-                        "metrics": dict(metrics),
-                        "note": note,
-                    }
-                )
-        sweep = par.get("sweep_wall_clock_seconds", {})
-        sweep_metrics = {
-            name: sweep[name]
-            for name in (
-                "serial_jobs1", "jobs4_cold_cache", "jobs4_warm_cache",
-            )
-            if isinstance(sweep.get(name), (int, float))
-        }
-        if sweep_metrics:
-            rows.append(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "bench": "fig4_sweep",
-                    "date": date,
-                    "git_sha": git_sha,
-                    "host": host,
-                    "metrics": sweep_metrics,
-                    "note": sweep.get("command", "repro.par sweep wall clock"),
-                }
-            )
-    if serving is not None:
-        bisection = serving.get("bisection", {})
-        metrics = {
-            f"max_rate_{sched}": data["max_rate"]
-            for sched, data in sorted(bisection.items())
-            if isinstance(data, dict) and isinstance(
-                data.get("max_rate"), (int, float)
-            )
-        }
-        if metrics:
-            rows.append(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "bench": "bench_serving",
-                    "date": serving.get("date") or date or "unknown",
-                    "git_sha": git_sha or serving.get("git_sha"),
-                    "host": serving.get("host"),
-                    "metrics": metrics,
-                    "note": "max sustainable offered rate (bisection), tx/s",
-                }
-            )
-    if payload is not None:
-        metrics = {}
-        for cell in payload.get("table", []):
-            mode, size = cell.get("mode"), cell.get("size")
-            bpc = cell.get("grant_bytes_per_commit")
-            if not isinstance(bpc, (int, float)) or mode not in (
-                "eager", "proxy",
-            ):
-                continue
-            metrics[f"grant_bpc_{mode}_{size}"] = bpc
-            if mode == "proxy" and isinstance(
-                cell.get("hit_rate"), (int, float)
-            ):
-                metrics[f"hit_rate_proxy_{size}"] = cell["hit_rate"]
-        if metrics:
-            rows.append(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "bench": "bench_payload",
-                    "date": payload.get("date") or date or "unknown",
-                    "git_sha": git_sha,
-                    "host": payload.get("host"),
-                    "metrics": metrics,
-                    "note": "grant bytes per commit and proxy resolve "
-                            "hit rate across the payload-size axis",
-                }
-            )
-    for row in rows:
-        validate_row(row)
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
 
@@ -410,17 +290,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="max %% regression vs the best previous row")
     p_check.add_argument("--direction", choices=("higher", "lower"),
                          default="higher", help="which way is better")
-
-    p_seed = sub.add_parser(
-        "seed", help="normalise BENCH_PAR/BENCH_SERVING into a history"
-    )
-    p_seed.add_argument("history")
-    p_seed.add_argument("--par", default=None, metavar="BENCH_PAR.json")
-    p_seed.add_argument("--serving", default=None, metavar="BENCH_SERVING.json")
-    p_seed.add_argument("--payload", default=None, metavar="BENCH_PAYLOAD.json")
-    p_seed.add_argument("--sha", default=None, help="git SHA to stamp rows with")
-    p_seed.add_argument("--date", default=None,
-                        help="fallback date for artifacts without one")
 
     args = parser.parse_args(argv)
     try:
@@ -465,29 +334,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             for message in messages:
                 print(message)
             return 0 if ok else 1
-        if args.command == "seed":
-            par = serving = payload = None
-            if args.par:
-                with open(args.par, "r", encoding="utf-8") as fh:
-                    par = json.load(fh)
-            if args.serving:
-                with open(args.serving, "r", encoding="utf-8") as fh:
-                    serving = json.load(fh)
-            if args.payload:
-                with open(args.payload, "r", encoding="utf-8") as fh:
-                    payload = json.load(fh)
-            rows = seed_rows(
-                par=par, serving=serving, payload=payload,
-                git_sha=args.sha, date=args.date,
-            )
-            if not rows:
-                print("nothing to seed (give --par, --serving "
-                      "and/or --payload)")
-                return 1
-            for row in rows:
-                append_row(args.history, row)
-            print(f"seeded {len(rows)} rows into {args.history}")
-            return 0
     except (TrendError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -77,7 +77,7 @@ class ConflictDecision:
 class ConflictContext:
     """Everything the owner-side policy may consult.
 
-    One instance per remote conflict (``slots=True``: see BENCH_PAR.json).
+    One instance per remote conflict, hence ``slots=True``.
     """
 
     oid: str
@@ -145,8 +145,7 @@ class SchedulerPolicy(abc.ABC):
 
     def on_commit(self, root: Transaction, duration: float) -> None:
         """A root transaction committed after ``duration`` local seconds."""
-        self.stats_table.record_commit(root.profile, duration,
-                                       wrote=bool(root.wset))
+        self.stats_table.record_commit(root.profile, duration)
 
     def on_abort(self, root: Transaction, reason: AbortReason) -> None:
         """A root transaction aborted (hook for adaptive policies)."""

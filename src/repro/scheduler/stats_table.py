@@ -1,12 +1,11 @@
 """The transaction stats table (§III-B).
 
 Per transaction *profile* (the workload operation type — e.g. "bank.transfer"),
-the table records historical commit latencies of write transactions.  The
-paper stores, per entry, "a bloom filter representation of the most current
-successful commit times"; we realise that as a Bloom digest of quantised
-commit-latency buckets (rebuilt ring-style every ``bloom_capacity``
-insertions so it tracks the *most current* history) alongside an EWMA used
-to produce the point estimate the ETS triple needs.
+the table keeps an EWMA of historical commit latencies; that EWMA is the
+point estimate the ETS triple needs.  The paper stores, per entry, "a bloom
+filter representation of the most current successful commit times" — a
+storage format for that history which nothing in the protocol reads, so
+the estimate alone is kept here.
 
 Whenever a transaction starts, its expected commit time is picked from
 this table (``expected_commit = start + expected_duration(profile)``) and
@@ -16,15 +15,11 @@ travels inside every request message.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.util.bloom import BloomFilter
 from repro.util.stats import Ewma
 
 __all__ = ["ProfileStats", "TransactionStatsTable"]
-
-#: quantisation step for commit-time bucketing inside the Bloom digest
-_BUCKET = 1e-3  # 1 ms
 
 
 @dataclass
@@ -33,24 +28,9 @@ class ProfileStats:
 
     profile: str
     ewma: Ewma = field(default_factory=lambda: Ewma(alpha=0.2))
-    bloom: BloomFilter = field(default_factory=lambda: BloomFilter(capacity=256, error_rate=0.02))
-    commits: int = 0
-    write_commits: int = 0
 
-    def record(self, duration: float, wrote: bool) -> None:
-        self.commits += 1
-        if wrote:
-            self.write_commits += 1
-            # The paper's digest covers successful *write* commits only.
-            if self.bloom.count >= self.bloom.capacity:
-                self.bloom.clear()  # keep the digest "most current"
-            self.bloom.add(int(duration / _BUCKET))
+    def record(self, duration: float) -> None:
         self.ewma.observe(duration)
-
-    def seen_latency_bucket(self, duration: float) -> bool:
-        """Has a write commit with this (quantised) latency been observed
-        recently?  (Bloom membership — may rarely return a false positive.)"""
-        return int(duration / _BUCKET) in self.bloom
 
 
 class TransactionStatsTable:
@@ -66,8 +46,8 @@ class TransactionStatsTable:
             self._entries[profile] = stats
         return stats
 
-    def record_commit(self, profile: str, duration: float, wrote: bool) -> None:
-        self.entry(profile).record(duration, wrote)
+    def record_commit(self, profile: str, duration: float) -> None:
+        self.entry(profile).record(duration)
 
     def expected_duration(self, profile: str, fallback: float) -> float:
         """EWMA estimate of commit latency, or ``fallback`` before any data."""

@@ -1,7 +1,5 @@
-"""Shared utilities: Bloom filter, online estimators, histograms."""
+"""Shared utilities: the online estimator behind the ETS estimate."""
 
-from repro.util.bloom import BloomFilter
-from repro.util.stats import Ewma, OnlineQuantile
-from repro.util.histogram import Histogram
+from repro.util.stats import Ewma
 
-__all__ = ["BloomFilter", "Ewma", "Histogram", "OnlineQuantile"]
+__all__ = ["Ewma"]

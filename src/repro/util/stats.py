@@ -1,8 +1,7 @@
-"""Online estimators used by the schedulers.
+"""Online estimator used by the schedulers.
 
 :class:`Ewma` backs the transaction stats table's expected-commit-time
-estimate; :class:`OnlineQuantile` (P² algorithm, Jain & Chlamtac 1985) gives
-allocation-free latency percentiles for long-running experiments.
+estimate.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-__all__ = ["Ewma", "OnlineQuantile"]
+__all__ = ["Ewma"]
 
 
 class Ewma:
@@ -63,86 +62,3 @@ class Ewma:
     def __repr__(self) -> str:
         est = f"{self.value:.4g}" if self.available else "n/a"
         return f"<Ewma alpha={self.alpha} n={self.count} value={est}>"
-
-
-class OnlineQuantile:
-    """P² single-quantile estimator: O(1) memory, no stored samples.
-
-    Tracks the ``q``-quantile (0 < q < 1) of a stream.  Within the first
-    five observations the exact order statistic is returned.
-    """
-
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments", "count")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self._heights: list[float] = []
-        self._positions = [1, 2, 3, 4, 5]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        if len(self._heights) < 5:
-            self._heights.append(value)
-            self._heights.sort()
-            return
-
-        h = self._heights
-        if value < h[0]:
-            h[0] = value
-            k = 0
-        elif value >= h[4]:
-            h[4] = value
-            k = 3
-        else:
-            k = next(i for i in range(4) if h[i] <= value < h[i + 1])
-
-        for i in range(k + 1, 5):
-            self._positions[i] += 1
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-
-        for i in (1, 2, 3):
-            d = self._desired[i] - self._positions[i]
-            n, n_prev, n_next = self._positions[i], self._positions[i - 1], self._positions[i + 1]
-            if (d >= 1 and n_next - n > 1) or (d <= -1 and n_prev - n < -1):
-                step = 1 if d >= 1 else -1
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, step)
-                self._positions[i] += step
-
-    def _parabolic(self, i: int, step: int) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: int) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step * (h[i + step] - h[i]) / (n[i + step] - n[i])
-
-    @property
-    def value(self) -> float:
-        if not self._heights:
-            raise ValueError("no observations")
-        if len(self._heights) < 5:
-            data = sorted(self._heights)
-            idx = (len(data) - 1) * self.q
-            lo, hi = math.floor(idx), math.ceil(idx)
-            if lo == hi:
-                return data[lo]
-            return data[lo] + (data[hi] - data[lo]) * (idx - lo)
-        return self._heights[2]
-
-    def __repr__(self) -> str:
-        est = f"{self.value:.4g}" if self._heights else "n/a"
-        return f"<OnlineQuantile q={self.q} n={self.count} value={est}>"

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import ClusterConfig, ObsConfig
 from repro.core.experiment import run_experiment
-from repro.obs import MemorySink, ObsRecorder, PhaseStat, validate_events
+from repro.obs import MemorySink, ObsRecorder, latency_row, validate_events
 from repro.obs.events import OBS_CATEGORIES
 
 
@@ -92,13 +92,13 @@ class TestRecorderThroughRun:
         assert {e["args"]["name"] for e in names} >= {"node 0", "node 1"}
 
     def test_phase_stat_row(self):
-        stat = PhaseStat("x")
-        assert stat.row()["count"] == 0
-        for v in (1.0, 2.0, 3.0):
-            stat.observe(v)
-        row = stat.row()
-        assert row["count"] == 3 and row["mean"] == pytest.approx(2.0)
-        assert row["p50"] == pytest.approx(2.0)
+        row = latency_row([3.0, 1.0, 2.0])
+        assert row == {"count": 3, "mean": 2.0, "p50": 2.0,
+                       "p95": pytest.approx(2.9), "p99": pytest.approx(2.98)}
+        # exact and order-independent: the mean is an fsum, not a
+        # running update, so a permutation gives the same bits
+        samples = [0.1, 0.2, 0.3, 1e-9, 7.0]
+        assert latency_row(samples) == latency_row(samples[::-1])
 
     def test_recorder_pairs_phases_standalone(self):
         rec = ObsRecorder()
@@ -114,7 +114,7 @@ class TestRecorderThroughRun:
         feed(0.4, "span.phase", "tx1", phase="commit", edge="E")
         feed(0.2, "span.phase", "ghost", phase="open", edge="B")  # ignored
         feed(0.5, "span.end", "tx1", task="t", node="n0", outcome="commit")
-        rows = {k: v.row() for k, v in rec.phase_stats.items()}
+        rows = rec.summary()["phases"]
         assert rows["commit"]["count"] == 1
         assert rows["commit"]["mean"] == pytest.approx(0.3)
         assert rows["span.commit"]["mean"] == pytest.approx(0.5)

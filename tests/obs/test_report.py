@@ -26,7 +26,7 @@ def run_log(tmp_path_factory):
 
 class TestSummarize:
     def test_summary_shape(self, run_log):
-        summary = summarize(load_events(str(run_log)), validate=True)
+        summary = summarize(load_events(str(run_log)))
         assert summary["events"] > 0 and summary["spans"] > 0
         assert summary["nodes"] and summary["phases"]
         commits = sum(r["commits"] for r in summary["nodes"])
@@ -76,7 +76,7 @@ class TestOpenLoopSection:
         assert "## open-loop traffic" not in render(summary)
 
     def test_traffic_section_renders(self, serving_log):
-        summary = summarize(load_events(str(serving_log)), validate=True)
+        summary = summarize(load_events(str(serving_log)))
         traffic = summary["traffic"]
         assert traffic["offered"] == traffic["admitted"] + traffic["shed"]
         text = render(summary)
@@ -133,7 +133,7 @@ class TestProfSections:
 
 class TestCli:
     def test_main_renders_tables(self, run_log, capsys):
-        assert main([str(run_log), "--validate"]) == 0
+        assert main([str(run_log)]) == 0
         out = capsys.readouterr().out
         assert "## per-node" in out and "## scheduler decisions" in out
 
@@ -151,8 +151,19 @@ class TestCli:
     def test_main_schema_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"cat": "x", "sub": "y"}\n')  # missing t
-        assert main([str(path), "--validate"]) == 1
+        assert main([str(path)]) == 1
         assert "schema error" in capsys.readouterr().err
+
+    def test_schema_invalid_span_event_is_one_error_line(self, tmp_path, capsys):
+        """A span.begin without its task is refused by the schema check
+        before the span fold sees it: exit 1, one line, no traceback."""
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"t":1,"cat":"span.begin","sub":"x"}\n')
+        assert main([str(path)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("schema error:")
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_max_fault_lines_flag(self, run_log, capsys):
         """The fault-timeline cutoff is a flag, not a constant: a tight

@@ -1,8 +1,17 @@
 """Unit tests for span reconstruction."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.obs.spans import SpanBuilder, build_spans, phase_durations
+from repro.obs.spans import (
+    SpanBuilder,
+    SpanList,
+    build_spans,
+    latency_row,
+    phase_durations,
+)
 
 
 def begin(txid, t=0.0, task="task-n0-1", node="n0", attempt=0, depth=0,
@@ -91,16 +100,43 @@ class TestSpanBuilder:
         assert [s.attempt for s in spans] == [0, 1]
 
     def test_unknown_span_events_ignored(self):
-        builder = SpanBuilder()
+        spans = SpanList()
+        builder = SpanBuilder(spans)
         builder.feed(phase("ghost", "open", "B", 0.1))
         builder.feed(end("ghost", 0.5))
-        assert builder.finish() == []
+        assert spans == []
 
     def test_open_span_not_reported(self):
-        builder = SpanBuilder()
+        spans = SpanList()
+        builder = SpanBuilder(spans)
         builder.feed(begin("tx1", 0.0))
-        assert builder.finish() == []
+        assert spans == []
         assert "tx1" in builder._open
+
+
+def test_consumers_see_phases_as_they_close_then_the_span():
+    class Log:
+        def __init__(self):
+            self.calls = []
+
+        def on_phase(self, span, p):
+            self.calls.append((p.name, p.start, p.end))
+
+        def on_span(self, span):
+            self.calls.append(("span", span.outcome))
+
+    log = Log()
+    builder = SpanBuilder(log)
+    builder.feed(begin("tx1", 0.0))
+    builder.feed(phase("tx1", "open", "B", 0.1))
+    builder.feed(phase("tx1", "open", "E", 0.2))
+    assert log.calls == [("open", 0.1, 0.2)]  # at close, not at span end
+    builder.feed(phase("tx1", "commit", "B", 0.3))
+    builder.feed(phase("tx1", "validate", "B", 0.4))
+    builder.feed(end("tx1", 0.5, outcome="abort"))
+    # force-closed in stack order, then the span itself
+    assert log.calls[1:] == [("commit", 0.3, 0.5), ("validate", 0.4, 0.5),
+                             ("span", "abort")]
 
 
 def test_phase_durations_groups():
@@ -117,3 +153,16 @@ def test_phase_durations_groups():
     groups = phase_durations(spans)
     assert sorted(groups) == ["open"]
     assert groups["open"] == [pytest.approx(0.1), pytest.approx(0.2)]
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
+                min_size=1, max_size=200))
+@settings(max_examples=60, deadline=None)
+def test_latency_row_is_exact(samples):
+    """Linear interpolation between closest ranks (numpy's default) and
+    an exactly rounded mean: no estimator anywhere."""
+    row = latency_row(samples)
+    assert row["count"] == len(samples)
+    for key, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99)):
+        assert row[key] == pytest.approx(np.quantile(samples, q), rel=1e-12, abs=1e-12)
+    assert row["mean"] == pytest.approx(np.mean(samples), rel=1e-12, abs=1e-12)

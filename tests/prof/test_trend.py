@@ -1,4 +1,4 @@
-"""Perf-trajectory harness: schema, append/check CLI, legacy seeding."""
+"""Perf-trajectory harness: schema, append/check CLI, the bench artifacts."""
 
 import json
 import os
@@ -14,7 +14,6 @@ from repro.prof.trend import (
     load_history,
     main,
     row_from_payload,
-    seed_rows,
     validate_row,
 )
 
@@ -128,68 +127,42 @@ class TestCheck:
 
 
 class TestSeedLegacyArtifacts:
-    """The satellite: BENCH_PAR.json + BENCH_SERVING.json normalise into
-    the trajectory schema (the repository's seeded BENCH_HISTORY.jsonl)."""
+    """The bench CLIs' ``--out`` files are trajectory rows: ``trend
+    append`` is the one way into BENCH_HISTORY.jsonl."""
 
-    def test_seed_rows_from_real_artifacts(self):
-        with open(os.path.join(REPO, "BENCH_PAR.json")) as fh:
-            par = json.load(fh)
-        with open(os.path.join(REPO, "BENCH_SERVING.json")) as fh:
-            serving = json.load(fh)
-        rows = seed_rows(par=par, serving=serving, git_sha="4f658b6",
-                         date="2026-08-05")
-        benches = [r["bench"] for r in rows]
-        assert benches == ["bench_kernel", "bench_kernel", "fig4_sweep",
-                           "bench_serving"]
-        for row in rows:
-            validate_row(row)
-        kernel_after = rows[1]["metrics"]
-        assert kernel_after["timeout-chain"] == 661236
-        assert rows[3]["metrics"]["max_rate_rts"] == 6.375
-        assert rows[3]["metrics"]["max_rate_tfa"] == 5.75
-        # host prose stripped, fingerprint kept
-        assert "note" not in rows[0]["host"]
+    def test_bench_payload_metrics_from_table(self):
+        from benchmarks.bench_payload import _metrics
 
-    def test_seed_rows_from_payload_artifact(self):
-        payload = {
-            "table": [
-                {"mode": "eager", "size": 1_024,
-                 "grant_bytes_per_commit": 6_300.0, "hit_rate": 0.0},
-                {"mode": "proxy", "size": 1_024,
-                 "grant_bytes_per_commit": 394.0, "hit_rate": 0.459},
-                {"mode": "proxy", "size": 104_857_600,
-                 "grant_bytes_per_commit": 380.0, "hit_rate": 0.224},
-            ],
-        }
-        rows = seed_rows(payload=payload, git_sha="abc1234",
-                         date="2026-08-08")
-        assert [r["bench"] for r in rows] == ["bench_payload"]
-        metrics = rows[0]["metrics"]
+        metrics = _metrics([
+            {"mode": "eager", "size": 1_024,
+             "grant_bytes_per_commit": 6_300.0, "hit_rate": 0.0},
+            {"mode": "proxy", "size": 1_024,
+             "grant_bytes_per_commit": 394.0, "hit_rate": 0.459},
+            {"mode": "proxy", "size": 104_857_600,
+             "grant_bytes_per_commit": 380.0, "hit_rate": 0.224},
+        ])
         assert metrics["grant_bpc_eager_1024"] == 6_300.0
         assert metrics["grant_bpc_proxy_104857600"] == 380.0
         assert metrics["hit_rate_proxy_1024"] == 0.459
         # eager rows contribute no hit-rate metric
         assert "hit_rate_eager_1024" not in metrics
-        validate_row(rows[0])
+        validate_row(row_from_payload({"metrics": metrics}))
 
     def test_seed_payload_from_checked_in_artifact(self):
         with open(os.path.join(REPO, "BENCH_PAYLOAD.json")) as fh:
-            payload = json.load(fh)
-        rows = seed_rows(payload=payload, date="2026-08-08")
-        assert len(rows) == 1
-        metrics = rows[0]["metrics"]
+            table = json.load(fh)["table"]
         # the headline: proxy flat, eager linear, across the size axis
-        proxy = sorted(v for k, v in metrics.items()
-                       if k.startswith("grant_bpc_proxy_"))
-        eager = sorted(v for k, v in metrics.items()
-                       if k.startswith("grant_bpc_eager_"))
+        proxy = sorted(r["grant_bytes_per_commit"] for r in table
+                       if r["mode"] == "proxy")
+        eager = sorted(r["grant_bytes_per_commit"] for r in table
+                       if r["mode"] == "eager")
         assert proxy and eager
         assert max(proxy) / min(proxy) < 1.5
         assert max(eager) / min(eager) > 1_000
 
-    def test_bench_serving_stamps_what_seeding_needs(self, tmp_path):
-        """A fresh BENCH_SERVING.json carries ``host`` and ``git_sha``,
-        so its seeded row is attributable without ``--sha``."""
+    def test_bench_serving_stamps_what_seeding_needs(self, tmp_path, capsys):
+        """A fresh ``bench_serving --out`` file carries ``bench``, ``host``
+        and ``git_sha``, so ``trend append`` takes it as it is."""
         from benchmarks import bench_serving
 
         out = tmp_path / "serving.json"
@@ -197,13 +170,21 @@ class TestSeedLegacyArtifacts:
         serving = json.loads(out.read_text())
         assert serving["host"]["python"] and serving["host"]["os_cpu_count"] >= 1
         assert serving["git_sha"] == head_sha(REPO)
-        # --smoke skips the bisection the row is made of: borrow it
+        # --smoke skips the bisection the metrics are made of: borrow it
         with open(os.path.join(REPO, "BENCH_SERVING.json")) as fh:
-            serving["bisection"] = json.load(fh)["bisection"]
-        (row,) = seed_rows(serving=serving, date="2026-10-02")
+            bisection = json.load(fh)["bisection"]
+        serving["metrics"] = {
+            f"max_rate_{sched}": data["max_rate"]
+            for sched, data in bisection.items()
+        }
+        out.write_text(json.dumps(serving))
+        hist = str(tmp_path / "h.jsonl")
+        assert main(["append", hist, str(out), "--date", "2026-10-02"]) == 0
+        (row,) = load_history(hist)
         assert row["bench"] == "bench_serving"
         assert row["host"] == serving["host"]
         assert row["git_sha"] == serving["git_sha"]
+        assert row["metrics"]["max_rate_rts"] == 6.375
 
     def test_checked_in_history_is_valid_and_fresh(self):
         """BENCH_HISTORY.jsonl in the repo root must load, validate and
@@ -296,15 +277,6 @@ class TestCli:
         hist = str(tmp_path / "h.jsonl")
         with pytest.raises(SystemExit):
             main(["check", hist, "--bench", "x"])
-
-    def test_seed_cli(self, tmp_path, capsys):
-        hist = str(tmp_path / "h.jsonl")
-        assert main(["seed", hist,
-                     "--par", os.path.join(REPO, "BENCH_PAR.json"),
-                     "--serving", os.path.join(REPO, "BENCH_SERVING.json"),
-                     "--date", "2026-08-05"]) == 0
-        assert len(load_history(hist)) == 4
-        assert main(["seed", hist]) == 1  # nothing to seed
 
     def test_show_renders_trajectory_ratio(self, tmp_path, capsys):
         hist = str(tmp_path / "h.jsonl")

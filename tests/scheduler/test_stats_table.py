@@ -13,19 +13,19 @@ class TestTransactionStatsTable:
     def test_estimate_tracks_commits(self):
         t = TransactionStatsTable()
         for _ in range(50):
-            t.record_commit("bank.transfer", 0.2, wrote=True)
+            t.record_commit("bank.transfer", 0.2)
         assert t.expected_duration("bank.transfer", fallback=9.0) == pytest.approx(0.2)
 
     def test_profiles_independent(self):
         t = TransactionStatsTable()
-        t.record_commit("a", 0.1, wrote=True)
-        t.record_commit("b", 0.9, wrote=True)
+        t.record_commit("a", 0.1)
+        t.record_commit("b", 0.9)
         assert t.expected_duration("a", 0.0) == pytest.approx(0.1)
         assert t.expected_duration("b", 0.0) == pytest.approx(0.9)
 
     def test_known_profiles_and_contains(self):
         t = TransactionStatsTable()
-        t.record_commit("x", 0.1, wrote=False)
+        t.record_commit("x", 0.1)
         assert "x" in t
         assert "y" not in t
         assert t.known_profiles() == ["x"]
@@ -36,27 +36,3 @@ class TestTransactionStatsTable:
         entry = t.entry("p")
         assert isinstance(entry, ProfileStats)
         assert t.entry("p") is entry
-
-
-class TestProfileStats:
-    def test_bloom_digest_covers_write_commits(self):
-        p = ProfileStats("p")
-        p.record(0.123, wrote=True)
-        assert p.seen_latency_bucket(0.123)
-        assert p.write_commits == 1
-
-    def test_read_commits_not_in_digest(self):
-        p = ProfileStats("p")
-        p.record(0.4, wrote=False)
-        assert p.commits == 1
-        assert p.write_commits == 0
-        assert not p.seen_latency_bucket(0.4)
-
-    def test_digest_recycles_when_full(self):
-        p = ProfileStats("p")
-        capacity = p.bloom.capacity
-        for i in range(capacity + 1):
-            p.record(i * 1e-3, wrote=True)
-        # After clearing, the digest tracks only the most recent history.
-        assert p.bloom.count <= capacity
-        assert p.seen_latency_bucket(capacity * 1e-3)

@@ -1,11 +1,10 @@
-"""Unit and property tests for online estimators."""
+"""Unit and property tests for the online estimator."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util import Ewma, OnlineQuantile
+from repro.util import Ewma
 
 
 class TestEwma:
@@ -65,52 +64,3 @@ class TestEwma:
         for x in data:
             e.observe(x)
         assert min(data) - 1e-9 <= e.value <= max(data) + 1e-9
-
-
-class TestOnlineQuantile:
-    def test_invalid_q(self):
-        for q in (0.0, 1.0, -0.1):
-            with pytest.raises(ValueError):
-                OnlineQuantile(q)
-
-    def test_no_data_raises(self):
-        with pytest.raises(ValueError):
-            OnlineQuantile(0.5).value
-
-    def test_small_samples_exact(self):
-        oq = OnlineQuantile(0.5)
-        for x in [1.0, 9.0, 5.0]:
-            oq.observe(x)
-        assert oq.value == 5.0
-
-    @pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
-    def test_converges_on_uniform(self, q):
-        rng = np.random.default_rng(7)
-        data = rng.uniform(0, 1, size=5000)
-        oq = OnlineQuantile(q)
-        for x in data:
-            oq.observe(x)
-        assert oq.value == pytest.approx(np.quantile(data, q), abs=0.05)
-
-    def test_converges_on_exponential(self):
-        rng = np.random.default_rng(11)
-        data = rng.exponential(2.0, size=5000)
-        oq = OnlineQuantile(0.5)
-        for x in data:
-            oq.observe(x)
-        assert oq.value == pytest.approx(np.quantile(data, 0.5), rel=0.15)
-
-    @given(st.lists(st.floats(min_value=-1e4, max_value=1e4,
-                              allow_nan=False), min_size=6, max_size=300))
-    @settings(max_examples=60, deadline=None)
-    def test_estimate_within_data_range(self, data):
-        oq = OnlineQuantile(0.5)
-        for x in data:
-            oq.observe(x)
-        assert min(data) - 1e-9 <= oq.value <= max(data) + 1e-9
-
-    def test_repr(self):
-        oq = OnlineQuantile(0.9)
-        assert "n/a" in repr(oq)
-        oq.observe(1.0)
-        assert "0.9" in repr(oq)
