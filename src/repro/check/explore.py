@@ -769,13 +769,21 @@ def dump_counterexample(
 
 
 def replay_counterexample(path: Union[str, Path]) -> RunOutcome:
-    """Re-run a dumped counterexample's exact interleaving and re-check it."""
-    with Path(path).open("r", encoding="utf-8") as source:
-        meta = json.loads(source.readline())
-    if meta.get("cat") != "explore.meta":
-        raise ValueError(f"{path}: not a counterexample dump (no explore.meta)")
-    cfg = ExploreConfig(**meta["config"])
-    return run_interleaving(cfg, tuple(meta["choices"]), bug=meta.get("bug"))
+    """Re-run a dumped counterexample's exact interleaving and re-check it.
+
+    Raises :class:`OSError` for an unreadable file and :class:`ValueError`
+    for one that is not a counterexample dump.
+    """
+    try:
+        with Path(path).open("r", encoding="utf-8") as source:
+            meta = json.loads(source.readline())
+        if meta.get("cat") != "explore.meta":
+            raise ValueError("no explore.meta")
+        cfg = ExploreConfig(**meta["config"])
+        choices = tuple(meta["choices"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}:1: not a counterexample dump ({exc})") from exc
+    return run_interleaving(cfg, choices, bug=meta.get("bug"))
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +820,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.replay is not None:
-        outcome = replay_counterexample(args.replay)
+        try:
+            outcome = replay_counterexample(args.replay)
+        except (OSError, ValueError) as exc:
+            # exit 2: bad input, not to be confused with 1 = not reproduced
+            print(f"repro.check.explore: {exc}", file=sys.stderr)
+            return 2
         for violation in outcome.violations:
             print(f"reproduced [{violation['rule']}] {violation['detail']}")
         if not outcome.violations:

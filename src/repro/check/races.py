@@ -1,7 +1,8 @@
 """The trace-replay race detector — ``python -m repro.check.races run.jsonl``.
 
 An offline opacity check over any obs JSONL export (``--trace-out`` from
-the bench drivers, or :class:`repro.obs.sink.JsonlSink` directly).  It
+the bench drivers, or :class:`repro.obs.sink.JsonlSink` directly), read
+and schema-checked by :func:`repro.obs.report.load_events`.  It
 rebuilds a happens-before order from the trace with per-node vector
 clocks and then asks whether every pair of conflicting ownership
 acquisitions is ordered by the commit protocol's migration chain:
@@ -39,6 +40,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.check.rules import RACE_RULES
+from repro.obs.events import SchemaError
+from repro.obs.report import load_events
 
 __all__ = ["Access", "Race", "detect_races", "replay", "main"]
 
@@ -191,21 +194,6 @@ def detect_races(events: Iterable[Dict[str, Any]],
     return out, races
 
 
-def load_events(path: str) -> List[Dict[str, Any]]:
-    """Parse an obs JSONL export (skipping blank lines)."""
-    events: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise SystemExit(f"{path}:{lineno}: not valid JSON: {exc}")
-    return events
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.check.races", description=__doc__,
@@ -220,8 +208,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="cap the printed races (all still counted)")
     args = parser.parse_args(argv)
 
-    events = load_events(args.trace)
-    out, races = detect_races(events, strict=args.strict)
+    try:
+        out, races = detect_races(load_events(args.trace), strict=args.strict)
+    except (OSError, SchemaError) as exc:
+        # exit 2: bad input, not to be confused with 1 = races found
+        print(f"repro.check.races: {exc}", file=sys.stderr)
+        return 2
 
     if args.json:
         print(json.dumps(

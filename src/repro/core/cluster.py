@@ -383,7 +383,7 @@ class Cluster:
         if self.obs is None:
             return None
         self.tracer.close_sinks()
-        return self.obs.summary(now=self.env.now)
+        return self.obs.summary()
 
     # ------------------------------------------------------------------
     # Introspection

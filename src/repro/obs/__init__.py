@@ -2,15 +2,15 @@
 
 Layered on the simulation tracer's sink interface: when enabled (see
 :class:`~repro.core.config.ObsConfig`), the cluster attaches an
-:class:`ObsRecorder` that converts every accepted trace record into a
-flat schema event and streams it to exporters while folding it into
+:class:`ObsRecorder` that takes every accepted trace record — already
+the flat schema event — and streams it to exporters while folding it into
 in-memory aggregates (windowed series, and one float per closed span
 phase and finished span for the exact latency rows).
 
 Pieces:
 
 * :mod:`repro.obs.events` — the event schema + validators;
-* :mod:`repro.obs.sink` — JSONL / in-memory export sinks;
+* :mod:`repro.obs.sink` — the streaming JSONL exporter;
 * :mod:`repro.obs.spans` — the one span fold (recorder, Chrome, report);
 * :mod:`repro.obs.series` — per-node / per-object time-series reducer;
 * :mod:`repro.obs.chrome` — streaming Chrome ``trace_event`` exporter;
@@ -27,13 +27,12 @@ from repro.obs.events import (
     OBS_CATEGORIES,
     SPAN_PHASES,
     SchemaError,
-    record_to_event,
     validate_event,
     validate_events,
 )
 from repro.obs.recorder import ObsRecorder
 from repro.obs.series import NodeSeries, ObjectSeries, SeriesTracker
-from repro.obs.sink import JsonlSink, MemorySink, dumps_event
+from repro.obs.sink import JsonlSink, dumps_event
 from repro.obs.spans import (
     Phase,
     PhaseSamples,
@@ -50,7 +49,6 @@ __all__ = [
     "SPAN_PHASES",
     "ChromeTraceWriter",
     "JsonlSink",
-    "MemorySink",
     "NodeSeries",
     "ObjectSeries",
     "ObsRecorder",
@@ -65,7 +63,6 @@ __all__ = [
     "dumps_event",
     "latency_row",
     "phase_durations",
-    "record_to_event",
     "validate_event",
     "validate_events",
 ]

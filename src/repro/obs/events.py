@@ -1,7 +1,7 @@
 """The observability event schema.
 
 Every exported observation is one flat JSON object (one line of the JSONL
-log) derived from a :class:`~repro.sim.trace.TraceRecord`:
+log), and the very dict :meth:`repro.sim.trace.Tracer.emit` builds:
 
 * ``t``   — simulation time (float seconds);
 * ``cat`` — event category (dot-separated, e.g. ``span.begin``);
@@ -75,13 +75,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable
 
-from repro.sim.trace import TraceRecord
-
 __all__ = [
     "OBS_CATEGORIES",
     "SPAN_PHASES",
     "SchemaError",
-    "record_to_event",
     "validate_event",
     "validate_events",
 ]
@@ -151,19 +148,6 @@ _DECISION_ACTIONS = frozenset({"enqueue", "abort", "local_wait"})
 
 class SchemaError(ValueError):
     """An exported event violates the observability schema."""
-
-
-def record_to_event(record: TraceRecord) -> Dict[str, Any]:
-    """Flatten a :class:`TraceRecord` into its canonical event dict.
-
-    Detail keys are merged at the top level; the reserved keys ``t``,
-    ``cat`` and ``sub`` always win over a same-named detail.
-    """
-    event: Dict[str, Any] = dict(record.details)
-    event["t"] = record.time
-    event["cat"] = record.category
-    event["sub"] = record.subject
-    return event
 
 
 def validate_event(event: Any) -> None:

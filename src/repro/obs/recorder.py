@@ -1,9 +1,8 @@
 """The in-process observability recorder.
 
 One :class:`ObsRecorder` attaches to the cluster tracer as a sink and,
-per accepted record:
+per accepted record (already the flat schema event dict):
 
-* converts it to a schema event exactly once;
 * streams it to the configured exporters (JSONL, Chrome trace);
 * folds it into the :class:`~repro.obs.series.SeriesTracker`;
 * feeds it to a :class:`~repro.obs.spans.SpanBuilder`, whose closed
@@ -20,16 +19,14 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.obs.chrome import ChromeTraceWriter
-from repro.obs.events import record_to_event
 from repro.obs.series import SeriesTracker
 from repro.obs.sink import JsonlSink
 from repro.obs.spans import PhaseSamples, SpanBuilder
-from repro.sim.trace import TraceRecord, TraceSink
 
 __all__ = ["ObsRecorder"]
 
 
-class ObsRecorder(TraceSink):
+class ObsRecorder:
     """Tracer sink: export + reduce every observability event."""
 
     def __init__(
@@ -52,11 +49,10 @@ class ObsRecorder(TraceSink):
 
     # -- sink interface --------------------------------------------------
 
-    def accept(self, record: TraceRecord) -> None:
-        event = record_to_event(record)
+    def accept(self, event: Dict[str, Any]) -> None:
         self.events += 1
         if self.jsonl is not None:
-            self.jsonl.accept_event(event)
+            self.jsonl.accept(event)
         if self.chrome is not None:
             self.chrome.feed(event)
         self.series.feed(event)
@@ -70,8 +66,8 @@ class ObsRecorder(TraceSink):
 
     # -- summaries -------------------------------------------------------
 
-    def summary(self, now: Optional[float] = None) -> Dict[str, Any]:
+    def summary(self) -> Dict[str, Any]:
         """Live run summary: series snapshot + exact phase latencies."""
-        out = self.series.snapshot(now)
+        out = self.series.snapshot()
         out["phases"] = self.samples.rows()
         return out

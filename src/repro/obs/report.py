@@ -8,7 +8,9 @@ Usage::
     python -m repro.obs.report run.jsonl --json
 
 Reads the JSONL event log one line at a time, checks every event against
-the schema (a malformed log exits 1 with one ``schema error:`` line),
+the schema (a malformed line exits 1 with one ``schema error:`` line
+naming the file and line; a missing file exits 1 with one ``error:``
+line),
 folds spans with the same :class:`~repro.obs.spans.SpanBuilder` and
 :class:`~repro.obs.spans.PhaseSamples` the live recorder uses — so the
 phase rows equal a run's ``extra["obs"]["phases"]`` exactly — and
@@ -52,16 +54,25 @@ __all__ = ["load_events", "main", "render", "summarize"]
 
 
 def load_events(path: str) -> Iterator[Dict[str, Any]]:
-    """Stream events from a JSONL file, skipping blank lines."""
+    """Stream schema-checked events from a JSONL file, skipping blank lines.
+
+    The one JSONL reader: a line that is not JSON, or not a schema event,
+    raises :class:`SchemaError` naming ``path:lineno``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                event = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            try:
+                validate_event(event)
+            except SchemaError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+            yield event
 
 
 def summarize(
@@ -70,11 +81,8 @@ def summarize(
     top: int = 10,
     chrome: Optional[ChromeTraceWriter] = None,
 ) -> Dict[str, Any]:
-    """Reduce an event stream to the report's summary dict.
-
-    Every event is schema-checked first, so a malformed log fails with
-    :class:`SchemaError` rather than deep inside a reducer.
-    """
+    """Reduce a stream of schema events (:func:`load_events`) to the
+    report's summary dict."""
     series = SeriesTracker(window=window)
     samples = PhaseSamples()
     completed = SpanList()
@@ -82,7 +90,6 @@ def summarize(
     spans = SpanBuilder(*consumers)
     dispatch: Dict[str, float] = {}
     for event in events:
-        validate_event(event)
         series.feed(event)
         spans.feed(event)
         if event["cat"] == "traffic.dispatch":
@@ -411,6 +418,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
         if chrome is not None:

@@ -435,8 +435,8 @@ class SeriesTracker:
             "nodes": self.payload_rows(),
         }
 
-    def snapshot(self, now: Optional[float] = None) -> Dict[str, Any]:
-        """One JSON-able summary of everything tracked."""
+    def snapshot(self) -> Dict[str, Any]:
+        """One JSON-able summary of everything tracked, rates to ``t_max``."""
         out = {
             "window": self.window,
             "events": self.events,

@@ -1,24 +1,20 @@
-"""Streaming export sinks for observability events.
+"""Streaming JSONL export of observability events.
 
-:class:`JsonlSink` writes one canonical JSON object per line as records
-arrive — nothing is buffered beyond the OS file buffer, so arbitrarily
-long runs export in O(1) memory.  Canonical serialisation
-(``sort_keys=True``, compact separators) makes same-seed exports
-byte-identical, which the determinism tests rely on.
-
-:class:`MemorySink` collects event dicts in a list — for tests and for
-the in-process report path (``report.summarize`` over a live run).
+:class:`JsonlSink` takes the tracer's records — each already the flat
+schema event dict (:mod:`repro.sim.trace`) — and writes one canonical
+JSON object per line as they arrive.  Nothing is buffered beyond the OS
+file buffer, so arbitrarily long runs export in O(1) memory.  Canonical
+serialisation (``sort_keys=True``, compact separators) makes same-seed
+exports byte-identical, which the determinism tests rely on.  The
+offline reader is :func:`repro.obs.report.load_events`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, List, Optional, Union
+from typing import Any, Dict, IO, Optional, Union
 
-from repro.obs.events import record_to_event
-from repro.sim.trace import TraceRecord, TraceSink
-
-__all__ = ["JsonlSink", "MemorySink", "dumps_event"]
+__all__ = ["JsonlSink", "dumps_event"]
 
 
 def dumps_event(event: Dict[str, Any]) -> str:
@@ -26,8 +22,8 @@ def dumps_event(event: Dict[str, Any]) -> str:
     return json.dumps(event, sort_keys=True, separators=(",", ":"))
 
 
-class JsonlSink(TraceSink):
-    """Stream accepted records to a JSONL file (or file-like object)."""
+class JsonlSink:
+    """Stream accepted events to a JSONL file (or file-like object)."""
 
     def __init__(self, path_or_file: Union[str, IO[str]]) -> None:
         if hasattr(path_or_file, "write"):
@@ -40,11 +36,7 @@ class JsonlSink(TraceSink):
             self.path = str(path_or_file)
         self.count = 0
 
-    def accept(self, record: TraceRecord) -> None:
-        self.accept_event(record_to_event(record))
-
-    def accept_event(self, event: Dict[str, Any]) -> None:
-        """Write an already-converted event (recorder fast path)."""
+    def accept(self, event: Dict[str, Any]) -> None:
         self._file.write(dumps_event(event))
         self._file.write("\n")
         self.count += 1
@@ -54,16 +46,3 @@ class JsonlSink(TraceSink):
             self._file.close()
         elif not self._file.closed:
             self._file.flush()
-
-
-class MemorySink(TraceSink):
-    """Collect event dicts in memory (tests, in-process reports)."""
-
-    def __init__(self) -> None:
-        self.events: List[Dict[str, Any]] = []
-
-    def accept(self, record: TraceRecord) -> None:
-        self.events.append(record_to_event(record))
-
-    def __len__(self) -> int:
-        return len(self.events)

@@ -27,7 +27,7 @@ from repro.sim.events import (
 from repro.sim.process import Interrupt, Process, ProcessDied
 from repro.sim.rng import RngRegistry
 from repro.sim.monitor import Counter, Tally, TimeWeighted
-from repro.sim.trace import TraceRecord, TraceSink, Tracer
+from repro.sim.trace import Tracer
 
 __all__ = [
     "AllOf",
@@ -48,7 +48,5 @@ __all__ = [
     "Tally",
     "TimeWeighted",
     "Timeout",
-    "TraceRecord",
-    "TraceSink",
     "Tracer",
 ]

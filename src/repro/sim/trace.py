@@ -1,72 +1,43 @@
 """Structured simulation tracing.
 
-The tracer records ``(time, category, subject, details)`` tuples.  It exists
-for four consumers: debugging (human-readable dumps), tests (asserting on
-protocol event orderings, e.g. "the object was handed to the queued requester
-before any fresh request was served"), the determinism property test
-(identical seeds must produce identical traces), and the observability layer
-(:mod:`repro.obs`), which attaches *sinks* that stream every accepted record
-out of the process so long runs never accumulate unbounded in-memory state.
+One emit builds one record, and that record is the observability schema
+event (:mod:`repro.obs.events`): a flat dict of ``t`` (simulation time),
+``cat`` (category), ``sub`` (subject) and the emit site's keyword
+details.  The same dict goes to every attached sink and into the
+in-memory store; nothing converts it again on its way to a JSONL line,
+a Chrome slice or a test assertion, so consumers must not mutate it.
 
-Tracing is off by default and filtered by category, so the hot path pays a
-single dict lookup when disabled.
+Consumers: debugging (:meth:`Tracer.dump`), tests asserting on protocol
+event orderings, the determinism property test (identical seeds must
+produce identical traces), and :mod:`repro.obs`, whose *sinks* (anything
+with ``accept(record)`` and optionally ``close()``) stream every
+accepted record out of the process.  Tracing is off by default and
+filtered by category, so the hot path pays a single dict lookup when
+disabled.
 
-In-memory retention modes (``max_records``):
-
-* unbounded (default) — every accepted record is kept;
-* **bounded** (``ring=False``) — the first ``max_records`` are kept and the
-  tail is dropped (``dropped`` counts the loss);
-* **ring** (``ring=True``) — the *most recent* ``max_records`` are kept and
-  the head is evicted (``dropped`` counts evictions) — what a debugging
-  session wants, since the interesting part of a run is almost always its
-  end.
-
-Sinks are independent of retention: an attached sink sees every accepted
-record even when the in-memory store is bounded or disabled entirely
-(``keep_records=False``), which is the streaming-export path.
+In-memory retention (``max_records``, at least 1 when given): unbounded
+by default; **bounded** (``ring=False``) keeps the first ``max_records``
+and drops the tail; **ring** (``ring=True``) keeps the most recent and
+evicts the head — the end of a run is usually where debugging looks.
+``dropped`` counts the loss either way.  Sinks see every accepted record
+regardless, even with ``keep_records=False`` (the streaming-export path).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-__all__ = ["TraceRecord", "TraceSink", "Tracer"]
+__all__ = ["Tracer"]
 
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One trace entry."""
-
-    time: float
-    category: str
-    subject: str
-    details: Tuple[Tuple[str, Any], ...] = field(default_factory=tuple)
-
-    def detail(self, key: str, default: Any = None) -> Any:
-        for k, v in self.details:
-            if k == key:
-                return v
-        return default
-
-    def __str__(self) -> str:
-        kv = " ".join(f"{k}={v}" for k, v in self.details)
-        return f"[{self.time:12.6f}] {self.category:<12} {self.subject} {kv}".rstrip()
+_RESERVED = ("t", "cat", "sub")
 
 
-class TraceSink:
-    """Interface for streaming consumers of accepted trace records.
-
-    Anything with an ``accept(record)`` method works (duck-typed); this
-    base class exists for documentation and ``close()`` default.
-    """
-
-    def accept(self, record: TraceRecord) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Flush/close any underlying resource (files, builders)."""
+def _line(record: Dict[str, Any]) -> str:
+    kv = " ".join(
+        f"{k}={v}" for k, v in sorted(record.items()) if k not in _RESERVED
+    )
+    return f"[{record['t']:12.6f}] {record['cat']:<12} {record['sub']} {kv}".rstrip()
 
 
 class Tracer:
@@ -80,6 +51,8 @@ class Tracer:
         ring: bool = False,
         keep_records: bool = True,
     ) -> None:
+        if max_records is not None and max_records < 1:
+            raise ValueError(f"max_records must be >= 1, got {max_records}")
         self.enabled = enabled
         self._categories = set(categories) if categories is not None else None
         self._max = max_records
@@ -104,15 +77,17 @@ class Tracer:
         self._sinks.append(sink)
         return sink
 
-    def detach_sink(self, sink: Any) -> None:
-        self._sinks.remove(sink)
-
     def emit(self, time: float, category: str, subject: str, **details: Any) -> None:
         if not self.wants(category):
             return
-        record = TraceRecord(time, category, subject, tuple(sorted(details.items())))
+        # ``details`` is a fresh dict per call; it becomes the record.
+        # Reserved keys go in last so they win over a same-named detail.
+        # Every sink and the store share it: consumers must not mutate it.
+        details["t"] = time
+        details["cat"] = category
+        details["sub"] = subject
         for sink in self._sinks:
-            sink.accept(record)
+            sink.accept(details)
         if not self._keep:
             return
         if self._max is not None and len(self._records) >= self._max:
@@ -120,23 +95,12 @@ class Tracer:
             if not self._ring:
                 return  # bounded mode: keep the head, drop the tail
             self._records.popleft()  # ring mode: evict the oldest
-        self._records.append(record)
+        self._records.append(details)
 
-    def records(self, category: Optional[str] = None) -> List[TraceRecord]:
+    def records(self, category: Optional[str] = None) -> List[Dict[str, Any]]:
         if category is None:
             return list(self._records)
-        return [r for r in self._records if r.category == category]
-
-    def categories(self) -> Dict[str, int]:
-        """Histogram of record counts per category."""
-        out: Dict[str, int] = {}
-        for r in self._records:
-            out[r.category] = out.get(r.category, 0) + 1
-        return out
-
-    def clear(self) -> None:
-        self._records.clear()
-        self.dropped = 0
+        return [r for r in self._records if r["cat"] == category]
 
     def close_sinks(self) -> None:
         """Close every attached sink that supports it."""
@@ -154,21 +118,22 @@ class Tracer:
         # a configured-but-quiet instance.
         return True
 
-    def __iter__(self) -> Iterator[TraceRecord]:
+    def __iter__(self) -> Iterator[Dict[str, Any]]:
         return iter(self._records)
 
     def dump(self, limit: Optional[int] = None, tail: Optional[int] = None) -> str:
         """Human-readable multi-line rendering (for debugging sessions).
 
-        ``limit`` takes the first N records; ``tail`` (or a negative
-        ``limit``) takes the last N — the end of the run, which is where
-        debugging sessions almost always want to look.
+        One line per record: ``[t] cat sub k=v ...``, details in sorted key
+        order.  ``limit`` takes the first N records; ``tail`` (or a
+        negative ``limit``) takes the last N — the end of the run, which
+        is where debugging sessions almost always want to look.
         """
         if limit is not None and limit < 0:
             if tail is not None:
                 raise ValueError("pass either a negative limit or tail, not both")
             tail = -limit
-        rows: Iterable[TraceRecord]
+        rows: Iterable[Dict[str, Any]]
         if tail is not None:
             n = len(self._records)
             rows = list(self._records)[max(0, n - tail):]
@@ -176,4 +141,4 @@ class Tracer:
             rows = list(self._records)[:limit]
         else:
             rows = self._records
-        return "\n".join(str(r) for r in rows)
+        return "\n".join(_line(r) for r in rows)

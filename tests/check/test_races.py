@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from repro.check.races import detect_races, load_events, main, replay
+from repro.check.races import detect_races, main, replay
 from repro.core.config import ClusterConfig, FaultConfig
 from repro.core.experiment import run_experiment
+from repro.obs.report import load_events
 
 
 def grant(t, oid, node, version, served_by, mode="a"):
@@ -110,11 +111,12 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] and report["acquisitions"] == 2
 
-    def test_bad_json_is_a_clear_error(self, tmp_path):
+    def test_bad_json_is_a_clear_error(self, tmp_path, capsys):
         path = tmp_path / "broken.jsonl"
-        path.write_text('{"t": 0.1}\nnot-json\n')
-        with pytest.raises(SystemExit):
-            load_events(str(path))
+        path.write_text('{"t": 0.1, "cat": "c", "sub": "s"}\nnot-json\n')
+        assert main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{path}:2: invalid JSON" in err
 
 
 class TestRealTraces:

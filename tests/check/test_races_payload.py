@@ -12,9 +12,10 @@ zero races in it (no false positives from the extra plane)."""
 
 import pytest
 
-from repro.check.races import detect_races, load_events
+from repro.check.races import detect_races
 from repro.core.config import ClusterConfig
 from repro.core.experiment import run_experiment
+from repro.obs.report import load_events
 
 # Mirrors benchmarks/bench_payload.py: the read-mostly bank cell that
 # the --smoke grid runs, at the smoke horizon.
@@ -36,7 +37,7 @@ def _export_proxy_trace(tmp_path, size):
                             read_fraction=PAYLOAD_READ_FRACTION,
                             workers_per_node=2, horizon=SMOKE_HORIZON)
     assert result.commits > 10
-    return load_events(str(path))
+    return list(load_events(str(path)))
 
 
 @pytest.mark.parametrize("size", SMOKE_SIZES, ids=["1KiB", "1MiB"])

@@ -6,11 +6,10 @@ from repro.obs.events import (
     OBS_CATEGORIES,
     SPAN_PHASES,
     SchemaError,
-    record_to_event,
     validate_event,
     validate_events,
 )
-from repro.sim.trace import TraceRecord
+from repro.sim.trace import Tracer
 
 
 def ev(**kw):
@@ -19,19 +18,21 @@ def ev(**kw):
     return base
 
 
-class TestRecordToEvent:
+class TestEmittedRecord:
     def test_flattens_details(self):
-        r = TraceRecord(2.5, "span.phase", "tx1", (("edge", "B"), ("phase", "open")))
-        event = record_to_event(r)
+        tracer = Tracer(enabled=True)
+        tracer.emit(2.5, "span.phase", "tx1", edge="B", phase="open")
+        (event,) = tracer.records()
         assert event == {
             "t": 2.5, "cat": "span.phase", "sub": "tx1",
             "edge": "B", "phase": "open",
         }
+        validate_event(event)
 
     def test_reserved_keys_win(self):
-        r = TraceRecord(1.0, "c", "s", (("t", 99.0), ("cat", "x"), ("sub", "y")))
-        event = record_to_event(r)
-        assert event["t"] == 1.0 and event["cat"] == "c" and event["sub"] == "s"
+        tracer = Tracer(enabled=True)
+        tracer.emit(1.0, "c", "s", t=99.0, cat="x", sub="y")
+        assert tracer.records() == [{"t": 1.0, "cat": "c", "sub": "s"}]
 
 
 class TestValidateEvent:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import ClusterConfig, ObsConfig
 from repro.core.experiment import run_experiment
-from repro.obs import MemorySink, ObsRecorder, latency_row, validate_events
+from repro.obs import ObsRecorder, latency_row, validate_events
 from repro.obs.events import OBS_CATEGORIES
 
 
@@ -102,11 +102,9 @@ class TestRecorderThroughRun:
 
     def test_recorder_pairs_phases_standalone(self):
         rec = ObsRecorder()
-        sink = MemorySink()  # noqa: F841  (schema sanity below uses rec only)
-        from repro.sim.trace import TraceRecord
 
         def feed(t, cat, sub, **kw):
-            rec.accept(TraceRecord(t, cat, sub, tuple(sorted(kw.items()))))
+            rec.accept({"t": t, "cat": cat, "sub": sub, **kw})
 
         feed(0.0, "span.begin", "tx1", task="t", node="n0", attempt=0,
              profile="p", depth=0)

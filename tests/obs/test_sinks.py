@@ -3,12 +3,12 @@
 import io
 import json
 
-from repro.obs.sink import JsonlSink, MemorySink, dumps_event
-from repro.sim.trace import TraceRecord, Tracer
+from repro.obs.sink import JsonlSink, dumps_event
+from repro.sim.trace import Tracer
 
 
 def rec(t=1.0, cat="obs.queue", sub="o1", **details):
-    return TraceRecord(t, cat, sub, tuple(sorted(details.items())))
+    return {"t": t, "cat": cat, "sub": sub, **details}
 
 
 class TestDumpsEvent:
@@ -51,10 +51,3 @@ class TestJsonlSink:
         assert event["sub"] == "o3" and event["winner"] == "holder"
         assert len(tr) == 0  # streaming only; nothing retained
 
-
-class TestMemorySink:
-    def test_collects_event_dicts(self):
-        sink = MemorySink()
-        sink.accept(rec(node="n1", len=1))
-        assert len(sink) == 1
-        assert sink.events[0]["node"] == "n1"

@@ -115,8 +115,8 @@ class TestClient:
         client = RpcClient(net2[0], tracer=tracer)
         drive(env, client.call(1, "ping"))
         assert client.calls == 1 and client.failures == 0
-        assert [r.category for r in tracer.records()] == [
+        assert [r["cat"] for r in tracer.records()] == [
             "rpc.issue", "rpc.done"
         ]
         done = tracer.records("rpc.done")[0]
-        assert done.detail("ok") is True and done.detail("retries") == 0
+        assert done["ok"] is True and done["retries"] == 0

@@ -70,7 +70,7 @@ class TestSubmit:
         serve(nodes[1], "ping", lambda msg: {})
         client = RpcClient(nodes[0], tracer=tracer)
         reply = client.submit(1, "ping")
-        assert [r.category for r in tracer.records()] == ["rpc.issue"]
+        assert [r["cat"] for r in tracer.records()] == ["rpc.issue"]
         order = []
         reply.callbacks.append(lambda ev: order.append(len(tracer.records())))
         env.run()
@@ -78,9 +78,10 @@ class TestSubmit:
         # as the blocking call emits it before returning to its caller
         assert order == [2]
         issue, done = tracer.records()
-        assert (issue.time, done.time) == (0.0, env.now)
-        assert issue.details == (("dst", 1), ("node", "n0"))
-        assert done.detail("ok") is True and done.detail("retries") == 0
+        assert (issue["t"], done["t"]) == (0.0, env.now)
+        assert issue == {"t": 0.0, "cat": "rpc.issue", "sub": issue["sub"],
+                         "dst": 1, "node": "n0"}
+        assert done["ok"] is True and done["retries"] == 0
 
     def test_blocking_call_traces_the_same_records(self, env, net2):
         _, nodes = net2
@@ -100,7 +101,6 @@ class TestSubmit:
             env.process(caller())
             env.run()
             records.append([
-                (r.time - start, r.category, r.subject, r.details)
-                for r in tracer.records()
+                {**r, "t": r["t"] - start} for r in tracer.records()
             ])
         assert records[0] == records[1] and len(records[0]) == 2

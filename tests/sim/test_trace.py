@@ -1,7 +1,8 @@
 """Unit tests for the tracer."""
 
+import pytest
+
 from repro.sim import Tracer
-from repro.sim.trace import TraceRecord
 
 
 class TestTracer:
@@ -14,17 +15,13 @@ class TestTracer:
         tr = Tracer(enabled=True)
         tr.emit(1.0, "cat", "subj", a=1)
         assert len(tr) == 1
-        rec = tr.records()[0]
-        assert rec.time == 1.0
-        assert rec.category == "cat"
-        assert rec.detail("a") == 1
-        assert rec.detail("missing", "dflt") == "dflt"
+        assert tr.records() == [{"t": 1.0, "cat": "cat", "sub": "subj", "a": 1}]
 
     def test_category_filter(self):
         tr = Tracer(enabled=True, categories={"keep"})
         tr.emit(0.0, "keep", "x")
         tr.emit(0.0, "drop", "y")
-        assert [r.category for r in tr] == ["keep"]
+        assert [r["cat"] for r in tr] == ["keep"]
         assert tr.wants("keep") and not tr.wants("drop")
 
     def test_max_records_bound(self):
@@ -34,37 +31,34 @@ class TestTracer:
         assert len(tr) == 2
         assert tr.dropped == 3
 
+    @pytest.mark.parametrize("bound", [0, -1])
+    @pytest.mark.parametrize("ring", [False, True])
+    def test_max_records_below_one_rejected(self, bound, ring):
+        with pytest.raises(ValueError, match="max_records"):
+            Tracer(enabled=True, max_records=bound, ring=ring)
+
     def test_records_by_category(self):
         tr = Tracer(enabled=True)
         tr.emit(0.0, "a", "1")
         tr.emit(0.0, "b", "2")
         tr.emit(0.0, "a", "3")
-        assert len(tr.records("a")) == 2
-        assert tr.categories() == {"a": 2, "b": 1}
-
-    def test_clear(self):
-        tr = Tracer(enabled=True, max_records=1)
-        tr.emit(0.0, "c", "s")
-        tr.emit(0.0, "c", "s")
-        tr.clear()
-        assert len(tr) == 0 and tr.dropped == 0
+        assert [r["sub"] for r in tr.records("a")] == ["1", "3"]
 
     def test_dump_and_str(self):
         tr = Tracer(enabled=True)
-        tr.emit(1.5, "commit", "tx1", node=3)
-        text = tr.dump()
-        assert "commit" in text and "tx1" in text and "node=3" in text
+        tr.emit(1.5, "commit", "tx1", node=3, mode="a")
+        tr.emit(2.0, "dstm.conflict", "o1")
+        assert tr.dump().splitlines() == [
+            "[    1.500000] commit       tx1 mode=a node=3",
+            "[    2.000000] dstm.conflict o1",
+        ]
         assert tr.dump(limit=0) == ""
-
-    def test_record_is_hashable_and_ordered_details(self):
-        r = TraceRecord(1.0, "c", "s", (("a", 1), ("b", 2)))
-        assert hash(r) == hash(TraceRecord(1.0, "c", "s", (("a", 1), ("b", 2))))
 
     def test_ring_mode_keeps_most_recent(self):
         tr = Tracer(enabled=True, max_records=2, ring=True)
         for i in range(5):
             tr.emit(float(i), "c", f"s{i}")
-        assert [r.subject for r in tr] == ["s3", "s4"]
+        assert [r["sub"] for r in tr] == ["s3", "s4"]
         assert tr.dropped == 3
 
     def test_dump_tail(self):
@@ -91,7 +85,7 @@ class TestTracer:
 
         class Sink:
             def accept(self, record):
-                seen.append(record.subject)
+                seen.append(record["sub"])
 
         tr = Tracer(enabled=True, max_records=1, keep_records=False)
         tr.attach_sink(Sink())
@@ -100,7 +94,7 @@ class TestTracer:
         assert seen == ["s0", "s1", "s2", "s3"]
         assert len(tr) == 0  # keep_records=False: nothing retained
 
-    def test_detach_sink_and_close(self):
+    def test_close_sinks(self):
         closed = []
 
         class Sink:
@@ -111,11 +105,21 @@ class TestTracer:
                 closed.append(True)
 
         tr = Tracer(enabled=True)
-        sink = tr.attach_sink(Sink())
+        tr.attach_sink(Sink())
         tr.close_sinks()
-        tr.detach_sink(sink)
-        tr.emit(0.0, "c", "s")  # no sink errors after detach
         assert closed == [True]
+
+    def test_sinks_and_store_share_one_record(self):
+        seen = []
+
+        class Sink:
+            def accept(self, record):
+                seen.append(record)
+
+        tr = Tracer(enabled=True)
+        tr.attach_sink(Sink())
+        tr.emit(0.5, "c", "s", a=1)
+        assert seen[0] is tr.records()[0]
 
     def test_tracer_always_truthy(self):
         assert bool(Tracer()) is True

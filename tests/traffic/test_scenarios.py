@@ -67,7 +67,7 @@ class TestEngineRetargeting:
     def test_phases_fire_at_exact_timestamps(self):
         cluster, ex = self._run("flash-crowd", horizon=4.0)
         events = cluster.tracer.records("traffic.phase")
-        assert [(r.time, dict(r.details)["name"]) for r in events] == [
+        assert [(r["t"], r["name"]) for r in events] == [
             (0.0, "steady"),
             (1.6, "surge"),          # exactly horizon * 0.4
             (2.8, "recovery"),       # exactly horizon * 0.7
