@@ -12,7 +12,8 @@ callback weight:
 * ``event-wakeup`` — processes waiting on bare events succeeded from a
   timeout callback: the succeed()-then-process path;
 * ``anyof-race`` — processes racing an event against a timeout deadline
-  in an AnyOf, the RPC wait-with-deadline shape from ``Node.request``;
+  in an AnyOf, the wait-with-deadline shape an RPC under a retry policy
+  had before its retry loop became a timer chain on the reply event;
 * ``message-storm`` — a stress band, not a model of any cell: bursts of
   deliveries quantized to the millisecond link grid (many events tied
   at one timestamp) over 100 x 1000 = 100 000 standing far-future

@@ -150,14 +150,14 @@ class Cluster:
         fc = config.faults
         self.fault_plan: Optional[FaultPlan] = None
         self.fault_injector: Optional[FaultInjector] = None
-        rpc_policy: Optional[RpcPolicy] = None
+        policy: Optional[RpcPolicy] = None
         lease_duration: Optional[float] = None
         if fc.enabled:
             self.fault_plan = FaultPlan(fc, self.rngs.stream("faults"), config.num_nodes)
             self.fault_injector = FaultInjector(
                 self.fault_plan, metrics=self.metrics, tracer=self.tracer
             ).install(self.network)
-            rpc_policy = RpcPolicy.from_config(fc)
+            policy = RpcPolicy.from_config(fc)
             lease_duration = fc.lease_duration
 
         # Invariant sanitizer (repro.check).  Strictly additive: with the
@@ -172,11 +172,11 @@ class Cluster:
             from repro.check import Sanitizer
 
             self.sanitizer = Sanitizer()
-            if rpc_policy is not None:
+            if policy is not None:
                 # inv-retry-policy: the recovery deadlines derived from
                 # this policy must be self-consistent before any RPC
                 # runs under it.
-                self.sanitizer.check_policy(rpc_policy)
+                self.sanitizer.check_policy(policy)
 
         clock_rng = self.rngs.stream("clocks")
         self.nodes: List[Node] = []
@@ -202,7 +202,7 @@ class Cluster:
             scheduler = self._make_scheduler(node_id)
             rpc_client = RpcClient(
                 node,
-                policy=rpc_policy,
+                policy=policy,
                 tracer=self.tracer,
                 metrics=self.metrics,
                 cache=LookupCache(

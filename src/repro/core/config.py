@@ -135,6 +135,8 @@ class FaultConfig:
         return dataclasses.replace(self, **changes)
 
     def __post_init__(self) -> None:
+        # Every range check is negated (``not v >= 0``), as Timeout's is:
+        # a NaN fails every comparison, so it fails here, not mid-run.
         for name in ("drop_rate", "duplicate_rate", "extra_delay_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -143,31 +145,31 @@ class FaultConfig:
             "extra_delay_max", "partition_rate", "crash_rate",
             "min_crash_gap",
         ):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in (
             "partition_duration", "crash_duration", "schedule_horizon",
             "rpc_timeout", "lease_duration", "lease_renew_interval",
             "reclaim_grace",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        if self.rpc_max_retries < 0:
-            raise ValueError("rpc_max_retries must be >= 0")
+        if not (isinstance(self.rpc_max_retries, int) and self.rpc_max_retries >= 0):
+            raise ValueError("rpc_max_retries must be an int >= 0")
         if self.nested_retry_cap < 1:
             raise ValueError("nested_retry_cap must be >= 1")
-        if self.rpc_backoff_factor < 1.0:
+        if not self.rpc_backoff_factor >= 1.0:
             raise ValueError("rpc_backoff_factor must be >= 1")
-        if self.rpc_backoff_cap < self.rpc_timeout:
+        if not self.rpc_backoff_cap >= self.rpc_timeout:
             raise ValueError("rpc_backoff_cap must be >= rpc_timeout")
-        if self.lease_renew_interval >= self.lease_duration:
+        if not self.lease_renew_interval < self.lease_duration:
             raise ValueError(
                 "lease_renew_interval must be < lease_duration or leases "
                 "expire between heartbeats even on healthy nodes"
             )
-        if self.orphan_sweep_interval is not None and self.orphan_sweep_interval <= 0:
+        if self.orphan_sweep_interval is not None and not self.orphan_sweep_interval > 0:
             raise ValueError("orphan_sweep_interval must be > 0 (or None)")
-        if self.orphan_min_age is not None and self.orphan_min_age < 0:
+        if self.orphan_min_age is not None and not self.orphan_min_age >= 0:
             raise ValueError("orphan_min_age must be >= 0 (or None)")
 
 
@@ -196,7 +198,7 @@ class RpcConfig:
         return dataclasses.replace(self, **changes)
 
     def __post_init__(self) -> None:
-        if self.batch_window < 0:
+        if not self.batch_window >= 0:
             raise ValueError(f"batch_window must be >= 0, got {self.batch_window}")
         if self.cache_capacity is not None and self.cache_capacity < 1:
             raise ValueError("cache_capacity must be >= 1 (or None)")
@@ -229,7 +231,7 @@ class ObsConfig:
         return dataclasses.replace(self, **changes)
 
     def __post_init__(self) -> None:
-        if self.window <= 0:
+        if not self.window > 0:
             raise ValueError(f"window must be > 0, got {self.window}")
         _refuse_unless_enabled(self, "obs", "jsonl_path", "chrome_path")
 
@@ -359,17 +361,17 @@ class ArrivalConfig:
                 f"unknown shed policy {self.shed_policy!r}; "
                 "have ('drop-newest', 'drop-oldest')"
             )
-        if self.rate <= 0:
+        if not self.rate > 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
-        if self.burst_factor < 1.0:
+        if not self.burst_factor >= 1.0:
             raise ValueError(f"burst_factor must be >= 1, got {self.burst_factor}")
         if not 0.0 < self.on_fraction < 1.0:
             raise ValueError(f"on_fraction must be in (0, 1), got {self.on_fraction}")
-        if self.mean_cycle <= 0:
+        if not self.mean_cycle > 0:
             raise ValueError(f"mean_cycle must be > 0, got {self.mean_cycle}")
-        if self.zipf_s < 0:
+        if not self.zipf_s >= 0:
             raise ValueError(f"zipf_s must be >= 0, got {self.zipf_s}")
-        if self.hotspot_period is not None and self.hotspot_period <= 0:
+        if self.hotspot_period is not None and not self.hotspot_period > 0:
             raise ValueError("hotspot_period must be > 0 (or None)")
         if self.queue_capacity < 1:
             raise ValueError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
@@ -431,9 +433,9 @@ class PayloadConfig:
     def __post_init__(self) -> None:
         if self.size < 0:
             raise ValueError(f"size must be >= 0, got {self.size}")
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
-        if self.ser_per_byte < 0:
+        if not self.ser_per_byte >= 0:
             raise ValueError("ser_per_byte must be >= 0")
         if self.control_size < 0:
             raise ValueError("control_size must be >= 0")
@@ -522,6 +524,9 @@ class ClusterConfig:
             raise ValueError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if not 0 < self.min_link_delay <= self.max_link_delay:
             raise ValueError("need 0 < min_link_delay <= max_link_delay")
+        for name in ("msg_process_time", "abort_overhead"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.cl_threshold is not None and self.cl_threshold < 1:
             raise ValueError("cl_threshold must be >= 1 (or None for adaptive)")
         for name, allowed in (

@@ -116,9 +116,6 @@ class TMProxy:
         if rpc_client is None:
             rpc_client = RpcClient(node, tracer=self.tracer)
         self.rpc_client = rpc_client
-        #: timeout/retry policy for RPCs (:class:`repro.rpc.RetryPolicy`);
-        #: None (fault-free build) keeps every RPC a plain blocking wait.
-        self.rpc_policy = rpc_client.policy
         self.winner_policy = WinnerPolicy(winner_policy)
         if conflict_scope not in ("root", "level", "mixed"):
             raise ValueError(

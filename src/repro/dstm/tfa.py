@@ -34,8 +34,7 @@ from repro.dstm.errors import AbortReason, TransactionAborted, TransactionError
 from repro.dstm.objects import ObjectMode, ObjectState, home_node
 from repro.dstm.proxy import TMProxy
 from repro.dstm.transaction import NestingModel, ReadEntry, Transaction, TxStatus
-from repro.net.message import MessageType
-from repro.rpc import ENDPOINTS, PeerUnreachable
+from repro.rpc import ENDPOINTS
 from repro.sim import Event
 
 __all__ = ["OP_LOCAL_TIME", "TFAEngine"]
@@ -179,52 +178,25 @@ class TFAEngine:
         root = tx.root
         if observed_clock <= root.start_clock:
             return
-        stale_level = yield from self._validate_chain(tx)
-        if stale_level is not None:
-            level, oid = stale_level
+        chain = list(tx.ancestors())[::-1]  # root first
+        stale = yield from self._first_stale(chain, root.acquired)
+        if stale is not None:
+            level, oid = stale
             raise TransactionAborted(level, AbortReason.EARLY_VALIDATION, oid=oid)
         root.start_clock = observed_clock
 
-    def _validate_chain(
-        self, tx: Transaction
+    def _first_stale(
+        self, levels: List[Transaction], own: Set[str]
     ) -> Generator[Any, Any, Optional[Tuple[Transaction, str]]]:
-        """Validate every read-set entry on the ancestor chain.
+        """Validate the read sets of ``levels`` (root first) in one pass.
 
-        Returns ``(level, oid)`` of the stale entry closest to the root
-        (aborting that level kills every deeper level too), or None when
-        everything is still valid.
-        """
-        levels = list(tx.ancestors())[::-1]  # root first
-        checks: List[Tuple[Transaction, str, int]] = []
-        for level in levels:
-            for oid, entry in level.rset.items():
-                checks.append((level, oid, entry.version))
-        if not checks:
-            return None
-        own = tx.root.acquired
-        results = yield from self._validate_versions(
-            [(oid, v) for _, oid, v in checks], own=own
-        )
-        for (level, oid, _version), valid in zip(checks, results):
-            if valid is None:
-                # The home never answered (fault mode): the read cannot be
-                # proven fresh, so the whole root aborts as an
-                # environmental failure rather than a data conflict.
-                raise TransactionAborted(
-                    tx.root, AbortReason.OWNER_FAILURE, oid=oid,
-                    detail="validation home unreachable",
-                )
-            if not valid:
-                return (level, oid)
-        return None
-
-    def _validate_versions(
-        self, pairs: List[Tuple[str, int]], own: Optional[Set[str]] = None
-    ) -> Generator[Any, Any, List[Optional[bool]]]:
-        """Check (oid, read version) pairs against the registered versions.
-
-        Tri-state per pair: True = fresh, False = stale, None = the home
-        was unreachable through every RPC retry (fault mode only).
+        Returns ``(level, oid)`` of the first stale entry in that order
+        (for a chain: the one closest to the root — aborting that level
+        kills every deeper level too), or None when everything is still
+        valid.  A home that stayed silent through every RPC retry (fault
+        mode) decides too, if it comes first: the read cannot be proven
+        fresh, so the whole root aborts as an environmental failure
+        (``OWNER_FAILURE``) rather than a data conflict.
 
         The home directories are the serialisation authority: an owner's
         local store lags the home registry while a commit is in flight
@@ -233,70 +205,52 @@ class TFAEngine:
         ``own`` — exclusively acquired by the *validating transaction
         itself*, whose versions therefore cannot move — are checked
         locally; everything else queries its home in parallel (one
-        fan-out — the cost model of distributed validation).
+        fan-out — the cost model of distributed validation).  Each call
+        is its reply event, and the reply folds into the lookup cache at
+        the event it lands on.
         """
-        own = own or set()
-        results: Dict[int, Optional[bool]] = {}
-        remote: List[Tuple[int, str, int]] = []
-        for idx, (oid, version) in enumerate(pairs):
-            obj = self.proxy.store.get(oid) if oid in own else None
-            if obj is not None:
-                results[idx] = obj.version == version
-            else:
-                remote.append((idx, oid, version))
-
-        if remote and self.proxy.rpc_policy is None:
-            # Each call is its reply event: no process per call, and the
-            # reply folds into the lookup cache at the event it lands on.
-            submit = self.proxy.rpc_client.submit
-            num_nodes = self.node.network.num_nodes
-            replies = []
-            for _idx, oid, version in remote:
+        store = self.proxy.store
+        submit = self.proxy.rpc_client.submit
+        num_nodes = self.node.network.num_nodes
+        checks: List[Tuple[Transaction, str, Any]] = []
+        replies = []
+        for level in levels:
+            for oid, entry in level.rset.items():
+                obj = store.get(oid) if oid in own else None
+                if obj is not None:
+                    checks.append((level, oid, obj.version == entry.version))
+                    continue
                 reply = submit(
                     home_node(oid, num_nodes), _READ_VALIDATE,
-                    {"oid": oid, "version": version},
+                    {"oid": oid, "version": entry.version},
                 )
                 reply.callbacks.append(self._fold_validate)
                 replies.append(reply)
-            answers = yield self.env.all_of(replies)
-            for (idx, _oid, _version), reply in zip(remote, replies):
-                results[idx] = bool(answers[reply].payload["valid"])
-        elif remote:
-            # Under a retry policy every call needs its own loop.
-            events = []
-            for idx, oid, version in remote:
-                home = home_node(oid, self.node.network.num_nodes)
-                events.append(
-                    self._one_validate(home, oid, version)
-                )
-            procs = [self.env.process(gen, name="validate") for gen in events]
-            answers = yield self.env.all_of(procs)
-            for (idx, _oid, _version), proc in zip(remote, procs):
-                answer = answers[proc]
-                results[idx] = None if answer is None else bool(answer)
-        return [results[i] for i in range(len(pairs))]
+                checks.append((level, oid, reply))
+        if replies:
+            yield self.env.all_of(replies)
+        for level, oid, verdict in checks:
+            if isinstance(verdict, Event):
+                reply = verdict.value
+                if reply is None:
+                    raise TransactionAborted(
+                        levels[0].root, AbortReason.OWNER_FAILURE, oid=oid,
+                        detail="validation home unreachable",
+                    )
+                verdict = reply.payload["valid"]
+            if not verdict:
+                return (level, oid)
+        return None
 
     def _fold_validate(self, reply: Event) -> None:
-        """Reply-event callback: :meth:`_one_validate`'s cache fold."""
-        p = reply.value.payload
-        self.proxy.owner_hints.note_version(p["oid"], p.get("registered_version"))
-
-    def _one_validate(
-        self, home: int, oid: str, version: int
-    ) -> Generator[Any, Any, Optional[bool]]:
-        try:
-            reply = yield from self.proxy.rpc_client.call(
-                home, _READ_VALIDATE, {"oid": oid, "version": version}
-            )
-        except PeerUnreachable:
-            return None
-        # The reply names the registered version: a lookup-cache entry
-        # learned at an older version is provably stale — fence it so the
-        # next open asks the directory (no-op in hint mode).
-        self.proxy.owner_hints.note_version(
-            oid, reply.payload.get("registered_version")
-        )
-        return bool(reply.payload["valid"])
+        """Reply-event callback: the reply names the registered version —
+        a lookup-cache entry learned at an older version is provably
+        stale, so fence it and the next open asks the directory (no-op in
+        hint mode)."""
+        msg = reply.value
+        if msg is not None:
+            p = msg.payload
+            self.proxy.owner_hints.note_version(p["oid"], p.get("registered_version"))
 
     # ------------------------------------------------------------------
     # Nested transactions
@@ -323,21 +277,15 @@ class TFAEngine:
             if span_on:
                 tracer.emit(self.env.now, "span.phase", tx.txid,
                             phase="validate", edge="B")
-            pairs = [(oid, entry.version) for oid, entry in tx.rset.items()]
-            results = yield from self._validate_versions(pairs)
-            for (oid, _version), valid in zip(pairs, results):
-                if valid is None:
-                    # Unreachable home: environmental, kills the root (an
-                    # inner retry could not do better against a dead home).
-                    raise TransactionAborted(
-                        tx.root, AbortReason.OWNER_FAILURE, oid=oid,
-                        detail="validation home unreachable",
-                    )
-                if not valid:
-                    raise TransactionAborted(
-                        tx, AbortReason.EARLY_VALIDATION, oid=oid,
-                        detail="stale read at nested commit",
-                    )
+            # Own entries only: an unreachable home kills the root (an
+            # inner retry could not do better against a dead home), a
+            # stale entry only this level.
+            stale = yield from self._first_stale([tx], set())
+            if stale is not None:
+                raise TransactionAborted(
+                    tx, AbortReason.EARLY_VALIDATION, oid=stale[1],
+                    detail="stale read at nested commit",
+                )
             if span_on:
                 tracer.emit(self.env.now, "span.phase", tx.txid,
                             phase="validate", edge="E")
@@ -385,7 +333,7 @@ class TFAEngine:
             validation_started = self.env.now
             if span_on:
                 tracer.emit(self.env.now, "span.phase", txid, phase="validate", edge="B")
-            stale = yield from self._validate_chain(root)
+            stale = yield from self._first_stale([root], root.acquired)
             if stale is not None:
                 self.abort_root(root, AbortReason.COMMIT_VALIDATION, oid=stale[1])
                 raise TransactionAborted(root, AbortReason.COMMIT_VALIDATION, oid=stale[1])
@@ -435,46 +383,44 @@ class TFAEngine:
             #    read/write commits would otherwise have.
             old_versions = {oid: self.proxy.store[oid].version for oid in root.wset}
             new_versions = {oid: v + 1 for oid, v in old_versions.items()}
+            #    Each registration is its reply event (as in
+            #    _first_stale); the ack folds as it lands.  ``txid``
+            #    identifies this commit *attempt*: a later withdraw only
+            #    cancels the registration carrying the same txid, so a
+            #    duplicated or late withdraw can never roll back a
+            #    different (successful) registration by the same owner.
+            submit = self.proxy.rpc_client.submit
+            num_nodes = self.node.network.num_nodes
             order = sorted(root.wset)
-            policy_free = self.proxy.rpc_policy is None
             calls = []
             for oid in order:
-                home = home_node(oid, self.node.network.num_nodes)
-                if policy_free:
-                    # the registration is its reply event (as in
-                    # _validate_versions); the ack folds as it lands
-                    call = self.proxy.rpc_client.submit(
-                        home, _DIR_UPDATE,
-                        {"oid": oid, "owner": self.node.node_id,
-                         "version": new_versions[oid], "txid": root.txid},
-                    )
-                    call.callbacks.append(self._fold_register)
-                else:
-                    call = self.env.process(
-                        self._register(home, oid, new_versions[oid], root.txid),
-                        name=f"n{self.node.node_id}.register",
-                    )
+                call = submit(
+                    home_node(oid, num_nodes), _DIR_UPDATE,
+                    {"oid": oid, "owner": self.node.node_id,
+                     "version": new_versions[oid], "txid": root.txid},
+                )
+                call.callbacks.append(self._fold_register)
                 calls.append(call)
-            answers = yield self.env.all_of(calls)
+            yield self.env.all_of(calls)
             registered = True
 
-            # 2b. Inspect the acks (no-ops in the fault-free build, where
-            #     every ack is ok).  A *fenced* registration means a lease
-            #     reclaim or competing recovery superseded the copy while
-            #     we held it: the copy is stale — drop it and abort.  An
-            #     *unreachable* home leaves the registration unknown:
-            #     also abort; the withdraws in the except-arm roll back
-            #     whatever did land.
+            # 2b. Inspect the acks, only now that every call has an
+            #     outcome (no-ops in the fault-free build, where every ack
+            #     is ok).  An *unreachable* home (the call resolved None)
+            #     leaves the registration unknown: abort; the withdraws in
+            #     the except-arm roll back whatever did land.  A *fenced*
+            #     registration means a lease reclaim or competing recovery
+            #     superseded the copy while we held it: the copy is stale
+            #     — drop it and abort.
             for oid, call in zip(order, calls):
-                # a reply event carries the ack message, a process its payload
-                ack = (answers[call].payload if policy_free else answers[call]) or {}
-                if ack.get("ok", True):
-                    continue
-                if ack.get("unreachable"):
+                reply = call.value
+                if reply is None:
                     raise TransactionAborted(
                         root, AbortReason.OWNER_FAILURE, oid=oid,
                         detail="registration home unreachable",
                     )
+                if reply.payload.get("ok", True):
+                    continue
                 self.proxy.discard_object(oid)
                 raise TransactionAborted(
                     root, AbortReason.OWNER_FAILURE, oid=oid,
@@ -487,7 +433,7 @@ class TFAEngine:
             # 3. Read-set validation against the homes' registered
             #    versions (covers write-set anchors too: a concurrent
             #    committer that published first invalidates us here).
-            stale = yield from self._validate_chain(root)
+            stale = yield from self._first_stale([root], root.acquired)
             if stale is not None:
                 raise TransactionAborted(
                     root, AbortReason.COMMIT_VALIDATION, oid=stale[1]
@@ -530,64 +476,33 @@ class TFAEngine:
                     oid, self.node.node_id, new_versions[oid]
                 )
         root.status = TxStatus.COMMITTED
-        recovery = self.proxy.recovery
-        if recovery is not None:
-            # Fault mode: sync every committed (version, value) to its
-            # home's recovery snapshot.  Capture before release: the
-            # hand-off may migrate the object away in the same turn.
-            to_publish = [
-                (oid, new_versions[oid], root.wset[oid]) for oid in sorted(root.wset)
-            ]
-        else:
-            to_publish = []
         if self.commit_observer is not None:
             # Capture before release: the hand-off may migrate written
             # objects (and their store entries) away in the same turn.
             self.commit_observer(self._commit_record(root, new_versions))
         for oid in sorted(root.wset):
             self.proxy.release_object(oid, committed=True)
-        for oid, version, value in to_publish:
-            self.env.process(
-                recovery.publish_commit(oid, version, value), name="publish"
-            )
+        recovery = self.proxy.recovery
+        if recovery is not None:
+            # Fault mode: sync every committed (version, value) to its
+            # home's recovery snapshot.
+            for oid in sorted(root.wset):
+                recovery.publish_commit(oid, new_versions[oid], root.wset[oid])
         self._finalize_commit(root)
         if span_on:
             tracer.emit(self.env.now, "span.phase", txid, phase="commit", edge="E")
 
-    def _register(
-        self, home: int, oid: str, version: int, txid: str
-    ) -> Generator[Any, Any, Dict[str, Any]]:
-        """One commit-time ownership registration; returns the ack payload
-        (synthesises a failure ack when the home is unreachable).
-
-        ``txid`` identifies this commit *attempt*: a later withdraw only
-        cancels the registration carrying the same txid, so a duplicated
-        or late withdraw can never roll back a different (successful)
-        registration by the same owner.
-        """
-        try:
-            reply = yield from self.proxy.rpc_client.call(
-                home, _DIR_UPDATE,
-                {"oid": oid, "owner": self.node.node_id, "version": version,
-                 "txid": txid},
-            )
-        except PeerUnreachable:
-            return {"oid": oid, "ok": False, "unreachable": True}
-        self._note_ack(oid, reply.payload)
-        return reply.payload
-
     def _fold_register(self, reply: Event) -> None:
-        """Reply-event callback: :meth:`_register`'s cache fold."""
-        ack = reply.value.payload
-        self._note_ack(ack["oid"], ack)
-
-    def _note_ack(self, oid: str, ack: Dict[str, Any]) -> None:
+        """Reply-event callback: a fenced registration ack is
+        authoritative — it names the real owner and version — so refresh
+        the lookup cache with it (no-op in hint mode)."""
+        msg = reply.value
+        if msg is None:
+            return
+        ack = msg.payload
         if not ack.get("ok", True) and ack.get("registered_owner") is not None:
-            # A fenced registration ack is authoritative: it names the
-            # real owner and version — refresh the lookup cache with it
-            # (no-op in hint mode).
             self.proxy.owner_hints.note_version(
-                oid, ack.get("registered_version"),
+                ack["oid"], ack.get("registered_version"),
                 owner=ack["registered_owner"],
             )
 
@@ -599,33 +514,22 @@ class TFAEngine:
         Homes honour a withdraw only while the sender is still the
         registered owner and the withdrawn registration (same txid, same
         version transition) is the one in place, so sending one for a
-        fenced or superseded oid is harmless.  Under fault injection the
-        withdraw is retried (a lost withdraw would leave the registered
-        version ahead of the committed copy, starving readers of the
-        object until its next write commit); fault-free it stays a single
-        fire-and-forget send.
+        fenced or superseded oid is harmless.  Nobody waits on a withdraw
+        (:meth:`~repro.rpc.RpcClient.post`): under fault injection it is
+        retried (a lost withdraw would leave the registered version ahead
+        of the committed copy, starving readers of the object until its
+        next write commit; a crashed home heals via reclaim); fault-free
+        it is a single fire-and-forget send.
         """
+        post = self.proxy.rpc_client.post
+        num_nodes = self.node.network.num_nodes
         for oid in sorted(old_versions):
-            home = home_node(oid, self.node.network.num_nodes)
-            payload = {
-                "oid": oid, "owner": self.node.node_id,
-                "version": old_versions[oid], "withdraw": True,
-                "txid": txid,
-            }
-            if self.proxy.rpc_policy is None:
-                self.node.send(home, MessageType.DIR_UPDATE, payload)
-            else:
-                self.env.process(
-                    self._withdraw_one(home, payload), name="withdraw"
-                )
-
-    def _withdraw_one(
-        self, home: int, payload: Dict[str, Any]
-    ) -> Generator[Any, Any, None]:
-        try:
-            yield from self.proxy.rpc_client.call(home, _DIR_UPDATE, payload)
-        except PeerUnreachable:
-            pass  # crashed home: its stale registration heals via reclaim
+            post(
+                home_node(oid, num_nodes), _DIR_UPDATE,
+                {"oid": oid, "owner": self.node.node_id,
+                 "version": old_versions[oid], "withdraw": True,
+                 "txid": txid},
+            )
 
     def _commit_record(
         self, root: Transaction, new_versions: Dict[str, int]

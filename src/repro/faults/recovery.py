@@ -2,18 +2,20 @@
 
 One :class:`NodeRecovery` per node holds the owner's side of it: the
 re-grant memory, the handlers for a ``RETRIEVE_RESPONSE`` whose RPC
-waiter is gone and for lease acks, and the commit-publish, heartbeat and
-orphan-sweep processes.  The cluster builds it **only when
-``faults.enabled``**; the protocol core (:class:`~repro.dstm.proxy.TMProxy`)
-calls out to it in three places — :meth:`~NodeRecovery.remember` where
-custody leaves a node, :meth:`~NodeRecovery.forget` where it arrives,
+waiter is gone and for lease acks, the commit publish, and the
+heartbeat and orphan-sweep processes.  The cluster builds it **only
+when ``faults.enabled``** — so always under a retry policy; the
+protocol core (:class:`~repro.dstm.proxy.TMProxy`) calls out to it in
+three places — :meth:`~NodeRecovery.remember` where custody leaves a
+node, :meth:`~NodeRecovery.forget` where it arrives,
 :meth:`~NodeRecovery.regrant` when a request finds the node not the
 owner — and a fault-free cluster has none of this code, its handlers or
 its processes.  The home's side (leases, reclaim, fences,
-``ORPHAN_RETURN``) is :class:`~repro.dstm.directory.DirectoryShard`'s;
-the retry loop is :meth:`repro.net.node.Node.request`, driven by
-:class:`repro.rpc.RpcClient` under an :class:`RpcPolicy` — the class
-:class:`repro.rpc.RetryPolicy`, re-exported under its historic name.
+``ORPHAN_RETURN``) is :class:`~repro.dstm.directory.DirectoryShard`'s.
+Every call made here is an :class:`repro.rpc.RpcClient` reply event,
+retried by the one retry path — ``Node.submit``'s resend chain under an
+:class:`RpcPolicy`, the class :class:`repro.rpc.RetryPolicy` re-exported
+under its historic name.
 """
 
 from __future__ import annotations
@@ -124,21 +126,16 @@ class NodeRecovery:
                 continue
             self.proxy.discard_object(oid)
 
-    def publish_commit(
-        self, oid: str, version: int, value: Any
-    ) -> Generator[Any, Any, None]:
+    def publish_commit(self, oid: str, version: int, value: Any) -> None:
         """Sync a freshly committed ``(version, value)`` to the home's
-        recovery snapshot (generator process)."""
-        home = home_node(oid, self.node.network.num_nodes)
-        try:
-            yield from self.client.call(
-                home, _COMMIT_PUBLISH,
-                {"oid": oid, "version": int(version), "value": value},
-            )
-        except PeerUnreachable:
-            # The home is unreachable; the periodic heartbeat will carry
-            # the same state as soon as it answers again.
-            pass
+        recovery snapshot: a call nobody waits on
+        (:meth:`~repro.rpc.RpcClient.post`).  If the home stays silent
+        through every retry, the periodic heartbeat carries the same
+        state as soon as it answers again."""
+        self.client.post(
+            home_node(oid, self.node.network.num_nodes), _COMMIT_PUBLISH,
+            {"oid": oid, "version": int(version), "value": value},
+        )
 
     def lease_heartbeat(
         self, interval: float, offset: float = 0.0
@@ -187,9 +184,8 @@ class NodeRecovery:
         the RPC policy's worst-case retry wait — by then the requester has
         provably given up (or will be served by the home's fenced copy).
         """
-        pol = self.client.policy
         if min_age is None:
-            min_age = pol.worst_case_wait() if pol is not None else interval
+            min_age = self.client.policy.worst_case_wait()
         if offset > 0.0:
             yield self.env.timeout(offset)
         while True:

@@ -20,7 +20,7 @@ network.  This package realises exactly that:
 from repro.net.clocks import NodeClock
 from repro.net.message import Message, MessageType
 from repro.net.network import Network
-from repro.net.node import Node, RpcError
+from repro.net.node import Node
 from repro.net.topology import Topology
 
 __all__ = [
@@ -29,6 +29,5 @@ __all__ = [
     "Network",
     "Node",
     "NodeClock",
-    "RpcError",
     "Topology",
 ]

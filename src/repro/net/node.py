@@ -6,36 +6,31 @@ proxy, directory shard, scheduler) register handlers per
 message to its handler after advancing the local TFA clock to the
 piggybacked value — the clock-propagation rule TFA relies on.
 
-The :meth:`Node.request` helper implements blocking RPC for process code::
-
-    reply = yield from node.request(dst, MessageType.DIR_LOOKUP, {"oid": oid})
-
-:meth:`Node.submit` is the non-blocking form: it returns the reply event,
-so a fan-out can send *k* requests and ``yield env.all_of(events)``.
-Replies are matched on ``reply_to``.  A deadline is a property of a
-:class:`repro.rpc.RetryPolicy`: under one, a reply that misses every
-growing window turns into :class:`RpcError` (the simulated network is
-reliable, so that only happens under fault injection or when a peer
-deliberately withholds a reply).
+An RPC is its reply event.  :meth:`Node.submit` sends the request and
+returns the event, so a blocking call is ``reply = yield
+node.submit(dst, mtype, payload)`` and a fan-out sends *k* requests and
+``yield env.all_of(events)``.  Replies are matched on ``reply_to``.  A
+deadline is a property of a :class:`repro.rpc.RetryPolicy`: under one,
+the same event is driven by a timer resend chain (:class:`_Resend`, the
+stack's one retry path) and resolves with ``None`` once every growing
+window has expired (the simulated network is reliable, so that only
+happens under fault injection or when a peer deliberately withholds a
+reply).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.net.clocks import NodeClock
 from repro.net.message import Message, MessageType
 from repro.sim import Environment, Event, Timeout
 from repro.sim.events import _PENDING
 
-__all__ = ["Node", "RpcError"]
+__all__ = ["Node"]
 
 Handler = Callable[[Message], Any]
-
-
-class RpcError(RuntimeError):
-    """A request did not complete (timeout)."""
 
 
 class _InboxServer:
@@ -209,13 +204,24 @@ class Node:
         return msg
 
     def submit(
-        self, dst: int, mtype: MessageType, payload: Optional[dict] = None
+        self,
+        dst: int,
+        mtype: MessageType,
+        payload: Optional[dict] = None,
+        policy: Optional[Any] = None,
+        on_timeout: Optional[Callable[[int, float, bool], None]] = None,
     ) -> Event:
         """Non-blocking RPC: send the request, return its reply event.
 
         The event succeeds with the reply :class:`Message` when the reply
-        is dispatched here.  No deadline and no retry — it never fires if
-        the reply is lost; those need the loop in :meth:`request`.
+        is dispatched here.  Without a ``policy`` there is no deadline and
+        no retry — it never fires if the reply is lost.  Under a
+        ``policy`` (a :class:`repro.rpc.RetryPolicy`) a :class:`_Resend`
+        chain drives the same event: it succeeds with ``None`` once every
+        attempt's window has expired, and never fails, so a join over
+        several calls waits for every outcome.  ``on_timeout(attempt,
+        window, will_retry)`` is invoked after each expired window so
+        callers can count/trace retries without owning the chain.
         """
         msg = Message(
             mtype, self.node_id, dst, payload or {}, self.clock.tfa_clock
@@ -223,49 +229,9 @@ class Node:
         self._net_send(msg)
         waiter = Event(self.env)
         self._pending_replies[msg.msg_id] = waiter
-        return waiter
-
-    def request(
-        self,
-        dst: int,
-        mtype: MessageType,
-        payload: Optional[dict] = None,
-        policy: Optional[Any] = None,
-        on_timeout: Optional[Callable[[int, float, bool], None]] = None,
-    ) -> Generator[Any, Any, Message]:
-        """Blocking RPC (generator; use with ``yield from``).
-
-        Returns the reply :class:`Message`.  Without a ``policy`` this is
-        one wait on :meth:`submit`'s reply event — no deadline.
-
-        With a ``policy`` (a :class:`repro.rpc.RetryPolicy`) this is THE
-        retry loop of the whole stack: each attempt re-sends the request
-        and awaits the reply under ``policy.nth_timeout(attempt)`` — the
-        growing window is the backoff — until a reply lands or every
-        attempt is exhausted (:class:`RpcError`).  ``on_timeout(attempt,
-        window, will_retry)`` is invoked after each expired window so
-        callers can count/trace retries without owning the loop.
-        """
         if policy is not None:
-            attempts = policy.max_retries + 1
-            for attempt in range(attempts):
-                window = policy.nth_timeout(attempt)
-                msg = self.send(dst, mtype, payload)
-                waiter = self.env.event()
-                self._pending_replies[msg.msg_id] = waiter
-                expiry = self.env.timeout(window)
-                outcome = yield (waiter | expiry)
-                if waiter in outcome:
-                    return outcome[waiter]
-                self._pending_replies.pop(msg.msg_id, None)
-                if on_timeout is not None:
-                    on_timeout(attempt, window, attempt + 1 < attempts)
-            raise RpcError(
-                f"node {self.node_id}: no reply to {mtype.value} from node "
-                f"{dst} after {attempts} attempts"
-            )
-        reply = yield self.submit(dst, mtype, payload)
-        return reply
+            _Resend(self, waiter, msg, policy, on_timeout)
+        return waiter
 
     # -- local time -------------------------------------------------------------------
 
@@ -276,3 +242,58 @@ class Node:
 
     def __repr__(self) -> str:
         return f"<Node {self.node_id} tfa_clock={self.clock.tfa_clock}>"
+
+
+class _Resend:
+    """The retry loop of one RPC under a :class:`repro.rpc.RetryPolicy`,
+    as a timer chain on its reply event — no process.
+
+    Attempt *n* waits ``policy.nth_timeout(n)`` (the growing window is
+    the backoff).  Each window is a :class:`Timeout` whose callback, if
+    the reply event is still pending, withdraws the attempt's waiter
+    registration — so only the current attempt's reply resolves the
+    call, and an expired attempt's reply goes to the handlers or to
+    ``late_replies`` — then re-sends under a fresh ``msg_id`` or, after
+    the last attempt, succeeds the event with ``None``.  ``name`` is what
+    the kernel profiler attributes the window callbacks to.
+    """
+
+    __slots__ = ("name", "node", "reply", "msg", "policy", "on_timeout", "attempt")
+
+    def __init__(
+        self,
+        node: Node,
+        reply: Event,
+        msg: Message,
+        policy: Any,
+        on_timeout: Optional[Callable[[int, float, bool], None]],
+    ) -> None:
+        self.name = f"n{node.node_id}.rpc"
+        self.node = node
+        self.reply = reply
+        self.msg = msg
+        self.policy = policy
+        self.on_timeout = on_timeout
+        self.attempt = 0
+        Timeout(node.env, policy.nth_timeout(0)).callbacks.append(self._expired)
+
+    def _expired(self, window: Timeout) -> None:
+        reply = self.reply
+        if reply._value is not _PENDING:
+            return  # answered inside this window
+        node = self.node
+        msg = self.msg
+        node._pending_replies.pop(msg.msg_id, None)
+        attempt = self.attempt
+        will_retry = attempt < self.policy.max_retries
+        if self.on_timeout is not None:
+            self.on_timeout(attempt, window.delay, will_retry)
+        if not will_retry:
+            reply.succeed(None)
+            return
+        self.attempt = attempt = attempt + 1
+        self.msg = msg = node.send(msg.dst, msg.mtype, msg.payload)
+        node._pending_replies[msg.msg_id] = reply
+        Timeout(node.env, self.policy.nth_timeout(attempt)).callbacks.append(
+            self._expired
+        )

@@ -1,14 +1,16 @@
 """The typed caller side of the RPC substrate.
 
 :class:`RpcClient` is what protocol layers hold instead of hand-rolled
-``node.request`` loops: it resolves an :class:`~repro.rpc.endpoint.Endpoint`
-by name, validates the request payload shape, delegates the deadline /
-retry machinery to :meth:`repro.net.node.Node.request` under the bound
-:class:`~repro.rpc.policy.RetryPolicy` (the stack's single retry loop),
-and owns the cross-cutting concerns every call shares: ``rpc.issue`` /
-``rpc.done`` / ``fault.rpc_retry`` tracing and the cluster metrics
-counters.  A peer silent through every attempt surfaces as
-:class:`~repro.rpc.errors.PeerUnreachable`.
+message plumbing: it resolves an :class:`~repro.rpc.endpoint.Endpoint`
+by name, validates the request payload shape, and issues the request
+through :meth:`repro.net.node.Node.submit` under the bound
+:class:`~repro.rpc.policy.RetryPolicy` — a call is its reply event with
+or without a policy; under one, ``Node.submit``'s resend chain (the
+stack's one retry path) drives that event.  The client owns the
+cross-cutting concerns every call shares: ``rpc.issue`` / ``rpc.done`` /
+``fault.rpc_retry`` tracing and the cluster metrics counters.  A peer
+silent through every attempt resolves the event with ``None``, which
+:meth:`RpcClient.call` raises as :class:`~repro.rpc.errors.PeerUnreachable`.
 
 The client also carries the node's :class:`~repro.rpc.cache.LookupCache`
 so every layer on the node (proxy opens, TFA validation, fault-recovery
@@ -20,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, Optional, Union
 
 from repro.net.message import Message, MessageType
-from repro.net.node import Node, RpcError
+from repro.net.node import Node
 from repro.rpc.cache import LookupCache
 from repro.rpc.endpoint import ENDPOINTS, Endpoint
 from repro.rpc.errors import EndpointError, PeerUnreachable
@@ -82,14 +84,12 @@ class RpcClient:
         returned generator is for ``yield from``.
 
         Returns the reply :class:`~repro.net.message.Message`; raises
-        :class:`PeerUnreachable` when the policy's attempts are exhausted.
-        The call is admitted here, where it is written; the request is
-        sent when the generator is first resumed.
+        :class:`PeerUnreachable` when the policy's attempts are exhausted
+        (the reply event resolved ``None``).  The call is admitted here,
+        where it is written; the request is sent when the generator is
+        first resumed.
         """
-        mtype = self._admit(endpoint, payload)
-        if self.policy is None:
-            return self._await(dst, mtype, payload)
-        return self._call(dst, mtype, payload)
+        return self._join(dst, self._admit(endpoint, payload), payload)
 
     def submit(
         self,
@@ -101,94 +101,86 @@ class RpcClient:
         reply event (:meth:`~repro.net.node.Node.submit`), which *is* the
         call — fan-outs join on it with ``env.all_of``.
 
-        Refused under a :class:`RetryPolicy`: a retry needs the loop in
-        :meth:`call`.
+        Under a :class:`RetryPolicy` the event resolves with the reply or,
+        once every attempt's window has expired, with ``None``; it never
+        fails, so a join waits for every outcome.
         """
-        if self.policy is not None:
-            raise EndpointError(
-                "submit() cannot retry; a client with a RetryPolicy must "
-                "use call()"
-            )
         return self._issue(dst, self._admit(endpoint, payload), payload)
 
-    def _await(
+    def post(
+        self, dst: int, endpoint: Endpoint, payload: Dict[str, Any]
+    ) -> None:
+        """Issue a call nobody waits on (a withdraw, a commit publish).
+
+        Without a policy it is the one-way ``Node.send`` of the request —
+        not admitted, not counted, its reply left to the handlers.  Under
+        one it is :meth:`submit`'s resend chain with no joiner, so a lost
+        request or reply is retried like any other call's.
+        """
+        if self.policy is None:
+            self.node.send(dst, endpoint.request, payload)
+        else:
+            self.submit(dst, endpoint, payload)
+
+    def _join(
         self, dst: int, mtype: MessageType, payload: Optional[Dict[str, Any]]
     ) -> Generator[Any, Any, Message]:
-        """The policy-free :meth:`call`: :meth:`submit`'s issue step on
-        the first resume, then one ``yield`` on its reply event."""
+        """:meth:`call`'s generator: :meth:`submit`'s issue step on the
+        first resume, then one ``yield`` on its reply event."""
         reply = yield self._issue(dst, mtype, payload)
+        if reply is None:
+            raise PeerUnreachable(dst, mtype.value, self.policy.attempts)
         return reply
 
     def _issue(
         self, dst: int, mtype: MessageType, payload: Optional[Dict[str, Any]]
     ) -> Event:
-        """Send one admitted request and return its reply event.  Traced,
-        ``rpc.issue`` is emitted at the send and ``rpc.done`` from a
-        callback put on the reply event ahead of whoever waits on it —
-        the one place the policy-free pair is written."""
+        """Send one admitted request and return its reply event.
+
+        Traced, ``rpc.issue`` is emitted at the send and ``rpc.done`` from
+        a callback put on the reply event ahead of whoever waits on it —
+        the one place the pair is written.  Under a policy the expired
+        windows are counted here (``rpc_timeouts``, ``rpc_retries``,
+        ``failures``) and traced as ``fault.rpc_retry``.
+        """
         tracer = self.tracer
-        if not (tracer.enabled and tracer.wants("rpc.issue")):
+        traced = tracer.enabled and tracer.wants("rpc.issue")
+        policy = self.policy
+        if policy is None and not traced:
             return self.node.submit(dst, mtype, payload)
         node = f"n{self.node.node_id}"
-        tracer.emit(self.env.now, "rpc.issue", mtype.value, node=node, dst=dst)
-        reply = self.node.submit(dst, mtype, payload)
+        if traced:
+            tracer.emit(self.env.now, "rpc.issue", mtype.value, node=node, dst=dst)
+        retries = 0
 
-        def done(_reply: Event) -> None:
-            tracer.emit(
-                self.env.now, "rpc.done", mtype.value,
-                node=node, dst=dst, ok=True, retries=0,
-            )
-
-        reply.callbacks.append(done)
-        return reply
-
-    def _call(
-        self, dst: int, mtype: MessageType, payload: Optional[Dict[str, Any]]
-    ) -> Generator[Any, Any, Message]:
-        """:meth:`call` under a policy: retry accounting and tracing
-        around the loop in :meth:`~repro.net.node.Node.request`."""
-        rpc_trace = self.tracer.wants("rpc.issue")
-        if rpc_trace:
-            self.tracer.emit(
-                self.env.now, "rpc.issue", mtype.value,
-                node=f"n{self.node.node_id}", dst=dst,
-            )
-        pol = self.policy
-        retries_used = 0
-
-        def note_timeout(attempt: int, window: float, will_retry: bool) -> None:
-            nonlocal retries_used
-            if self.metrics is not None:
-                self.metrics.rpc_timeouts.increment()
-            if will_retry:
-                retries_used = attempt + 1
-                if self.metrics is not None:
-                    self.metrics.rpc_retries.increment()
-                if self.tracer.wants("fault.rpc_retry"):
-                    self.tracer.emit(
-                        self.env.now, "fault.rpc_retry", mtype.value,
-                        dst=dst, attempt=attempt + 1, window=window,
-                    )
-
-        try:
-            reply = yield from self.node.request(
-                dst, mtype, payload, policy=pol, on_timeout=note_timeout
-            )
-        except RpcError:
-            self.failures += 1
-            if rpc_trace:
-                self.tracer.emit(
-                    self.env.now, "rpc.done", mtype.value,
-                    node=f"n{self.node.node_id}", dst=dst, ok=False,
-                    retries=pol.max_retries,
+        def expired(attempt: int, window: float, will_retry: bool) -> None:
+            nonlocal retries
+            metrics = self.metrics
+            if metrics is not None:
+                metrics.rpc_timeouts.increment()
+            if not will_retry:
+                self.failures += 1
+                retries = policy.max_retries
+                return
+            retries = attempt + 1
+            if metrics is not None:
+                metrics.rpc_retries.increment()
+            if tracer.wants("fault.rpc_retry"):
+                tracer.emit(
+                    self.env.now, "fault.rpc_retry", mtype.value,
+                    dst=dst, attempt=attempt + 1, window=window,
                 )
-            raise PeerUnreachable(dst, mtype.value, pol.attempts) from None
-        if rpc_trace:
-            self.tracer.emit(
-                self.env.now, "rpc.done", mtype.value,
-                node=f"n{self.node.node_id}", dst=dst, ok=True,
-                retries=retries_used,
-            )
+
+        reply = self.node.submit(dst, mtype, payload, policy, expired)
+        if traced:
+
+            def done(reply: Event) -> None:
+                tracer.emit(
+                    self.env.now, "rpc.done", mtype.value, node=node,
+                    dst=dst, ok=reply._value is not None, retries=retries,
+                )
+
+            reply.callbacks.append(done)
         return reply
 
     def __repr__(self) -> str:

@@ -1,13 +1,15 @@
 """The deadline/retry/backoff policy — the *one* place timeout shapes live.
 
-Every RPC in the system (proxy object opens, directory registrations,
-validation fan-outs, fault-recovery publishes, the orphan sweep) is
-awaited under a :class:`RetryPolicy`.  Before ``repro.rpc`` existed the
-growing-timeout logic was duplicated between ``faults/recovery.py`` (the
-knobs) and the call sites in ``net/node.py`` / ``dstm/proxy.py`` (the
-loops); both now delegate here — ``repro.faults.RpcPolicy`` *is* this
-class (re-exported), and :meth:`repro.net.node.Node.request` consumes it
-directly.
+Every RPC in the system (proxy object opens, directory registrations
+and withdraws, validation fan-outs, fault-recovery publishes, the orphan
+sweep) is issued under a :class:`RetryPolicy` when faults are enabled.
+Before ``repro.rpc`` existed the growing-timeout logic was duplicated
+between ``faults/recovery.py`` (the knobs) and the call sites in
+``net/node.py`` / ``dstm/proxy.py`` (the loops); both now delegate here
+— ``repro.faults.RpcPolicy`` *is* this class (re-exported), and the one
+retry path, :meth:`repro.net.node.Node.submit`'s timer resend chain,
+consumes it directly: the chain drives the call's reply event, so a
+caller never knows whether its call was retried.
 
 Retry semantics: attempt 0 waits ``timeout``; each subsequent attempt
 multiplies the wait by ``backoff_factor`` up to ``backoff_cap`` — the
@@ -37,13 +39,14 @@ class RetryPolicy:
     backoff_cap: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
+        # negated checks: a NaN fails every comparison, so it fails here
+        if not self.timeout > 0:
             raise ValueError("timeout must be > 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff_factor < 1.0:
+        if not (isinstance(self.max_retries, int) and self.max_retries >= 0):
+            raise ValueError("max_retries must be an int >= 0")
+        if not self.backoff_factor >= 1.0:
             raise ValueError("backoff_factor must be >= 1")
-        if self.backoff_cap < self.timeout:
+        if not self.backoff_cap >= self.timeout:
             raise ValueError("backoff_cap must be >= timeout")
 
     @classmethod

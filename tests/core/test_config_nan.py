@@ -1,0 +1,57 @@
+"""NaN is refused by every float field of every config dataclass.
+
+A NaN fails every comparison, so a range check written ``if v < 0:
+raise`` lets it through, and it fails later — at the first ``Timeout``
+or ``range()`` mid-run.  Every check is written negated (``not v >= 0``)
+instead; this table walks every float field and proves it.
+"""
+
+import dataclasses
+import math
+import typing
+
+import pytest
+
+from repro.core import config
+from repro.rpc import RetryPolicy
+
+NAN = math.nan
+CLASSES = [getattr(config, name) for name in config.__all__] + [RetryPolicy]
+
+
+def float_fields():
+    for cls in CLASSES:
+        if not dataclasses.is_dataclass(cls):
+            continue
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            if hints[field.name] in (float, typing.Optional[float]):
+                yield pytest.param(cls, field.name, id=f"{cls.__name__}.{field.name}")
+
+
+FLOAT_FIELDS = list(float_fields())
+
+
+def test_the_table_walks_every_config_class():
+    walked = {param.values[0].__name__ for param in FLOAT_FIELDS}
+    assert walked == {
+        "ArrivalConfig", "ClusterConfig", "FaultConfig", "ObsConfig",
+        "PayloadConfig", "RetryPolicy", "RpcConfig",
+    }
+    assert len(FLOAT_FIELDS) == 35
+
+
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
+def test_nan_is_refused(cls, name):
+    with pytest.raises(ValueError, match=name.split("_")[0]):
+        cls(**{name: NAN})
+
+
+@pytest.mark.parametrize("cls, name", [
+    (config.FaultConfig, "rpc_max_retries"),
+    (RetryPolicy, "max_retries"),
+])
+def test_retry_count_must_be_an_int(cls, name):
+    with pytest.raises(ValueError, match="int"):
+        cls(**{name: 1.5})
+    assert cls(**{name: 2}).__getattribute__(name) == 2

@@ -46,7 +46,7 @@ class TestLocalApi:
 class TestMessageHandlers:
     def _rpc(self, env, node, dst, mtype, payload):
         def client(env):
-            reply = yield from node.request(dst, mtype, payload)
+            reply = yield node.submit(dst, mtype, payload)
             return reply.payload
 
         proc = env.process(client(env))

@@ -2,11 +2,15 @@
 cost the kernel, when each reply folds into the lookup cache, and whom
 the tools attribute the reply events to."""
 
+import pytest
+
 from repro.check.explore import _sites_of
 from repro.core.api import Cluster
 from repro.core.config import ClusterConfig, SchedulerKind
+from repro.dstm.errors import AbortReason, TransactionAborted
 from repro.dstm.objects import home_node
 from repro.dstm.tfa import TFAEngine
+from repro.dstm.transaction import ReadEntry
 from repro.net.message import MessageType
 from repro.prof.kernel import site_of
 
@@ -36,28 +40,38 @@ def remote_oids(node, k=K):
     raise AssertionError("not enough distinct remote homes")
 
 
-def spy_on_processes(monkeypatch):
-    """Count the per-call generators the policy path wraps in processes."""
-    made = {"validate": 0, "register": 0}
-    for label, name in (("validate", "_one_validate"), ("register", "_register")):
-        original = getattr(TFAEngine, name)
-
-        def spy(self, *args, _original=original, _label=label):
-            made[_label] += 1
-            return _original(self, *args)
-
-        monkeypatch.setattr(TFAEngine, name, spy)
-    return made
+def reads(engine, pairs):
+    """A root on ``engine``'s node whose read set holds ``pairs``."""
+    tx = engine.begin()
+    for oid, version in pairs:
+        tx.rset[oid] = ReadEntry(oid, version, served_by=0)
+    return tx
 
 
 def validate(cluster, node, pairs):
     engine = cluster.engines[node]
+    tx = reads(engine, pairs)
 
     def driver():
-        return (yield from engine._validate_versions(pairs))
+        return (yield from engine._first_stale([tx], set()))
 
     proc = cluster.env.process(driver(), name="driver")
     return cluster.env.run(until=proc)
+
+
+def spy_on_submits(client):
+    """Record (time, endpoint name, payload, reply event) of every
+    submit."""
+    seen = []
+    original = client.submit
+
+    def spy(dst, endpoint, payload=None):
+        reply = original(dst, endpoint, payload)
+        seen.append((client.env.now, endpoint.name, payload, reply))
+        return reply
+
+    client.submit = spy
+    return seen
 
 
 def write_all(oids):
@@ -69,15 +83,13 @@ def write_all(oids):
 
 
 class TestKernelCost:
-    def test_k_way_validation_is_k_reply_events_and_no_process(self, monkeypatch):
-        made = spy_on_processes(monkeypatch)
+    def test_k_way_validation_is_k_reply_events_and_no_process(self):
         cluster = make_cluster()
         oids = remote_oids(1)
         for oid in oids:
             cluster.alloc(oid, 0, node=0)
-        assert validate(cluster, 1, [(oid, 0) for oid in oids]) == [True] * K
+        assert validate(cluster, 1, [(oid, 0) for oid in oids]) is None
         counts = cluster.profiler.counts
-        assert made == {"validate": 0, "register": 0}
         assert counts[("Event", "n*.tfa")] == K
         assert not any(site == "validate" for _, site in counts)
         # the driver is the only process there ever was
@@ -86,10 +98,7 @@ class TestKernelCost:
         # reply event; then the join and the driver's two
         assert cluster.env.events_processed == 5 * K + 3
 
-    def test_k_object_registration_is_k_reply_events_and_no_process(
-        self, monkeypatch
-    ):
-        made = spy_on_processes(monkeypatch)
+    def test_k_object_registration_is_k_reply_events_and_no_process(self):
         cluster = make_cluster()
         oids = remote_oids(1)
         for oid in oids:
@@ -97,7 +106,6 @@ class TestKernelCost:
         cluster.run_transaction(write_all(oids), node=1)
         counts = cluster.profiler.counts
         per_type = cluster.network.per_type
-        assert made == {"validate": 0, "register": 0}
         assert per_type[MessageType.DIR_UPDATE] == K
         # every validation and registration call is one fold dispatch
         assert counts[("Event", "n*.tfa")] == (
@@ -109,21 +117,124 @@ class TestKernelCost:
         for oid in oids:
             assert cluster.directories[home_node(oid, NODES)].lookup(oid) == (1, 1)
 
-    def test_a_retry_policy_keeps_one_process_per_call(self, monkeypatch):
-        made = spy_on_processes(monkeypatch)
+    def test_a_retry_policy_keeps_k_reply_events_and_no_process(self):
         cluster = make_cluster(faults=dict(enabled=True))
-        assert cluster.proxies[1].rpc_policy is not None
+        assert cluster.proxies[1].rpc_client.policy is not None
+        oids = remote_oids(1)
+        for oid in oids:
+            cluster.alloc(oid, 0, node=0)
+        assert validate(cluster, 1, [(oid, 0) for oid in oids]) is None
+        counts = cluster.profiler.counts
+        # the same K reply events as without a policy, plus one reply
+        # window per call, none of which has expired yet
+        assert counts[("Event", "n*.tfa")] == K
+        assert ("Timeout", "n*.rpc") not in counts
+        assert cluster.profiler.event_counts["Process"] == 1
+
+        cluster = make_cluster(faults=dict(enabled=True))
+        for oid in oids:
+            cluster.alloc(oid, 0, node=1)
+        cluster.run_transaction(write_all(oids), node=1)
+        counts = cluster.profiler.counts
+        per_type = cluster.network.per_type
+        assert per_type[MessageType.DIR_UPDATE] == K
+        assert counts[("Event", "n*.tfa")] == (
+            K + per_type.get(MessageType.READ_VALIDATE, 0)
+        )
+        assert not any(
+            site in ("validate", "n*.register", "withdraw", "publish")
+            for _, site in counts
+        )
+
+
+class TestSilentHome:
+    """Under a policy a silent home costs its call the whole retry
+    ladder, and the join waits for that outcome like any other."""
+
+    def silence(self, cluster, oid, mtype):
+        home = home_node(oid, NODES)
+        cluster.nodes[home]._handlers[mtype] = lambda msg: None
+        return home
+
+    def test_k_way_validation_waits_for_the_silent_home(self):
+        cluster = make_cluster(faults=dict(enabled=True))
+        env = cluster.env
+        oids = remote_oids(1)
+        for oid in oids:
+            cluster.alloc(oid, 0, node=0)
+        self.silence(cluster, oids[1], MessageType.READ_VALIDATE)
+        wait = cluster.proxies[1].rpc_client.policy.worst_case_wait()
+        submits = spy_on_submits(cluster.proxies[1].rpc_client)
+        engine = cluster.engines[1]
+        tx = reads(engine, [(oid, 0) for oid in oids])
+        out = {}
+
+        def driver():
+            try:
+                yield from engine._first_stale([tx], set())
+            except TransactionAborted as abort:
+                out["abort"] = (abort.reason, abort.oid, env.now)
+
+        proc = env.process(driver(), name="n1.driver")
+        env.run(until=wait / 2)
+        replies = [reply for _t, _name, _p, reply in submits]
+        assert len(replies) == K and out == {}
+        # the answered calls resolved long ago; the join still waits
+        assert [r.triggered for r in replies] == [True, False, True, True]
+        env.run(until=proc)
+        verdicts = [
+            None if r.value is None else r.value.payload["valid"]
+            for r in replies
+        ]
+        assert verdicts == [True, None, True, True]
+        assert out["abort"] == (
+            AbortReason.OWNER_FAILURE, oids[1], pytest.approx(wait)
+        )
+
+    def test_registration_withdraws_only_after_the_join(self):
+        cluster = make_cluster(faults=dict(enabled=True))
+        env = cluster.env
         oids = remote_oids(1)
         for oid in oids:
             cluster.alloc(oid, 0, node=1)
-        assert validate(cluster, 1, [(oid, 0) for oid in oids]) == [True] * K
-        assert made == {"validate": K, "register": 0}
-        cluster.run_transaction(write_all(oids), node=1)
-        assert made["register"] == K
-        counts = cluster.profiler.counts
-        assert ("Event", "n*.tfa") not in counts
-        assert counts[("Event", "validate")] >= K
-        assert counts[("Event", "n*.register")] >= K
+        self.silence(cluster, oids[2], MessageType.DIR_UPDATE)
+        client = cluster.proxies[1].rpc_client
+        wait = client.policy.worst_case_wait()
+        submits = spy_on_submits(client)
+        posts = []
+        original_post = client.post
+
+        def post(dst, endpoint, payload):
+            posts.append((env.now, payload["oid"], payload.get("withdraw")))
+            return original_post(dst, endpoint, payload)
+
+        client.post = post
+        engine = cluster.engines[1]
+        out = {}
+
+        def driver():
+            root = engine.begin(task_id="t1")
+            for oid in oids:
+                yield from engine.write(root, oid, 1)
+            try:
+                yield from engine.commit_root(root)
+            except TransactionAborted as abort:
+                out["abort"] = (abort.reason, abort.oid, env.now)
+
+        env.run(until=env.process(driver(), name="n1.driver"))
+        registered = [
+            t for t, name, p, _r in submits
+            if name == "dir_update" and not p.get("withdraw")
+        ]
+        assert len(registered) == K and len(set(registered)) == 1
+        ends = registered[0] + wait
+        assert out["abort"] == (
+            AbortReason.OWNER_FAILURE, oids[2], pytest.approx(ends)
+        )
+        # one withdraw per registration, every one sent after the join
+        assert sorted(oid for _t, oid, _w in posts) == sorted(oids)
+        assert all(w for _t, _oid, w in posts)
+        assert [t for t, _oid, _w in posts] == [pytest.approx(ends)] * K
 
 
 class TestFoldTime:
@@ -148,12 +259,11 @@ class TestFoldTime:
             cache.put(oid, 0, version=1)
 
         engine = cluster.engines[1]
+        tx = reads(engine, [(far, 1), (near, 1)])
         out = []
 
         def driver():
-            out.append((yield from engine._validate_versions(
-                [(far, 1), (near, 1)]
-            )))
+            out.append((yield from engine._first_stale([tx], set())))
 
         env.process(driver(), name="driver")
         env.run(until=(lands(near) + lands(far)) / 2)
@@ -161,7 +271,7 @@ class TestFoldTime:
         assert out == []  # the join is still waiting
         env.run()
         assert cache.fences == 2 and far not in cache
-        assert out == [[False, False]]
+        assert out == [(tx, far)]  # both stale; the first in order decides
         assert env.now == lands(far)
 
 
@@ -173,9 +283,10 @@ class TestAttribution:
         cluster = make_cluster()
         oids = remote_oids(3)
         engine = cluster.engines[3]
+        tx = reads(engine, [(oid, 0) for oid in oids])
 
         def driver():
-            yield from engine._validate_versions([(oid, 0) for oid in oids])
+            yield from engine._first_stale([tx], set())
 
         proc = cluster.env.process(driver(), name="n3.driver")
         cluster.env.run(until=1e-9)  # past the bootstrap: calls in flight

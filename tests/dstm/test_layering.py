@@ -4,7 +4,9 @@
 bytes resolve lives in ``repro.rpc.payload`` and how a lost copy comes
 back in ``repro.faults.recovery``; the proxy neither names their
 messages nor imports them, and a cluster that enables neither builds
-neither — no attachment, no handler, no process.
+neither — no attachment, no handler, no process.  Retrying is the rpc
+layer's: no ``dstm`` module reads a retry policy, so the code that runs
+under faults is the code that runs without them.
 """
 
 import ast
@@ -15,7 +17,8 @@ from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig, FaultConfig, PayloadConfig
 from repro.net import MessageType
 
-PROXY = Path(repro.__file__).resolve().parent / "dstm" / "proxy.py"
+DSTM = Path(repro.__file__).resolve().parent / "dstm"
+PROXY = DSTM / "proxy.py"
 FOREIGN = ("LEASE_", "ORPHAN_", "COMMIT_PUBLISH", "PAYLOAD_FETCH")
 
 
@@ -47,6 +50,28 @@ def test_proxy_imports_nothing_from_faults():
         elif isinstance(node, ast.ImportFrom):
             modules.append(node.module or "")
     assert modules and not [m for m in modules if m.startswith("repro.faults")]
+
+
+def test_no_dstm_module_reads_a_retry_policy():
+    readers = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in DSTM.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("policy", "rpc_policy")
+    )
+    assert readers == []
+
+
+def test_tfa_spawns_no_process():
+    tree = ast.parse((DSTM / "tfa.py").read_text(encoding="utf-8"))
+    spawns = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "process"
+    ]
+    assert spawns == []
 
 
 def process_names(cluster):

@@ -51,7 +51,7 @@ def retrieve(cluster, src, mode, txid="t-req"):
     box = []
 
     def proc():
-        reply = yield from cluster.nodes[src].request(
+        reply = yield cluster.nodes[src].submit(
             0, MessageType.RETRIEVE_REQUEST,
             {"oid": OID, "txid": txid, "mode": mode.value},
         )

@@ -1,0 +1,61 @@
+"""ROADMAP item 1, pinned: under faults the fault layer loses committed
+state.
+
+The cell is the 12-node reproducer of ``benchmarks/e2e/README.md``
+finding 3 (bank at 50 % reads, RTS, every fault class on, 40 simulated
+seconds).  Each case is a strict xfail: it fails at the violating seed
+today, and the change that fixes the fault layer turns it into an
+unexpected pass — that change must drop the marker.  The seeds were
+found by sweeping cluster seeds 200–711 (ROADMAP item 1 lists every
+failing one); each case runs in about 2.5 host-s.
+"""
+
+import pytest
+
+from repro.check import InvariantViolation
+from repro.core.cluster import Cluster
+from repro.core.config import ClusterConfig
+from repro.core.executor import WorkloadExecutor
+from repro.workloads.registry import make_workload
+
+
+def chaos_cell(seed, sanitize=False):
+    """Run the reproducer to its horizon; returns the bank total and the
+    total it must equal."""
+    config = ClusterConfig(
+        num_nodes=12, seed=seed, scheduler="rts", cl_threshold=4,
+        check=dict(sanitize=sanitize),
+        faults=dict(
+            enabled=True, drop_rate=0.05, duplicate_rate=0.02,
+            extra_delay_rate=0.05, extra_delay_max=0.02, rpc_timeout=0.15,
+            lease_duration=0.8, lease_renew_interval=0.25, reclaim_grace=0.8,
+            crash_rate=0.2, crash_duration=0.5, partition_rate=0.1,
+            schedule_horizon=40.0,
+        ),
+    )
+    cluster = Cluster(config)
+    workload = make_workload("bank", read_fraction=0.5)
+    executor = WorkloadExecutor(cluster, workload, workers_per_node=2,
+                                horizon=40.0, max_attempts_per_tx=256)
+    executor.setup()
+    executor.run()
+    total = sum(cluster.authoritative_value(a) for a in workload.accounts)
+    return total, workload.expected_total()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="seed 656 ends at 95924 of 96000: committed money is lost",
+)
+def test_seed_656_conserves_money():
+    total, expected = chaos_cell(656)
+    assert total == expected
+
+
+@pytest.mark.xfail(
+    strict=True, raises=InvariantViolation,
+    reason="inv-single-writable-copy: two nodes hold bank/acct0_3 at one "
+           "version at t=1.2",
+)
+def test_seed_311_keeps_a_single_writable_copy():
+    chaos_cell(311, sanitize=True)

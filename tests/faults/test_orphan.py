@@ -36,7 +36,7 @@ def drop_handoff(cluster, oid, txid="root1"):
     replies = []
 
     def retrieve():
-        r = yield from cluster.nodes[1].request(
+        r = yield cluster.nodes[1].submit(
             0, MessageType.RETRIEVE_REQUEST,
             {"oid": oid, "txid": txid, "mode": "a"},
         )

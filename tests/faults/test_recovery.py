@@ -69,7 +69,7 @@ class TestProxyRetries:
         cluster.run(until=5.0)
         # 0.1 + 0.2 + 0.4 + 0.4: the growing timeout IS the backoff.
         assert outcome["at"] == pytest.approx(
-            proxy.rpc_policy.worst_case_wait()
+            proxy.rpc_client.policy.worst_case_wait()
         )
         assert "4x" in str(outcome["exc"])
         assert cluster.metrics.rpc_timeouts.value == 4
@@ -117,7 +117,7 @@ def ask(env, node, dst, mtype, payload):
     box = {}
 
     def proc():
-        reply = yield from node.request(dst, mtype, payload)
+        reply = yield node.submit(dst, mtype, payload)
         box["p"] = reply.payload
 
     env.process(proc())
@@ -320,7 +320,7 @@ class TestGrantCache:
         replies = []
 
         def retrieve():
-            r = yield from nodes[1].request(
+            r = yield nodes[1].submit(
                 0, MessageType.RETRIEVE_REQUEST, dict(req)
             )
             replies.append(r.payload)
@@ -343,7 +343,7 @@ class TestGrantCache:
 
         def retrieve(txid):
             def proc():
-                r = yield from nodes[1].request(
+                r = yield nodes[1].submit(
                     0, MessageType.RETRIEVE_REQUEST,
                     {"oid": "x", "txid": txid, "mode": "a"},
                 )

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.net import Message, MessageType, Network, Node, RpcError, Topology
-from repro.rpc import RetryPolicy
+from repro.net import Message, MessageType, Network, Node, Topology
+from repro.rpc import PeerUnreachable, RetryPolicy, RpcClient
 from repro.sim import Environment, RngRegistry, Tracer
 
 #: one 10 ms reply window, no retry
@@ -108,7 +108,7 @@ class TestRpc:
         nodes[3].on(MessageType.PING, handler)
 
         def client(env):
-            reply = yield from nodes[0].request(3, MessageType.PING, {"v": 21})
+            reply = yield nodes[0].submit(3, MessageType.PING, {"v": 21})
             return (env.now, reply.payload["echo"])
 
         p = env.process(client(env))
@@ -119,11 +119,12 @@ class TestRpc:
     def test_request_timeout_raises(self, env, net):
         network, nodes = net
         nodes[1].on(MessageType.PING, lambda m: None)  # never replies
+        rpc = RpcClient(nodes[0], policy=ONE_WINDOW)
 
         def client(env):
-            with pytest.raises(RpcError):
-                yield from nodes[0].request(1, MessageType.PING, policy=ONE_WINDOW)
-            return True
+            with pytest.raises(PeerUnreachable):
+                yield from rpc.call(1, "ping")
+            return env.now == pytest.approx(ONE_WINDOW.worst_case_wait())
 
         p = env.process(client(env))
         env.run()
@@ -145,10 +146,8 @@ class TestRpc:
         nodes[1].on(MessageType.PING, slow_handler)
 
         def client(env):
-            try:
-                yield from nodes[0].request(1, MessageType.PING, policy=ONE_WINDOW)
-            except RpcError:
-                pass
+            reply = yield nodes[0].submit(1, MessageType.PING, policy=ONE_WINDOW)
+            assert reply is None  # the window expired first
 
         env.process(client(env))
         env.run()

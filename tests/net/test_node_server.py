@@ -78,7 +78,7 @@ class TestSerialServer:
         )
 
         def client(env):
-            reply = yield from nodes[0].request(1, MessageType.PING)
+            reply = yield nodes[0].submit(1, MessageType.PING)
             return reply.payload["ok"]
 
         proc = env.process(client(env))

@@ -2,6 +2,7 @@
 
 from repro.net import MessageType, Network, Node, Topology
 from repro.net.message import reset_msg_ids
+from repro.rpc import RpcClient
 from repro.sim import Environment, RngRegistry
 
 SVC = 0.004
@@ -48,14 +49,16 @@ class TestReplyEvent:
         assert reply.processed
 
     def test_ping_pong_matches_the_blocking_request(self):
-        """Same script through ``request`` and through ``submit``: same
-        final time, same reply message id."""
+        """Same script through the blocking ``RpcClient.call`` and through
+        ``submit``: same final time, same reply message id, same kernel
+        events — the blocking call is one yield on the reply event."""
 
         def script(env, nodes, blocking):
             got = []
+            client = RpcClient(nodes[0])
             for i in range(3):
                 if blocking:
-                    msg = yield from nodes[0].request(1, MessageType.PING, {"i": i})
+                    msg = yield from client.call(1, "ping", {"i": i})
                 else:
                     msg = yield nodes[0].submit(1, MessageType.PING, {"i": i})
                 got.append((msg.msg_id, msg.payload["echo"]))

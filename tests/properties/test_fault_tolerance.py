@@ -83,7 +83,7 @@ class TestZeroFaultInertness:
         assert m.lease_reclaims.value == 0
         assert m.crash_aborts.value == 0
         assert cluster.fault_injector is None
-        assert all(p.rpc_policy is None for p in cluster.proxies)
+        assert all(p.rpc_client.policy is None for p in cluster.proxies)
 
 
 class TestFaultDeterminism:

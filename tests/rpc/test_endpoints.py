@@ -78,7 +78,7 @@ class TestServe:
     def test_handler_payload_autoreplies_with_endpoint_type(self, env, net2):
         served = []
         serve(net2[1], "ping", lambda msg: served.append(msg) or {"echo": 1})
-        reply = drive(env, net2[0].request(1, MessageType.PING, {}))
+        reply = drive(env, RpcClient(net2[0]).call(1, "ping", {}))
         assert reply.mtype is MessageType.PONG
         assert reply.payload == {"echo": 1}
         assert served[0].src == 0

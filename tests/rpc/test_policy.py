@@ -54,11 +54,12 @@ class TestSinglePolicyObject:
         # still no second policy object.
         assert recovery.__all__ == ["NodeRecovery", "RpcPolicy", "validate_policy"]
 
-    def test_node_request_honours_policy_ladder(self, env):
-        """Node.request owns the retry loop: a silent peer costs exactly
-        the policy's worst-case wait, with on_timeout called per attempt."""
+    def test_node_submit_honours_policy_ladder(self, env):
+        """Node.submit's resend chain is the one retry path: a silent peer
+        resolves the reply event with None at exactly the policy's
+        worst-case wait, with on_timeout called per attempt and a fresh
+        request (new msg_id) per window."""
         from repro.net import Network, Node, Topology
-        from repro.net.node import RpcError
         from repro.net.message import MessageType
         from repro.sim import RngRegistry
 
@@ -67,28 +68,28 @@ class TestSinglePolicyObject:
         network = Network(env, topo)
         nodes = [Node(env, network, i) for i in range(2)]
         # Node 1 swallows pings without answering: every attempt times out.
-        nodes[1].on(MessageType.PING, lambda msg: None)
+        asked = []
+        nodes[1].on(MessageType.PING, lambda msg: asked.append(msg.msg_id))
 
         pol = RetryPolicy(timeout=0.1, max_retries=2, backoff_factor=2.0,
                           backoff_cap=0.4)
         seen = []
         outcome = {}
-
-        def proc():
-            try:
-                yield from nodes[0].request(
-                    1, MessageType.PING, {},
-                    policy=pol,
-                    on_timeout=lambda a, w, r: seen.append((a, w, r)),
-                )
-            except RpcError:
-                outcome["at"] = env.now
-
-        env.process(proc())
+        reply = nodes[0].submit(
+            1, MessageType.PING, {}, policy=pol,
+            on_timeout=lambda a, w, r: seen.append((a, w, r)),
+        )
+        reply.callbacks.append(
+            lambda ev: outcome.update(at=env.now, value=ev.value)
+        )
         env.run()
-        assert outcome["at"] == pytest.approx(pol.worst_case_wait())
+        assert outcome == {"at": pytest.approx(pol.worst_case_wait()),
+                           "value": None}
+        assert reply.ok  # resolved, never failed: a join waits for it
         assert seen == [
             (0, pytest.approx(0.1), True),
             (1, pytest.approx(0.2), True),
             (2, pytest.approx(0.4), False),
         ]
+        assert len(set(asked)) == pol.attempts
+        assert nodes[0]._pending_replies == {}

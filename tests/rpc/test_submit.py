@@ -6,6 +6,7 @@ from repro.net import Network, Node, Topology
 from repro.rpc import (
     ENDPOINTS,
     EndpointError,
+    PeerUnreachable,
     RetryPolicy,
     RpcClient,
     serve,
@@ -55,14 +56,35 @@ class TestEagerValidation:
 
 
 class TestSubmit:
-    def test_refuses_a_client_with_a_retry_policy(self, net2):
+    def test_a_retry_policy_keeps_the_reply_event(self, env, net2):
+        """Under a policy ``submit`` is still the call's reply event: it
+        resolves with the reply, or with None once every window expired,
+        and a blocking ``call`` raises PeerUnreachable on that None."""
         network, nodes = net2
-        client = RpcClient(
-            nodes[0], policy=RetryPolicy(timeout=0.05, max_retries=1)
-        )
-        with pytest.raises(EndpointError, match="RetryPolicy"):
-            client.submit(1, "ping")
-        assert network.messages_sent.value == 0 and client.calls == 0
+        pol = RetryPolicy(timeout=0.5, max_retries=1, backoff_cap=0.5)
+        client = RpcClient(nodes[0], policy=pol)
+        serve(nodes[1], "ping", lambda msg: {"ok": True})
+        answered = client.submit(1, "ping")
+        env.run()
+        assert answered.value.payload == {"ok": True}
+        assert client.calls == 1 and client.failures == 0
+
+        nodes[1]._handlers.clear()
+        serve(nodes[1], "ping", lambda msg: None)  # withholds every reply
+        start = env.now
+        silent = client.submit(1, "ping")
+        env.run()
+        assert silent.ok and silent.value is None
+        assert env.now - start == pytest.approx(pol.worst_case_wait())
+        assert client.calls == 2 and client.failures == 1
+
+        def caller():
+            with pytest.raises(PeerUnreachable):
+                yield from client.call(1, "ping")
+
+        env.process(caller())
+        env.run()
+        assert client.failures == 2
 
     def test_traces_issue_at_the_send_and_done_at_the_reply(self, env, net2):
         _, nodes = net2
