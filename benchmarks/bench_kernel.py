@@ -1,12 +1,14 @@
 """DES-kernel microbenchmark — raw events/sec of the schedule-pop loop.
 
 Measures ``Environment.run`` (heap pop, timeout firing, callback
-dispatch) in isolation — no D-STM layers, no network.  It is a
-floor and a trajectory, not the perf surface: a real cell runs at about
-a fifth of these rates and kernel changes are judged on the end-to-end
-ledger (``benchmarks/e2e/run.py``).  Four workloads of increasing
-callback weight:
+dispatch, call entries) in isolation — no D-STM layers, no network.  It
+is a floor and a trajectory, not the perf surface: a real cell runs at
+about a fifth of these rates and kernel changes are judged on the
+end-to-end ledger (``benchmarks/e2e/run.py``).  Five workloads:
 
+* ``call-chain`` — N self-rescheduling ``call_later`` chains, no Event
+  and no process: the kernel path a message hop takes (a link delay
+  ending in an arrival call, a service period ending in a dispatch);
 * ``timeout-chain`` — N independent processes, each a tight
   yield-timeout loop: the pure pop/fire/resume path;
 * ``event-wakeup`` — processes waiting on bare events succeeded from a
@@ -14,13 +16,11 @@ callback weight:
 * ``anyof-race`` — processes racing an event against a timeout deadline
   in an AnyOf, the wait-with-deadline shape an RPC under a retry policy
   had before its retry loop became a timer chain on the reply event;
-* ``message-storm`` — a stress band, not a model of any cell: bursts of
-  deliveries quantized to the millisecond link grid (many events tied
-  at one timestamp) over 100 x 1000 = 100 000 standing far-future
-  timers, 330x the largest pending population of any ledger or fault
-  cell (305 entries; directory leases are a lazily checked field, not
-  timers).  It is the one workload where the calendar queue the heap
-  replaced was faster; BENCH_KERNEL.json records both directions.
+* ``message-storm`` — bursts of deliveries quantized to the millisecond
+  link grid (many events tied at one timestamp) over 100 x 3 = 300
+  standing far-future timers, about the largest pending population of
+  any ledger cell (305 entries on ``lowcont_bank_80``; directory leases
+  are a lazily checked field, not timers).
 
 Usage::
 
@@ -55,6 +55,13 @@ DEFAULT_PROCS = 100
 DEFAULT_EVENTS = 200_000
 
 
+def _call_chain(env, delay):
+    def hop(_arg):
+        env.call_later(delay, hop)
+
+    env.call_later(delay, hop)
+
+
 def _timeout_chain(env, delay):
     while True:
         yield env.timeout(delay)
@@ -82,12 +89,10 @@ def _anyof_race(env):
         yield ev | deadline
 
 
-def _message_storm(env, node, fanout=16, leases=1000):
+def _message_storm(env, node, fanout=16, leases=3):
     # The standing far band: ``leases`` timers per process armed far
-    # beyond the bench window, so every short-horizon push and pop sifts
-    # through a heap 100 000 deep at the default 100 processes.  No cell
-    # of the ledger holds such a band (see the module docstring); this
-    # measures how the schedule degrades if one ever did.
+    # beyond the bench window — 300 at the default 100 processes, the
+    # size of the largest pending population of a ledger cell.
     for j in range(leases):
         env.timeout(60.0 + 0.5 * (node * leases + j))
     # Delivery bursts on the 1-5 ms link-hop grid: every process resumed
@@ -104,8 +109,15 @@ def _message_storm(env, node, fanout=16, leases=1000):
         yield deliveries[node % fanout]
 
 
-def _drive(build, procs, events, profiler=None):
-    """Run ~``events`` kernel events through ``procs`` processes.
+def _processes(build):
+    """A ``start`` for :func:`_drive` that runs ``build(env, i)`` as
+    process ``w<i>``."""
+    return lambda env, i: env.process(build(env, i), name=f"w{i}")
+
+
+def _drive(start, procs, events, profiler=None):
+    """Run ~``events`` kernel events through ``procs`` actors, each set
+    going by ``start(env, i)``.
 
     Returns host-side events/sec of the *steady state*: a short untimed
     warmup drains the process bootstraps and one-time setup (e.g. the
@@ -119,7 +131,7 @@ def _drive(build, procs, events, profiler=None):
     if profiler is not None:
         profiler.install(env)
     for i in range(procs):
-        env.process(build(env, i), name=f"w{i}")
+        start(env, i)
     try:
         env.run(max_events=2 * procs)
     except SimulationError:
@@ -135,25 +147,35 @@ def _drive(build, procs, events, profiler=None):
     return measured / elapsed if elapsed > 0 else 0.0
 
 
-def bench_timeout_chain(procs, events, profiler=None):
-    return _drive(lambda env, i: _timeout_chain(env, 0.001 * (1 + i % 7)),
+def bench_call_chain(procs, events, profiler=None):
+    return _drive(lambda env, i: _call_chain(env, 0.001 * (1 + i % 7)),
                   procs, events, profiler)
 
 
+def bench_timeout_chain(procs, events, profiler=None):
+    return _drive(
+        _processes(lambda env, i: _timeout_chain(env, 0.001 * (1 + i % 7))),
+        procs, events, profiler,
+    )
+
+
 def bench_event_wakeup(procs, events, profiler=None):
-    return _drive(lambda env, i: _event_wakeup(env), procs, events, profiler)
+    return _drive(_processes(lambda env, i: _event_wakeup(env)),
+                  procs, events, profiler)
 
 
 def bench_anyof_race(procs, events, profiler=None):
-    return _drive(lambda env, i: _anyof_race(env), procs, events, profiler)
+    return _drive(_processes(lambda env, i: _anyof_race(env)),
+                  procs, events, profiler)
 
 
 def bench_message_storm(procs, events, profiler=None):
-    return _drive(lambda env, i: _message_storm(env, i), procs, events,
-                  profiler)
+    return _drive(_processes(lambda env, i: _message_storm(env, i)),
+                  procs, events, profiler)
 
 
 WORKLOADS = {
+    "call-chain": bench_call_chain,
     "timeout-chain": bench_timeout_chain,
     "event-wakeup": bench_event_wakeup,
     "anyof-race": bench_anyof_race,

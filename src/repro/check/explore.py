@@ -72,7 +72,7 @@ from typing import (
 
 from repro.check.oracle import CommitRecord, check_history
 from repro.net.message import Message
-from repro.sim.core import Environment, ScheduleController, SimulationError
+from repro.sim.core import Entry, Environment, ScheduleController, SimulationError
 from repro.sim.events import Condition, Event
 
 __all__ = [
@@ -153,34 +153,51 @@ def _node_of_process(name: Optional[str]) -> Optional[int]:
     return None
 
 
-def _delivery_dst(event: Event) -> Optional[int]:
-    """Destination node when ``event`` is a remote message delivery."""
-    value = getattr(event, "_fire_value", None)
-    if isinstance(value, Message) and value.dst != value.src:
-        return value.dst
+def _delivery_dst(entry: Entry) -> Optional[int]:
+    """Destination node when ``entry`` is a remote message arrival: a call
+    whose argument is a :class:`Message` between two nodes."""
+    arg = entry[4]
+    if entry[3] is not None and isinstance(arg, Message) and arg.dst != arg.src:
+        return arg.dst
     return None
 
 
-def _sites_of(event: Event, depth: int = 0) -> Optional[FrozenSet[int]]:
-    """Nodes whose state processing ``event`` can touch (None = unknown).
+def _owner_node(fn: Any) -> Optional[int]:
+    """The node a callback's named owner — a Process, a node's inbox
+    server or RPC resend chain — runs at (``None``: unknown)."""
+    name = getattr(getattr(fn, "__self__", None), "name", None)
+    return _node_of_process(name) if isinstance(name, str) else None
 
-    Mirrors the race detector's happens-before model: a message delivery
-    executes at its destination; every other event's only effect is
-    running its callbacks, so it belongs to the nodes their owners name:
-    the processes they resume and the inbox servers whose service period
-    they end (an empty callback list is a no-op event —
-    the empty site set, independent of everything; a late waiter added
-    by a reordered peer runs synchronously either way, see
-    ``Environment.step``).  Unknown attribution means "assume dependent
-    with everything" — sound, never unsound.
+
+def _entry_sites(entry: Entry) -> Optional[FrozenSet[int]]:
+    """Nodes whose state processing ``entry`` can touch (None = unknown).
+
+    Mirrors the race detector's happens-before model.  A call whose
+    argument is a message (or a batch of them) is an arrival and
+    executes at the destination(s); any other call runs at the node its
+    function's owner names (an inbox service period, a retry window).
+    An event entry is attributed by :func:`_sites_of`.  Unknown
+    attribution means "assume dependent with everything" — sound, never
+    unsound.
     """
-    value = getattr(event, "_fire_value", None)
-    if isinstance(value, Message):
-        return frozenset((value.dst,))
-    if isinstance(value, (list, tuple)) and value and all(
-        isinstance(m, Message) for m in value
-    ):
-        return frozenset(m.dst for m in value)
+    fn, arg = entry[3], entry[4]
+    if fn is None:
+        return _sites_of(arg)
+    if isinstance(arg, Message):
+        return frozenset((arg.dst,))
+    if isinstance(arg, list) and arg and all(isinstance(m, Message) for m in arg):
+        return frozenset(m.dst for m in arg)
+    node = _owner_node(fn)
+    return None if node is None else frozenset((node,))
+
+
+def _sites_of(event: Event, depth: int = 0) -> Optional[FrozenSet[int]]:
+    """The nodes an event belongs to: its only effect is running its
+    callbacks, so it belongs to the nodes their owners name — the
+    processes they resume, through any condition they feed (an empty
+    callback list is a no-op event — the empty site set, independent of
+    everything; a late waiter added by a reordered peer runs
+    synchronously either way, see ``Environment.step``)."""
     if depth > 4:
         return None
     callbacks = event.callbacks
@@ -195,10 +212,7 @@ def _sites_of(event: Event, depth: int = 0) -> Optional[FrozenSet[int]]:
                 return None
             sites |= sub
             continue
-        # A named owner — a Process, or a node's inbox server — runs at
-        # the node its name encodes.
-        name = getattr(owner, "name", None)
-        node = _node_of_process(name) if isinstance(name, str) else None
+        node = _owner_node(callback)
         if node is None:
             return None
         sites.add(node)
@@ -254,7 +268,7 @@ class _DfsController(ScheduleController):
         env: Environment,
         when: float,
         priority: int,
-        ready: List[Tuple[float, int, int, Event]],
+        ready: List[Entry],
         next_time: float,
     ) -> Choice:
         enabled = self._enabled(env, ready, next_time)
@@ -294,12 +308,11 @@ class _DfsController(ScheduleController):
     def _enabled(
         self,
         env: Environment,
-        ready: List[Tuple[float, int, int, Event]],
+        ready: List[Entry],
         next_time: float,
     ) -> List[_Alt]:
-        events = [entry[3] for entry in ready]
-        sites = [_sites_of(event) for event in events]
-        deliveries = [_delivery_dst(event) for event in events]
+        sites = [_entry_sites(entry) for entry in ready]
+        deliveries = [_delivery_dst(entry) for entry in ready]
 
         enabled: List[_Alt] = [("run", 0, 0.0)]
         naive = len(ready)
@@ -336,7 +349,7 @@ class _DfsController(ScheduleController):
     @staticmethod
     def _heap_touches(env: Environment, node: int) -> bool:
         for entry in env.pending_entries():
-            sites = _sites_of(entry[3])
+            sites = _entry_sites(entry)
             if sites is None or node in sites:
                 return True
         return False

@@ -121,36 +121,34 @@ class FaultInjector:
         """
         if self.tracer.wants("fault.crash"):
 
-            def emit_crash(event):
-                w = event.value
+            def emit_crash(w):
                 self.tracer.emit(env.now, "fault.crash", f"n{w.node}", until=w.end)
 
-            def emit_restart(event):
-                w = event.value
+            def emit_restart(w):
                 self.tracer.emit(env.now, "fault.restart", f"n{w.node}", since=w.start)
 
             for w in self.plan.crashes:
-                env.timeout(max(w.start - env.now, 0.0), value=w).add_callback(emit_crash)
-                env.timeout(max(w.end - env.now, 0.0), value=w).add_callback(emit_restart)
+                env.call_later(max(w.start - env.now, 0.0), emit_crash, w)
+                env.call_later(max(w.end - env.now, 0.0), emit_restart, w)
 
         if self.tracer.wants("fault.partition"):
 
-            def emit_part(event):
-                idx, w = event.value
+            def emit_part(marker):
+                idx, w = marker
                 self.tracer.emit(
                     env.now, "fault.partition", f"part{idx}",
                     group=",".join(str(n) for n in w.group), until=w.end,
                 )
 
-            def emit_part_end(event):
-                idx, w = event.value
+            def emit_part_end(marker):
+                idx, w = marker
                 self.tracer.emit(
                     env.now, "fault.partition_end", f"part{idx}", since=w.start
                 )
 
             for i, w in enumerate(self.plan.partitions):
-                env.timeout(max(w.start - env.now, 0.0), value=(i, w)).add_callback(emit_part)
-                env.timeout(max(w.end - env.now, 0.0), value=(i, w)).add_callback(emit_part_end)
+                env.call_later(max(w.start - env.now, 0.0), emit_part, (i, w))
+                env.call_later(max(w.end - env.now, 0.0), emit_part_end, (i, w))
 
     def __repr__(self) -> str:
         return (

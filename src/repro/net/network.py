@@ -5,16 +5,23 @@ Reliable, in-order-per-link delivery: a message sent at time *t* over link
 (per §IV-A of the paper), so per-link FIFO order follows from the event
 queue's deterministic tie-breaking.  Local sends (src == dst) are delivered
 after ``local_delay`` (default 0: a function call, not a network hop).
+
+A message in flight is one kernel *call* entry, not an event: the link
+delay schedules the destination inbox's ``arrive(msg)``
+(:class:`repro.net.node._InboxServer`), which applies the fault veto,
+counts and traces the delivery and queues or dispatches the message.
+Nothing waits on an arrival, so there is no Event to build
+(``repro.sim.core``, "a timer that nobody waits on is a call").
 """
 
 from __future__ import annotations
 
 import copy
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.net.message import Message, MessageType
 from repro.net.topology import Topology
-from repro.sim import Counter, Environment, Event, Timeout, Tracer
+from repro.sim import PRIORITY_NORMAL, Counter, Environment, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.node import Node
@@ -66,12 +73,12 @@ class Network:
         self.topology = topology
         #: the topology's static delay table, indexed ``[src][dst]`` per send
         self._delay_rows = topology.delay_rows
-        #: THE delivery callback, bound once: every delivery Timeout that
-        #: :meth:`send` or :meth:`deliver_batch` schedules fires this
-        self._on_arrival = self._deliver
         self.tracer = tracer or Tracer()
         self.local_delay = float(local_delay)
         self._nodes: Dict[int, "Node"] = {}
+        #: node id -> its inbox's ``arrive``, bound once at attach: the
+        #: function every arrival call entry runs
+        self._arrivals: Dict[int, Callable[[Message], None]] = {}
         #: optional :class:`repro.faults.FaultInjector`; when set, it
         #: decides each message's fate (drop / duplicate / extra delay)
         #: at send time and can veto delivery (crashed destination).
@@ -105,6 +112,7 @@ class Network:
                 f"{self.topology.num_nodes} nodes"
             )
         self._nodes[node.node_id] = node
+        self._arrivals[node.node_id] = node._inbox.arrive
 
     def node(self, node_id: int) -> "Node":
         return self._nodes[node_id]
@@ -119,7 +127,8 @@ class Network:
         """Dispatch ``msg``; returns the scheduled delivery time."""
         src = msg.src
         dst = msg.dst
-        if dst not in self._nodes:
+        arrive = self._arrivals.get(dst)
+        if arrive is None:
             raise KeyError(f"unknown destination node {dst}")
         env = self.env
         now = env._now
@@ -150,9 +159,11 @@ class Network:
                 return now + delay  # dropped on the wire
             for i, d in enumerate(delays):
                 member = msg if i == 0 else self._clone(msg)
-                Timeout(env, d, member).callbacks.append(self._on_arrival)
+                env.call_later(d, arrive, member)
             return now + delays[0]
-        Timeout(env, delay, msg).callbacks.append(self._on_arrival)
+        # Environment.call_later's push, inlined: this runs per message
+        env._seq += 1
+        env._qpush((now + delay, PRIORITY_NORMAL, env._seq, arrive, msg))
         return now + delay
 
     def _clone(self, msg: Message) -> Message:
@@ -169,35 +180,17 @@ class Network:
         dup.sent_at = msg.sent_at
         return dup
 
-    def _deliver(self, event: Event) -> None:
-        """The delivery callback of every link-delay Timeout.  It stays a
-        method of ``Network``: the kernel profiler, the ledger's
-        ``net.events_per_msg`` and the explorer attribute delivery events
-        to the object that owns this callback."""
-        self._deliver_one(event._value)
-
-    def _deliver_one(self, msg: Message) -> None:
-        if self.injector is not None and not self.injector.on_deliver(msg):
-            return  # destination crashed while the message was in flight
-        self.messages_delivered.value += 1
-        dst = msg.dst
-        tracer = self.tracer
-        if tracer.enabled and tracer.wants("net.recv"):
-            tracer.emit(
-                self.env.now, "net.recv", f"msg{msg.msg_id}",
-                mtype=msg.mtype.value, src=msg.src, dst=dst,
-            )
-        self._nodes[dst].deliver(msg)
-
     # -- batched path (repro.rpc.PiggybackBatcher) -------------------------
 
     def deliver_batch(self, batch) -> None:
         """Ship a flushed coalescing buffer: members whose fate is the
-        plain link delay ride ONE traversal event; fault injection still
+        plain link delay ride ONE traversal call; fault injection still
         judges each member individually, and a member the injector drops,
-        duplicates, or delays falls back to its own scheduling."""
-        riders = []
+        duplicates, or delays falls back to its own arrival call."""
+        riders: List[Message] = []
         link_delay = batch[0][1]
+        env = self.env
+        arrive = self._arrivals[batch[0][0].dst]  # one link: one destination
         for msg, delay in batch:
             if self.injector is None:
                 riders.append(msg)
@@ -208,15 +201,14 @@ class Network:
                 if d == delay:
                     riders.append(member)
                 else:
-                    Timeout(self.env, d, member).callbacks.append(self._on_arrival)
+                    env.call_later(d, arrive, member)
         if riders:
-            Timeout(self.env, link_delay, riders).callbacks.append(
-                self._deliver_riders
-            )
+            env.call_later(link_delay, self._deliver_riders, riders)
 
-    def _deliver_riders(self, event: Event) -> None:
-        for msg in event._value:
-            self._deliver_one(msg)
+    def _deliver_riders(self, riders: List[Message]) -> None:
+        arrive = self._arrivals[riders[0].dst]
+        for msg in riders:
+            arrive(msg)
 
     def broadcast(
         self,

@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.net.clocks import NodeClock
 from repro.net.message import Message, MessageType
-from repro.sim import Environment, Event, Timeout
+from repro.sim import PRIORITY_NORMAL, Environment, Event
 from repro.sim.events import _PENDING
 
 __all__ = ["Node"]
@@ -34,27 +34,62 @@ Handler = Callable[[Message], Any]
 
 
 class _InboxServer:
-    """Serial message server of one node: one message per service period.
+    """Where a node's messages arrive, and its serial message server: one
+    message per service period.
 
-    A callback chain, not a process: :meth:`Node.deliver` queues an
-    arriving message and, if the server is idle, schedules one service
-    Timeout, whose callback dispatches the head of the queue and then
-    schedules the next period or goes idle — two kernel events per
-    message (link delay + service).  ``name`` is what the kernel
-    profiler and the explorer attribute those events to.
-    The Timeout carries no value: the explorer reads a Message-valued
-    Timeout as an in-flight remote delivery.
+    Two kernel call entries per message, no Event and no process: the
+    link delay ends in :meth:`arrive`, which applies the fault veto,
+    counts and traces the delivery and, with a positive service time,
+    queues the message and, if the server is idle, schedules one service
+    period; :meth:`_served` dispatches the head of the queue and then
+    schedules the next period or goes idle.  ``name`` is what the kernel
+    profiler and the explorer attribute both calls to; the explorer
+    tells an arrival from a service period by its argument (a
+    :class:`Message`, or ``None``).
     """
 
-    __slots__ = ("name", "node", "queue", "busy")
+    __slots__ = ("name", "node", "network", "queue", "busy")
 
     def __init__(self, node: "Node") -> None:
         self.name = f"n{node.node_id}.inbox"
         self.node = node
+        self.network = node.network
         self.queue: deque = deque()  # (arrival time, message)
         self.busy = False
 
-    def _served(self, _event: Event) -> None:
+    def arrive(self, msg: Message) -> None:
+        """A message's link delay is over: deliver it to this node.
+
+        With a zero service time the message dispatches inline; otherwise
+        it queues behind the node's serial message server, starting a
+        service period if the server is idle.
+        """
+        network = self.network
+        injector = network.injector
+        if injector is not None and not injector.on_deliver(msg):
+            return  # destination crashed while the message was in flight
+        network.messages_delivered.value += 1
+        node = self.node
+        env = node.env
+        tracer = network.tracer
+        if tracer.enabled and tracer.wants("net.recv"):
+            tracer.emit(
+                env._now, "net.recv", f"msg{msg.msg_id}",
+                mtype=msg.mtype.value, src=msg.src, dst=msg.dst,
+            )
+        service = node.msg_process_time
+        if service <= 0.0:
+            node._dispatch(msg)
+            return
+        self.queue.append((env._now, msg))
+        if not self.busy:
+            self.busy = True
+            env._seq += 1  # Environment.call_later's push, inlined
+            env._qpush(
+                (env._now + service, PRIORITY_NORMAL, env._seq, self._served, None)
+            )
+
+    def _served(self, _arg: None) -> None:
         node = self.node
         env = node.env
         arrived, msg = self.queue.popleft()
@@ -64,7 +99,11 @@ class _InboxServer:
         # own node queues behind this chain instead of starting a second
         node._dispatch(msg)
         if self.queue:
-            Timeout(env, node.msg_process_time).callbacks.append(self._served)
+            env._seq += 1  # Environment.call_later's push, inlined
+            env._qpush((
+                env._now + node.msg_process_time, PRIORITY_NORMAL, env._seq,
+                self._served, None,
+            ))
         else:
             self.busy = False
 
@@ -113,24 +152,6 @@ class Node:
         self._handlers[MessageType(mtype)] = handler
 
     # -- inbound ------------------------------------------------------------------
-
-    def deliver(self, msg: Message) -> None:
-        """Entry point called by the network on message arrival.
-
-        With a zero service time the message dispatches inline; otherwise
-        it queues behind the node's serial message server, starting a
-        service period if the server is idle.
-        """
-        service = self.msg_process_time
-        if service <= 0.0:
-            self._dispatch(msg)
-            return
-        inbox = self._inbox
-        env = self.env
-        inbox.queue.append((env._now, msg))
-        if not inbox.busy:
-            inbox.busy = True
-            Timeout(env, service).callbacks.append(inbox._served)
 
     def _dispatch(self, msg: Message) -> None:
         # TFA rule: advance the local transactional clock to any larger
@@ -249,13 +270,14 @@ class _Resend:
     as a timer chain on its reply event — no process.
 
     Attempt *n* waits ``policy.nth_timeout(n)`` (the growing window is
-    the backoff).  Each window is a :class:`Timeout` whose callback, if
+    the backoff).  Each window is a call entry (``Environment.call_later``,
+    the window's length its argument) that, if
     the reply event is still pending, withdraws the attempt's waiter
     registration — so only the current attempt's reply resolves the
     call, and an expired attempt's reply goes to the handlers or to
     ``late_replies`` — then re-sends under a fresh ``msg_id`` or, after
     the last attempt, succeeds the event with ``None``.  ``name`` is what
-    the kernel profiler attributes the window callbacks to.
+    the kernel profiler and the explorer attribute the window calls to.
     """
 
     __slots__ = ("name", "node", "reply", "msg", "policy", "on_timeout", "attempt")
@@ -275,9 +297,10 @@ class _Resend:
         self.policy = policy
         self.on_timeout = on_timeout
         self.attempt = 0
-        Timeout(node.env, policy.nth_timeout(0)).callbacks.append(self._expired)
+        window = policy.nth_timeout(0)
+        node.env.call_later(window, self._expired, window)
 
-    def _expired(self, window: Timeout) -> None:
+    def _expired(self, window: float) -> None:
         reply = self.reply
         if reply._value is not _PENDING:
             return  # answered inside this window
@@ -287,13 +310,12 @@ class _Resend:
         attempt = self.attempt
         will_retry = attempt < self.policy.max_retries
         if self.on_timeout is not None:
-            self.on_timeout(attempt, window.delay, will_retry)
+            self.on_timeout(attempt, window, will_retry)
         if not will_retry:
             reply.succeed(None)
             return
         self.attempt = attempt = attempt + 1
         self.msg = msg = node.send(msg.dst, msg.mtype, msg.payload)
         node._pending_replies[msg.msg_id] = reply
-        Timeout(node.env, self.policy.nth_timeout(attempt)).callbacks.append(
-            self._expired
-        )
+        window = self.policy.nth_timeout(attempt)
+        node.env.call_later(window, self._expired, window)

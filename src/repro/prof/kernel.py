@@ -5,7 +5,9 @@ schedule-pop loop burns host time.  This profiler attributes every
 processed kernel event to ``(event kind, consumer site)``:
 
 * **kind** — the event's class (``Timeout``, ``Event``, ``Process``,
-  ``AnyOf``, ...), i.e. the kernel mechanism exercised;
+  ``AnyOf``, ...), i.e. the kernel mechanism exercised, or ``call`` for
+  a call entry (``Environment.call_later``: a link delay, an inbox
+  service period, a retry window), whose site is its function's;
 * **site** — the callback's consumer: a process name with indices
   normalised away (``dispatch[3][1]`` -> ``dispatch``, ``n7.heartbeat``
   -> ``n*.heartbeat``), the owning object's class for unnamed bound
@@ -29,9 +31,10 @@ Exports: :meth:`KernelProfiler.folded` (folded-stack flamegraph text,
 byte-deterministic in counters mode.
 
 The hook is strictly additive: ``Environment.run`` pays exactly one
-``is None`` guard per event when no profiler is installed; with one it
-hands each fired event's callbacks to :meth:`KernelProfiler.dispatch`,
-so all the accounting lives here and the kernel has a single run loop.
+``is None`` guard per entry when no profiler is installed; with one it
+hands each fired event's callbacks to :meth:`KernelProfiler.dispatch`
+and each call entry to :meth:`KernelProfiler.call`, so all the
+accounting lives here and the kernel has a single run loop.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ class KernelProfiler:
         self.counts: Dict[Tuple[str, str], int] = {}
         #: (kind, site) -> host nanoseconds inside the callback (wall mode)
         self.wall_ns: Dict[Tuple[str, str], int] = {}
-        #: event kind -> processed-event count (callback-free events too)
+        #: event kind (or ``call``) -> processed-entry count (callback-free
+        #: events too)
         self.event_counts: Dict[str, int] = {}
         self.events = 0
 
@@ -125,6 +129,25 @@ class KernelProfiler:
                 t0 = clock()
                 callback(event)
                 wall_ns[key] = wall_ns.get(key, 0) + clock() - t0
+
+    def call(self, fn: Callable[[Any], Any], arg: Any) -> None:
+        """Account one call entry (kind ``call``, at ``fn``'s site) and
+        run ``fn(arg)``; like :meth:`dispatch`, it never touches the
+        schedule."""
+        key = ("call", site_of(fn))
+        self.events += 1
+        event_counts = self.event_counts
+        event_counts["call"] = event_counts.get("call", 0) + 1
+        counts = self.counts
+        counts[key] = counts.get(key, 0) + 1
+        clock = self.clock
+        if clock is None:
+            fn(arg)
+        else:
+            t0 = clock()
+            fn(arg)
+            wall_ns = self.wall_ns
+            wall_ns[key] = wall_ns.get(key, 0) + clock() - t0
 
     # -- snapshots -------------------------------------------------------
 

@@ -11,8 +11,8 @@ delivered member-by-member, in enqueue order, at the same instant.
 
 Why it matters for the 10-80 node axis: simulation cost scales with the
 event count, and per-message delivery events dominate large runs.  A
-k-message batch costs one flush event plus one delivery event instead of
-k timer events, so the host-side events/sec of big-cluster runs improves
+k-message batch costs one flush call plus one delivery call instead of
+k arrival calls, so the host-side events/sec of big-cluster runs improves
 alongside the modelled latency semantics.
 
 Installed onto a :class:`~repro.net.network.Network` like the fault
@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.net.message import Message
-from repro.sim import Environment, Event, Timeout, Tracer
+from repro.sim import Environment, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
@@ -71,15 +71,14 @@ class PiggybackBatcher:
         buffer = self._buffers.get(key)
         if buffer is None:
             self._buffers[key] = [(msg, delay)]
-            Timeout(self.env, self.window, key).callbacks.append(self._flush)
+            self.env.call_later(self.window, self._flush, key)
         else:
             buffer.append((msg, delay))
         # Every member leaves when the window closes and rides one link
         # traversal (static per-link delay, so one time fits all).
         return self.env._now + self.window + delay
 
-    def _flush(self, event: Event) -> None:
-        key = event._value
+    def _flush(self, key: Tuple[int, int]) -> None:
         batch = self._buffers.pop(key)
         size = len(batch)
         self.batches += 1

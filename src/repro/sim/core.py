@@ -1,20 +1,34 @@
 """The event loop: :class:`Environment`.
 
-The environment owns the simulated clock and the pending-event
-schedule: a plain ``list`` kept as a binary heap by :mod:`heapq` over
-``(time, priority, sequence, event)`` tuples.  The monotonically
-increasing sequence number is unique, so a comparison never reaches the
-event and pop order is ascending tuple order by construction — which
-makes every simulation in this repository deterministic, and is the
-invariant every digest rests on (``tests/rpc/test_equivalence.py``).  No
-cell holds more than a few hundred pending entries, so nothing cleverer
-pays (EXPERIMENTS.md, "The event core is ``heapq``").
+The environment owns the simulated clock and the pending schedule: a
+plain ``list`` kept as a binary heap by :mod:`heapq` over
+``(time, priority, sequence, fn, arg)`` tuples (:data:`Entry`).  An
+entry is one of two kinds:
+
+* an **event** (``fn is None``): ``arg`` is an :class:`Event`, which the
+  loop fires — its value materialised, its callbacks run, an undefused
+  failure raised;
+* a **call** (``fn`` set): the loop runs ``fn(arg)``.  There is no Event
+  object, so nothing can wait on a call and it cannot fail; an exception
+  raised by ``fn`` propagates out of :meth:`Environment.run`.
+
+**The rule: a process waits on an Event; a timer that nobody waits on
+is a call** (:meth:`Environment.call_later`) — a message's link delay,
+an inbox service period, a batcher flush, a retry window.  The
+monotonically increasing sequence number is unique, so a comparison
+never reaches ``fn`` and pop order is ascending tuple order by
+construction — which makes every simulation in this repository
+deterministic, and is the invariant every digest rests on
+(``tests/rpc/test_equivalence.py``).  No cell holds more than a few
+hundred pending entries, so nothing cleverer pays (EXPERIMENTS.md, "The
+event core is ``heapq``").
 
 There is exactly one run loop, :meth:`Environment.run`.  An installed
 :class:`ScheduleController` (the systematic explorer) swaps its pop for
 :meth:`Environment._select`; an installed
 :class:`~repro.prof.kernel.KernelProfiler` swaps its callback dispatch
-for ``KernelProfiler.dispatch``.  The schedule the explorer checks, the
+for ``KernelProfiler.dispatch`` (and its call entries for
+``KernelProfiler.call``).  The schedule the explorer checks, the
 schedule the profiler attributes and the schedule the benchmarks time
 are therefore the same code.  :meth:`Environment.step` is the single-pop
 reference the tests compare that loop against.
@@ -36,9 +50,10 @@ from __future__ import annotations
 
 from functools import partial
 from heapq import heappop, heappush
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.sim.events import (
+    PRIORITY_NORMAL,
     AllOf,
     AnyOf,
     Event,
@@ -49,8 +64,9 @@ from repro.sim.process import Process
 
 __all__ = ["Environment", "ScheduleController", "SimulationError", "EmptySchedule"]
 
-#: one pending entry: (when, priority, seq, event)
-Entry = tuple[float, int, int, Event]
+#: one pending entry: ``(when, priority, seq, None, event)`` for an event,
+#: ``(when, priority, seq, fn, arg)`` for a call
+Entry = tuple[float, int, int, Optional[Callable[[Any], Any]], Any]
 
 
 class SimulationError(RuntimeError):
@@ -72,8 +88,9 @@ class ScheduleController:
     * **pick** which tied entry to process (``return i``), overriding the
       sequence-number tie-break, or
     * **defer** one of them by a positive delay
-      (``return ("defer", i, delta)``), re-enqueueing it at
-      ``when + delta`` with a fresh sequence number — the bounded
+      (``return ("defer", i, delta)``), re-enqueueing it — the same
+      ``fn`` and ``arg`` — at ``when + delta`` with a fresh sequence
+      number — the bounded
       message-delay jitter the systematic explorer
       (:mod:`repro.check.explore`) uses to reorder in-flight deliveries.
 
@@ -88,7 +105,7 @@ class ScheduleController:
         env: "Environment",
         when: float,
         priority: int,
-        ready: "list[tuple[float, int, int, Event]]",
+        ready: "list[Entry]",
         next_time: float,
     ) -> "int | tuple[str, int, float]":
         """Choose among ``ready`` (seq-ordered ties at ``(when, priority)``).
@@ -165,6 +182,22 @@ class Environment:
 
     # -- scheduling (kernel-internal) ------------------------------------------
 
+    def call_later(
+        self, delay: float, fn: Callable[[Any], Any], arg: Any = None
+    ) -> None:
+        """Run ``fn(arg)`` ``delay`` time units from now, as a call entry.
+
+        For a timer nobody waits on: it costs one schedule entry and no
+        :class:`Event`.  Ties order exactly as a :class:`Timeout` pushed
+        at the same point would (normal priority, the next ``seq``).  The
+        per-message sites (``Network.send``, the node inbox server)
+        inline the push, as ``Timeout.__init__`` does its own.
+        """
+        if not delay >= 0:  # one comparison; false for NaN too
+            raise ValueError(f"delay must be >= 0 and not NaN, got {delay!r}")
+        self._seq += 1
+        self._qpush((self._now + delay, PRIORITY_NORMAL, self._seq, fn, arg))
+
     def _enqueue(self, delay: float, priority: int, event: Event) -> None:
         # The checked scheduling path.  Event.succeed/fail, Timeout
         # construction and the process bootstrap inline its last two
@@ -174,12 +207,12 @@ class Environment:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
         self._seq += 1
-        self._qpush((self._now + delay, priority, self._seq, event))
+        self._qpush((self._now + delay, priority, self._seq, None, event))
 
     def pending_entries(self) -> list[Entry]:
-        """Snapshot of the scheduled ``(when, prio, seq, event)`` entries
-        (deterministic order, not time-sorted).  Read-only: used by the
-        systematic explorer's independence checks and by tests."""
+        """Snapshot of the scheduled :data:`Entry` tuples (deterministic
+        order, not time-sorted).  Read-only: used by the systematic
+        explorer's independence checks and by tests."""
         return list(self._queue)
 
     # -- execution ----------------------------------------------------------------
@@ -190,7 +223,7 @@ class Environment:
         return queue[0][0] if queue else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event — the single-pop reference for
+        """Process exactly one entry — the single-pop reference for
         :meth:`run` (``tests/sim/test_core.py::TestKernelEquivalence``).
 
         Raises :class:`EmptySchedule` when the schedule is empty, and
@@ -200,9 +233,13 @@ class Environment:
         """
         if not self._queue:
             raise EmptySchedule("no events scheduled")
-        when, _prio, _seq, event = heappop(self._queue)
+        when, _prio, _seq, fn, arg = heappop(self._queue)
         self._now = when
         self.events_processed += 1
+        if fn is not None:
+            fn(arg)
+            return
+        event = arg
         if event._value is _PENDING:
             # Auto-firing event (Timeout): materialise its value now.
             event._ok = True
@@ -215,16 +252,17 @@ class Environment:
         if not event._ok and not event._defused:
             raise event._value
 
-    def _select(self, controller: ScheduleController) -> Optional[Event]:
+    def _select(self, controller: ScheduleController) -> Optional[Entry]:
         """Controlled pop: let ``controller`` choose among the entries tied
-        with the head.  Returns the event to process, or ``None`` when the
+        with the head.  Returns the entry to process, or ``None`` when the
         controller deferred one instead (nothing is processed this turn).
 
         The ready set is every entry tied with the head on ``(time,
         priority)``, popped off the heap — so it arrives in seq order and
         is detached from the schedule while the controller deliberates:
         ``next_time`` sees only what lies behind it.  Unchosen entries go
-        back with their own seq, a deferred one with a fresh seq.
+        back with their own seq, a deferred one — event or call, its
+        ``fn`` and ``arg`` unchanged — with a fresh seq.
         """
         queue = self._queue
         ready = [heappop(queue)]
@@ -233,20 +271,21 @@ class Environment:
             ready.append(heappop(queue))
 
         choice = controller.select(self, when, prio, ready, self.peek())
-        event: Optional[Event] = None
+        chosen: Optional[Entry] = None
         if isinstance(choice, tuple):
             kind, index, delta = choice
             if kind != "defer" or not delta > 0.0:
                 raise SimulationError(
                     f"controller returned invalid choice {choice!r}"
                 )
+            _when, _prio, _seq, fn, arg = ready.pop(index)
             self._seq += 1
-            heappush(queue, (when + delta, prio, self._seq, ready.pop(index)[3]))
+            heappush(queue, (when + delta, prio, self._seq, fn, arg))
         else:
-            event = ready.pop(choice)[3]
+            chosen = ready.pop(choice)
         for entry in ready:
             heappush(queue, entry)
-        return event
+        return chosen
 
     def run(
         self,
@@ -260,13 +299,15 @@ class Environment:
         ``None`` (run the schedule dry).  ``max_events`` bounds the number of
         processed events as a runaway guard.
 
-        This is the kernel's only loop.  Per event it checks the stop
-        conditions against the schedule head, pops it (``heappop``, or
-        :meth:`_select` under a :attr:`controller`), fires it, dispatches
-        its callbacks (through ``profiler.dispatch`` under a
-        :attr:`profiler`) and raises an undefused failure.  A callback
-        that schedules a same-time *urgent* event therefore sees it run
-        next: the head is re-read from the queue on every turn.
+        This is the kernel's only loop.  Per entry it checks the stop
+        conditions against the schedule head and pops it (``heappop``, or
+        :meth:`_select` under a :attr:`controller`).  A call entry runs
+        ``fn(arg)`` (through ``profiler.call`` under a :attr:`profiler`);
+        an event entry fires its event, dispatches its callbacks (through
+        ``profiler.dispatch``) and raises an undefused failure.  Both
+        count in :attr:`events_processed`.  A callback that schedules a
+        same-time *urgent* event therefore sees it run next: the head is
+        re-read from the queue on every turn.
         """
         stop_event: Optional[Event] = None
         stop_time = float("inf")
@@ -294,14 +335,22 @@ class Environment:
             if limit is not None and self.events_processed >= limit:
                 raise SimulationError(f"exceeded max_events={max_events}")
             if controller is None:
-                event = heappop(queue)[3]
+                _when, _prio, _seq, fn, arg = heappop(queue)
             else:
-                event = self._select(controller)
-                if event is None:
+                entry = self._select(controller)
+                if entry is None:
                     continue
+                _when, _prio, _seq, fn, arg = entry
             self._now = when
             self.events_processed += 1
 
+            if fn is not None:
+                if profiler is None:
+                    fn(arg)
+                else:
+                    profiler.call(fn, arg)
+                continue
+            event = arg
             if event._value is _PENDING:
                 # Auto-firing event (Timeout): materialise its value now.
                 event._ok = True

@@ -47,8 +47,11 @@ class Event:
     Lifecycle: *pending* -> *triggered* (value or exception set, sitting in
     the event queue) -> *processed* (callbacks ran).  Callbacks appended after
     processing would be lost, so :meth:`add_callback` on a processed event
-    invokes the callback immediately via an urgent zero-delay event; this
-    keeps "wait on an already-completed event" race-free.
+    runs the callback synchronously, inside the call; this keeps "wait on
+    an already-completed event" race-free.
+
+    A timer that nobody waits on needs no Event: it is a call entry
+    (:meth:`Environment.call_later <repro.sim.core.Environment.call_later>`).
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_processed", "_scheduled", "_defused")
@@ -111,7 +114,7 @@ class Event:
         # kernel run loop").
         self._scheduled = True
         env._seq += 1
-        env._qpush((env._now, PRIORITY_NORMAL, env._seq, self))
+        env._qpush((env._now, PRIORITY_NORMAL, env._seq, None, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -128,7 +131,7 @@ class Event:
         self._defused = False
         self._scheduled = True  # inlined _enqueue push; see succeed()
         env._seq += 1
-        env._qpush((env._now, PRIORITY_NORMAL, env._seq, self))
+        env._qpush((env._now, PRIORITY_NORMAL, env._seq, None, self))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -202,7 +205,7 @@ class Timeout(Event):
         self._fire_value = value
         self._scheduled = True
         env._seq += 1
-        env._qpush((env._now + delay, priority, env._seq, self))
+        env._qpush((env._now + delay, priority, env._seq, None, self))
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r}>"

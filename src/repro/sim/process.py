@@ -68,7 +68,7 @@ class Process(Event):
         bootstrap.callbacks.append(self._resume)
         bootstrap._scheduled = True
         env._seq += 1
-        env._qpush((env._now, PRIORITY_URGENT, env._seq, bootstrap))
+        env._qpush((env._now, PRIORITY_URGENT, env._seq, None, bootstrap))
 
     # -- state -------------------------------------------------------------
 

@@ -70,9 +70,9 @@ def test_reply_event_fanouts_leave_the_choice_points_alone(
 def test_service_events_are_attributed_to_their_node():
     """An inbox service completion belongs to its node (by the owner's
     name, as a process does), not to "unknown = dependent with all":
-    two nodes' service events commute, and a service Timeout is never
+    two nodes' service calls commute, and a service call is never
     mistaken for a remote delivery."""
-    from repro.check.explore import _delivery_dst, _dependent, _sites_of
+    from repro.check.explore import _delivery_dst, _dependent, _entry_sites
     from repro.net import MessageType, Network, Node, Topology
     from repro.sim import Environment, RngRegistry
 
@@ -85,14 +85,13 @@ def test_service_events_are_attributed_to_their_node():
     nodes[0].send(2, MessageType.PING)
     env.run(until=max(net.topology.delay(0, 1), net.topology.delay(0, 2)))
     services = sorted(
-        (entry[3] for entry in env.pending_entries()),
-        key=lambda event: event.callbacks[0].__self__.name,
+        env.pending_entries(), key=lambda entry: entry[3].__self__.name,
     )
-    assert [_sites_of(event) for event in services] == [
+    assert [_entry_sites(entry) for entry in services] == [
         frozenset({1}), frozenset({2}),
     ]
-    assert [_delivery_dst(event) for event in services] == [None, None]
-    one, two = (_sites_of(event) for event in services)
+    assert [_delivery_dst(entry) for entry in services] == [None, None]
+    one, two = (_entry_sites(entry) for entry in services)
     assert not _dependent(one, False, two, False)
     assert not _dependent(one, False, one, False)  # same node: program order
     assert _dependent(one, False, one, True)       # ... unless one arrives

@@ -128,7 +128,7 @@ class TestKernelCost:
         # the same K reply events as without a policy, plus one reply
         # window per call, none of which has expired yet
         assert counts[("Event", "n*.tfa")] == K
-        assert ("Timeout", "n*.rpc") not in counts
+        assert ("call", "n*.rpc") not in counts
         assert cluster.profiler.event_counts["Process"] == 1
 
         cluster = make_cluster(faults=dict(enabled=True))

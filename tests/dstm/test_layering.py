@@ -77,8 +77,8 @@ def test_tfa_spawns_no_process():
 def process_names(cluster):
     """Names of the processes waiting in the kernel's schedule."""
     names = set()
-    for _when, _prio, _seq, event in cluster.env.pending_entries():
-        for callback in event.callbacks or ():
+    for _when, _prio, _seq, fn, arg in cluster.env.pending_entries():
+        for callback in (fn,) if fn is not None else arg.callbacks or ():
             owner = getattr(callback, "__self__", None)
             name = getattr(owner, "name", None)
             if isinstance(name, str):

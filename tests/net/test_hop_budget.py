@@ -10,17 +10,18 @@ frame, so this file counts them: ``sys.setprofile`` ``call`` events
 bounds — 3.12 inlines comprehensions, so the exact figure moves with the
 interpreter.
 
-Recorded with CPython 3.11.7, frames under ``src/repro`` per round trip,
-parent 96fe186 → this change.  (Counting *every* Python frame — the
-test's own generator and handler, and at the parent the dataclass's
-generated ``__init__``, whose file is ``<string>`` — adds 4.0 → 2.0; the
-issue's "57.0" is that count.)
+Recorded with CPython 3.11.7, frames under ``src/repro`` per round trip.
+A message hop was a link-delay ``Timeout`` and a service ``Timeout``
+until both became kernel call entries (``Environment.call_later``):
 
-* blocking ``RpcClient.call``: 53.0 → 30.0;
+* blocking ``RpcClient.call``: 53.0 (a dataclass ``Message``, a
+  process per call) → 30.0 → 23.0 (call entries);
 * ``k = 4`` ``RpcClient.submit`` fan-out joined by ``env.all_of``, per
-  member: 57.0 → 30.5 (228.0 → 122.0 per fan-out);
-* batched route, a 2 ms window, one message per batch: 75.0 → 38.0 per
-  round trip, i.e. 11 → 4 frames per batch over the plain route.
+  member: 57.0 → 30.5 → 23.5;
+* batched route, a 2 ms window, one message per batch: 75.0 → 38.0 →
+  35.0 per round trip, i.e. 11 → 4 → 6 frames per batch over the plain
+  route (the plain route's push is inlined and costs no frame, so the
+  batcher's ``enqueue`` no longer replaces one).
 """
 
 import sys
@@ -35,11 +36,10 @@ SRC = str(Path(repro.__file__).resolve().parent)
 SVC = 5e-4
 TRIPS = 100
 #: frames per blocking round trip the plain route may cost
-BUDGET = 34
-#: frames one flushed batch may add: the flush Timeout, _flush,
-#: deliver_batch and _deliver_riders (per member, enqueue replaces the
-#: plain route's _deliver one for one)
-FLUSH_FRAMES = 4
+BUDGET = 26
+#: frames one flushed batch may add: enqueue and its call_later, _flush,
+#: deliver_batch and the riders' call_later, _deliver_riders
+FLUSH_FRAMES = 6
 
 
 def build(env):

@@ -122,9 +122,20 @@ class TestCallbackChain:
     """The inbox server as a state machine: what it costs the kernel and
     when each message completes."""
 
-    def test_burst_costs_one_timeout_per_message_and_no_process(self, env):
+    def test_burst_costs_two_calls_per_message_and_no_event(
+        self, env, monkeypatch
+    ):
         from repro.prof.kernel import KernelProfiler
+        from repro.sim.events import Timeout
 
+        built = []
+        timeout_init = Timeout.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            timeout_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Timeout, "__init__", counting_init)
         profiler = KernelProfiler().install(env)
         net, nodes = build(env, msg_process_time=SVC)
         nodes[2].on(MessageType.PING, lambda m: None)
@@ -133,12 +144,13 @@ class TestCallbackChain:
             nodes[0].send(2, MessageType.PING)
         env.run()
         assert nodes[2].messages_processed == k
-        assert profiler.counts == {
-            ("Timeout", "Network"): k, ("Timeout", "n*.inbox"): k,
-        }
-        # no bootstrap Event, no Process termination: nothing but the
-        # link delay and the service period of each message
-        assert profiler.event_counts == {"Timeout": 2 * k}
+        # the link delay ends in the inbox's arrive(), the service period
+        # in its _served(): both calls belong to the inbox
+        assert profiler.counts == {("call", "n*.inbox"): 2 * k}
+        # no Timeout, no bootstrap Event, no Process termination: nothing
+        # but the link delay and the service period of each message
+        assert profiler.event_counts == {"call": 2 * k}
+        assert built == []
         assert env.events_processed == 2 * k
 
     def test_completion_times_follow_the_reference_recurrence(self, env):
@@ -209,8 +221,8 @@ class TestCallbackChain:
 
 def test_service_events_on_a_real_cell_are_two_per_message(tmp_path):
     """Counters-mode profile of the pinned dht cell: the inbox shows up
-    as service Timeouts only, and the net layer's events (link delays +
-    service periods) stay within two per message."""
+    as call entries only (arrivals and service periods), and the net
+    layer's events stay within two per message."""
     from repro.core import ClusterConfig, SchedulerKind
     from repro.core.experiment import run_experiment
 
@@ -226,9 +238,9 @@ def test_service_events_on_a_real_cell_are_two_per_message(tmp_path):
         stack, weight = line.rsplit(" ", 1)
         _, kind, site = stack.split(";")
         counts[(kind, site)] = int(weight)
-    assert ("Event", "n*.inbox") not in counts
-    assert ("Process", "n*.inbox") not in counts
-    assert 0 < counts[("Timeout", "n*.inbox")] <= result.messages_sent
+    assert {kind for kind, site in counts if site == "n*.inbox"} == {"call"}
+    assert not any(site == "Network" for _, site in counts)  # unbatched
+    assert result.messages_sent < counts[("call", "n*.inbox")] <= 2 * result.messages_sent
     net_events = sum(n for (_, site), n in counts.items()
                      if site == "Network" or site.endswith(".inbox"))
     assert net_events / result.messages_sent <= 2.0

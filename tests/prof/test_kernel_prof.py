@@ -49,7 +49,7 @@ class TestSiteNormalisation:
         nodes[0].send(7, MessageType.PING)
         env.run(until=net.topology.delay(0, 7))
         (entry,) = env.pending_entries()
-        (callback,) = entry[3].callbacks
+        callback = entry[3]  # a call entry: (when, prio, seq, fn, arg)
         assert callback.__self__.name == "n7.inbox"
         assert site_of(callback) == "n*.inbox"
 
