@@ -156,7 +156,7 @@ class Environment:
         """Current simulated time."""
         return self._now
 
-    # -- event factories -------------------------------------------------------
+    # -- event factories and calls ---------------------------------------------
 
     def event(self) -> Event:
         """A fresh untriggered event."""
@@ -165,22 +165,6 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires ``delay`` time units from now."""
         return Timeout(self, delay, value)
-
-    def process(
-        self,
-        generator: Generator[Event, Any, Any],
-        name: Optional[str] = None,
-    ) -> Process:
-        """Start a new process running ``generator``."""
-        return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    # -- scheduling (kernel-internal) ------------------------------------------
 
     def call_later(
         self, delay: float, fn: Callable[[Any], Any], arg: Any = None
@@ -197,6 +181,22 @@ class Environment:
             raise ValueError(f"delay must be >= 0 and not NaN, got {delay!r}")
         self._seq += 1
         self._qpush((self._now + delay, PRIORITY_NORMAL, self._seq, fn, arg))
+
+    def process(
+        self,
+        generator: Generator[Event, Any, Any],
+        name: Optional[str] = None,
+    ) -> Process:
+        """Start a new process running ``generator``."""
+        return Process(self, generator, name=name)
+
+    def any_of(self, events: Iterable[Event]) -> AnyOf:
+        return AnyOf(self, events)
+
+    def all_of(self, events: Iterable[Event]) -> AllOf:
+        return AllOf(self, events)
+
+    # -- scheduling (kernel-internal) ------------------------------------------
 
     def _enqueue(self, delay: float, priority: int, event: Event) -> None:
         # The checked scheduling path.  Event.succeed/fail, Timeout

@@ -1,27 +1,26 @@
 """The message hop's Python budget, as a count of interpreter frames.
 
-One blocking RPC is two messages and five kernel events; what each
-costs the host is the Python that runs per hop.  The ledger
-(``benchmarks/e2e``) resolves microseconds per commit and cannot see one
-frame, so this file counts them: ``sys.setprofile`` ``call`` events
+One blocking RPC is two messages and five kernel entries (four calls,
+one reply event); what each costs the host is the Python that runs per
+hop.  The ledger (``benchmarks/e2e``) resolves microseconds per commit
+and cannot see one frame, so this file counts them: ``sys.setprofile`` ``call`` events
 (Python function entries and generator resumptions; C calls are
 ``c_call`` and not counted) whose code lives under ``src/repro``, during
 ``env.run()``, divided by the round trips made.  The bounds are upper
 bounds — 3.12 inlines comprehensions, so the exact figure moves with the
 interpreter.
 
-Recorded with CPython 3.11.7, frames under ``src/repro`` per round trip.
-A message hop was a link-delay ``Timeout`` and a service ``Timeout``
-until both became kernel call entries (``Environment.call_later``):
+Recorded with CPython 3.11.7, frames under ``src/repro`` per round trip,
+before → after a message's link delay and service period became kernel
+call entries instead of two ``Timeout`` events:
 
-* blocking ``RpcClient.call``: 53.0 (a dataclass ``Message``, a
-  process per call) → 30.0 → 23.0 (call entries);
+* blocking ``RpcClient.call``: 31.0 → 23.0;
 * ``k = 4`` ``RpcClient.submit`` fan-out joined by ``env.all_of``, per
-  member: 57.0 → 30.5 → 23.5;
-* batched route, a 2 ms window, one message per batch: 75.0 → 38.0 →
-  35.0 per round trip, i.e. 11 → 4 → 6 frames per batch over the plain
-  route (the plain route's push is inlined and costs no frame, so the
-  batcher's ``enqueue`` no longer replaces one).
+  member: 31.5 → 23.5;
+* batched route, a 2 ms window, one message per batch: 39.0 → 35.0 per
+  round trip, i.e. 4 → 6 frames per batch over the plain route (the
+  plain route's push is inlined and costs no frame, so the batcher's
+  ``enqueue`` no longer replaces one).
 """
 
 import sys
