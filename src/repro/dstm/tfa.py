@@ -9,12 +9,11 @@ of the proxy's object-access protocol:
   transactional clock; observing a clock ahead of the transaction's start
   clock forces an *early validation* of the whole read set — abort on any
   stale entry, otherwise the start clock advances (TFA's forwarding step);
-* **the commit protocol**: lock the write set (``VALIDATING`` — the
-  paper's conflict window), re-validate the read set against the homes'
-  registered versions, globally register ownership + the new versions
-  (``DIR_UPDATE`` round trips — the communication that makes distributed
-  validation long, §II), bump the node clock, install values, and serve
-  the queued requesters;
+* **the commit protocol**, four phases: acquire the write set
+  (``VALIDATING`` — the paper's conflict window), register ownership +
+  the new versions at the homes (``DIR_UPDATE`` round trips — what makes
+  distributed validation long, §II), validate the read set against the
+  homes' registered versions, then install and serve the queued requesters;
 * **closed-nesting semantics**: inner commits merge into the parent,
   inner aborts roll back only the inner level, parent aborts kill the
   whole subtree and release every acquired object (so a restarted parent
@@ -192,22 +191,19 @@ class TFAEngine:
 
         Returns ``(level, oid)`` of the first stale entry in that order
         (for a chain: the one closest to the root — aborting that level
-        kills every deeper level too), or None when everything is still
-        valid.  A home that stayed silent through every RPC retry (fault
-        mode) decides too, if it comes first: the read cannot be proven
-        fresh, so the whole root aborts as an environmental failure
-        (``OWNER_FAILURE``) rather than a data conflict.
+        kills every deeper level too), or None when everything is valid.
+        A home silent through every RPC retry (fault mode) decides too,
+        if it comes first: the read cannot be proven fresh, so the root
+        aborts as an environmental failure (``OWNER_FAILURE``).
 
-        The home directories are the serialisation authority: an owner's
-        local store lags the home registry while a commit is in flight
-        (registration precedes installation), so checking a merely
-        locally-owned copy would admit write skew.  Only objects in
-        ``own`` — exclusively acquired by the *validating transaction
-        itself*, whose versions therefore cannot move — are checked
-        locally; everything else queries its home in parallel (one
-        fan-out — the cost model of distributed validation).  Each call
-        is its reply event, and the reply folds into the lookup cache at
-        the event it lands on.
+        The homes are the serialisation authority: an owner's store lags
+        the home registry while a commit is in flight (registration
+        precedes installation), so checking a merely locally-owned copy
+        would admit write skew.  Only objects in ``own`` — acquired by
+        the *validating transaction itself*, so their versions cannot
+        move — are checked locally; the rest query their homes in one
+        parallel fan-out (the cost model of distributed validation), each
+        call its reply event, folded into the lookup cache as it lands.
         """
         store = self.proxy.store
         submit = self.proxy.rpc_client.submit
@@ -272,23 +268,12 @@ class TFAEngine:
             raise TransactionError(f"{tx.txid} is a root; use commit_root")
         self._ensure_live(tx)
         if tx.rset:
-            tracer = self.proxy.tracer
-            span_on = tracer.wants("span.phase")
-            if span_on:
-                tracer.emit(self.env.now, "span.phase", tx.txid,
-                            phase="validate", edge="B")
             # Own entries only: an unreachable home kills the root (an
             # inner retry could not do better against a dead home), a
             # stale entry only this level.
-            stale = yield from self._first_stale([tx], set())
-            if stale is not None:
-                raise TransactionAborted(
-                    tx, AbortReason.EARLY_VALIDATION, oid=stale[1],
-                    detail="stale read at nested commit",
-                )
-            if span_on:
-                tracer.emit(self.env.now, "span.phase", tx.txid,
-                            phase="validate", edge="E")
+            yield from self._validate(tx, set(), AbortReason.EARLY_VALIDATION,
+                                      "stale read at nested commit",
+                                      self.proxy.tracer.wants("span.phase"))
         tx.merge_into_parent()
 
     def abort_nested(self, tx: Transaction, reason: AbortReason) -> List[Transaction]:
@@ -306,175 +291,163 @@ class TFAEngine:
     # ------------------------------------------------------------------
 
     def commit_root(self, root: Transaction) -> Generator[Any, Any, None]:
-        """The TFA commit protocol (generator; may raise TransactionAborted)."""
+        """The TFA commit protocol (generator; may raise TransactionAborted).
+
+        Four phases: :meth:`_acquire` the written objects,
+        :meth:`_register` the new versions at their homes,
+        :meth:`_validate` the read set, :meth:`_install`.  A read-only
+        root only validates.  Any abort withdraws the registrations that
+        landed, then aborts the root; nothing else leaves objects locked.
+        """
         if not root.is_root:
             raise TransactionError(f"{root.txid} is nested; use commit_nested")
         self._ensure_live(root)
         self._check_doom(root)
 
-        live_children = list(root.live_descendants())
-        if live_children:
-            raise TransactionError(
-                f"{root.txid}: cannot commit with live nested transactions "
-                f"({', '.join(c.txid for c in live_children)})"
-            )
+        live = list(root.live_descendants())
+        if live:
+            raise TransactionError(f"{root.txid}: cannot commit with live nested "
+                                   f"transactions ({', '.join(c.txid for c in live)})")
 
-        tracer = self.proxy.tracer
-        span_on = tracer.wants("span.phase")
-        txid = root.txid
+        span_on = self.proxy.tracer.wants("span.phase")
         if span_on:
-            tracer.emit(self.env.now, "span.phase", txid, phase="commit", edge="B")
-
-        if not root.wset:
-            # Read-only: validate and finish — no locks, no registration.
-            # The snapshot is provably intact at validation start (every
-            # home check happens later and passes), so that instant is the
-            # serialisation point.
-            validation_started = self.env.now
-            if span_on:
-                tracer.emit(self.env.now, "span.phase", txid, phase="validate", edge="B")
-            stale = yield from self._first_stale([root], root.acquired)
-            if stale is not None:
-                self.abort_root(root, AbortReason.COMMIT_VALIDATION, oid=stale[1])
-                raise TransactionAborted(root, AbortReason.COMMIT_VALIDATION, oid=stale[1])
-            if span_on:
-                tracer.emit(self.env.now, "span.phase", txid, phase="validate", edge="E")
-            root.serialized_at = validation_started
-            if self.commit_observer is not None:
-                self.commit_observer(self._commit_record(root, {}))
-            self._finalize_commit(root)
-            if span_on:
-                tracer.emit(self.env.now, "span.phase", txid, phase="commit", edge="E")
-            return
-
-        registered = False
-        old_versions: Dict[str, int] = {}
+            self._edge(root, "commit", "B")
+        new_versions: Dict[str, int] = {}
         try:
-            # 1. Acquisition phase (lazy TFA): migrate the single writable
-            #    copy of every written object to this node, in sorted
-            #    order (avoids AB-BA deadlocks between committers).  Each
-            #    acquired object enters the validation window immediately
-            #    — this is where the paper's scheduled conflicts happen:
-            #    a busy (validating) object routes us through the owner's
-            #    scheduler, which enqueues us (RTS) or rejects us.
-            if span_on:
-                tracer.emit(self.env.now, "span.phase", txid, phase="acquire", edge="B")
-            for oid in sorted(root.wset):
-                obj = self.proxy.store.get(oid)
-                if obj is not None and (
-                    obj.state is ObjectState.FREE or obj.holder == root.task_id
-                ):
-                    self.proxy.begin_validation(oid, root.task_id)
-                    root.acquired.add(oid)
-                    continue
-                yield from self.proxy.open_object(tx=root, oid=oid, mode=ObjectMode.ACQUIRE)
-                root.acquired.add(oid)
-            if span_on:
-                tracer.emit(self.env.now, "span.phase", txid, phase="acquire", edge="E")
-                tracer.emit(self.env.now, "span.phase", txid, phase="register", edge="B")
-
-            # 2. Global registration *before* validation: publish
-            #    (owner, new version) at each home directory and wait for
-            #    every ack — the paper's "global registration of object
-            #    ownership".  Registering first is what makes distributed
-            #    validation sound: any concurrent validator of an object
-            #    we are committing now observes the advanced version and
-            #    fails, which closes the write-skew window two crossing
-            #    read/write commits would otherwise have.
-            old_versions = {oid: self.proxy.store[oid].version for oid in root.wset}
-            new_versions = {oid: v + 1 for oid, v in old_versions.items()}
-            #    Each registration is its reply event (as in
-            #    _first_stale); the ack folds as it lands.  ``txid``
-            #    identifies this commit *attempt*: a later withdraw only
-            #    cancels the registration carrying the same txid, so a
-            #    duplicated or late withdraw can never roll back a
-            #    different (successful) registration by the same owner.
-            submit = self.proxy.rpc_client.submit
-            num_nodes = self.node.network.num_nodes
-            order = sorted(root.wset)
-            calls = []
-            for oid in order:
-                call = submit(
-                    home_node(oid, num_nodes), _DIR_UPDATE,
-                    {"oid": oid, "owner": self.node.node_id,
-                     "version": new_versions[oid], "txid": root.txid},
-                )
-                call.callbacks.append(self._fold_register)
-                calls.append(call)
-            yield self.env.all_of(calls)
-            registered = True
-
-            # 2b. Inspect the acks, only now that every call has an
-            #     outcome (no-ops in the fault-free build, where every ack
-            #     is ok).  An *unreachable* home (the call resolved None)
-            #     leaves the registration unknown: abort; the withdraws in
-            #     the except-arm roll back whatever did land.  A *fenced*
-            #     registration means a lease reclaim or competing recovery
-            #     superseded the copy while we held it: the copy is stale
-            #     — drop it and abort.
-            for oid, call in zip(order, calls):
-                reply = call.value
-                if reply is None:
-                    raise TransactionAborted(
-                        root, AbortReason.OWNER_FAILURE, oid=oid,
-                        detail="registration home unreachable",
-                    )
-                if reply.payload.get("ok", True):
-                    continue
-                self.proxy.discard_object(oid)
-                raise TransactionAborted(
-                    root, AbortReason.OWNER_FAILURE, oid=oid,
-                    detail="registration fenced by recovery",
-                )
-            if span_on:
-                tracer.emit(self.env.now, "span.phase", txid, phase="register", edge="E")
-                tracer.emit(self.env.now, "span.phase", txid, phase="validate", edge="B")
-
-            # 3. Read-set validation against the homes' registered
-            #    versions (covers write-set anchors too: a concurrent
-            #    committer that published first invalidates us here).
-            stale = yield from self._first_stale([root], root.acquired)
-            if stale is not None:
-                raise TransactionAborted(
-                    root, AbortReason.COMMIT_VALIDATION, oid=stale[1]
-                )
-            if span_on:
-                tracer.emit(self.env.now, "span.phase", txid, phase="validate", edge="E")
+            if root.wset:
+                yield from self._acquire(root, span_on)
+                new_versions = yield from self._register(root, span_on)
+            validation_started = self.env.now
+            yield from self._validate(root, root.acquired, AbortReason.COMMIT_VALIDATION,
+                                      "", span_on)
         except TransactionAborted as abort:
-            if registered:
-                # Withdraw the provisional registrations (the values were
-                # never installed) before aborting.
-                self._withdraw_registrations(old_versions, root.txid)
+            if new_versions:
+                # never installed: withdraw the registrations first
+                self._withdraw_registrations(new_versions, root.txid)
             self.abort_root(root, abort.reason, oid=abort.oid)
             raise
         except BaseException:
             # Defensive: never leave objects locked on unexpected errors.
             self._release_levels([root])
             raise
+        self._install(root, new_versions, validation_started)
+        if span_on:
+            self._edge(root, "commit", "E")
 
-        # 4. Install values, bump the transactional clock, release + serve
-        #    queues.  (Single event-loop turn: atomic within the node.)
-        self.node.clock.tick()
-        root.serialized_at = self.env.now
+    def _edge(self, tx: Transaction, phase: str, edge: str) -> None:
+        """One ``span.phase`` edge of ``tx`` (callers hold the guard)."""
+        self.proxy.tracer.emit(self.env.now, "span.phase", tx.txid, phase=phase, edge=edge)
+
+    def _acquire(self, root: Transaction, span_on: bool) -> Generator[Any, Any, None]:
+        """Phase 1 (lazy TFA): migrate the single writable copy of every
+        written object here, in sorted order (no AB-BA deadlocks between
+        committers).  Each enters the validation window at once — where
+        the paper's scheduled conflicts happen: a busy (validating)
+        object routes us through its owner's scheduler, which enqueues us
+        (RTS) or rejects us."""
+        if span_on:
+            self._edge(root, "acquire", "B")
+        store = self.proxy.store
+        for oid in sorted(root.wset):
+            obj = store.get(oid)
+            if obj is not None and (obj.state is ObjectState.FREE
+                                    or obj.holder == root.task_id):
+                self.proxy.begin_validation(oid, root.task_id)
+            else:
+                yield from self.proxy.open_object(tx=root, oid=oid, mode=ObjectMode.ACQUIRE)
+            root.acquired.add(oid)
+        if span_on:
+            self._edge(root, "acquire", "E")
+
+    def _register(self, root: Transaction,
+                  span_on: bool) -> Generator[Any, Any, Dict[str, int]]:
+        """Phase 2: publish (owner, new version) at every home and wait
+        for every ack — the paper's "global registration of object
+        ownership".  Returns the registered versions.
+
+        Registering *before* validation makes distributed validation
+        sound: a concurrent validator of an object we are committing now
+        sees the advanced version and fails, closing the write-skew
+        window of two crossing read/write commits.  Each registration is
+        its reply event and its ack folds as it lands; ``txid`` names this
+        *attempt*, so a duplicated or late withdraw never rolls back
+        another registration by the same owner.  Once every call has an
+        outcome, an *unreachable* home (the call resolved None) or a
+        *fenced* ack (recovery superseded our copy: drop it) withdraws
+        every registration and aborts the root.
+        """
+        if span_on:
+            self._edge(root, "register", "B")
+        new_versions = {oid: self.proxy.store[oid].version + 1 for oid in root.wset}
+        submit = self.proxy.rpc_client.submit
+        num_nodes = self.node.network.num_nodes
+        order = sorted(new_versions)
+        calls = []
+        for oid in order:
+            call = submit(
+                home_node(oid, num_nodes), _DIR_UPDATE,
+                {"oid": oid, "owner": self.node.node_id,
+                 "version": new_versions[oid], "txid": root.txid},
+            )
+            call.callbacks.append(self._fold_register)
+            calls.append(call)
+        yield self.env.all_of(calls)
+        for oid, call in zip(order, calls):
+            reply = call.value
+            if reply is None:
+                detail = "registration home unreachable"
+            elif not reply.payload.get("ok", True):
+                self.proxy.discard_object(oid)
+                detail = "registration fenced by recovery"
+            else:
+                continue
+            self._withdraw_registrations(new_versions, root.txid)
+            raise TransactionAborted(root, AbortReason.OWNER_FAILURE, oid=oid, detail=detail)
+        if span_on:
+            self._edge(root, "register", "E")
+        return new_versions
+
+    def _validate(self, tx: Transaction, own: Set[str], reason: AbortReason,
+                  detail: str, span_on: bool) -> Generator[Any, Any, None]:
+        """Phase 3: validate ``tx``'s own read set against the homes'
+        registered versions (for a root this covers the write-set anchors
+        too: a concurrent committer that published first invalidates us
+        here).  A stale entry aborts ``tx`` with ``reason`` and
+        ``detail``; an unreachable home aborts the root."""
+        if span_on:
+            self._edge(tx, "validate", "B")
+        stale = yield from self._first_stale([tx], own)
+        if stale is not None:
+            raise TransactionAborted(tx, reason, oid=stale[1], detail=detail)
+        if span_on:
+            self._edge(tx, "validate", "E")
+
+    def _install(self, root: Transaction, new_versions: Dict[str, int],
+                 validation_started: float) -> None:
+        """Phase 4, the one exit: bump the clock, install values, release
+        + serve queues, account the commit — one event-loop turn, atomic
+        within the node.  A read-only root installs nothing: its snapshot
+        is provably intact at validation start (every home check passes
+        later), so that instant is its serialisation point.
+        """
+        if new_versions:
+            self.node.clock.tick()
+            root.serialized_at = self.env.now
+        else:
+            root.serialized_at = validation_started
         for oid, value in root.wset.items():
             obj = self.proxy.store[oid]
             obj.commit_write(value)
             if self.proxy.payload is not None:
-                # The committer just produced the bytes of the new version
-                # locally: it becomes the payload factory for this fence,
-                # and every remote cache entry is stale by construction.
+                # The committer made the new version's bytes: it is the
+                # payload factory for this fence, remote caches are stale.
                 obj.payload_src = self.node.node_id
-                self.proxy.payload.plane.note_materialize(
-                    self.node.node_id, oid, obj.version
-                )
+                self.proxy.payload.plane.note_materialize(self.node.node_id, oid, obj.version)
             if self.proxy.owner_hints.fencing:
-                # Advance our own cache entry to the registered version,
-                # or the next validate reply would fence the entry for an
-                # object we ourselves hold.  (Fenced mode only: hint mode
-                # must stay byte-identical to the legacy dict.)
-                self.proxy.owner_hints.put(
-                    oid, self.node.node_id, new_versions[oid]
-                )
+                # Advance our own entry to the registered version, or the
+                # next validate reply would fence it for an object we hold
+                # (fenced mode only: hint mode stays the legacy dict).
+                self.proxy.owner_hints.put(oid, self.node.node_id, new_versions[oid])
         root.status = TxStatus.COMMITTED
         if self.commit_observer is not None:
             # Capture before release: the hand-off may migrate written
@@ -488,9 +461,19 @@ class TFAEngine:
             # home's recovery snapshot.
             for oid in sorted(root.wset):
                 recovery.publish_commit(oid, new_versions[oid], root.wset[oid])
-        self._finalize_commit(root)
-        if span_on:
-            tracer.emit(self.env.now, "span.phase", txid, phase="commit", edge="E")
+        if self.sanitizer is not None:
+            # An attempt that aborted (OWNER_FAILURE included) must never
+            # reach commit finalisation.
+            self.sanitizer.check_commit(
+                root.txid, node=self.node.node_id, now=self.env.now
+            )
+        now = self.node.now_local
+        duration = now - root.start_local_time
+        self.proxy.scheduler.on_commit(root, duration)
+        self.proxy.scheduler.note_commit_time(now)
+        self.proxy.doomed.clear(root.task_id)
+        if self.on_commit_hook is not None:
+            self.on_commit_hook(root, duration)
 
     def _fold_register(self, reply: Event) -> None:
         """Reply-event callback: a fenced registration ack is
@@ -507,40 +490,36 @@ class TFAEngine:
             )
 
     def _withdraw_registrations(
-        self, old_versions: Dict[str, int], txid: str
+        self, new_versions: Dict[str, int], txid: str
     ) -> None:
-        """Roll back step 2's provisional registrations.
+        """Roll back :meth:`_register`'s registrations (each the
+        transition ``version - 1 → version``).
 
-        Homes honour a withdraw only while the sender is still the
-        registered owner and the withdrawn registration (same txid, same
-        version transition) is the one in place, so sending one for a
-        fenced or superseded oid is harmless.  Nobody waits on a withdraw
-        (:meth:`~repro.rpc.RpcClient.post`): under fault injection it is
-        retried (a lost withdraw would leave the registered version ahead
-        of the committed copy, starving readers of the object until its
-        next write commit; a crashed home heals via reclaim); fault-free
-        it is a single fire-and-forget send.
+        A home honours a withdraw only while the sender is still the
+        registered owner and that registration (same txid, same
+        transition) is in place, so one for a fenced or superseded oid is
+        harmless.  Nobody waits on it (:meth:`~repro.rpc.RpcClient.post`):
+        under faults it is retried (a lost withdraw would starve readers
+        until the object's next write commit; a crashed home heals via
+        reclaim), fault-free it is one fire-and-forget send.
         """
         post = self.proxy.rpc_client.post
         num_nodes = self.node.network.num_nodes
-        for oid in sorted(old_versions):
+        for oid in sorted(new_versions):
             post(
                 home_node(oid, num_nodes), _DIR_UPDATE,
                 {"oid": oid, "owner": self.node.node_id,
-                 "version": old_versions[oid], "withdraw": True,
+                 "version": new_versions[oid] - 1, "withdraw": True,
                  "txid": txid},
             )
 
     def _commit_record(
         self, root: Transaction, new_versions: Dict[str, int]
     ) -> Dict[str, Any]:
-        """The committed root's read/write footprint for the oracle.
-
+        """The committed root's read/write footprint for the oracle:
         ``reads`` are the version anchors the commit validated (nested
-        levels folded in by ``merge_into_parent``); ``writes`` are the
-        versions this commit installed.  Sorted by oid so the record is
-        deterministic regardless of dict insertion order.
-        """
+        levels folded in by ``merge_into_parent``), ``writes`` the
+        versions it installed, both sorted by oid (deterministic)."""
         return {
             "txid": root.txid,
             "task_id": root.task_id,
@@ -555,22 +534,6 @@ class TFAEngine:
                 for oid in sorted(new_versions)
             ],
         }
-
-    def _finalize_commit(self, root: Transaction) -> None:
-        if self.sanitizer is not None:
-            # An attempt that aborted (OWNER_FAILURE included) must never
-            # reach commit finalisation.
-            self.sanitizer.check_commit(
-                root.txid, node=self.node.node_id, now=self.env.now
-            )
-        root.status = TxStatus.COMMITTED
-        now = self.node.now_local
-        duration = now - root.start_local_time
-        self.proxy.scheduler.on_commit(root, duration)
-        self.proxy.scheduler.note_commit_time(now)
-        self.proxy.doomed.clear(root.task_id)
-        if self.on_commit_hook is not None:
-            self.on_commit_hook(root, duration)
 
     def abort_root(
         self,
