@@ -102,10 +102,12 @@ class TransactionHandle:
     ) -> Generator[Any, Any, Any]:
         """Run ``body`` as a closed-nested child transaction.
 
-        The child is retried on its own aborts (``max_retries`` bounds
-        that, None = unbounded); ancestor aborts propagate.  Returns the
+        The child is retried on its own aborts (``max_retries`` >= 0
+        bounds that, None = unbounded); ancestor aborts propagate.  Returns the
         body's return value once the child merges into this level.
         """
+        if max_retries is not None and max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         engine = self._engine
         parent = self._tx
         if engine.nesting is NestingModel.FLAT:
@@ -119,7 +121,7 @@ class TransactionHandle:
             # Fault mode installs a default cap so a child whose read
             # set can never validate (a registry wedged by lost
             # messages) escalates to the root instead of spinning.
-            max_retries = getattr(engine, "nested_retry_cap", None)
+            max_retries = engine.nested_retry_cap
         tracer = engine.proxy.tracer
         node_tag = f"n{engine.node.node_id}"
         retries = 0
@@ -149,19 +151,9 @@ class TransactionHandle:
                     )
                 return result
             except TransactionAborted as abort:
-                if abort.victim is not child:
-                    # An ancestor (or the root) is the victim: let the
-                    # matching frame handle it.  The child dies with it;
-                    # accounting happens in the ancestor's abort.
-                    if span_on:
-                        tracer.emit(
-                            engine.env.now, "span.end", child.txid,
-                            task=child.task_id, node=node_tag, outcome="abort",
-                            reason=abort.reason.value, oid=abort.oid or "",
-                            depth=child.depth,
-                        )
-                    raise
-                engine.abort_nested(child, abort.reason)
+                own = abort.victim is child
+                if own:
+                    engine.abort_nested(child, abort.reason)
                 if span_on:
                     tracer.emit(
                         engine.env.now, "span.end", child.txid,
@@ -169,6 +161,11 @@ class TransactionHandle:
                         reason=abort.reason.value, oid=abort.oid or "",
                         depth=child.depth,
                     )
+                if not own:
+                    # An ancestor (or the root) is the victim: let the
+                    # matching frame handle it.  The child dies with it;
+                    # accounting happens in the ancestor's abort.
+                    raise
                 # Detach the dead attempt so unbounded retries cannot grow
                 # the parent's children list (and with it, memory).
                 parent.children.remove(child)
@@ -273,11 +270,14 @@ def run_root(
     """Atomic-block retry loop for a root transaction (generator).
 
     Returns the body's return value after a successful commit.  Raises
-    :class:`TransactionAborted` only when ``max_attempts`` is exhausted.
+    :class:`TransactionAborted` only when ``max_attempts`` (>= 1; None =
+    unbounded) is exhausted.
     When ``info`` is given, commit metadata (txid, attempts,
     serialized_at) is written into it — the serializability oracle keys
     its replay order on ``serialized_at``.
     """
+    if max_attempts is not None and max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     env = engine.env
     node_id = engine.node.node_id
     if task_id is None:

@@ -73,6 +73,36 @@ class TestRetryRunner:
             cluster.run_transaction(body, node=0, max_attempts=3)
         assert cluster.metrics.root_aborts.value == 3
 
+    def test_zero_max_attempts_refused_before_the_body_runs(self):
+        cluster = make_cluster()
+        cluster.alloc("x", 1, node=1)
+        ran = []
+
+        def body(tx):
+            ran.append(tx.txid)
+            value = yield from tx.read("x")
+            return value
+
+        with pytest.raises(ValueError, match="max_attempts"):
+            cluster.run_transaction(body, node=1, max_attempts=0)
+        assert ran == [] and cluster.metrics.commits.value == 0
+
+    def test_negative_nested_max_retries_refused_before_the_child_runs(self):
+        cluster = make_cluster()
+        cluster.alloc("x", 1, node=0)
+        ran = []
+
+        def child(tx):
+            ran.append(tx.txid)
+            yield from tx.read("x")
+
+        def body(tx):
+            yield from tx.nested(child, max_retries=-1)
+
+        with pytest.raises(ValueError, match="max_retries"):
+            cluster.run_transaction(body, node=0)
+        assert ran == []
+
     def test_retry_gets_fresh_transaction_same_task(self):
         cluster = make_cluster()
         cluster.alloc("x", 1, node=0)
