@@ -86,13 +86,13 @@ class Tally:
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile (0..100); requires ``keep_samples=True``."""
+        if not 0.0 <= q <= 100.0:
+            raise ValueError(f"percentile {q} out of [0, 100]")
         if self._samples is None:
             raise RuntimeError(f"Tally {self.name!r} does not keep samples")
         if not self._samples:
             return 0.0
         data = sorted(self._samples)
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile {q} out of [0, 100]")
         idx = (len(data) - 1) * q / 100.0
         lo = math.floor(idx)
         hi = math.ceil(idx)

@@ -75,6 +75,10 @@ class TestTally:
         with pytest.raises(ValueError):
             t.percentile(101)
 
+    def test_percentile_out_of_range_refused_without_samples(self):
+        with pytest.raises(ValueError):
+            Tally("t", keep_samples=True).percentile(150)
+
     def test_percentile_empty_returns_zero(self):
         assert Tally("t", keep_samples=True).percentile(50) == 0.0
 
