@@ -1,6 +1,6 @@
 """The pyproject mypy override promises `disallow_untyped_defs` for
-`repro.check.*`, `repro.sim.*`, `repro.faults.recovery` and
-`repro.core.config`.  The
+`repro.check.*`, `repro.sim.*`, `repro.dstm.*`, `repro.faults.recovery`
+and `repro.core.config`.  The
 container this repo tests in does not ship mypy, so this test enforces
 the same contract with a small AST walk: every def in those packages
 annotates every parameter and its return type.  (When mypy IS available the `[[tool.mypy.overrides]]`
@@ -13,7 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 #: packages (every module under them) and single modules held to it
-STRICT_PACKAGES = ("check", "sim", "faults/recovery.py", "core/config.py")
+STRICT_PACKAGES = ("check", "sim", "dstm", "faults/recovery.py", "core/config.py")
 
 
 def _untyped_defs(path: Path) -> list:
@@ -46,6 +46,7 @@ def test_pyproject_declares_the_strict_override():
     text = (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     assert "[[tool.mypy.overrides]]" in text
     assert '"repro.check.*"' in text and '"repro.sim.*"' in text
+    assert '"repro.dstm.*"' in text
     assert '"repro.faults.recovery"' in text
     assert '"repro.core.config"' in text
     assert "disallow_untyped_defs = true" in text
