@@ -103,8 +103,9 @@ class TransactionHandle:
         """Run ``body`` as a closed-nested child transaction.
 
         The child is retried on its own aborts (``max_retries`` >= 0
-        bounds that, None = unbounded); ancestor aborts propagate.  Returns the
-        body's return value once the child merges into this level.
+        bounds that, None = unbounded); ancestor aborts propagate.
+        Returns the body's return value once the child merges into this
+        level.
         """
         if max_retries is not None and max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")

@@ -191,19 +191,22 @@ class TFAEngine:
 
         Returns ``(level, oid)`` of the first stale entry in that order
         (for a chain: the one closest to the root — aborting that level
-        kills every deeper level too), or None when everything is valid.
-        A home silent through every RPC retry (fault mode) decides too,
-        if it comes first: the read cannot be proven fresh, so the root
-        aborts as an environmental failure (``OWNER_FAILURE``).
+        kills every deeper level too), or None when everything is still
+        valid.  A home that stayed silent through every RPC retry (fault
+        mode) decides too, if it comes first: the read cannot be proven
+        fresh, so the whole root aborts as an environmental failure
+        (``OWNER_FAILURE``) rather than a data conflict.
 
-        The homes are the serialisation authority: an owner's store lags
-        the home registry while a commit is in flight (registration
-        precedes installation), so checking a merely locally-owned copy
-        would admit write skew.  Only objects in ``own`` — acquired by
-        the *validating transaction itself*, so their versions cannot
-        move — are checked locally; the rest query their homes in one
-        parallel fan-out (the cost model of distributed validation), each
-        call its reply event, folded into the lookup cache as it lands.
+        The home directories are the serialisation authority: an owner's
+        local store lags the home registry while a commit is in flight
+        (registration precedes installation), so checking a merely
+        locally-owned copy would admit write skew.  Only objects in
+        ``own`` — exclusively acquired by the *validating transaction
+        itself*, whose versions therefore cannot move — are checked
+        locally; everything else queries its home in parallel (one
+        fan-out — the cost model of distributed validation).  Each call
+        is its reply event, and the reply folds into the lookup cache at
+        the event it lands on.
         """
         store = self.proxy.store
         submit = self.proxy.rpc_client.submit
@@ -296,8 +299,8 @@ class TFAEngine:
         Four phases: :meth:`_acquire` the written objects,
         :meth:`_register` the new versions at their homes,
         :meth:`_validate` the read set, :meth:`_install`.  A read-only
-        root only validates.  Any abort withdraws the registrations that
-        landed, then aborts the root; nothing else leaves objects locked.
+        root skips the first two.  An abort withdraws the registrations,
+        then aborts the root; any other error releases its objects.
         """
         if not root.is_root:
             raise TransactionError(f"{root.txid} is nested; use commit_nested")
@@ -439,14 +442,16 @@ class TFAEngine:
             obj = self.proxy.store[oid]
             obj.commit_write(value)
             if self.proxy.payload is not None:
-                # The committer made the new version's bytes: it is the
-                # payload factory for this fence, remote caches are stale.
+                # The committer just produced the bytes of the new version
+                # locally: it becomes the payload factory for this fence,
+                # and every remote cache entry is stale by construction.
                 obj.payload_src = self.node.node_id
                 self.proxy.payload.plane.note_materialize(self.node.node_id, oid, obj.version)
             if self.proxy.owner_hints.fencing:
-                # Advance our own entry to the registered version, or the
-                # next validate reply would fence it for an object we hold
-                # (fenced mode only: hint mode stays the legacy dict).
+                # Advance our own cache entry to the registered version,
+                # or the next validate reply would fence the entry for an
+                # object we ourselves hold.  (Fenced mode only: hint mode
+                # must stay byte-identical to the legacy dict.)
                 self.proxy.owner_hints.put(oid, self.node.node_id, new_versions[oid])
         root.status = TxStatus.COMMITTED
         if self.commit_observer is not None:
@@ -492,16 +497,18 @@ class TFAEngine:
     def _withdraw_registrations(
         self, new_versions: Dict[str, int], txid: str
     ) -> None:
-        """Roll back :meth:`_register`'s registrations (each the
-        transition ``version - 1 → version``).
+        """Roll back :meth:`_register`'s provisional registrations (each
+        the transition ``version - 1 → version``).
 
-        A home honours a withdraw only while the sender is still the
-        registered owner and that registration (same txid, same
-        transition) is in place, so one for a fenced or superseded oid is
-        harmless.  Nobody waits on it (:meth:`~repro.rpc.RpcClient.post`):
-        under faults it is retried (a lost withdraw would starve readers
-        until the object's next write commit; a crashed home heals via
-        reclaim), fault-free it is one fire-and-forget send.
+        Homes honour a withdraw only while the sender is still the
+        registered owner and the withdrawn registration (same txid, same
+        version transition) is the one in place, so sending one for a
+        fenced or superseded oid is harmless.  Nobody waits on a withdraw
+        (:meth:`~repro.rpc.RpcClient.post`): under fault injection it is
+        retried (a lost withdraw would leave the registered version ahead
+        of the committed copy, starving readers of the object until its
+        next write commit; a crashed home heals via reclaim); fault-free
+        it is a single fire-and-forget send.
         """
         post = self.proxy.rpc_client.post
         num_nodes = self.node.network.num_nodes
