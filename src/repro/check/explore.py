@@ -512,7 +512,7 @@ def _run_once(cfg: ExploreConfig, prefix: Sequence[int]) -> RunOutcome:
     from repro.core.cluster import Cluster
     from repro.core.config import CheckConfig
     from repro.dstm.transaction import Transaction
-    from repro.scheduler.base import DecisionKind
+    from repro.scheduler.rts import RtsScheduler
 
     # Fresh txid counter per run: replayed counterexamples must carry
     # the same transaction names as the run that found them.
@@ -531,21 +531,12 @@ def _run_once(cfg: ExploreConfig, prefix: Sequence[int]) -> RunOutcome:
 
     commits: List[Dict[str, Any]] = []
     enqueue_waits: List[Tuple[str, str, float, float, bool]] = []
-    enqueue_decisions = [0]
     for engine in cluster.engines:
         engine.commit_observer = commits.append
     for proxy in cluster.proxies:
         proxy.enqueue_observer = (
             lambda txid, oid, budget, waited, won:
             enqueue_waits.append((txid, oid, budget, waited, won))
-        )
-        proxy.scheduler.decision_observer = (
-            lambda ctx, decision:
-            enqueue_decisions.__setitem__(
-                0,
-                enqueue_decisions[0]
-                + (1 if decision.kind is DecisionKind.ENQUEUE else 0),
-            )
         )
 
     outcomes: Dict[int, str] = {}
@@ -568,9 +559,14 @@ def _run_once(cfg: ExploreConfig, prefix: Sequence[int]) -> RunOutcome:
         truncated = True  # hit the per-run event bound, not a verdict
 
     if not violations and not truncated:
+        # The baselines never enqueue: only RTS counts enqueue decisions.
+        enqueue_decisions = sum(
+            proxy.scheduler.enqueued for proxy in cluster.proxies
+            if isinstance(proxy.scheduler, RtsScheduler)
+        )
         violations.extend(_check_terminal(
             cfg, cluster, oids, outcomes, commits,
-            enqueue_waits, enqueue_decisions[0],
+            enqueue_waits, enqueue_decisions,
         ))
 
     return RunOutcome(

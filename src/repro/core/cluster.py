@@ -30,7 +30,6 @@ from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.topology import Topology
 from repro.rpc import LookupCache, PiggybackBatcher, RpcClient
-from repro.scheduler.adaptive import AdaptiveThreshold
 from repro.scheduler.backoff import BackoffScheduler
 from repro.scheduler.base import SchedulerPolicy
 from repro.scheduler.rts import RtsScheduler
@@ -232,12 +231,11 @@ class Cluster:
                 proxy.recovery = NodeRecovery(proxy)
             engine = TFAEngine(
                 proxy,
+                self.metrics,
                 nesting=config.nesting,
                 abort_overhead=config.abort_overhead,
                 nested_retry_cap=fc.nested_retry_cap if fc.enabled else None,
             )
-            engine.on_commit_hook = self.metrics.on_commit
-            engine.on_abort_hook = self.metrics.on_abort
             if self.sanitizer is not None:
                 engine.sanitizer = self.sanitizer
             self.nodes.append(node)
@@ -278,12 +276,7 @@ class Cluster:
         cfg = self.config
         kind = cfg.scheduler
         if kind is SchedulerKind.RTS:
-            threshold: Any
-            if cfg.cl_threshold is None:
-                threshold = AdaptiveThreshold()
-            else:
-                threshold = int(cfg.cl_threshold)
-            return RtsScheduler(cl_threshold=threshold, admission=cfg.rts_admission)
+            return RtsScheduler(cfg.cl_threshold, cfg.rts_admission)
         if kind is SchedulerKind.TFA:
             return TfaScheduler()
         if kind is SchedulerKind.TFA_BACKOFF:

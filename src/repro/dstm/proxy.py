@@ -42,12 +42,7 @@ from repro.dstm.transaction import ETS, Transaction
 from repro.net.message import Message, MessageType
 from repro.net.node import Node
 from repro.rpc import ENDPOINTS, LookupCache, PeerUnreachable, RpcClient
-from repro.scheduler.base import (
-    ConflictContext,
-    ConflictDecision,
-    DecisionKind,
-    SchedulerPolicy,
-)
+from repro.scheduler.base import ConflictContext, DecisionKind, SchedulerPolicy
 from repro.scheduler.queues import Requester, RequesterList
 from repro.sim import Tracer
 from repro.util.stats import Ewma
@@ -142,7 +137,6 @@ class TMProxy:
         #: recovery also when a request finds this node not the owner.
         self.payload: Optional[Any] = None
         self.recovery: Optional[Any] = None
-        scheduler.bind(node.node_id)
 
         #: objects owned by this node
         self.store: Dict[str, VersionedObject] = {}
@@ -494,7 +488,6 @@ class TMProxy:
         oid: str = p["oid"]
         root_txid: str = p["txid"]
         mode = ObjectMode(p["mode"])
-        now = self.node.now_local
 
         obj = self.store.get(oid)
         if obj is None:
@@ -509,7 +502,6 @@ class TMProxy:
             )
             return
 
-        self.scheduler.on_request(oid, root_txid, now)
         local_cl = self._local_cl(oid)
 
         free = obj.state is ObjectState.FREE
@@ -530,7 +522,7 @@ class TMProxy:
         if queue is None:
             queue = RequesterList()
             self.queues[oid] = queue
-        was_duplicate = queue.remove_duplicate(root_txid)
+        queue.remove_duplicate(root_txid)
         s, r, c = p["ets"]
 
         if msg.src == self.node.node_id:
@@ -540,13 +532,7 @@ class TMProxy:
             # (microseconds of local waiting in the real system).  The
             # paper's scheduled conflicts are the *remote* ones, priced in
             # round trips.  backoff None = no scheduler budget.
-            queue.add_requester(
-                1,
-                Requester(
-                    node=msg.src, txid=root_txid, mode=mode,
-                    ets=ETS(s, r, c), enqueued_at=now, local_wait=True,
-                ),
-            )
+            queue.add_requester(Requester(msg.src, root_txid, mode))
             if self.tracer.wants("sched.decision"):
                 self.tracer.emit(
                     self.env.now, "sched.decision", oid,
@@ -568,21 +554,15 @@ class TMProxy:
 
             # Delegate the abort-or-enqueue decision to the scheduler.
             ctx = ConflictContext(
-                oid=oid,
-                obj=obj,
                 mode=mode,
                 requester_node=msg.src,
                 requester_txid=root_txid,
                 requester_cl=int(p.get("my_cl", 0)),
                 ets=ETS(s, r, c),
                 queue=queue,
-                now_local=now,
                 holder_remaining=self._holder_remaining(oid),
-                was_duplicate=was_duplicate,
             )
             decision = self.scheduler.on_conflict(ctx)
-            if self.scheduler.decision_observer is not None:
-                self.scheduler.decision_observer(ctx, decision)
             if self.tracer.wants("dstm.conflict"):
                 self.tracer.emit(
                     self.env.now, "dstm.conflict", oid,
@@ -664,7 +644,8 @@ class TMProxy:
         """Transactions currently wanting ``oid`` here: the queue, plus
         the validator occupying it.  This is what grants piggyback so
         requesters can maintain myCL at the paper's scale (§III-B's
-        worked example uses values of 1-2)."""
+        worked example uses values of 1-2).  It stands in for §III-A's
+        windowed count of recent requesters, which is not modelled."""
         obj = self.store.get(oid)
         validating = 1 if obj is not None and obj.state is ObjectState.VALIDATING else 0
         return self.queue_length(oid) + validating

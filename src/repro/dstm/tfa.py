@@ -20,14 +20,14 @@ of the proxy's object-access protocol:
   pays the full re-acquisition cost — exactly the behaviour RTS's
   enqueueing avoids).
 
-Abort bookkeeping feeds the metrics layer through the ``on_root_abort`` /
-``on_nested_abort`` callbacks, which the experiment harness uses to build
-the paper's Table I.
+Every root commit and every abort (root or nested) is reported straight
+to the cluster's metrics (``metrics.on_commit`` / ``metrics.on_abort``),
+from which the experiment harness builds the paper's Table I.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.dstm.errors import AbortReason, TransactionAborted, TransactionError
 from repro.dstm.objects import ObjectMode, ObjectState, home_node
@@ -35,6 +35,9 @@ from repro.dstm.proxy import TMProxy
 from repro.dstm.transaction import NestingModel, ReadEntry, Transaction, TxStatus
 from repro.rpc import ENDPOINTS
 from repro.sim import Event
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.metrics import MetricsCollector
 
 __all__ = ["OP_LOCAL_TIME", "TFAEngine"]
 
@@ -52,11 +55,15 @@ class TFAEngine:
     def __init__(
         self,
         proxy: TMProxy,
+        metrics: "MetricsCollector",
         nesting: NestingModel = NestingModel.CLOSED,
         abort_overhead: float = 0.01,
         nested_retry_cap: Optional[int] = None,
     ) -> None:
         self.proxy = proxy
+        #: the cluster's counters: every root commit and every abort
+        #: (root or nested) is reported to them
+        self.metrics = metrics
         self.node = proxy.node
         self.env = proxy.env
         #: what the kernel profiler and the explorer attribute this
@@ -68,9 +75,6 @@ class TFAEngine:
         #: abort escalates to the root (None = unbounded, the paper's
         #: fault-free semantics).  ``TransactionHandle.nested`` reads it.
         self.nested_retry_cap = nested_retry_cap
-        #: observer hooks (set by the metrics layer)
-        self.on_commit_hook: Optional[Callable[[Transaction, float], None]] = None
-        self.on_abort_hook: Optional[Callable[[Transaction, AbortReason, List[Transaction]], None]] = None
         #: read/write-set reporting hook (repro.check.explore's
         #: serializability oracle): called once per committed *root* with
         #: a record of what it read and installed, at which versions.
@@ -285,8 +289,7 @@ class TFAEngine:
             raise TransactionError(f"{tx.txid} is a root; use abort_root")
         killed = tx.mark_aborted()
         self._release_levels(killed)
-        if self.on_abort_hook is not None:
-            self.on_abort_hook(tx, reason, killed)
+        self.metrics.on_abort(tx, reason, killed)
         return killed
 
     # ------------------------------------------------------------------
@@ -474,11 +477,9 @@ class TFAEngine:
             )
         now = self.node.now_local
         duration = now - root.start_local_time
-        self.proxy.scheduler.on_commit(root, duration)
-        self.proxy.scheduler.note_commit_time(now)
+        self.proxy.scheduler.on_commit(root, duration, now)
         self.proxy.doomed.clear(root.task_id)
-        if self.on_commit_hook is not None:
-            self.on_commit_hook(root, duration)
+        self.metrics.on_commit(root, duration)
 
     def _fold_register(self, reply: Event) -> None:
         """Reply-event callback: a fenced registration ack is
@@ -560,9 +561,7 @@ class TFAEngine:
             )
         self._release_levels(killed)
         self.proxy.doomed.clear(root.task_id)
-        self.proxy.scheduler.on_abort(root, reason)
-        if self.on_abort_hook is not None:
-            self.on_abort_hook(root, reason, killed)
+        self.metrics.on_abort(root, reason, killed)
         return killed
 
     def _release_levels(self, levels: List[Transaction]) -> None:

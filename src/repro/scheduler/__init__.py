@@ -10,11 +10,11 @@
 * :class:`~repro.scheduler.backoff.BackoffScheduler` — TFA plus randomised
   exponential backoff before retry ("TFA+Backoff" in §IV).
 
-Support modules: :mod:`~repro.scheduler.queues` (requester lists),
-:mod:`~repro.scheduler.contention_level` (windowed CL tracking),
-:mod:`~repro.scheduler.stats_table` (the per-profile commit-latency
-EWMA that is the ETS expected-commit estimate), and
+Support modules: :mod:`~repro.scheduler.queues` (requester lists) and
 :mod:`~repro.scheduler.adaptive` (the adaptive CL-threshold controller).
+The per-profile commit-latency EWMA that is the ETS expected-commit
+estimate is :attr:`SchedulerPolicy.stats`.  ``Cluster._make_scheduler``
+builds one policy per node from the cluster config.
 """
 
 from repro.scheduler.base import (
@@ -37,14 +37,3 @@ __all__ = [
     "TfaScheduler",
 ]
 
-
-def make_scheduler(kind: str, **kwargs) -> SchedulerPolicy:
-    """Factory: ``kind`` in {"rts", "tfa", "tfa-backoff"}."""
-    key = kind.lower().replace("_", "-")
-    if key == "rts":
-        return RtsScheduler(**kwargs)
-    if key == "tfa":
-        return TfaScheduler(**kwargs)
-    if key in ("tfa-backoff", "backoff"):
-        return BackoffScheduler(**kwargs)
-    raise ValueError(f"unknown scheduler kind {kind!r}")

@@ -17,27 +17,21 @@ from __future__ import annotations
 
 __all__ = ["AdaptiveThreshold"]
 
+#: the threshold the climb starts from
+INITIAL_THRESHOLD = 3
+#: the climb's bounds
+MIN_THRESHOLD = 1
+MAX_THRESHOLD = 16
+#: epoch length (local seconds): one adaptation step per epoch at most
+EPOCH = 2.0
+
 
 class AdaptiveThreshold:
-    """Hill-climbing threshold in ``[min_threshold, max_threshold]``."""
+    """Hill-climbing threshold in ``[MIN_THRESHOLD, MAX_THRESHOLD]``."""
 
-    def __init__(
-        self,
-        initial: int = 3,
-        min_threshold: int = 1,
-        max_threshold: int = 16,
-        epoch: float = 2.0,
-    ) -> None:
-        if not min_threshold <= initial <= max_threshold:
-            raise ValueError(
-                f"need min <= initial <= max, got {min_threshold} <= {initial} <= {max_threshold}"
-            )
-        if epoch <= 0:
-            raise ValueError(f"epoch must be positive, got {epoch}")
-        self.min_threshold = min_threshold
-        self.max_threshold = max_threshold
-        self.epoch = float(epoch)
-        self._threshold = int(initial)
+    def __init__(self) -> None:
+        #: the CL threshold in force
+        self.current = INITIAL_THRESHOLD
         self._direction = 1
         self._epoch_start = 0.0
         self._epoch_commits = 0
@@ -45,26 +39,18 @@ class AdaptiveThreshold:
         #: number of completed adaptation steps (diagnostics)
         self.adjustments = 0
 
-    @property
-    def current(self) -> int:
-        return self._threshold
-
     def note_commit(self, now: float) -> None:
         """Feed one commit; may close the epoch and adjust the threshold."""
         self._epoch_commits += 1
-        self._maybe_adjust(now)
-
-    def _maybe_adjust(self, now: float) -> None:
         span = now - self._epoch_start
-        if span < self.epoch:
+        if span < EPOCH:
             return
         rate = self._epoch_commits / span
         if self._last_rate is not None:
             if rate < self._last_rate:
                 self._direction = -self._direction
-            step = self._direction
-            self._threshold = max(
-                self.min_threshold, min(self.max_threshold, self._threshold + step)
+            self.current = max(
+                MIN_THRESHOLD, min(MAX_THRESHOLD, self.current + self._direction)
             )
             self.adjustments += 1
         self._last_rate = rate
@@ -73,6 +59,6 @@ class AdaptiveThreshold:
 
     def __repr__(self) -> str:
         return (
-            f"<AdaptiveThreshold t={self._threshold} dir={self._direction:+d} "
+            f"<AdaptiveThreshold t={self.current} dir={self._direction:+d} "
             f"adjustments={self.adjustments}>"
         )

@@ -21,23 +21,19 @@ from repro.scheduler.base import ConflictContext, ConflictDecision, SchedulerPol
 
 __all__ = ["BackoffScheduler"]
 
+#: the first retry's stall ceiling, and the floor of every stall (s)
+BACKOFF_BASE = 5e-3
+#: the ceiling the doubling stops at (s)
+BACKOFF_CAP = 0.25
+
 
 class BackoffScheduler(SchedulerPolicy):
     """Randomised truncated exponential backoff on abort."""
 
     name = "tfa-backoff"
 
-    def __init__(
-        self,
-        base: float = 5e-3,
-        cap: float = 0.25,
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
+    def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
-        if base <= 0 or cap < base:
-            raise ValueError(f"need 0 < base <= cap, got base={base} cap={cap}")
-        self.base = float(base)
-        self.cap = float(cap)
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
     def on_conflict(self, ctx: ConflictContext) -> ConflictDecision:
@@ -54,5 +50,5 @@ class BackoffScheduler(SchedulerPolicy):
             AbortReason.OWNER_FAILURE,
         ):
             return 0.0
-        ceiling = min(self.cap, self.base * (2.0 ** min(attempt, 16)))
-        return float(self._rng.uniform(self.base, max(self.base, ceiling)))
+        ceiling = min(BACKOFF_CAP, BACKOFF_BASE * (2.0 ** min(attempt, 16)))
+        return float(self._rng.uniform(BACKOFF_BASE, max(BACKOFF_BASE, ceiling)))

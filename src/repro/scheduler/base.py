@@ -1,7 +1,8 @@
 """Scheduler interface.
 
-A scheduler instance is *per node* (it owns node-local state: queues,
-contention tracker, stats table).  The TM proxy invokes it at two points:
+A scheduler instance is *per node* (it owns node-local state: the
+transaction stats table, and for RTS its decision counters and CL
+threshold).  The TM proxy invokes it at two points:
 
 * **owner side** — :meth:`SchedulerPolicy.on_conflict` whenever a
   retrieve-request hits an object that is in use or validating.  The
@@ -10,26 +11,28 @@ contention tracker, stats table).  The TM proxy invokes it at two points:
   (RTS only).
 * **requester side** — :meth:`SchedulerPolicy.retry_backoff` after a root
   abort, yielding how long to stall before re-issuing the transaction;
-  and :meth:`SchedulerPolicy.on_commit` feeding the stats table.
+  :meth:`SchedulerPolicy.on_commit` feeding the stats table; and
+  :meth:`SchedulerPolicy.expected_duration` reading it back when a
+  transaction starts.
 """
 
 from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.dstm.errors import AbortReason
-from repro.dstm.objects import ObjectMode, VersionedObject
+from repro.dstm.objects import ObjectMode
 from repro.dstm.transaction import ETS, Transaction
 from repro.scheduler.queues import RequesterList
-from repro.scheduler.stats_table import TransactionStatsTable
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.dstm.proxy import TMProxy
+from repro.util.stats import Ewma
 
 __all__ = ["ConflictContext", "ConflictDecision", "DecisionKind", "SchedulerPolicy"]
+
+#: weight of the newest commit latency in a stats-table EWMA
+STATS_ALPHA = 0.2
 
 
 class DecisionKind(str, enum.Enum):
@@ -75,26 +78,20 @@ class ConflictDecision:
 
 @dataclass(slots=True)
 class ConflictContext:
-    """Everything the owner-side policy may consult.
+    """Algorithm 3's inputs for one remote conflict.
 
     One instance per remote conflict, hence ``slots=True``.
     """
 
-    oid: str
-    obj: VersionedObject
     mode: ObjectMode
     requester_node: int
     requester_txid: str          # root txid of the requesting transaction
     requester_cl: int            # myCL piggybacked in the request
     ets: ETS
-    queue: RequesterList
-    now_local: float             # owner's wall clock
+    queue: RequesterList         # the object's scheduling_List (and its bk)
     #: owner's estimate of how long the current holder still needs before
     #: it releases the object (the |t7 − t4| term of §III-B).
     holder_remaining: float = 0.0
-    #: True when the requester was already in the queue (re-request after
-    #: its previous backoff expired) — Algorithm 3's removeDuplicate case.
-    was_duplicate: bool = False
 
 
 class SchedulerPolicy(abc.ABC):
@@ -104,19 +101,11 @@ class SchedulerPolicy(abc.ABC):
     name: str = "base"
 
     def __init__(self) -> None:
-        self.stats_table = TransactionStatsTable()
-        self.node_id: Optional[int] = None
-        #: decision reporting hook (repro.check.explore's no-lost-wakeup
-        #: property): the proxy calls it with (ctx, decision) after every
-        #: owner-side conflict resolution.  None (the default) keeps the
-        #: decision path on a one-guard no-op.
-        self.decision_observer: Optional[
-            Callable[["ConflictContext", "ConflictDecision"], None]
-        ] = None
-
-    def bind(self, node_id: int) -> None:
-        """Attach to a node (called by the proxy during setup)."""
-        self.node_id = node_id
+        #: the transaction stats table (§III-B): per transaction profile,
+        #: an EWMA of commit latencies — the point estimate the ETS triple
+        #: needs.  (The paper's per-entry bloom filter of recent commit
+        #: times is a storage format nothing in the protocol reads.)
+        self.stats: Dict[str, Ewma] = {}
 
     # -- owner side --------------------------------------------------------------
 
@@ -124,35 +113,22 @@ class SchedulerPolicy(abc.ABC):
     def on_conflict(self, ctx: ConflictContext) -> ConflictDecision:
         """Resolve a conflict against an in-use/validating object."""
 
-    def on_request(self, oid: str, root_txid: str, now_local: float) -> None:
-        """Every retrieve-request observed at this owner (CL bookkeeping)."""
-
-    def local_cl(self, oid: str, now_local: float) -> int:
-        """This owner's local contention level for ``oid`` (0 for policies
-        that do not track contention)."""
-        return 0
-
-    def note_commit_time(self, now_local: float) -> None:
-        """Wall-clock commit instants (feeds adaptive controllers)."""
-
     # -- requester side ------------------------------------------------------------
 
     @abc.abstractmethod
     def retry_backoff(self, root: Transaction, reason: AbortReason, attempt: int) -> float:
         """Stall time before re-running an aborted root transaction."""
 
-    # -- lifecycle feedback ------------------------------------------------------------
-
-    def on_commit(self, root: Transaction, duration: float) -> None:
-        """A root transaction committed after ``duration`` local seconds."""
-        self.stats_table.record_commit(root.profile, duration)
-
-    def on_abort(self, root: Transaction, reason: AbortReason) -> None:
-        """A root transaction aborted (hook for adaptive policies)."""
+    def on_commit(self, root: Transaction, duration: float, now_local: float) -> None:
+        """A root transaction committed at local time ``now_local`` after
+        ``duration`` local seconds."""
+        ewma = self.stats.get(root.profile)
+        if ewma is None:
+            ewma = self.stats[root.profile] = Ewma(alpha=STATS_ALPHA)
+        ewma.observe(duration)
 
     def expected_duration(self, profile: str, fallback: float) -> float:
-        """Expected commit latency for ``profile`` from the stats table."""
-        return self.stats_table.expected_duration(profile, fallback)
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} node={self.node_id}>"
+        """Expected commit latency for ``profile``, or ``fallback`` before
+        the stats table has seen it commit."""
+        ewma = self.stats.get(profile)
+        return fallback if ewma is None else ewma.value

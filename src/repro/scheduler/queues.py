@@ -2,20 +2,19 @@
 ``scheduling_List`` (Algorithm 1).
 
 A :class:`RequesterList` holds the transactions enqueued behind one busy
-object, in arrival order, together with the contention level recorded at
-enqueue time and the per-object backoff backlog ``bk`` (the accumulated
-expected execution time of everything queued ahead).  Queues travel with
-object hand-offs: when ownership migrates, the remaining queue ships along
-so the new owner keeps serving it (§III-B's committed-object forwarding).
+object, in arrival order, together with the per-object backoff backlog
+``bk`` (the accumulated expected execution time of everything queued
+ahead).  Queues travel with object hand-offs: when ownership migrates,
+the remaining queue ships along so the new owner keeps serving it
+(§III-B's committed-object forwarding).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Iterator, List, Optional
 
 from repro.dstm.objects import ObjectMode
-from repro.dstm.transaction import ETS
 
 __all__ = ["Requester", "RequesterList"]
 
@@ -27,14 +26,6 @@ class Requester:
     node: int
     txid: str                 # root txid
     mode: ObjectMode
-    ets: ETS
-    enqueued_at: float        # owner wall clock
-    #: backoff budget this requester was granted; it aborts when the
-    #: budget expires before the object arrives.
-    backoff: float = 0.0
-    #: True for same-node requesters parked on the proxy's local lock
-    #: (they wait out the validation window without a scheduler decision)
-    local_wait: bool = False
 
 
 class RequesterList:
@@ -44,15 +35,12 @@ class RequesterList:
         self._entries: List[Requester] = []
         #: accumulated expected-execution backlog (the paper's ``bk``)
         self.bk: float = 0.0
-        #: sum of requester CLs recorded at enqueue time
-        self._contention: int = 0
 
     # -- paper API -------------------------------------------------------------
 
-    def add_requester(self, contention: int, requester: Requester) -> None:
-        """``addRequester(Contention_Level, Requester)``."""
+    def add_requester(self, requester: Requester) -> None:
+        """``addRequester``: queue behind everyone already waiting."""
         self._entries.append(requester)
-        self._contention += max(0, contention)
 
     def remove_duplicate(self, txid: str) -> bool:
         """``removeDuplicate``: drop a previous entry of the same root
@@ -86,11 +74,6 @@ class RequesterList:
                 return entry
         return None
 
-    def pop_head(self) -> Optional[Requester]:
-        if not self._entries:
-            return None
-        return self._entries.pop(0)
-
     def reset_backlog(self) -> None:
         """Clear ``bk`` (called when the object frees up / queue drains)."""
         self.bk = 0.0
@@ -105,12 +88,6 @@ class RequesterList:
 
     def __contains__(self, txid: str) -> bool:
         return any(e.txid == txid for e in self._entries)
-
-    def acquirers(self) -> List[Requester]:
-        return [e for e in self._entries if e.mode is ObjectMode.ACQUIRE]
-
-    def copy_requesters(self) -> List[Requester]:
-        return [e for e in self._entries if e.mode.is_copy]
 
     def snapshot(self) -> List[Requester]:
         """A shallow copy of the entries, for shipping with hand-offs."""

@@ -34,47 +34,41 @@ hill-climbs to the paper's throughput peak).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from repro.dstm.errors import AbortReason
 from repro.dstm.objects import ObjectMode
 from repro.dstm.transaction import Transaction
 from repro.scheduler.adaptive import AdaptiveThreshold
 from repro.scheduler.base import ConflictContext, ConflictDecision, SchedulerPolicy
-from repro.scheduler.contention_level import ContentionTracker
 from repro.scheduler.queues import Requester
 
 __all__ = ["RtsScheduler"]
 
+#: floor of an enqueued requester's backoff budget (local seconds)
+MIN_ENQUEUE_BACKOFF = 1e-3
+#: ceiling of every RTS stall: an enqueue budget or an owner-failure retry
+MAX_BACKOFF = 2.0
+#: multiplier on an enqueued requester's expected wait
+BACKOFF_SAFETY = 2.0
+
 
 class RtsScheduler(SchedulerPolicy):
-    """Reactive transactional scheduling for closed-nested transactions."""
+    """Reactive transactional scheduling for closed-nested transactions.
+
+    ``cl_threshold`` fixes the CL threshold; None (the default) adapts it
+    with an :class:`AdaptiveThreshold` fed by this node's commits.
+    """
 
     name = "rts"
 
     def __init__(
-        self,
-        cl_threshold: Union[int, AdaptiveThreshold, None] = None,
-        min_enqueue_backoff: float = 1e-3,
-        max_backoff: float = 2.0,
-        backoff_safety: float = 2.0,
-        admission: str = "paper",
+        self, cl_threshold: Optional[int] = None, admission: str = "paper"
     ) -> None:
         super().__init__()
-        if cl_threshold is None:
-            cl_threshold = AdaptiveThreshold()
-        self._threshold = cl_threshold
-        self.contention = ContentionTracker()
-        if min_enqueue_backoff <= 0 or max_backoff < min_enqueue_backoff:
-            raise ValueError(
-                f"need 0 < min_enqueue_backoff <= max_backoff, got "
-                f"{min_enqueue_backoff}, {max_backoff}"
-            )
-        self.min_enqueue_backoff = float(min_enqueue_backoff)
-        self.max_backoff = float(max_backoff)
-        if backoff_safety < 1.0:
-            raise ValueError(f"backoff_safety must be >= 1, got {backoff_safety}")
-        self.backoff_safety = float(backoff_safety)
+        self._fixed_threshold = 0 if cl_threshold is None else int(cl_threshold)
+        #: the threshold controller; None under a fixed threshold
+        self.adaptive = AdaptiveThreshold() if cl_threshold is None else None
         if admission not in ("paper", "economic"):
             raise ValueError(f"admission must be 'paper' or 'economic', got {admission!r}")
         self.admission = admission
@@ -83,22 +77,12 @@ class RtsScheduler(SchedulerPolicy):
         self.rejected_short_exec = 0
         self.rejected_high_cl = 0
 
-    # -- threshold -------------------------------------------------------------
-
     @property
     def cl_threshold(self) -> int:
-        if isinstance(self._threshold, AdaptiveThreshold):
-            return self._threshold.current
-        return int(self._threshold)
-
-    @property
-    def adaptive(self) -> Optional[AdaptiveThreshold]:
-        return self._threshold if isinstance(self._threshold, AdaptiveThreshold) else None
+        adaptive = self.adaptive
+        return self._fixed_threshold if adaptive is None else adaptive.current
 
     # -- owner side --------------------------------------------------------------
-
-    def on_request(self, oid: str, root_txid: str, now_local: float) -> None:
-        self.contention.note_request(oid, root_txid, now_local)
 
     def on_conflict(self, ctx: ConflictContext) -> ConflictDecision:
         queue = ctx.queue
@@ -137,21 +121,13 @@ class RtsScheduler(SchedulerPolicy):
         # absorbs the heavy tail of hold times — an expired backoff costs
         # a full abort-or-re-request cycle, so undershooting is the
         # expensive direction.
-        backoff = (ctx.holder_remaining + queue.bk) * self.backoff_safety
-        backoff = min(self.max_backoff, max(self.min_enqueue_backoff, backoff))
+        backoff = (ctx.holder_remaining + queue.bk) * BACKOFF_SAFETY
+        backoff = min(MAX_BACKOFF, max(MIN_ENQUEUE_BACKOFF, backoff))
         if ctx.mode is ObjectMode.ACQUIRE:
             # Acquirers serialise: the next one waits behind this one too.
             queue.bk += ctx.ets.expected_remaining
         queue.add_requester(
-            contention,
-            Requester(
-                node=ctx.requester_node,
-                txid=ctx.requester_txid,
-                mode=ctx.mode,
-                ets=ctx.ets,
-                enqueued_at=ctx.now_local,
-                backoff=backoff,
-            ),
+            Requester(ctx.requester_node, ctx.requester_txid, ctx.mode)
         )
         self.enqueued += 1
         return ConflictDecision.enqueue(
@@ -167,23 +143,14 @@ class RtsScheduler(SchedulerPolicy):
             # ladder again, so stall deterministically, doubling up to the
             # scheduler's backoff ceiling while the lease machinery
             # recovers the object.
-            return min(self.max_backoff, 0.025 * 2.0 ** min(attempt, 6))
+            return min(MAX_BACKOFF, 0.025 * 2.0 ** min(attempt, 6))
         # RTS parks live transactions in owner-side queues; dead ones
         # restart immediately.
         return 0.0
 
     # -- feedback -------------------------------------------------------------------
 
-    def note_commit_time(self, now: float) -> None:
-        """Feed the adaptive controller with wall-clock commit instants.
-
-        (Called by the proxy, which knows the node's local clock; kept
-        separate from :meth:`on_commit` whose ``duration`` argument is a
-        latency, not a timestamp.)
-        """
-        adaptive = self.adaptive
-        if adaptive is not None:
-            adaptive.note_commit(now)
-
-    def local_cl(self, oid: str, now: float) -> int:
-        return self.contention.local_cl(oid, now)
+    def on_commit(self, root: Transaction, duration: float, now_local: float) -> None:
+        super().on_commit(root, duration, now_local)
+        if self.adaptive is not None:
+            self.adaptive.note_commit(now_local)

@@ -6,20 +6,19 @@ estimate.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 __all__ = ["Ewma"]
 
 
 class Ewma:
-    """Exponentially weighted moving average with optional variance tracking.
+    """Exponentially weighted moving average.
 
     ``alpha`` is the weight of the newest observation.  Before any
     observation the estimate falls back to ``initial`` (if given) or raises.
     """
 
-    __slots__ = ("alpha", "_mean", "_var", "count", "_initial")
+    __slots__ = ("alpha", "_mean", "count", "_initial")
 
     def __init__(self, alpha: float = 0.25, initial: Optional[float] = None) -> None:
         if not 0.0 < alpha <= 1.0:
@@ -27,7 +26,6 @@ class Ewma:
         self.alpha = alpha
         self._initial = initial
         self._mean: Optional[float] = None
-        self._var = 0.0
         self.count = 0
 
     def observe(self, value: float) -> None:
@@ -35,13 +33,8 @@ class Ewma:
         self.count += 1
         if self._mean is None:
             self._mean = value
-            self._var = 0.0
             return
-        delta = value - self._mean
-        incr = self.alpha * delta
-        self._mean += incr
-        # West (1979) EW variance update.
-        self._var = (1.0 - self.alpha) * (self._var + delta * incr)
+        self._mean += self.alpha * (value - self._mean)
 
     @property
     def available(self) -> bool:
@@ -54,10 +47,6 @@ class Ewma:
         if self._initial is not None:
             return self._initial
         raise ValueError("Ewma has no observations and no initial value")
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self._var)
 
     def __repr__(self) -> str:
         est = f"{self.value:.4g}" if self.available else "n/a"

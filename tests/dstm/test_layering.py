@@ -6,7 +6,9 @@ back in ``repro.faults.recovery``; the proxy neither names their
 messages nor imports them, and a cluster that enables neither builds
 neither — no attachment, no handler, no process.  Retrying is the rpc
 layer's: no ``dstm`` module reads a retry policy, so the code that runs
-under faults is the code that runs without them.
+under faults is the code that runs without them.  A scheduler is
+Algorithm 3's decision and a retry rule, fed by commits: nothing else
+of it is callable, and nothing under ``src/repro`` reads more of it.
 """
 
 import ast
@@ -16,8 +18,10 @@ import repro
 from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig, FaultConfig, PayloadConfig
 from repro.net import MessageType
+from repro.scheduler import SchedulerPolicy
 
-DSTM = Path(repro.__file__).resolve().parent / "dstm"
+SRC = Path(repro.__file__).resolve().parent
+DSTM = SRC / "dstm"
 PROXY = DSTM / "proxy.py"
 FOREIGN = ("LEASE_", "ORPHAN_", "COMMIT_PUBLISH", "PAYLOAD_FETCH")
 
@@ -61,6 +65,38 @@ def test_no_dstm_module_reads_a_retry_policy():
         and node.attr in ("policy", "rpc_policy")
     )
     assert readers == []
+
+
+#: the whole scheduler surface: the owner-side decision, the retry rule,
+#: and the stats table's write and read
+SCHEDULER_SURFACE = {"on_conflict", "retry_backoff", "on_commit", "expected_duration"}
+#: RtsScheduler's decision counters (the e2e ledger and
+#: examples/bank_cluster.py read them)
+RTS_COUNTERS = {"enqueued", "rejected_short_exec", "rejected_high_cl"}
+
+
+def test_scheduler_policy_is_the_decision_and_the_retry_rule():
+    public = {
+        name for name in dir(SchedulerPolicy)
+        if not name.startswith("_") and callable(getattr(SchedulerPolicy, name))
+    }
+    assert public == SCHEDULER_SURFACE
+
+
+def test_src_reads_nothing_else_of_a_scheduler():
+    reads = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id == "scheduler":
+                reads.add(node.attr)
+            elif isinstance(owner, ast.Attribute) and owner.attr == "scheduler":
+                # a config's ``scheduler`` field is a SchedulerKind, not a policy
+                if ast.unparse(owner.value).split(".")[-1] not in ("config", "cfg"):
+                    reads.add(node.attr)
+    assert reads - SCHEDULER_SURFACE - RTS_COUNTERS == set()
 
 
 def test_tfa_spawns_no_process():

@@ -83,7 +83,6 @@ class TestHandoffForwarding:
     that no longer wants it must keep moving down the requester list."""
 
     def test_orphaned_transfer_forwards_to_next_queued_requester(self):
-        from repro.dstm.transaction import ETS
         from repro.net import MessageType
         from repro.scheduler.queues import Requester
 
@@ -94,10 +93,8 @@ class TestHandoffForwarding:
         # waiter registered); the shipped queue names t2@node2 (acquire)
         # then t3@node3 (acquire).
         queue = [
-            Requester(node=2, txid="t2", mode=ObjectMode.ACQUIRE,
-                      ets=ETS(0.0, 0.0, 1.0), enqueued_at=0.0),
-            Requester(node=3, txid="t3", mode=ObjectMode.ACQUIRE,
-                      ets=ETS(0.0, 0.1, 1.0), enqueued_at=0.0),
+            Requester(node=2, txid="t2", mode=ObjectMode.ACQUIRE),
+            Requester(node=3, txid="t3", mode=ObjectMode.ACQUIRE),
         ]
         # t2 is genuinely waiting at node 2.
         waiter = env.event()

@@ -14,7 +14,6 @@ import pytest
 from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig, FaultConfig, SchedulerKind
 from repro.dstm.objects import ObjectMode, ObjectState, VersionedObject
-from repro.dstm.transaction import ETS
 from repro.net import MessageType
 from repro.rpc.payload import PROXY_SIZE
 from repro.scheduler.queues import Requester, RequesterList
@@ -41,8 +40,7 @@ def make_cluster(plane="off", **kw):
 
 def queued(node, txid, mode=ObjectMode.ACQUIRE):
     """A queue entry: root ``txid`` at ``node`` waiting in ``mode``."""
-    return Requester(node=node, txid=txid, mode=mode,
-                     ets=ETS(0.0, 0.0, 1.0), enqueued_at=0.0)
+    return Requester(node=node, txid=txid, mode=mode)
 
 
 def retrieve(cluster, src, mode, txid="t-req"):

@@ -14,17 +14,17 @@ Recipe: a 3-node default ``Cluster``, one object stored at node 1 and
 homed at node 2, one warm-up read root from node 0; then 200 single-read
 roots from node 0, or 200 read-then-write roots alternating nodes 0 and
 1 (every commit migrates the object).  Recorded with CPython 3.11.7,
-frames under ``src/repro`` per root, by package, before the root commit
-became four phase functions (read root / write root):
+frames under ``src/repro`` per root, by package (read root / write
+root):
 
-* ``sim``: 48.0 / 65.0
-* ``dstm``: 46.0 / 86.985
-* ``net``: 33.0 / 70.985
+* ``sim``: 47.0 / 64.0
+* ``dstm``: 48.0 / 90.985
+* ``net``: 31.0 / 66.985
 * ``rpc``: 12.0 / 23.0
-* ``scheduler``: 13.0 / 18.005
+* ``scheduler``: 4.0 / 5.0
 * ``core``: 12.0 / 15.0
-* ``util``: 3.0 / 5.985
-* total: **167.0 / 284.96**
+* ``util``: 2.0 / 3.995
+* total: **156.0 / 268.965**
 """
 
 import sys
@@ -40,9 +40,9 @@ SRC = Path(repro.__file__).resolve().parent
 ROOTS = 200
 OID = "x0"
 #: frames per committed single-read root
-READ_BUDGET = 184
+READ_BUDGET = 172
 #: frames per committed read-then-write root
-WRITE_BUDGET = 313
+WRITE_BUDGET = 296
 
 
 def read_body(tx, oid):

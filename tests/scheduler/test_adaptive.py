@@ -1,69 +1,67 @@
 """Unit tests for the adaptive CL-threshold controller."""
 
-import pytest
+from repro.scheduler.adaptive import (
+    EPOCH,
+    INITIAL_THRESHOLD,
+    MAX_THRESHOLD,
+    MIN_THRESHOLD,
+    AdaptiveThreshold,
+)
 
-from repro.scheduler.adaptive import AdaptiveThreshold
+
+def feed_epochs(a, counts, start=0.0):
+    """Feed one epoch per entry of ``counts``: that many commits spread
+    over ``(start, start + EPOCH]``, the last one closing the epoch.
+    Returns where the next epoch starts."""
+    for n in counts:
+        for i in range(n):
+            a.note_commit(start + EPOCH * (i + 1) / n)
+        start += EPOCH
+    return start
 
 
 class TestConstruction:
     def test_defaults(self):
         a = AdaptiveThreshold()
-        assert a.min_threshold <= a.current <= a.max_threshold
-
-    def test_invalid_initial(self):
-        with pytest.raises(ValueError):
-            AdaptiveThreshold(initial=0, min_threshold=1)
-        with pytest.raises(ValueError):
-            AdaptiveThreshold(initial=99, max_threshold=16)
-
-    def test_invalid_epoch(self):
-        with pytest.raises(ValueError):
-            AdaptiveThreshold(epoch=0)
+        assert MIN_THRESHOLD <= a.current == INITIAL_THRESHOLD <= MAX_THRESHOLD
 
 
 class TestAdaptation:
-    def _feed(self, a, rate, start, duration):
-        """Feed `rate` commits/s over [start, start+duration]."""
-        n = max(1, int(rate * duration))
-        for i in range(n):
-            a.note_commit(start + (i + 1) * duration / n)
-
     def test_no_adjustment_within_first_epoch(self):
-        a = AdaptiveThreshold(initial=3, epoch=2.0)
-        a.note_commit(0.5)
-        a.note_commit(1.0)
-        assert a.current == 3
+        a = AdaptiveThreshold()
+        a.note_commit(EPOCH / 4)
+        a.note_commit(EPOCH / 2)
+        assert a.current == INITIAL_THRESHOLD
         assert a.adjustments == 0
 
     def test_improving_rate_keeps_direction(self):
-        a = AdaptiveThreshold(initial=3, epoch=1.0, max_threshold=16)
-        self._feed(a, rate=10, start=0.0, duration=1.1)   # baseline epoch
-        before = a.current
-        self._feed(a, rate=20, start=1.2, duration=1.1)   # better -> move up
-        self._feed(a, rate=40, start=2.4, duration=1.1)   # better again
-        assert a.current > before
-        assert a.adjustments >= 2
+        a = AdaptiveThreshold()
+        feed_epochs(a, [10])               # baseline epoch: no step
+        assert a.current == INITIAL_THRESHOLD
+        feed_epochs(a, [20, 40], start=EPOCH)  # better, better again
+        assert a.current == INITIAL_THRESHOLD + 2
+        assert a.adjustments == 2
 
     def test_degrading_rate_reverses_direction(self):
-        a = AdaptiveThreshold(initial=8, epoch=1.0)
-        # Epoch 1: 10 commits/s baseline (sets last_rate, no adjustment).
-        for i in range(10):
-            a.note_commit(0.1 * (i + 1))
+        a = AdaptiveThreshold()
+        # Epoch 1: baseline (sets last_rate, no adjustment).
+        start = feed_epochs(a, [10])
         assert a.adjustments == 0
         # Epoch 2: same rate -> keeps climbing (+1).
-        for i in range(10):
-            a.note_commit(1.0 + 0.1 * (i + 1))
-        assert a.current == 9
+        start = feed_epochs(a, [10], start)
+        assert a.current == INITIAL_THRESHOLD + 1
         # Epoch 3: rate collapses -> direction reverses (-1).
-        a.note_commit(2.5)
-        a.note_commit(3.0)
-        assert a.current == 8
+        feed_epochs(a, [2], start)
+        assert a.current == INITIAL_THRESHOLD
 
     def test_threshold_clamped_to_bounds(self):
-        a = AdaptiveThreshold(initial=2, min_threshold=1, max_threshold=3, epoch=0.5)
-        for start in range(40):
-            self._feed(a, rate=10 + start, start=start * 0.6, duration=0.55)
-        assert 1 <= a.current <= 3
+        a = AdaptiveThreshold()
+        # Ever-rising throughput climbs to the ceiling and stays there.
+        start = feed_epochs(a, range(10, 40))
+        assert a.current == MAX_THRESHOLD
+        # One drop reverses; a steady rate then descends to the floor.
+        feed_epochs(a, [5] * 30, start)
+        assert a.current == MIN_THRESHOLD
 
     def test_repr(self):
         assert "AdaptiveThreshold" in repr(AdaptiveThreshold())

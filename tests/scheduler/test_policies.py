@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dstm.errors import AbortReason
-from repro.dstm.objects import ObjectMode, ObjectState, VersionedObject
+from repro.dstm.objects import ObjectMode
 from repro.dstm.transaction import ETS, Transaction
 from repro.scheduler import (
     BackoffScheduler,
@@ -12,10 +12,11 @@ from repro.scheduler import (
     DecisionKind,
     RtsScheduler,
     TfaScheduler,
-    make_scheduler,
 )
-from repro.scheduler.adaptive import AdaptiveThreshold
+from repro.scheduler.adaptive import EPOCH, INITIAL_THRESHOLD
+from repro.scheduler.backoff import BACKOFF_CAP
 from repro.scheduler.queues import RequesterList
+from repro.scheduler.rts import BACKOFF_SAFETY, MAX_BACKOFF
 
 
 def ctx(
@@ -28,11 +29,7 @@ def ctx(
     now=10.0,
 ):
     queue = queue if queue is not None else RequesterList()
-    obj = VersionedObject("o1", 0)
-    obj.state = ObjectState.VALIDATING
     return ConflictContext(
-        oid="o1",
-        obj=obj,
         mode=mode,
         requester_node=1,
         requester_txid="task-1",
@@ -40,25 +37,12 @@ def ctx(
         ets=ETS(start=now - elapsed, request=now,
                 expected_commit=now + expected_remaining),
         queue=queue,
-        now_local=now,
         holder_remaining=holder_remaining,
     )
 
 
 def root():
     return Transaction(node=0)
-
-
-class TestFactory:
-    def test_make_by_name(self):
-        assert isinstance(make_scheduler("rts"), RtsScheduler)
-        assert isinstance(make_scheduler("tfa"), TfaScheduler)
-        assert isinstance(make_scheduler("tfa-backoff"), BackoffScheduler)
-        assert isinstance(make_scheduler("TFA_BACKOFF"), BackoffScheduler)
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            make_scheduler("nope")
 
 
 class TestTfaScheduler:
@@ -72,26 +56,20 @@ class TestTfaScheduler:
 
 
 class TestBackoffScheduler:
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            BackoffScheduler(base=0)
-        with pytest.raises(ValueError):
-            BackoffScheduler(base=1.0, cap=0.5)
-
     def test_always_aborts_at_owner(self):
         s = BackoffScheduler()
         assert s.on_conflict(ctx()).kind is DecisionKind.ABORT
 
     def test_backoff_grows_with_attempts(self):
-        s = BackoffScheduler(base=1e-3, cap=10.0, rng=np.random.default_rng(0))
+        s = BackoffScheduler(rng=np.random.default_rng(0))
         samples1 = [s.retry_backoff(root(), AbortReason.BUSY_OBJECT, 1) for _ in range(200)]
         samples8 = [s.retry_backoff(root(), AbortReason.BUSY_OBJECT, 8) for _ in range(200)]
         assert np.mean(samples8) > np.mean(samples1)
 
     def test_backoff_capped(self):
-        s = BackoffScheduler(base=1e-3, cap=0.05, rng=np.random.default_rng(0))
+        s = BackoffScheduler(rng=np.random.default_rng(0))
         for attempt in range(20):
-            assert s.retry_backoff(root(), AbortReason.BUSY_OBJECT, attempt) <= 0.05
+            assert s.retry_backoff(root(), AbortReason.BUSY_OBJECT, attempt) <= BACKOFF_CAP
 
     def test_validation_aborts_retry_immediately(self):
         s = BackoffScheduler()
@@ -100,12 +78,6 @@ class TestBackoffScheduler:
 
 
 class TestRtsScheduler:
-    def test_invalid_backoff_params(self):
-        with pytest.raises(ValueError):
-            RtsScheduler(min_enqueue_backoff=0)
-        with pytest.raises(ValueError):
-            RtsScheduler(min_enqueue_backoff=1.0, max_backoff=0.5)
-
     def test_long_running_low_cl_enqueued(self):
         s = RtsScheduler(cl_threshold=4)
         decision = s.on_conflict(ctx(elapsed=5.0, my_cl=0))
@@ -169,29 +141,27 @@ class TestRtsScheduler:
         assert q2.bk == 0.0
 
     def test_backoff_includes_holder_remaining_and_backlog(self):
-        s = RtsScheduler(cl_threshold=10, backoff_safety=1.0)
+        s = RtsScheduler(cl_threshold=10)
         queue = RequesterList()
         queue.bk = 0.3
         decision = s.on_conflict(
             ctx(elapsed=5.0, holder_remaining=0.2, queue=queue)
         )
-        assert decision.backoff == pytest.approx(0.5)
+        assert decision.backoff == pytest.approx(0.5 * BACKOFF_SAFETY)
 
     def test_backoff_safety_scales_budget(self):
-        s = RtsScheduler(cl_threshold=10, backoff_safety=2.0)
+        assert BACKOFF_SAFETY > 1.0
+        s = RtsScheduler(cl_threshold=10)
         decision = s.on_conflict(ctx(elapsed=5.0, holder_remaining=0.2))
-        assert decision.backoff == pytest.approx(0.4)
-
-    def test_invalid_backoff_safety(self):
-        with pytest.raises(ValueError):
-            RtsScheduler(backoff_safety=0.5)
+        assert decision.backoff == pytest.approx(0.2 * BACKOFF_SAFETY)
+        assert decision.backoff > 0.2
 
     def test_backoff_capped(self):
-        s = RtsScheduler(cl_threshold=10, max_backoff=0.4)
+        s = RtsScheduler(cl_threshold=10)
         queue = RequesterList()
-        queue.bk = 9.0
+        queue.bk = MAX_BACKOFF
         decision = s.on_conflict(ctx(elapsed=100.0, queue=queue))
-        assert decision.backoff == 0.4
+        assert decision.backoff == MAX_BACKOFF
 
     def test_queue_membership_recorded(self):
         s = RtsScheduler(cl_threshold=10)
@@ -214,41 +184,49 @@ class TestRtsScheduler:
         assert s.retry_backoff(root(), AbortReason.BUSY_OBJECT, 1) == 0.0
 
     def test_adaptive_threshold_integration(self):
-        adaptive = AdaptiveThreshold(initial=5)
-        s = RtsScheduler(cl_threshold=adaptive)
-        assert s.cl_threshold == 5
-        assert s.adaptive is adaptive
+        """No fixed threshold: RTS builds its own controller, feeds it its
+        commits and decides with the threshold it climbs to."""
+        s = RtsScheduler()
+        assert s.cl_threshold == INITIAL_THRESHOLD
+        # Three epochs at a steady rate: the second and third each step up.
+        for i in range(1, 31):
+            s.on_commit(root(), duration=0.1, now_local=i * EPOCH / 10)
+        assert s.adaptive.adjustments == 2
+        assert s.cl_threshold == s.adaptive.current == INITIAL_THRESHOLD + 2
 
     def test_fixed_threshold_has_no_adaptive(self):
-        assert RtsScheduler(cl_threshold=4).adaptive is None
-
-    def test_on_request_feeds_tracker(self):
         s = RtsScheduler(cl_threshold=4)
-        s.on_request("o1", "t1", now_local=1.0)
-        s.on_request("o1", "t2", now_local=1.1)
-        assert s.local_cl("o1", 1.2) == 2
+        assert s.adaptive is None
+        assert s.cl_threshold == 4
+
+
+def profile_root(profile):
+    return Transaction(node=0, profile=profile)
 
 
 class TestBasePolicyDefaults:
-    def test_default_local_cl_is_zero(self):
+    """The transaction stats table: per profile, an EWMA of commit
+    latencies, and the fallback before a profile has committed."""
+
+    @pytest.mark.parametrize("commits, profile, expected", [
+        pytest.param([("p", 0.25)], "p", 0.25, id="first_observation_sets_estimate"),
+        pytest.param([("bank.transfer", 0.2)] * 50, "bank.transfer", 0.2,
+                     id="estimate_tracks_commits"),
+        pytest.param([("a", 0.1), ("b", 0.9)], "a", 0.1, id="profiles_independent_a"),
+        pytest.param([("a", 0.1), ("b", 0.9)], "b", 0.9, id="profiles_independent_b"),
+    ])
+    def test_on_commit_feeds_stats_table(self, commits, profile, expected):
         s = TfaScheduler()
-        assert s.local_cl("o1", now_local=0.0) == 0
+        for name, duration in commits:
+            s.on_commit(profile_root(name), duration=duration, now_local=1.0)
+        assert s.expected_duration(profile, fallback=9.0) == pytest.approx(expected)
 
-    def test_on_request_is_noop(self):
-        TfaScheduler().on_request("o1", "t1", 0.0)  # must not raise
-
-    def test_on_commit_feeds_stats_table(self):
+    @pytest.mark.parametrize("commits", [
+        pytest.param([], id="fallback_before_data"),
+        pytest.param([("a", 0.1)], id="other_profiles_commits"),
+    ])
+    def test_expected_duration_fallback(self, commits):
         s = TfaScheduler()
-        r = root()
-        r.wset["x"] = 1
-        s.on_commit(r, duration=0.25)
-        assert s.expected_duration(r.profile, fallback=9.0) == pytest.approx(0.25)
-
-    def test_expected_duration_fallback(self):
-        assert TfaScheduler().expected_duration("unknown", 0.7) == 0.7
-
-    def test_bind_records_node(self):
-        s = TfaScheduler()
-        s.bind(5)
-        assert s.node_id == 5
-        assert "5" in repr(s)
+        for name, duration in commits:
+            s.on_commit(profile_root(name), duration=duration, now_local=1.0)
+        assert s.expected_duration("unknown", 0.7) == 0.7

@@ -26,14 +26,12 @@ class TestEwma:
         e = Ewma(alpha=0.5)
         e.observe(10.0)
         assert e.value == 10.0
-        assert e.stdev == 0.0
 
     def test_converges_to_constant(self):
         e = Ewma(alpha=0.3)
         for _ in range(100):
             e.observe(7.0)
         assert e.value == pytest.approx(7.0)
-        assert e.stdev == pytest.approx(0.0, abs=1e-9)
 
     def test_tracks_level_shift(self):
         e = Ewma(alpha=0.5)
