@@ -208,25 +208,28 @@ class TestBasePolicyDefaults:
     """The transaction stats table: per profile, an EWMA of commit
     latencies, and the fallback before a profile has committed."""
 
-    @pytest.mark.parametrize("commits, profile, expected", [
-        pytest.param([("p", 0.25)], "p", 0.25, id="first_observation_sets_estimate"),
-        pytest.param([("bank.transfer", 0.2)] * 50, "bank.transfer", 0.2,
-                     id="estimate_tracks_commits"),
-        pytest.param([("a", 0.1), ("b", 0.9)], "a", 0.1, id="profiles_independent_a"),
-        pytest.param([("a", 0.1), ("b", 0.9)], "b", 0.9, id="profiles_independent_b"),
-    ])
-    def test_on_commit_feeds_stats_table(self, commits, profile, expected):
+    def test_on_commit_feeds_stats_table(self):
         s = TfaScheduler()
-        for name, duration in commits:
-            s.on_commit(profile_root(name), duration=duration, now_local=1.0)
-        assert s.expected_duration(profile, fallback=9.0) == pytest.approx(expected)
+        s.on_commit(profile_root("p"), duration=0.25, now_local=1.0)
+        assert s.expected_duration("p", fallback=9.0) == pytest.approx(0.25)
 
-    @pytest.mark.parametrize("commits", [
-        pytest.param([], id="fallback_before_data"),
-        pytest.param([("a", 0.1)], id="other_profiles_commits"),
-    ])
-    def test_expected_duration_fallback(self, commits):
+    def test_estimate_tracks_commits(self):
         s = TfaScheduler()
-        for name, duration in commits:
-            s.on_commit(profile_root(name), duration=duration, now_local=1.0)
+        for _ in range(50):
+            s.on_commit(profile_root("bank.transfer"), duration=0.2, now_local=1.0)
+        assert s.expected_duration("bank.transfer", fallback=9.0) == pytest.approx(0.2)
+
+    def test_profiles_independent(self):
+        s = TfaScheduler()
+        s.on_commit(profile_root("a"), duration=0.1, now_local=1.0)
+        s.on_commit(profile_root("b"), duration=0.9, now_local=1.0)
+        assert s.expected_duration("a", 0.0) == pytest.approx(0.1)
+        assert s.expected_duration("b", 0.0) == pytest.approx(0.9)
+
+    def test_fallback_before_data(self):
+        assert TfaScheduler().expected_duration("unknown", 0.7) == 0.7
+
+    def test_expected_duration_fallback(self):
+        s = TfaScheduler()
+        s.on_commit(profile_root("a"), duration=0.1, now_local=1.0)
         assert s.expected_duration("unknown", 0.7) == 0.7
