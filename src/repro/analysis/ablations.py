@@ -25,11 +25,10 @@ from typing import Any, Dict, List
 from repro.analysis.render import render_table
 from repro.analysis.scales import SCALES, Scale
 from repro.core.config import ClusterConfig, SchedulerKind
-from repro.core.experiment import ExperimentResult
 from repro.dstm.contention import WinnerPolicy
 from repro.dstm.transaction import NestingModel
 from repro.net.topology import MS
-from repro.par import CellSpec, run_cells
+from repro.par import CellSpec, run_grid
 
 __all__ = [
     "run_threshold_sweep",
@@ -56,19 +55,6 @@ def _spec(
     )
 
 
-def _run_grid(
-    specs: List[CellSpec], jobs: int = 1, cache_dir: str | None = None
-) -> List[ExperimentResult]:
-    """Run an ablation's cells through repro.par, results in spec order.
-
-    Every runner below funnels its grid through here, so ``--jobs`` and
-    ``--cache-dir`` apply uniformly and rows come back in the same order
-    the serial loops produced them (deterministic merge).
-    """
-    run = run_cells(specs, jobs=jobs, cache_dir=cache_dir)
-    return [outcome.result for outcome in run.in_spec_order()]
-
-
 def run_threshold_sweep(
     scale: str | Scale = "quick",
     seed: int = 1,
@@ -88,7 +74,7 @@ def run_threshold_sweep(
         for threshold in thresholds
     ]
     rows = []
-    for threshold, res in zip(thresholds, _run_grid(specs, jobs, cache_dir)):
+    for threshold, res in zip(thresholds, run_grid(specs, jobs, cache_dir)):
         rows.append({
             "threshold": threshold,
             "throughput": res.throughput,
@@ -113,7 +99,7 @@ def run_backoff_ablation(
         for _contention, rf, sched in grid
     ]
     rows = []
-    for (contention, _rf, sched), res in zip(grid, _run_grid(specs, jobs, cache_dir)):
+    for (contention, _rf, sched), res in zip(grid, run_grid(specs, jobs, cache_dir)):
         rows.append({
             "contention": contention,
             "policy": sched.value,
@@ -147,7 +133,7 @@ def run_network_ablation(
         for _name, lo, hi, sched in grid
     ]
     rows = []
-    for (name, _lo, _hi, sched), res in zip(grid, _run_grid(specs, jobs, cache_dir)):
+    for (name, _lo, _hi, sched), res in zip(grid, run_grid(specs, jobs, cache_dir)):
         rows.append({
             "band": name,
             "scheduler": sched.value,
@@ -185,7 +171,7 @@ def run_nesting_ablation(
     ]
     rows = []
     for (label, _nesting, _wl, sched), res in zip(
-        grid, _run_grid(specs, jobs, cache_dir)
+        grid, run_grid(specs, jobs, cache_dir)
     ):
         rows.append({
             "nesting": label,
@@ -213,7 +199,7 @@ def run_conflict_scope_ablation(
         for scope, sched in grid
     ]
     rows = []
-    for (scope, sched), res in zip(grid, _run_grid(specs, jobs, cache_dir)):
+    for (scope, sched), res in zip(grid, run_grid(specs, jobs, cache_dir)):
         rows.append({
             "scope": scope,
             "scheduler": sched.value,
@@ -240,7 +226,7 @@ def run_contention_manager_ablation(
         for policy, sched in grid
     ]
     rows = []
-    for (policy, sched), res in zip(grid, _run_grid(specs, jobs, cache_dir)):
+    for (policy, sched), res in zip(grid, run_grid(specs, jobs, cache_dir)):
         rows.append({
             "winner_policy": policy.value,
             "scheduler": sched.value,
@@ -267,7 +253,7 @@ def run_admission_ablation(
     ]
     rows = []
     for (admission, _rf, contention), res in zip(
-        grid, _run_grid(specs, jobs, cache_dir)
+        grid, run_grid(specs, jobs, cache_dir)
     ):
         rows.append({
             "admission": admission,
@@ -297,7 +283,7 @@ def run_abort_cost_ablation(
         for overhead, sched in grid
     ]
     rows = []
-    for (overhead, sched), res in zip(grid, _run_grid(specs, jobs, cache_dir)):
+    for (overhead, sched), res in zip(grid, run_grid(specs, jobs, cache_dir)):
         rows.append({
             "abort_overhead_ms": overhead * 1e3,
             "scheduler": sched.value,

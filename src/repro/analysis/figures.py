@@ -14,7 +14,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.analysis.render import render_ascii_chart, render_series
 from repro.analysis.scales import BENCHMARKS, CONTENTION, SCALES, Scale
 from repro.core.config import ClusterConfig, SchedulerKind
-from repro.core.experiment import ExperimentResult, run_experiment
+from repro.core.experiment import ExperimentResult
+from repro.par import CellSpec, run_grid
 
 __all__ = ["FigureData", "format_figure", "run_figure"]
 
@@ -46,29 +47,37 @@ def run_figure(
     scale: str | Scale = "quick",
     seed: int = 1,
     benchmarks: Optional[List[str]] = None,
+    jobs: int = 1,
+    cache_dir: Optional[str] = None,
 ) -> FigureData:
-    """Regenerate Figure 4 ("fig4", low contention) or 5 ("fig5", high)."""
+    """Regenerate Figure 4 ("fig4", low contention) or 5 ("fig5", high).
+
+    The cells run through :func:`repro.par.run_grid`: ``jobs`` worker
+    processes, results cached under ``cache_dir``, series unchanged.
+    """
     contention = {"fig4": "low", "fig5": "high"}[figure]
     read_fraction = CONTENTION[contention]
     preset = SCALES[scale] if isinstance(scale, str) else scale
     data = FigureData(figure=figure, contention=contention,
                       node_counts=tuple(preset.node_counts))
-    for bench in benchmarks or BENCHMARKS:
-        data.series[bench] = {s.value: [] for s in SCHEDULER_ORDER}
-        for nodes in preset.node_counts:
-            for sched in SCHEDULER_ORDER:
-                cfg = ClusterConfig(
-                    num_nodes=nodes, seed=seed, scheduler=sched,
-                    cl_threshold=4,
-                )
-                res = run_experiment(
-                    bench, cfg,
-                    read_fraction=read_fraction,
-                    workers_per_node=preset.workers_per_node,
-                    horizon=preset.horizon,
-                )
-                data.series[bench][sched.value].append(res.throughput)
-                data.results.append(res)
+    specs = [
+        CellSpec(
+            bench,
+            ClusterConfig(num_nodes=nodes, seed=seed, scheduler=sched, cl_threshold=4),
+            read_fraction=read_fraction,
+            workers_per_node=preset.workers_per_node,
+            horizon=preset.horizon,
+        )
+        for bench in benchmarks or BENCHMARKS
+        for nodes in preset.node_counts
+        for sched in SCHEDULER_ORDER
+    ]
+    for spec, res in zip(specs, run_grid(specs, jobs, cache_dir)):
+        series = data.series.setdefault(
+            spec.workload, {s.value: [] for s in SCHEDULER_ORDER}
+        )
+        series[spec.config.scheduler.value].append(res.throughput)
+        data.results.append(res)
     return data
 
 

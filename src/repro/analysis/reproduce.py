@@ -55,6 +55,8 @@ def main(argv: List[str] | None = None) -> int:
     wanted = list(ARTEFACTS) if "all" in args.artefacts else args.artefacts
     started = time.time()  # check: allow[det-wall-clock] -- host-side progress report; never enters the simulation
     fig_cache = {}
+    #: every artefact's cells run through repro.par.run_grid
+    par = {"jobs": args.jobs, "cache_dir": args.cache_dir}
 
     def export(name, rows):
         if args.export_dir is None:
@@ -68,12 +70,12 @@ def main(argv: List[str] | None = None) -> int:
         print(f"\n{'=' * 72}\n# {artefact}  (scale={args.scale}, seed={args.seed})\n{'=' * 72}")
         if artefact == "table1":
             rows = run_table1(scale=args.scale, seed=args.seed,
-                              benchmarks=args.benchmarks)
+                              benchmarks=args.benchmarks, **par)
             print(format_table1(rows))
             export("table1", rows)
         elif artefact in ("fig4", "fig5"):
             data = run_figure(artefact, scale=args.scale, seed=args.seed,
-                              benchmarks=args.benchmarks)
+                              benchmarks=args.benchmarks, **par)
             fig_cache[artefact] = data
             print(format_figure(data))
             if args.export_dir is not None:
@@ -85,13 +87,13 @@ def main(argv: List[str] | None = None) -> int:
                 scale=args.scale, seed=args.seed,
                 benchmarks=args.benchmarks,
                 fig4=fig_cache.get("fig4"), fig5=fig_cache.get("fig5"),
+                **par,
             )
             print(format_speedup(rows))
             export("fig6", rows)
         elif artefact == "ablations":
             for name, (runner, _title) in ALL_ABLATIONS.items():
-                rows = runner(scale=args.scale, seed=args.seed,
-                              jobs=args.jobs, cache_dir=args.cache_dir)
+                rows = runner(scale=args.scale, seed=args.seed, **par)
                 print(format_ablation(name, rows))
                 export(f"ablation_{name}", rows)
                 print()

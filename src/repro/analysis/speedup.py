@@ -25,12 +25,17 @@ def run_speedup_summary(
     benchmarks: Optional[List[str]] = None,
     fig4: Optional[FigureData] = None,
     fig5: Optional[FigureData] = None,
+    jobs: int = 1,
+    cache_dir: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
-    """Measure (or reuse) the Figure 4/5 sweeps and summarise speedups."""
+    """Measure (or reuse) the Figure 4/5 sweeps and summarise speedups;
+    ``jobs`` / ``cache_dir`` go to :func:`~repro.analysis.figures.run_figure`."""
     if fig4 is None:
-        fig4 = run_figure("fig4", scale=scale, seed=seed, benchmarks=benchmarks)
+        fig4 = run_figure("fig4", scale=scale, seed=seed, benchmarks=benchmarks,
+                          jobs=jobs, cache_dir=cache_dir)
     if fig5 is None:
-        fig5 = run_figure("fig5", scale=scale, seed=seed, benchmarks=benchmarks)
+        fig5 = run_figure("fig5", scale=scale, seed=seed, benchmarks=benchmarks,
+                          jobs=jobs, cache_dir=cache_dir)
     rows: List[Dict[str, Any]] = []
     for bench in fig4.series:
         rows.append({

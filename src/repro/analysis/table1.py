@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional
 from repro.analysis.render import render_table
 from repro.analysis.scales import BENCHMARKS, CONTENTION, SCALES, Scale
 from repro.core.config import ClusterConfig, SchedulerKind
-from repro.core.experiment import run_experiment
+from repro.par import CellSpec, run_grid
 
 __all__ = ["PAPER_TABLE1", "run_table1", "format_table1"]
 
@@ -37,30 +37,42 @@ def run_table1(
     scale: str | Scale = "quick",
     seed: int = 1,
     benchmarks: Optional[List[str]] = None,
+    jobs: int = 1,
+    cache_dir: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
-    """Measure Table I; returns one row per benchmark."""
+    """Measure Table I; returns one row per benchmark.
+
+    The cells run through :func:`repro.par.run_grid`: ``jobs`` worker
+    processes, results cached under ``cache_dir``, rows unchanged.
+    """
     preset = SCALES[scale] if isinstance(scale, str) else scale
-    rows: List[Dict[str, Any]] = []
-    for bench in benchmarks or BENCHMARKS:
-        row: Dict[str, Any] = {"benchmark": bench}
-        for contention, read_fraction in CONTENTION.items():
-            for sched in (SchedulerKind.RTS, SchedulerKind.TFA):
-                cfg = ClusterConfig(
-                    num_nodes=preset.table_nodes, seed=seed,
-                    scheduler=sched, cl_threshold=4,
-                )
-                res = run_experiment(
-                    bench, cfg,
-                    read_fraction=read_fraction,
-                    workers_per_node=preset.workers_per_node,
-                    horizon=None,
-                    stop_after_commits=preset.table_commits,
-                )
-                key = f"{contention}/{sched.value}"
-                row[key] = res.nested_abort_rate
-                row[f"{key}/paper"] = PAPER_TABLE1[bench][key]
-        rows.append(row)
-    return rows
+    grid = [
+        (bench, contention, sched)
+        for bench in benchmarks or BENCHMARKS
+        for contention in CONTENTION
+        for sched in (SchedulerKind.RTS, SchedulerKind.TFA)
+    ]
+    specs = [
+        CellSpec(
+            bench,
+            ClusterConfig(
+                num_nodes=preset.table_nodes, seed=seed,
+                scheduler=sched, cl_threshold=4,
+            ),
+            read_fraction=CONTENTION[contention],
+            workers_per_node=preset.workers_per_node,
+            horizon=None,
+            stop_after_commits=preset.table_commits,
+        )
+        for bench, contention, sched in grid
+    ]
+    rows: Dict[str, Dict[str, Any]] = {}
+    for (bench, contention, sched), res in zip(grid, run_grid(specs, jobs, cache_dir)):
+        row = rows.setdefault(bench, {"benchmark": bench})
+        key = f"{contention}/{sched.value}"
+        row[key] = res.nested_abort_rate
+        row[f"{key}/paper"] = PAPER_TABLE1[bench][key]
+    return list(rows.values())
 
 
 def format_table1(rows: List[Dict[str, Any]]) -> str:

@@ -24,7 +24,7 @@ from repro.dstm.directory import DirectoryShard
 from repro.dstm.objects import home_node
 from repro.dstm.proxy import TMProxy
 from repro.dstm.tfa import TFAEngine
-from repro.faults import FaultInjector, FaultPlan, NodeRecovery, RpcPolicy
+from repro.faults import FaultInjector, FaultPlan, HomeRecovery, NodeRecovery, RpcPolicy
 from repro.net.clocks import NodeClock
 from repro.net.network import Network
 from repro.net.node import Node
@@ -132,8 +132,8 @@ class Cluster:
 
         # RPC substrate (repro.rpc).  Strictly additive: the default
         # RpcConfig (window 0, hint-mode cache) builds no batcher and
-        # keeps the lookup caches behaving exactly like the plain dicts
-        # they replaced, so same-seed runs are byte-identical.
+        # never fences a lookup-cache entry, so same-seed runs are
+        # byte-identical.
         rc = config.rpc
         self.batcher: Optional[PiggybackBatcher] = None
         if rc.batch_window > 0.0:
@@ -150,14 +150,12 @@ class Cluster:
         self.fault_plan: Optional[FaultPlan] = None
         self.fault_injector: Optional[FaultInjector] = None
         policy: Optional[RpcPolicy] = None
-        lease_duration: Optional[float] = None
         if fc.enabled:
             self.fault_plan = FaultPlan(fc, self.rngs.stream("faults"), config.num_nodes)
             self.fault_injector = FaultInjector(
                 self.fault_plan, metrics=self.metrics, tracer=self.tracer
             ).install(self.network)
             policy = RpcPolicy.from_config(fc)
-            lease_duration = fc.lease_duration
 
         # Invariant sanitizer (repro.check).  Strictly additive: with the
         # default CheckConfig(sanitize=False) — and REPRO_SANITIZE unset —
@@ -191,22 +189,13 @@ class Cluster:
             )
             node = Node(self.env, self.network, node_id, clock=clock,
                         msg_process_time=config.msg_process_time)
-            directory = DirectoryShard(
-                node,
-                lease_duration=lease_duration,
-                reclaim_grace=fc.reclaim_grace,
-                metrics=self.metrics,
-                tracer=self.tracer,
-            )
+            directory = DirectoryShard(node, tracer=self.tracer)
             scheduler = self._make_scheduler(node_id)
             rpc_client = RpcClient(
                 node,
                 policy=policy,
                 tracer=self.tracer,
                 metrics=self.metrics,
-                cache=LookupCache(
-                    fencing=rc.cache, capacity=rc.cache_capacity
-                ),
             )
             self.rpc_clients.append(rpc_client)
             proxy = TMProxy(
@@ -216,19 +205,23 @@ class Cluster:
                 winner_policy=config.winner_policy,
                 conflict_scope=config.conflict_scope,
                 rpc_client=rpc_client,
+                cache=LookupCache(fencing=rc.cache, capacity=rc.cache_capacity),
             )
-            directory.proxy = proxy
             if self.sanitizer is not None:
                 self.sanitizer.attach_proxy(node_id, proxy)
                 directory.sanitizer = self.sanitizer
                 proxy.sanitizer = self.sanitizer
-                rpc_client.cache.sanitizer = self.sanitizer
+                proxy.owner_hints.sanitizer = self.sanitizer
             if self.payload_plane is not None:
                 proxy.payload = self.payload_plane.nodes[node_id].attach(
                     rpc_client, self.sanitizer
                 )
             if fc.enabled:
                 proxy.recovery = NodeRecovery(proxy)
+                directory.recovery = HomeRecovery(
+                    directory, fc.lease_duration, fc.reclaim_grace,
+                    proxy, self.metrics,
+                )
             engine = TFAEngine(
                 proxy,
                 self.metrics,
@@ -308,8 +301,8 @@ class Cluster:
         self._alloc_count += 1
         self.proxies[node].install_object(oid, value)
         home = home_node(oid, self.config.num_nodes)
-        # The initial value doubles as the home's first recovery snapshot
-        # (ignored when leases are off).
+        # The initial value doubles as the home's first committed
+        # snapshot.
         self.directories[home].register(
             oid, owner=node, version=0, value=value, value_version=0
         )
@@ -388,19 +381,16 @@ class Cluster:
 
     def rpc_cache_stats(self) -> Dict[str, float]:
         """Cluster-wide lookup-cache counters (zeros when never probed)."""
-        hits = sum(c.cache.hits for c in self.rpc_clients)
-        misses = sum(c.cache.misses for c in self.rpc_clients)
+        caches = [p.owner_hints for p in self.proxies]
+        hits = sum(c.hits for c in caches)
+        misses = sum(c.misses for c in caches)
         probes = hits + misses
         return {
             "cache_hits": float(hits),
             "cache_misses": float(misses),
             "cache_hit_rate": hits / probes if probes else 0.0,
-            "cache_fences": float(
-                sum(c.cache.fences for c in self.rpc_clients)
-            ),
-            "cache_evictions": float(
-                sum(c.cache.evictions for c in self.rpc_clients)
-            ),
+            "cache_fences": float(sum(c.fences for c in caches)),
+            "cache_evictions": float(sum(c.evictions for c in caches)),
         }
 
     def rpc_batch_stats(self) -> Dict[str, float]:
@@ -460,15 +450,19 @@ class Cluster:
         Under fault injection a stale copy can transiently coexist with
         the real one (it is fenced, not yet garbage-collected), so a
         store scan is ambiguous.  The registered owner's copy is the
-        authority; if that copy is gone (owner crashed mid-transfer) the
-        home's recovery snapshot is — that is exactly what a reclaim
-        would re-host.
+        authority; if that copy is gone (owner crashed mid-transfer), or
+        the next directory read would reclaim the entry, the home's
+        recovery snapshot is — that is exactly what a reclaim re-hosts.
+        A read-only check: it never acts on the reclaim it predicts.
         """
         home = home_node(oid, self.config.num_nodes)
         directory = self.directories[home]
-        owner = directory.owner_of(oid)
-        if owner is not None:
-            obj = self.proxies[owner].store.get(oid)
+        recovery = directory.recovery
+        entry = directory.entry(oid)
+        if entry is not None and not (
+            recovery is not None and recovery.reclaimable(oid)
+        ):
+            obj = self.proxies[entry.owner].store.get(oid)
             if obj is not None:
                 return obj.value
         snapshot = directory.snapshot_of(oid)

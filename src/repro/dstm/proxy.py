@@ -100,6 +100,7 @@ class TMProxy:
         winner_policy: WinnerPolicy = WinnerPolicy.HOLDER_WINS,
         conflict_scope: str = "root",
         rpc_client: Optional[RpcClient] = None,
+        cache: Optional[LookupCache] = None,
     ) -> None:
         self.node = node
         self.env = node.env
@@ -143,10 +144,9 @@ class TMProxy:
         #: the paper's scheduling_List: per-object requester queues
         self.queues: Dict[str, RequesterList] = {}
         #: last known owner per object: the node's directory lookup cache
-        #: (shared with TFA validation and fault recovery through the rpc
-        #: client).  Hint mode behaves exactly like the plain dict it
-        #: replaced; fenced mode invalidates on observed version advance.
-        self.owner_hints: LookupCache = rpc_client.cache
+        #: (TFA validation and fault recovery fold into it through the
+        #: proxy).  The cluster supplies one; the default is hint mode.
+        self.owner_hints = cache if cache is not None else LookupCache()
         #: the paper's TransactionQueue: (root txid, oid) -> waiting event
         self._waiters: Dict[Tuple[str, str], Any] = {}
         #: EWMA of observed validation-window durations (for holder_remaining)
@@ -226,7 +226,7 @@ class TMProxy:
             # expiry at the home makes the object retrievable again —
             # drop our hint so the retry asks the directory, not the
             # same dead peer.
-            self.owner_hints.pop(oid, None)
+            self.owner_hints.drop(oid)
             raise TransactionAborted(
                 root, AbortReason.OWNER_FAILURE, oid=oid, detail=str(exc)
             )
@@ -267,11 +267,11 @@ class TMProxy:
                     # transfer never arrived (lost on the wire).  Fall
                     # back to the directory, whose lease reclaim is the
                     # authority that will re-host the object.
-                    self.owner_hints.pop(oid, None)
+                    self.owner_hints.drop(oid)
                 elif hint is not None and hint != owner:
-                    self.owner_hints[oid] = hint
+                    self.owner_hints.put(oid, hint)
                 else:
-                    self.owner_hints.pop(oid, None)
+                    self.owner_hints.drop(oid)
                 yield self.env.timeout(chase_pause)
                 continue
 
@@ -404,7 +404,7 @@ class TMProxy:
                     oid, node=self.node.node_id, now=self.env.now
                 )
         else:
-            self.owner_hints.setdefault(oid, served_by, grant.version)
+            self.owner_hints.learn(oid, served_by, grant.version)
         if self.tracer.wants("dstm.grant"):
             self.tracer.emit(
                 self.env.now, "dstm.grant", oid,
@@ -432,7 +432,7 @@ class TMProxy:
             obj.holder = holder
             self._hold_started[oid] = self.node.now_local
         self.store[oid] = obj
-        self.owner_hints[oid] = self.node.node_id
+        self.owner_hints.put(oid, self.node.node_id)
         queue_entries: List[Requester] = payload.get("queue") or []
         if queue_entries:
             self.queues[oid] = RequesterList.from_snapshot(
@@ -497,7 +497,7 @@ class TMProxy:
                 msg, MessageType.RETRIEVE_RESPONSE,
                 {
                     "oid": oid, "granted": False, "not_owner": True,
-                    "owner_hint": self.owner_hints.get(oid),
+                    "owner_hint": self.owner_hints.owner(oid),
                 },
             )
             return
@@ -627,7 +627,7 @@ class TMProxy:
                 payload["bk"] = queue.bk
             del self.store[oid]
             self._hold_started.pop(oid, None)
-            self.owner_hints[oid] = dst
+            self.owner_hints.put(oid, dst)
             if self.recovery is not None:
                 self.recovery.remember(oid, dst, txid, payload, wire_bytes)
         if request is not None:
@@ -769,8 +769,8 @@ class TMProxy:
         self.queues.pop(oid, None)
         self._hold_started.pop(oid, None)
         self._holder_start.pop(oid, None)
-        if self.owner_hints.get(oid) == self.node.node_id:
-            self.owner_hints.pop(oid, None)
+        if self.owner_hints.owner(oid) == self.node.node_id:
+            self.owner_hints.drop(oid)
 
     # ------------------------------------------------------------------
     # Introspection / invariants (tests lean on these)

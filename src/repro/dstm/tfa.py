@@ -450,12 +450,7 @@ class TFAEngine:
                 # and every remote cache entry is stale by construction.
                 obj.payload_src = self.node.node_id
                 self.proxy.payload.plane.note_materialize(self.node.node_id, oid, obj.version)
-            if self.proxy.owner_hints.fencing:
-                # Advance our own cache entry to the registered version,
-                # or the next validate reply would fence the entry for an
-                # object we ourselves hold.  (Fenced mode only: hint mode
-                # must stay byte-identical to the legacy dict.)
-                self.proxy.owner_hints.put(oid, self.node.node_id, new_versions[oid])
+            self.proxy.owner_hints.note_install(oid, self.node.node_id, new_versions[oid])
         root.status = TxStatus.COMMITTED
         if self.commit_observer is not None:
             # Capture before release: the hand-off may migrate written

@@ -11,12 +11,13 @@ The subsystem has two halves:
 * **recovery** — :class:`RpcPolicy` (an alias of
   :class:`repro.rpc.RetryPolicy`, the stack's single retry/backoff
   policy object) parameterises the RPC substrate's timeout/retry loop;
-  the home's lease/reclaim machinery lives in
-  :class:`~repro.dstm.directory.DirectoryShard`; the owner's side — the
-  re-grant memory, the late-response and lease-ack handlers, the
-  heartbeat, commit-publish and orphan-sweep processes — is one
-  :class:`NodeRecovery` per node (:mod:`repro.faults.recovery`), which
-  the cluster builds only when ``faults.enabled``.
+  :mod:`repro.faults.recovery` holds both sides of bringing a lost copy
+  back, which the cluster builds only when ``faults.enabled``: the
+  home's side — leases, reclaim, the ``DIR_UPDATE`` fences, orphan
+  returns — is one :class:`HomeRecovery` per directory shard, the
+  owner's side — the re-grant memory, the late-response and lease-ack
+  handlers, the heartbeat, commit-publish and orphan-sweep processes —
+  one :class:`NodeRecovery` per node.
 
 Everything is driven from config-seeded RNG streams: identical seeds
 produce identical fault timelines and therefore bit-identical runs.
@@ -24,12 +25,13 @@ produce identical fault timelines and therefore bit-identical runs.
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import CrashWindow, FaultPlan, MessageFate, PartitionWindow
-from repro.faults.recovery import NodeRecovery, RpcPolicy
+from repro.faults.recovery import HomeRecovery, NodeRecovery, RpcPolicy
 
 __all__ = [
     "CrashWindow",
     "FaultInjector",
     "FaultPlan",
+    "HomeRecovery",
     "MessageFate",
     "NodeRecovery",
     "PartitionWindow",

@@ -11,11 +11,11 @@ layers, exactly as it would against a real lossy network.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import CrashWindow, FaultPlan, PartitionWindow
 from repro.net.message import Message
-from repro.sim import Tracer
+from repro.sim import Environment, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.metrics import MetricsCollector
@@ -113,7 +113,7 @@ class FaultInjector:
         if self.metrics is not None:
             self.metrics.fault_drops.increment()
 
-    def _schedule_window_traces(self, env) -> None:
+    def _schedule_window_traces(self, env: Environment) -> None:
         """Emit crash/restart trace events at their scheduled instants.
 
         Only scheduled when the tracer actually wants the category, so an
@@ -121,10 +121,10 @@ class FaultInjector:
         """
         if self.tracer.wants("fault.crash"):
 
-            def emit_crash(w):
+            def emit_crash(w: CrashWindow) -> None:
                 self.tracer.emit(env.now, "fault.crash", f"n{w.node}", until=w.end)
 
-            def emit_restart(w):
+            def emit_restart(w: CrashWindow) -> None:
                 self.tracer.emit(env.now, "fault.restart", f"n{w.node}", since=w.start)
 
             for w in self.plan.crashes:
@@ -133,14 +133,14 @@ class FaultInjector:
 
         if self.tracer.wants("fault.partition"):
 
-            def emit_part(marker):
+            def emit_part(marker: Tuple[int, PartitionWindow]) -> None:
                 idx, w = marker
                 self.tracer.emit(
                     env.now, "fault.partition", f"part{idx}",
                     group=",".join(str(n) for n in w.group), until=w.end,
                 )
 
-            def emit_part_end(marker):
+            def emit_part_end(marker: Tuple[int, PartitionWindow]) -> None:
                 idx, w = marker
                 self.tracer.emit(
                     env.now, "fault.partition_end", f"part{idx}", since=w.start

@@ -1,39 +1,56 @@
 """Recovery: how a copy that faults lost comes back.
 
-One :class:`NodeRecovery` per node holds the owner's side of it: the
-re-grant memory, the handlers for a ``RETRIEVE_RESPONSE`` whose RPC
-waiter is gone and for lease acks, the commit publish, and the
-heartbeat and orphan-sweep processes.  The cluster builds it **only
-when ``faults.enabled``** — so always under a retry policy; the
-protocol core (:class:`~repro.dstm.proxy.TMProxy`) calls out to it in
-three places — :meth:`~NodeRecovery.remember` where custody leaves a
-node, :meth:`~NodeRecovery.forget` where it arrives,
-:meth:`~NodeRecovery.regrant` when a request finds the node not the
-owner — and a fault-free cluster has none of this code, its handlers or
-its processes.  The home's side (leases, reclaim, fences,
-``ORPHAN_RETURN``) is :class:`~repro.dstm.directory.DirectoryShard`'s.
+Both sides of it live here, and the cluster builds them **only when
+``faults.enabled``** — so always under a retry policy; a fault-free
+cluster has none of this code, its handlers or its processes.
+
+* :class:`NodeRecovery`, one per node (``proxy.recovery``), is the
+  owner's side: the re-grant memory, the handlers for a
+  ``RETRIEVE_RESPONSE`` whose RPC waiter is gone and for lease acks, the
+  commit publish, and the heartbeat and orphan-sweep processes.  The
+  protocol core (:class:`~repro.dstm.proxy.TMProxy`) calls out to it in
+  three places — :meth:`~NodeRecovery.remember` where custody leaves a
+  node, :meth:`~NodeRecovery.forget` where it arrives,
+  :meth:`~NodeRecovery.regrant` when a request finds the node not the
+  owner.
+* :class:`HomeRecovery`, one per directory shard
+  (``directory.recovery``), is the home's side: ownership leases, the
+  lease reclaim, the transfer and version fences on ``DIR_UPDATE``, the
+  withdrawn-txid tombstones, and the ``COMMIT_PUBLISH`` /
+  ``LEASE_RENEW`` / ``ORPHAN_RETURN`` endpoints.  The
+  :class:`~repro.dstm.directory.DirectoryShard` calls out to it in three
+  places — :meth:`~HomeRecovery.reclaim` before a read,
+  :meth:`~HomeRecovery.fence` before an update registers,
+  :meth:`~HomeRecovery.renew` / :meth:`~HomeRecovery.withdrew` after a
+  registration or withdraw.
+
 Every call made here is an :class:`repro.rpc.RpcClient` reply event,
 retried by the one retry path — ``Node.submit``'s resend chain under an
 :class:`RpcPolicy`, the class :class:`repro.rpc.RetryPolicy` re-exported
 under its historic name.
 """
-
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, NamedTuple, Optional, Tuple
 
 from repro.check.sanitize import validate_policy
-from repro.dstm.objects import ObjectState, home_node
+from repro.dstm.objects import ObjectState, VersionedObject, home_node
 from repro.net.message import Message, MessageType
-from repro.rpc.endpoint import ENDPOINTS
+from repro.rpc.endpoint import ENDPOINTS, serve
 from repro.rpc.errors import PeerUnreachable
 from repro.rpc.policy import RetryPolicy as RpcPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (dstm never imports faults)
+    from repro.core.metrics import MetricsCollector
+    from repro.dstm.directory import DirectoryShard, DirEntry
     from repro.dstm.proxy import TMProxy
 
 #: tests/rpc/test_policy.py pins the list: one policy class, no second
-__all__ = ["NodeRecovery", "RpcPolicy", "validate_policy"]
+__all__ = ["HomeRecovery", "NodeRecovery", "RpcPolicy", "validate_policy"]
+
+#: withdrawn txids remembered per oid (a bounded ring)
+_TOMBSTONES = 4
 
 _COMMIT_PUBLISH = ENDPOINTS.get("commit_publish")
 _ORPHAN_RETURN = ENDPOINTS.get("orphan_return")
@@ -194,7 +211,7 @@ class NodeRecovery:
 
     def _sweep_orphans(self, min_age: float) -> Generator[Any, Any, None]:
         now = self.env.now
-        hints = self.proxy.owner_hints
+        cache = self.proxy.owner_hints
         for oid in sorted(self.granted):
             sent = self.granted.get(oid)
             if sent is None or now - sent.at < min_age:
@@ -228,5 +245,252 @@ class NodeRecovery:
                 current = self.granted.get(oid)
                 if current is not None and current.at == sent.at:
                     self.granted.pop(oid, None)
-                if hints.get(oid) == sent.requester:
-                    hints.pop(oid, None)
+                if cache.owner(oid) == sent.requester:
+                    cache.drop(oid)
+
+
+class HomeRecovery:
+    """One home's share of failure recovery; the cluster sets it as its
+    directory shard's ``recovery``.
+
+    A *lease* is the instant an entry's registered owner must have been
+    heard from by (every registration, heartbeat and commit publish from
+    it renews the lease).  An entry whose lease lapsed is *reclaimed* on
+    the next read: the home re-hosts the object from its committed
+    snapshot under a bumped version.  The bump fences the failed owner:
+    its stale copy fails every READ_VALIDATE, its straggler commit
+    registration is nacked by :meth:`fence`, and its post-restart
+    heartbeat learns the copy is stale and drops it.
+    """
+
+    def __init__(
+        self,
+        directory: "DirectoryShard",
+        lease_duration: float,
+        reclaim_grace: float,
+        proxy: "TMProxy",
+        metrics: "MetricsCollector",
+    ) -> None:
+        self.directory = directory
+        self.node = directory.node
+        self.lease_duration = float(lease_duration)
+        self.reclaim_grace = float(reclaim_grace)
+        #: the co-located proxy: re-hosted objects land in its store
+        self.proxy = proxy
+        self.metrics = metrics
+        #: oid -> local-clock instant its owner's lease runs out; an oid
+        #: with no lease (home-hosted since a re-host) is absent
+        self.leases: Dict[str, float] = {}
+        #: oid -> txids whose registration was withdrawn here: a late
+        #: *duplicate* of the original registration must not resurrect it
+        #: (it would wedge the registry ahead of every committed copy)
+        self.withdrawn: Dict[str, List[str]] = {}
+        serve(self.node, "commit_publish", self._on_commit_publish)
+        serve(self.node, "lease_renew", self._on_lease_renew)
+        serve(self.node, "orphan_return", self._on_orphan_return)
+
+    # -- the shard's call-outs ------------------------------------------------
+
+    def renew(self, oid: str) -> None:
+        """The registered owner of ``oid`` was just heard from."""
+        self.leases[oid] = self.node.now_local + self.lease_duration
+
+    def withdrew(self, oid: str, txid: Optional[str]) -> None:
+        """The shard honoured a withdraw by commit attempt ``txid``:
+        tombstone the attempt, so a late duplicate of its registration
+        stays dead, and renew the withdrawer's lease."""
+        if txid is not None:
+            dead = self.withdrawn.setdefault(oid, [])
+            dead.append(txid)
+            del dead[:-_TOMBSTONES]
+        self.renew(oid)
+
+    def fence(self, entry: "DirEntry", p: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        """The nack for a ``DIR_UPDATE`` that must not register over
+        ``entry``, or None to let it through.
+
+        An ownership transfer (no version) carries its copy's committed
+        version as ``value_version``; if the registry has already moved
+        past it (a reclaim, a competing commit) it carries a resurrected
+        stale copy.  A commit registration must advance the version, or
+        repeat the owner's own (an RPC retry after a lost ack); anything
+        else is a straggler fenced off by a reclaim or beaten by a
+        competing committer.  A txid already withdrawn here is a
+        network-duplicated copy of a registration the committer itself
+        rolled back.
+        """
+        version = p.get("version")
+        if version is None:
+            vv = p.get("value_version")
+            stale = vv is not None and int(vv) < entry.version
+        else:
+            txid = p.get("txid")
+            stale = (
+                int(version) < entry.version
+                or (int(version) == entry.version and entry.owner != p["owner"])
+                or (txid is not None and txid in self.withdrawn.get(p["oid"], ()))
+            )
+        if not stale:
+            return None
+        return {
+            "oid": p["oid"], "ok": False,
+            "registered_owner": entry.owner,
+            "registered_version": entry.version,
+        }
+
+    def reclaimable(self, oid: str) -> bool:
+        """Whether a read of ``oid`` now would reclaim it; acts on nothing.
+
+        Yes when a remote owner's lease has lapsed and the home has a
+        snapshot to restore from.  When the registered version is ahead
+        of the snapshot a commit was in flight at the crash; since
+        registration precedes installation the snapshot is still the
+        full committed state, but an extra ``reclaim_grace`` lets a live
+        committer's retries land first.  Never while our own proxy holds
+        a copy mid-validation: that local commit will either register
+        (healing the entry) or release, and reclaiming under it would
+        fork the object.
+        """
+        entry = self.directory.entry(oid)
+        if entry is None or entry.owner == self.node.node_id or not entry.has_snapshot:
+            return False
+        now = self.node.now_local
+        expires = self.leases.get(oid, math.inf)
+        if now < expires:
+            return False
+        if entry.snapshot_version < entry.version and now < expires + self.reclaim_grace:
+            return False
+        local = self.proxy.store.get(oid)
+        return local is None or local.state is ObjectState.FREE
+
+    def reclaim(self, oid: str) -> None:
+        """Re-host ``oid`` from the home's snapshot if :meth:`reclaimable`."""
+        if not self.reclaimable(oid):
+            return
+        entry = self.directory.entry(oid)
+        assert entry is not None
+        old_owner = entry.owner
+        new_version = max(entry.version, entry.snapshot_version) + 1
+        sanitizer = self.directory.sanitizer
+        if sanitizer is not None:
+            sanitizer.note_reclaim(
+                self.node.node_id, oid, self.node.now_local,
+                lease_expires_at=self.leases.get(oid, math.inf),
+                has_snapshot=entry.has_snapshot,
+                old_version=entry.version,
+                new_version=new_version,
+            )
+        self._rehost(oid, entry, entry.snapshot_value, new_version)
+        self.metrics.lease_reclaims.increment()
+        tracer = self.directory.tracer
+        if tracer.wants("fault.reclaim"):
+            tracer.emit(
+                self.node.env.now, "fault.reclaim", oid,
+                old_owner=old_owner, version=new_version,
+            )
+
+    def _rehost(self, oid: str, entry: "DirEntry", value: Any, version: int) -> None:
+        """Make the home the owner of ``value`` at fence ``version``.
+
+        A FREE copy already in our store is a stale leftover (we would
+        not be re-hosting if we were the registered owner): it is
+        replaced, or readers keep serving a version the registry has
+        moved past.  Home-hosted entries need no lease until ownership
+        migrates again (the transfer registration re-arms it).
+        """
+        home = self.node.node_id
+        entry.owner = home
+        entry.version = version
+        entry.registered_by = None
+        entry.has_snapshot = True
+        entry.snapshot_version = version
+        entry.snapshot_value = value
+        self.leases.pop(oid, None)
+        self.proxy.store[oid] = VersionedObject(oid, value, version)
+        self.proxy.owner_hints.put(oid, home)
+
+    # -- the home's endpoints -------------------------------------------------
+
+    def _on_commit_publish(self, msg: Message) -> Dict[str, Any]:
+        """A committer synced its installed ``(version, value)`` to us.
+
+        Sent (with retries) right after every fault-mode commit, so the
+        home snapshot trails the committed state by at most one publish
+        round trip — the window a lease reclaim could otherwise lose.
+        """
+        p = msg.payload
+        entry = self.directory.entry(p["oid"])
+        if entry is not None:
+            entry.note_snapshot(p.get("version"), p.get("value"))
+            if entry.owner == msg.src:
+                self.renew(p["oid"])
+        return {"oid": p["oid"], "ok": True}
+
+    def _on_lease_renew(self, msg: Message) -> Dict[str, Any]:
+        """Heartbeat from a proxy listing its owned objects.
+
+        Renews leases and absorbs snapshots for entries the sender still
+        owns; answers with the oids whose copy at the sender is *stale*
+        (a reclaim or competing commit moved the registered version past
+        it) so the sender can drop them — this is also how a restarted
+        node resynchronises after a crash window.
+        """
+        stale: List[str] = []
+        for oid, version, value in msg.payload.get("objects", ()):
+            entry = self.directory.entry(oid)
+            if entry is None:
+                continue
+            if entry.owner == msg.src:
+                self.renew(oid)
+                entry.note_snapshot(version, value)
+            elif entry.version > int(version):
+                stale.append(oid)
+        return {"stale": stale}
+
+    def _on_orphan_return(self, msg: Message) -> Dict[str, Any]:
+        """An old owner returns a transferred copy nobody came to claim.
+
+        The sender granted an ownership transfer whose response was lost
+        and whose requester never re-requested (gave up or crashed); the
+        copy it holds is the object's latest committed state.  Accept it
+        only while the sender is still the registered owner and the
+        registered version has not moved past the copy — then re-host it
+        here under a bumped (fence) version, exactly like a lease
+        reclaim but from fresher state and without waiting out the
+        lease.  Anything else answers ``fenced``: the registry has
+        already moved on (the requester registered after all, or a
+        reclaim/competing commit won) and the sender must drop its
+        idempotent re-grant cache or it would resurrect a stale copy.
+        """
+        p = msg.payload
+        oid = p["oid"]
+        version = int(p["version"])
+        entry = self.directory.entry(oid)
+        if entry is None or entry.owner != msg.src or entry.version > version:
+            return {
+                "oid": oid, "accepted": False, "fenced": True,
+                "registered_owner": entry.owner if entry else None,
+                "registered_version": entry.version if entry else None,
+            }
+        local = self.proxy.store.get(oid)
+        if local is not None and local.state is not ObjectState.FREE:
+            # Our own proxy is mid-validation on a copy of this object; a
+            # live local commit will settle the entry.  Not fenced: the
+            # sender keeps its cache and retries on a later sweep.
+            return {"oid": oid, "accepted": False, "fenced": False}
+        new_version = max(entry.version, version) + 1
+        sanitizer = self.directory.sanitizer
+        if sanitizer is not None:
+            sanitizer.note_rehost(
+                self.node.node_id, oid, entry.version, new_version,
+                now=self.node.env.now,
+            )
+        self._rehost(oid, entry, p["value"], new_version)
+        self.metrics.orphan_returns.increment()
+        tracer = self.directory.tracer
+        if tracer.wants("fault.orphan_return"):
+            tracer.emit(
+                self.node.env.now, "fault.orphan_return", oid,
+                old_owner=msg.src, version=new_version,
+            )
+        return {"oid": oid, "accepted": True, "version": new_version}

@@ -17,7 +17,7 @@ Nothing waits on an arrival, so there is no Event to build
 from __future__ import annotations
 
 import copy
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.net.message import Message, MessageType
 from repro.net.topology import Topology
@@ -94,7 +94,6 @@ class Network:
         # Instrumentation
         self.messages_sent = Counter("net.messages_sent")
         self.messages_delivered = Counter("net.messages_delivered")
-        self.total_delay = 0.0
         self.per_type: Dict[MessageType, int] = {}
         #: control-envelope bytes shipped over remote links (cost model on)
         self.control_bytes = 0
@@ -144,7 +143,6 @@ class Network:
         self.messages_sent.value += 1
         per_type = self.per_type
         per_type[mtype] = per_type.get(mtype, 0) + 1
-        self.total_delay += delay
         tracer = self.tracer
         if tracer.enabled and tracer.wants("net.send"):
             tracer.emit(
@@ -182,7 +180,7 @@ class Network:
 
     # -- batched path (repro.rpc.PiggybackBatcher) -------------------------
 
-    def deliver_batch(self, batch) -> None:
+    def deliver_batch(self, batch: List[Tuple[Message, float]]) -> None:
         """Ship a flushed coalescing buffer: members whose fate is the
         plain link delay ride ONE traversal call; fault injection still
         judges each member individually, and a member the injector drops,
@@ -209,32 +207,6 @@ class Network:
         arrive = self._arrivals[riders[0].dst]
         for msg in riders:
             arrive(msg)
-
-    def broadcast(
-        self,
-        src: int,
-        mtype: MessageType,
-        payload_for: Callable[[int], Optional[dict]],
-        clock: int = 0,
-    ) -> int:
-        """Send to every *other* node; ``payload_for(dst)`` may return None
-        to skip a destination.  Returns the number of messages sent."""
-        sent = 0
-        for dst in sorted(self._nodes):
-            if dst == src:
-                continue
-            payload = payload_for(dst)
-            if payload is None:
-                continue
-            self.send(Message(mtype, src, dst, payload, clock=clock))
-            sent += 1
-        return sent
-
-    # -- reporting ----------------------------------------------------------------
-
-    def mean_message_delay(self) -> float:
-        n = self.messages_sent.value
-        return self.total_delay / n if n else 0.0
 
     def __repr__(self) -> str:
         return (

@@ -96,10 +96,6 @@ class Topology:
             raise ValueError("topology has no bandwidth configured")
         return self.link_bandwidth
 
-    def distance(self, src: int, dst: int) -> float:
-        """Metric distance d(n_src, n_dst)."""
-        return float(np.linalg.norm(self.positions[src] - self.positions[dst]))
-
     def mean_delay(self) -> float:
         """Average off-diagonal delay (0 for a single node).
 
@@ -107,11 +103,6 @@ class Topology:
         reads this once per conflict, and delays are static (§IV-A).
         """
         return self._mean_delay
-
-    def nearest_nodes(self, src: int, k: int) -> list[int]:
-        """The ``k`` nodes with smallest delay from ``src`` (excluding src)."""
-        order = np.argsort(self.delays[src], kind="stable")
-        return [int(i) for i in order if i != src][:k]
 
     def to_graph(self) -> nx.Graph:
         """A complete weighted graph view (weights = delays), for analysis."""

@@ -15,7 +15,8 @@ package delivers that:
   ``ProcessPoolExecutor`` (or runs them in-process at ``jobs=1``) and
   merges results in cell-key order, never completion order.  A pinned
   test (``tests/par/test_engine.py``) proves ``jobs=4`` output is
-  byte-identical to ``jobs=1``.
+  byte-identical to ``jobs=1``; :func:`run_grid` returns its results in
+  spec order, the form every analysis runner consumes.
 
 See DESIGN.md §3f for the determinism argument.
 """
@@ -27,6 +28,7 @@ from repro.par.engine import (
     SweepRun,
     add_par_args,
     run_cells,
+    run_grid,
 )
 
 __all__ = [
@@ -38,4 +40,5 @@ __all__ = [
     "canonical_json",
     "cell_key",
     "run_cells",
+    "run_grid",
 ]

@@ -34,7 +34,7 @@ from repro.core.experiment import ExperimentResult
 from repro.par.cache import CellCache
 from repro.par.cells import CellSpec, canonical_json, cell_key
 
-__all__ = ["CellOutcome", "SweepRun", "add_par_args", "run_cells"]
+__all__ = ["CellOutcome", "SweepRun", "add_par_args", "run_cells", "run_grid"]
 
 
 def _compute_cell(spec: CellSpec) -> Dict[str, Any]:
@@ -146,6 +146,22 @@ def run_cells(
         from_cache=len(specs) - len(pending),
         cache_stats=cache.stats() if cache is not None else {},
     )
+
+
+def run_grid(
+    specs: Sequence[CellSpec],
+    jobs: int = 1,
+    cache_dir: Optional[Union[str, Path]] = None,
+) -> List[ExperimentResult]:
+    """:func:`run_cells`, results in spec order.
+
+    The analysis runners (Table I, Figures 4-6, the ablations) funnel
+    their grids through here, so ``--jobs`` and ``--cache-dir`` apply
+    uniformly and rows come back in the order the serial loops built
+    them (deterministic merge).
+    """
+    run = run_cells(specs, jobs=jobs, cache_dir=cache_dir)
+    return [outcome.result for outcome in run.in_spec_order()]
 
 
 def add_par_args(parser: argparse.ArgumentParser, default_jobs: int = 1) -> None:

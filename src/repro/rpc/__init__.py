@@ -11,8 +11,8 @@ Unifies what grew ad hoc across the stack into four small pieces:
   event) + shared tracing and metrics;
 * :class:`PiggybackBatcher` — per-link send coalescing (window > 0
   only; the default path is byte-identical to the unbatched build);
-* :class:`LookupCache` — version-fenced directory lookup caching shared
-  by the proxy, TFA validation, and fault recovery.
+* :class:`LookupCache` — a node's version-fenced directory lookup
+  cache; the node's TM proxy owns it.
 
 Everything here is strictly additive: with ``RpcConfig()`` defaults
 (no batching window, hint-mode cache, no policy) a same-seed run is

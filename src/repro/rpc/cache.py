@@ -1,21 +1,21 @@
 """The directory lookup cache — version-fenced owner/location metadata.
 
-Generalises the proxy's ad-hoc ``owner_hints`` dict (which it replaces as
-a drop-in mapping) into a first-class cache shared by every layer that
-learns ownership facts: the proxy's ``Open_Object`` path, TFA validation
-replies, commit-registration acks, and the fault-recovery reclaim /
-orphan-repatriation paths.  Caching location metadata is what makes the
-lookup phase O(1) instead of one directory round trip per open — the
+One per node, owned by the node's :class:`~repro.dstm.proxy.TMProxy`
+(``proxy.owner_hints``): the proxy's ``Open_Object`` path, TFA
+validation and registration replies, and fault recovery's re-hosting
+all fold ownership facts into it through the typed methods below and
+nothing else.  Caching location metadata is what makes the lookup phase
+O(1) instead of one directory round trip per open — the
 locality-exploitation lever Hendler et al. identify as the key to
 distributed-TM scaling with node count.
 
 Two modes:
 
-* **hint mode** (``fencing=False``, the default) — byte-identical to the
-  old plain dict: entries appear/disappear exactly where the legacy code
-  mutated ``owner_hints``, versions are recorded but never acted on.
-  Same-seed runs are unchanged (the equivalence pin in
-  ``tests/rpc/test_equivalence.py`` holds the line).
+* **hint mode** (``fencing=False``, the default) — entries appear and
+  disappear exactly where the protocol puts and drops them; versions are
+  recorded but never acted on, so :meth:`note_version` and
+  :meth:`note_install` are no-ops.  Same-seed runs are pinned by
+  ``tests/rpc/test_equivalence.py``.
 * **fenced mode** (``fencing=True``) — entries remember the object
   version they were learned at; :meth:`note_version` invalidates an
   entry the moment any protocol reply proves the registered version has
@@ -24,16 +24,15 @@ Two modes:
   ``capacity`` evicts oldest-learned entries first.
 
 Hit/miss counters are host-side only (they never influence simulated
-behaviour) and feed the ``rpc.cache`` observability series.
+behaviour) and feed ``Cluster.rpc_cache_stats`` and the ``rpc.cache``
+observability series.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional
+from typing import Dict, Optional
 
 __all__ = ["LookupCache"]
-
-_MISSING = object()
 
 
 class LookupCache:
@@ -59,8 +58,6 @@ class LookupCache:
         #: when CheckConfig.sanitize is on, else mutations skip the check
         self.sanitizer = None
 
-    # -- typed API ---------------------------------------------------------
-
     def put(self, oid: str, owner: int, version: Optional[int] = None) -> None:
         """Record that ``oid`` lives at ``owner`` (as of ``version``)."""
         if self.capacity is not None and oid not in self._owners:
@@ -80,6 +77,11 @@ class LookupCache:
         if self.sanitizer is not None:
             self.sanitizer.check_cache(self)
 
+    def learn(self, oid: str, owner: int, version: Optional[int] = None) -> None:
+        """:meth:`put`, unless ``oid`` already has an entry."""
+        if oid not in self._owners:
+            self.put(oid, owner, version)
+
     def lookup(self, oid: str) -> Optional[int]:
         """The cached owner (counting the hit/miss), or None."""
         owner = self._owners.get(oid)
@@ -89,8 +91,14 @@ class LookupCache:
             self.hits += 1
         return owner
 
-    def version_of(self, oid: str) -> Optional[int]:
-        return self._versions.get(oid)
+    def owner(self, oid: str) -> Optional[int]:
+        """The cached owner, or None; not counted as a probe."""
+        return self._owners.get(oid)
+
+    def drop(self, oid: str) -> None:
+        """Forget ``oid`` (no-op when absent)."""
+        self._owners.pop(oid, None)
+        self._versions.pop(oid, None)
 
     def note_version(self, oid: str, version: Optional[int],
                      owner: Optional[int] = None) -> None:
@@ -98,10 +106,9 @@ class LookupCache:
 
         In fenced mode an entry whose recorded version is behind
         ``version`` is stale — the registered version only advances when
-        a commit (or a recovery reclaim) moves the object's authority —
+        a commit (or a recovery re-host) moves the object's authority —
         so it is replaced when the observation names the ``owner`` and
-        dropped otherwise.  Hint mode records nothing and never drops
-        (legacy behaviour).
+        dropped otherwise.  Hint mode records nothing and never drops.
         """
         if not self.fencing or version is None:
             return
@@ -125,62 +132,15 @@ class LookupCache:
         if self.sanitizer is not None:
             self.sanitizer.check_cache(self)
 
-    def invalidate(self, oid: str) -> None:
-        """Drop ``oid`` unconditionally (counted as a fence if present)."""
-        if self._owners.pop(oid, _MISSING) is not _MISSING:
-            self.fences += 1
-        self._versions.pop(oid, None)
-        if self.sanitizer is not None:
-            self.sanitizer.check_cache(self)
+    def note_install(self, oid: str, owner: int, version: int) -> None:
+        """A commit at ``owner`` installed ``version`` of ``oid``.
 
-    def hit_rate(self) -> float:
-        probes = self.hits + self.misses
-        return self.hits / probes if probes else 0.0
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate(),
-            "fences": self.fences,
-            "evictions": self.evictions,
-            "entries": len(self._owners),
-        }
-
-    # -- legacy mapping protocol (drop-in for the owner_hints dict) --------
-
-    def get(self, oid: str, default: Any = None) -> Any:
-        owner = self._owners.get(oid, _MISSING)
-        return default if owner is _MISSING else owner
-
-    def pop(self, oid: str, default: Any = _MISSING) -> Any:
-        self._versions.pop(oid, None)
-        if default is _MISSING:
-            return self._owners.pop(oid)
-        return self._owners.pop(oid, default)
-
-    def setdefault(self, oid: str, owner: int,
-                   version: Optional[int] = None) -> int:
-        current = self._owners.get(oid, _MISSING)
-        if current is not _MISSING:
-            return current
-        self.put(oid, owner, version)
-        return owner
-
-    def __getitem__(self, oid: str) -> int:
-        return self._owners[oid]
-
-    def __setitem__(self, oid: str, owner: int) -> None:
-        self.put(oid, owner)
-
-    def __contains__(self, oid: str) -> bool:
-        return oid in self._owners
-
-    def __len__(self) -> int:
-        return len(self._owners)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._owners)
+        Fenced mode advances the entry to the registered version, or the
+        next validate reply would fence the entry for an object the node
+        itself holds.  Hint mode leaves the entry as it is.
+        """
+        if self.fencing:
+            self.put(oid, owner, version)
 
     def __repr__(self) -> str:
         mode = "fenced" if self.fencing else "hint"

@@ -11,10 +11,6 @@ cross-cutting concerns every call shares: ``rpc.issue`` / ``rpc.done`` /
 ``fault.rpc_retry`` tracing and the cluster metrics counters.  A peer
 silent through every attempt resolves the event with ``None``, which
 :meth:`RpcClient.call` raises as :class:`~repro.rpc.errors.PeerUnreachable`.
-
-The client also carries the node's :class:`~repro.rpc.cache.LookupCache`
-so every layer on the node (proxy opens, TFA validation, fault-recovery
-reclaim) folds ownership observations into the *same* cache.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from typing import Any, Dict, Generator, Optional, Union
 
 from repro.net.message import Message, MessageType
 from repro.net.node import Node
-from repro.rpc.cache import LookupCache
 from repro.rpc.endpoint import ENDPOINTS, Endpoint
 from repro.rpc.errors import EndpointError, PeerUnreachable
 from repro.rpc.policy import RetryPolicy
@@ -33,7 +28,7 @@ __all__ = ["RpcClient"]
 
 
 class RpcClient:
-    """Typed RPC calls from one node, under one policy, into one cache."""
+    """Typed RPC calls from one node, under one policy."""
 
     def __init__(
         self,
@@ -41,7 +36,6 @@ class RpcClient:
         policy: Optional[RetryPolicy] = None,
         tracer: Optional[Tracer] = None,
         metrics: Optional[Any] = None,
-        cache: Optional[LookupCache] = None,
     ) -> None:
         self.node = node
         self.env = node.env
@@ -50,7 +44,6 @@ class RpcClient:
         self.policy = policy
         self.tracer = tracer or Tracer()
         self.metrics = metrics
-        self.cache = cache if cache is not None else LookupCache()
         #: host-side call counters (feed the obs report)
         self.calls = 0
         self.failures = 0

@@ -24,7 +24,7 @@ from repro.sim.events import (
     PRIORITY_NORMAL,
     PRIORITY_LOW,
 )
-from repro.sim.process import Interrupt, Process, ProcessDied
+from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 from repro.sim.monitor import Counter, Tally, TimeWeighted
 from repro.sim.trace import Tracer
@@ -36,12 +36,10 @@ __all__ = [
     "Environment",
     "Event",
     "EventAlreadyTriggered",
-    "Interrupt",
     "PRIORITY_LOW",
     "PRIORITY_NORMAL",
     "PRIORITY_URGENT",
     "Process",
-    "ProcessDied",
     "RngRegistry",
     "ScheduleController",
     "SimulationError",

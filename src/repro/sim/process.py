@@ -11,10 +11,9 @@ the exception).  That makes ``yield env.process(child())`` the natural way
 to run sub-activities — exactly the shape nested transactions take in the
 D-STM layer.
 
-Processes can be interrupted asynchronously via :meth:`Process.interrupt`,
-which throws :class:`Interrupt` into the generator at the current simulated
-time.  Backoff-timer expiry racing against object arrival — the core of the
-paper's Algorithm 2 — is built out of this primitive.
+Races are conditions, not interrupts: Algorithm 2's backoff expiry racing
+the object hand-off is one ``yield waiter | expiry`` (an
+:class:`~repro.sim.events.AnyOf`) in ``TMProxy._await_handoff``.
 """
 
 from __future__ import annotations
@@ -23,28 +22,13 @@ from typing import Any, Generator, Optional
 
 from repro.sim.events import Event, PRIORITY_URGENT
 
-__all__ = ["Process", "Interrupt", "ProcessDied"]
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    :attr:`cause` carries the interrupter's reason (any object).
-    """
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None
-
-
-class ProcessDied(RuntimeError):
-    """Raised when interacting with a process that already terminated."""
+__all__ = ["Process"]
 
 
 class Process(Event):
     """An event-driven coroutine; also an event that fires at termination."""
 
-    __slots__ = ("_generator", "_waiting_on", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self,
@@ -56,7 +40,6 @@ class Process(Event):
             raise TypeError(f"process body must be a generator, got {generator!r}")
         super().__init__(env)
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off the process at the current time, urgently so that a
         # just-created process starts before same-time normal events.
@@ -77,44 +60,9 @@ class Process(Event):
         """True while the underlying generator has not terminated."""
         return not self.triggered
 
-    # -- control -----------------------------------------------------------
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a dead process raises :class:`ProcessDied`; interrupting
-        a process is a no-op only if it is already scheduled to resume from
-        the very event it is waiting on (the interrupt still wins: it is
-        delivered first, and the pending resumption is discarded).
-        """
-        if not self.is_alive:
-            raise ProcessDied(f"cannot interrupt terminated process {self.name!r}")
-        exc = Interrupt(cause)
-        hook = Event(self.env)
-        hook._ok = True
-        hook._value = exc
-        hook.callbacks.append(self._deliver_interrupt)
-        self.env._enqueue(0.0, PRIORITY_URGENT, hook)
-
-    def _deliver_interrupt(self, hook: Event) -> None:
-        if not self.is_alive:
-            # Terminated between scheduling and delivery; drop silently —
-            # the interrupter can observe termination through this event.
-            return
-        # Detach from whatever we were waiting on, then throw.
-        target = self._waiting_on
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        self._step(throw=hook._value)
-
     # -- engine ------------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         if event._ok:
             self._step(send=event._value)
         else:
@@ -149,7 +97,6 @@ class Process(Event):
         if target.env is not self.env:
             self.fail(RuntimeError("yielded an event from a different environment"))
             return
-        self._waiting_on = target
         if target.callbacks is not None:
             target.callbacks.append(self._resume)
         else:  # already processed: resumes synchronously

@@ -92,3 +92,73 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["nonsense"])
+
+    def test_cli_hands_jobs_and_cache_dir_to_every_artefact(self, monkeypatch, capsys):
+        from repro.analysis import reproduce
+
+        seen = {}
+
+        def recorder(name, result):
+            def runner(*args, **kwargs):
+                seen[name] = (kwargs.get("jobs"), kwargs.get("cache_dir"))
+                return result
+            return runner
+
+        figure = FigureData(figure="fig4", contention="low", node_counts=(4,))
+        monkeypatch.setattr(reproduce, "run_table1", recorder("table1", []))
+        monkeypatch.setattr(reproduce, "run_figure", recorder("fig", figure))
+        monkeypatch.setattr(reproduce, "run_speedup_summary", recorder("fig6", []))
+        monkeypatch.setattr(reproduce, "format_table1", lambda rows: "")
+        monkeypatch.setattr(reproduce, "format_figure", lambda data: "")
+        monkeypatch.setattr(reproduce, "format_speedup", lambda rows: "")
+        rc = reproduce.main(
+            ["table1", "fig4", "fig6", "--jobs", "3", "--cache-dir", "cells"]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        assert seen == {name: (3, "cells") for name in ("table1", "fig", "fig6")}
+
+
+#: the rows each runner produced at TINY scale, seed 1, when it looped
+#: over run_experiment serially
+SERIAL_TABLE1_BANK = {
+    "benchmark": "bank",
+    "low/rts": 1.0, "low/rts/paper": 0.215,
+    "low/tfa": 1.0, "low/tfa/paper": 0.464,
+    "high/rts": 0.9607843137254902, "high/rts/paper": 0.233,
+    "high/tfa": 0.9634146341463414, "high/tfa/paper": 0.637,
+}
+SERIAL_FIG5_DHT = {"rts": [22.0], "tfa": [21.666666666666668],
+                   "tfa-backoff": [21.666666666666668]}
+
+
+class TestParallelCells:
+    """Table I and the figures run their cells through repro.par."""
+
+    def test_table1_rows_are_the_serial_rows_at_any_jobs(self):
+        for jobs in (1, 2):
+            rows = run_table1(scale=TINY, seed=1, benchmarks=["bank"], jobs=jobs)
+            assert rows == [SERIAL_TABLE1_BANK], jobs
+
+    def test_figure_series_are_the_serial_series_at_any_jobs(self):
+        for jobs in (1, 2):
+            data = run_figure("fig5", scale=TINY, seed=1, benchmarks=["dht"], jobs=jobs)
+            assert data.series == {"dht": SERIAL_FIG5_DHT}, jobs
+
+    def test_a_second_run_is_served_from_the_cache(self, tmp_path, monkeypatch):
+        import repro.par.engine as engine
+
+        first = run_table1(scale=TINY, seed=1, benchmarks=["bank"],
+                           cache_dir=str(tmp_path))
+        fig = run_figure("fig5", scale=TINY, seed=1, benchmarks=["dht"],
+                         cache_dir=str(tmp_path))
+
+        def no_compute(spec):
+            raise AssertionError(f"cell computed again: {spec}")
+
+        monkeypatch.setattr(engine, "_compute_cell", no_compute)
+        assert run_table1(scale=TINY, seed=1, benchmarks=["bank"],
+                          cache_dir=str(tmp_path)) == first
+        again = run_figure("fig5", scale=TINY, seed=1, benchmarks=["dht"],
+                           cache_dir=str(tmp_path))
+        assert again.series == fig.series

@@ -1,6 +1,6 @@
 """The pyproject mypy override promises `disallow_untyped_defs` for
 `repro.check.*`, `repro.sim.*`, `repro.dstm.*`, `repro.scheduler.*`,
-`repro.faults.recovery` and `repro.core.config`.  The
+`repro.faults.*`, `repro.net.*`, `repro.rpc.*` and `repro.core.config`.  The
 container this repo tests in does not ship mypy, so this test enforces
 the same contract with a small AST walk: every def in those packages
 annotates every parameter and its return type.  (When mypy IS available the `[[tool.mypy.overrides]]`
@@ -14,7 +14,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 #: packages (every module under them) and single modules held to it
 STRICT_PACKAGES = (
-    "check", "sim", "dstm", "scheduler", "faults/recovery.py", "core/config.py",
+    "check", "sim", "dstm", "scheduler", "faults", "net", "rpc", "core/config.py",
 )
 
 
@@ -50,7 +50,8 @@ def test_pyproject_declares_the_strict_override():
     assert '"repro.check.*"' in text and '"repro.sim.*"' in text
     assert '"repro.dstm.*"' in text
     assert '"repro.scheduler.*"' in text
-    assert '"repro.faults.recovery"' in text
+    assert '"repro.faults.*"' in text
+    assert '"repro.net.*"' in text and '"repro.rpc.*"' in text
     assert '"repro.core.config"' in text
     assert "disallow_untyped_defs = true" in text
     assert "disallow_incomplete_defs = true" in text

@@ -267,10 +267,10 @@ class TestFoldTime:
 
         env.process(driver(), name="driver")
         env.run(until=(lands(near) + lands(far)) / 2)
-        assert cache.fences == 1 and near not in cache and far in cache
+        assert cache.fences == 1 and cache.owner(near) is None and cache.owner(far) == 0
         assert out == []  # the join is still waiting
         env.run()
-        assert cache.fences == 2 and far not in cache
+        assert cache.fences == 2 and cache.owner(far) is None
         assert out == [(tx, far)]  # both stale; the first in order decides
         assert env.now == lands(far)
 

@@ -1,10 +1,12 @@
 """Optional code is absent, not disabled.
 
-``repro/dstm/proxy.py`` is the paper's Algorithms 2-4.  How payload
-bytes resolve lives in ``repro.rpc.payload`` and how a lost copy comes
-back in ``repro.faults.recovery``; the proxy neither names their
-messages nor imports them, and a cluster that enables neither builds
-neither — no attachment, no handler, no process.  Retrying is the rpc
+``repro/dstm/proxy.py`` is the paper's Algorithms 2-4 and
+``repro/dstm/directory.py`` its location service.  How payload bytes
+resolve lives in ``repro.rpc.payload`` and how a lost copy comes back —
+the owner's side and the home's — in ``repro.faults.recovery``; neither
+dstm module names their messages or imports them, and a cluster that
+enables neither builds neither — no attachment, no handler, no process.
+A node's lookup cache is one typed object its proxy owns.  Retrying is the rpc
 layer's: no ``dstm`` module reads a retry policy, so the code that runs
 under faults is the code that runs without them.  A scheduler is
 Algorithm 3's decision and a retry rule, fed by commits: nothing else
@@ -12,17 +14,20 @@ of it is callable, and nothing under ``src/repro`` reads more of it.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import repro
 from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig, FaultConfig, PayloadConfig
 from repro.net import MessageType
+from repro.rpc import LookupCache, RpcClient
 from repro.scheduler import SchedulerPolicy
 
 SRC = Path(repro.__file__).resolve().parent
 DSTM = SRC / "dstm"
 PROXY = DSTM / "proxy.py"
+DIRECTORY = DSTM / "directory.py"
 FOREIGN = ("LEASE_", "ORPHAN_", "COMMIT_PUBLISH", "PAYLOAD_FETCH")
 
 
@@ -45,15 +50,79 @@ def test_proxy_names_no_recovery_or_payload_message_type():
     }
 
 
-def test_proxy_imports_nothing_from_faults():
-    tree = ast.parse(PROXY.read_text(encoding="utf-8"))
+def imported_modules(path):
     modules = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             modules += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             modules.append(node.module or "")
+    return modules
+
+
+def test_proxy_imports_nothing_from_faults():
+    modules = imported_modules(PROXY)
     assert modules and not [m for m in modules if m.startswith("repro.faults")]
+
+
+def test_directory_imports_neither_faults_nor_the_proxy():
+    modules = imported_modules(DIRECTORY)
+    assert modules and not [
+        m for m in modules
+        if m.startswith("repro.faults") or m == "repro.dstm.proxy"
+    ]
+
+
+RECOVERY_WORDS = ("lease", "reclaim", "orphan")
+
+
+def test_directory_names_no_recovery_concept():
+    """Outside its calls into ``self.recovery``, the shard's source —
+    identifiers, parameters, strings and docstrings — says nothing of
+    leases, reclaims or orphans."""
+    tree = ast.parse(DIRECTORY.read_text(encoding="utf-8"))
+    calls_out = {
+        id(node) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and ast.unparse(node.value) == "self.recovery"
+    }
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in calls_out:
+            names.append(node.attr)
+        elif isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.arg):
+            names.append(node.arg)
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            names.append(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.append(node.value)
+    said = sorted({
+        word for name in names for word in RECOVERY_WORDS if word in name.lower()
+    })
+    assert said == []
+
+
+def test_only_the_cache_reads_its_mode():
+    readers = sorted(
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in SRC.rglob("*.py")
+        if path != SRC / "rpc" / "cache.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "fencing"
+    )
+    assert readers == []
+
+
+def test_the_rpc_client_carries_no_cache():
+    cluster = Cluster(ClusterConfig(num_nodes=2, seed=1, rpc=dict(cache=True)))
+    assert "cache" not in inspect.signature(RpcClient).parameters
+    for client, proxy in zip(cluster.rpc_clients, cluster.proxies):
+        assert not hasattr(client, "cache")
+        assert isinstance(proxy.owner_hints, LookupCache)
 
 
 def test_no_dstm_module_reads_a_retry_policy():
@@ -129,11 +198,23 @@ def background(cluster):
     )
 
 
+#: what a fault-free node serves: Algorithms 2-4 and the directory
+ALGORITHM_HANDLERS = [
+    "dir_lookup", "dir_update", "dir_update_ack", "object_handoff",
+    "read_validate", "retrieve_request",
+]
+
+
 def test_default_cluster_has_neither_subsystem():
     cluster = Cluster(ClusterConfig(num_nodes=3, seed=1))
     assert [p.recovery for p in cluster.proxies] == [None] * 3
     assert [p.payload for p in cluster.proxies] == [None] * 3
+    assert [d.recovery for d in cluster.directories] == [None] * 3
     for node in cluster.nodes:
+        assert sorted(m.value for m in node._handlers) == ALGORITHM_HANDLERS
+        for mtype in (MessageType.COMMIT_PUBLISH, MessageType.LEASE_RENEW,
+                      MessageType.ORPHAN_RETURN):
+            assert mtype not in node._handlers
         assert MessageType.LEASE_RENEW_ACK not in node._handlers
         assert MessageType.PAYLOAD_FETCH not in node._handlers
         # no late-response handler either: a stray reply is counted and dropped
@@ -144,10 +225,12 @@ def test_default_cluster_has_neither_subsystem():
 def test_faults_enabled_builds_recovery_only():
     fc = FaultConfig(enabled=True, orphan_sweep_interval=0.5)
     cluster = Cluster(ClusterConfig(num_nodes=3, seed=1, faults=fc))
-    for node, proxy in zip(cluster.nodes, cluster.proxies):
+    for node, proxy, directory in zip(cluster.nodes, cluster.proxies, cluster.directories):
         assert proxy.recovery is not None and proxy.recovery.proxy is proxy
+        assert directory.recovery is not None and directory.recovery.proxy is proxy
         assert proxy.payload is None
         assert MessageType.LEASE_RENEW_ACK in node._handlers
+        assert MessageType.ORPHAN_RETURN in node._handlers
         assert MessageType.RETRIEVE_RESPONSE in node._handlers
         assert MessageType.PAYLOAD_FETCH not in node._handlers
     assert background(cluster) == sorted(

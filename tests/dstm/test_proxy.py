@@ -54,7 +54,7 @@ class TestOpenObject:
         cluster = make_cluster()
         cluster.alloc("x", 1, node=0)
         open_one(cluster, 2, "x", ObjectMode.READ)
-        assert cluster.proxies[2].owner_hints["x"] == 0
+        assert cluster.proxies[2].owner_hints.owner("x") == 0
 
     def test_unregistered_object_raises(self):
         cluster = make_cluster()
@@ -73,7 +73,7 @@ class TestOpenObject:
         cluster.alloc("x", 5, node=0)
         # Plant a wrong hint; node 1 replies not_owner and the requester
         # falls back to the directory.
-        cluster.proxies[2].owner_hints["x"] = 1
+        cluster.proxies[2].owner_hints.put("x", 1)
         grant, _ = open_one(cluster, 2, "x", ObjectMode.READ)
         assert grant.value == 5
 

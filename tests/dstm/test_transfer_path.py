@@ -141,7 +141,7 @@ class TestWhatLeaves:
         # the queue and its backlog travel with the single writable copy
         assert p["queue"] == [waiting] and p["bk"] == 0.25
         assert not owner.owns(OID) and OID not in owner.queues
-        assert owner.owner_hints[OID] == 1
+        assert owner.owner_hints.owner(OID) == 1
         check_plane(plane, reply, factory=0)
 
     def test_release_multicasts_copies_and_hands_off_to_the_first_acquirer(self, plane):

@@ -18,13 +18,13 @@ frames under ``src/repro`` per root, by package (read root / write
 root):
 
 * ``sim``: 47.0 / 64.0
-* ``dstm``: 48.0 / 90.985
+* ``dstm``: 48.0 / 88.985
 * ``net``: 31.0 / 66.985
-* ``rpc``: 12.0 / 23.0
+* ``rpc``: 12.0 / 22.0
 * ``scheduler``: 4.0 / 5.0
 * ``core``: 12.0 / 15.0
 * ``util``: 2.0 / 3.995
-* total: **156.0 / 268.965**
+* total: **156.0 / 265.965**
 """
 
 import sys

@@ -16,12 +16,13 @@ from repro.check import InvariantViolation
 from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig
 from repro.core.executor import WorkloadExecutor
+from repro.dstm.objects import home_node
 from repro.workloads.registry import make_workload
 
 
-def chaos_cell(seed, sanitize=False):
-    """Run the reproducer to its horizon; returns the bank total and the
-    total it must equal."""
+def run_chaos_cell(seed, sanitize=False, horizon=40.0):
+    """Run the reproducer to ``horizon``; returns the cluster and the
+    bank workload."""
     config = ClusterConfig(
         num_nodes=12, seed=seed, scheduler="rts", cl_threshold=4,
         check=dict(sanitize=sanitize),
@@ -36,11 +37,49 @@ def chaos_cell(seed, sanitize=False):
     cluster = Cluster(config)
     workload = make_workload("bank", read_fraction=0.5)
     executor = WorkloadExecutor(cluster, workload, workers_per_node=2,
-                                horizon=40.0, max_attempts_per_tx=256)
+                                horizon=horizon, max_attempts_per_tx=256)
     executor.setup()
     executor.run()
+    return cluster, workload
+
+
+def chaos_cell(seed, sanitize=False):
+    """Run the reproducer to its horizon; returns the bank total and the
+    total it must equal."""
+    cluster, workload = run_chaos_cell(seed, sanitize)
     total = sum(cluster.authoritative_value(a) for a in workload.accounts)
     return total, workload.expected_total()
+
+
+def test_reading_the_oracle_changes_nothing():
+    """The money oracle is a read.  Ten seconds into seed 200 an account's
+    owner lease has lapsed, so the next directory read would reclaim it;
+    the oracle reports the snapshot such a reclaim would re-host and
+    leaves the reclaim counter, the registry and every store as they
+    were."""
+    cluster, workload = run_chaos_cell(200, horizon=10.0)
+
+    def state():
+        registry = []
+        for oid in workload.accounts:
+            entry = cluster.directories[home_node(oid, cluster.num_nodes)].entry(oid)
+            registry.append((oid, entry.owner, entry.version))
+        stores = [
+            sorted((oid, obj.version) for oid, obj in proxy.store.items())
+            for proxy in cluster.proxies
+        ]
+        return cluster.metrics.lease_reclaims.value, registry, stores
+
+    due = [
+        oid for oid in workload.accounts
+        if cluster.directories[home_node(oid, cluster.num_nodes)]
+        .recovery.reclaimable(oid)
+    ]
+    assert due, "the cell must hold an entry a read would reclaim"
+    before = state()
+    total = sum(cluster.authoritative_value(a) for a in workload.accounts)
+    assert state() == before
+    assert total == workload.expected_total()
 
 
 @pytest.mark.xfail(

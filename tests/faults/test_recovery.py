@@ -1,5 +1,5 @@
-"""Unit tests for the recovery half: RPC retry/backoff, directory leases,
-version fencing, and crash-abort accounting."""
+"""Unit tests for the recovery half: RPC retry/backoff, the home's
+leases and version fencing, and crash-abort accounting."""
 
 import math
 
@@ -7,12 +7,15 @@ import pytest
 
 from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig, FaultConfig
+from repro.core.metrics import MetricsCollector
 from repro.dstm.directory import DirectoryShard
 from repro.dstm.errors import AbortReason
 from repro.dstm.objects import home_node
-from repro.faults import CrashWindow, RpcPolicy
+from repro.dstm.proxy import TMProxy
+from repro.faults import CrashWindow, HomeRecovery, RpcPolicy
 from repro.net import MessageType, Network, Node, Topology
 from repro.rpc import PeerUnreachable
+from repro.scheduler.tfa_baseline import TfaScheduler
 from repro.sim import RngRegistry
 
 
@@ -100,7 +103,11 @@ def dirnet(env):
     topo = Topology(2, rngs.stream("topology"))
     network = Network(env, topo)
     nodes = [Node(env, network, i) for i in range(2)]
-    shard = DirectoryShard(nodes[0], lease_duration=1.0, reclaim_grace=0.5)
+    shard = DirectoryShard(nodes[0])
+    shard.recovery = HomeRecovery(
+        shard, lease_duration=1.0, reclaim_grace=0.5,
+        proxy=TMProxy(nodes[0], TfaScheduler()), metrics=MetricsCollector(),
+    )
     return nodes, shard
 
 
@@ -238,11 +245,11 @@ class TestLeases:
     def test_heartbeat_renews_and_flags_stale(self, env, dirnet):
         nodes, shard = dirnet
         shard.register("z", owner=1, version=3, value="v3", value_version=3)
-        before = shard._entries["z"].lease_expires_at
+        before = shard.recovery.leases["z"]
         p = ask(env, nodes[1], 0, MessageType.LEASE_RENEW,
                 {"objects": [("z", 3, "v3")]})
         assert p["stale"] == []
-        assert shard._entries["z"].lease_expires_at >= before
+        assert shard.recovery.leases["z"] >= before
         # The registry moves past the copy: next heartbeat learns it.
         shard.register("z", owner=0, version=5, value="v5", value_version=5)
         p = ask(env, nodes[1], 0, MessageType.LEASE_RENEW,
@@ -295,9 +302,9 @@ class TestLeases:
         topo = Topology(2, rngs.stream("topology"))
         network = Network(env, topo)
         nodes = [Node(env, network, i) for i in range(2)]
-        shard = DirectoryShard(nodes[0])  # lease_duration=None
+        shard = DirectoryShard(nodes[0])  # fault-free: no recovery attached
         shard.register("x", owner=1, version=0, value="v", value_version=0)
-        assert shard._entries["x"].lease_expires_at == math.inf
+        assert shard.recovery is None
         advance(env, 100.0)
         p = ask(env, nodes[1], 0, MessageType.DIR_LOOKUP, {"oid": "x"})
         assert p["owner"] == 1
@@ -364,15 +371,10 @@ class TestReclaimRefreshesStaleLocalCopy:
         """If the home's own proxy still holds a FREE copy the registry
         has moved past, reclaim must refresh it — otherwise readers are
         served a version that can never validate again."""
-        from repro.core.metrics import MetricsCollector
-        from repro.dstm.proxy import TMProxy
         from repro.dstm.objects import VersionedObject
-        from repro.scheduler.tfa_baseline import TfaScheduler
 
         nodes, shard = dirnet
-        proxy = TMProxy(nodes[0], TfaScheduler())
-        shard.proxy = proxy
-        shard.metrics = MetricsCollector()
+        proxy = shard.recovery.proxy
         proxy.store["s"] = VersionedObject("s", "stale", 2)
         shard.register("s", owner=1, version=3, value="fresh", value_version=3)
         advance(env, 3.0)  # lease (1.0) long expired

@@ -76,19 +76,6 @@ class TestDelayMatrix:
 
 
 class TestQueries:
-    def test_distance_matches_positions(self):
-        topo = make_topology(n=5)
-        expected = np.linalg.norm(topo.positions[1] - topo.positions[3])
-        assert topo.distance(1, 3) == pytest.approx(expected)
-
-    def test_nearest_nodes_excludes_self_and_is_sorted(self):
-        topo = make_topology(n=10)
-        near = topo.nearest_nodes(0, 4)
-        assert len(near) == 4
-        assert 0 not in near
-        delays = [topo.delay(0, j) for j in near]
-        assert delays == sorted(delays)
-
     def test_mean_delay_positive(self):
         assert make_topology(n=6).mean_delay() > 0
 

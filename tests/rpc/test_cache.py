@@ -2,32 +2,45 @@
 
 import pytest
 
+from repro.core.cluster import Cluster
+from repro.core.config import ClusterConfig
 from repro.rpc import LookupCache
 
 
 class TestHintMode:
-    """fencing=False must behave exactly like the old owner_hints dict."""
+    """fencing=False: entries change only where the protocol puts and
+    drops them; versions are never acted on."""
 
-    def test_mapping_protocol(self):
+    def test_typed_api(self):
         cache = LookupCache()
-        cache["a"] = 3
-        assert cache["a"] == 3
-        assert "a" in cache and "b" not in cache
-        assert cache.get("b", 7) == 7
-        assert cache.setdefault("a", 9) == 3
-        assert cache.setdefault("b", 9) == 9
-        assert len(cache) == 2 and set(cache) == {"a", "b"}
-        assert cache.pop("a") == 3
-        assert cache.pop("a", None) is None
-        with pytest.raises(KeyError):
-            cache.pop("a")
+        cache.put("a", 3)
+        assert cache.owner("a") == 3 and cache.owner("b") is None
+        cache.learn("a", 9)             # an entry exists: kept
+        cache.learn("b", 9)             # none yet: put
+        assert (cache.owner("a"), cache.owner("b")) == (3, 9)
+        cache.drop("a")
+        cache.drop("a")                 # absent: no-op
+        assert cache.owner("a") is None
+        assert (cache.hits, cache.misses) == (0, 0), "owner() is no probe"
+
+    def test_no_mapping_protocol(self):
+        for name in ("get", "pop", "setdefault", "__getitem__", "__setitem__",
+                     "__contains__", "__len__", "__iter__"):
+            assert not hasattr(LookupCache, name), name
 
     def test_note_version_is_inert(self):
         cache = LookupCache(fencing=False)
         cache.put("x", 1, version=1)
         cache.note_version("x", 99)
-        assert cache.get("x") == 1
+        assert cache.owner("x") == 1
         assert cache.fences == 0
+
+    def test_note_install_is_inert(self):
+        cache = LookupCache(fencing=False)
+        cache.put("x", 1, version=1)
+        cache.note_install("x", 2, 5)
+        cache.note_install("y", 2, 5)
+        assert (cache.owner("x"), cache.owner("y")) == (1, None)
 
     def test_lookup_counts_probes(self):
         cache = LookupCache()
@@ -35,7 +48,6 @@ class TestHintMode:
         cache.put("x", 2)
         assert cache.lookup("x") == 2
         assert (cache.hits, cache.misses) == (1, 1)
-        assert cache.hit_rate() == pytest.approx(0.5)
 
 
 class TestFencedMode:
@@ -43,49 +55,56 @@ class TestFencedMode:
         cache = LookupCache(fencing=True)
         cache.put("x", 1, version=3)
         cache.note_version("x", 3)      # same version: still trustworthy
-        assert cache.get("x") == 1
+        assert cache.owner("x") == 1
         cache.note_version("x", 4)      # registry moved past the learn point
-        assert cache.get("x") is None
+        assert cache.owner("x") is None
         assert cache.fences == 1
 
     def test_authoritative_observation_replaces(self):
         cache = LookupCache(fencing=True)
         cache.put("x", 1, version=3)
         cache.note_version("x", 5, owner=2)
-        assert cache.get("x") == 2
-        assert cache.version_of("x") == 5
+        assert cache.owner("x") == 2
         assert cache.fences == 0
+        cache.note_version("x", 5)      # learned at 5 now: kept
+        assert cache.owner("x") == 2
+
+    def test_note_install_advances_the_entry(self):
+        cache = LookupCache(fencing=True)
+        cache.put("x", 1, version=3)
+        cache.note_install("x", 0, 4)
+        cache.note_version("x", 4)      # the install's own version: kept
+        assert cache.owner("x") == 0 and cache.fences == 0
 
     def test_unversioned_entries_are_kept(self):
         # No learn-point anchor means the entry cannot be judged stale;
         # a wrong hint heals through the not_owner chase instead.
         cache = LookupCache(fencing=True)
-        cache["x"] = 1
+        cache.put("x", 1)
         cache.note_version("x", 10)
-        assert cache.get("x") == 1
+        assert cache.owner("x") == 1
         assert cache.fences == 0
 
     def test_put_without_version_drops_old_anchor(self):
         cache = LookupCache(fencing=True)
         cache.put("x", 1, version=3)
         cache.put("x", 2)               # new fact, no anchor
-        assert cache.version_of("x") is None
         cache.note_version("x", 99)     # must not judge by the stale anchor
-        assert cache.get("x") == 2
+        assert cache.owner("x") == 2
 
     def test_note_version_on_absent_oid_is_noop(self):
         cache = LookupCache(fencing=True)
         cache.note_version("ghost", 4)
-        assert cache.fences == 0 and len(cache) == 0
+        assert cache.fences == 0 and cache.owner("ghost") is None
 
-    def test_invalidate(self):
+    def test_drop_forgets_the_anchor(self):
         cache = LookupCache(fencing=True)
         cache.put("x", 1, version=2)
-        cache.invalidate("x")
-        assert "x" not in cache and cache.version_of("x") is None
-        assert cache.fences == 1
-        cache.invalidate("x")           # absent: not double-counted
-        assert cache.fences == 1
+        cache.drop("x")
+        assert cache.owner("x") is None
+        cache.learn("x", 3)             # re-learned with no anchor
+        cache.note_version("x", 9)
+        assert cache.owner("x") == 3 and cache.fences == 0
 
 
 class TestCapacity:
@@ -94,8 +113,8 @@ class TestCapacity:
         cache.put("a", 1, version=1)
         cache.put("b", 2, version=1)
         cache.put("c", 3, version=1)
-        assert "a" not in cache
-        assert cache.get("b") == 2 and cache.get("c") == 3
+        assert cache.owner("a") is None
+        assert cache.owner("b") == 2 and cache.owner("c") == 3
         assert cache.evictions == 1
 
     def test_update_does_not_evict(self):
@@ -103,7 +122,7 @@ class TestCapacity:
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("a", 5)               # refresh, not insert
-        assert cache.evictions == 0 and cache.get("b") == 2
+        assert cache.evictions == 0 and cache.owner("b") == 2
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
@@ -111,13 +130,15 @@ class TestCapacity:
 
 
 def test_stats_shape():
-    cache = LookupCache(fencing=True)
-    cache.put("x", 1, version=1)
-    cache.lookup("x")
-    cache.lookup("y")
-    cache.note_version("x", 2)
-    stats = cache.stats()
-    assert stats == {
-        "hits": 1, "misses": 1, "hit_rate": 0.5,
-        "fences": 1, "evictions": 0, "entries": 0,
+    """Cluster.rpc_cache_stats sums the proxies' caches."""
+    cluster = Cluster(ClusterConfig(num_nodes=2, seed=1, rpc=dict(cache=True)))
+    first, second = (p.owner_hints for p in cluster.proxies)
+    assert first.fencing and second.fencing
+    first.put("x", 1, version=1)
+    first.lookup("x")
+    second.lookup("y")
+    first.note_version("x", 2)
+    assert cluster.rpc_cache_stats() == {
+        "cache_hits": 1.0, "cache_misses": 1.0, "cache_hit_rate": 0.5,
+        "cache_fences": 1.0, "cache_evictions": 0.0,
     }

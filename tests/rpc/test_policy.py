@@ -49,10 +49,12 @@ class TestSinglePolicyObject:
 
         assert RpcPolicy is RetryPolicy
         assert recovery.RpcPolicy is RetryPolicy
-        # The module exports the owner side of recovery plus the one
-        # policy class and the repro.check consistency gate over it —
-        # still no second policy object.
-        assert recovery.__all__ == ["NodeRecovery", "RpcPolicy", "validate_policy"]
+        # The module exports both sides of recovery plus the one policy
+        # class and the repro.check consistency gate over it — still no
+        # second policy object.
+        assert recovery.__all__ == [
+            "HomeRecovery", "NodeRecovery", "RpcPolicy", "validate_policy",
+        ]
 
     def test_node_submit_honours_policy_ladder(self, env):
         """Node.submit's resend chain is the one retry path: a silent peer

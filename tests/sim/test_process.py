@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, Process, ProcessDied
+from repro.sim import Environment
 
 
 class TestBasicExecution:
@@ -138,155 +138,3 @@ class TestProcessAsEvent:
         env.run()
         assert p.value == "early"
         assert env.now == 5.0
-
-
-class TestInterrupts:
-    def test_interrupt_wakes_sleeper(self, env):
-        def sleeper(env):
-            try:
-                yield env.timeout(100)
-                return "slept"
-            except Interrupt as i:
-                return ("interrupted", env.now, i.cause)
-
-        s = env.process(sleeper(env))
-
-        def killer(env):
-            yield env.timeout(3)
-            s.interrupt("reason")
-
-        env.process(killer(env))
-        env.run(until=s)
-        assert s.value == ("interrupted", 3.0, "reason")
-
-    def test_interrupt_cause_defaults_to_none(self, env):
-        def sleeper(env):
-            try:
-                yield env.timeout(10)
-            except Interrupt as i:
-                return i.cause
-
-        s = env.process(sleeper(env))
-
-        def killer(env):
-            yield env.timeout(1)
-            s.interrupt()
-
-        env.process(killer(env))
-        env.run(until=s)
-        assert s.value is None
-
-    def test_interrupted_process_can_keep_running(self, env):
-        log = []
-
-        def worker(env):
-            try:
-                yield env.timeout(50)
-            except Interrupt:
-                log.append(("intr", env.now))
-            yield env.timeout(2)
-            log.append(("done", env.now))
-
-        w = env.process(worker(env))
-
-        def killer(env):
-            yield env.timeout(1)
-            w.interrupt()
-
-        env.process(killer(env))
-        env.run()
-        assert log == [("intr", 1.0), ("done", 3.0)]
-
-    def test_interrupt_dead_process_raises(self, env):
-        def body(env):
-            yield env.timeout(1)
-
-        p = env.process(body(env))
-        env.run()
-        with pytest.raises(ProcessDied):
-            p.interrupt()
-
-    def test_interrupt_does_not_consume_waited_event(self, env):
-        """The event the process waited on stays usable by other waiters."""
-        shared = env.event()
-        got = []
-
-        def patient(env):
-            v = yield shared
-            got.append(("patient", v))
-
-        def impatient(env):
-            try:
-                yield shared
-            except Interrupt:
-                got.append(("impatient", "interrupted"))
-
-        env.process(patient(env))
-        imp = env.process(impatient(env))
-
-        def driver(env):
-            yield env.timeout(1)
-            imp.interrupt()
-            yield env.timeout(1)
-            shared.succeed("payload")
-
-        env.process(driver(env))
-        env.run()
-        assert ("patient", "payload") in got
-        assert ("impatient", "interrupted") in got
-
-    def test_unhandled_interrupt_fails_process(self, env):
-        def body(env):
-            yield env.timeout(10)
-
-        p = env.process(body(env))
-
-        def killer(env):
-            yield env.timeout(1)
-            p.interrupt("die")
-
-        env.process(killer(env))
-        with pytest.raises(Interrupt):
-            env.run()
-
-    def test_interrupt_delivered_before_same_time_resume(self, env):
-        """An interrupt at time t wins over an event resume at time t."""
-
-        def sleeper(env):
-            try:
-                yield env.timeout(5)
-                return "timeout-won"
-            except Interrupt:
-                return "interrupt-won"
-
-        s = env.process(sleeper(env))
-
-        def killer(env):
-            yield env.timeout(5)
-            s.interrupt()
-
-        # killer's timeout was scheduled after sleeper's; processed second
-        # at t=5, yet the interrupt is delivered urgently.
-        env.process(killer(env))
-        env.run(until=s)
-        # Sleeper's timeout processes first at t=5 (it was scheduled first),
-        # so it resumes normally before the killer even runs.
-        assert s.value == "timeout-won"
-
-    def test_interrupt_before_wakeup_event_processes(self, env):
-        def sleeper(env):
-            try:
-                yield env.timeout(5)
-                return "timeout-won"
-            except Interrupt:
-                return "interrupt-won"
-
-        s = env.process(sleeper(env))
-
-        def killer(env):
-            yield env.timeout(4)
-            s.interrupt()
-
-        env.process(killer(env))
-        env.run(until=s)
-        assert s.value == "interrupt-won"
