@@ -27,6 +27,7 @@ root):
 * total: **156.0 / 265.965**
 """
 
+import gc
 import sys
 from collections import Counter
 from pathlib import Path
@@ -74,12 +75,19 @@ def frames_by_package(run):
         if event == "call" and filename.startswith(prefix):
             by_package[filename[len(prefix):].split("/")[0]] += 1
 
+    # a collection during the run would close generators left suspended
+    # by earlier code, and their resumed frames would be counted here
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(previous)
+        if was_enabled:
+            gc.enable()
     return by_package
 
 

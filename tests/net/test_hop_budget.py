@@ -8,7 +8,9 @@ and cannot see one frame, so this file counts them: ``sys.setprofile`` ``call`` 
 ``c_call`` and not counted) whose code lives under ``src/repro``, during
 ``env.run()``, divided by the round trips made.  The bounds are upper
 bounds — 3.12 inlines comprehensions, so the exact figure moves with the
-interpreter.
+interpreter.  The cyclic collector is off while counting: a collection
+that closes a generator left suspended by earlier code resumes that
+generator's frame, which would be counted against the hop.
 
 Recorded with CPython 3.11.7, frames under ``src/repro`` per round trip,
 before → after a message's link delay and service period became kernel
@@ -23,6 +25,7 @@ call entries instead of two ``Timeout`` events:
   ``enqueue`` no longer replaces one).
 """
 
+import gc
 import sys
 from pathlib import Path
 
@@ -59,12 +62,17 @@ def frames_during_run(env):
         if event == "call" and frame.f_code.co_filename.startswith(SRC):
             calls += 1
 
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         env.run()
     finally:
         sys.setprofile(previous)
+        if was_enabled:
+            gc.enable()
     # the profiler sees env.run() itself enter; that one is not a hop's
     return calls - 1
 
