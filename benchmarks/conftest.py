@@ -118,37 +118,42 @@ def add_traffic_args(parser):
 def arrival_from_args(args, parser):
     """Build the ArrivalConfig selected by :func:`add_traffic_args` flags.
 
-    Returns None when ``--arrival`` was not given (closed loop); open-loop
-    modifiers without ``--arrival`` are rejected via ``parser.error``.
+    Returns None when ``--arrival`` was not given (closed loop).  The
+    config validates the flags: without ``--arrival`` it is disabled and
+    refuses any open-loop modifier set away from its default.  Its
+    ``ValueError`` is reported via ``parser.error``.
     """
     from repro.core.config import ArrivalConfig
 
-    if args.arrival is None:
-        for flag, value in (("--zipf", args.zipf), ("--scenario", args.scenario)):
-            if value is not None:
-                parser.error(f"{flag} needs --arrival (it shapes open-loop traffic)")
-        return None
-    parts = args.arrival.split(":")
-    kind = parts[0]
-    if kind not in ("poisson", "mmpp") or len(parts) < 2:
-        parser.error(
-            f"--arrival must be poisson:<rate> or mmpp:<rate>[:<burst>], "
-            f"got {args.arrival!r}"
-        )
+    process = {}
+    if args.arrival is not None:
+        parts = args.arrival.split(":")
+        kind = parts[0]
+        if kind not in ("poisson", "mmpp") or len(parts) < 2:
+            parser.error(
+                f"--arrival must be poisson:<rate> or mmpp:<rate>[:<burst>], "
+                f"got {args.arrival!r}"
+            )
+        try:
+            rate = float(parts[1])
+            burst = float(parts[2]) if len(parts) > 2 else 4.0
+        except ValueError:
+            parser.error(f"--arrival has a non-numeric field: {args.arrival!r}")
+        if len(parts) > 3 or (kind == "poisson" and len(parts) > 2):
+            parser.error(f"--arrival has too many fields: {args.arrival!r}")
+        process = dict(enabled=True, process=kind, rate=rate, burst_factor=burst)
     try:
-        rate = float(parts[1])
-        burst = float(parts[2]) if len(parts) > 2 else 4.0
-    except ValueError:
-        parser.error(f"--arrival has a non-numeric field: {args.arrival!r}")
-    if len(parts) > 3 or (kind == "poisson" and len(parts) > 2):
-        parser.error(f"--arrival has too many fields: {args.arrival!r}")
-    return ArrivalConfig(
-        enabled=True, process=kind, rate=rate, burst_factor=burst,
-        zipf_s=args.zipf if args.zipf is not None else 0.0,
-        scenario=args.scenario,
-        queue_capacity=args.queue_capacity,
-        shed_policy=args.shed_policy,
-    )
+        arrival = ArrivalConfig(
+            **process,
+            zipf_s=args.zipf if args.zipf is not None else 0.0,
+            scenario=args.scenario,
+            queue_capacity=args.queue_capacity,
+            shed_policy=args.shed_policy,
+        )
+    except ValueError as exc:
+        hint = "" if process else " (open-loop flags need --arrival)"
+        parser.error(f"{exc}{hint}")
+    return arrival if arrival.enabled else None
 
 
 @pytest.fixture(scope="session")

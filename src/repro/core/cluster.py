@@ -26,20 +26,20 @@ from repro.dstm.proxy import TMProxy
 from repro.dstm.tfa import TFAEngine
 from repro.faults import FaultInjector, FaultPlan, HomeRecovery, NodeRecovery, RpcPolicy
 from repro.net.clocks import NodeClock
-from repro.net.network import Network
+from repro.net.network import Network, WireCostModel
 from repro.net.node import Node
 from repro.net.topology import Topology
 from repro.rpc import LookupCache, PiggybackBatcher, RpcClient
+from repro.rpc.payload import BANDWIDTH, CONTROL_SIZE, SER_PER_BYTE, PayloadPlane
 from repro.scheduler.backoff import BackoffScheduler
 from repro.scheduler.base import SchedulerPolicy
 from repro.scheduler.rts import RtsScheduler
 from repro.scheduler.tfa_baseline import TfaScheduler
-from repro.sim import Environment, RngRegistry, Tracer
+from repro.sim import Environment, Process, RngRegistry, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check import Sanitizer
     from repro.obs import ObsRecorder
-    from repro.rpc.payload import PayloadPlane
 
 __all__ = ["Cluster"]
 
@@ -92,9 +92,7 @@ class Cluster:
                 enabled=True, categories=cats, keep_records=config.trace
             )
             self.obs = ObsRecorder(
-                window=oc.window,
-                jsonl_path=oc.jsonl_path,
-                chrome_path=oc.chrome_path,
+                jsonl_path=oc.jsonl_path, chrome_path=oc.chrome_path
             )
             self.tracer.attach_sink(self.obs)
         else:
@@ -104,7 +102,7 @@ class Cluster:
             self.rngs.stream("topology"),
             min_delay=config.min_link_delay,
             max_delay=config.max_link_delay,
-            bandwidth=config.payload.bandwidth if config.payload.enabled else None,
+            bandwidth=BANDWIDTH if config.payload.enabled else None,
         )
         self.network = Network(
             self.env, self.topology, tracer=self.tracer,
@@ -119,14 +117,11 @@ class Cluster:
         # bulk bytes (declared sizes, transfer + serialization delay,
         # lazy proxy-mode resolution).
         plc = config.payload
-        self.payload_plane: Optional["PayloadPlane"] = None
+        self.payload_plane: Optional[PayloadPlane] = None
         if plc.enabled:
-            from repro.net.network import WireCostModel
-            from repro.rpc.payload import PayloadPlane
-
             self.payload_plane = PayloadPlane(plc, config.num_nodes)
             self.network.cost = WireCostModel(
-                self.topology.bandwidth_of, plc.ser_per_byte, plc.control_size
+                self.topology.bandwidth_of, SER_PER_BYTE, CONTROL_SIZE
             )
         self.metrics = MetricsCollector(keep_latency_samples=oc.enabled)
 
@@ -336,7 +331,7 @@ class Cluster:
             profile=profile, max_attempts=max_attempts,
         )
 
-    def spawn(self, generator: Generator, name: Optional[str] = None):
+    def spawn(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Run a generator as a simulation process."""
         return self.env.process(generator, name=name)
 

@@ -42,12 +42,20 @@ class SchedulerKind(str, enum.Enum):
     TFA_BACKOFF = "tfa-backoff"
 
 
-def _refuse_unless_enabled(cfg: Any, what: str, *names: str) -> None:
-    """A setting the disabled subsystem would silently ignore is an error."""
-    if not cfg.enabled:
-        for name in names:
-            if getattr(cfg, name):
-                raise ValueError(f"{name} is set but {what} is not enabled")
+def _refuse_unless_enabled(cfg: Any, what: str) -> None:
+    """A setting the disabled subsystem would silently ignore is an error:
+    with ``enabled=False`` every other field must keep its default."""
+    if cfg.enabled:
+        return
+    for field in dataclasses.fields(cfg):
+        if getattr(cfg, field.name) != field.default:
+            raise ValueError(f"{field.name} is set but {what} is not enabled")
+
+
+def _check_int(name: str, value: Any, lower: int) -> None:
+    """``value`` must be a real ``int`` (not a bool, float or NaN) >= ``lower``."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and value >= lower):
+        raise ValueError(f"{name} must be an int >= {lower}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -130,10 +138,6 @@ class FaultConfig:
     #: unbounded paper semantics.
     nested_retry_cap: int = 16
 
-    def replace(self, **changes: Any) -> "FaultConfig":
-        """A modified copy (sugar over :func:`dataclasses.replace`)."""
-        return dataclasses.replace(self, **changes)
-
     def __post_init__(self) -> None:
         # Every range check is negated (``not v >= 0``), as Timeout's is:
         # a NaN fails every comparison, so it fails here, not mid-run.
@@ -193,15 +197,11 @@ class RpcConfig:
     #: bound on cached lookup entries per node (None = unbounded)
     cache_capacity: Optional[int] = None
 
-    def replace(self, **changes: Any) -> "RpcConfig":
-        """A modified copy (sugar over :func:`dataclasses.replace`)."""
-        return dataclasses.replace(self, **changes)
-
     def __post_init__(self) -> None:
         if not self.batch_window >= 0:
             raise ValueError(f"batch_window must be >= 0, got {self.batch_window}")
-        if self.cache_capacity is not None and self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1 (or None)")
+        if self.cache_capacity is not None:
+            _check_int("cache_capacity", self.cache_capacity, 1)
 
 
 @dataclass(frozen=True)
@@ -223,17 +223,9 @@ class ObsConfig:
     jsonl_path: Optional[str] = None
     #: stream a Chrome trace_event (Perfetto-loadable) file here
     chrome_path: Optional[str] = None
-    #: per-node throughput/abort bucketing window (simulated seconds)
-    window: float = 0.25
-
-    def replace(self, **changes: Any) -> "ObsConfig":
-        """A modified copy (sugar over :func:`dataclasses.replace`)."""
-        return dataclasses.replace(self, **changes)
 
     def __post_init__(self) -> None:
-        if not self.window > 0:
-            raise ValueError(f"window must be > 0, got {self.window}")
-        _refuse_unless_enabled(self, "obs", "jsonl_path", "chrome_path")
+        _refuse_unless_enabled(self, "obs")
 
 
 @dataclass(frozen=True)
@@ -256,10 +248,6 @@ class CheckConfig:
     """
 
     sanitize: bool = False
-
-    def replace(self, **changes: Any) -> "CheckConfig":
-        """A modified copy (sugar over :func:`dataclasses.replace`)."""
-        return dataclasses.replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -284,15 +272,9 @@ class ProfConfig:
     wall: bool = False
     #: write a folded-stack flamegraph file at the end of the run
     folded_path: Optional[str] = None
-    #: write a Chrome trace_event (Perfetto-loadable) overlay here
-    chrome_path: Optional[str] = None
-
-    def replace(self, **changes: Any) -> "ProfConfig":
-        """A modified copy (sugar over :func:`dataclasses.replace`)."""
-        return dataclasses.replace(self, **changes)
 
     def __post_init__(self) -> None:
-        _refuse_unless_enabled(self, "prof", "wall", "folded_path", "chrome_path")
+        _refuse_unless_enabled(self, "prof")
 
 
 @dataclass(frozen=True)
@@ -314,24 +296,17 @@ class ArrivalConfig:
     enabled: bool = False
 
     # -- arrival process -------------------------------------------------
-    #: "poisson", "mmpp" (on/off bursty) or "trace" (deterministic replay)
+    #: "poisson" or "mmpp" (on/off bursty; duty cycle and cycle length
+    #: are ``repro.traffic.arrivals.ON_FRACTION`` / ``MEAN_CYCLE``)
     process: str = "poisson"
     #: cluster-wide mean offered rate (transactions / simulated second)
     rate: float = 50.0
     #: mmpp: burst-state rate multiplier over the quiet state
     burst_factor: float = 4.0
-    #: mmpp: long-run fraction of time spent in the burst state
-    on_fraction: float = 0.25
-    #: mmpp: mean quiet+burst cycle length (seconds)
-    mean_cycle: float = 2.0
-    #: trace: absolute arrival times, fanned round-robin across nodes
-    trace: tuple = ()
 
     # -- popularity ------------------------------------------------------
     #: Zipf skew of object selection; 0 keeps each workload's own policy
     zipf_s: float = 0.0
-    #: rotate the hottest object one position every this many seconds
-    hotspot_period: Optional[float] = None
 
     # -- scenario script -------------------------------------------------
     #: named mid-run schedule ("flash-crowd", "hotspot-migration",
@@ -344,17 +319,12 @@ class ArrivalConfig:
     #: who is shed when a queue is full: "drop-newest" or "drop-oldest"
     shed_policy: str = "drop-newest"
 
-    def replace(self, **changes: Any) -> "ArrivalConfig":
-        """A modified copy (sugar over :func:`dataclasses.replace`)."""
-        return dataclasses.replace(self, **changes)
-
     def __post_init__(self) -> None:
         # Literal copies of repro.traffic's registries: config must not
         # import the traffic package (it imports core right back).
-        if self.process not in ("poisson", "mmpp", "trace"):
+        if self.process not in ("poisson", "mmpp"):
             raise ValueError(
-                f"unknown arrival process {self.process!r}; "
-                "have ('poisson', 'mmpp', 'trace')"
+                f"unknown arrival process {self.process!r}; have ('poisson', 'mmpp')"
             )
         if self.shed_policy not in ("drop-newest", "drop-oldest"):
             raise ValueError(
@@ -365,20 +335,10 @@ class ArrivalConfig:
             raise ValueError(f"rate must be > 0, got {self.rate}")
         if not self.burst_factor >= 1.0:
             raise ValueError(f"burst_factor must be >= 1, got {self.burst_factor}")
-        if not 0.0 < self.on_fraction < 1.0:
-            raise ValueError(f"on_fraction must be in (0, 1), got {self.on_fraction}")
-        if not self.mean_cycle > 0:
-            raise ValueError(f"mean_cycle must be > 0, got {self.mean_cycle}")
         if not self.zipf_s >= 0:
             raise ValueError(f"zipf_s must be >= 0, got {self.zipf_s}")
-        if self.hotspot_period is not None and not self.hotspot_period > 0:
-            raise ValueError("hotspot_period must be > 0 (or None)")
-        if self.queue_capacity < 1:
-            raise ValueError(f"queue_capacity must be >= 1, got {self.queue_capacity}")
-        if self.process == "trace" and self.enabled and not self.trace:
-            raise ValueError("trace arrival process needs a non-empty trace")
-        if not isinstance(self.trace, tuple):
-            object.__setattr__(self, "trace", tuple(self.trace))
+        _check_int("queue_capacity", self.queue_capacity, 1)
+        _refuse_unless_enabled(self, "arrival")
 
 
 @dataclass(frozen=True)
@@ -393,9 +353,10 @@ class PayloadConfig:
 
     With ``enabled=True`` every object carries a declared
     ``payload_size`` (bytes) and every remote message pays a
-    bytes-on-wire cost — ``wire / bandwidth + wire * ser_per_byte`` on
+    bytes-on-wire cost — ``wire / BANDWIDTH + wire * SER_PER_BYTE`` on
     top of the existing link latency, where ``wire`` is the message's
-    control envelope plus any attached payload bytes.  Two modes:
+    control envelope (``CONTROL_SIZE``) plus any attached payload bytes;
+    the three constants live in :mod:`repro.rpc.payload`.  Two modes:
 
     * ``proxy=False`` (*eager bytes*): object grants, hand-offs and
       ownership transfers ship the declared payload inline, so protocol
@@ -417,30 +378,14 @@ class PayloadConfig:
     #: default declared payload bytes per object (a workload's
     #: ``payload_size`` spec or an ``alloc(payload_size=...)`` overrides)
     size: int = 0
-    #: per-link bandwidth, bytes/second (default 125 MB/s = 1 Gbit/s)
-    bandwidth: float = 125e6
-    #: per-byte serialization/deserialization delay, seconds/byte
-    ser_per_byte: float = 1e-9
-    #: control envelope charged per remote message, bytes
-    control_size: int = 256
     #: per-node resolved-bytes cache capacity (objects); None = unbounded
     cache_capacity: Optional[int] = None
 
-    def replace(self, **changes: Any) -> "PayloadConfig":
-        """A modified copy (sugar over :func:`dataclasses.replace`)."""
-        return dataclasses.replace(self, **changes)
-
     def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"size must be >= 0, got {self.size}")
-        if not self.bandwidth > 0:
-            raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
-        if not self.ser_per_byte >= 0:
-            raise ValueError("ser_per_byte must be >= 0")
-        if self.control_size < 0:
-            raise ValueError("control_size must be >= 0")
-        if self.cache_capacity is not None and self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1 (or None)")
+        _check_int("size", self.size, 0)
+        if self.cache_capacity is not None:
+            _check_int("cache_capacity", self.cache_capacity, 1)
+        _refuse_unless_enabled(self, "payload")
 
 
 @dataclass(frozen=True)
@@ -520,15 +465,14 @@ class ClusterConfig:
         return dataclasses.replace(self, **changes)
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 1:
-            raise ValueError(f"num_nodes must be >= 1, got {self.num_nodes}")
+        _check_int("num_nodes", self.num_nodes, 1)
         if not 0 < self.min_link_delay <= self.max_link_delay:
             raise ValueError("need 0 < min_link_delay <= max_link_delay")
         for name in ("msg_process_time", "abort_overhead"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.cl_threshold is not None and self.cl_threshold < 1:
-            raise ValueError("cl_threshold must be >= 1 (or None for adaptive)")
+        if self.cl_threshold is not None:  # None selects the adaptive controller
+            _check_int("cl_threshold", self.cl_threshold, 1)
         for name, allowed in (
             ("conflict_scope", ("root", "level", "mixed")),
             ("rts_admission", ("paper", "economic")),
@@ -541,20 +485,11 @@ class ClusterConfig:
         object.__setattr__(self, "scheduler", SchedulerKind(self.scheduler))
         object.__setattr__(self, "nesting", NestingModel(self.nesting))
         object.__setattr__(self, "winner_policy", WinnerPolicy(self.winner_policy))
-        if isinstance(self.faults, dict):
-            object.__setattr__(self, "faults", FaultConfig(**self.faults))
-        if isinstance(self.rpc, dict):
-            object.__setattr__(self, "rpc", RpcConfig(**self.rpc))
-        if isinstance(self.arrival, dict):
-            object.__setattr__(self, "arrival", ArrivalConfig(**self.arrival))
-        if isinstance(self.obs, dict):
-            object.__setattr__(self, "obs", ObsConfig(**self.obs))
-        if isinstance(self.check, dict):
-            object.__setattr__(self, "check", CheckConfig(**self.check))
-        if isinstance(self.prof, dict):
-            object.__setattr__(self, "prof", ProfConfig(**self.prof))
-        if isinstance(self.payload, dict):
-            object.__setattr__(self, "payload", PayloadConfig(**self.payload))
+        # A sub-config may be given as a dict of its fields.
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, dict):
+                object.__setattr__(self, field.name, type(field.default)(**value))
         if self.trace_categories and not (self.trace or self.obs.enabled):
             raise ValueError(
                 "trace_categories is set but neither trace nor obs is enabled"

@@ -18,6 +18,7 @@ from typing import Any, Generator, Optional
 
 from repro.core.api import run_root
 from repro.core.cluster import Cluster
+from repro.core.metrics import MetricsCollector
 from repro.dstm.errors import AbortReason, TransactionAborted
 from repro.workloads.base import Workload
 
@@ -128,7 +129,7 @@ class WorkloadExecutor:
         return self
 
     @property
-    def metrics(self):
+    def metrics(self) -> MetricsCollector:
         return self.cluster.metrics
 
     def throughput(self) -> float:

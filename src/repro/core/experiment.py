@@ -216,6 +216,4 @@ def _extra(
         extra["prof"] = cluster.profiler.snapshot()
         if pc.folded_path:
             cluster.profiler.write_folded(pc.folded_path)
-        if pc.chrome_path:
-            cluster.profiler.write_chrome(pc.chrome_path)
     return extra

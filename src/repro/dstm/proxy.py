@@ -113,10 +113,6 @@ class TMProxy:
             rpc_client = RpcClient(node, tracer=self.tracer)
         self.rpc_client = rpc_client
         self.winner_policy = WinnerPolicy(winner_policy)
-        if conflict_scope not in ("root", "level", "mixed"):
-            raise ValueError(
-                f"conflict_scope must be 'root', 'level' or 'mixed', got {conflict_scope!r}"
-            )
         #: who a lost busy-object conflict kills.  "root" (the default,
         #: the paper's semantics) and "level" force one victim for every
         #: conflict.  "mixed" (the closed-nesting model of the paper's TFA

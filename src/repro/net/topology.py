@@ -88,7 +88,7 @@ class Topology:
 
         The link structure mirrors :meth:`delay`: static and symmetric.
         Today every link shares one configured baseline (the payload
-        plane's ``PayloadConfig.bandwidth``); the per-link signature is
+        plane's ``repro.rpc.payload.BANDWIDTH``); the per-link signature is
         the extension point for heterogeneous fabrics.  Raises if no
         bandwidth was configured (payload plane off).
         """

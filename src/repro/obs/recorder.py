@@ -31,11 +31,10 @@ class ObsRecorder:
 
     def __init__(
         self,
-        window: float = 0.25,
         jsonl_path: Optional[str] = None,
         chrome_path: Optional[str] = None,
     ) -> None:
-        self.series = SeriesTracker(window=window)
+        self.series = SeriesTracker()
         self.jsonl: Optional[JsonlSink] = JsonlSink(jsonl_path) if jsonl_path else None
         self.chrome: Optional[ChromeTraceWriter] = (
             ChromeTraceWriter(chrome_path) if chrome_path else None

@@ -47,7 +47,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.obs.chrome import ChromeTraceWriter
 from repro.obs.events import SchemaError, validate_event
-from repro.obs.series import SeriesTracker
+from repro.obs.series import WINDOW, SeriesTracker
 from repro.obs.spans import PhaseSamples, SpanBuilder, SpanList
 
 __all__ = ["load_events", "main", "render", "summarize"]
@@ -77,7 +77,7 @@ def load_events(path: str) -> Iterator[Dict[str, Any]]:
 
 def summarize(
     events: Iterable[Dict[str, Any]],
-    window: float = 0.25,
+    window: float = WINDOW,
     top: int = 10,
     chrome: Optional[ChromeTraceWriter] = None,
 ) -> Dict[str, Any]:
@@ -398,7 +398,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("jsonl", help="exported JSONL event log")
-    parser.add_argument("--window", type=float, default=0.25,
+    parser.add_argument("--window", type=float, default=WINDOW,
                         help="time-series window (simulated seconds)")
     parser.add_argument("--top", type=int, default=10,
                         help="how many contended objects to list")

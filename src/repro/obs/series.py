@@ -30,9 +30,11 @@ from repro.util.stats import Ewma
 
 __all__ = [
     "NodeSeries", "ObjectSeries", "PayloadSeries", "SeriesTracker",
-    "TrafficSeries",
+    "TrafficSeries", "WINDOW",
 ]
 
+#: per-node throughput/abort bucketing window (simulated seconds)
+WINDOW = 0.25
 #: cap on the retained fault timeline (drops are counted, not silent)
 FAULT_TIMELINE_CAP = 4096
 
@@ -120,7 +122,7 @@ class PayloadSeries:
 class SeriesTracker:
     """Streaming reducer over the observability event stream."""
 
-    def __init__(self, window: float = 0.25) -> None:
+    def __init__(self, window: float = WINDOW) -> None:
         if window <= 0:
             raise ValueError(f"window must be > 0, got {window}")
         self.window = float(window)

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.sim.monitor import percentile
+
 __all__ = [
     "Phase",
     "PhaseSamples",
@@ -194,15 +196,8 @@ def latency_row(samples: List[float]) -> Dict[str, float]:
     """
     data = sorted(samples)
     n = len(data)
-
-    def pct(q: float) -> float:
-        idx = (n - 1) * q / 100.0
-        lo, hi = math.floor(idx), math.ceil(idx)
-        if lo == hi:
-            return data[lo]
-        return data[lo] + (data[hi] - data[lo]) * (idx - lo)
-
     return {
         "count": n, "mean": math.fsum(data) / n,
-        "p50": pct(50.0), "p95": pct(95.0), "p99": pct(99.0),
+        "p50": percentile(data, 50.0), "p95": percentile(data, 95.0),
+        "p99": percentile(data, 99.0),
     }

@@ -25,10 +25,8 @@ Two modes:
   recorded nanosecond values are host-dependent (they never feed back
   into the simulation).
 
-Exports: :meth:`KernelProfiler.folded` (folded-stack flamegraph text,
-``kernel;<kind>;<site> <weight>``) and :meth:`KernelProfiler.write_chrome`
-(a Chrome ``trace_event`` overlay loadable in Perfetto).  Both are
-byte-deterministic in counters mode.
+Export: :meth:`KernelProfiler.folded` (folded-stack flamegraph text,
+``kernel;<kind>;<site> <weight>``), byte-deterministic in counters mode.
 
 The hook is strictly additive: ``Environment.run`` pays exactly one
 ``is None`` guard per entry when no profiler is installed; with one it
@@ -39,7 +37,6 @@ accounting lives here and the kernel has a single run loop.
 
 from __future__ import annotations
 
-import json
 import re
 import time
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
@@ -192,45 +189,3 @@ class KernelProfiler:
         with open(path, "w", encoding="utf-8") as fh:
             for line in self.folded():
                 fh.write(line + "\n")
-
-    def write_chrome(self, path: str) -> None:
-        """Chrome ``trace_event`` overlay: one complete slice per site.
-
-        Slices are laid out sequentially (duration = weight in
-        microseconds), grouped one thread per event kind — a loadable
-        flamegraph-style picture of where kernel events went, not a
-        timeline of when.
-        """
-        kinds = sorted({kind for kind, _ in self.counts})
-        tid_of = {kind: i + 1 for i, kind in enumerate(kinds)}
-        events: List[Dict[str, Any]] = [
-            {
-                "args": {"name": "kernel-profile"},
-                "name": "process_name",
-                "ph": "M",
-                "pid": 0,
-                "tid": 0,
-            }
-        ]
-        cursors = {kind: 0 for kind in kinds}
-        for kind, site in sorted(self.counts):
-            weight = max(1, self._weight((kind, site)))
-            events.append(
-                {
-                    "args": {"count": self.counts[(kind, site)]},
-                    "cat": "kernel",
-                    "dur": weight,
-                    "name": f"{kind};{site}",
-                    "ph": "X",
-                    "pid": 0,
-                    "tid": tid_of[kind],
-                    "ts": cursors[kind],
-                }
-            )
-            cursors[kind] += weight
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"displayTimeUnit": "ms", "traceEvents": events},
-                fh, sort_keys=True, separators=(",", ":"),
-            )
-            fh.write("\n")

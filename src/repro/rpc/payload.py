@@ -47,11 +47,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids core<->rpc cycle)
 
 _PAYLOAD_FETCH = ENDPOINTS.get("payload_fetch")
 
-__all__ = ["NodePayload", "PayloadPlane", "PROXY_SIZE"]
+__all__ = [
+    "BANDWIDTH", "CONTROL_SIZE", "NodePayload", "PayloadPlane", "PROXY_SIZE",
+    "SER_PER_BYTE",
+]
 
 #: control-plane bytes a proxy-mode grant carries: the ObjectProxy
 #: descriptor itself
 PROXY_SIZE = 64
+#: per-link bandwidth, bytes/second (125 MB/s = 1 Gbit/s)
+BANDWIDTH = 125e6
+#: per-byte serialization/deserialization delay, seconds/byte
+SER_PER_BYTE = 1e-9
+#: control envelope charged per remote message, bytes
+CONTROL_SIZE = 256
 
 
 class NodePayload:

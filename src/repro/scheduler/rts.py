@@ -58,6 +58,8 @@ class RtsScheduler(SchedulerPolicy):
 
     ``cl_threshold`` fixes the CL threshold; None (the default) adapts it
     with an :class:`AdaptiveThreshold` fed by this node's commits.
+    ``admission`` is "paper" or "economic"; ``ClusterConfig`` refuses
+    anything else.
     """
 
     name = "rts"
@@ -69,8 +71,6 @@ class RtsScheduler(SchedulerPolicy):
         self._fixed_threshold = 0 if cl_threshold is None else int(cl_threshold)
         #: the threshold controller; None under a fixed threshold
         self.adaptive = AdaptiveThreshold() if cl_threshold is None else None
-        if admission not in ("paper", "economic"):
-            raise ValueError(f"admission must be 'paper' or 'economic', got {admission!r}")
         self.admission = admission
         # Decision counters (diagnostics + tests)
         self.enqueued = 0

@@ -10,9 +10,19 @@ asked — so instrumentation never dominates simulation cost (the guides'
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
-__all__ = ["Counter", "Tally", "TimeWeighted"]
+__all__ = ["Counter", "Tally", "TimeWeighted", "percentile"]
+
+
+def percentile(data: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0..100) of sorted, non-empty ``data``,
+    interpolated linearly between the closest ranks."""
+    idx = (len(data) - 1) * q / 100.0
+    lo, hi = math.floor(idx), math.ceil(idx)
+    if lo == hi:
+        return data[lo]
+    return data[lo] + (data[hi] - data[lo]) * (idx - lo)
 
 
 class Counter:
@@ -92,13 +102,7 @@ class Tally:
             raise RuntimeError(f"Tally {self.name!r} does not keep samples")
         if not self._samples:
             return 0.0
-        data = sorted(self._samples)
-        idx = (len(data) - 1) * q / 100.0
-        lo = math.floor(idx)
-        hi = math.ceil(idx)
-        if lo == hi:
-            return data[lo]
-        return data[lo] + (data[hi] - data[lo]) * (idx - lo)
+        return percentile(sorted(self._samples), q)
 
     def __repr__(self) -> str:
         return f"<Tally {self.name} n={self.count} mean={self.mean:.4g}>"
@@ -137,6 +141,8 @@ class TimeWeighted:
 
     def average(self, now: float) -> float:
         """Time-weighted mean of the signal over [start, now]."""
+        if now < self._last_time:
+            raise ValueError(f"time went backwards: {now} < {self._last_time}")
         span = now - self._start
         if span <= 0:
             return self._level

@@ -18,7 +18,6 @@ from repro.traffic.arrivals import (
     ArrivalProcess,
     MmppProcess,
     PoissonProcess,
-    TraceProcess,
     make_process,
 )
 from repro.traffic.engine import OpenLoopExecutor
@@ -43,7 +42,6 @@ __all__ = [
     "SHED_POLICIES",
     "Scenario",
     "StabilityMonitor",
-    "TraceProcess",
     "make_process",
     "make_scenario",
     "max_sustainable_rate",

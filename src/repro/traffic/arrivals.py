@@ -7,7 +7,7 @@ saturation is invisible.  An arrival process decouples offered load from
 service capacity — transactions arrive whether or not the cluster keeps
 up, which is the regime a serving system actually lives in.
 
-Three process shapes, all drawing exclusively from a caller-supplied
+Two process shapes, both drawing exclusively from a caller-supplied
 named seeded stream (same-seed byte identity, like every other
 stochastic component):
 
@@ -15,10 +15,7 @@ stochastic component):
 * :class:`MmppProcess` — a 2-state Markov-modulated Poisson process
   (on/off): exponential sojourns alternate a quiet state with a burst
   state whose rate is ``burst_factor`` higher, normalised so the
-  *long-run* average equals the requested rate;
-* :class:`TraceProcess` — a deterministic list of absolute arrival
-  times (replay of a recorded or hand-built trace; the rate argument is
-  ignored).
+  *long-run* average equals the requested rate.
 
 Processes yield *intervals*, not absolute times: the engine passes the
 current effective rate on every draw, which is how scenario scripts
@@ -27,7 +24,7 @@ retarget the rate mid-run without touching process state.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -36,21 +33,23 @@ __all__ = [
     "ArrivalProcess",
     "MmppProcess",
     "PoissonProcess",
-    "TraceProcess",
     "make_process",
 ]
 
 #: process kinds accepted by :func:`make_process` / ``ArrivalConfig.process``
-ARRIVAL_PROCESSES = ("poisson", "mmpp", "trace")
+ARRIVAL_PROCESSES = ("poisson", "mmpp")
+#: mmpp: long-run fraction of time spent in the burst state
+ON_FRACTION = 0.25
+#: mmpp: mean quiet+burst cycle length (seconds)
+MEAN_CYCLE = 2.0
 
 
 class ArrivalProcess:
     """Interface: a stream of interarrival intervals."""
 
-    def next_interval(self, now: float, rate: float) -> Optional[float]:
+    def next_interval(self, now: float, rate: float) -> float:
         """Interval from ``now`` (relative sim time) to the next arrival
-        at the current effective ``rate`` (arrivals/s), or ``None`` when
-        the process is exhausted (trace replay only)."""
+        at the current effective ``rate`` (arrivals/s)."""
         raise NotImplementedError
 
 
@@ -62,7 +61,7 @@ class PoissonProcess(ArrivalProcess):
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
 
-    def next_interval(self, now: float, rate: float) -> Optional[float]:
+    def next_interval(self, now: float, rate: float) -> float:
         if rate <= 0:
             raise ValueError(f"rate must be > 0, got {rate}")
         return float(self.rng.exponential(1.0 / rate))
@@ -71,12 +70,12 @@ class PoissonProcess(ArrivalProcess):
 class MmppProcess(ArrivalProcess):
     """2-state (on/off) Markov-modulated Poisson process.
 
-    Sojourn times are exponential with means ``on_fraction * mean_cycle``
-    (burst state) and ``(1 - on_fraction) * mean_cycle`` (quiet state).
+    Sojourn times are exponential with means ``ON_FRACTION * MEAN_CYCLE``
+    (burst state) and ``(1 - ON_FRACTION) * MEAN_CYCLE`` (quiet state).
     State rates are scaled so the long-run average is the requested
     rate::
 
-        quiet_rate = rate / (on_fraction * burst_factor + 1 - on_fraction)
+        quiet_rate = rate / (ON_FRACTION * burst_factor + 1 - ON_FRACTION)
         burst_rate = burst_factor * quiet_rate
 
     Each interval consumes a unit-exponential amount of *work* against
@@ -86,109 +85,54 @@ class MmppProcess(ArrivalProcess):
     pure function of the rng stream.
     """
 
-    __slots__ = ("rng", "burst_factor", "on_fraction", "mean_cycle",
-                 "_in_burst", "_state_until")
+    __slots__ = ("rng", "burst_factor", "_in_burst", "_state_until")
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        burst_factor: float = 4.0,
-        on_fraction: float = 0.25,
-        mean_cycle: float = 2.0,
-    ) -> None:
-        if burst_factor < 1.0:
+    def __init__(self, rng: np.random.Generator, burst_factor: float = 4.0) -> None:
+        if not burst_factor >= 1.0:
             raise ValueError(f"burst_factor must be >= 1, got {burst_factor}")
-        if not 0.0 < on_fraction < 1.0:
-            raise ValueError(f"on_fraction must be in (0, 1), got {on_fraction}")
-        if mean_cycle <= 0:
-            raise ValueError(f"mean_cycle must be > 0, got {mean_cycle}")
         self.rng = rng
         self.burst_factor = float(burst_factor)
-        self.on_fraction = float(on_fraction)
-        self.mean_cycle = float(mean_cycle)
         self._in_burst = False
         #: None until the first draw seeds the initial (quiet) sojourn
         self._state_until: Optional[float] = None
 
     def _sojourn_mean(self) -> float:
-        return self.mean_cycle * (
-            self.on_fraction if self._in_burst else 1.0 - self.on_fraction
-        )
+        return MEAN_CYCLE * (ON_FRACTION if self._in_burst else 1.0 - ON_FRACTION)
 
-    def _advance_state(self, t: float) -> None:
-        if self._state_until is None:
+    def _advance_state(self, t: float) -> float:
+        """Move to the state ``t`` falls in; return when that state ends."""
+        until = self._state_until
+        if until is None:
             self._in_burst = False
-            self._state_until = float(self.rng.exponential(self._sojourn_mean()))
-        while t >= self._state_until:
+            until = float(self.rng.exponential(self._sojourn_mean()))
+        while t >= until:
             self._in_burst = not self._in_burst
-            self._state_until += float(self.rng.exponential(self._sojourn_mean()))
+            until += float(self.rng.exponential(self._sojourn_mean()))
+        self._state_until = until
+        return until
 
-    def next_interval(self, now: float, rate: float) -> Optional[float]:
+    def next_interval(self, now: float, rate: float) -> float:
         if rate <= 0:
             raise ValueError(f"rate must be > 0, got {rate}")
-        quiet = rate / (self.on_fraction * self.burst_factor + 1.0 - self.on_fraction)
+        quiet = rate / (ON_FRACTION * self.burst_factor + 1.0 - ON_FRACTION)
         t = now
         work = float(self.rng.exponential(1.0))
         while True:
-            self._advance_state(t)
+            until = self._advance_state(t)
             state_rate = quiet * self.burst_factor if self._in_burst else quiet
-            segment_capacity = state_rate * (self._state_until - t)
+            segment_capacity = state_rate * (until - t)
             if work <= segment_capacity:
                 return (t + work / state_rate) - now
             work -= segment_capacity
-            t = self._state_until
-
-
-class TraceProcess(ArrivalProcess):
-    """Deterministic replay of absolute arrival times (sorted)."""
-
-    __slots__ = ("times", "_idx")
-
-    def __init__(self, times: Sequence[float]) -> None:
-        self.times = tuple(float(t) for t in times)
-        if any(t < 0 for t in self.times):
-            raise ValueError("trace times must be >= 0")
-        if list(self.times) != sorted(self.times):
-            raise ValueError("trace times must be sorted ascending")
-        self._idx = 0
-
-    def next_interval(self, now: float, rate: float) -> Optional[float]:
-        while self._idx < len(self.times) and self.times[self._idx] < now:
-            self._idx += 1
-        if self._idx >= len(self.times):
-            return None
-        t = self.times[self._idx]
-        self._idx += 1
-        return t - now
+            t = until
 
 
 def make_process(
-    kind: str,
-    rng: np.random.Generator,
-    *,
-    burst_factor: float = 4.0,
-    on_fraction: float = 0.25,
-    mean_cycle: float = 2.0,
-    trace: Sequence[float] = (),
-    node: int = 0,
-    num_nodes: int = 1,
+    kind: str, rng: np.random.Generator, burst_factor: float = 4.0
 ) -> ArrivalProcess:
-    """Build the arrival process for one node.
-
-    Trace replay fans a single cluster-wide trace across nodes
-    round-robin (arrival ``i`` lands on node ``i % num_nodes``), so a
-    trace produces the same cluster-wide arrival sequence at any node
-    count.
-    """
+    """Build the arrival process for one node."""
     if kind == "poisson":
         return PoissonProcess(rng)
     if kind == "mmpp":
-        return MmppProcess(
-            rng, burst_factor=burst_factor,
-            on_fraction=on_fraction, mean_cycle=mean_cycle,
-        )
-    if kind == "trace":
-        if not trace:
-            raise ValueError("trace process needs a non-empty trace")
-        return TraceProcess([t for i, t in enumerate(trace) if i % num_nodes == node])
+        return MmppProcess(rng, burst_factor)
     raise ValueError(f"unknown arrival process {kind!r}")

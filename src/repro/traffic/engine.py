@@ -40,6 +40,7 @@ from repro.traffic.stability import StabilityMonitor, stability_verdict
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cluster import Cluster
     from repro.core.config import ArrivalConfig
+    from repro.core.metrics import MetricsCollector
     from repro.workloads.base import Workload
 
 __all__ = ["OpenLoopExecutor"]
@@ -76,14 +77,8 @@ class OpenLoopExecutor:
             if arrival.scenario is not None else None
         )
         self.popularity: Optional[PopularityModel] = None
-        if (
-            arrival.zipf_s > 0
-            or arrival.hotspot_period is not None
-            or self.scenario is not None
-        ):
-            self.popularity = PopularityModel(
-                s=arrival.zipf_s, hotspot_period=arrival.hotspot_period
-            )
+        if arrival.zipf_s > 0 or self.scenario is not None:
+            self.popularity = PopularityModel(s=arrival.zipf_s)
 
         #: current scenario state (retargeted at phase boundaries)
         self.rate_scale = 1.0
@@ -110,7 +105,6 @@ class OpenLoopExecutor:
         self.workload.setup(cluster, cluster.rngs.stream("workload.setup"))
         if self.popularity is not None:
             self.workload.popularity = self.popularity
-            self.workload.clock = lambda: cluster.env.now
 
     # -- simulation processes --------------------------------------------
 
@@ -123,18 +117,11 @@ class OpenLoopExecutor:
         cfg = self.arrival
         rng = cluster.rngs.stream(f"traffic.arrivals[{node}]")
         op_rng = cluster.rngs.stream(f"traffic.ops[{node}]")
-        process = make_process(
-            cfg.process, rng,
-            burst_factor=cfg.burst_factor, on_fraction=cfg.on_fraction,
-            mean_cycle=cfg.mean_cycle, trace=cfg.trace,
-            node=node, num_nodes=cluster.num_nodes,
-        )
+        process = make_process(cfg.process, rng, cfg.burst_factor)
         tracer = cluster.tracer
         queue = self.queues[node]
         while True:
             dt = process.next_interval(env.now - self._start, self._per_node_rate())
-            if dt is None:       # trace exhausted
-                return
             yield env.timeout(dt)
             if self._stop or env.now >= self._t_end:
                 return
@@ -255,7 +242,7 @@ class OpenLoopExecutor:
     # -- results ---------------------------------------------------------
 
     @property
-    def metrics(self):
+    def metrics(self) -> "MetricsCollector":
         return self.cluster.metrics
 
     def throughput(self) -> float:

@@ -1,4 +1,4 @@
-"""Object popularity: Zipf skew with a time-varying hotspot.
+"""Object popularity: Zipf skew around a movable hotspot.
 
 Closed-loop workloads select objects uniformly (or with a static
 per-workload skew).  Under open-loop traffic, a
@@ -9,11 +9,9 @@ selection routes through it:
 * ``s = 0`` is uniform; larger ``s`` concentrates probability mass on a
   few hot objects (rank ``r`` has weight ``1/(r+1)^s``), making load
   non-uniform across homes;
-* the rank→object mapping rotates over time: with
-  ``hotspot_period = T`` the hottest rank advances one object every
-  ``T`` simulated seconds — a *moving* hotspot no static placement can
-  absorb — and scenario scripts can additionally jump it
-  (:meth:`PopularityModel.set_hotspot_shift`) at exact phase boundaries.
+* the rank→object mapping rotates by a shift that scenario scripts jump
+  (:meth:`PopularityModel.set_hotspot_shift`) at exact phase
+  boundaries — a *moving* hotspot no static placement can absorb.
 
 The model holds no RNG of its own: every draw consumes the caller's
 named seeded stream, so arrival streams stay byte-identical per seed.
@@ -21,7 +19,7 @@ named seeded stream, so arrival streams stay byte-identical per seed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -31,17 +29,10 @@ __all__ = ["PopularityModel"]
 class PopularityModel:
     """Zipf(s) object selection with a rotating hotspot."""
 
-    def __init__(
-        self,
-        s: float = 0.0,
-        hotspot_period: Optional[float] = None,
-    ) -> None:
+    def __init__(self, s: float = 0.0) -> None:
         if s < 0:
             raise ValueError(f"zipf s must be >= 0, got {s}")
-        if hotspot_period is not None and hotspot_period <= 0:
-            raise ValueError(f"hotspot_period must be > 0, got {hotspot_period}")
         self.s = float(s)
-        self.hotspot_period = hotspot_period
         #: scenario-controlled extra rotation (phase boundaries jump it)
         self.shift = 0
         #: (n, s) -> normalised rank weights (reused across draws)
@@ -68,45 +59,35 @@ class PopularityModel:
             self._weights[key] = weights
         return weights
 
-    def _rotation(self, n: int, now: float) -> int:
-        rotation = self.shift
-        if self.hotspot_period is not None:
-            rotation += int(now // self.hotspot_period)
-        return rotation % n
-
-    def hotspot(self, n: int, now: float) -> int:
+    def hotspot(self, n: int) -> int:
         """The index of the currently hottest object (rank 0)."""
-        return self._rotation(n, now)
+        return self.shift % n
 
     def pick_many(
         self,
         rng: np.random.Generator,
         n: int,
         size: int,
-        now: float,
         replace: bool = True,
     ) -> np.ndarray:
-        """Draw ``size`` object indices from [0, n) at time ``now``."""
+        """Draw ``size`` object indices from [0, n)."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         if self.s == 0:
             ranks = rng.choice(n, size, replace=replace)
         else:
             ranks = rng.choice(n, size=size, replace=replace, p=self._rank_weights(n))
-        return (ranks + self._rotation(n, now)) % n
+        return (ranks + self.hotspot(n)) % n
 
-    def pick(self, rng: np.random.Generator, n: int, now: float) -> int:
-        """Draw one object index from [0, n) at time ``now``."""
+    def pick(self, rng: np.random.Generator, n: int) -> int:
+        """Draw one object index from [0, n)."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         if self.s == 0:
             rank = int(rng.integers(0, n))
         else:
             rank = int(rng.choice(n, p=self._rank_weights(n)))
-        return (rank + self._rotation(n, now)) % n
+        return (rank + self.hotspot(n)) % n
 
     def __repr__(self) -> str:
-        return (
-            f"<PopularityModel s={self.s} period={self.hotspot_period} "
-            f"shift={self.shift}>"
-        )
+        return f"<PopularityModel s={self.s} shift={self.shift}>"

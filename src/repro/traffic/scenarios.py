@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = ["Phase", "Scenario", "SCENARIOS", "make_scenario"]
 
@@ -108,14 +108,14 @@ def _diurnal(horizon: float, trough: float = 0.25, steps: int = 6) -> Scenario:
     return Scenario("diurnal", tuple(phases))
 
 
-SCENARIOS: Dict[str, object] = {
+SCENARIOS: Dict[str, Callable[..., Scenario]] = {
     "flash-crowd": _flash_crowd,
     "hotspot-migration": _hotspot_migration,
     "diurnal": _diurnal,
 }
 
 
-def make_scenario(name: str, horizon: float, **kwargs) -> Scenario:
+def make_scenario(name: str, horizon: float, **kwargs: Any) -> Scenario:
     """Instantiate a built-in scenario for a run of ``horizon`` seconds."""
     if horizon is None or horizon <= 0:
         raise ValueError(f"scenarios need a positive horizon, got {horizon}")
@@ -124,4 +124,4 @@ def make_scenario(name: str, horizon: float, **kwargs) -> Scenario:
         raise ValueError(
             f"unknown scenario {name!r}; have {sorted(SCENARIOS)}"
         )
-    return builder(horizon, **kwargs)  # type: ignore[operator]
+    return builder(horizon, **kwargs)

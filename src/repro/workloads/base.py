@@ -72,8 +72,6 @@ class Workload(abc.ABC):
         #: optional repro.traffic PopularityModel; installed by the
         #: open-loop executor, None under closed loop (byte-identical path)
         self.popularity = None
-        #: simulation clock for the popularity model's moving hotspot
-        self.clock: Callable[[], float] = lambda: 0.0
 
     # -- object selection (popularity-aware) ----------------------------
 
@@ -88,13 +86,13 @@ class Workload(abc.ABC):
         """
         if self.popularity is None:
             return rng.choice(n, size, replace=replace)
-        return self.popularity.pick_many(rng, n, size, self.clock(), replace=replace)
+        return self.popularity.pick_many(rng, n, size, replace=replace)
 
     def pick_key(self, rng: np.random.Generator, n: int) -> int:
         """Draw one key from [0, n) (uniform unless popularity-skewed)."""
         if self.popularity is None:
             return int(rng.integers(0, n))
-        return self.popularity.pick(rng, n, self.clock())
+        return self.popularity.pick(rng, n)
 
     # ------------------------------------------------------------------
 

@@ -105,10 +105,10 @@ class DhtWorkload(Workload):
     def _draw(self, rng: np.random.Generator, n: int) -> List[str]:
         size = min(n, len(self.buckets))
         if self.popularity is not None:
-            # Open-loop runs: the traffic plane's (possibly time-varying)
-            # popularity replaces the workload's static skew.
+            # Open-loop runs: the traffic plane's popularity replaces the
+            # workload's static skew.
             idx = self.popularity.pick_many(
-                rng, len(self.buckets), size, self.clock(), replace=False
+                rng, len(self.buckets), size, replace=False
             )
         else:
             idx = zipf_choice(

@@ -1,6 +1,7 @@
 """The pyproject mypy override promises `disallow_untyped_defs` for
 `repro.check.*`, `repro.sim.*`, `repro.dstm.*`, `repro.scheduler.*`,
-`repro.faults.*`, `repro.net.*`, `repro.rpc.*` and `repro.core.config`.  The
+`repro.faults.*`, `repro.net.*`, `repro.rpc.*`, `repro.core.*`,
+`repro.traffic.*` and `repro.prof.*`.  The
 container this repo tests in does not ship mypy, so this test enforces
 the same contract with a small AST walk: every def in those packages
 annotates every parameter and its return type.  (When mypy IS available the `[[tool.mypy.overrides]]`
@@ -12,9 +13,10 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
-#: packages (every module under them) and single modules held to it
+#: packages held to it (every module under them)
 STRICT_PACKAGES = (
-    "check", "sim", "dstm", "scheduler", "faults", "net", "rpc", "core/config.py",
+    "check", "sim", "dstm", "scheduler", "faults", "net", "rpc", "core",
+    "traffic", "prof",
 )
 
 
@@ -52,7 +54,8 @@ def test_pyproject_declares_the_strict_override():
     assert '"repro.scheduler.*"' in text
     assert '"repro.faults.*"' in text
     assert '"repro.net.*"' in text and '"repro.rpc.*"' in text
-    assert '"repro.core.config"' in text
+    assert '"repro.core.*"' in text
+    assert '"repro.traffic.*"' in text and '"repro.prof.*"' in text
     assert "disallow_untyped_defs = true" in text
     assert "disallow_incomplete_defs = true" in text
 
@@ -60,8 +63,7 @@ def test_pyproject_declares_the_strict_override():
 @pytest.mark.parametrize("package", STRICT_PACKAGES)
 def test_every_def_is_fully_annotated(package):
     offenders = {}
-    root = SRC / package
-    for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
+    for path in sorted((SRC / package).rglob("*.py")):
         bad = _untyped_defs(path)
         if bad:
             offenders[str(path.relative_to(SRC.parents[1]))] = bad

@@ -1,8 +1,17 @@
 """Unit tests for the cluster configuration."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.config import ClusterConfig, SchedulerKind
+from repro.core.config import (
+    ArrivalConfig,
+    ClusterConfig,
+    ObsConfig,
+    PayloadConfig,
+    ProfConfig,
+    SchedulerKind,
+)
 from repro.dstm.contention import WinnerPolicy
 from repro.dstm.transaction import NestingModel
 
@@ -50,8 +59,21 @@ IGNORED_SETTINGS = {
     "obs.chrome_path": (dict(obs=dict(chrome_path="run.json")), "chrome_path"),
     "prof.wall": (dict(prof=dict(wall=True)), "wall"),
     "prof.folded_path": (dict(prof=dict(folded_path="run.folded")), "folded_path"),
-    "prof.chrome_path": (dict(prof=dict(chrome_path="prof.json")), "chrome_path"),
     "trace_categories": (dict(trace_categories=("txn",)), "trace_categories"),
+    "arrival.zipf_s": (dict(arrival=dict(zipf_s=1.2)), "zipf_s"),
+    "payload.proxy": (dict(payload=dict(proxy=True)), "proxy"),
+}
+
+#: a legal non-default value for every field (but ``enabled``) of each
+#: sub-config whose disabled form refuses them all
+NON_DEFAULTS = {
+    ObsConfig: dict(jsonl_path="run.jsonl", chrome_path="run.json"),
+    ProfConfig: dict(wall=True, folded_path="run.folded"),
+    ArrivalConfig: dict(
+        process="mmpp", rate=5.0, burst_factor=2.0, zipf_s=1.2,
+        scenario="diurnal", queue_capacity=8, shed_policy="drop-oldest",
+    ),
+    PayloadConfig: dict(proxy=True, size=1024, cache_capacity=4),
 }
 
 
@@ -75,6 +97,24 @@ class TestIgnoredSettingsRejected:
     )
     def test_same_settings_accepted_when_enabled(self, kwargs):
         ClusterConfig(num_nodes=2, **kwargs)
+
+    @pytest.mark.parametrize("cls", NON_DEFAULTS, ids=lambda c: c.__name__)
+    def test_table_covers_every_field(self, cls):
+        fields = {f.name for f in dataclasses.fields(cls)} - {"enabled"}
+        assert set(NON_DEFAULTS[cls]) == fields
+
+    @pytest.mark.parametrize(
+        "cls,name",
+        [(cls, name) for cls, values in NON_DEFAULTS.items() for name in values],
+        ids=lambda p: p if isinstance(p, str) else p.__name__,
+    )
+    def test_disabled_refuses_every_field(self, cls, name):
+        with pytest.raises(ValueError, match=f"{name} is set"):
+            cls(**{name: NON_DEFAULTS[cls][name]})
+
+    @pytest.mark.parametrize("cls", NON_DEFAULTS, ids=lambda c: c.__name__)
+    def test_enabled_accepts_every_field(self, cls):
+        cls(enabled=True, **NON_DEFAULTS[cls])
 
 
 class TestCoercion:

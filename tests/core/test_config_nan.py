@@ -1,9 +1,13 @@
-"""NaN is refused by every float field of every config dataclass.
+"""NaN is refused by every float field of every config dataclass, and
+anything but a real ``int`` by the int fields the run sizes things with.
 
 A NaN fails every comparison, so a range check written ``if v < 0:
 raise`` lets it through, and it fails later — at the first ``Timeout``
-or ``range()`` mid-run.  Every check is written negated (``not v >= 0``)
-instead; this table walks every float field and proves it.
+or ``range()`` mid-run.  Every float check is written negated (``not v
+>= 0``) instead; the first table walks every float field and proves it.
+A count written ``v < 1`` also lets a float or a bool through (a
+``cl_threshold`` of 2.7 ran as 2); the second table feeds each int
+field a NaN, a float and a bool.
 """
 
 import dataclasses
@@ -35,10 +39,10 @@ FLOAT_FIELDS = list(float_fields())
 def test_the_table_walks_every_config_class():
     walked = {param.values[0].__name__ for param in FLOAT_FIELDS}
     assert walked == {
-        "ArrivalConfig", "ClusterConfig", "FaultConfig", "ObsConfig",
-        "PayloadConfig", "RetryPolicy", "RpcConfig",
+        "ArrivalConfig", "ClusterConfig", "FaultConfig", "RetryPolicy",
+        "RpcConfig",
     }
-    assert len(FLOAT_FIELDS) == 35
+    assert len(FLOAT_FIELDS) == 29
 
 
 @pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
@@ -55,3 +59,23 @@ def test_retry_count_must_be_an_int(cls, name):
     with pytest.raises(ValueError, match="int"):
         cls(**{name: 1.5})
     assert cls(**{name: 2}).__getattribute__(name) == 2
+
+
+#: (class, field) of every int field that sizes something in the run
+INT_FIELDS = [
+    (config.ClusterConfig, "num_nodes"),
+    (config.ClusterConfig, "cl_threshold"),
+    (config.ArrivalConfig, "queue_capacity"),
+    (config.RpcConfig, "cache_capacity"),
+    (config.PayloadConfig, "cache_capacity"),
+    (config.PayloadConfig, "size"),
+]
+
+
+@pytest.mark.parametrize("bad", [NAN, 2.5, True], ids=["nan", "float", "bool"])
+@pytest.mark.parametrize(
+    "cls, name", INT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in INT_FIELDS]
+)
+def test_int_field_refuses_non_int(cls, name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        cls(**{name: bad})

@@ -1,11 +1,14 @@
 """The configuration surface, as a structure gate.
 
-Every ``ClusterConfig`` field is (i) set by an ablation, benchmark,
-example or ledger cell, or (ii) a parameter the paper names; a value
-nobody turns is a module constant next to its one reader.  DESIGN.md §2
-keeps the survivors table ("`ClusterConfig` survivors"); this file holds
-the code to it, so a new knob is a deliberate, documented edit — and so
-is dropping one.
+Every ``ClusterConfig`` field, and every field of the sub-configs it
+carries, is (i) set by an ablation, benchmark, example or ledger cell,
+or (ii) a parameter the paper names; a value nobody turns is a module
+constant next to its one reader.  DESIGN.md §2 keeps the two survivors
+tables ("`ClusterConfig` survivors", "Sub-config survivors"); this file
+holds the code to them, so a new knob is a deliberate, documented edit —
+and so is dropping one.  A sub-config row may instead be "deferred" to
+the ROADMAP item whose measurement decides it, and ``FaultConfig`` is
+left out by name until ROADMAP item 1a turns its knobs.
 """
 
 import dataclasses
@@ -20,22 +23,51 @@ ROOT = Path(__file__).resolve().parents[2]
 #: where the file a kind-(i) row names may live
 SWEEPER_DIRS = ("src/repro/analysis/", "benchmarks/", "examples/")
 HEADING = "### `ClusterConfig` survivors"
+SUB_HEADING = "### Sub-config survivors"
 ROW = re.compile(r"^\| `(\w+)` \| (i|ii) \| (.+) \|$")
+SUB_ROW = re.compile(r"^\| `(\w+)\.(\w+)` \| (i|ii|deferred) \| (.+) \|$")
+#: sub-configs left out of the census, and the ROADMAP item they wait on
+EXCLUDED = {"FaultConfig": "item 1a"}
+
+
+def section(heading):
+    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
+    return text.split(heading, 1)[1].split("\n#", 1)[0]
 
 
 def survivors():
     """``(field, kind, where)`` per row of DESIGN.md's survivors table."""
-    text = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
-    section = text.split(HEADING, 1)[1].split("\n#", 1)[0]
-    return [m.groups() for m in map(ROW.match, section.splitlines()) if m]
+    return [m.groups() for m in map(ROW.match, section(HEADING).splitlines()) if m]
+
+
+def sub_survivors():
+    """``(class, field, kind, where)`` per row of the sub-config table."""
+    lines = section(SUB_HEADING).splitlines()
+    return [m.groups() for m in map(SUB_ROW.match, lines) if m]
 
 
 ROWS = survivors()
+SUB_ROWS = sub_survivors()
+#: the sub-config classes ClusterConfig carries, by name
+SUB_CONFIGS = {
+    type(f.default).__name__: type(f.default)
+    for f in dataclasses.fields(ClusterConfig)
+    if dataclasses.is_dataclass(f.default)
+}
 
 
 def sets_field(text, field):
-    """``field=`` as a keyword, or ``["field"]`` as a config-dict key."""
-    return re.search(rf"\b{field}=|\[[\"']{field}[\"']\]", text) is not None
+    """``field=`` as a keyword, or ``["field"]`` / ``"field":`` as a
+    config-dict key."""
+    return re.search(
+        rf"\b{field}=|\[[\"']{field}[\"']\]|[\"']{field}[\"']\s*:", text
+    ) is not None
+
+
+def sweeper_sets(where, field):
+    path = re.search(r"`([\w/.]+\.py)`", where).group(1)
+    assert path.startswith(SWEEPER_DIRS), path
+    return sets_field((ROOT / path).read_text(encoding="utf-8"), field)
 
 
 def test_table_names_exactly_the_fields():
@@ -49,11 +81,7 @@ def test_table_names_exactly_the_fields():
     [pytest.param(f, w, id=f) for f, kind, w in ROWS if kind == "i"],
 )
 def test_swept_field_is_set_where_the_table_says(field, where):
-    path = re.search(r"`([\w/.]+\.py)`", where).group(1)
-    assert path.startswith(SWEEPER_DIRS), path
-    assert sets_field((ROOT / path).read_text(encoding="utf-8"), field), (
-        f"{path} does not set {field}"
-    )
+    assert sweeper_sets(where, field), f"{where} does not set {field}"
 
 
 @pytest.mark.parametrize(
@@ -62,3 +90,42 @@ def test_swept_field_is_set_where_the_table_says(field, where):
 )
 def test_paper_parameter_cites_its_passage(field, where):
     assert "§" in where, f"{field}: no paper passage named"
+
+
+def test_sub_table_names_exactly_the_censused_fields():
+    names = [f"{cls}.{field}" for cls, field, _, _ in SUB_ROWS]
+    assert len(names) == len(set(names)), names
+    assert sorted(names) == sorted(
+        f"{name}.{f.name}"
+        for name, cls in SUB_CONFIGS.items() if name not in EXCLUDED
+        for f in dataclasses.fields(cls)
+    )
+
+
+@pytest.mark.parametrize("name,item", EXCLUDED.items())
+def test_excluded_sub_config_is_named_with_its_roadmap_item(name, item):
+    assert name in SUB_CONFIGS
+    text = section(SUB_HEADING)
+    assert f"`{name}`" in text and f"ROADMAP {item}" in text
+
+
+@pytest.mark.parametrize(
+    "field,where",
+    [pytest.param(f, w, id=f"{c}.{f}") for c, f, kind, w in SUB_ROWS if kind == "i"],
+)
+def test_swept_sub_field_is_set_where_the_table_says(field, where):
+    assert sweeper_sets(where, field), f"{where} does not set {field}"
+
+
+def test_paper_sub_parameters_cite_their_passage():
+    for cls, field, kind, where in SUB_ROWS:
+        assert kind != "ii" or "§" in where, f"{cls}.{field}: no paper passage named"
+
+
+@pytest.mark.parametrize(
+    "where",
+    [pytest.param(w, id=f"{c}.{f}") for c, f, kind, w in SUB_ROWS
+     if kind == "deferred"],
+)
+def test_deferred_sub_field_names_roadmap_item_2(where):
+    assert "ROADMAP item 2" in where

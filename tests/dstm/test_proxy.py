@@ -248,13 +248,3 @@ class TestBootstrap:
         cluster.alloc("x", 1, node=0)
         with pytest.raises(TransactionError):
             cluster.proxies[0].install_object("x", 2)
-
-    def test_bad_conflict_scope_rejected(self):
-        from repro.dstm.proxy import TMProxy
-
-        cluster = make_cluster()
-        with pytest.raises(ValueError):
-            TMProxy(
-                cluster.nodes[0], cluster.proxies[0].scheduler,
-                conflict_scope="nope",
-            )

@@ -1,6 +1,8 @@
 """Unit tests for fault plans: schedule generation, per-message fates,
 and the determinism guarantee."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,6 @@ class TestFaultConfigValidation:
 
     def test_replace_revalidates(self):
         cfg = FaultConfig()
-        assert cfg.replace(drop_rate=0.5).drop_rate == 0.5
+        assert dataclasses.replace(cfg, drop_rate=0.5).drop_rate == 0.5
         with pytest.raises(ValueError):
-            cfg.replace(drop_rate=2.0)
+            dataclasses.replace(cfg, drop_rate=2.0)

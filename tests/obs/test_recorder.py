@@ -38,9 +38,9 @@ class TestClusterWiring:
         assert len(cluster.tracer) == 0
 
     def test_obs_dict_coercion(self):
-        cfg = ClusterConfig(num_nodes=2, obs=dict(enabled=True, window=0.5))
+        cfg = ClusterConfig(num_nodes=2, obs=dict(enabled=True, jsonl_path="r.jsonl"))
         assert isinstance(cfg.obs, ObsConfig)
-        assert cfg.obs.window == 0.5
+        assert cfg.obs.jsonl_path == "r.jsonl"
 
     def test_trace_flag_keeps_in_memory_records(self):
         from repro.core.cluster import Cluster
@@ -50,10 +50,6 @@ class TestClusterWiring:
         )
         cluster.tracer.emit(0.0, "obs.queue", "o1", node="n0", len=0)
         assert len(cluster.tracer) == 1  # trace=True retains records too
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError):
-            ObsConfig(window=0.0)
 
 
 class TestRecorderThroughRun:

@@ -126,10 +126,6 @@ class TestRtsScheduler:
         )
         assert decision.kind is DecisionKind.ENQUEUE
 
-    def test_invalid_admission_rejected(self):
-        with pytest.raises(ValueError):
-            RtsScheduler(admission="bogus")
-
     def test_acquirer_bumps_backlog_copy_does_not(self):
         s = RtsScheduler(cl_threshold=10)
         q1 = RequesterList()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Counter, Tally, TimeWeighted
+from repro.sim.monitor import percentile
 
 
 class TestCounter:
@@ -82,6 +83,11 @@ class TestTally:
     def test_percentile_empty_returns_zero(self):
         assert Tally("t", keep_samples=True).percentile(50) == 0.0
 
+    @pytest.mark.parametrize("q", [0.0, 12.5, 50.0, 95.0, 99.0, 100.0])
+    def test_shared_percentile_is_numpy_linear(self, q):
+        data = sorted([3.0, 0.5, 9.25, 1.0, 7.5, 2.0, 4.0])
+        assert percentile(data, q) == pytest.approx(np.percentile(data, q))
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False, allow_infinity=False),
                     min_size=2, max_size=200))
@@ -117,6 +123,12 @@ class TestTimeWeighted:
         tw.update(5.0, 1.0)
         with pytest.raises(ValueError):
             tw.update(4.0, 2.0)
+
+    def test_average_before_last_update_rejected(self):
+        tw = TimeWeighted("q")
+        tw.update(5.0, 3.0)
+        with pytest.raises(ValueError, match="time went backwards"):
+            tw.average(1.0)
 
     def test_average_at_start_is_level(self):
         tw = TimeWeighted("q", initial=7.0, start_time=2.0)

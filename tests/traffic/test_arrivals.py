@@ -1,10 +1,12 @@
-"""Arrival processes: determinism, rate fidelity, trace replay."""
+"""Arrival processes: determinism and rate fidelity."""
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.sim import RngRegistry
-from repro.traffic import MmppProcess, PoissonProcess, TraceProcess, make_process
+from repro.traffic import MmppProcess, PoissonProcess, make_process
 
 
 def _stream(seed=7, name="traffic.arrivals[0]"):
@@ -14,10 +16,7 @@ def _stream(seed=7, name="traffic.arrivals[0]"):
 def _draw_times(process, n, rate=10.0):
     now, times = 0.0, []
     for _ in range(n):
-        dt = process.next_interval(now, rate)
-        if dt is None:
-            break
-        now += dt
+        now += process.next_interval(now, rate)
         times.append(now)
     return times
 
@@ -45,15 +44,13 @@ class TestPoisson:
 
 class TestMmpp:
     def test_same_seed_same_stream(self):
-        kwargs = dict(burst_factor=6.0, on_fraction=0.2, mean_cycle=1.0)
-        a = _draw_times(MmppProcess(_stream(), **kwargs), 500)
-        b = _draw_times(MmppProcess(_stream(), **kwargs), 500)
+        a = _draw_times(MmppProcess(_stream(), burst_factor=6.0), 500)
+        b = _draw_times(MmppProcess(_stream(), burst_factor=6.0), 500)
         assert a == b
 
     def test_long_run_rate_is_normalised(self):
         """The on/off modulation must average to the requested rate."""
-        p = MmppProcess(_stream(), burst_factor=8.0, on_fraction=0.25,
-                        mean_cycle=0.5)
+        p = MmppProcess(_stream(), burst_factor=8.0)
         times = _draw_times(p, 20000, rate=20.0)
         observed = len(times) / times[-1]
         assert observed == pytest.approx(20.0, rel=0.1)
@@ -61,57 +58,26 @@ class TestMmpp:
     def test_bursts_are_burstier_than_poisson(self):
         """Squared coefficient of variation of interarrivals > 1 (Poisson
         has exactly 1): the modulation adds variance."""
-        p = MmppProcess(_stream(), burst_factor=10.0, on_fraction=0.1,
-                        mean_cycle=2.0)
+        p = MmppProcess(_stream(), burst_factor=10.0)
         times = np.array(_draw_times(p, 8000, rate=10.0))
         gaps = np.diff(times)
         scv = gaps.var() / gaps.mean() ** 2
         assert scv > 1.3
 
     @pytest.mark.parametrize("kwargs", [
-        dict(burst_factor=0.5), dict(on_fraction=0.0),
-        dict(on_fraction=1.0), dict(mean_cycle=0.0),
+        dict(burst_factor=0.5), dict(burst_factor=math.nan),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             MmppProcess(_stream(), **kwargs)
 
 
-class TestTrace:
-    def test_exact_replay(self):
-        p = TraceProcess([0.5, 1.25, 1.25, 4.0])
-        assert _draw_times(p, 10) == [0.5, 1.25, 1.25, 4.0]
-
-    def test_exhaustion_returns_none(self):
-        p = TraceProcess([1.0])
-        assert p.next_interval(0.0, 1.0) == 1.0
-        assert p.next_interval(1.0, 1.0) is None
-
-    def test_skips_past_arrivals(self):
-        p = TraceProcess([1.0, 2.0, 3.0])
-        assert p.next_interval(2.5, 1.0) == pytest.approx(0.5)
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            TraceProcess([2.0, 1.0])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            TraceProcess([-1.0])
-
-
 class TestMakeProcess:
-    def test_trace_fans_round_robin(self):
-        trace = [0.1, 0.2, 0.3, 0.4, 0.5]
-        p0 = make_process("trace", _stream(), trace=trace, node=0, num_nodes=2)
-        p1 = make_process("trace", _stream(), trace=trace, node=1, num_nodes=2)
-        assert p0.times == (0.1, 0.3, 0.5)
-        assert p1.times == (0.2, 0.4)
+    def test_mmpp_takes_the_burst_factor(self):
+        p = make_process("mmpp", _stream(), 6.0)
+        assert isinstance(p, MmppProcess) and p.burst_factor == 6.0
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown arrival process"):
             make_process("uniform", _stream())
 
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError, match="non-empty trace"):
-            make_process("trace", _stream(), trace=())

@@ -55,6 +55,18 @@ class TestRejection:
         with pytest.raises(SystemExit):
             _parse(["--scenario", "diurnal"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--queue-capacity", "8"], ["--shed-policy", "drop-oldest"],
+    ], ids=["queue-capacity", "shed-policy"])
+    def test_admission_flags_without_arrival_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            _parse(argv)
+        assert "--arrival" in capsys.readouterr().err
+
+    def test_bad_queue_capacity_rejected(self):
+        with pytest.raises(SystemExit):
+            _parse(["--arrival", "poisson:10", "--queue-capacity", "0"])
+
     @pytest.mark.parametrize("spec", [
         "poisson", "poisson:fast", "uniform:10", "mmpp:10:4:9", "poisson:10:4",
     ])

@@ -86,11 +86,6 @@ class TestOpenLoopRun:
         # drop-oldest admits every live arrival; evictions are the shed
         assert x["admitted"] + x["backlog"] >= x["shed"]
 
-    def test_trace_process_replays_exactly(self):
-        trace = tuple(0.25 * i for i in range(1, 41))     # 40 arrivals
-        r = _run(_config(process="trace", trace=trace, nodes=2), horizon=12.0)
-        assert r.extra["offered"] == 40
-
     def test_stop_after_commits_rejected(self):
         with pytest.raises(ValueError, match="closed-loop stop condition"):
             run_experiment("bank", _config(), read_fraction=0.5,

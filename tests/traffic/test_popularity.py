@@ -1,4 +1,4 @@
-"""Popularity model: uniform byte-identity, skew, moving hotspot."""
+"""Popularity model: uniform byte-identity, skew, shifted hotspot."""
 
 import numpy as np
 import pytest
@@ -17,13 +17,13 @@ class TestUniformPath:
         (``rng.choice(n, size, replace=...)``) — the byte-identity
         contract the workload hooks rely on."""
         model = PopularityModel(s=0.0)
-        got = model.pick_many(_rng(), 16, 6, now=3.0, replace=False)
+        got = model.pick_many(_rng(), 16, 6, replace=False)
         want = _rng().choice(16, 6, replace=False)
         assert list(got) == list(want)
 
     def test_pick_matches_raw_integers_exactly(self):
         model = PopularityModel(s=0.0)
-        got = [model.pick(_rng(seed=s), 100, now=0.0) for s in range(20)]
+        got = [model.pick(_rng(seed=s), 100) for s in range(20)]
         want = [int(_rng(seed=s).integers(0, 100)) for s in range(20)]
         assert got == want
 
@@ -32,7 +32,7 @@ class TestSkew:
     def test_skew_concentrates_on_hotspot(self):
         model = PopularityModel(s=1.5)
         rng = _rng()
-        draws = model.pick_many(rng, 50, 4000, now=0.0)
+        draws = model.pick_many(rng, 50, 4000)
         counts = np.bincount(draws, minlength=50)
         # rank 0 (object 0, no rotation) is by far the most popular
         assert counts[0] == counts.max()
@@ -41,38 +41,29 @@ class TestSkew:
     def test_set_skew_retargets(self):
         model = PopularityModel(s=0.0)
         model.set_skew(2.0)
-        draws = model.pick_many(_rng(), 50, 2000, now=0.0)
+        draws = model.pick_many(_rng(), 50, 2000)
         counts = np.bincount(draws, minlength=50)
         assert counts[0] > 2000 / 50 * 5
 
     def test_same_seed_same_draws(self):
         model = PopularityModel(s=1.2)
-        a = list(model.pick_many(_rng(), 64, 100, now=0.0))
-        b = list(PopularityModel(s=1.2).pick_many(_rng(), 64, 100, now=0.0))
+        a = list(model.pick_many(_rng(), 64, 100))
+        b = list(PopularityModel(s=1.2).pick_many(_rng(), 64, 100))
         assert a == b
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PopularityModel(s=-1.0)
         with pytest.raises(ValueError):
-            PopularityModel(hotspot_period=0.0)
-        with pytest.raises(ValueError):
-            PopularityModel().pick(_rng(), 0, now=0.0)
+            PopularityModel().pick(_rng(), 0)
 
 
 class TestHotspot:
-    def test_rotation_advances_with_time(self):
-        model = PopularityModel(s=2.5, hotspot_period=1.0)
-        assert model.hotspot(10, now=0.0) == 0
-        assert model.hotspot(10, now=1.5) == 1
-        assert model.hotspot(10, now=9.99) == 9
-        assert model.hotspot(10, now=10.5) == 0  # wraps
-
     def test_shift_jumps_hotspot(self):
         model = PopularityModel(s=2.5)
         model.set_hotspot_shift(3)
-        assert model.hotspot(10, now=0.0) == 3
-        draws = model.pick_many(_rng(), 10, 2000, now=0.0)
+        assert model.hotspot(10) == 3
+        draws = model.pick_many(_rng(), 10, 2000)
         counts = np.bincount(draws, minlength=10)
         assert counts[3] == counts.max()
 
@@ -82,6 +73,6 @@ class TestHotspot:
         a = PopularityModel(s=1.5)
         b = PopularityModel(s=1.5)
         b.set_hotspot_shift(7)
-        draws_a = a.pick_many(_rng(), 20, 50, now=0.0)
-        draws_b = b.pick_many(_rng(), 20, 50, now=0.0)
+        draws_a = a.pick_many(_rng(), 20, 50)
+        draws_b = b.pick_many(_rng(), 20, 50)
         assert list((draws_a + 7) % 20) == list(draws_b)
