@@ -102,7 +102,6 @@ class Cluster:
             self.rngs.stream("topology"),
             min_delay=config.min_link_delay,
             max_delay=config.max_link_delay,
-            bandwidth=BANDWIDTH if config.payload.enabled else None,
         )
         self.network = Network(
             self.env, self.topology, tracer=self.tracer,
@@ -120,9 +119,7 @@ class Cluster:
         self.payload_plane: Optional[PayloadPlane] = None
         if plc.enabled:
             self.payload_plane = PayloadPlane(plc, config.num_nodes)
-            self.network.cost = WireCostModel(
-                self.topology.bandwidth_of, SER_PER_BYTE, CONTROL_SIZE
-            )
+            self.network.cost = WireCostModel(BANDWIDTH, SER_PER_BYTE, CONTROL_SIZE)
         self.metrics = MetricsCollector(keep_latency_samples=oc.enabled)
 
         # RPC substrate (repro.rpc).  Strictly additive: the default

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -198,8 +199,10 @@ class RpcConfig:
     cache_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not self.batch_window >= 0:
-            raise ValueError(f"batch_window must be >= 0, got {self.batch_window}")
+        if not 0 <= self.batch_window < math.inf:  # an inf window never flushes
+            raise ValueError(
+                f"batch_window must be finite and >= 0, got {self.batch_window}"
+            )
         if self.cache_capacity is not None:
             _check_int("cache_capacity", self.cache_capacity, 1)
 

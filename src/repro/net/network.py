@@ -17,6 +17,7 @@ Nothing waits on an arrival, so there is no Event to build
 from __future__ import annotations
 
 import copy
+import math
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.net.message import Message, MessageType
@@ -24,7 +25,9 @@ from repro.net.topology import Topology
 from repro.sim import PRIORITY_NORMAL, Counter, Environment, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.injector import FaultInjector
     from repro.net.node import Node
+    from repro.rpc.batch import PiggybackBatcher
 
 __all__ = ["Network", "WireCostModel"]
 
@@ -32,31 +35,33 @@ __all__ = ["Network", "WireCostModel"]
 class WireCostModel:
     """Bytes-on-wire charging for remote messages (payload plane).
 
-    Every remote message pays ``wire / bandwidth(src, dst) + wire *
-    ser_per_byte`` of extra delay on top of the static link latency,
-    where ``wire = control_size + msg.wire_bytes`` — a fixed control
-    envelope plus whatever payload bytes the sender attached.  Installed
-    on the :class:`Network` only when ``PayloadConfig.enabled``; a
-    ``None`` model keeps the pre-payload timeline byte-identical.
+    Every remote message pays ``wire / bandwidth + wire * ser_per_byte``
+    of extra delay on top of the static link latency, where ``wire =
+    control_size + msg.wire_bytes`` — a fixed control envelope plus
+    whatever payload bytes the sender attached.  Every link shares the
+    one ``bandwidth`` (bytes/second).  :meth:`Network.send` evaluates
+    the formula inline, once per remote send; this object only holds its
+    three constants.  Installed on the :class:`Network` only when
+    ``PayloadConfig.enabled``; a ``None`` model keeps the pre-payload
+    timeline byte-identical.
     """
 
-    __slots__ = ("bandwidth_of", "ser_per_byte", "control_size")
+    __slots__ = ("bandwidth", "ser_per_byte", "control_size")
 
     def __init__(
-        self,
-        bandwidth_of: Callable[[int, int], float],
-        ser_per_byte: float,
-        control_size: int,
+        self, bandwidth: float, ser_per_byte: float, control_size: int
     ) -> None:
-        self.bandwidth_of = bandwidth_of
+        if not 0 < bandwidth < math.inf:  # false for NaN too
+            raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth!r}")
+        if not 0 <= ser_per_byte < math.inf:
+            raise ValueError(
+                f"ser_per_byte must be finite and >= 0, got {ser_per_byte!r}"
+            )
+        if control_size < 0:
+            raise ValueError(f"control_size must be >= 0, got {control_size!r}")
+        self.bandwidth = float(bandwidth)
         self.ser_per_byte = float(ser_per_byte)
         self.control_size = int(control_size)
-
-    def extra_delay(self, src: int, dst: int, payload_bytes: int) -> float:
-        wire = self.control_size + payload_bytes
-        return (
-            wire / self.bandwidth_of(src, dst) + wire * self.ser_per_byte
-        )
 
 
 class Network:
@@ -82,11 +87,11 @@ class Network:
         #: optional :class:`repro.faults.FaultInjector`; when set, it
         #: decides each message's fate (drop / duplicate / extra delay)
         #: at send time and can veto delivery (crashed destination).
-        self.injector = None
+        self.injector: Optional["FaultInjector"] = None
         #: optional :class:`repro.rpc.PiggybackBatcher`; when set, remote
         #: sends coalesce per link for one window before flushing (local
         #: sends never batch — they are function calls, not wire traffic).
-        self.batcher = None
+        self.batcher: Optional["PiggybackBatcher"] = None
         #: optional :class:`WireCostModel`; when set, every remote send
         #: additionally pays a bytes-on-wire transfer + serialization
         #: delay and the byte counters below accumulate.
@@ -137,7 +142,9 @@ class Network:
         delay = self._delay_rows[src][dst] if remote else self.local_delay
         cost = self.cost
         if cost is not None and remote:
-            delay += cost.extra_delay(src, dst, msg.wire_bytes)
+            # the WireCostModel formula, in its one place
+            wire = cost.control_size + msg.wire_bytes
+            delay += wire / cost.bandwidth + wire * cost.ser_per_byte
             self.control_bytes += cost.control_size
             self.payload_bytes += msg.wire_bytes
         self.messages_sent.value += 1
@@ -178,30 +185,28 @@ class Network:
         dup.sent_at = msg.sent_at
         return dup
 
-    # -- batched path (repro.rpc.PiggybackBatcher) -------------------------
+    # -- batched path (repro.rpc.PiggybackBatcher._flush) -------------------
 
-    def deliver_batch(self, batch: List[Tuple[Message, float]]) -> None:
-        """Ship a flushed coalescing buffer: members whose fate is the
-        plain link delay ride ONE traversal call; fault injection still
-        judges each member individually, and a member the injector drops,
-        duplicates, or delays falls back to its own arrival call."""
+    def judge_batch(self, batch: List[Tuple[Message, float]]) -> List[Message]:
+        """Fault injection's verdict on a flushed coalescing buffer: each
+        member is judged individually; those whose fate is the plain link
+        delay are returned to ride the batch's one traversal, and a member
+        the injector drops, duplicates or delays falls back to its own
+        arrival call."""
         riders: List[Message] = []
-        link_delay = batch[0][1]
         env = self.env
+        injector = self.injector
+        assert injector is not None  # the batcher judges only in fault mode
         arrive = self._arrivals[batch[0][0].dst]  # one link: one destination
         for msg, delay in batch:
-            if self.injector is None:
-                riders.append(msg)
-                continue
-            delays = self.injector.on_send(msg, delay)
+            delays = injector.on_send(msg, delay)
             for i, d in enumerate(delays):
                 member = msg if i == 0 else self._clone(msg)
                 if d == delay:
                     riders.append(member)
                 else:
                     env.call_later(d, arrive, member)
-        if riders:
-            env.call_later(link_delay, self._deliver_riders, riders)
+        return riders
 
     def _deliver_riders(self, riders: List[Message]) -> None:
         arrive = self._arrivals[riders[0].dst]

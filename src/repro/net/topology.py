@@ -11,7 +11,7 @@ is *static*, exactly as in §IV-A of the paper.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,18 +33,11 @@ class Topology:
         rng: np.random.Generator,
         min_delay: float = 1.0 * MS,
         max_delay: float = 50.0 * MS,
-        bandwidth: Optional[float] = None,
     ) -> None:
         if num_nodes < 1:
             raise ValueError(f"need >= 1 node, got {num_nodes}")
         if not 0 < min_delay <= max_delay:
             raise ValueError(f"need 0 < min_delay <= max_delay, got [{min_delay}, {max_delay}]")
-        if bandwidth is not None and bandwidth <= 0:
-            raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-        #: per-link bandwidth baseline (bytes/second); None until the
-        #: payload plane installs one — :meth:`bandwidth_of` is the
-        #: per-link lookup the wire cost model binds.
-        self.link_bandwidth = float(bandwidth) if bandwidth is not None else None
         self.num_nodes = num_nodes
         self.min_delay = float(min_delay)
         self.max_delay = float(max_delay)
@@ -82,19 +75,6 @@ class Topology:
     def delay(self, src: int, dst: int) -> float:
         """One-way link delay between ``src`` and ``dst`` (0 for src==dst)."""
         return self.delay_rows[src][dst]
-
-    def bandwidth_of(self, src: int, dst: int) -> float:
-        """Link bandwidth in bytes/second between ``src`` and ``dst``.
-
-        The link structure mirrors :meth:`delay`: static and symmetric.
-        Today every link shares one configured baseline (the payload
-        plane's ``repro.rpc.payload.BANDWIDTH``); the per-link signature is
-        the extension point for heterogeneous fabrics.  Raises if no
-        bandwidth was configured (payload plane off).
-        """
-        if self.link_bandwidth is None:
-            raise ValueError("topology has no bandwidth configured")
-        return self.link_bandwidth
 
     def mean_delay(self) -> float:
         """Average off-diagonal delay (0 for a single node).

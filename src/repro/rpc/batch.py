@@ -15,6 +15,13 @@ k-message batch costs one flush call plus one delivery call instead of
 k arrival calls, so the host-side events/sec of big-cluster runs improves
 alongside the modelled latency semantics.
 
+A batch costs three Python frames on top of the plain route
+(``tests/net/test_hop_budget.py``): :meth:`PiggybackBatcher.enqueue`,
+:meth:`PiggybackBatcher._flush` and the riders' ``Network._deliver_riders``.
+Both kernel entries are pushed inline, as ``Network.send`` pushes its
+own, which is why the window must be finite and positive: nothing checks
+it per push.
+
 Installed onto a :class:`~repro.net.network.Network` like the fault
 injector; ``window == 0`` (the default config) never constructs one, so
 the legacy per-message path — and byte-identical same-seed runs — is the
@@ -25,10 +32,11 @@ keep their per-message semantics.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.net.message import Message
-from repro.sim import Environment, Tracer
+from repro.sim import PRIORITY_NORMAL, Environment, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
@@ -45,8 +53,8 @@ class PiggybackBatcher:
         window: float,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        if window <= 0:
-            raise ValueError(f"batch window must be > 0, got {window}")
+        if not 0 < window < math.inf:  # false for NaN too
+            raise ValueError(f"batch window must be finite and > 0, got {window!r}")
         self.env = env
         self.window = float(window)
         self.tracer = tracer or Tracer()
@@ -69,14 +77,19 @@ class PiggybackBatcher:
         """Buffer ``msg`` for its link; returns the scheduled delivery time."""
         key = (msg.src, msg.dst)
         buffer = self._buffers.get(key)
+        env = self.env
         if buffer is None:
             self._buffers[key] = [(msg, delay)]
-            self.env.call_later(self.window, self._flush, key)
+            # Environment.call_later's push, inlined (the window is valid)
+            env._seq += 1
+            env._qpush(
+                (env._now + self.window, PRIORITY_NORMAL, env._seq, self._flush, key)
+            )
         else:
             buffer.append((msg, delay))
         # Every member leaves when the window closes and rides one link
         # traversal (static per-link delay, so one time fits all).
-        return self.env._now + self.window + delay
+        return env._now + self.window + delay
 
     def _flush(self, key: Tuple[int, int]) -> None:
         batch = self._buffers.pop(key)
@@ -85,14 +98,31 @@ class PiggybackBatcher:
         self.batched_messages += size
         if size > self.max_batch:
             self.max_batch = size
+        env = self.env
         tracer = self.tracer
         if tracer.enabled and tracer.wants("rpc.batch"):
             src, dst = key
             tracer.emit(
-                self.env.now, "rpc.batch", f"{src}->{dst}",
+                env._now, "rpc.batch", f"{src}->{dst}",
                 src=src, dst=dst, size=size,
             )
-        self.network.deliver_batch(batch)
+        network = self.network
+        if network.injector is None:
+            # every member rides; a loop, since a comprehension is a frame
+            riders: List[Message] = []
+            for msg, _ in batch:
+                riders.append(msg)
+        else:
+            riders = network.judge_batch(batch)
+            if not riders:
+                return
+        # One link traversal at the first member's delay, pushed inline
+        # with the entry call_later would make
+        env._seq += 1
+        env._qpush((
+            env._now + batch[0][1], PRIORITY_NORMAL, env._seq,
+            network._deliver_riders, riders,
+        ))
 
     def mean_batch(self) -> float:
         return self.batched_messages / self.batches if self.batches else 0.0

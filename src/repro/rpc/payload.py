@@ -55,7 +55,7 @@ __all__ = [
 #: control-plane bytes a proxy-mode grant carries: the ObjectProxy
 #: descriptor itself
 PROXY_SIZE = 64
-#: per-link bandwidth, bytes/second (125 MB/s = 1 Gbit/s)
+#: the bandwidth every link shares, bytes/second (125 MB/s = 1 Gbit/s)
 BANDWIDTH = 125e6
 #: per-byte serialization/deserialization delay, seconds/byte
 SER_PER_BYTE = 1e-9

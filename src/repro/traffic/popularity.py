@@ -15,15 +15,100 @@ selection routes through it:
 
 The model holds no RNG of its own: every draw consumes the caller's
 named seeded stream, so arrival streams stay byte-identical per seed.
+
+Every ``s > 0`` draw goes through :func:`zipf_draw`, the one weighted
+sampler (``repro.workloads.base.zipf_choice`` uses it too).  It returns
+exactly what ``Generator.choice(n, size, replace, p=weights)`` would and
+leaves the stream where ``choice`` would, but bisects a cached CDF per
+``rng.random()`` double instead of paying ``choice``'s per-call
+validation, ``cumsum`` and ``np.unique``:
+
+* with replacement (and :meth:`PopularityModel.pick`), each double is
+  ``bisect_right`` over the CDF — numpy's ``searchsorted(side='right')``;
+* without replacement, numpy's rejection loop is replayed: each round
+  draws ``size - found`` doubles; from the second round on, the found
+  ranks' weights are zeroed and the CDF rebuilt (so they cannot recur),
+  and the new ranks of a round are kept in first-occurrence order, which
+  is what ``np.unique(return_index=True)`` plus ``sort`` yields.
+
+The CDF is ``accumulate`` then division by its last entry — numpy's
+``np.cumsum(p); cdf /= cdf[-1]``, addition for addition.  ``s = 0``
+stays on ``rng.choice`` / ``rng.integers``: that is the closed-loop draw
+the uniform path must equal byte for byte, and numpy's uniform sampler is
+faster than a Python replica of it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import bisect
+import functools
+import itertools
+import math
+from typing import List, Tuple
 
 import numpy as np
 
-__all__ = ["PopularityModel"]
+__all__ = ["PopularityModel", "zipf_draw"]
+
+#: numpy's tolerance on ``sum(p) == 1`` in ``Generator.choice``
+_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _cdf(weights: List[float]) -> List[float]:
+    """``np.cumsum(weights) / last`` in the same float operations."""
+    cdf = list(itertools.accumulate(weights))
+    last = cdf[-1]
+    return [c / last for c in cdf]
+
+
+@functools.lru_cache(maxsize=None)
+def _table(n: int, s: float) -> Tuple[List[float], List[float], int]:
+    """Rank weights ``1/(r+1)^s`` normalised, their CDF, and how many
+    are positive (a large ``s`` underflows the tail to 0)."""
+    array = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), s)
+    array /= array.sum()
+    weights = array.tolist()
+    total = math.fsum(weights)
+    if math.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if abs(total - 1.0) > _SUM_ATOL:
+        raise ValueError("Probabilities do not sum to 1")
+    return weights, _cdf(weights), int(np.count_nonzero(array > 0))
+
+
+def zipf_draw(
+    rng: np.random.Generator, n: int, s: float, size: int, replace: bool
+) -> List[int]:
+    """``size`` ranks from [0, n) with weight ``1/(r+1)^s`` — what
+    ``rng.choice(n, size, replace, p=weights)`` returns, as a list."""
+    if s == 0:
+        return rng.choice(n, size, replace=replace).tolist()
+    weights, cdf, positive = _table(n, float(s))
+    bisect_right = bisect.bisect_right
+    found: List[int] = []
+    if replace:
+        for x in rng.random(size).tolist():
+            found.append(bisect_right(cdf, x))
+        return found
+    if size > n:
+        raise ValueError(
+            "Cannot take a larger sample than population when replace is False"
+        )
+    if positive < size:
+        raise ValueError("Fewer non-zero entries in p than size")
+    while len(found) < size:
+        draws = rng.random(size - len(found)).tolist()
+        if found:
+            weights = list(weights)
+            for rank in found:
+                weights[rank] = 0.0
+            cdf = _cdf(weights)
+        for x in draws:
+            rank = bisect_right(cdf, x)
+            # earlier rounds' ranks have zero width: only this round's repeat
+            if rank not in found:
+                found.append(rank)
+    return found
 
 
 class PopularityModel:
@@ -35,8 +120,6 @@ class PopularityModel:
         self.s = float(s)
         #: scenario-controlled extra rotation (phase boundaries jump it)
         self.shift = 0
-        #: (n, s) -> normalised rank weights (reused across draws)
-        self._weights: Dict[Tuple[int, float], np.ndarray] = {}
 
     # -- retargeting (scenario hooks) -----------------------------------
 
@@ -50,15 +133,6 @@ class PopularityModel:
 
     # -- selection -------------------------------------------------------
 
-    def _rank_weights(self, n: int) -> np.ndarray:
-        key = (n, self.s)
-        weights = self._weights.get(key)
-        if weights is None:
-            weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), self.s)
-            weights /= weights.sum()
-            self._weights[key] = weights
-        return weights
-
     def hotspot(self, n: int) -> int:
         """The index of the currently hottest object (rank 0)."""
         return self.shift % n
@@ -69,15 +143,15 @@ class PopularityModel:
         n: int,
         size: int,
         replace: bool = True,
-    ) -> np.ndarray:
+    ) -> List[int]:
         """Draw ``size`` object indices from [0, n)."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        if self.s == 0:
-            ranks = rng.choice(n, size, replace=replace)
-        else:
-            ranks = rng.choice(n, size=size, replace=replace, p=self._rank_weights(n))
-        return (ranks + self.hotspot(n)) % n
+        ranks = zipf_draw(rng, n, self.s, size, replace)
+        shift = self.shift % n
+        if shift:
+            return [(rank + shift) % n for rank in ranks]
+        return ranks
 
     def pick(self, rng: np.random.Generator, n: int) -> int:
         """Draw one object index from [0, n)."""
@@ -86,8 +160,8 @@ class PopularityModel:
         if self.s == 0:
             rank = int(rng.integers(0, n))
         else:
-            rank = int(rng.choice(n, p=self._rank_weights(n)))
-        return (rank + self.hotspot(n)) % n
+            rank = bisect.bisect_right(_table(n, self.s)[1], rng.random())
+        return (rank + self.shift) % n
 
     def __repr__(self) -> str:
         return f"<PopularityModel s={self.s} shift={self.shift}>"

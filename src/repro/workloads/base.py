@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,22 +22,23 @@ __all__ = ["Op", "Workload"]
 def zipf_choice(
     rng: np.random.Generator, n: int, s: float, size: int = 1,
     replace: bool = True,
-) -> np.ndarray:
+) -> List[int]:
     """Draw indices from a bounded Zipf(s) distribution over [0, n).
 
     ``s = 0`` is uniform; larger ``s`` concentrates the mass on low
     indices (hot spots).  Unlike ``rng.zipf`` the support is bounded, so
-    it is usable for key selection directly.
+    it is usable for key selection directly.  The draw is the traffic
+    plane's :func:`~repro.traffic.popularity.zipf_draw` (one cached table
+    per ``(n, s)``).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
-    if s == 0:
-        return rng.choice(n, size=size, replace=replace)
-    weights = 1.0 / np.power(np.arange(1, n + 1), s)
-    weights /= weights.sum()
-    return rng.choice(n, size=size, replace=replace, p=weights)
+    # Lazy: a default cell's import graph leaves repro.traffic out
+    from repro.traffic.popularity import zipf_draw
+
+    return zipf_draw(rng, n, s, size, replace)
 
 
 @dataclass
@@ -77,7 +78,7 @@ class Workload(abc.ABC):
 
     def pick_indices(
         self, rng: np.random.Generator, n: int, size: int, replace: bool = True
-    ) -> np.ndarray:
+    ) -> Sequence[int]:
         """Draw ``size`` object indices from [0, n).
 
         Uniform (the exact pre-traffic draw, byte-for-byte) unless a

@@ -75,6 +75,18 @@ class TestCoalescing:
         with pytest.raises(ValueError):
             PiggybackBatcher(env, window=0.0)
 
+    @pytest.mark.parametrize("window", [float("inf"), float("nan"), -0.002])
+    def test_window_must_be_finite(self, env, window):
+        """An infinite window never flushes (every remote message would
+        silently vanish) and a NaN one would reach the kernel's heap: both
+        are refused before any message is enqueued."""
+        with pytest.raises(ValueError, match="finite and > 0"):
+            PiggybackBatcher(env, window=window)
+
+    def test_config_refuses_an_infinite_window(self):
+        with pytest.raises(ValueError, match="batch_window must be finite"):
+            ClusterConfig(rpc=dict(batch_window=float("inf")))
+
 
 class TestClusterWithBatching:
     CFG = dict(num_nodes=6, seed=9, scheduler=SchedulerKind.RTS,
@@ -103,7 +115,7 @@ class TestClusterWithBatching:
 
 @pytest.mark.xfail(
     strict=True,
-    reason="Network.deliver_batch ships every rider at the first member's "
+    reason="PiggybackBatcher._flush ships every rider at the first member's "
     "delay, so with the wire-cost model on a coalesced payload rides free; "
     "fixing it moves serve_proxy_bank_8's simulated timeline (own PR, own "
     "digest change) — DESIGN.md §3d/§3i",
@@ -114,7 +126,7 @@ def test_batched_member_pays_its_own_wire_cost(env, net2):
     network, nodes = net2
     PiggybackBatcher(env, window=0.010).install(network)
     # 1 MB/s link, no serialization cost, empty control envelope
-    network.cost = WireCostModel(lambda src, dst: 1_000_000.0, 0.0, 0)
+    network.cost = WireCostModel(1_000_000.0, 0.0, 0)
     arrivals = []
     nodes[1].on(MessageType.PING, lambda msg: arrivals.append(env.now))
     nodes[0].send(1, MessageType.PING)

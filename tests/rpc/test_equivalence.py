@@ -51,6 +51,22 @@ OBS_JSONL_SHA256 = (
 )
 
 
+#: the opt-in serving path, which the default-config PINS never run:
+#: Poisson arrivals with Zipf(1.2) object draws, a 2 ms batch window, the
+#: fenced lookup cache and 1 MiB proxy payloads on the wire-cost model.
+#: (workload, num_nodes, seed) -> digest, same fields as PINS.  Recorded
+#: at commit 55b201b, before the sampler, the batch flush and the wire
+#: cost were rewritten for speed; the rewrite holds them bit-for-bit.
+SERVING_PINS = {
+    ("bank", 8, 1): (96, 193, 6698, 4, 71, "0.5590154230992634"),
+    ("dht", 6, 3): (154, 13, 1635, 2, 4, "0.23737650894361215"),
+}
+
+#: a closed-loop dht cell with its own static skew: the per-operation
+#: Zipf draw of ``repro.workloads.base.zipf_choice`` (same commit)
+SKEWED_DHT_PIN = (421, 164, 4426, 4, 59, "0.17418334316483072")
+
+
 def digest(result):
     """The protocol-observable fields of a result, in PINS order."""
     return (
@@ -73,6 +89,33 @@ def run_cell(workload, num_nodes, seed, **kwargs):
 def test_default_config_matches_pre_substrate_pin(cell):
     result = run_cell(*cell)
     assert digest(result) == PINS[cell]
+
+
+@pytest.mark.parametrize(
+    "cell", sorted(SERVING_PINS), ids=lambda c: f"{c[0]}-n{c[1]}"
+)
+def test_serving_path_matches_its_pin(cell):
+    result = run_cell(
+        *cell,
+        arrival=dict(enabled=True, process="poisson", rate=20.0, zipf_s=1.2),
+        payload=dict(enabled=True, proxy=True, size=1 << 20),
+        rpc=dict(cache=True, batch_window=0.002),
+    )
+    assert digest(result) == SERVING_PINS[cell]
+    # the pin covers the layers it names: batches flushed, bytes charged
+    assert result.extra["rpc_batches"] > 0
+    assert result.extra["payload_bytes_on_wire"] > 0
+
+
+def test_skewed_dht_matches_its_pin():
+    cfg = ClusterConfig(
+        num_nodes=6, seed=3, scheduler=SchedulerKind.RTS, cl_threshold=4,
+    )
+    result = run_experiment(
+        "dht", cfg, read_fraction=0.9, workers_per_node=2, horizon=8.0,
+        workload_kwargs=dict(skew=1.2),
+    )
+    assert digest(result) == SKEWED_DHT_PIN
 
 
 def test_obs_timeline_matches_the_recorded_sha(tmp_path):

@@ -11,8 +11,10 @@ import pytest
 from repro.core import Cluster
 from repro.core.config import CheckConfig, ClusterConfig, PayloadConfig
 from repro.core.experiment import run_experiment
+from repro.net import Message, MessageType, Network, Node, Topology
 from repro.net.network import WireCostModel
 from repro.rpc.payload import PayloadPlane
+from repro.sim import RngRegistry
 
 
 def make_plane(num_nodes=3, **cfg_kw):
@@ -100,21 +102,44 @@ class TestPayloadPlane:
         assert plane.hit_rate() == 0.5
 
 
+def _charged_send(env, cost, wire_bytes):
+    """Delivery time of one 0 -> 1 send under ``cost``, minus the link."""
+    topo = Topology(2, RngRegistry(seed=5).stream("topology"))
+    network = Network(env, topo)
+    for i in range(2):
+        Node(env, network, i)
+    network.cost = cost
+    when = network.send(Message(MessageType.PING, 0, 1, wire_bytes=wire_bytes))
+    return when - topo.delay(0, 1)
+
+
 class TestWireCostModel:
-    def test_extra_delay_arithmetic(self):
-        model = WireCostModel(
-            bandwidth_of=lambda s, d: 1e6, ser_per_byte=1e-9, control_size=100,
-        )
+    def test_extra_delay_arithmetic(self, env):
+        model = WireCostModel(bandwidth=1e6, ser_per_byte=1e-9, control_size=100)
         # (100 + 900) bytes over 1 MB/s + per-byte serialization
-        assert model.extra_delay(0, 1, 900) == pytest.approx(
+        assert _charged_send(env, model, 900) == pytest.approx(
             1_000 / 1e6 + 1_000 * 1e-9
         )
 
-    def test_zero_payload_still_bills_control_size(self):
-        model = WireCostModel(
-            bandwidth_of=lambda s, d: 2e6, ser_per_byte=0.0, control_size=256,
-        )
-        assert model.extra_delay(0, 1, 0) == pytest.approx(256 / 2e6)
+    def test_zero_payload_still_bills_control_size(self, env):
+        model = WireCostModel(bandwidth=2e6, ser_per_byte=0.0, control_size=256)
+        assert _charged_send(env, model, 0) == pytest.approx(256 / 2e6)
+
+    @pytest.mark.parametrize(
+        "bandwidth", [0.0, -1e6, float("inf"), float("nan")]
+    )
+    def test_bandwidth_must_be_finite_and_positive(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth"):
+            WireCostModel(bandwidth, 1e-9, 256)
+
+    @pytest.mark.parametrize("ser_per_byte", [-1e-9, float("inf"), float("nan")])
+    def test_ser_per_byte_must_be_finite_and_non_negative(self, ser_per_byte):
+        with pytest.raises(ValueError, match="ser_per_byte"):
+            WireCostModel(125e6, ser_per_byte, 256)
+
+    def test_control_size_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="control_size"):
+            WireCostModel(125e6, 1e-9, -1)
 
 
 # ---------------------------------------------------------------------------
