@@ -75,7 +75,7 @@ class TestCoalescing:
         with pytest.raises(ValueError):
             PiggybackBatcher(env, window=0.0)
 
-    @pytest.mark.parametrize("window", [float("inf"), float("nan"), -0.002])
+    @pytest.mark.parametrize("window", [float("inf"), float("nan")])
     def test_window_must_be_finite(self, env, window):
         """An infinite window never flushes (every remote message would
         silently vanish) and a NaN one would reach the kernel's heap: both
