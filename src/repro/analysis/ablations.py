@@ -11,9 +11,7 @@
   models; the open rows use Bank's compensating-transfer variant).
 * **A5 — conflict scope**: who a lost conflict kills (root / level /
   mixed — see ``ClusterConfig.conflict_scope``).
-* **A6 — contention manager**: holder-wins (paper) vs greedy-timestamp.
 * **A7 — abort overhead**: framework rollback-cost sensitivity.
-* **A8 — RTS admission**: Algorithm 3 literal vs economic calibration.
 * **A9 — CC locator**: Arrow tree protocol vs home directory under
   synthetic migration churn.
 """
@@ -25,7 +23,6 @@ from typing import Any, Dict, List
 from repro.analysis.render import render_table
 from repro.analysis.scales import SCALES, Scale
 from repro.core.config import ClusterConfig, SchedulerKind
-from repro.dstm.contention import WinnerPolicy
 from repro.dstm.transaction import NestingModel
 from repro.net.topology import MS
 from repro.par import CellSpec, run_grid
@@ -36,7 +33,6 @@ __all__ = [
     "run_network_ablation",
     "run_nesting_ablation",
     "run_conflict_scope_ablation",
-    "run_contention_manager_ablation",
     "ALL_ABLATIONS",
 ]
 
@@ -210,63 +206,6 @@ def run_conflict_scope_ablation(
     return rows
 
 
-def run_contention_manager_ablation(
-    scale: str | Scale = "quick", seed: int = 1, bench: str = "bank",
-    jobs: int = 1, cache_dir: str | None = None,
-) -> List[Dict[str, Any]]:
-    """A6: holder-wins (paper) vs greedy-timestamp dooming."""
-    preset = SCALES[scale] if isinstance(scale, str) else scale
-    grid = [(policy, sched)
-            for policy in (WinnerPolicy.HOLDER_WINS, WinnerPolicy.GREEDY_TIMESTAMP)
-            for sched in (SchedulerKind.RTS, SchedulerKind.TFA)]
-    specs = [
-        _spec(bench, ClusterConfig(num_nodes=preset.table_nodes, seed=seed,
-                                   scheduler=sched, cl_threshold=4,
-                                   winner_policy=policy), 0.1, preset)
-        for policy, sched in grid
-    ]
-    rows = []
-    for (policy, sched), res in zip(grid, run_grid(specs, jobs, cache_dir)):
-        rows.append({
-            "winner_policy": policy.value,
-            "scheduler": sched.value,
-            "throughput": res.throughput,
-            "aborts": res.root_aborts,
-        })
-    return rows
-
-
-def run_admission_ablation(
-    scale: str | Scale = "quick", seed: int = 1, bench: str = "bank",
-    jobs: int = 1, cache_dir: str | None = None,
-) -> List[Dict[str, Any]]:
-    """A8: RTS execution-time admission rule (paper-literal vs economic)."""
-    preset = SCALES[scale] if isinstance(scale, str) else scale
-    grid = [(admission, rf, contention)
-            for admission in ("paper", "economic")
-            for rf, contention in ((0.9, "low"), (0.1, "high"))]
-    specs = [
-        _spec(bench, ClusterConfig(num_nodes=preset.table_nodes, seed=seed,
-                                   scheduler=SchedulerKind.RTS, cl_threshold=4,
-                                   rts_admission=admission), rf, preset)
-        for admission, rf, _contention in grid
-    ]
-    rows = []
-    for (admission, _rf, contention), res in zip(
-        grid, run_grid(specs, jobs, cache_dir)
-    ):
-        rows.append({
-            "admission": admission,
-            "contention": contention,
-            "throughput": res.throughput,
-            "aborts": res.root_aborts,
-            "messages_per_commit": round(
-                res.messages_sent / max(res.commits, 1), 1
-            ),
-        })
-    return rows
-
-
 def run_abort_cost_ablation(
     scale: str | Scale = "quick", seed: int = 1, bench: str = "bank",
     jobs: int = 1, cache_dir: str | None = None,
@@ -400,9 +339,7 @@ ALL_ABLATIONS = {
     "network": (run_network_ablation, "A3 — link-delay band sensitivity (linked list)"),
     "nesting": (run_nesting_ablation, "A4 — closed vs flat vs open nesting (bank)"),
     "conflict-scope": (run_conflict_scope_ablation, "A5 — conflict victim scope (bank)"),
-    "contention-manager": (run_contention_manager_ablation, "A6 — contention manager (bank)"),
     "abort-cost": (run_abort_cost_ablation, "A7 — framework abort-overhead sensitivity (bank, high contention)"),
-    "admission": (run_admission_ablation, "A8 — RTS admission rule: paper-literal vs economic (bank)"),
     "locator": (run_locator_ablation, "A9 — CC locator: Arrow vs home directory (synthetic churn)"),
 }
 

@@ -441,7 +441,6 @@ def _bug_lost_wakeup() -> Iterator[None]:
         if obj is None:
             return
         self._hold_started.pop(oid, None)
-        self._holder_start.pop(oid, None)
         obj.release()
         queue = self.queues.get(oid)
         if queue is None or not len(queue):
@@ -486,7 +485,7 @@ class RunOutcome:
     widths: List[int]
     violations: List[Dict[str, str]]
     outcomes: Dict[int, str]
-    commits: List[Dict[str, Any]]
+    commits: List[CommitRecord]
     log: List[Dict[str, Any]]
     truncated: bool
     events: int
@@ -525,19 +524,13 @@ def _run_once(cfg: ExploreConfig, prefix: Sequence[int]) -> RunOutcome:
         cl_threshold=cfg.cl_threshold,
         check=CheckConfig(sanitize=True),
     ))
+    # The sanitizer keeps the committed history and the hand-off waits
+    # the terminal checks read.
+    sanitizer = cluster.sanitizer
+    assert sanitizer is not None
     oids = [f"x{i}" for i in range(cfg.objects)]
     for i, oid in enumerate(oids):
         cluster.alloc(oid, 0, node=i % cfg.nodes)
-
-    commits: List[Dict[str, Any]] = []
-    enqueue_waits: List[Tuple[str, str, float, float, bool]] = []
-    for engine in cluster.engines:
-        engine.commit_observer = commits.append
-    for proxy in cluster.proxies:
-        proxy.enqueue_observer = (
-            lambda txid, oid, budget, waited, won:
-            enqueue_waits.append((txid, oid, budget, waited, won))
-        )
 
     outcomes: Dict[int, str] = {}
     for k in range(cfg.txns):
@@ -565,8 +558,7 @@ def _run_once(cfg: ExploreConfig, prefix: Sequence[int]) -> RunOutcome:
             if isinstance(proxy.scheduler, RtsScheduler)
         )
         violations.extend(_check_terminal(
-            cfg, cluster, oids, outcomes, commits,
-            enqueue_waits, enqueue_decisions,
+            cfg, cluster, oids, outcomes, enqueue_decisions,
         ))
 
     return RunOutcome(
@@ -574,7 +566,7 @@ def _run_once(cfg: ExploreConfig, prefix: Sequence[int]) -> RunOutcome:
         widths=controller.widths,
         violations=violations,
         outcomes=outcomes,
-        commits=commits,
+        commits=sanitizer.history,
         log=controller.log,
         truncated=truncated or controller.truncated,
         events=cluster.env.events_processed,
@@ -589,11 +581,10 @@ def _check_terminal(
     cluster: Any,
     oids: Sequence[str],
     outcomes: Dict[int, str],
-    commits: List[Dict[str, Any]],
-    enqueue_waits: List[Tuple[str, str, float, float, bool]],
     enqueue_decisions: int,
 ) -> List[Dict[str, str]]:
     violations: List[Dict[str, str]] = []
+    enqueue_waits = cluster.sanitizer.enqueue_waits
 
     if len(outcomes) != cfg.txns:
         stuck = sorted(set(range(cfg.txns)) - set(outcomes))
@@ -633,8 +624,7 @@ def _check_terminal(
             })
 
     for violation in check_history(
-        [CommitRecord.from_dict(record) for record in commits],
-        initial={oid: 0 for oid in oids},
+        cluster.sanitizer.history, initial={oid: 0 for oid in oids}
     ):
         violations.append({
             "rule": violation.rule,
@@ -762,12 +752,12 @@ def dump_counterexample(
     )
     for record in outcome.commits:
         lines.append({
-            "t": record["serialized_at"],
+            "t": record.serialized_at,
             "cat": "explore.commit",
-            "txid": record["txid"],
-            "node": record["node"],
-            "reads": [[o, v] for o, v, _ in record["reads"]],
-            "writes": [[o, v] for o, v, _ in record["writes"]],
+            "txid": record.txid,
+            "node": record.node,
+            "reads": [[o, v] for o, v, _ in record.reads],
+            "writes": [[o, v] for o, v, _ in record.writes],
         })
     for violation in outcome.violations:
         lines.append({"t": None, "cat": "explore.violation", **violation})

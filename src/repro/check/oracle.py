@@ -1,11 +1,14 @@
 """Serializability oracle over a committed history (``mc-serializable``).
 
-The explorer (:mod:`repro.check.explore`) collects one
-:class:`CommitRecord` per committed root transaction through the TFA
-engine's ``commit_observer`` hook: the version anchors the commit
-validated (its read set) and the versions it installed (its write set).
-This module decides, offline and purely combinatorially, whether that
-history admits a serial order consistent with the version fences:
+The sanitizer (:mod:`repro.check.sanitize`, on under
+``CheckConfig(sanitize=True)``) keeps the committed history: one
+:class:`CommitRecord` per committed root transaction, built by
+:func:`commit_record` — the version anchors the commit validated (its
+read set) and the versions it installed (its write set) — plus one
+write-only record per fault-recovery re-host, which installs a fenced
+version no transaction wrote.  This module decides, offline and purely
+combinatorially, whether that history admits a serial order consistent
+with the version fences:
 
 * **unique fences** — exactly one committed writer installs each
   ``(oid, version)``; two writers on one fence means two commits won the
@@ -27,9 +30,15 @@ a future scheduler (the ROADMAP's zoo) is checked by the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-__all__ = ["CommitRecord", "OracleViolation", "check_history", "INITIAL_WRITER"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dstm.transaction import Transaction
+
+__all__ = [
+    "CommitRecord", "OracleViolation", "check_history", "commit_record",
+    "INITIAL_WRITER",
+]
 
 #: pseudo-transaction that "wrote" every object's version-0 initial value
 INITIAL_WRITER = "<initial>"
@@ -49,7 +58,8 @@ class CommitRecord:
 
     @classmethod
     def from_dict(cls, record: Mapping[str, Any]) -> "CommitRecord":
-        """Build from the TFA engine's ``commit_observer`` payload."""
+        """Build from a plain mapping with the same keys (a record read
+        back from JSON, say)."""
         return cls(
             txid=str(record["txid"]),
             node=int(record["node"]),
@@ -57,6 +67,26 @@ class CommitRecord:
             reads=tuple((str(o), int(v), val) for o, v, val in record["reads"]),
             writes=tuple((str(o), int(v), val) for o, v, val in record["writes"]),
         )
+
+
+def commit_record(
+    root: "Transaction", new_versions: Mapping[str, int], node: int
+) -> CommitRecord:
+    """The committed ``root``'s footprint, read off the transaction alone
+    (never a store: the commit's hand-off may already have migrated the
+    written objects away).  ``reads`` are the version anchors the commit
+    validated (nested levels folded in by ``merge_into_parent``),
+    ``writes`` the versions ``new_versions`` says it installed; both
+    sorted by oid, so the record is deterministic."""
+    rset, wset = root.rset, root.wset
+    assert root.serialized_at is not None, "a committed root is serialized"
+    return CommitRecord(
+        txid=root.txid,
+        node=node,
+        serialized_at=root.serialized_at,
+        reads=tuple((oid, rset[oid].version, rset[oid].value) for oid in sorted(rset)),
+        writes=tuple((oid, new_versions[oid], wset[oid]) for oid in sorted(new_versions)),
+    )
 
 
 @dataclass(frozen=True)

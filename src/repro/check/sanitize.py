@@ -9,6 +9,13 @@ structured :class:`InvariantViolation` the moment a transition breaks it —
 so a protocol bug surfaces at the transition that caused it, not as a
 serializability failure thousands of events later.
 
+It is also the one observer of what committed: :attr:`Sanitizer.history`
+holds a :class:`~repro.check.oracle.CommitRecord` per committed root and
+a write-only one per re-host (lease reclaim or orphan return), in the
+order they happened, for :func:`repro.check.oracle.check_history`; and
+:attr:`Sanitizer.enqueue_waits` holds every completed hand-off wait (the
+explorer's bounded-enqueue and lost-wakeup properties read it).
+
 The integration contract (same zero-cost pattern as obs tracing):
 
 * every hook site is guarded by ``if self.sanitizer is not None:`` — with
@@ -26,13 +33,15 @@ second time).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.check.oracle import CommitRecord, commit_record
 from repro.check.rules import INVARIANT_RULES
 from repro.dstm.objects import ObjectState, home_node
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dstm.proxy import TMProxy
+    from repro.dstm.transaction import Transaction
     from repro.rpc.cache import LookupCache
     from repro.rpc.policy import RetryPolicy
 
@@ -88,6 +97,12 @@ class Sanitizer:
         self._watermarks: Dict[Tuple[int, str], int] = {}
         #: root-attempt txids that aborted (any reason, incl. OWNER_FAILURE)
         self._dead_txids: Dict[str, str] = {}
+        #: the committed history: one record per committed root and one
+        #: write-only record per re-host, in the order they happened
+        self.history: List[CommitRecord] = []
+        #: every completed hand-off wait: (root txid, oid, backoff budget,
+        #: time waited, whether the hand-off won the race)
+        self.enqueue_waits: List[Tuple[str, str, float, float, bool]] = []
         #: total individual checks performed (test observability)
         self.checks = 0
 
@@ -171,22 +186,15 @@ class Sanitizer:
         now: float,
         lease_expires_at: float,
         has_snapshot: bool,
-        old_version: int,
-        new_version: int,
     ) -> None:
-        """The home is about to reclaim ``oid`` from a silent owner."""
+        """The home is about to reclaim ``oid`` from a silent owner (the
+        re-host that follows is :meth:`note_rehost`'s)."""
         self.checks += 1
         if now < lease_expires_at or not has_snapshot:
             raise InvariantViolation(
                 "inv-lease-expired", oid, node=node_id, time=now,
                 lease_expires_at=lease_expires_at, has_snapshot=has_snapshot,
             )
-        if new_version <= old_version:
-            raise InvariantViolation(
-                "inv-version-fence", oid, node=node_id, time=now,
-                reclaim=True, old_version=old_version, new_version=new_version,
-            )
-        self._watermarks[(node_id, oid)] = new_version
 
     def note_rehost(
         self,
@@ -194,9 +202,12 @@ class Sanitizer:
         oid: str,
         old_version: int,
         new_version: int,
-        now: Optional[float] = None,
+        value: Any,
+        now: float,
     ) -> None:
-        """Orphan repatriation re-hosted ``oid``: the fence must bump."""
+        """A home re-hosts ``value`` as ``oid``'s ``new_version`` (a lease
+        reclaim or an orphan return): the fence must bump, and the
+        history gains the write no transaction made."""
         self.checks += 1
         if new_version <= old_version:
             raise InvariantViolation(
@@ -204,6 +215,10 @@ class Sanitizer:
                 rehost=True, old_version=old_version, new_version=new_version,
             )
         self._watermarks[(node_id, oid)] = new_version
+        self.history.append(CommitRecord(
+            txid=f"rehost-n{node_id}-{oid}-v{new_version}", node=node_id,
+            serialized_at=now, reads=(), writes=((oid, new_version, value),),
+        ))
 
     # -- inv-no-commit-after-owner-failure ----------------------------------
 
@@ -214,17 +229,32 @@ class Sanitizer:
         self.checks += 1
         self._dead_txids[txid] = reason
 
-    def check_commit(
-        self, txid: str, node: Optional[int] = None, now: Optional[float] = None
+    def note_commit(
+        self,
+        root: "Transaction",
+        new_versions: Mapping[str, int],
+        node: int,
+        now: Optional[float] = None,
     ) -> None:
-        """A root attempt is finalising its commit."""
+        """Root ``root`` committed at ``node``, installing ``new_versions``:
+        it must not be an attempt that aborted; it joins the history."""
         self.checks += 1
-        reason = self._dead_txids.get(txid)
+        reason = self._dead_txids.get(root.txid)
         if reason is not None:
             raise InvariantViolation(
-                "inv-no-commit-after-owner-failure", txid, node=node,
+                "inv-no-commit-after-owner-failure", root.txid, node=node,
                 time=now, abort_reason=reason,
             )
+        self.history.append(commit_record(root, new_versions, node))
+
+    # -- what the explorer reads ----------------------------------------------
+
+    def note_enqueue_wait(
+        self, txid: str, oid: str, budget: float, waited: float, won: bool
+    ) -> None:
+        """Root ``txid``'s wait for ``oid``'s hand-off ended after
+        ``waited`` of its ``budget``; ``won`` = the hand-off came first."""
+        self.enqueue_waits.append((txid, oid, budget, waited, won))
 
     # -- inv-cache-coherent --------------------------------------------------
 

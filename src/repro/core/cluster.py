@@ -194,7 +194,6 @@ class Cluster:
                 node,
                 scheduler,
                 tracer=self.tracer,
-                winner_policy=config.winner_policy,
                 conflict_scope=config.conflict_scope,
                 rpc_client=rpc_client,
                 cache=LookupCache(fencing=rc.cache, capacity=rc.cache_capacity),
@@ -261,7 +260,7 @@ class Cluster:
         cfg = self.config
         kind = cfg.scheduler
         if kind is SchedulerKind.RTS:
-            return RtsScheduler(cfg.cl_threshold, cfg.rts_admission)
+            return RtsScheduler(cfg.cl_threshold)
         if kind is SchedulerKind.TFA:
             return TfaScheduler()
         if kind is SchedulerKind.TFA_BACKOFF:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.dstm.contention import WinnerPolicy
 from repro.dstm.transaction import NestingModel
 from repro.net.topology import MS
 
@@ -406,14 +405,9 @@ class ClusterConfig:
     scheduler: SchedulerKind = SchedulerKind.RTS
     #: RTS contention-level threshold; None selects the adaptive controller
     cl_threshold: Optional[int] = None
-    #: RTS execution-time admission rule: "paper" (Algorithm 3 literal,
-    #: maximal abort economy) or "economic" (also charges the validator's
-    #: remaining time; fail-fast for early-stage transactions)
-    rts_admission: str = "paper"
 
     # -- transaction engine -----------------------------------------------------
     nesting: NestingModel = NestingModel.CLOSED
-    winner_policy: WinnerPolicy = WinnerPolicy.HOLDER_WINS
     #: who loses a busy-object conflict: "root" (the paper's semantics,
     #: §II: "transactions that request an object being validated must
     #: abort" — the losing *parent* is what RTS schedules), "level" (the
@@ -476,18 +470,14 @@ class ClusterConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.cl_threshold is not None:  # None selects the adaptive controller
             _check_int("cl_threshold", self.cl_threshold, 1)
-        for name, allowed in (
-            ("conflict_scope", ("root", "level", "mixed")),
-            ("rts_admission", ("paper", "economic")),
-        ):
-            if getattr(self, name) not in allowed:
-                raise ValueError(
-                    f"{name} must be one of {allowed}, got {getattr(self, name)!r}"
-                )
+        scopes = ("root", "level", "mixed")
+        if self.conflict_scope not in scopes:
+            raise ValueError(
+                f"conflict_scope must be one of {scopes}, got {self.conflict_scope!r}"
+            )
         # Coerce enum-ish fields so strings work ergonomically.
         object.__setattr__(self, "scheduler", SchedulerKind(self.scheduler))
         object.__setattr__(self, "nesting", NestingModel(self.nesting))
-        object.__setattr__(self, "winner_policy", WinnerPolicy(self.winner_policy))
         # A sub-config may be given as a dict of its fields.
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)

@@ -17,9 +17,7 @@ Layering, bottom-up:
 * :mod:`repro.dstm.tfa` — the Transactional Forwarding Algorithm: clock
   piggybacking, transactional forwarding with read-set revalidation, and
   the commit protocol whose global-registration window is where the
-  paper's scheduled conflicts arise;
-* :mod:`repro.dstm.contention` — pluggable who-wins policies (the paper
-  fixes holder-wins; requester-wins is provided for ablation).
+  paper's scheduled conflicts arise.
 """
 
 from repro.dstm.errors import AbortReason, TransactionAborted, TransactionError

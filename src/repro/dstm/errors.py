@@ -39,8 +39,6 @@ class AbortReason(str, enum.Enum):
     #: A closed-nested transaction dies because its parent (or any
     #: ancestor) aborted.
     PARENT_ABORT = "parent_abort"
-    #: Killed by a requester-wins contention manager (ablation only).
-    DOOMED_BY_REQUESTER = "doomed_by_requester"
     #: Explicit application-level abort.
     USER_ABORT = "user_abort"
     #: A node this transaction depends on (object owner, home directory,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 __all__ = [
@@ -73,29 +73,21 @@ class VersionedObject:
     state: ObjectState = ObjectState.FREE
     #: root txid of the live local writer / validator, when not FREE.
     holder: str | None = None
-    #: uncommitted shadow value staged by the holding transaction.
-    pending_value: Any = None
     #: payload plane only: node holding the authoritative bytes for the
     #: committed ``version`` (the proxy "factory").  None when the plane
     #: is off or bytes travel eagerly with the record.
     payload_src: int | None = None
 
-    def snapshot(self) -> tuple[Any, int]:
-        """The committed (value, version) pair — what readers are served."""
-        return (self.value, self.version)
-
     def commit_write(self, new_value: Any) -> int:
         """Install a committed write; returns the new version."""
         self.value = new_value
         self.version += 1
-        self.pending_value = None
         return self.version
 
     def release(self) -> None:
         """Back to FREE (after commit, abort, or failed hand-off)."""
         self.state = ObjectState.FREE
         self.holder = None
-        self.pending_value = None
 
     def __repr__(self) -> str:
         return (

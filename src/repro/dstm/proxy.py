@@ -33,9 +33,8 @@ and holds no optional subsystem: payload resolution
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.dstm.contention import DoomRegistry, WinnerPolicy
 from repro.dstm.errors import AbortReason, TransactionAborted, TransactionError
 from repro.dstm.objects import ObjectMode, ObjectState, VersionedObject, home_node
 from repro.dstm.transaction import ETS, Transaction
@@ -97,7 +96,6 @@ class TMProxy:
         node: Node,
         scheduler: SchedulerPolicy,
         tracer: Optional[Tracer] = None,
-        winner_policy: WinnerPolicy = WinnerPolicy.HOLDER_WINS,
         conflict_scope: str = "root",
         rpc_client: Optional[RpcClient] = None,
         cache: Optional[LookupCache] = None,
@@ -112,7 +110,6 @@ class TMProxy:
         if rpc_client is None:
             rpc_client = RpcClient(node, tracer=self.tracer)
         self.rpc_client = rpc_client
-        self.winner_policy = WinnerPolicy(winner_policy)
         #: who a lost busy-object conflict kills.  "root" (the default,
         #: the paper's semantics) and "level" force one victim for every
         #: conflict.  "mixed" (the closed-nesting model of the paper's TFA
@@ -121,8 +118,6 @@ class TMProxy:
         #: the whole parent — the "losing parent transactions" RTS
         #: schedules.
         self.conflict_scope = conflict_scope
-        #: lazily-aborted transactions (greedy-timestamp ablation)
-        self.doomed = DoomRegistry()
         #: runtime invariant sanitizer (repro.check); set by the cluster
         #: when CheckConfig.sanitize is on, else every hook stays a
         #: one-guard no-op
@@ -149,15 +144,6 @@ class TMProxy:
         self.validation_time = Ewma(alpha=0.3, initial=0.0)
         #: time each VALIDATING/IN_USE state was entered, per oid
         self._hold_started: Dict[str, float] = {}
-        #: holder's reported transaction start time, per oid (greedy CM)
-        self._holder_start: Dict[str, float] = {}
-        #: enqueue-wait reporting hook (repro.check.explore's
-        #: bounded-enqueue-time property): called once per completed
-        #: hand-off wait with (root txid, oid, budget, waited, won).
-        #: None (the default) keeps the wait path on a one-guard no-op.
-        self.enqueue_observer: Optional[
-            Callable[[str, str, float, float, bool], None]
-        ] = None
         #: how many times an expired waiter re-requests before aborting
         self.rerequest_limit = 8
         node.on(MessageType.RETRIEVE_REQUEST, self._on_retrieve_request)
@@ -391,7 +377,6 @@ class TMProxy:
                 obj.state = ObjectState.VALIDATING
                 obj.holder = root.task_id
                 self._hold_started.setdefault(oid, self.node.now_local)
-            self._holder_start[oid] = root.start_local_time
             self.owner_hints.put(oid, self.node.node_id, grant.version)
             if self.sanitizer is not None:
                 # The just-installed writable copy must be the only
@@ -460,20 +445,16 @@ class TMProxy:
         expiry = self.env.timeout(max(backoff, 0.0))
         started = self.env.now
         outcome = yield (waiter | expiry)
-        if waiter in outcome:
-            if self.enqueue_observer is not None:
-                self.enqueue_observer(
-                    root.task_id, oid, backoff, self.env.now - started, True
-                )
-            return outcome[waiter]
-        # Backoff expired first: deregister (Algorithm 2's
-        # TransactionQueue.remove) so a late hand-off forwards onward.
-        self._waiters.pop(key, None)
-        if self.enqueue_observer is not None:
-            self.enqueue_observer(
-                root.task_id, oid, backoff, self.env.now - started, False
+        won = waiter in outcome
+        if not won:
+            # Backoff expired first: deregister (Algorithm 2's
+            # TransactionQueue.remove) so a late hand-off forwards onward.
+            self._waiters.pop(key, None)
+        if self.sanitizer is not None:
+            self.sanitizer.note_enqueue_wait(
+                root.task_id, oid, backoff, self.env.now - started, won
             )
-        return None
+        return outcome[waiter] if won else None
 
     # ------------------------------------------------------------------
     # Owner side: Retrieve_Request (Algorithm 3)
@@ -539,15 +520,6 @@ class TMProxy:
                 )
             enqueued, backoff = True, None
         else:
-            # Contention manager (ablation): an older requester may doom
-            # the younger validating holder, which then aborts lazily.
-            if (
-                self.winner_policy is WinnerPolicy.GREEDY_TIMESTAMP
-                and obj.holder is not None
-                and s < self._holder_start.get(oid, float("-inf"))
-            ):
-                self.doomed.doom(obj.holder)
-
             # Delegate the abort-or-enqueue decision to the scheduler.
             ctx = ConflictContext(
                 mode=mode,
@@ -682,7 +654,6 @@ class TMProxy:
         if obj is None:
             return
         started = self._hold_started.pop(oid, None)
-        self._holder_start.pop(oid, None)
         if started is not None and committed:
             self.validation_time.observe(self.node.now_local - started)
         obj.release()
@@ -764,7 +735,6 @@ class TMProxy:
         self.store.pop(oid, None)
         self.queues.pop(oid, None)
         self._hold_started.pop(oid, None)
-        self._holder_start.pop(oid, None)
         if self.owner_hints.owner(oid) == self.node.node_id:
             self.owner_hints.drop(oid)
 

@@ -27,7 +27,7 @@ from which the experiment harness builds the paper's Table I.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.dstm.errors import AbortReason, TransactionAborted, TransactionError
 from repro.dstm.objects import ObjectMode, ObjectState, home_node
@@ -75,14 +75,9 @@ class TFAEngine:
         #: abort escalates to the root (None = unbounded, the paper's
         #: fault-free semantics).  ``TransactionHandle.nested`` reads it.
         self.nested_retry_cap = nested_retry_cap
-        #: read/write-set reporting hook (repro.check.explore's
-        #: serializability oracle): called once per committed *root* with
-        #: a record of what it read and installed, at which versions.
-        #: None (the default) keeps commits on a one-guard no-op.
-        self.commit_observer: Optional[Callable[[Dict[str, Any]], None]] = None
         #: runtime invariant sanitizer (repro.check); set by the cluster
         #: when CheckConfig.sanitize is on, else every hook stays a
-        #: one-guard no-op
+        #: one-guard no-op.  It is the one observer of a committed root.
         self.sanitizer = None
 
     # ------------------------------------------------------------------
@@ -113,7 +108,6 @@ class TFAEngine:
     def read(self, tx: Transaction, oid: str) -> Generator[Any, Any, Any]:
         """Transactional read (generator; ``yield from``)."""
         self._ensure_live(tx)
-        self._check_doom(tx)
 
         # Own (or ancestor) uncommitted write shadows everything.
         if tx.has_local_value(oid):
@@ -155,7 +149,6 @@ class TFAEngine:
         another writer publishes first, our commit validation fails.
         """
         self._ensure_live(tx)
-        self._check_doom(tx)
 
         if not tx.has_read(oid) and not tx.has_local_value(oid):
             grant = yield from self.proxy.open_object(tx, oid, ObjectMode.WRITE)
@@ -308,7 +301,6 @@ class TFAEngine:
         if not root.is_root:
             raise TransactionError(f"{root.txid} is nested; use commit_nested")
         self._ensure_live(root)
-        self._check_doom(root)
 
         live = list(root.live_descendants())
         if live:
@@ -452,10 +444,6 @@ class TFAEngine:
                 self.proxy.payload.plane.note_materialize(self.node.node_id, oid, obj.version)
             self.proxy.owner_hints.note_install(oid, self.node.node_id, new_versions[oid])
         root.status = TxStatus.COMMITTED
-        if self.commit_observer is not None:
-            # Capture before release: the hand-off may migrate written
-            # objects (and their store entries) away in the same turn.
-            self.commit_observer(self._commit_record(root, new_versions))
         for oid in sorted(root.wset):
             self.proxy.release_object(oid, committed=True)
         recovery = self.proxy.recovery
@@ -466,14 +454,14 @@ class TFAEngine:
                 recovery.publish_commit(oid, new_versions[oid], root.wset[oid])
         if self.sanitizer is not None:
             # An attempt that aborted (OWNER_FAILURE included) must never
-            # reach commit finalisation.
-            self.sanitizer.check_commit(
-                root.txid, node=self.node.node_id, now=self.env.now
+            # reach commit finalisation; the committed root joins the
+            # history the serializability oracle reads.
+            self.sanitizer.note_commit(
+                root, new_versions, node=self.node.node_id, now=self.env.now
             )
         now = self.node.now_local
         duration = now - root.start_local_time
         self.proxy.scheduler.on_commit(root, duration, now)
-        self.proxy.doomed.clear(root.task_id)
         self.metrics.on_commit(root, duration)
 
     def _fold_register(self, reply: Event) -> None:
@@ -516,28 +504,6 @@ class TFAEngine:
                  "txid": txid},
             )
 
-    def _commit_record(
-        self, root: Transaction, new_versions: Dict[str, int]
-    ) -> Dict[str, Any]:
-        """The committed root's read/write footprint for the oracle:
-        ``reads`` are the version anchors the commit validated (nested
-        levels folded in by ``merge_into_parent``), ``writes`` the
-        versions it installed, both sorted by oid (deterministic)."""
-        return {
-            "txid": root.txid,
-            "task_id": root.task_id,
-            "node": self.node.node_id,
-            "serialized_at": root.serialized_at,
-            "reads": [
-                (oid, root.rset[oid].version, root.rset[oid].value)
-                for oid in sorted(root.rset)
-            ],
-            "writes": [
-                (oid, new_versions[oid], root.wset[oid])
-                for oid in sorted(new_versions)
-            ],
-        }
-
     def abort_root(
         self,
         root: Transaction,
@@ -555,7 +521,6 @@ class TFAEngine:
                 root.txid, reason.value, now=self.env.now
             )
         self._release_levels(killed)
-        self.proxy.doomed.clear(root.task_id)
         self.metrics.on_abort(root, reason, killed)
         return killed
 
@@ -578,13 +543,6 @@ class TFAEngine:
             raise TransactionError(
                 f"{tx.txid}: operation on {tx.status.value} transaction"
             )
-
-    def _check_doom(self, tx: Transaction) -> None:
-        """Lazy contention-manager kill (greedy-timestamp ablation)."""
-        root = tx.root
-        reason = self.proxy.doomed.check(root.task_id)
-        if reason is not None:
-            raise TransactionAborted(root, reason)
 
     def __repr__(self) -> str:
         return f"<TFAEngine node={self.node.node_id} nesting={self.nesting.value}>"

@@ -8,6 +8,15 @@ same stream, in network send order.  Both are therefore pure functions of
 ``(seed, FaultConfig, num_nodes)``: identical seeds give identical fault
 timelines, which is what makes chaos runs bit-reproducible.
 
+Every fault class shares that one stream, so turning one class on or
+off re-deals the others: enabling crashes shifts the draws the partition
+schedule starts from (it moves every partition window), and a nonzero
+drop rate consumes a draw per message ahead of the duplicate and delay
+draws (with a seed-7 stream and duplicate rate 0.2, raising the drop
+rate from 0 to 0.05 changes 66 of the first 200 duplicate decisions).
+Bisecting a failing plan by fault class therefore changes more than the
+class it removes.
+
 Crash model: **fail-isolate**.  A crashed node exchanges no messages for
 the duration of its window (sends are dropped at the source, in-flight
 deliveries are dropped at the destination), but its volatile state — the
@@ -141,9 +150,13 @@ class FaultPlan:
     # -- per-message decisions ------------------------------------------
 
     def message_fate(self, src: int, dst: int, now: float) -> MessageFate:
-        """Decide one remote message's fate (consumes RNG draws only for
-        the probabilistic fault classes that are actually enabled, so
-        turning one class on never perturbs another's sequence)."""
+        """Decide one remote message's fate.
+
+        Draws only for the probabilistic classes that are enabled, in the
+        order drop, duplicate, extra delay, all from the one ``"faults"``
+        stream: enabling one class shifts the draws every later class
+        sees, so it does perturb their sequences (module docstring).
+        """
         cfg = self.config
         if src == dst:
             # Loopback never fails: a crashed node is isolated, not dead.

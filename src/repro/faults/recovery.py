@@ -377,8 +377,6 @@ class HomeRecovery:
                 self.node.node_id, oid, self.node.now_local,
                 lease_expires_at=self.leases.get(oid, math.inf),
                 has_snapshot=entry.has_snapshot,
-                old_version=entry.version,
-                new_version=new_version,
             )
         self._rehost(oid, entry, entry.snapshot_value, new_version)
         self.metrics.lease_reclaims.increment()
@@ -396,9 +394,17 @@ class HomeRecovery:
         not be re-hosting if we were the registered owner): it is
         replaced, or readers keep serving a version the registry has
         moved past.  Home-hosted entries need no lease until ownership
-        migrates again (the transfer registration re-arms it).
+        migrates again (the transfer registration re-arms it).  Both
+        re-host paths, lease reclaim and orphan return, come through
+        here, so here the sanitizer checks the fence bump and records
+        the write.
         """
         home = self.node.node_id
+        sanitizer = self.directory.sanitizer
+        if sanitizer is not None:
+            sanitizer.note_rehost(
+                home, oid, entry.version, version, value, now=self.node.env.now
+            )
         entry.owner = home
         entry.version = version
         entry.registered_by = None
@@ -479,12 +485,6 @@ class HomeRecovery:
             # sender keeps its cache and retries on a later sweep.
             return {"oid": oid, "accepted": False, "fenced": False}
         new_version = max(entry.version, version) + 1
-        sanitizer = self.directory.sanitizer
-        if sanitizer is not None:
-            sanitizer.note_rehost(
-                self.node.node_id, oid, entry.version, new_version,
-                now=self.node.env.now,
-            )
         self._rehost(oid, entry, p["value"], new_version)
         self.metrics.orphan_returns.increment()
         tracer = self.directory.tracer

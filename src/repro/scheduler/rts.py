@@ -58,20 +58,15 @@ class RtsScheduler(SchedulerPolicy):
 
     ``cl_threshold`` fixes the CL threshold; None (the default) adapts it
     with an :class:`AdaptiveThreshold` fed by this node's commits.
-    ``admission`` is "paper" or "economic"; ``ClusterConfig`` refuses
-    anything else.
     """
 
     name = "rts"
 
-    def __init__(
-        self, cl_threshold: Optional[int] = None, admission: str = "paper"
-    ) -> None:
+    def __init__(self, cl_threshold: Optional[int] = None) -> None:
         super().__init__()
         self._fixed_threshold = 0 if cl_threshold is None else int(cl_threshold)
         #: the threshold controller; None under a fixed threshold
         self.adaptive = AdaptiveThreshold() if cl_threshold is None else None
-        self.admission = admission
         # Decision counters (diagnostics + tests)
         self.enqueued = 0
         self.rejected_short_exec = 0
@@ -87,22 +82,14 @@ class RtsScheduler(SchedulerPolicy):
     def on_conflict(self, ctx: ConflictContext) -> ConflictDecision:
         queue = ctx.queue
 
-        # Execution-time test (Algorithm 3 line 11; rationale in §III-A:
-        # "if a parent transaction with a short execution time is
-        # enqueued, the queuing delay may exceed its execution time").
-        # Two calibrations of the same idea:
-        #  * "paper"    — the literal `bk < |ETS.r - ETS.s|`: only the
-        #    queued backlog counts against the requester.  Maximises the
-        #    abort/communication economy Table I reports.
-        #  * "economic" — also charges the current validator's remaining
-        #    time, so early-stage transactions fail fast like plain TFA.
-        #    Maximises worst-case throughput at the cost of more aborts.
+        # Execution-time test, Algorithm 3 line 11 as written:
+        # `bk < |ETS.r - ETS.s|` — only the queued backlog counts against
+        # the requester (rationale in §III-A: "if a parent transaction
+        # with a short execution time is enqueued, the queuing delay may
+        # exceed its execution time").
         threshold = self.cl_threshold
         contention = queue.get_contention() + 1 + max(0, ctx.requester_cl)
-        expected_wait = queue.bk
-        if self.admission == "economic":
-            expected_wait += ctx.holder_remaining
-        if expected_wait >= ctx.ets.elapsed:
+        if queue.bk >= ctx.ets.elapsed:
             self.rejected_short_exec += 1
             return ConflictDecision.abort(
                 cause="short_exec", contention=contention, threshold=threshold

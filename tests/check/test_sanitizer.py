@@ -9,6 +9,7 @@ from repro.core.cluster import Cluster
 from repro.core.config import CheckConfig, ClusterConfig, FaultConfig
 from repro.core.experiment import run_experiment
 from repro.dstm.objects import ObjectState, home_node
+from repro.dstm.transaction import ReadEntry, Transaction
 from repro.faults.recovery import RpcPolicy, validate_policy
 
 CHAOS = FaultConfig(
@@ -49,33 +50,47 @@ class TestUnitChecks:
         s = Sanitizer()
         with pytest.raises(InvariantViolation) as exc:
             s.note_reclaim(0, "x", now=1.0, lease_expires_at=2.0,
-                           has_snapshot=True, old_version=3, new_version=4)
+                           has_snapshot=True)
         assert exc.value.rule_id == "inv-lease-expired"
         with pytest.raises(InvariantViolation):
             s.note_reclaim(0, "x", now=3.0, lease_expires_at=2.0,
-                           has_snapshot=False, old_version=3, new_version=4)
-        # A legal reclaim: lease lapsed, snapshot present, fence bumped.
+                           has_snapshot=False)
+        # A legal reclaim: lease lapsed, snapshot present.
         s.note_reclaim(0, "x", now=3.0, lease_expires_at=2.0,
-                       has_snapshot=True, old_version=3, new_version=4)
+                       has_snapshot=True)
 
     def test_reclaim_and_rehost_must_bump_the_fence(self):
+        """Both re-host paths (lease reclaim, orphan return) report the
+        re-host itself; it must bump the fence, and it enters the
+        history as a write no transaction made."""
         s = Sanitizer()
         with pytest.raises(InvariantViolation) as exc:
-            s.note_reclaim(0, "x", now=3.0, lease_expires_at=2.0,
-                           has_snapshot=True, old_version=3, new_version=3)
+            s.note_rehost(0, "x", old_version=3, new_version=3, value=7, now=1.0)
         assert exc.value.rule_id == "inv-version-fence"
-        with pytest.raises(InvariantViolation):
-            s.note_rehost(0, "x", old_version=5, new_version=5)
-        s.note_rehost(0, "x", old_version=5, new_version=6)
+        assert s.history == []
+        s.note_rehost(0, "x", old_version=5, new_version=6, value=7, now=2.0)
+        (record,) = s.history
+        assert (record.node, record.serialized_at) == (0, 2.0)
+        assert (record.reads, record.writes) == ((), (("x", 6, 7),))
 
     def test_no_commit_after_abort(self):
         s = Sanitizer()
-        s.check_commit("tx1")  # never aborted: fine
-        s.note_abort("tx2", "owner_failure")
+        committed = Transaction(node=0)
+        committed.rset["x"] = ReadEntry("x", 0, served_by=1, value=5)
+        committed.wset["x"] = 6
+        committed.serialized_at = 1.5
+        s.note_commit(committed, {"x": 1}, node=0)  # never aborted: fine
+        (record,) = s.history
+        assert record.txid == committed.txid
+        assert (record.reads, record.writes) == ((("x", 0, 5),), (("x", 1, 6),))
+        dead = Transaction(node=0)
+        dead.serialized_at = 2.0
+        s.note_abort(dead.txid, "owner_failure")
         with pytest.raises(InvariantViolation) as exc:
-            s.check_commit("tx2")
+            s.note_commit(dead, {}, node=0)
         assert exc.value.rule_id == "inv-no-commit-after-owner-failure"
         assert exc.value.context["abort_reason"] == "owner_failure"
+        assert len(s.history) == 1, "a refused commit never joins the history"
 
     def test_cache_coherence(self):
         from repro.rpc.cache import LookupCache

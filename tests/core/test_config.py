@@ -12,7 +12,6 @@ from repro.core.config import (
     ProfConfig,
     SchedulerKind,
 )
-from repro.dstm.contention import WinnerPolicy
 from repro.dstm.transaction import NestingModel
 
 
@@ -39,11 +38,6 @@ class TestValidation:
     def test_bad_conflict_scope_rejected_at_construction(self):
         with pytest.raises(ValueError, match="conflict_scope.*'bogus'"):
             ClusterConfig(conflict_scope="bogus")
-
-    @pytest.mark.parametrize("scheduler", ["rts", "tfa"])
-    def test_bad_rts_admission_rejected_whatever_the_scheduler(self, scheduler):
-        with pytest.raises(ValueError, match="rts_admission.*'nope'"):
-            ClusterConfig(scheduler=scheduler, rts_admission="nope")
 
     def test_bad_conflict_scope_rejected_at_cluster(self):
         from repro.core.cluster import Cluster
@@ -123,10 +117,6 @@ class TestCoercion:
 
     def test_string_nesting(self):
         assert ClusterConfig(nesting="flat").nesting is NestingModel.FLAT
-
-    def test_string_winner_policy(self):
-        cfg = ClusterConfig(winner_policy="greedy-timestamp")
-        assert cfg.winner_policy is WinnerPolicy.GREEDY_TIMESTAMP
 
 
 class TestReplace:

@@ -44,10 +44,6 @@ class TestVersionedObject:
         assert obj.state is ObjectState.FREE
         assert obj.holder is None
 
-    def test_snapshot(self):
-        obj = VersionedObject("o1", value="v", version=3)
-        assert obj.snapshot() == ("v", 3)
-
     def test_commit_write_bumps_version(self):
         obj = VersionedObject("o1", value=1)
         new_version = obj.commit_write(2)
@@ -59,11 +55,9 @@ class TestVersionedObject:
         obj = VersionedObject("o1", value=1)
         obj.state = ObjectState.VALIDATING
         obj.holder = "tx9"
-        obj.pending_value = 99
         obj.release()
         assert obj.state is ObjectState.FREE
         assert obj.holder is None
-        assert obj.pending_value is None
 
     def test_repr_mentions_state(self):
         obj = VersionedObject("o1", value=1)

@@ -18,13 +18,18 @@ frames under ``src/repro`` per root, by package (read root / write
 root):
 
 * ``sim``: 47.0 / 64.0
-* ``dstm``: 48.0 / 88.985
+* ``dstm``: 41.0 / 78.985
 * ``net``: 31.0 / 66.985
 * ``rpc``: 12.0 / 22.0
 * ``scheduler``: 4.0 / 5.0
 * ``core``: 12.0 / 15.0
 * ``util``: 2.0 / 3.995
-* total: **156.0 / 265.965**
+* total: **149.0 / 255.965**
+
+Under ``REPRO_SANITIZE=1`` the same roots take 155.0 / 274.965: the
+sanitizer's checks and the commit record it keeps (``check``: 5.0 /
+15.0) and a few more kernel frames (``sim``: 48.0 / 68.0).  Both gates
+hold there too.
 """
 
 import gc
@@ -41,9 +46,9 @@ SRC = Path(repro.__file__).resolve().parent
 ROOTS = 200
 OID = "x0"
 #: frames per committed single-read root
-READ_BUDGET = 172
+READ_BUDGET = 165
 #: frames per committed read-then-write root
-WRITE_BUDGET = 296
+WRITE_BUDGET = 286
 
 
 def read_body(tx, oid):

@@ -7,16 +7,22 @@ seconds).  Each case is a strict xfail: it fails at the violating seed
 today, and the change that fixes the fault layer turns it into an
 unexpected pass — that change must drop the marker.  The seeds were
 found by sweeping cluster seeds 200–711 (ROADMAP item 1 lists every
-failing one); each case runs in about 2.5 host-s.
+failing one); each case runs in 0.2–2.5 host-s.
+
+A sanitized run also keeps the committed history
+(``cluster.sanitizer.history``: every committed root plus every re-host),
+so the serializability oracle can name the first broken version fence.
 """
 
 import pytest
 
 from repro.check import InvariantViolation
+from repro.check.oracle import check_history
 from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig
 from repro.core.executor import WorkloadExecutor
 from repro.dstm.objects import home_node
+from repro.workloads.bank import INITIAL_BALANCE
 from repro.workloads.registry import make_workload
 
 
@@ -49,6 +55,15 @@ def chaos_cell(seed, sanitize=False):
     cluster, workload = run_chaos_cell(seed, sanitize)
     total = sum(cluster.authoritative_value(a) for a in workload.accounts)
     return total, workload.expected_total()
+
+
+def history_violations(seed):
+    """Run the reproducer sanitized; returns what the serializability
+    oracle finds in the committed history (every account opens at its
+    initial balance)."""
+    cluster, workload = run_chaos_cell(seed, sanitize=True)
+    initial = {oid: INITIAL_BALANCE for oid in workload.accounts}
+    return check_history(cluster.sanitizer.history, initial=initial)
 
 
 def test_reading_the_oracle_changes_nothing():
@@ -98,3 +113,33 @@ def test_seed_656_conserves_money():
 )
 def test_seed_311_keeps_a_single_writable_copy():
     chaos_cell(311, sanitize=True)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=KeyError,
+    reason="TFAEngine._register reads self.proxy.store[oid] for a written "
+           "object this node no longer holds",
+)
+@pytest.mark.parametrize("seed", [337, 349, 390, 453, 619, 665, 694])
+def test_commit_finds_its_written_objects(seed, monkeypatch):
+    """Pinned unsanitized, the way the sweep found them: sanitized, seed
+    619 trips ``inv-single-writable-copy`` at t = 15.4 first."""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    chaos_cell(seed)
+
+
+def test_seed_200_history_serializes():
+    """A clean cell's history is clean.  Seed 200 re-hosts
+    ``bank/acct1_2`` once: without that write in the history the oracle
+    would report the version the re-host installed, and the reads of
+    it, as phantoms."""
+    assert history_violations(200) == []
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="two commits install bank/acct2_2 v1: duplicate-fence, "
+           "stale-read-value and fence-order",
+)
+def test_seed_656_history_serializes():
+    assert history_violations(656) == []

@@ -100,27 +100,17 @@ class TestRtsScheduler:
         assert decision.kind is DecisionKind.ABORT
         assert s.rejected_high_cl == 1
 
-    def test_economic_admission_fails_fast_for_fresh_transactions(self):
-        """Under the 'economic' rule the validator's remaining time also
-        counts: a fresh transaction aborts rather than parks."""
-        s = RtsScheduler(cl_threshold=10, admission="economic")
-        decision = s.on_conflict(
-            ctx(mode=ObjectMode.READ, elapsed=0.01, holder_remaining=0.2)
-        )
-        assert decision.kind is DecisionKind.ABORT
-        assert s.rejected_short_exec == 1
-
     def test_paper_admission_parks_when_backlog_empty(self):
         """Algorithm 3 literal: only bk counts, so with an empty backlog
         even a fresh snapshot request is parked."""
-        s = RtsScheduler(cl_threshold=10, admission="paper")
+        s = RtsScheduler(cl_threshold=10)
         decision = s.on_conflict(
             ctx(mode=ObjectMode.READ, elapsed=0.01, holder_remaining=0.2)
         )
         assert decision.kind is DecisionKind.ENQUEUE
 
     def test_long_elapsed_copy_request_enqueued(self):
-        s = RtsScheduler(cl_threshold=10, admission="economic")
+        s = RtsScheduler(cl_threshold=10)
         decision = s.on_conflict(
             ctx(mode=ObjectMode.READ, elapsed=3.0, holder_remaining=0.2)
         )
