@@ -164,7 +164,8 @@ def _delivery_dst(entry: Entry) -> Optional[int]:
 
 def _owner_node(fn: Any) -> Optional[int]:
     """The node a callback's named owner — a Process, a node's inbox
-    server or RPC resend chain — runs at (``None``: unknown)."""
+    server, an RPC reply signal or resend chain — runs at (``None``:
+    unknown)."""
     name = getattr(getattr(fn, "__self__", None), "name", None)
     return _node_of_process(name) if isinstance(name, str) else None
 
@@ -175,7 +176,8 @@ def _entry_sites(entry: Entry) -> Optional[FrozenSet[int]]:
     Mirrors the race detector's happens-before model.  A call whose
     argument is a message (or a batch of them) is an arrival and
     executes at the destination(s); any other call runs at the node its
-    function's owner names (an inbox service period, a retry window).
+    function's owner names (an inbox service period, an RPC reply or
+    join waking its waiter, a retry window).
     An event entry is attributed by :func:`_sites_of`.  Unknown
     attribution means "assume dependent with everything" — sound, never
     unsound.

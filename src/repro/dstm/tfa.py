@@ -34,7 +34,8 @@ from repro.dstm.objects import ObjectMode, ObjectState, home_node
 from repro.dstm.proxy import TMProxy
 from repro.dstm.transaction import NestingModel, ReadEntry, Transaction, TxStatus
 from repro.rpc import ENDPOINTS
-from repro.sim import Event
+from repro.net.message import Message
+from repro.sim import Signal
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.metrics import MetricsCollector
@@ -66,9 +67,6 @@ class TFAEngine:
         self.metrics = metrics
         self.node = proxy.node
         self.env = proxy.env
-        #: what the kernel profiler and the explorer attribute this
-        #: engine's reply-event callbacks to
-        self.name = f"n{self.node.node_id}.tfa"
         self.nesting = NestingModel(nesting)
         self.abort_overhead = float(abort_overhead)
         #: fault mode: default bound on child retries before a nested
@@ -202,14 +200,15 @@ class TFAEngine:
         itself*, whose versions therefore cannot move — are checked
         locally; everything else queries its home in parallel (one
         fan-out — the cost model of distributed validation).  Each call
-        is its reply event, and the reply folds into the lookup cache at
-        the event it lands on.
+        is its reply signal, and the reply folds into the lookup cache in
+        the call entry it lands in; one join resumes the validator.
         """
         store = self.proxy.store
-        submit = self.proxy.rpc_client.submit
+        client = self.proxy.rpc_client
+        submit = client.submit
         num_nodes = self.node.network.num_nodes
         checks: List[Tuple[Transaction, str, Any]] = []
-        replies = []
+        replies: List[Signal] = []
         for level in levels:
             for oid, entry in level.rset.items():
                 obj = store.get(oid) if oid in own else None
@@ -220,13 +219,12 @@ class TFAEngine:
                     home_node(oid, num_nodes), _READ_VALIDATE,
                     {"oid": oid, "version": entry.version},
                 )
-                reply.callbacks.append(self._fold_validate)
                 replies.append(reply)
                 checks.append((level, oid, reply))
         if replies:
-            yield self.env.all_of(replies)
+            yield client.join(replies, self._fold_validate)
         for level, oid, verdict in checks:
-            if isinstance(verdict, Event):
+            if isinstance(verdict, Signal):
                 reply = verdict.value
                 if reply is None:
                     raise TransactionAborted(
@@ -238,12 +236,11 @@ class TFAEngine:
                 return (level, oid)
         return None
 
-    def _fold_validate(self, reply: Event) -> None:
-        """Reply-event callback: the reply names the registered version —
+    def _fold_validate(self, msg: Optional[Message]) -> None:
+        """Validation-join fold: the reply names the registered version —
         a lookup-cache entry learned at an older version is provably
         stale, so fence it and the next open asks the directory (no-op in
         hint mode)."""
-        msg = reply.value
         if msg is not None:
             p = msg.payload
             self.proxy.owner_hints.note_version(p["oid"], p.get("registered_version"))
@@ -367,7 +364,7 @@ class TFAEngine:
         sound: a concurrent validator of an object we are committing now
         sees the advanced version and fails, closing the write-skew
         window of two crossing read/write commits.  Each registration is
-        its reply event and its ack folds as it lands; ``txid`` names this
+        its reply signal and its ack folds as it lands; ``txid`` names this
         *attempt*, so a duplicated or late withdraw never rolls back
         another registration by the same owner.  Once every call has an
         outcome, an *unreachable* home (the call resolved None) or a
@@ -377,19 +374,19 @@ class TFAEngine:
         if span_on:
             self._edge(root, "register", "B")
         new_versions = {oid: self.proxy.store[oid].version + 1 for oid in root.wset}
-        submit = self.proxy.rpc_client.submit
+        client = self.proxy.rpc_client
+        submit = client.submit
         num_nodes = self.node.network.num_nodes
         order = sorted(new_versions)
-        calls = []
+        calls: List[Signal] = []
         for oid in order:
             call = submit(
                 home_node(oid, num_nodes), _DIR_UPDATE,
                 {"oid": oid, "owner": self.node.node_id,
                  "version": new_versions[oid], "txid": root.txid},
             )
-            call.callbacks.append(self._fold_register)
             calls.append(call)
-        yield self.env.all_of(calls)
+        yield client.join(calls, self._fold_register)
         for oid, call in zip(order, calls):
             reply = call.value
             if reply is None:
@@ -464,11 +461,10 @@ class TFAEngine:
         self.proxy.scheduler.on_commit(root, duration, now)
         self.metrics.on_commit(root, duration)
 
-    def _fold_register(self, reply: Event) -> None:
-        """Reply-event callback: a fenced registration ack is
+    def _fold_register(self, msg: Optional[Message]) -> None:
+        """Registration-join fold: a fenced registration ack is
         authoritative — it names the real owner and version — so refresh
         the lookup cache with it (no-op in hint mode)."""
-        msg = reply.value
         if msg is None:
             return
         ack = msg.payload

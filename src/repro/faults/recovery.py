@@ -24,7 +24,7 @@ cluster has none of this code, its handlers or its processes.
   :meth:`~HomeRecovery.renew` / :meth:`~HomeRecovery.withdrew` after a
   registration or withdraw.
 
-Every call made here is an :class:`repro.rpc.RpcClient` reply event,
+Every call made here is an :class:`repro.rpc.RpcClient` reply signal,
 retried by the one retry path — ``Node.submit``'s resend chain under an
 :class:`RpcPolicy`, the class :class:`repro.rpc.RetryPolicy` re-exported
 under its historic name.

@@ -6,16 +6,20 @@ proxy, directory shard, scheduler) register handlers per
 message to its handler after advancing the local TFA clock to the
 piggybacked value — the clock-propagation rule TFA relies on.
 
-An RPC is its reply event.  :meth:`Node.submit` sends the request and
-returns the event, so a blocking call is ``reply = yield
-node.submit(dst, mtype, payload)`` and a fan-out sends *k* requests and
-``yield env.all_of(events)``.  Replies are matched on ``reply_to``.  A
-deadline is a property of a :class:`repro.rpc.RetryPolicy`: under one,
-the same event is driven by a timer resend chain (:class:`_Resend`, the
-stack's one retry path) and resolves with ``None`` once every growing
-window has expired (the simulated network is reliable, so that only
-happens under fault injection or when a peer deliberately withholds a
-reply).
+An RPC is its reply signal.  :meth:`Node.submit` sends the request and
+returns a :class:`~repro.sim.Signal` — a one-shot wake-up with one
+consumer, no callback list and no failure — so a blocking call is
+``reply = yield node.submit(dst, mtype, payload)``: the reply's
+dispatch pushes one call entry and the process resumes inside it.  A
+fan-out sends *k* requests and waits on one counting join
+(:meth:`repro.rpc.RpcClient.join`), a signal of the same kind that
+fires when the last leg lands.  No reply builds an :class:`~repro.sim.Event`.
+Replies are matched on ``reply_to``.  A deadline is a property of a
+:class:`repro.rpc.RetryPolicy`: under one, the same signal is driven by
+a timer resend chain (:class:`_Resend`, the stack's one retry path) and
+resolves with ``None`` once every growing window has expired (the
+simulated network is reliable, so that only happens under fault
+injection or when a peer deliberately withholds a reply).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.net.clocks import NodeClock
 from repro.net.message import Message, MessageType
-from repro.sim import PRIORITY_NORMAL, Environment, Event
+from repro.sim import PRIORITY_NORMAL, Environment, Signal
 from repro.sim.events import _PENDING
 
 __all__ = ["Node"]
@@ -126,7 +130,10 @@ class Node:
         self.node_id = node_id
         self.clock = clock or NodeClock(node_id)
         self._handlers: Dict[MessageType, Handler] = {}
-        self._pending_replies: Dict[int, Any] = {}  # msg_id -> Event
+        self._pending_replies: Dict[int, Signal] = {}  # msg_id -> reply
+        #: what the profiler and the explorer attribute this node's reply
+        #: signals and resend windows to
+        self.rpc_name = f"n{node_id}.rpc"
         #: per-message CPU service time of this node's proxy stack.  When
         #: positive, inbound messages queue behind each other (a serial
         #: server): hot nodes congest, so protocols that flood the network
@@ -231,24 +238,24 @@ class Node:
         payload: Optional[dict] = None,
         policy: Optional[Any] = None,
         on_timeout: Optional[Callable[[int, float, bool], None]] = None,
-    ) -> Event:
-        """Non-blocking RPC: send the request, return its reply event.
+    ) -> Signal:
+        """Non-blocking RPC: send the request, return its reply signal.
 
-        The event succeeds with the reply :class:`Message` when the reply
+        The signal succeeds with the reply :class:`Message` when the reply
         is dispatched here.  Without a ``policy`` there is no deadline and
         no retry — it never fires if the reply is lost.  Under a
         ``policy`` (a :class:`repro.rpc.RetryPolicy`) a :class:`_Resend`
-        chain drives the same event: it succeeds with ``None`` once every
-        attempt's window has expired, and never fails, so a join over
-        several calls waits for every outcome.  ``on_timeout(attempt,
-        window, will_retry)`` is invoked after each expired window so
-        callers can count/trace retries without owning the chain.
+        chain drives the same signal: it succeeds with ``None`` once every
+        attempt's window has expired, so a join over several calls waits
+        for every outcome.  ``on_timeout(attempt, window, will_retry)`` is
+        invoked after each expired window so callers can count/trace
+        retries without owning the chain.
         """
         msg = Message(
             mtype, self.node_id, dst, payload or {}, self.clock.tfa_clock
         )
         self._net_send(msg)
-        waiter = Event(self.env)
+        waiter = Signal(self.env, self.rpc_name)
         self._pending_replies[msg.msg_id] = waiter
         if policy is not None:
             _Resend(self, waiter, msg, policy, on_timeout)
@@ -267,16 +274,16 @@ class Node:
 
 class _Resend:
     """The retry loop of one RPC under a :class:`repro.rpc.RetryPolicy`,
-    as a timer chain on its reply event — no process.
+    as a timer chain on its reply signal — no process.
 
     Attempt *n* waits ``policy.nth_timeout(n)`` (the growing window is
     the backoff).  Each window is a call entry (``Environment.call_later``,
     the window's length its argument) that, if
-    the reply event is still pending, withdraws the attempt's waiter
+    the reply signal is still pending, withdraws the attempt's waiter
     registration — so only the current attempt's reply resolves the
     call, and an expired attempt's reply goes to the handlers or to
     ``late_replies`` — then re-sends under a fresh ``msg_id`` or, after
-    the last attempt, succeeds the event with ``None``.  ``name`` is what
+    the last attempt, succeeds the signal with ``None``.  ``name`` is what
     the kernel profiler and the explorer attribute the window calls to.
     """
 
@@ -285,12 +292,12 @@ class _Resend:
     def __init__(
         self,
         node: Node,
-        reply: Event,
+        reply: Signal,
         msg: Message,
         policy: Any,
         on_timeout: Optional[Callable[[int, float, bool], None]],
     ) -> None:
-        self.name = f"n{node.node_id}.rpc"
+        self.name = node.rpc_name
         self.node = node
         self.reply = reply
         self.msg = msg

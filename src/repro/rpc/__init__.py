@@ -8,7 +8,7 @@ Unifies what grew ad hoc across the stack into four small pieces:
   request/response catalogue of every RPC in the D-STM protocol;
 * :class:`RpcClient` — the caller side: endpoint typing + the one retry
   path (the resend chain on :meth:`repro.net.node.Node.submit`'s reply
-  event) + shared tracing and metrics;
+  signal) + the fan-out join + shared tracing and metrics;
 * :class:`PiggybackBatcher` — per-link send coalescing (window > 0
   only; the default path is byte-identical to the unbatched build);
 * :class:`LookupCache` — a node's version-fenced directory lookup

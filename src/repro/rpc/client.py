@@ -4,25 +4,28 @@
 message plumbing: it resolves an :class:`~repro.rpc.endpoint.Endpoint`
 by name, validates the request payload shape, and issues the request
 through :meth:`repro.net.node.Node.submit` under the bound
-:class:`~repro.rpc.policy.RetryPolicy` — a call is its reply event with
-or without a policy; under one, ``Node.submit``'s resend chain (the
-stack's one retry path) drives that event.  The client owns the
-cross-cutting concerns every call shares: ``rpc.issue`` / ``rpc.done`` /
-``fault.rpc_retry`` tracing and the cluster metrics counters.  A peer
-silent through every attempt resolves the event with ``None``, which
-:meth:`RpcClient.call` raises as :class:`~repro.rpc.errors.PeerUnreachable`.
+:class:`~repro.rpc.policy.RetryPolicy` — a call is its reply signal
+(:class:`~repro.sim.Signal`: one call entry wakes its one consumer, no
+Event) with or without a policy; under one, ``Node.submit``'s resend
+chain (the stack's one retry path) drives that signal.  A fan-out waits
+on :meth:`RpcClient.join`, one counting join over its legs' signals.
+The client owns the cross-cutting concerns every call shares:
+``rpc.issue`` / ``rpc.done`` / ``fault.rpc_retry`` tracing and the
+cluster metrics counters.  A peer silent through every attempt resolves
+the signal with ``None``, which :meth:`RpcClient.call` raises as
+:class:`~repro.rpc.errors.PeerUnreachable`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional, Union
+from typing import Any, Callable, Dict, Generator, List, Optional, Union
 
 from repro.net.message import Message, MessageType
 from repro.net.node import Node
 from repro.rpc.endpoint import ENDPOINTS, Endpoint
 from repro.rpc.errors import EndpointError, PeerUnreachable
 from repro.rpc.policy import RetryPolicy
-from repro.sim import Event, Tracer
+from repro.sim import Signal, Tracer
 
 __all__ = ["RpcClient"]
 
@@ -78,7 +81,7 @@ class RpcClient:
 
         Returns the reply :class:`~repro.net.message.Message`; raises
         :class:`PeerUnreachable` when the policy's attempts are exhausted
-        (the reply event resolved ``None``).  The call is admitted here,
+        (the reply signal resolved ``None``).  The call is admitted here,
         where it is written; the request is sent when the generator is
         first resumed.
         """
@@ -89,14 +92,14 @@ class RpcClient:
         dst: int,
         endpoint: Union[Endpoint, str],
         payload: Optional[Dict[str, Any]] = None,
-    ) -> Event:
+    ) -> Signal:
         """Issue ``endpoint`` at ``dst`` without blocking: returns the
-        reply event (:meth:`~repro.net.node.Node.submit`), which *is* the
-        call — fan-outs join on it with ``env.all_of``.
+        reply signal (:meth:`~repro.net.node.Node.submit`), which *is* the
+        call — fan-outs wait on :meth:`join` over such signals.
 
-        Under a :class:`RetryPolicy` the event resolves with the reply or,
-        once every attempt's window has expired, with ``None``; it never
-        fails, so a join waits for every outcome.
+        Under a :class:`RetryPolicy` the signal resolves with the reply
+        or, once every attempt's window has expired, with ``None``; it
+        never fails, so a join waits for every outcome.
         """
         return self._issue(dst, self._admit(endpoint, payload), payload)
 
@@ -119,7 +122,7 @@ class RpcClient:
         self, dst: int, mtype: MessageType, payload: Optional[Dict[str, Any]]
     ) -> Generator[Any, Any, Message]:
         """:meth:`call`'s generator: :meth:`submit`'s issue step on the
-        first resume, then one ``yield`` on its reply event."""
+        first resume, then one ``yield`` on its reply signal."""
         reply = yield self._issue(dst, mtype, payload)
         if reply is None:
             raise PeerUnreachable(dst, mtype.value, self.policy.attempts)
@@ -127,12 +130,12 @@ class RpcClient:
 
     def _issue(
         self, dst: int, mtype: MessageType, payload: Optional[Dict[str, Any]]
-    ) -> Event:
-        """Send one admitted request and return its reply event.
+    ) -> Signal:
+        """Send one admitted request and return its reply signal.
 
         Traced, ``rpc.issue`` is emitted at the send and ``rpc.done`` from
-        a callback put on the reply event ahead of whoever waits on it —
-        the one place the pair is written.  Under a policy the expired
+        the reply signal's tap, ahead of whoever consumes it — the one
+        place the pair is written.  Under a policy the expired
         windows are counted here (``rpc_timeouts``, ``rpc_retries``,
         ``failures``) and traced as ``fault.rpc_retry``.
         """
@@ -167,14 +170,44 @@ class RpcClient:
         reply = self.node.submit(dst, mtype, payload, policy, expired)
         if traced:
 
-            def done(reply: Event) -> None:
+            def done(value: Optional[Message]) -> None:
                 tracer.emit(
                     self.env.now, "rpc.done", mtype.value, node=node,
-                    dst=dst, ok=reply._value is not None, retries=retries,
+                    dst=dst, ok=value is not None, retries=retries,
                 )
 
-            reply.callbacks.append(done)
+            reply.tap = done
         return reply
+
+    def join(
+        self,
+        calls: List[Signal],
+        fold: Callable[[Optional[Message]], None],
+    ) -> Signal:
+        """One counting join over a fan-out's reply signals: the signal a
+        process yields to wait for every call's outcome.
+
+        Each call's reply (a :class:`Message`, or ``None`` from a call
+        whose every window expired) goes to ``fold`` in the call entry it
+        lands in; the last one succeeds the join, whose own call entry
+        resumes the waiter.  A join over no calls fires at once.
+        """
+        joined = Signal(self.env, self.node.rpc_name)
+        pending = len(calls)
+        if not pending:
+            joined.succeed()
+            return joined
+
+        def leg(reply: Optional[Message]) -> None:
+            nonlocal pending
+            fold(reply)
+            pending -= 1
+            if not pending:
+                joined.succeed()
+
+        for call in calls:
+            call.then(leg)
+        return joined
 
     def __repr__(self) -> str:
         return (

@@ -8,7 +8,7 @@ between ``faults/recovery.py`` (the knobs) and the call sites in
 ``net/node.py`` / ``dstm/proxy.py`` (the loops); both now delegate here
 — ``repro.faults.RpcPolicy`` *is* this class (re-exported), and the one
 retry path, :meth:`repro.net.node.Node.submit`'s timer resend chain,
-consumes it directly: the chain drives the call's reply event, so a
+consumes it directly: the chain drives the call's reply signal, so a
 caller never knows whether its call was retried.
 
 Retry semantics: attempt 0 waits ``timeout``; each subsequent attempt

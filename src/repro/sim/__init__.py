@@ -19,6 +19,7 @@ from repro.sim.events import (
     AnyOf,
     Event,
     EventAlreadyTriggered,
+    Signal,
     Timeout,
     PRIORITY_URGENT,
     PRIORITY_NORMAL,
@@ -42,6 +43,7 @@ __all__ = [
     "Process",
     "RngRegistry",
     "ScheduleController",
+    "Signal",
     "SimulationError",
     "Tally",
     "TimeWeighted",

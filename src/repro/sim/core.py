@@ -9,16 +9,21 @@ entry is one of two kinds:
   loop fires — its value materialised, its callbacks run, an undefused
   failure raised;
 * a **call** (``fn`` set): the loop runs ``fn(arg)``.  There is no Event
-  object, so nothing can wait on a call and it cannot fail; an exception
-  raised by ``fn`` propagates out of :meth:`Environment.run`.
+  object and it cannot fail; an exception raised by ``fn`` propagates
+  out of :meth:`Environment.run`.
 
-**The rule: a process waits on an Event; a timer that nobody waits on
-is a call** (:meth:`Environment.call_later`) — a message's link delay,
-an inbox service period, a batcher flush, a retry window.  The
-monotonically increasing sequence number is unique, so a comparison
-never reaches ``fn`` and pop order is ascending tuple order by
-construction — which makes every simulation in this repository
-deterministic, and is the invariant every digest rests on
+**The rule: a timer that nobody waits on is a call**
+(:meth:`Environment.call_later`) — a message's link delay, an inbox
+service period, a batcher flush, a retry window; **a wake-up with one
+consumer that cannot fail is a call too**, through a
+:class:`~repro.sim.events.Signal` — an RPC reply, a fan-out's join —
+which a process yields like an Event and resumes inside; **everything
+else a process waits on is an Event** (a timeout, a hand-off race, a
+drain over many processes).  The monotonically increasing sequence
+number is unique, so a comparison never reaches ``fn`` and pop order
+is ascending tuple order by construction — which makes every
+simulation in this repository deterministic, and is the invariant
+every digest rests on
 (``tests/rpc/test_equivalence.py``).  No cell holds more than a few
 hundred pending entries, so nothing cleverer pays (EXPERIMENTS.md, "The
 event core is ``heapq``").

@@ -1,11 +1,13 @@
 """One-shot events for the DES kernel.
 
-Events are the only synchronisation primitive in the simulator.  An event is
-*triggered* exactly once, either successfully (:meth:`Event.succeed`) carrying
-a value, or unsuccessfully (:meth:`Event.fail`) carrying an exception.  When
-the event loop processes a triggered event it invokes the event's callbacks;
-processes waiting on the event are resumed (or have the exception thrown into
-them) through that mechanism.
+An event is *triggered* exactly once, either successfully
+(:meth:`Event.succeed`) carrying a value, or unsuccessfully
+(:meth:`Event.fail`) carrying an exception.  When the event loop processes
+a triggered event it invokes the event's callbacks; processes waiting on the
+event are resumed (or have the exception thrown into them) through that
+mechanism.  The one lighter primitive is :class:`Signal`: a wake-up with one
+consumer that cannot fail, fired by a call entry instead of an event (what
+an RPC reply is).
 
 Priorities order events scheduled for the same simulated time:
 ``PRIORITY_URGENT`` < ``PRIORITY_NORMAL`` < ``PRIORITY_LOW`` (smaller runs
@@ -19,6 +21,7 @@ from typing import Any, Callable, Iterable, Optional
 
 __all__ = [
     "Event",
+    "Signal",
     "Timeout",
     "Condition",
     "AnyOf",
@@ -172,6 +175,90 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"  # check: allow[det-id-order] -- debug repr only; never ordered or persisted
 
 
+def _fired(_value: Any) -> None:
+    """:attr:`Signal._consumer` once the signal has fired with nobody
+    waiting: a later consumer resumes at once."""
+
+
+class Signal:
+    """A one-shot wake-up with one consumer that never fails.
+
+    What an RPC reply is (:meth:`repro.net.node.Node.submit`): no
+    callback list, no failure, no Event.  :meth:`succeed` pushes one
+    **call** entry — ``(now, PRIORITY_NORMAL, next seq, self._fire,
+    None)``, the key :meth:`Event.succeed` pushes — and the call runs
+    :attr:`tap` (an observer, the ``rpc.done`` trace) and then the
+    consumer, ``consumer(value)``.  The consumer is a process that
+    yielded the signal (``Process._step`` resumes inside the call) or the
+    function given to :meth:`then`.  ``name`` is what the kernel profiler
+    and the explorer attribute the call to; the argument is ``None``, so
+    the explorer never mistakes it for a message arrival.
+    """
+
+    __slots__ = ("env", "name", "tap", "_value", "_consumer")
+
+    def __init__(self, env: "Environment", name: str) -> None:  # noqa: F821
+        self.env = env
+        self.name = name
+        #: run with the value ahead of the consumer, when set
+        self.tap: Optional[Callable[[Any], None]] = None
+        self._value: Any = _PENDING
+        self._consumer: Optional[Callable[[Any], None]] = None
+
+    @property
+    def triggered(self) -> bool:
+        """True once :meth:`succeed` has been called."""
+        return self._value is not _PENDING
+
+    @property
+    def processed(self) -> bool:
+        """True once the call entry has run."""
+        return self._consumer is _fired
+
+    @property
+    def value(self) -> Any:
+        """The value the signal succeeded with."""
+        if self._value is _PENDING:
+            raise AttributeError("signal has not been triggered yet")
+        return self._value
+
+    def succeed(self, value: Any = None) -> None:
+        """Fire with ``value``: one call entry at the current time."""
+        if self._value is not _PENDING:
+            raise EventAlreadyTriggered(f"{self!r} already triggered")
+        self._value = value
+        env = self.env
+        env._seq += 1  # Environment.call_later's push, inlined
+        env._qpush((env._now, PRIORITY_NORMAL, env._seq, self._fire, None))
+
+    def then(self, consumer: Callable[[Any], None]) -> None:
+        """Make ``consumer(value)`` the one consumer: it runs inside the
+        call entry or, if the signal already fired, at once."""
+        if self._consumer is _fired:
+            consumer(self._value)
+        elif self._consumer is not None:
+            raise RuntimeError(f"{self!r} already has a consumer")
+        else:
+            self._consumer = consumer
+
+    def _fire(self, _arg: None) -> None:
+        tap = self.tap
+        if tap is not None:
+            tap(self._value)
+        consumer = self._consumer
+        self._consumer = _fired
+        if consumer is not None:
+            consumer(self._value)
+
+    def __repr__(self) -> str:
+        state = (
+            "processed" if self.processed
+            else "triggered" if self.triggered
+            else "pending"
+        )
+        return f"<Signal {self.name} {state}>"
+
+
 class Timeout(Event):
     """An event that triggers automatically ``delay`` time units from now.
 
@@ -231,9 +318,8 @@ class Condition(Event):
         Event.__init__(self, env)
         self._events = children = list(events)
         self._evaluate = evaluate
-        # One pass over the children (a join is built per RPC fan-out):
-        # refuse a foreign one, count the triggered and the processed,
-        # find the first that already failed.
+        # One pass over the children: refuse a foreign one, count the
+        # triggered and the processed, find the first that already failed.
         triggered = processed = 0
         failed: Optional[Event] = None
         for ev in children:

@@ -3,7 +3,9 @@
 A *process* wraps a Python generator.  Each value the generator yields must
 be an :class:`~repro.sim.events.Event`; the process suspends until that event
 is processed and is then resumed with the event's value (``gen.send``) or,
-for failed events, has the exception thrown into it (``gen.throw``).
+for failed events, has the exception thrown into it (``gen.throw``).  It may
+also yield a :class:`~repro.sim.events.Signal` (an RPC reply): the process
+becomes its one consumer and resumes inside the signal's call entry.
 
 A :class:`Process` is itself an event: it triggers when the generator
 returns (success, carrying the return value) or raises (failure, carrying
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.sim.events import Event, PRIORITY_URGENT
+from repro.sim.events import PRIORITY_URGENT, Event, Signal, _fired
 
 __all__ = ["Process"]
 
@@ -82,25 +84,39 @@ class Process(Event):
             self.fail(exc)
             return
 
-        if not isinstance(target, Event):
+        if target.__class__ is Signal:
+            # One consumer, resumed inside the signal's call entry.
+            consumer = target._consumer
+            if consumer is None and target.env is self.env:
+                target._consumer = self._step
+                return
+            if consumer is _fired and target.env is self.env:
+                self._step(target._value)  # already fired: resumes now
+                return
+            error = RuntimeError(
+                f"process {self.name!r} yielded {target!r}, which has a "
+                "consumer already or belongs to another environment"
+            )
+        elif isinstance(target, Event):
+            if target.env is not self.env:
+                self.fail(RuntimeError("yielded an event from a different environment"))
+                return
+            if target.callbacks is not None:
+                target.callbacks.append(self._resume)
+            else:  # already processed: resumes synchronously
+                target.add_callback(self._resume)
+            return
+        else:
             error = RuntimeError(
                 f"process {self.name!r} yielded {target!r}; processes must "
-                "yield Event instances"
+                "yield Event or Signal instances"
             )
-            try:
-                self._generator.throw(error)
-            except StopIteration as stop:
-                self.succeed(stop.value)
-            except BaseException as exc:  # noqa: BLE001
-                self.fail(exc)
-            return
-        if target.env is not self.env:
-            self.fail(RuntimeError("yielded an event from a different environment"))
-            return
-        if target.callbacks is not None:
-            target.callbacks.append(self._resume)
-        else:  # already processed: resumes synchronously
-            target.add_callback(self._resume)
+        try:
+            self._generator.throw(error)
+        except StopIteration as stop:
+            self.succeed(stop.value)
+        except BaseException as exc:  # noqa: BLE001
+            self.fail(exc)
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else ("ok" if self._ok else "failed")

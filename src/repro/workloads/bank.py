@@ -18,19 +18,24 @@ the total.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Generator, List, Optional
 
 import numpy as np
 
 from repro.core.cluster import Cluster
 from repro.workloads.base import Op, Workload
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.api import TransactionHandle
+
 __all__ = ["BankWorkload"]
 
 INITIAL_BALANCE = 1_000
 
 
-def _transfer_leg(tx, src: str, dst: str, amount: int) -> Generator[Any, Any, None]:
+def _transfer_leg(
+    tx: TransactionHandle, src: str, dst: str, amount: int
+) -> Generator[Any, Any, None]:
     """One closed-nested mini-transfer: read both accounts, move money."""
     src_balance = yield from tx.read(src)
     dst_balance = yield from tx.read(dst)
@@ -39,7 +44,7 @@ def _transfer_leg(tx, src: str, dst: str, amount: int) -> Generator[Any, Any, No
 
 
 def transfer(
-    tx, legs: List[tuple], audit_time: float
+    tx: TransactionHandle, legs: List[tuple], audit_time: float
 ) -> Generator[Any, Any, None]:
     """Parent transaction: a chain of transfers, one closed-nested child
     per (src, dst, amount) leg — the paper's "number of nested
@@ -51,7 +56,7 @@ def transfer(
 
 
 def transfer_open(
-    tx, legs: List[tuple], audit_time: float
+    tx: TransactionHandle, legs: List[tuple], audit_time: float
 ) -> Generator[Any, Any, None]:
     """Open-nested variant: every leg commits globally at once, with a
     reverse transfer registered as its compensation.  Money transfers
@@ -68,7 +73,7 @@ def transfer_open(
     yield from tx.compute(audit_time)
 
 
-def total_balance(tx, oids: List[str]) -> Generator[Any, Any, int]:
+def total_balance(tx: TransactionHandle, oids: List[str]) -> Generator[Any, Any, int]:
     """Read-only parent: sum balances (each block is a nested lookup)."""
     total = 0
     for oid in oids:

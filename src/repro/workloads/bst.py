@@ -15,12 +15,15 @@ surgery) children, like the linked list.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.cluster import Cluster
 from repro.workloads.base import Op, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.api import TransactionHandle
 
 __all__ = ["BstWorkload"]
 
@@ -32,7 +35,9 @@ def _node_oid(prefix: str, key: int) -> str:
     return f"{prefix}/node{key}"
 
 
-def _descend(tx, prefix: str, key: int) -> Generator[Any, Any, Tuple[List[int], bool]]:
+def _descend(
+    tx: TransactionHandle, prefix: str, key: int
+) -> Generator[Any, Any, Tuple[List[int], bool]]:
     """Walk from the root toward ``key``.
 
     Returns ``(path, found)``: ``path`` is the list of visited keys (last
@@ -50,12 +55,14 @@ def _descend(tx, prefix: str, key: int) -> Generator[Any, Any, Tuple[List[int], 
     return path, False
 
 
-def bst_contains(tx, prefix: str, key: int) -> Generator[Any, Any, bool]:
+def bst_contains(tx: TransactionHandle, prefix: str, key: int) -> Generator[Any, Any, bool]:
     _path, found = yield from _descend(tx, prefix, key)
     return found
 
 
-def _attach(tx, prefix: str, key: int, parent: Optional[int]) -> Generator[Any, Any, None]:
+def _attach(
+    tx: TransactionHandle, prefix: str, key: int, parent: Optional[int]
+) -> Generator[Any, Any, None]:
     yield from tx.write(_node_oid(prefix, key), (True, None, None))
     if parent is None:
         yield from tx.write(f"{prefix}/root", key)
@@ -67,13 +74,13 @@ def _attach(tx, prefix: str, key: int, parent: Optional[int]) -> Generator[Any, 
         yield from tx.write(_node_oid(prefix, parent), (present, left, key))
 
 
-def bst_add(tx, prefix: str, key: int) -> Generator[Any, Any, bool]:
+def bst_add(tx: TransactionHandle, prefix: str, key: int) -> Generator[Any, Any, bool]:
     path, found = yield from tx.nested(_descend, prefix, key, profile="bst.locate")
     if found:
         return False
     if path and path[-1] == key:
         # Tombstoned node still wired into the tree: revive in place.
-        def _revive(tx2):
+        def _revive(tx2: TransactionHandle) -> Generator[Any, Any, None]:
             _p, left, right = yield from tx2.read(_node_oid(prefix, key))
             yield from tx2.write(_node_oid(prefix, key), (True, left, right))
         yield from tx.nested(_revive, profile="bst.mutate")
@@ -83,7 +90,9 @@ def bst_add(tx, prefix: str, key: int) -> Generator[Any, Any, bool]:
     return True
 
 
-def _splice_out(tx, prefix: str, key: int, parent: Optional[int]) -> Generator[Any, Any, None]:
+def _splice_out(
+    tx: TransactionHandle, prefix: str, key: int, parent: Optional[int]
+) -> Generator[Any, Any, None]:
     """Textbook BST delete of ``key`` whose parent is ``parent``."""
     _present, left, right = yield from tx.read(_node_oid(prefix, key))
 
@@ -110,7 +119,7 @@ def _splice_out(tx, prefix: str, key: int, parent: Optional[int]) -> Generator[A
     yield from tx.write(_node_oid(prefix, key), (False, None, None))
 
 
-def bst_remove(tx, prefix: str, key: int) -> Generator[Any, Any, bool]:
+def bst_remove(tx: TransactionHandle, prefix: str, key: int) -> Generator[Any, Any, bool]:
     path, found = yield from tx.nested(_descend, prefix, key, profile="bst.locate")
     if not found:
         return False

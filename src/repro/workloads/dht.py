@@ -13,38 +13,47 @@ throughput — and the smallest RTS advantage — here.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.cluster import Cluster
 from repro.workloads.base import Op, Workload, zipf_choice
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.api import TransactionHandle
+
 __all__ = ["DhtWorkload"]
 
 Bucket = Tuple[Tuple[str, Any], ...]
 
 
-def _bucket_put(tx, bucket_oid: str, key: str, value: Any) -> Generator[Any, Any, None]:
+def _bucket_put(
+    tx: TransactionHandle, bucket_oid: str, key: str, value: Any
+) -> Generator[Any, Any, None]:
     bucket: Bucket = yield from tx.read(bucket_oid)
     entries = tuple((k, v) for k, v in bucket if k != key) + ((key, value),)
     yield from tx.write(bucket_oid, entries)
 
 
-def _bucket_remove(tx, bucket_oid: str, key: str) -> Generator[Any, Any, bool]:
+def _bucket_remove(tx: TransactionHandle, bucket_oid: str, key: str) -> Generator[Any, Any, bool]:
     bucket: Bucket = yield from tx.read(bucket_oid)
     entries = tuple((k, v) for k, v in bucket if k != key)
     yield from tx.write(bucket_oid, entries)
     return len(entries) != len(bucket)
 
 
-def put_multi(tx, puts: List[Tuple[str, str, Any]]) -> Generator[Any, Any, None]:
+def put_multi(
+    tx: TransactionHandle, puts: List[Tuple[str, str, Any]]
+) -> Generator[Any, Any, None]:
     """Parent: atomically apply (bucket, key, value) puts via nested txs."""
     for bucket_oid, key, value in puts:
         yield from tx.nested(_bucket_put, bucket_oid, key, value, profile="dht.put")
 
 
-def remove_multi(tx, removals: List[Tuple[str, str]]) -> Generator[Any, Any, int]:
+def remove_multi(
+    tx: TransactionHandle, removals: List[Tuple[str, str]]
+) -> Generator[Any, Any, int]:
     removed = 0
     for bucket_oid, key in removals:
         hit = yield from tx.nested(_bucket_remove, bucket_oid, key, profile="dht.remove")
@@ -52,7 +61,9 @@ def remove_multi(tx, removals: List[Tuple[str, str]]) -> Generator[Any, Any, int
     return removed
 
 
-def get_multi(tx, lookups: List[Tuple[str, str]]) -> Generator[Any, Any, List[Optional[Any]]]:
+def get_multi(
+    tx: TransactionHandle, lookups: List[Tuple[str, str]]
+) -> Generator[Any, Any, List[Optional[Any]]]:
     """Read-only parent: look keys up across buckets."""
     results: List[Optional[Any]] = []
     for bucket_oid, key in lookups:

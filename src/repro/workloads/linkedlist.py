@@ -22,12 +22,15 @@ value is the first key (or None).
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.cluster import Cluster
 from repro.workloads.base import Op, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.api import TransactionHandle
 
 __all__ = ["LinkedListWorkload"]
 
@@ -36,7 +39,9 @@ def _cell_oid(prefix: str, key: int) -> str:
     return f"{prefix}/cell{key}"
 
 
-def _locate(tx, prefix: str, key: int) -> Generator[Any, Any, Tuple[Optional[int], Optional[int]]]:
+def _locate(
+    tx: TransactionHandle, prefix: str, key: int
+) -> Generator[Any, Any, Tuple[Optional[int], Optional[int]]]:
     """Find (predecessor key, current key at/after position) for ``key``.
 
     Returns ``(pred, curr)`` where ``pred is None`` means the position is
@@ -51,7 +56,9 @@ def _locate(tx, prefix: str, key: int) -> Generator[Any, Any, Tuple[Optional[int
     return pred, curr
 
 
-def _splice_in(tx, prefix: str, key: int, pred: Optional[int], curr: Optional[int]) -> Generator[Any, Any, None]:
+def _splice_in(
+    tx: TransactionHandle, prefix: str, key: int, pred: Optional[int], curr: Optional[int]
+) -> Generator[Any, Any, None]:
     yield from tx.write(_cell_oid(prefix, key), (key, curr))
     if pred is None:
         yield from tx.write(f"{prefix}/head", key)
@@ -59,7 +66,9 @@ def _splice_in(tx, prefix: str, key: int, pred: Optional[int], curr: Optional[in
         yield from tx.write(_cell_oid(prefix, pred), (pred, key))
 
 
-def _splice_out(tx, prefix: str, key: int, pred: Optional[int]) -> Generator[Any, Any, None]:
+def _splice_out(
+    tx: TransactionHandle, prefix: str, key: int, pred: Optional[int]
+) -> Generator[Any, Any, None]:
     _, nxt = yield from tx.read(_cell_oid(prefix, key))
     if pred is None:
         yield from tx.write(f"{prefix}/head", nxt)
@@ -67,12 +76,12 @@ def _splice_out(tx, prefix: str, key: int, pred: Optional[int]) -> Generator[Any
         yield from tx.write(_cell_oid(prefix, pred), (pred, nxt))
 
 
-def ll_contains(tx, prefix: str, key: int) -> Generator[Any, Any, bool]:
+def ll_contains(tx: TransactionHandle, prefix: str, key: int) -> Generator[Any, Any, bool]:
     _, curr = yield from _locate(tx, prefix, key)
     return curr == key
 
 
-def ll_add(tx, prefix: str, key: int) -> Generator[Any, Any, bool]:
+def ll_add(tx: TransactionHandle, prefix: str, key: int) -> Generator[Any, Any, bool]:
     pred, curr = yield from tx.nested(_locate, prefix, key, profile="ll.locate")
     if curr == key:
         return False  # already present
@@ -80,7 +89,7 @@ def ll_add(tx, prefix: str, key: int) -> Generator[Any, Any, bool]:
     return True
 
 
-def ll_remove(tx, prefix: str, key: int) -> Generator[Any, Any, bool]:
+def ll_remove(tx: TransactionHandle, prefix: str, key: int) -> Generator[Any, Any, bool]:
     pred, curr = yield from tx.nested(_locate, prefix, key, profile="ll.locate")
     if curr != key:
         return False  # absent

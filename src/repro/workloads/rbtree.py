@@ -23,12 +23,15 @@ matching the paper's relative throughput ordering.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.cluster import Cluster
 from repro.workloads.base import Op, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.api import TransactionHandle
 
 __all__ = ["RbTreeWorkload"]
 
@@ -43,16 +46,18 @@ def _node_oid(prefix: str, key: int) -> str:
     return f"{prefix}/node{key}"
 
 
-def _read_node(tx, prefix: str, key: int) -> Generator[Any, Any, NodeVal]:
+def _read_node(tx: TransactionHandle, prefix: str, key: int) -> Generator[Any, Any, NodeVal]:
     val = yield from tx.read(_node_oid(prefix, key))
     return val
 
 
-def _write_node(tx, prefix: str, key: int, val: NodeVal) -> Generator[Any, Any, None]:
+def _write_node(
+    tx: TransactionHandle, prefix: str, key: int, val: NodeVal
+) -> Generator[Any, Any, None]:
     yield from tx.write(_node_oid(prefix, key), val)
 
 
-def rb_contains(tx, prefix: str, key: int) -> Generator[Any, Any, bool]:
+def rb_contains(tx: TransactionHandle, prefix: str, key: int) -> Generator[Any, Any, bool]:
     curr: Optional[int] = yield from tx.read(f"{prefix}/root")
     while curr is not None:
         present, _color, left, right = yield from _read_node(tx, prefix, curr)
@@ -62,14 +67,14 @@ def rb_contains(tx, prefix: str, key: int) -> Generator[Any, Any, bool]:
     return False
 
 
-def _is_red(tx, prefix: str, key: Optional[int]) -> Generator[Any, Any, bool]:
+def _is_red(tx: TransactionHandle, prefix: str, key: Optional[int]) -> Generator[Any, Any, bool]:
     if key is None:
         return False
     _p, color, _l, _r = yield from _read_node(tx, prefix, key)
     return color == RED
 
 
-def _balance(tx, prefix: str, node: int) -> Generator[Any, Any, int]:
+def _balance(tx: TransactionHandle, prefix: str, node: int) -> Generator[Any, Any, int]:
     """Okasaki's balance: fix a red-red violation under a black ``node``.
 
     Returns the key now rooting this subtree (changes when a rotation
@@ -119,7 +124,7 @@ def _balance(tx, prefix: str, node: int) -> Generator[Any, Any, int]:
 
 
 def _insert_into(
-    tx, prefix: str, key: int, curr: Optional[int]
+    tx: TransactionHandle, prefix: str, key: int, curr: Optional[int]
 ) -> Generator[Any, Any, Tuple[int, bool]]:
     """Recursive functional insert; returns (subtree root key, inserted?)."""
     if curr is None:
@@ -147,7 +152,7 @@ def _insert_into(
     return new_root, True
 
 
-def _do_insert(tx, prefix: str, key: int) -> Generator[Any, Any, bool]:
+def _do_insert(tx: TransactionHandle, prefix: str, key: int) -> Generator[Any, Any, bool]:
     root: Optional[int] = yield from tx.read(f"{prefix}/root")
     new_root, inserted = yield from _insert_into(tx, prefix, key, root)
     if not inserted:
@@ -161,7 +166,7 @@ def _do_insert(tx, prefix: str, key: int) -> Generator[Any, Any, bool]:
     return True
 
 
-def _do_remove(tx, prefix: str, key: int) -> Generator[Any, Any, bool]:
+def _do_remove(tx: TransactionHandle, prefix: str, key: int) -> Generator[Any, Any, bool]:
     """Tombstone delete: locate and mark absent (structure preserved)."""
     curr: Optional[int] = yield from tx.read(f"{prefix}/root")
     while curr is not None:
@@ -175,7 +180,7 @@ def _do_remove(tx, prefix: str, key: int) -> Generator[Any, Any, bool]:
     return False
 
 
-def rb_add(tx, prefix: str, key: int) -> Generator[Any, Any, bool]:
+def rb_add(tx: TransactionHandle, prefix: str, key: int) -> Generator[Any, Any, bool]:
     """Parent: nested locate-check, then nested insert-with-rebalance."""
     found = yield from tx.nested(rb_contains, prefix, key, profile="rb.locate")
     if found:
@@ -184,7 +189,7 @@ def rb_add(tx, prefix: str, key: int) -> Generator[Any, Any, bool]:
     return result
 
 
-def rb_remove(tx, prefix: str, key: int) -> Generator[Any, Any, bool]:
+def rb_remove(tx: TransactionHandle, prefix: str, key: int) -> Generator[Any, Any, bool]:
     found = yield from tx.nested(rb_contains, prefix, key, profile="rb.locate")
     if not found:
         return False

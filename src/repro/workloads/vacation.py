@@ -20,13 +20,16 @@ observation that Vacation/Bank run longest):
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.cluster import Cluster
 from repro.dstm.errors import AbortReason, TransactionAborted
 from repro.workloads.base import Op, Workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.api import TransactionHandle
 
 __all__ = ["VacationWorkload"]
 
@@ -36,7 +39,9 @@ RESOURCE_KINDS = ("car", "flight", "room")
 Row = Tuple[int, int, int]
 
 
-def _book_resource(tx, oid: str, customer_oid: str) -> Generator[Any, Any, bool]:
+def _book_resource(
+    tx: TransactionHandle, oid: str, customer_oid: str
+) -> Generator[Any, Any, bool]:
     """One booking leg: check the customer's record (no double booking),
     then take one unit of the resource.  Two-object read set, as in
     STAMP's per-relation reservation steps."""
@@ -50,24 +55,28 @@ def _book_resource(tx, oid: str, customer_oid: str) -> Generator[Any, Any, bool]
     return True
 
 
-def _release_resource(tx, oid: str) -> Generator[Any, Any, None]:
+def _release_resource(tx: TransactionHandle, oid: str) -> Generator[Any, Any, None]:
     total, available, price = yield from tx.read(oid)
     yield from tx.write(oid, (total, min(total, available + 1), price))
 
 
-def _append_booking(tx, customer_oid: str, bookings: Tuple[str, ...]) -> Generator[Any, Any, None]:
+def _append_booking(
+    tx: TransactionHandle, customer_oid: str, bookings: Tuple[str, ...]
+) -> Generator[Any, Any, None]:
     record: Tuple[str, ...] = yield from tx.read(customer_oid)
     yield from tx.write(customer_oid, record + bookings)
 
 
-def _clear_customer(tx, customer_oid: str) -> Generator[Any, Any, Tuple[str, ...]]:
+def _clear_customer(
+    tx: TransactionHandle, customer_oid: str
+) -> Generator[Any, Any, Tuple[str, ...]]:
     record: Tuple[str, ...] = yield from tx.read(customer_oid)
     yield from tx.write(customer_oid, ())
     return record
 
 
 def make_reservation(
-    tx, customer_oid: str, resource_oids: List[str], think: float
+    tx: TransactionHandle, customer_oid: str, resource_oids: List[str], think: float
 ) -> Generator[Any, Any, bool]:
     """Book every requested resource for the customer, atomically."""
     booked: List[str] = []
@@ -85,7 +94,7 @@ def make_reservation(
     return True
 
 
-def cancel_customer(tx, customer_oid: str) -> Generator[Any, Any, int]:
+def cancel_customer(tx: TransactionHandle, customer_oid: str) -> Generator[Any, Any, int]:
     """Release all of a customer's bookings."""
     record = yield from tx.nested(_clear_customer, customer_oid, profile="vacation.record")
     for oid in record:
@@ -93,7 +102,9 @@ def cancel_customer(tx, customer_oid: str) -> Generator[Any, Any, int]:
     return len(record)
 
 
-def query_availability(tx, resource_oids: List[str]) -> Generator[Any, Any, List[int]]:
+def query_availability(
+    tx: TransactionHandle, resource_oids: List[str]
+) -> Generator[Any, Any, List[int]]:
     out: List[int] = []
     for oid in resource_oids:
         _total, available, _price = yield from tx.read(oid)

@@ -54,10 +54,10 @@ def test_small_config_is_exhaustive_clean_and_pruned(scheduler):
 def test_reply_event_fanouts_leave_the_choice_points_alone(
     scheduler, runs, naive, kept, events_before
 ):
-    """Validation and registration calls are reply events joined by an
-    ``AllOf``, not one process each: runs and naive/kept branches are
-    what they were with the processes (recorded at 317ae3b); only the
-    kernel events spent enumerating them fall."""
+    """Validation and registration calls are reply signals joined by one
+    counting join, not one process each: runs and naive/kept branches
+    are what they were with the processes (recorded at 317ae3b); only
+    the kernel events spent enumerating them fall."""
     report = explore(ExploreConfig(nodes=2, txns=2, objects=1,
                                    scheduler=scheduler))
     assert report.exhaustive and report.violations == []

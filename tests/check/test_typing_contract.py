@@ -1,7 +1,8 @@
 """The pyproject mypy override promises `disallow_untyped_defs` for
 `repro.check.*`, `repro.sim.*`, `repro.dstm.*`, `repro.scheduler.*`,
 `repro.faults.*`, `repro.net.*`, `repro.rpc.*`, `repro.core.*`,
-`repro.traffic.*` and `repro.prof.*`.  The
+`repro.traffic.*`, `repro.prof.*`, `repro.util.*`, `repro.par.*`,
+`repro.obs.*` and `repro.workloads.*`.  The
 container this repo tests in does not ship mypy, so this test enforces
 the same contract with a small AST walk: every def in those packages
 annotates every parameter and its return type.  (When mypy IS available the `[[tool.mypy.overrides]]`
@@ -16,7 +17,7 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 #: packages held to it (every module under them)
 STRICT_PACKAGES = (
     "check", "sim", "dstm", "scheduler", "faults", "net", "rpc", "core",
-    "traffic", "prof",
+    "traffic", "prof", "util", "par", "obs", "workloads",
 )
 
 
@@ -56,6 +57,8 @@ def test_pyproject_declares_the_strict_override():
     assert '"repro.net.*"' in text and '"repro.rpc.*"' in text
     assert '"repro.core.*"' in text
     assert '"repro.traffic.*"' in text and '"repro.prof.*"' in text
+    assert '"repro.util.*"' in text and '"repro.par.*"' in text
+    assert '"repro.obs.*"' in text and '"repro.workloads.*"' in text
     assert "disallow_untyped_defs = true" in text
     assert "disallow_incomplete_defs = true" in text
 

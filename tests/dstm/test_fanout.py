@@ -1,18 +1,19 @@
 """The validation and registration fan-outs as state machines: what they
 cost the kernel, when each reply folds into the lookup cache, and whom
-the tools attribute the reply events to."""
+the tools attribute the reply signals to."""
 
 import pytest
 
-from repro.check.explore import _sites_of
+from repro.check.explore import _delivery_dst, _entry_sites
 from repro.core.api import Cluster
 from repro.core.config import ClusterConfig, SchedulerKind
 from repro.dstm.errors import AbortReason, TransactionAborted
 from repro.dstm.objects import home_node
-from repro.dstm.tfa import TFAEngine
 from repro.dstm.transaction import ReadEntry
-from repro.net.message import MessageType
+from repro.net.message import Message, MessageType
 from repro.prof.kernel import site_of
+from repro.rpc import ENDPOINTS
+from repro.sim import Signal
 
 NODES = 5
 K = 4
@@ -60,7 +61,7 @@ def validate(cluster, node, pairs):
 
 
 def spy_on_submits(client):
-    """Record (time, endpoint name, payload, reply event) of every
+    """Record (time, endpoint name, payload, reply signal) of every
     submit."""
     seen = []
     original = client.submit
@@ -82,6 +83,20 @@ def write_all(oids):
     return body
 
 
+def rpc_calls(profiler):
+    """Call entries at a node's ``n<id>.rpc`` site: reply signals, joins
+    and resend windows."""
+    return profiler.counts.get(("call", "n*.rpc"), 0)
+
+
+def no_reply_event(profiler):
+    """No kernel entry but a call is attributed to the RPC layer, and no
+    ``AllOf`` ever fired."""
+    return "AllOf" not in profiler.event_counts and not any(
+        kind != "call" and site == "n*.rpc" for kind, site in profiler.counts
+    )
+
+
 class TestKernelCost:
     def test_k_way_validation_is_k_reply_events_and_no_process(self):
         cluster = make_cluster()
@@ -89,13 +104,18 @@ class TestKernelCost:
         for oid in oids:
             cluster.alloc(oid, 0, node=0)
         assert validate(cluster, 1, [(oid, 0) for oid in oids]) is None
-        counts = cluster.profiler.counts
-        assert counts[("Event", "n*.tfa")] == K
-        assert not any(site == "validate" for _, site in counts)
-        # the driver is the only process there ever was
-        assert cluster.profiler.event_counts["Process"] == 1
-        # per call: 4 message events (2 link delays, 2 services) + the
-        # reply event; then the join and the driver's two
+        profiler = cluster.profiler
+        # K reply calls and one join wake-up, all at the validator's site
+        assert rpc_calls(profiler) == K + 1
+        # the only Event is the driver's bootstrap, the only process the
+        # driver: neither a reply nor the join builds one
+        assert [key for key in profiler.counts if key[0] != "call"] == [
+            ("Event", "driver")
+        ]
+        assert profiler.event_counts["Event"] == 1
+        assert profiler.event_counts["Process"] == 1
+        # per call: 4 message calls (2 link delays, 2 services) + the
+        # reply call; then the join and the driver's two
         assert cluster.env.events_processed == 5 * K + 3
 
     def test_k_object_registration_is_k_reply_events_and_no_process(self):
@@ -104,15 +124,17 @@ class TestKernelCost:
         for oid in oids:
             cluster.alloc(oid, 0, node=1)  # already here: no transfer DIR_UPDATE
         cluster.run_transaction(write_all(oids), node=1)
-        counts = cluster.profiler.counts
+        profiler = cluster.profiler
         per_type = cluster.network.per_type
+        validations = per_type.get(MessageType.READ_VALIDATE, 0)
         assert per_type[MessageType.DIR_UPDATE] == K
-        # every validation and registration call is one fold dispatch
-        assert counts[("Event", "n*.tfa")] == (
-            K + per_type.get(MessageType.READ_VALIDATE, 0)
-        )
+        # one reply call per call the node made (its blocking opens, the
+        # registrations, any validations), one join per fan-out
+        calls = cluster.proxies[1].rpc_client.calls
+        assert rpc_calls(profiler) == calls + 1 + (validations > 0)
+        assert no_reply_event(profiler)
         assert not any(
-            site in ("validate", "n*.register") for _, site in counts
+            site in ("validate", "n*.register") for _, site in profiler.counts
         )
         for oid in oids:
             assert cluster.directories[home_node(oid, NODES)].lookup(oid) == (1, 1)
@@ -124,26 +146,27 @@ class TestKernelCost:
         for oid in oids:
             cluster.alloc(oid, 0, node=0)
         assert validate(cluster, 1, [(oid, 0) for oid in oids]) is None
-        counts = cluster.profiler.counts
-        # the same K reply events as without a policy, plus one reply
-        # window per call, none of which has expired yet
-        assert counts[("Event", "n*.tfa")] == K
-        assert ("call", "n*.rpc") not in counts
-        assert cluster.profiler.event_counts["Process"] == 1
+        profiler = cluster.profiler
+        # the same K reply calls and one join as without a policy; each
+        # call's first reply window is pending, none has expired yet
+        assert rpc_calls(profiler) == K + 1
+        assert no_reply_event(profiler)
+        assert profiler.event_counts["Process"] == 1
 
         cluster = make_cluster(faults=dict(enabled=True))
         for oid in oids:
             cluster.alloc(oid, 0, node=1)
         cluster.run_transaction(write_all(oids), node=1)
-        counts = cluster.profiler.counts
+        profiler = cluster.profiler
         per_type = cluster.network.per_type
+        validations = per_type.get(MessageType.READ_VALIDATE, 0)
         assert per_type[MessageType.DIR_UPDATE] == K
-        assert counts[("Event", "n*.tfa")] == (
-            K + per_type.get(MessageType.READ_VALIDATE, 0)
-        )
+        assert cluster.proxies[1].rpc_client.failures == 0
+        assert rpc_calls(profiler) >= K + 1 + validations
+        assert no_reply_event(profiler)
         assert not any(
             site in ("validate", "n*.register", "withdraw", "publish")
-            for _, site in counts
+            for _, site in profiler.counts
         )
 
 
@@ -276,8 +299,27 @@ class TestFoldTime:
 
 
 class TestAttribution:
-    def pending_replies(self, cluster, node):
-        return list(cluster.nodes[node]._pending_replies.values())
+    """Every reply call and the join wake-up run at the waiting node:
+    the explorer and the profiler name it, and neither takes the call
+    for a message arrival."""
+
+    def signal_entries(self, cluster, proc):
+        """Step ``proc`` to its end; return the call entry of every
+        :class:`Signal` that fired on the way, in firing order."""
+        env = cluster.env
+        fired = []
+        while not proc.triggered:
+            for entry in env.pending_entries():
+                owner = getattr(entry[3], "__self__", None)
+                if isinstance(owner, Signal) and all(owner is not s for s, _ in fired):
+                    fired.append((owner, entry))
+            env.step()
+        return fired
+
+    def check(self, signal, entry, node):
+        assert site_of(entry[3]) == "n*.rpc" and signal.name == f"n{node}.rpc"
+        assert entry[4] is None and _delivery_dst(entry) is None
+        assert _entry_sites(entry) == frozenset({node})
 
     def test_validation_reply_event_belongs_to_the_validating_node(self):
         cluster = make_cluster()
@@ -289,16 +331,12 @@ class TestAttribution:
             yield from engine._first_stale([tx], set())
 
         proc = cluster.env.process(driver(), name="n3.driver")
-        cluster.env.run(until=1e-9)  # past the bootstrap: calls in flight
-        replies = self.pending_replies(cluster, 3)
-        assert len(replies) == K
-        for reply in replies:
-            fold, join = reply.callbacks
-            assert site_of(fold) == "n*.tfa"
-            assert fold.__self__ is engine and engine.name == "n3.tfa"
-            # through the named owner and the join's waiting process
-            assert _sites_of(reply) == frozenset({3})
-        cluster.env.run(until=proc)
+        fired = self.signal_entries(cluster, proc)
+        replies = [s for s, _ in fired if isinstance(s.value, Message)]
+        joins = [s for s, _ in fired if s.value is None]
+        assert len(replies) == K and len(joins) == 1
+        for signal, entry in fired:
+            self.check(signal, entry, 3)
 
     def test_registration_reply_event_belongs_to_the_committing_node(self):
         cluster = make_cluster()
@@ -306,19 +344,13 @@ class TestAttribution:
         for oid in oids:
             cluster.alloc(oid, 0, node=2)
         proc = cluster.spawn(cluster.atomic(write_all(oids), node=2), name="tx@2")
-        registering = []  # step until the registration calls are in flight
-        while not registering and not proc.triggered:
-            cluster.env.step()
-            registering = [
-                ev for ev in self.pending_replies(cluster, 2)
-                if ev.callbacks
-                and getattr(ev.callbacks[0], "__func__", None)
-                is TFAEngine._fold_register
-            ]
+        fired = self.signal_entries(cluster, proc)
+        ack = ENDPOINTS.get("dir_update").reply
+        registering = [
+            s for s, _ in fired
+            if isinstance(s.value, Message) and s.value.mtype == ack
+        ]
         assert len(registering) == K
-        for reply in registering:
-            assert site_of(reply.callbacks[0]) == "n*.tfa"
-            # the parent attributed the n2.register process to node 2
-            assert _sites_of(reply) == frozenset({2})
-        cluster.env.run(until=proc)
+        for signal, entry in fired:
+            self.check(signal, entry, 2)
         assert proc.ok

@@ -1,7 +1,7 @@
 """The message hop's Python budget, as a count of interpreter frames.
 
-One blocking RPC is two messages and five kernel entries (four calls,
-one reply event); what each costs the host is the Python that runs per
+One blocking RPC is two messages and five kernel entries (four message
+calls and the reply's call); what each costs the host is the Python that runs per
 hop.  The ledger (``benchmarks/e2e``) resolves microseconds per commit
 and cannot see one frame, so this file counts them: ``sys.setprofile`` ``call`` events
 (Python function entries and generator resumptions; C calls are
@@ -29,6 +29,16 @@ riders' entry) and ``_flush`` stopped relaying through the network:
 
 * batched route: 35.0 → 29.0 per round trip, i.e. 6 → 3 frames per batch
   over the plain route.
+
+and after a reply became a :class:`~repro.sim.Signal` (one call entry, no
+``Event``) and a fan-out's ``AllOf`` a counting ``RpcClient.join``:
+
+* blocking ``RpcClient.call``: 23.0 → 23.0 — ``Signal.__init__`` and
+  ``Signal._fire`` take the frames of ``Event.__init__`` and
+  ``Process._resume``, so the gate stays at 26;
+* ``k = 4`` fan-out, per member: 23.5 → 23.25 with a Python fold per
+  leg (the join's leg closure calls it; ``AllOf``'s condition lambda,
+  ``_check`` and ``_collect`` are gone).
 """
 
 import gc
@@ -37,6 +47,7 @@ from pathlib import Path
 
 import repro
 from repro.net import Network, Node, Topology
+from repro.prof.kernel import KernelProfiler
 from repro.rpc import PiggybackBatcher, RpcClient, serve
 from repro.sim import Environment, RngRegistry
 
@@ -102,24 +113,48 @@ class TestHopBudget:
         assert net.messages_delivered.value == 2 * TRIPS
         assert per_trip <= BUDGET, per_trip
 
-    def test_four_way_fanout_joined_with_all_of(self):
+    def test_four_way_fanout_joined_by_one_join(self):
         env = Environment()
         net, client = build(env)
         payload = {"oid": "x", "version": 0}
         k = 4
+        landed = []
 
         def caller():
             for _ in range(TRIPS):
                 replies = [
                     client.submit(1, "read_validate", payload) for _ in range(k)
                 ]
-                done = yield env.all_of(replies)
-                assert len(done) == k
+                yield client.join(replies, landed.append)
+                assert all(reply.value.payload == {"ok": True} for reply in replies)
 
         env.process(caller())
         per_member = frames_during_run(env) / (TRIPS * k)
         assert net.messages_delivered.value == 2 * k * TRIPS
+        assert len(landed) == k * TRIPS
         assert per_member <= BUDGET, per_member
+
+    def test_calls_and_fanouts_construct_no_event(self):
+        """A blocking call and a 4-way fan-out wake their waiter with call
+        entries alone: no reply event, no ``AllOf``."""
+        env = Environment()
+        _, client = build(env)
+        payload = {"oid": "x", "version": 0}
+        k = 4
+
+        def caller():
+            yield from client.call(1, "read_validate", payload)
+            replies = [client.submit(1, "read_validate", payload) for _ in range(k)]
+            yield client.join(replies, lambda _reply: None)
+
+        env.process(caller())
+        env.step()  # the bootstrap event runs the caller to its first wait
+        profiler = KernelProfiler().install(env)
+        env.run()
+        # per call: two link delays, two service periods and the reply;
+        # then the join, and the caller's own end (its Process event)
+        assert profiler.event_counts == {"call": 5 * (1 + k) + 1, "Process": 1}
+        assert profiler.counts[("call", "n*.rpc")] == 1 + k + 1
 
     def test_batched_route_adds_only_the_flush(self):
         plain_env = Environment()

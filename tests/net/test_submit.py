@@ -1,4 +1,4 @@
-"""``Node.submit``: a request whose handle is its reply event."""
+"""``Node.submit``: a request whose handle is its reply signal."""
 
 from repro.net import MessageType, Network, Node, Topology
 from repro.net.message import reset_msg_ids
@@ -28,7 +28,7 @@ class TestReplyEvent:
         assert list(nodes[0]._pending_replies.values()) == [reply]
 
         seen = []
-        reply.callbacks.append(lambda ev: seen.append(env.now))
+        reply.then(lambda _msg: seen.append(env.now))
         env.run()
         # request: link + service at 1; reply: link + service at 0
         done = net.topology.delay(0, 1) + SVC
@@ -51,7 +51,7 @@ class TestReplyEvent:
     def test_ping_pong_matches_the_blocking_request(self):
         """Same script through the blocking ``RpcClient.call`` and through
         ``submit``: same final time, same reply message id, same kernel
-        events — the blocking call is one yield on the reply event."""
+        events — the blocking call is one yield on the reply signal."""
 
         def script(env, nodes, blocking):
             got = []

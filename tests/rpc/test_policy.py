@@ -58,7 +58,7 @@ class TestSinglePolicyObject:
 
     def test_node_submit_honours_policy_ladder(self, env):
         """Node.submit's resend chain is the one retry path: a silent peer
-        resolves the reply event with None at exactly the policy's
+        resolves the reply signal with None at exactly the policy's
         worst-case wait, with on_timeout called per attempt and a fresh
         request (new msg_id) per window."""
         from repro.net import Network, Node, Topology
@@ -81,13 +81,11 @@ class TestSinglePolicyObject:
             1, MessageType.PING, {}, policy=pol,
             on_timeout=lambda a, w, r: seen.append((a, w, r)),
         )
-        reply.callbacks.append(
-            lambda ev: outcome.update(at=env.now, value=ev.value)
-        )
+        reply.then(lambda value: outcome.update(at=env.now, value=value))
         env.run()
         assert outcome == {"at": pytest.approx(pol.worst_case_wait()),
                            "value": None}
-        assert reply.ok  # resolved, never failed: a join waits for it
+        assert reply.processed  # resolved, never failed: a join waits for it
         assert seen == [
             (0, pytest.approx(0.1), True),
             (1, pytest.approx(0.2), True),

@@ -57,7 +57,7 @@ class TestEagerValidation:
 
 class TestSubmit:
     def test_a_retry_policy_keeps_the_reply_event(self, env, net2):
-        """Under a policy ``submit`` is still the call's reply event: it
+        """Under a policy ``submit`` is still the call's reply signal: it
         resolves with the reply, or with None once every window expired,
         and a blocking ``call`` raises PeerUnreachable on that None."""
         network, nodes = net2
@@ -74,7 +74,7 @@ class TestSubmit:
         start = env.now
         silent = client.submit(1, "ping")
         env.run()
-        assert silent.ok and silent.value is None
+        assert silent.processed and silent.value is None
         assert env.now - start == pytest.approx(pol.worst_case_wait())
         assert client.calls == 2 and client.failures == 1
 
@@ -94,10 +94,10 @@ class TestSubmit:
         reply = client.submit(1, "ping")
         assert [r["cat"] for r in tracer.records()] == ["rpc.issue"]
         order = []
-        reply.callbacks.append(lambda ev: order.append(len(tracer.records())))
+        reply.then(lambda _msg: order.append(len(tracer.records())))
         env.run()
-        # rpc.done is on the reply event ahead of any caller's callback,
-        # as the blocking call emits it before returning to its caller
+        # rpc.done is the reply signal's tap, ahead of its consumer, as
+        # the blocking call emits it before returning to its caller
         assert order == [2]
         issue, done = tracer.records()
         assert (issue["t"], done["t"]) == (0.0, env.now)
