@@ -86,13 +86,14 @@ class Process(Event):
 
         if target.__class__ is Signal:
             # One consumer, resumed inside the signal's call entry.
-            consumer = target._consumer
-            if consumer is None and target.env is self.env:
-                target._consumer = self._step
-                return
-            if consumer is _fired and target.env is self.env:
-                self._step(target._value)  # already fired: resumes now
-                return
+            if target.env is self.env:
+                consumer = target._consumer
+                if consumer is None:
+                    target._consumer = self._step
+                    return
+                if consumer is _fired:
+                    self._step(target._value)  # already fired: resumes now
+                    return
             error = RuntimeError(
                 f"process {self.name!r} yielded {target!r}, which has a "
                 "consumer already or belongs to another environment"

@@ -1,8 +1,8 @@
 """The message hop's Python budget, as a count of interpreter frames.
 
 One blocking RPC is two messages and five kernel entries (four message
-calls and the reply's call); what each costs the host is the Python that runs per
-hop.  The ledger (``benchmarks/e2e``) resolves microseconds per commit
+calls and the reply's call); what each costs the host is the Python that
+runs per hop.  The ledger (``benchmarks/e2e``) resolves microseconds per commit
 and cannot see one frame, so this file counts them: ``sys.setprofile`` ``call`` events
 (Python function entries and generator resumptions; C calls are
 ``c_call`` and not counted) whose code lives under ``src/repro``, during
@@ -36,9 +36,9 @@ and after a reply became a :class:`~repro.sim.Signal` (one call entry, no
 * blocking ``RpcClient.call``: 23.0 → 23.0 — ``Signal.__init__`` and
   ``Signal._fire`` take the frames of ``Event.__init__`` and
   ``Process._resume``, so the gate stays at 26;
-* ``k = 4`` fan-out, per member: 23.5 → 23.25 with a Python fold per
-  leg (the join's leg closure calls it; ``AllOf``'s condition lambda,
-  ``_check`` and ``_collect`` are gone).
+* ``k = 4`` fan-out, per member: 23.5 → 23.26 — the join and its leg
+  closure replace ``AllOf``'s condition lambda, ``_check`` and
+  ``_collect`` (the test's fold is not under ``src/repro``).
 """
 
 import gc
@@ -126,12 +126,12 @@ class TestHopBudget:
                     client.submit(1, "read_validate", payload) for _ in range(k)
                 ]
                 yield client.join(replies, landed.append)
-                assert all(reply.value.payload == {"ok": True} for reply in replies)
 
         env.process(caller())
         per_member = frames_during_run(env) / (TRIPS * k)
         assert net.messages_delivered.value == 2 * k * TRIPS
         assert len(landed) == k * TRIPS
+        assert all(reply.payload == {"ok": True} for reply in landed)
         assert per_member <= BUDGET, per_member
 
     def test_calls_and_fanouts_construct_no_event(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, EventAlreadyTriggered, SimulationError, Timeout
+from repro.sim import Environment, EventAlreadyTriggered, Signal, SimulationError, Timeout
 from repro.sim.events import AllOf, AnyOf, PRIORITY_URGENT, PRIORITY_NORMAL
 
 
@@ -353,3 +353,64 @@ class TestPriorities:
             t.add_callback(lambda e, i=i: order.append(i))
         env.run()
         assert order == [0, 1, 2, 3, 4]
+
+
+class TestSignal:
+    """The one-consumer wake-up an RPC reply is: one call entry at the
+    key ``Event.succeed`` pushes, and no Event."""
+
+    def test_succeed_pushes_one_call_at_the_event_key(self, env):
+        signal, event = Signal(env, "n3.rpc"), env.event()
+        signal.succeed("reply")
+        event.succeed("reply")
+        (s_when, s_prio, s_seq, fn, arg), (e_when, e_prio, e_seq, _, _) = (
+            sorted(env.pending_entries(), key=lambda entry: entry[2])
+        )
+        assert (s_when, s_prio, s_seq + 1) == (e_when, e_prio, e_seq)
+        assert fn.__self__ is signal and arg is None
+        assert signal.triggered and not signal.processed
+        with pytest.raises(EventAlreadyTriggered):
+            signal.succeed("again")
+
+    def test_a_process_resumes_inside_the_call(self, env):
+        signal = Signal(env, "n0.rpc")
+        seen = []
+
+        def waiter():
+            seen.append((yield signal))
+
+        env.process(waiter())
+        env.run()
+        assert seen == [] and not signal.triggered
+        signal.succeed(7)
+        env.run()
+        assert seen == [7] and signal.processed
+
+    def test_tap_runs_ahead_of_the_consumer(self, env):
+        signal = Signal(env, "n0.rpc")
+        order = []
+        signal.tap = lambda value: order.append(("tap", value))
+        signal.then(lambda value: order.append(("consumer", value)))
+        signal.succeed(1)
+        env.run()
+        assert order == [("tap", 1), ("consumer", 1)]
+
+    def test_one_consumer_and_a_late_one_runs_at_once(self, env):
+        signal = Signal(env, "n0.rpc")
+        signal.succeed("v")
+        env.run()  # fired with nobody waiting
+        late = []
+        signal.then(late.append)
+        assert late == ["v"]
+
+        taken = Signal(env, "n0.rpc")
+        taken.then(late.append)
+        with pytest.raises(RuntimeError, match="already has a consumer"):
+            taken.then(late.append)
+
+        def second():
+            yield taken
+
+        env.process(second())
+        with pytest.raises(RuntimeError, match="consumer already"):
+            env.run()
