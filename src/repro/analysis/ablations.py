@@ -18,7 +18,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, Generator, List
 
 from repro.analysis.render import render_table
 from repro.analysis.scales import SCALES, Scale
@@ -273,7 +273,9 @@ def run_locator_ablation(
     rng = rngs.stream("churn")
     latencies: List[float] = []
 
-    def churn(env, oid, sequence):
+    def churn(
+        env: Environment, oid: str, sequence: List[int]
+    ) -> Generator[Any, Any, None]:
         holder = sequence[0]
         dirs[holder].create(oid, dirs)
         for target in sequence[1:]:
@@ -281,7 +283,7 @@ def run_locator_ablation(
                 continue
             started = env.now
             proc = env.process(dirs[target].find(oid), name="find")
-            yield env.timeout(2e-3)
+            yield 2e-3
             dirs[holder].release(oid)
             yield proc
             latencies.append(env.now - started)
@@ -308,7 +310,9 @@ def run_locator_ablation(
     rng = cluster.rngs.stream("churn")
     latencies2: List[float] = []
 
-    def churn2(env, oid, sequence):
+    def churn2(
+        env: Environment, oid: str, sequence: List[int]
+    ) -> Generator[Any, Any, None]:
         cluster.alloc(oid, 0, node=sequence[0])
         for target in sequence[1:]:
             engine = cluster.engines[target]

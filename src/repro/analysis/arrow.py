@@ -30,7 +30,7 @@ are exercised by the property tests in
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import networkx as nx
 
@@ -136,7 +136,7 @@ class ArrowDirectory:
     # Requester API
     # ------------------------------------------------------------------
 
-    def find(self, oid: str):
+    def find(self, oid: str) -> Generator[Any, Any, None]:
         """Enqueue this node for ownership of ``oid`` (generator).
 
         Returns when the object token arrives here.  Immediately returns

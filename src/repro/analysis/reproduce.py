@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List
+from typing import Any, Dict, List
 
 from repro.analysis.ablations import ALL_ABLATIONS, format_ablation
 from repro.analysis.figures import format_figure, run_figure
@@ -58,7 +58,7 @@ def main(argv: List[str] | None = None) -> int:
     #: every artefact's cells run through repro.par.run_grid
     par = {"jobs": args.jobs, "cache_dir": args.cache_dir}
 
-    def export(name, rows):
+    def export(name: str, rows: List[Dict[str, Any]]) -> None:
         if args.export_dir is None:
             return
         from repro.analysis.export import export_rows

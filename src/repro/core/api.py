@@ -124,7 +124,7 @@ class TransactionHandle:
             # messages) escalates to the root instead of spinning.
             max_retries = engine.nested_retry_cap
         tracer = engine.proxy.tracer
-        node_tag = f"n{engine.node.node_id}"
+        node_tag = ""
         retries = 0
         while True:
             if parent.status is not TxStatus.LIVE:
@@ -133,8 +133,9 @@ class TransactionHandle:
                 )
             child = engine.begin(profile=child_profile, parent=parent)
             handle = TransactionHandle(engine, child)
-            span_on = tracer.wants("span.begin")
+            span_on = tracer.enabled and tracer.wants("span.begin")
             if span_on:
+                node_tag = f"n{engine.node.node_id}"
                 tracer.emit(
                     engine.env.now, "span.begin", child.txid,
                     task=child.task_id, node=node_tag, attempt=retries,
@@ -177,7 +178,7 @@ class TransactionHandle:
                 # Restart is never free: at minimum the begin/rollback
                 # bookkeeping costs one local operation, which also keeps
                 # simulated time advancing on zero-backoff retry storms.
-                yield engine.env.timeout(max(stall, OP_LOCAL_TIME))
+                yield max(stall, OP_LOCAL_TIME)
                 if max_retries is not None and retries > max_retries:
                     # Escalate: give up on the child, abort the root.
                     raise TransactionAborted(
@@ -291,7 +292,7 @@ def run_root(
     while True:
         root = engine.begin(profile=profile, task_id=task_id)
         handle = TransactionHandle(engine, root)
-        span_on = tracer.wants("span.begin")
+        span_on = tracer.enabled and tracer.wants("span.begin")
         if span_on:
             tracer.emit(
                 env.now, "span.begin", root.txid,
@@ -343,4 +344,4 @@ def run_root(
             # overhead (config.abort_overhead) before the body re-runs,
             # which also keeps zero-backoff retry storms off the
             # same-timestamp fast path.
-            yield env.timeout(max(stall, engine.abort_overhead, OP_LOCAL_TIME))
+            yield max(stall, engine.abort_overhead, OP_LOCAL_TIME)

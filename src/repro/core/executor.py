@@ -103,7 +103,7 @@ class WorkloadExecutor:
                 if abort.reason is not AbortReason.USER_ABORT:
                     self.abandoned += 1
             if self.think_time > 0:
-                yield env.timeout(self.think_time)
+                yield self.think_time
 
     # ------------------------------------------------------------------
 

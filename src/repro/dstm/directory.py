@@ -215,9 +215,13 @@ class DirectoryShard:
             if nack is not None:
                 return nack
 
-        if self.tracer.wants("dir.owner") and (entry is None or entry.owner != owner):
+        tracer = self.tracer
+        if (
+            tracer.enabled and tracer.wants("dir.owner")
+            and (entry is None or entry.owner != owner)
+        ):
             # Ownership-migration audit: the registered owner changes.
-            self.tracer.emit(
+            tracer.emit(
                 self.node.env.now, "dir.owner", oid,
                 node=f"n{self.node.node_id}", owner=owner,
                 prev=entry.owner if entry is not None else -1,

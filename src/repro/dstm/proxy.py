@@ -146,6 +146,10 @@ class TMProxy:
         self._hold_started: Dict[str, float] = {}
         #: how many times an expired waiter re-requests before aborting
         self.rerequest_limit = 8
+        #: while an ownership hand-off is in flight, both the directory
+        #: and the hint chain can be transiently stale; chasing pauses
+        #: this long between hops so the migration can land
+        self.chase_pause = max(node.network.topology.min_delay * 0.5, 1e-4)
         node.on(MessageType.RETRIEVE_REQUEST, self._on_retrieve_request)
         node.on(MessageType.OBJECT_HANDOFF, self._on_object_handoff)
         # Fire-and-forget ownership registrations still produce acks from
@@ -181,22 +185,17 @@ class TMProxy:
         """
         root = tx.root
         ets = self._build_ets(root)
-        span_on = self.tracer.wants("span.phase")
+        tracer = self.tracer
+        span_on = tracer.enabled and tracer.wants("span.phase")
         if span_on:
-            self.tracer.emit(
+            tracer.emit(
                 self.env.now, "span.phase", tx.txid,
                 phase="open", edge="B", oid=oid,
             )
-        # While an ownership hand-off is in flight, both the directory and
-        # the hint chain can be transiently stale; chasing pauses briefly
-        # between hops so the migration can land.
-        chase_pause = max(self.node.network.topology.min_delay * 0.5, 1e-4)
         try:
-            grant = yield from self._open_object_chase(
-                tx, root, oid, mode, ets, chase_pause
-            )
+            grant = yield from self._open_object_chase(tx, root, oid, mode, ets)
             if span_on:
-                self.tracer.emit(
+                tracer.emit(
                     self.env.now, "span.phase", tx.txid,
                     phase="open", edge="E", oid=oid,
                 )
@@ -220,13 +219,13 @@ class TMProxy:
         oid: str,
         mode: ObjectMode,
         ets: ETS,
-        chase_pause: float,
     ) -> Generator[Any, Any, Grant]:
+        tracer = self.tracer
         expiries = 0
         for hop in range(256):
             owner = self.owner_hints.lookup(oid)
-            if self.tracer.wants("rpc.cache"):
-                self.tracer.emit(
+            if tracer.enabled and tracer.wants("rpc.cache"):
+                tracer.emit(
                     self.env.now, "rpc.cache", oid,
                     node=f"n{self.node.node_id}", hit=owner is not None,
                 )
@@ -235,7 +234,7 @@ class TMProxy:
             reply = yield from self.rpc_client.call(
                 owner, _RETRIEVE,
                 {
-                    "oid": oid, "txid": root.task_id, "mode": mode.value,
+                    "oid": oid, "txid": root.task_id, "mode": mode,
                     "my_cl": root.my_cl(),
                     "ets": (ets.start, ets.request, ets.expected_commit),
                 },
@@ -254,7 +253,7 @@ class TMProxy:
                     self.owner_hints.put(oid, hint)
                 else:
                     self.owner_hints.drop(oid)
-                yield self.env.timeout(chase_pause)
+                yield self.chase_pause
                 continue
 
             if p["granted"]:
@@ -265,9 +264,9 @@ class TMProxy:
                 # scheduler budget); bounded by a generous cap purely as
                 # a live-lock safety valve.
                 budget = p["backoff"] if p["backoff"] is not None else 30.0
-                span_on = self.tracer.wants("span.phase")
+                span_on = tracer.enabled and tracer.wants("span.phase")
                 if span_on:
-                    self.tracer.emit(
+                    tracer.emit(
                         self.env.now, "span.phase", tx.txid,
                         phase="queue", edge="B", oid=oid,
                     )
@@ -275,7 +274,7 @@ class TMProxy:
                     root, oid, float(budget)
                 )
                 if span_on:
-                    self.tracer.emit(
+                    tracer.emit(
                         self.env.now, "span.phase", tx.txid,
                         phase="queue", edge="E", oid=oid,
                         won=grant_payload is not None,
@@ -386,8 +385,9 @@ class TMProxy:
                 )
         else:
             self.owner_hints.learn(oid, served_by, grant.version)
-        if self.tracer.wants("dstm.grant"):
-            self.tracer.emit(
+        tracer = self.tracer
+        if tracer.enabled and tracer.wants("dstm.grant"):
+            tracer.emit(
                 self.env.now, "dstm.grant", oid,
                 txid=root.task_id, mode=mode.value, version=grant.version,
                 served_by=served_by,
@@ -464,7 +464,9 @@ class TMProxy:
         p = msg.payload
         oid: str = p["oid"]
         root_txid: str = p["txid"]
-        mode = ObjectMode(p["mode"])
+        mode = p["mode"]  # the member, or its string form
+        if mode.__class__ is not ObjectMode:
+            mode = ObjectMode(mode)
 
         obj = self.store.get(oid)
         if obj is None:
@@ -490,7 +492,7 @@ class TMProxy:
             # A held object serves only its holder, and stays put.
             self._send_object(
                 obj, msg.src, root_txid, local_cl,
-                transferred=free and not mode.is_copy, request=msg,
+                transferred=free and mode is ObjectMode.ACQUIRE, request=msg,
             )
             return
 

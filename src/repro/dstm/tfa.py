@@ -109,16 +109,19 @@ class TFAEngine:
 
         # Own (or ancestor) uncommitted write shadows everything.
         if tx.has_local_value(oid):
-            yield self.env.timeout(OP_LOCAL_TIME)
+            yield OP_LOCAL_TIME
             return tx.lookup_write(oid)
 
         # Repeated read: serve the recorded value (same version — repeated
-        # reads must be stable or opacity is lost).
-        for level in tx.ancestors():
+        # reads must be stable or opacity is lost).  Walked by ``parent``,
+        # as in Transaction.lookup_write.
+        level: Optional[Transaction] = tx
+        while level is not None:
             entry = level.rset.get(oid)
             if entry is not None:
-                yield self.env.timeout(OP_LOCAL_TIME)
+                yield OP_LOCAL_TIME
                 return entry.value
+            level = level.parent
 
         grant = yield from self.proxy.open_object(tx, oid, ObjectMode.READ)
         yield from self.maybe_forward(tx, grant.owner_clock)
@@ -135,7 +138,7 @@ class TFAEngine:
         entry = ReadEntry(oid, grant.version, grant.served_by)
         entry.value = grant.value
         tx.rset[oid] = entry
-        yield self.env.timeout(OP_LOCAL_TIME)
+        yield OP_LOCAL_TIME
         return grant.value
 
     def write(self, tx: Transaction, oid: str, value: Any) -> Generator[Any, Any, None]:
@@ -154,14 +157,14 @@ class TFAEngine:
             entry = ReadEntry(oid, grant.version, grant.served_by, grant.value)
             tx.rset[oid] = entry
         tx.record_write(oid, value)
-        yield self.env.timeout(OP_LOCAL_TIME)
+        yield OP_LOCAL_TIME
 
     def compute(self, tx: Transaction, duration: float) -> Generator[Any, Any, None]:
         """Local computation inside the transaction body."""
         self._ensure_live(tx)
         if duration < 0:
             raise ValueError(f"negative compute duration {duration}")
-        yield self.env.timeout(duration)
+        yield float(duration)
 
     # ------------------------------------------------------------------
     # Transactional forwarding (early validation)
@@ -268,9 +271,10 @@ class TFAEngine:
             # Own entries only: an unreachable home kills the root (an
             # inner retry could not do better against a dead home), a
             # stale entry only this level.
+            tracer = self.proxy.tracer
             yield from self._validate(tx, set(), AbortReason.EARLY_VALIDATION,
                                       "stale read at nested commit",
-                                      self.proxy.tracer.wants("span.phase"))
+                                      tracer.enabled and tracer.wants("span.phase"))
         tx.merge_into_parent()
 
     def abort_nested(self, tx: Transaction, reason: AbortReason) -> List[Transaction]:
@@ -304,7 +308,8 @@ class TFAEngine:
             raise TransactionError(f"{root.txid}: cannot commit with live nested "
                                    f"transactions ({', '.join(c.txid for c in live)})")
 
-        span_on = self.proxy.tracer.wants("span.phase")
+        tracer = self.proxy.tracer
+        span_on = tracer.enabled and tracer.wants("span.phase")
         if span_on:
             self._edge(root, "commit", "B")
         new_versions: Dict[str, int] = {}

@@ -163,19 +163,29 @@ class Transaction:
 
     # -- read/write set resolution ------------------------------------------------
 
+    # The per-operation lookups walk the chain by ``parent`` themselves:
+    # an ``ancestors()`` generator costs two frames per walk on a root.
+
     def lookup_write(self, oid: str) -> Any:
         """Uncommitted value for ``oid`` visible at this level (ancestor
         chain), or the module sentinel when none exists."""
-        for tx in self.ancestors():
+        tx: Optional[Transaction] = self
+        while tx is not None:
             if oid in tx.wset:
                 return tx.wset[oid]
+            tx = tx.parent
         return _SENTINEL
 
     def has_local_value(self, oid: str) -> bool:
         return self.lookup_write(oid) is not _SENTINEL
 
     def has_read(self, oid: str) -> bool:
-        return any(oid in tx.rset for tx in self.ancestors())
+        tx: Optional[Transaction] = self
+        while tx is not None:
+            if oid in tx.rset:
+                return True
+            tx = tx.parent
+        return False
 
     def read_version(self, oid: str) -> Optional[int]:
         for tx in self.ancestors():

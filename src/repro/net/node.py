@@ -170,7 +170,11 @@ class Node:
         if msg.reply_to is not None:
             waiter = self._pending_replies.pop(msg.reply_to, None)
             if waiter is not None and waiter._value is _PENDING:
-                waiter.succeed(msg)
+                # Signal.succeed, inlined: the reply's one call entry
+                waiter._value = msg
+                env = self.env
+                env._seq += 1
+                env._qpush((env._now, PRIORITY_NORMAL, env._seq, waiter._fire, None))
                 return
             # Fall through: unsolicited/late replies go to handlers too
             # (the RTS object hand-off after backoff expiry needs this).
@@ -266,7 +270,7 @@ class Node:
     @property
     def now_local(self) -> float:
         """This node's wall-clock reading (skewed/drifting)."""
-        return self.clock.wall_time(self.env.now)
+        return self.clock.wall_time(self.env._now)
 
     def __repr__(self) -> str:
         return f"<Node {self.node_id} tfa_clock={self.clock.tfa_clock}>"

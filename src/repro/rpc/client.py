@@ -101,7 +101,10 @@ class RpcClient:
         or, once every attempt's window has expired, with ``None``; it
         never fails, so a join waits for every outcome.
         """
-        return self._issue(dst, self._admit(endpoint, payload), payload)
+        mtype = self._admit(endpoint, payload)
+        if self.policy is None and not self.tracer.enabled:
+            return self.node.submit(dst, mtype, payload)  # as in _join
+        return self._issue(dst, mtype, payload)
 
     def post(
         self, dst: int, endpoint: Endpoint, payload: Dict[str, Any]
@@ -122,8 +125,14 @@ class RpcClient:
         self, dst: int, mtype: MessageType, payload: Optional[Dict[str, Any]]
     ) -> Generator[Any, Any, Message]:
         """:meth:`call`'s generator: :meth:`submit`'s issue step on the
-        first resume, then one ``yield`` on its reply signal."""
-        reply = yield self._issue(dst, mtype, payload)
+        first resume, then one ``yield`` on its reply signal.  With no
+        policy and the tracer off there is nothing for :meth:`_issue` to
+        add, so — here and in :meth:`submit` — the request goes straight
+        to ``Node.submit``."""
+        if self.policy is None and not self.tracer.enabled:
+            reply = yield self.node.submit(dst, mtype, payload)
+        else:
+            reply = yield self._issue(dst, mtype, payload)
         if reply is None:
             raise PeerUnreachable(dst, mtype.value, self.policy.attempts)
         return reply

@@ -14,11 +14,14 @@ entry is one of two kinds:
 
 **The rule: a timer that nobody waits on is a call**
 (:meth:`Environment.call_later`) — a message's link delay, an inbox
-service period, a batcher flush, a retry window; **a wake-up with one
-consumer that cannot fail is a call too**, through a
-:class:`~repro.sim.events.Signal` — an RPC reply, a fan-out's join —
-which a process yields like an Event and resumes inside; **everything
-else a process waits on is an Event** (a timeout, a hand-off race, a
+service period, a batcher flush, a retry window; **so is a process's
+sleep**: a process waits out a plain delay by yielding the ``float``
+itself, and resumes inside the one call entry its step pushes, keyed
+exactly as a :class:`~repro.sim.events.Timeout` built there would be;
+**a wake-up with one consumer that cannot fail is a call too**, through
+a :class:`~repro.sim.events.Signal` — an RPC reply, a fan-out's join —
+which a process yields like an Event and resumes inside; **only what
+is raced or shared is an Event** (the hand-off race's ``Timeout``, a
 drain over many processes).  The monotonically increasing sequence
 number is unique, so a comparison never reaches ``fn`` and pop order
 is ascending tuple order by construction — which makes every
@@ -43,7 +46,7 @@ Typical use::
     env = Environment()
 
     def worker(env, duration):
-        yield env.timeout(duration)
+        yield duration  # a sleep
         return duration * 2
 
     proc = env.process(worker(env, 5.0))
@@ -168,7 +171,9 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that fires ``delay`` time units from now."""
+        """An event that fires ``delay`` time units from now — for a
+        delay that is raced (``waiter | expiry``); a process that only
+        waits it out yields the ``float`` instead."""
         return Timeout(self, delay, value)
 
     def call_later(

@@ -1,11 +1,19 @@
 """Generator-coroutine processes for the DES kernel.
 
-A *process* wraps a Python generator.  Each value the generator yields must
-be an :class:`~repro.sim.events.Event`; the process suspends until that event
-is processed and is then resumed with the event's value (``gen.send``) or,
-for failed events, has the exception thrown into it (``gen.throw``).  It may
-also yield a :class:`~repro.sim.events.Signal` (an RPC reply): the process
-becomes its one consumer and resumes inside the signal's call entry.
+A *process* wraps a Python generator, which yields what it waits on:
+
+* a **delay** — a non-negative ``float``, the sleep: the process pushes
+  one call entry, ``(now + d, PRIORITY_NORMAL, next seq, its step,
+  None)`` — the key a :class:`~repro.sim.events.Timeout` built at the
+  same point would push — and resumes inside it with ``None``.  A NaN
+  or negative delay is thrown back into the generator as ``ValueError``,
+  with ``Timeout``'s message;
+* a :class:`~repro.sim.events.Signal` (an RPC reply): the process
+  becomes its one consumer and resumes inside the signal's call entry;
+* an :class:`~repro.sim.events.Event`: the process suspends until that
+  event is processed and is then resumed with the event's value
+  (``gen.send``) or, for failed events, has the exception thrown into it
+  (``gen.throw``).  Only what is raced or shared needs one.
 
 A :class:`Process` is itself an event: it triggers when the generator
 returns (success, carrying the return value) or raises (failure, carrying
@@ -22,7 +30,13 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional
 
-from repro.sim.events import PRIORITY_URGENT, Event, Signal, _fired
+from repro.sim.events import (
+    PRIORITY_NORMAL,
+    PRIORITY_URGENT,
+    Event,
+    Signal,
+    _fired,
+)
 
 __all__ = ["Process"]
 
@@ -84,7 +98,8 @@ class Process(Event):
             self.fail(exc)
             return
 
-        if target.__class__ is Signal:
+        cls = target.__class__
+        if cls is Signal:
             # One consumer, resumed inside the signal's call entry.
             if target.env is self.env:
                 consumer = target._consumer
@@ -94,30 +109,37 @@ class Process(Event):
                 if consumer is _fired:
                     self._step(target._value)  # already fired: resumes now
                     return
-            error = RuntimeError(
+            error: BaseException = RuntimeError(
                 f"process {self.name!r} yielded {target!r}, which has a "
                 "consumer already or belongs to another environment"
             )
+        elif cls is float or isinstance(target, float):
+            # A sleep: Timeout.__init__'s push, with this step as the call.
+            if target >= 0:  # one comparison; false for NaN too
+                env = self.env
+                env._seq += 1
+                env._qpush(
+                    (env._now + target, PRIORITY_NORMAL, env._seq, self._step, None)
+                )
+                return
+            error = ValueError(f"delay must be >= 0 and not NaN, got {target!r}")
         elif isinstance(target, Event):
             if target.env is not self.env:
-                self.fail(RuntimeError("yielded an event from a different environment"))
+                error = RuntimeError("yielded an event from a different environment")
+            else:
+                if target.callbacks is not None:
+                    target.callbacks.append(self._resume)
+                else:  # already processed: resumes synchronously
+                    target.add_callback(self._resume)
                 return
-            if target.callbacks is not None:
-                target.callbacks.append(self._resume)
-            else:  # already processed: resumes synchronously
-                target.add_callback(self._resume)
-            return
         else:
             error = RuntimeError(
                 f"process {self.name!r} yielded {target!r}; processes must "
-                "yield Event or Signal instances"
+                "yield Event or Signal instances, or a float delay"
             )
-        try:
-            self._generator.throw(error)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-        except BaseException as exc:  # noqa: BLE001
-            self.fail(exc)
+        # Thrown in where it was yielded: the generator may catch it and
+        # wait on something else.
+        self._step(throw=error)
 
     def __repr__(self) -> str:
         state = "alive" if self.is_alive else ("ok" if self._ok else "failed")

@@ -122,7 +122,7 @@ class OpenLoopExecutor:
         queue = self.queues[node]
         while True:
             dt = process.next_interval(env.now - self._start, self._per_node_rate())
-            yield env.timeout(dt)
+            yield dt
             if self._stop or env.now >= self._t_end:
                 return
             op = self.workload.make_op(node, op_rng)
@@ -140,7 +140,7 @@ class OpenLoopExecutor:
         for phase in self.scenario.phases:
             delay = self._start + phase.at - env.now
             if delay > 0:
-                yield env.timeout(delay)
+                yield delay
             if self._stop:
                 return
             self.phase_name = phase.name

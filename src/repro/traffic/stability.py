@@ -115,7 +115,7 @@ class StabilityMonitor:
         env = self.env
         prev_area = self._cumulative_area(env.now)
         while True:
-            yield env.timeout(self.window)
+            yield self.window
             if self._stopped:
                 return
             area = self._cumulative_area(env.now)

@@ -2,7 +2,8 @@
 `repro.check.*`, `repro.sim.*`, `repro.dstm.*`, `repro.scheduler.*`,
 `repro.faults.*`, `repro.net.*`, `repro.rpc.*`, `repro.core.*`,
 `repro.traffic.*`, `repro.prof.*`, `repro.util.*`, `repro.par.*`,
-`repro.obs.*` and `repro.workloads.*`.  The
+`repro.obs.*`, `repro.workloads.*` and `repro.analysis.*` — every
+package.  The
 container this repo tests in does not ship mypy, so this test enforces
 the same contract with a small AST walk: every def in those packages
 annotates every parameter and its return type.  (When mypy IS available the `[[tool.mypy.overrides]]`
@@ -17,7 +18,7 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 #: packages held to it (every module under them)
 STRICT_PACKAGES = (
     "check", "sim", "dstm", "scheduler", "faults", "net", "rpc", "core",
-    "traffic", "prof", "util", "par", "obs", "workloads",
+    "traffic", "prof", "util", "par", "obs", "workloads", "analysis",
 )
 
 

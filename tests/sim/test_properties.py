@@ -56,6 +56,41 @@ def _step_dry(env):
         env.step()
 
 
+#: a process: (delay it waits out, whether it sleeps on the float or
+#: yields a Timeout, the processes it starts once it wakes)
+_waits = st.recursive(
+    st.tuples(st.sampled_from(_DELAYS), st.booleans(), st.just(())),
+    lambda children: st.tuples(
+        st.sampled_from(_DELAYS),
+        st.booleans(),
+        st.lists(children, max_size=3).map(tuple),
+    ),
+    max_leaves=12,
+)
+
+
+def _play_waits(program, drive, sleeps):
+    """Start one process per ``program`` node; each waits out its delay
+    — a sleep where the node says so and ``sleeps`` is set, a
+    ``Timeout`` otherwise — then starts its children.  Returns one
+    ``(now, path, seq high-water mark)`` per wake-up, in order, and the
+    entries processed."""
+    env = Environment()
+    woke = []
+
+    def waiter(path, node):
+        delay, sleep, children = node
+        yield delay if sleeps and sleep else env.timeout(delay)
+        woke.append((env.now, path, env._seq))
+        for i, child in enumerate(children):
+            env.process(waiter(path + (i,), child))
+
+    for i, node in enumerate(program):
+        env.process(waiter((i,), node))
+    drive(env)
+    return woke, env.events_processed
+
+
 class TestEventOrderingProperties:
     @given(
         st.lists(_pushes, min_size=1, max_size=8),
@@ -80,6 +115,25 @@ class TestEventOrderingProperties:
                 # pushed by the callback just run: may outrank it on
                 # priority (a same-time urgent push), never on time
                 assert when <= after[0]
+
+    @given(
+        st.lists(_waits, min_size=1, max_size=6),
+        st.lists(st.sampled_from((0.0, 0.001, 0.25, 1.0, 3.0)), max_size=3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_sleep_pops_where_a_timeout_at_its_point_would(
+        self, program, horizons
+    ):
+        def run_in_slices(env):
+            for horizon in sorted(horizons):
+                env.run(until=horizon)
+            env.run()
+
+        reference = _play_waits(program, run_in_slices, sleeps=False)
+        assert _play_waits(program, run_in_slices, sleeps=True) == reference
+        assert _play_waits(program, _step_dry, sleeps=True) == reference
+        times = [when for when, _path, _mark in reference[0]]
+        assert times == sorted(times)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=100.0,
                               allow_nan=False), min_size=1, max_size=50))
