@@ -178,7 +178,7 @@ class TransactionHandle:
                 # Restart is never free: at minimum the begin/rollback
                 # bookkeeping costs one local operation, which also keeps
                 # simulated time advancing on zero-backoff retry storms.
-                yield max(stall, OP_LOCAL_TIME)
+                yield float(max(stall, OP_LOCAL_TIME))
                 if max_retries is not None and retries > max_retries:
                     # Escalate: give up on the child, abort the root.
                     raise TransactionAborted(
@@ -344,4 +344,5 @@ def run_root(
             # overhead (config.abort_overhead) before the body re-runs,
             # which also keeps zero-backoff retry storms off the
             # same-timestamp fast path.
-            yield max(stall, engine.abort_overhead, OP_LOCAL_TIME)
+            # (a float: a policy may return an int, which is no sleep)
+            yield float(max(stall, engine.abort_overhead, OP_LOCAL_TIME))

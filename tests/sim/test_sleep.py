@@ -14,6 +14,7 @@ import pytest
 from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig
 from repro.core.executor import WorkloadExecutor
+from repro.dstm.errors import AbortReason, TransactionAborted
 from repro.prof.kernel import KernelProfiler
 from repro.sim import Environment, Timeout
 from repro.workloads.vacation import VacationWorkload
@@ -171,3 +172,49 @@ class TestClosedLoopCell:
         assert worker_kinds <= {"call", "Event", "AnyOf"}
         assert counts[("Event", "worker")] == 6
         assert counts[("call", "worker")] > 20 * 30
+
+
+class TestRetryStalls:
+    """A retry stall is a sleep even when the policy's backoff is an
+    ``int`` (a valid ``float`` return), which a process cannot yield."""
+
+    @pytest.fixture
+    def cluster(self, monkeypatch):
+        cluster = Cluster(ClusterConfig(num_nodes=2, seed=1))
+        cluster.alloc("x", 0, node=0)
+        monkeypatch.setattr(
+            cluster.proxies[0].scheduler, "retry_backoff",
+            lambda root, reason, attempt: 1,
+        )
+        return cluster
+
+    def test_root_retry(self, cluster):
+        attempts = []
+
+        def body(tx):
+            attempts.append(cluster.env.now)
+            value = yield from tx.read("x")
+            if len(attempts) == 1:
+                raise TransactionAborted(
+                    tx.transaction.root, AbortReason.EARLY_VALIDATION
+                )
+            return value
+
+        assert cluster.run_transaction(body, node=0) == 0
+        assert len(attempts) == 2 and attempts[1] - attempts[0] >= 1.0
+
+    def test_nested_retry(self, cluster):
+        attempts = []
+
+        def child(tx):
+            attempts.append(cluster.env.now)
+            value = yield from tx.read("x")
+            if len(attempts) == 1:
+                tx.retry_nested()
+            return value
+
+        def body(tx):
+            return (yield from tx.nested(child))
+
+        assert cluster.run_transaction(body, node=0) == 0
+        assert len(attempts) == 2 and attempts[1] - attempts[0] >= 1.0
