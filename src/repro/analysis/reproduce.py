@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.analysis.reproduce table1            # Table I
     python -m repro.analysis.reproduce fig4 fig5 fig6    # figures
-    python -m repro.analysis.reproduce ablations         # A1-A6
+    python -m repro.analysis.reproduce ablations         # A1-A5, A7
     python -m repro.analysis.reproduce all --scale quick
     python -m repro.analysis.reproduce all --scale full  # paper-scale
 

@@ -394,7 +394,7 @@ def _tx_driver(
 
     node = k % cfg.nodes
     if k * cfg.stagger > 0.0:
-        yield float(k * cfg.stagger)
+        yield k * cfg.stagger
     try:
         yield from cluster.atomic(
             _tx_body(k, oids, cfg), node=node,

@@ -23,7 +23,6 @@ bodies compose with ``yield from``.  Retry policy:
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Generator, Optional, Tuple
 
 from repro.core.cluster import Cluster
@@ -36,13 +35,8 @@ __all__ = [
     "Cluster",
     "SchedulerKind",
     "TransactionHandle",
-    "run_compensations",
     "run_root",
 ]
-
-#: task-id source for runs without a cluster (open-nested compensations)
-_anon_task_ids = itertools.count(1)
-
 
 class TransactionHandle:
     """What a transaction body sees.  Wraps (engine, transaction-level)."""
@@ -178,7 +172,7 @@ class TransactionHandle:
                 # Restart is never free: at minimum the begin/rollback
                 # bookkeeping costs one local operation, which also keeps
                 # simulated time advancing on zero-backoff retry storms.
-                yield float(max(stall, OP_LOCAL_TIME))
+                yield max(stall, OP_LOCAL_TIME)
                 if max_retries is not None and retries > max_retries:
                     # Escalate: give up on the child, abort the root.
                     raise TransactionAborted(
@@ -188,79 +182,8 @@ class TransactionHandle:
                     ) from abort
 
 
-    def open_nested(
-        self,
-        body: Callable[..., Generator],
-        *args: Any,
-        compensation: Optional[Callable[..., Generator]] = None,
-        compensation_args: Tuple[Any, ...] = (),
-        profile: Optional[str] = None,
-        max_attempts: Optional[int] = 16,
-    ) -> Generator[Any, Any, Any]:
-        """Run ``body`` as an *open-nested* transaction (§I/§II's third
-        nesting model, Moss [19]).
-
-        The child commits **globally and immediately** — a full top-level
-        commit protocol of its own, independent of the enclosing
-        transaction — so its effects become visible to everyone at once.
-        If the enclosing root transaction later aborts, the child is NOT
-        rolled back; instead the registered ``compensation`` runs (as its
-        own transaction, in reverse registration order) — the standard
-        open-nesting undo model.  Maintaining abstract serializability
-        (the compensation really undoes the child at the application
-        level) is the caller's responsibility, which is exactly the
-        "different semantics for concurrency control" the paper notes.
-        """
-        engine = self._engine
-        root = self._tx.root
-        child_profile = profile or f"{root.profile}.open"
-        # The open child is an independent top-level transaction on the
-        # same node; it does not share the enclosing task identity (it
-        # must never be treated as "the same requester" by the queues).
-        try:
-            result = yield from run_root(
-                None, engine, body, args,
-                profile=child_profile,
-                max_attempts=max_attempts,
-                task_id=f"{root.task_id}-open{len(root.compensations)}",
-            )
-        except TransactionAborted as abort:
-            # The child gave up for good (programmatic abort or exhausted
-            # attempts): the enclosing transaction cannot proceed either.
-            # Re-raising against *our* root lets the enclosing runner roll
-            # back and run any previously registered compensations.
-            raise TransactionAborted(
-                root, abort.reason, oid=abort.oid,
-                detail=f"open-nested child failed: {abort.detail or abort.reason.value}",
-            ) from abort
-        if compensation is not None:
-            root.compensations.append(
-                (compensation, compensation_args, f"{child_profile}.comp")
-            )
-        return result
-
-
-def run_compensations(
-    engine: TFAEngine, root: Transaction
-) -> Generator[Any, Any, int]:
-    """Run (and clear) a dead root's open-nesting compensations.
-
-    Executed in reverse registration order, each as its own top-level
-    transaction, retried until committed.  Returns how many ran.
-    """
-    count = 0
-    while root.compensations:
-        body, args, profile = root.compensations.pop()
-        yield from run_root(
-            None, engine, body, args,
-            profile=profile, max_attempts=None,
-        )
-        count += 1
-    return count
-
-
 def run_root(
-    cluster: Optional[Cluster],
+    cluster: Cluster,
     engine: TFAEngine,
     body: Callable[..., Generator],
     args: Tuple[Any, ...],
@@ -283,10 +206,7 @@ def run_root(
     env = engine.env
     node_id = engine.node.node_id
     if task_id is None:
-        if cluster is not None:
-            task_id = cluster.new_task_id(node_id)
-        else:
-            task_id = f"task-n{node_id}-x{next(_anon_task_ids)}"
+        task_id = cluster.new_task_id(node_id)
     tracer = engine.proxy.tracer
     attempt = 0
     while True:
@@ -326,11 +246,6 @@ def run_root(
                     reason=abort.reason.value, oid=abort.oid or "",
                     depth=0,
                 )
-            if root.compensations:
-                # Open-nested children already committed globally: undo
-                # them (reverse order) before this attempt is retried or
-                # the abort propagates.
-                yield from run_compensations(engine, root)
             if abort.reason is AbortReason.USER_ABORT:
                 # Programmatic cancellation rolls back and propagates —
                 # retrying what the application deliberately gave up on
@@ -344,5 +259,4 @@ def run_root(
             # overhead (config.abort_overhead) before the body re-runs,
             # which also keeps zero-backoff retry storms off the
             # same-timestamp fast path.
-            # (a float: a policy may return an int, which is no sleep)
-            yield float(max(stall, engine.abort_overhead, OP_LOCAL_TIME))
+            yield max(stall, engine.abort_overhead, OP_LOCAL_TIME)

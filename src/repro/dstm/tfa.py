@@ -164,7 +164,7 @@ class TFAEngine:
         self._ensure_live(tx)
         if duration < 0:
             raise ValueError(f"negative compute duration {duration}")
-        yield float(duration)
+        yield duration
 
     # ------------------------------------------------------------------
     # Transactional forwarding (early validation)

@@ -116,10 +116,6 @@ class Transaction:
         #: transactions at validation start (their snapshot is provably
         #: intact at that instant).  None until committed.
         self.serialized_at: Optional[float] = None
-        #: compensations registered by committed *open-nested* children:
-        #: (body, args, profile) triples, run in reverse order if this
-        #: (root) transaction aborts — open nesting's undo model.
-        self.compensations: List[tuple] = []
         #: per-object local contention levels piggybacked on grants (myCL)
         self.known_cl: Dict[str, int] = {}
         if parent is not None:

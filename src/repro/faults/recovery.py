@@ -164,7 +164,7 @@ class NodeRecovery:
         the per-node phases to avoid synchronized bursts.
         """
         if offset > 0.0:
-            yield float(offset)
+            yield offset
         num = self.node.network.num_nodes
         while True:
             by_home: Dict[int, List[Tuple[str, int, Any]]] = {}
@@ -177,7 +177,7 @@ class NodeRecovery:
                 if home == self.node.node_id:
                     continue  # our own directory sees our copies directly
                 self.node.send(home, MessageType.LEASE_RENEW, {"objects": objects})
-            yield float(interval)
+            yield interval
 
     def orphan_sweep(
         self,
@@ -204,9 +204,9 @@ class NodeRecovery:
         if min_age is None:
             min_age = self.client.policy.worst_case_wait()
         if offset > 0.0:
-            yield float(offset)
+            yield offset
         while True:
-            yield float(interval)
+            yield interval
             yield from self._sweep_orphans(min_age)
 
     def _sweep_orphans(self, min_age: float) -> Generator[Any, Any, None]:

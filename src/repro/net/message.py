@@ -57,10 +57,6 @@ class MessageType(str, enum.Enum):
     ORPHAN_RETURN = "orphan_return"          # owner -> home: abandoned copy back
     ORPHAN_RETURN_ACK = "orphan_return_ack"  # home -> owner: accepted / fenced
 
-    # Arrow distributed directory (alternative CC locator; ablation A9)
-    ARROW_FIND = "arrow_find"
-    ARROW_TOKEN = "arrow_token"
-
     # Payload plane (repro.rpc.payload): lazy out-of-band byte transfer
     PAYLOAD_FETCH = "payload_fetch"          # reader -> byte factory
     PAYLOAD_FETCH_REPLY = "payload_fetch_reply"

@@ -11,12 +11,7 @@ is *static*, exactly as in §IV-A of the paper.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 __all__ = ["Topology", "MS"]
 
@@ -83,18 +78,6 @@ class Topology:
         reads this once per conflict, and delays are static (§IV-A).
         """
         return self._mean_delay
-
-    def to_graph(self) -> nx.Graph:
-        """A complete weighted graph view (weights = delays), for analysis."""
-        import networkx as nx  # lazy: only analysis code needs the graph view
-
-        g = nx.Graph()
-        for i in range(self.num_nodes):
-            g.add_node(i, pos=tuple(self.positions[i]))
-        for i in range(self.num_nodes):
-            for j in range(i + 1, self.num_nodes):
-                g.add_edge(i, j, weight=self.delay(i, j))
-        return g
 
     def verify_metric(self, atol: float = 1e-9) -> bool:
         """Check symmetry + triangle inequality of the *distance* metric.

@@ -2,12 +2,13 @@
 
 A *process* wraps a Python generator, which yields what it waits on:
 
-* a **delay** — a non-negative ``float``, the sleep: the process pushes
-  one call entry, ``(now + d, PRIORITY_NORMAL, next seq, its step,
-  None)`` — the key a :class:`~repro.sim.events.Timeout` built at the
-  same point would push — and resumes inside it with ``None``.  A NaN
-  or negative delay is thrown back into the generator as ``ValueError``,
-  with ``Timeout``'s message;
+* a **delay** — a non-negative ``float`` or ``int`` (not ``bool``), the
+  sleep: the process pushes one call entry, ``(now + d,
+  PRIORITY_NORMAL, next seq, its step, None)`` — the key a
+  :class:`~repro.sim.events.Timeout` built at the same point would push
+  — and resumes inside it with ``None``.  A NaN or negative delay is
+  thrown back into the generator as ``ValueError``, with ``Timeout``'s
+  message;
 * a :class:`~repro.sim.events.Signal` (an RPC reply): the process
   becomes its one consumer and resumes inside the signal's call entry;
 * an :class:`~repro.sim.events.Event`: the process suspends until that
@@ -132,10 +133,18 @@ class Process(Event):
                 else:  # already processed: resumes synchronously
                     target.add_callback(self._resume)
                 return
+        elif cls is int:
+            # An int delay sleeps as the equal float would: call_later
+            # pushes the same key.  A bool (an int subclass) is refused.
+            try:
+                self.env.call_later(target, self._step)
+                return
+            except ValueError as exc:  # negative: thrown back as a float's is
+                error = exc
         else:
             error = RuntimeError(
                 f"process {self.name!r} yielded {target!r}; processes must "
-                "yield Event or Signal instances, or a float delay"
+                "yield Event or Signal instances, or a float or int delay"
             )
         # Thrown in where it was yielded: the generator may catch it and
         # wait on something else.

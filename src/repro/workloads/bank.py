@@ -55,24 +55,6 @@ def transfer(
     yield from tx.compute(audit_time)
 
 
-def transfer_open(
-    tx: TransactionHandle, legs: List[tuple], audit_time: float
-) -> Generator[Any, Any, None]:
-    """Open-nested variant: every leg commits globally at once, with a
-    reverse transfer registered as its compensation.  Money transfers
-    commute, so abstract serializability holds — the canonical use case
-    for open nesting (Moss, the paper's [19]).
-    """
-    for src, dst, amount in legs:
-        yield from tx.open_nested(
-            _transfer_leg, src, dst, amount,
-            compensation=_transfer_leg,
-            compensation_args=(dst, src, amount),  # reverse transfer
-            profile="bank.leg.open",
-        )
-    yield from tx.compute(audit_time)
-
-
 def total_balance(tx: TransactionHandle, oids: List[str]) -> Generator[Any, Any, int]:
     """Read-only parent: sum balances (each block is a nested lookup)."""
     total = 0
@@ -93,7 +75,6 @@ class BankWorkload(Workload):
         audit_time: float = 2e-3,
         balance_sample: int = 6,
         max_legs: int = 3,
-        open_nesting: bool = False,
         payload_size: Optional[int] = None,
     ) -> None:
         super().__init__(read_fraction, payload_size=payload_size)
@@ -105,9 +86,6 @@ class BankWorkload(Workload):
         self.audit_time = float(audit_time)
         self.balance_sample = balance_sample
         self.max_legs = max_legs
-        #: issue transfer legs as open-nested transactions with reverse
-        #: transfers as compensations (nesting-model ablation)
-        self.open_nesting = bool(open_nesting)
         self.accounts: List[str] = []
 
     # ------------------------------------------------------------------
@@ -136,7 +114,7 @@ class BankWorkload(Workload):
             for i in range(num_legs)
         ]
         return Op(
-            body=transfer_open if self.open_nesting else transfer,
+            body=transfer,
             args=(legs, self.audit_time),
             profile="bank.transfer",
             is_read=False,

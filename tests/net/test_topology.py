@@ -79,12 +79,5 @@ class TestQueries:
     def test_mean_delay_positive(self):
         assert make_topology(n=6).mean_delay() > 0
 
-    def test_to_graph_complete(self):
-        topo = make_topology(n=6)
-        g = topo.to_graph()
-        assert g.number_of_nodes() == 6
-        assert g.number_of_edges() == 15
-        assert g[0][1]["weight"] == pytest.approx(topo.delay(0, 1))
-
     def test_repr(self):
         assert "n=10" in repr(make_topology())

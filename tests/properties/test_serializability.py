@@ -60,20 +60,6 @@ class TestMoneyConservation:
             assert total == wl.expected_total()
 
 
-class TestOpenNestingConservation:
-    """Open-nested transfers with reverse-transfer compensations must
-    conserve money even though legs commit independently: every committed
-    leg either belongs to a committed parent or was compensated."""
-
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_money_conserved_with_open_legs(self, scheduler):
-        wl = BankWorkload(read_fraction=0.3, open_nesting=True)
-        cluster, _executor = run_workload(wl, scheduler, horizon=5.0)
-        assert cluster.metrics.commits.value > 0
-        total = sum(cluster.committed_value(a) for a in wl.accounts)
-        assert total == wl.expected_total()
-
-
 class TestDhtSerializability:
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_commit_order_replay_matches(self, scheduler):

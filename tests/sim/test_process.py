@@ -52,7 +52,7 @@ class TestBasicExecution:
 
     def test_yielding_non_event_fails_process(self, env):
         def body(env):
-            yield 42
+            yield "42"
 
         # An orphan failure crashes the run loudly...
         env.process(body(env))

@@ -1,4 +1,4 @@
-"""A process's sleep: yielding a plain ``float`` delay.
+"""A process's sleep: yielding a plain ``float`` (or ``int``) delay.
 
 A process that only waits a delay out yields the delay itself.  Its step
 pushes one call entry, ``(now + d, PRIORITY_NORMAL, next seq, step,
@@ -134,6 +134,40 @@ class TestSleep:
         env.run()
         assert proc.value is True
 
+    def test_an_int_sleeps_as_the_equal_float_and_a_bool_does_not(self):
+        keys = {}
+        for delay in (1, 1.0):
+            env = Environment()
+
+            def sleeper(delay=delay):
+                yield delay
+
+            env.process(sleeper())
+            env.step()  # the bootstrap runs the body to its sleep
+            [(when, prio, seq, _fn, arg)] = env.pending_entries()
+            keys[delay.__class__] = (when, prio, seq, arg)
+        assert keys[int] == keys[float] == (1.0, 1, keys[float][2], None)
+
+        env = Environment()
+        caught = []
+
+        def negative():
+            try:
+                yield -1
+            except ValueError as exc:
+                caught.append(str(exc))
+
+        env.process(negative())
+        env.run()
+        assert caught == ["delay must be >= 0 and not NaN, got -1"]
+
+        def boolean():
+            yield True
+
+        with pytest.raises(RuntimeError, match="must\\s+yield Event"):
+            env.process(boolean())
+            env.run()
+
     def test_inf_stays_legal(self):
         env = Environment()
         woke = []
@@ -176,7 +210,7 @@ class TestClosedLoopCell:
 
 class TestRetryStalls:
     """A retry stall is a sleep even when the policy's backoff is an
-    ``int`` (a valid ``float`` return), which a process cannot yield."""
+    ``int`` (a valid ``float`` return)."""
 
     @pytest.fixture
     def cluster(self, monkeypatch):
