@@ -88,29 +88,20 @@ def run_cell(
 
 def add_traffic_args(parser):
     """Attach the shared open-loop traffic flags to a bench CLI parser."""
-    from repro.traffic import SCENARIOS, SHED_POLICIES
-
     group = parser.add_argument_group("open-loop traffic (repro.traffic)")
     group.add_argument(
-        "--arrival", default=None, metavar="KIND:RATE",
-        help="run open-loop: poisson:<rate> or mmpp:<rate>[:<burst>] "
-             "(cluster-wide tx/s); unset keeps the closed worker loop",
+        "--arrival", default=None, metavar="poisson:RATE",
+        help="run open-loop: poisson:<rate> (cluster-wide tx/s); unset "
+             "keeps the closed worker loop",
     )
     group.add_argument(
         "--zipf", type=float, default=None, metavar="S",
         help="Zipf skew of object popularity (open-loop only)",
     )
     group.add_argument(
-        "--scenario", default=None, choices=sorted(SCENARIOS),
-        help="mid-run load script (open-loop only)",
-    )
-    group.add_argument(
         "--queue-capacity", type=int, default=64,
-        help="per-node admission queue bound (open-loop only)",
-    )
-    group.add_argument(
-        "--shed-policy", default="drop-newest", choices=SHED_POLICIES,
-        help="who is shed when an admission queue is full",
+        help="per-node admission queue bound; a full queue sheds the "
+             "arrival (open-loop only)",
     )
     return group
 
@@ -127,28 +118,18 @@ def arrival_from_args(args, parser):
 
     process = {}
     if args.arrival is not None:
-        parts = args.arrival.split(":")
-        kind = parts[0]
-        if kind not in ("poisson", "mmpp") or len(parts) < 2:
-            parser.error(
-                f"--arrival must be poisson:<rate> or mmpp:<rate>[:<burst>], "
-                f"got {args.arrival!r}"
-            )
+        kind, _, rate = args.arrival.partition(":")
+        if kind != "poisson" or not rate:
+            parser.error(f"--arrival must be poisson:<rate>, got {args.arrival!r}")
         try:
-            rate = float(parts[1])
-            burst = float(parts[2]) if len(parts) > 2 else 4.0
+            process = dict(enabled=True, rate=float(rate))
         except ValueError:
-            parser.error(f"--arrival has a non-numeric field: {args.arrival!r}")
-        if len(parts) > 3 or (kind == "poisson" and len(parts) > 2):
-            parser.error(f"--arrival has too many fields: {args.arrival!r}")
-        process = dict(enabled=True, process=kind, rate=rate, burst_factor=burst)
+            parser.error(f"--arrival has a non-numeric rate: {args.arrival!r}")
     try:
         arrival = ArrivalConfig(
             **process,
             zipf_s=args.zipf if args.zipf is not None else 0.0,
-            scenario=args.scenario,
             queue_capacity=args.queue_capacity,
-            shed_policy=args.shed_policy,
         )
     except ValueError as exc:
         hint = "" if process else " (open-loop flags need --arrival)"

@@ -289,54 +289,36 @@ class ArrivalConfig:
     byte-identical to a build without the package (strict additivity,
     pinned by ``tests/traffic/test_open_loop.py``).  With
     ``enabled=True`` the harness builds an
-    :class:`~repro.traffic.OpenLoopExecutor` instead: a per-node arrival
+    :class:`~repro.traffic.OpenLoopExecutor` instead: a per-node Poisson
     process injects transactions at ``rate`` (cluster-wide tx/s, split
-    evenly across nodes) into bounded admission queues, and the result
-    gains ``offered_rate`` / ``shed`` / ``stable`` extras.
+    evenly across nodes) into bounded admission queues that shed the
+    arrival when full, and the result gains ``offered_rate`` / ``shed``
+    / ``stable`` extras.
     """
 
     enabled: bool = False
 
     # -- arrival process -------------------------------------------------
-    #: "poisson" or "mmpp" (on/off bursty; duty cycle and cycle length
-    #: are ``repro.traffic.arrivals.ON_FRACTION`` / ``MEAN_CYCLE``)
+    #: "poisson", the one arrival process (spelled out by the e2e recipe)
     process: str = "poisson"
     #: cluster-wide mean offered rate (transactions / simulated second)
     rate: float = 50.0
-    #: mmpp: burst-state rate multiplier over the quiet state
-    burst_factor: float = 4.0
 
     # -- popularity ------------------------------------------------------
     #: Zipf skew of object selection; 0 keeps each workload's own policy
     zipf_s: float = 0.0
 
-    # -- scenario script -------------------------------------------------
-    #: named mid-run schedule ("flash-crowd", "hotspot-migration",
-    #: "diurnal"); None = a single steady phase
-    scenario: Optional[str] = None
-
     # -- admission control ------------------------------------------------
-    #: per-node admission queue bound
+    #: per-node admission queue bound (a full queue sheds the arrival)
     queue_capacity: int = 64
-    #: who is shed when a queue is full: "drop-newest" or "drop-oldest"
-    shed_policy: str = "drop-newest"
 
     def __post_init__(self) -> None:
-        # Literal copies of repro.traffic's registries: config must not
-        # import the traffic package (it imports core right back).
-        if self.process not in ("poisson", "mmpp"):
+        if self.process != "poisson":
             raise ValueError(
-                f"unknown arrival process {self.process!r}; have ('poisson', 'mmpp')"
+                f"unknown arrival process {self.process!r}; have ('poisson',)"
             )
-        if self.shed_policy not in ("drop-newest", "drop-oldest"):
-            raise ValueError(
-                f"unknown shed policy {self.shed_policy!r}; "
-                "have ('drop-newest', 'drop-oldest')"
-            )
-        if not self.rate > 0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
-        if not self.burst_factor >= 1.0:
-            raise ValueError(f"burst_factor must be >= 1, got {self.burst_factor}")
+        if not 0 < self.rate < math.inf:  # an inf rate never advances the clock
+            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
         if not self.zipf_s >= 0:
             raise ValueError(f"zipf_s must be >= 0, got {self.zipf_s}")
         _check_int("queue_capacity", self.queue_capacity, 1)

@@ -46,9 +46,8 @@ Categories (the span/series/audit model; see DESIGN.md "Observability"):
     Gauge: per-object requester-queue length at its owner (``node``,
     ``len``) whenever it changes.
 ``traffic.arrival``
-    One open-loop arrival at a node's admission queue: ``node``,
-    ``admitted`` (False = shed) and ``phase`` (the active scenario
-    phase, ``steady`` outside scenarios).
+    One open-loop arrival at a node's admission queue: ``node`` and
+    ``admitted`` (False = shed).
 ``traffic.dispatch``
     An admitted arrival left the admission queue and became a root
     transaction: ``sub`` is the task id the retry chain will carry,
@@ -58,9 +57,6 @@ Categories (the span/series/audit model; see DESIGN.md "Observability"):
 ``traffic.queue``
     Gauge: a node's admission-queue depth (``node``, ``len``) whenever
     it changes.
-``traffic.phase``
-    A scenario phase boundary: ``name`` and ``rate_scale`` of the phase
-    that just activated (subject is the scenario name).
 ``fault.*``
     Fault-injection and recovery events (drops, duplicates, delays,
     crash/restart and partition windows, RPC retries, orphan
@@ -103,7 +99,6 @@ OBS_CATEGORIES = frozenset(
         "traffic.arrival",
         "traffic.dispatch",
         "traffic.queue",
-        "traffic.phase",
         "dstm.conflict",
         "dstm.grant",
         "dir.owner",
@@ -134,10 +129,9 @@ _REQUIRED: Dict[str, frozenset] = {
     "rpc.cache": frozenset({"node", "hit"}),
     "payload.fetch": frozenset({"node", "hit"}),
     "obs.queue": frozenset({"node", "len"}),
-    "traffic.arrival": frozenset({"node", "admitted", "phase"}),
+    "traffic.arrival": frozenset({"node", "admitted"}),
     "traffic.dispatch": frozenset({"node", "arrived", "waited"}),
     "traffic.queue": frozenset({"node", "len"}),
-    "traffic.phase": frozenset({"name", "rate_scale"}),
     "fault.drop": frozenset({"src", "dst"}),
 }
 

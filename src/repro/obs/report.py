@@ -115,7 +115,7 @@ def summarize(
     }
     # Present only for open-loop runs (traffic.* events in the log); the
     # key's absence keeps closed-loop summaries byte-identical.
-    if series.traffic or series.phases:
+    if series.traffic:
         summary["traffic"] = series.traffic_summary()
     # Present only for proxy-mode payload runs (payload.fetch events).
     if series.payload:
@@ -261,13 +261,6 @@ def render(summary: Dict[str, Any], fault_limit: int = 12) -> str:
                     ],
                 )
             )
-        if traffic["phases"]:
-            out.append("  phases:")
-            for p in traffic["phases"]:
-                out.append(
-                    f"  {p['t']:10.4f}s  {p['name']:<16} "
-                    f"rate x{p['rate_scale']:.2f}"
-                )
 
     payload = summary.get("payload")
     if payload:

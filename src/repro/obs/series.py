@@ -141,8 +141,6 @@ class SeriesTracker:
         self.traffic: Dict[str, TrafficSeries] = {}
         #: per-node payload-plane series (empty unless payload.fetch seen)
         self.payload: Dict[str, PayloadSeries] = {}
-        #: scenario phase boundaries: (t, name, rate_scale)
-        self.phases: List[Tuple[float, str, float]] = []
         self.events = 0
         self.t_min: Optional[float] = None
         self.t_max: float = 0.0
@@ -260,10 +258,6 @@ class SeriesTracker:
             idx = int(t / self.window)
             if depth > tr.depth_windows.get(idx, 0):
                 tr.depth_windows[idx] = depth
-        elif cat == "traffic.phase":
-            self.phases.append(
-                (t, str(event["name"]), float(event["rate_scale"]))
-            )
         elif cat == "sched.decision":
             key = (event["action"], event.get("cause", ""))
             self.decisions[key] = self.decisions.get(key, 0) + 1
@@ -399,10 +393,6 @@ class SeriesTracker:
             "shed_rate": shed / offered if offered else 0.0,
             "p95_depth": _percentile(depths, 95.0),
             "nodes": self.traffic_rows(),
-            "phases": [
-                {"t": t, "name": name, "rate_scale": scale}
-                for t, name, scale in self.phases
-            ],
         }
 
     def payload_rows(self) -> List[Dict[str, Any]]:
@@ -452,7 +442,7 @@ class SeriesTracker:
         }
         # Only open-loop runs emit traffic.* events; keeping the key out
         # otherwise leaves every existing snapshot byte-identical.
-        if self.traffic or self.phases:
+        if self.traffic:
             out["traffic"] = self.traffic_summary()
         # Likewise, only proxy-mode payload runs emit payload.fetch.
         if self.payload:

@@ -1,14 +1,8 @@
-"""Bounded per-node admission queues with shed policies.
+"""Bounded per-node admission queues.
 
 Open-loop arrivals outpace service capacity by design, so every node
 fronts its dispatchers with a bounded queue.  When the queue is full the
-shed policy decides who pays:
-
-* ``drop-newest`` — the arriving transaction is shed (classic tail
-  drop; queued work is never wasted);
-* ``drop-oldest`` — the oldest queued transaction is shed and the
-  arrival admitted (freshness wins; the head of the queue has waited
-  longest and is most likely to be stale).
+arriving transaction is shed (tail drop: queued work is never wasted).
 
 The queue keeps a :class:`~repro.sim.monitor.TimeWeighted` depth gauge —
 the signal the stability detector integrates — plus offered / admitted /
@@ -26,16 +20,14 @@ from repro.sim import Environment
 from repro.sim.events import Event
 from repro.sim.monitor import TimeWeighted
 
-__all__ = ["AdmissionQueue", "SHED_POLICIES"]
-
-SHED_POLICIES = ("drop-newest", "drop-oldest")
+__all__ = ["AdmissionQueue"]
 
 
 class AdmissionQueue:
     """One node's bounded arrival queue."""
 
     __slots__ = (
-        "env", "node", "capacity", "policy", "tracer",
+        "env", "node", "capacity", "tracer",
         "items", "depth", "offered", "admitted", "shed",
         "_waiters", "_closed",
     )
@@ -45,17 +37,13 @@ class AdmissionQueue:
         env: Environment,
         node: int,
         capacity: int,
-        policy: str = "drop-newest",
         tracer: Any = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if policy not in SHED_POLICIES:
-            raise ValueError(f"unknown shed policy {policy!r}; have {SHED_POLICIES}")
         self.env = env
         self.node = node
         self.capacity = capacity
-        self.policy = policy
         self.tracer = tracer
         self.items: Deque[Any] = deque()
         self.depth = TimeWeighted(f"n{node}.admission", start_time=env.now)
@@ -76,20 +64,12 @@ class AdmissionQueue:
             )
 
     def offer(self, item: Any) -> bool:
-        """Admit ``item`` or shed per policy; returns True when admitted."""
+        """Admit ``item``, or shed it when closed or full; returns True
+        when admitted."""
         self.offered += 1
-        if self._closed:
+        if self._closed or len(self.items) >= self.capacity:
             self.shed += 1
             return False
-        if len(self.items) >= self.capacity:
-            self.shed += 1
-            if self.policy == "drop-newest":
-                return False
-            self.items.popleft()        # drop-oldest: evict the head
-            self.items.append(item)
-            self.admitted += 1
-            self._gauge()
-            return True
         self.items.append(item)
         self.admitted += 1
         self._gauge()

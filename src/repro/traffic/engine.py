@@ -9,15 +9,13 @@ worker pool's *demand* side with an arrival plane:
   / ``traffic.ops[n]``) injects transactions open-loop at the configured
   rate, split evenly across nodes;
 * arrivals land in bounded per-node :class:`~repro.traffic.admission.
-  AdmissionQueue`\\ s; full queues shed per policy;
+  AdmissionQueue`\\ s; a full queue sheds the arrival;
 * ``service_workers`` dispatcher processes per node drain the queue
   through the normal atomic runner (scheduler, TFA, faults and RPC all
   unchanged — the traffic plane composes with every existing layer);
 * a :class:`~repro.traffic.stability.StabilityMonitor` integrates queue
   depth into windows, and the run ends with a ``stable: true/false``
-  verdict plus arrival/latency accounting in the experiment extras;
-* an optional :class:`~repro.traffic.scenarios.Scenario` retargets rate
-  and popularity at exact simulated timestamps mid-run.
+  verdict plus arrival/latency accounting in the experiment extras.
 
 Latency here is the *sojourn* time — arrival to commit, queueing
 included — which is the number an SLO cares about and the one
@@ -32,9 +30,7 @@ from repro.core.api import run_root
 from repro.dstm.errors import AbortReason, TransactionAborted
 from repro.sim.monitor import Tally
 from repro.traffic.admission import AdmissionQueue
-from repro.traffic.arrivals import make_process
 from repro.traffic.popularity import PopularityModel
-from repro.traffic.scenarios import Scenario, make_scenario
 from repro.traffic.stability import StabilityMonitor, stability_verdict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -72,19 +68,9 @@ class OpenLoopExecutor:
         self.horizon = float(horizon)
         self.max_attempts_per_tx = max_attempts_per_tx
 
-        self.scenario: Optional[Scenario] = (
-            make_scenario(arrival.scenario, self.horizon)
-            if arrival.scenario is not None else None
-        )
         self.popularity: Optional[PopularityModel] = None
-        if arrival.zipf_s > 0 or self.scenario is not None:
+        if arrival.zipf_s > 0:
             self.popularity = PopularityModel(s=arrival.zipf_s)
-
-        #: current scenario state (retargeted at phase boundaries)
-        self.rate_scale = 1.0
-        self.phase_name = (
-            self.scenario.phases[0].name if self.scenario is not None else "steady"
-        )
 
         self.queues: List[AdmissionQueue] = []
         self.monitor: Optional[StabilityMonitor] = None
@@ -92,9 +78,7 @@ class OpenLoopExecutor:
         self.backlog = 0
         #: arrival→commit sojourn latency (queueing included)
         self.latency = Tally("traffic.latency", keep_samples=True)
-        self._phase_latency: Dict[str, Tally] = {}
         self._stop = False
-        self._start = 0.0
         self._t_end = 0.0
 
     # ------------------------------------------------------------------
@@ -108,52 +92,24 @@ class OpenLoopExecutor:
 
     # -- simulation processes --------------------------------------------
 
-    def _per_node_rate(self) -> float:
-        return (self.arrival.rate / self.cluster.num_nodes) * self.rate_scale
-
     def _arrivals(self, node: int) -> Generator[Any, Any, None]:
         cluster = self.cluster
         env = cluster.env
-        cfg = self.arrival
         rng = cluster.rngs.stream(f"traffic.arrivals[{node}]")
         op_rng = cluster.rngs.stream(f"traffic.ops[{node}]")
-        process = make_process(cfg.process, rng, cfg.burst_factor)
+        mean_interval = 1.0 / (self.arrival.rate / cluster.num_nodes)
         tracer = cluster.tracer
         queue = self.queues[node]
         while True:
-            dt = process.next_interval(env.now - self._start, self._per_node_rate())
-            yield dt
+            yield float(rng.exponential(mean_interval))
             if self._stop or env.now >= self._t_end:
                 return
             op = self.workload.make_op(node, op_rng)
-            admitted = queue.offer((env.now, self.phase_name, op))
+            admitted = queue.offer((env.now, op))
             if tracer.wants("traffic.arrival"):
                 tracer.emit(
                     env.now, "traffic.arrival", f"n{node}",
-                    node=f"n{node}", admitted=admitted, phase=self.phase_name,
-                )
-
-    def _scenario_proc(self) -> Generator[Any, Any, None]:
-        assert self.scenario is not None
-        env = self.cluster.env
-        tracer = self.cluster.tracer
-        for phase in self.scenario.phases:
-            delay = self._start + phase.at - env.now
-            if delay > 0:
-                yield delay
-            if self._stop:
-                return
-            self.phase_name = phase.name
-            self.rate_scale = phase.rate_scale
-            if self.popularity is not None:
-                if phase.zipf_s is not None:
-                    self.popularity.set_skew(phase.zipf_s)
-                if phase.hotspot_shift is not None:
-                    self.popularity.set_hotspot_shift(phase.hotspot_shift)
-            if tracer.wants("traffic.phase"):
-                tracer.emit(
-                    env.now, "traffic.phase", self.scenario.name,
-                    name=phase.name, rate_scale=phase.rate_scale,
+                    node=f"n{node}", admitted=admitted,
                 )
 
     def _dispatcher(self, node: int, worker_idx: int) -> Generator[Any, Any, None]:
@@ -166,7 +122,7 @@ class OpenLoopExecutor:
             item = yield from queue.get()
             if item is None:
                 return
-            arrived_at, phase, op = item
+            arrived_at, op = item
             # Mint the task id here (the same id run_root would have
             # minted) so the dispatch event can link the admission-queue
             # wait to the span chain for latency anatomy.
@@ -184,13 +140,7 @@ class OpenLoopExecutor:
                     max_attempts=self.max_attempts_per_tx,
                     task_id=task_id,
                 )
-                sojourn = env.now - arrived_at
-                self.latency.observe(sojourn)
-                tally = self._phase_latency.get(phase)
-                if tally is None:
-                    tally = Tally(f"traffic.latency.{phase}", keep_samples=True)
-                    self._phase_latency[phase] = tally
-                tally.observe(sojourn)
+                self.latency.observe(env.now - arrived_at)
             except TransactionAborted as abort:
                 if abort.reason is not AbortReason.USER_ABORT:
                     self.abandoned += 1
@@ -201,22 +151,17 @@ class OpenLoopExecutor:
         """Arrivals for ``horizon`` seconds, then drain in-flight work."""
         cluster = self.cluster
         env = cluster.env
-        self._start = env.now
         self._t_end = env.now + self.horizon
         cluster.metrics.window_start = env.now
 
-        cfg = self.arrival
         self.queues = [
             AdmissionQueue(
-                env, node, cfg.queue_capacity,
-                policy=cfg.shed_policy, tracer=cluster.tracer,
+                env, node, self.arrival.queue_capacity, tracer=cluster.tracer
             )
             for node in range(cluster.num_nodes)
         ]
         self.monitor = StabilityMonitor(env, self.queues, STABILITY_WINDOW)
         env.process(self.monitor.run(), name="traffic.monitor")
-        if self.scenario is not None:
-            env.process(self._scenario_proc(), name="traffic.scenario")
         for node in range(cluster.num_nodes):
             env.process(self._arrivals(node), name=f"traffic.arrivals[{node}]")
         dispatchers = []
@@ -288,14 +233,4 @@ class OpenLoopExecutor:
             out["latency_p50"] = self.latency.percentile(50.0)
             out["latency_p95"] = self.latency.percentile(95.0)
             out["latency_p99"] = self.latency.percentile(99.0)
-        if self._phase_latency:
-            out["latency_by_phase"] = {
-                name: {
-                    "count": tally.count,
-                    "p50": tally.percentile(50.0),
-                    "p95": tally.percentile(95.0),
-                    "p99": tally.percentile(99.0),
-                }
-                for name, tally in sorted(self._phase_latency.items())
-            }
         return out

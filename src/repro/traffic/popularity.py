@@ -1,17 +1,13 @@
-"""Object popularity: Zipf skew around a movable hotspot.
+"""Object popularity: Zipf skew over object ranks.
 
 Closed-loop workloads select objects uniformly (or with a static
 per-workload skew).  Under open-loop traffic, a
 :class:`PopularityModel` is installed on the workload
 (:attr:`repro.workloads.base.Workload.popularity`) and every object
-selection routes through it:
-
-* ``s = 0`` is uniform; larger ``s`` concentrates probability mass on a
-  few hot objects (rank ``r`` has weight ``1/(r+1)^s``), making load
-  non-uniform across homes;
-* the rank→object mapping rotates by a shift that scenario scripts jump
-  (:meth:`PopularityModel.set_hotspot_shift`) at exact phase
-  boundaries — a *moving* hotspot no static placement can absorb.
+selection routes through it.
+``s = 0`` is uniform; larger ``s`` concentrates probability mass on a
+few hot objects (rank ``r`` is object ``r`` and has weight
+``1/(r+1)^s``), making load non-uniform across homes.
 
 The model holds no RNG of its own: every draw consumes the caller's
 named seeded stream, so arrival streams stay byte-identical per seed.
@@ -112,30 +108,12 @@ def zipf_draw(
 
 
 class PopularityModel:
-    """Zipf(s) object selection with a rotating hotspot."""
+    """Zipf(s) object selection: object 0 is the hottest."""
 
     def __init__(self, s: float = 0.0) -> None:
         if s < 0:
             raise ValueError(f"zipf s must be >= 0, got {s}")
         self.s = float(s)
-        #: scenario-controlled extra rotation (phase boundaries jump it)
-        self.shift = 0
-
-    # -- retargeting (scenario hooks) -----------------------------------
-
-    def set_skew(self, s: float) -> None:
-        if s < 0:
-            raise ValueError(f"zipf s must be >= 0, got {s}")
-        self.s = float(s)
-
-    def set_hotspot_shift(self, shift: int) -> None:
-        self.shift = int(shift)
-
-    # -- selection -------------------------------------------------------
-
-    def hotspot(self, n: int) -> int:
-        """The index of the currently hottest object (rank 0)."""
-        return self.shift % n
 
     def pick_many(
         self,
@@ -147,21 +125,15 @@ class PopularityModel:
         """Draw ``size`` object indices from [0, n)."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        ranks = zipf_draw(rng, n, self.s, size, replace)
-        shift = self.shift % n
-        if shift:
-            return [(rank + shift) % n for rank in ranks]
-        return ranks
+        return zipf_draw(rng, n, self.s, size, replace)
 
     def pick(self, rng: np.random.Generator, n: int) -> int:
         """Draw one object index from [0, n)."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         if self.s == 0:
-            rank = int(rng.integers(0, n))
-        else:
-            rank = bisect.bisect_right(_table(n, self.s)[1], rng.random())
-        return (rank + self.shift) % n
+            return int(rng.integers(0, n))
+        return bisect.bisect_right(_table(n, self.s)[1], rng.random())
 
     def __repr__(self) -> str:
-        return f"<PopularityModel s={self.s} shift={self.shift}>"
+        return f"<PopularityModel s={self.s}>"

@@ -83,7 +83,7 @@ class Workload(abc.ABC):
 
         Uniform (the exact pre-traffic draw, byte-for-byte) unless a
         popularity model is installed, in which case selection is
-        Zipf-skewed around the current hotspot.
+        Zipf-skewed towards the low indices.
         """
         if self.popularity is None:
             return rng.choice(n, size, replace=replace)

@@ -89,14 +89,14 @@ class TestPackageSurface:
 
     def test_default_import_graph_leaves_optional_packages_out(self):
         # A default cell pays for what it imports (the ledger's setup_s):
-        # networkx and the opt-in tooling packages load only on demand.
+        # the opt-in tooling packages load only on demand (networkx is
+        # gated by tests/test_dependencies.py).
         import os
         import subprocess
         import sys
 
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        optional = ["networkx", "repro.prof", "repro.obs", "repro.traffic",
-                    "repro.analysis"]
+        optional = ["repro.prof", "repro.obs", "repro.traffic", "repro.analysis"]
         code = (
             "import sys\n"
             "import repro.core.cluster, repro.core.experiment\n"

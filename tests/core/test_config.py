@@ -45,6 +45,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             Cluster(ClusterConfig(num_nodes=2, conflict_scope="bogus"))
 
+    @pytest.mark.parametrize("name", ["burst_factor", "scenario", "shed_policy"])
+    def test_removed_arrival_field_is_unknown(self, name):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            ClusterConfig(num_nodes=2, arrival={"enabled": True, name: 1})
+
 
 #: case id -> (ClusterConfig kwargs, the field the error names): each is
 #: a setting a disabled subsystem would silently ignore
@@ -58,17 +63,17 @@ IGNORED_SETTINGS = {
     "payload.proxy": (dict(payload=dict(proxy=True)), "proxy"),
 }
 
-#: a legal non-default value for every field (but ``enabled``) of each
-#: sub-config whose disabled form refuses them all
+#: a legal non-default value for every field (but ``enabled`` and the
+#: single-valued ones) of each sub-config whose disabled form refuses them all
 NON_DEFAULTS = {
     ObsConfig: dict(jsonl_path="run.jsonl", chrome_path="run.json"),
     ProfConfig: dict(wall=True, folded_path="run.folded"),
-    ArrivalConfig: dict(
-        process="mmpp", rate=5.0, burst_factor=2.0, zipf_s=1.2,
-        scenario="diurnal", queue_capacity=8, shed_policy="drop-oldest",
-    ),
+    ArrivalConfig: dict(rate=5.0, zipf_s=1.2, queue_capacity=8),
     PayloadConfig: dict(proxy=True, size=1024, cache_capacity=4),
 }
+
+#: fields whose one legal value is the default, so there is nothing to refuse
+SINGLE_VALUED = {"process"}
 
 
 class TestIgnoredSettingsRejected:
@@ -94,8 +99,8 @@ class TestIgnoredSettingsRejected:
 
     @pytest.mark.parametrize("cls", NON_DEFAULTS, ids=lambda c: c.__name__)
     def test_table_covers_every_field(self, cls):
-        fields = {f.name for f in dataclasses.fields(cls)} - {"enabled"}
-        assert set(NON_DEFAULTS[cls]) == fields
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert set(NON_DEFAULTS[cls]) == fields - {"enabled"} - SINGLE_VALUED
 
     @pytest.mark.parametrize(
         "cls,name",

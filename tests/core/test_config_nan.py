@@ -42,13 +42,20 @@ def test_the_table_walks_every_config_class():
         "ArrivalConfig", "ClusterConfig", "FaultConfig", "RetryPolicy",
         "RpcConfig",
     }
-    assert len(FLOAT_FIELDS) == 29
+    assert len(FLOAT_FIELDS) == 28
 
 
 @pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
 def test_nan_is_refused(cls, name):
     with pytest.raises(ValueError, match=name.split("_")[0]):
         cls(**{name: NAN})
+
+
+def test_infinite_arrival_rate_is_refused():
+    """An inf rate draws zero-length interarrival gaps: the run would
+    loop at one simulated instant and never reach its horizon."""
+    with pytest.raises(ValueError, match="rate must be finite"):
+        config.ArrivalConfig(enabled=True, rate=math.inf)
 
 
 @pytest.mark.parametrize("cls, name", [

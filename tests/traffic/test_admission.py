@@ -1,4 +1,4 @@
-"""Admission queues: shed policies, accounting, close semantics."""
+"""Admission queues: tail drop, accounting, close semantics."""
 
 import pytest
 
@@ -13,30 +13,17 @@ def env():
 
 class TestOffer:
     def test_admits_until_capacity(self, env):
+        """A full queue sheds the arrival and keeps what it holds: every
+        offer is admitted or shed, never both."""
         q = AdmissionQueue(env, 0, capacity=2)
         assert q.offer("a") and q.offer("b")
-        assert not q.offer("c")          # drop-newest: arrival is shed
+        assert not q.offer("c")          # the arrival is shed
         assert (q.offered, q.admitted, q.shed) == (3, 2, 1)
         assert list(q.items) == ["a", "b"]
-
-    def test_drop_oldest_evicts_head(self, env):
-        q = AdmissionQueue(env, 0, capacity=2, policy="drop-oldest")
-        q.offer("a"), q.offer("b")
-        assert q.offer("c")              # admitted; "a" is shed instead
-        assert (q.offered, q.admitted, q.shed) == (3, 3, 1)
-        assert list(q.items) == ["b", "c"]
-
-    def test_accounting_invariant(self, env):
-        """offered == admitted + shed under drop-newest (every arrival is
-        either admitted or shed, never both)."""
-        q = AdmissionQueue(env, 0, capacity=3)
-        for i in range(10):
-            q.offer(i)
+        for i in range(7):
+            assert not q.offer(i)
         assert q.offered == q.admitted + q.shed == 10
-
-    def test_unknown_policy(self, env):
-        with pytest.raises(ValueError, match="unknown shed policy"):
-            AdmissionQueue(env, 0, capacity=1, policy="random-drop")
+        assert list(q.items) == ["a", "b"]
 
     def test_capacity_validation(self, env):
         with pytest.raises(ValueError):

@@ -1,83 +1,59 @@
-"""Arrival processes: determinism and rate fidelity."""
+"""Poisson arrivals: determinism and rate fidelity, read off the
+``traffic.arrival`` trace of an open-loop run."""
 
-import math
+import itertools
 
-import numpy as np
 import pytest
 
+from repro.core import ArrivalConfig, ClusterConfig, SchedulerKind
+from repro.core.cluster import Cluster
 from repro.sim import RngRegistry
-from repro.traffic import MmppProcess, PoissonProcess, make_process
+from repro.traffic import OpenLoopExecutor
+from repro.workloads.registry import make_workload
 
 
-def _stream(seed=7, name="traffic.arrivals[0]"):
-    return RngRegistry(seed=seed).stream(name)
-
-
-def _draw_times(process, n, rate=10.0):
-    now, times = 0.0, []
-    for _ in range(n):
-        now += process.next_interval(now, rate)
-        times.append(now)
-    return times
+def _arrival_times(seed=7, rate=40.0, horizon=2.0):
+    """Arrival instants at the one node of a 1-node open-loop run."""
+    cfg = ClusterConfig(
+        num_nodes=1, seed=seed, scheduler=SchedulerKind.RTS, cl_threshold=4,
+        trace=True, trace_categories=("traffic.arrival",),
+        arrival=ArrivalConfig(enabled=True, rate=rate),
+    )
+    cluster = Cluster(cfg)
+    ex = OpenLoopExecutor(cluster, make_workload("dht", read_fraction=0.9),
+                          cfg.arrival, service_workers=1, horizon=horizon)
+    ex.setup()
+    ex.run()
+    return [r["t"] for r in cluster.tracer.records("traffic.arrival")]
 
 
 class TestPoisson:
     def test_same_seed_same_stream(self):
-        a = _draw_times(PoissonProcess(_stream()), 500)
-        b = _draw_times(PoissonProcess(_stream()), 500)
-        assert a == b  # byte identity, not mere closeness
+        """Arrivals are the running sum of Exp(1/rate) draws from the
+        node's ``traffic.arrivals[n]`` stream, to the bit."""
+        times = _arrival_times(seed=7, rate=40.0)
+        rng = RngRegistry(seed=7).stream("traffic.arrivals[0]")
+        gaps = [float(rng.exponential(1.0 / 40.0)) for _ in times]
+        assert times == list(itertools.accumulate(gaps))
+        assert times == _arrival_times(seed=7, rate=40.0)
 
     def test_different_seeds_differ(self):
-        a = _draw_times(PoissonProcess(_stream(seed=1)), 50)
-        b = _draw_times(PoissonProcess(_stream(seed=2)), 50)
-        assert a != b
+        assert _arrival_times(seed=1) != _arrival_times(seed=2)
 
     def test_mean_rate(self):
-        times = _draw_times(PoissonProcess(_stream()), 5000, rate=10.0)
-        observed = len(times) / times[-1]
-        assert observed == pytest.approx(10.0, rel=0.1)
+        times = _arrival_times(rate=200.0, horizon=10.0)
+        observed = len(times) / 10.0
+        assert observed == pytest.approx(200.0, rel=0.1)
 
     def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            PoissonProcess(_stream()).next_interval(0.0, 0.0)
+        for rate in (0.0, -1.0):
+            with pytest.raises(ValueError, match="rate"):
+                ArrivalConfig(enabled=True, rate=rate)
 
 
-class TestMmpp:
-    def test_same_seed_same_stream(self):
-        a = _draw_times(MmppProcess(_stream(), burst_factor=6.0), 500)
-        b = _draw_times(MmppProcess(_stream(), burst_factor=6.0), 500)
-        assert a == b
-
-    def test_long_run_rate_is_normalised(self):
-        """The on/off modulation must average to the requested rate."""
-        p = MmppProcess(_stream(), burst_factor=8.0)
-        times = _draw_times(p, 20000, rate=20.0)
-        observed = len(times) / times[-1]
-        assert observed == pytest.approx(20.0, rel=0.1)
-
-    def test_bursts_are_burstier_than_poisson(self):
-        """Squared coefficient of variation of interarrivals > 1 (Poisson
-        has exactly 1): the modulation adds variance."""
-        p = MmppProcess(_stream(), burst_factor=10.0)
-        times = np.array(_draw_times(p, 8000, rate=10.0))
-        gaps = np.diff(times)
-        scv = gaps.var() / gaps.mean() ** 2
-        assert scv > 1.3
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(burst_factor=0.5), dict(burst_factor=math.nan),
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            MmppProcess(_stream(), **kwargs)
-
-
-class TestMakeProcess:
-    def test_mmpp_takes_the_burst_factor(self):
-        p = make_process("mmpp", _stream(), 6.0)
-        assert isinstance(p, MmppProcess) and p.burst_factor == 6.0
-
-    def test_unknown_kind(self):
+class TestProcess:
+    @pytest.mark.parametrize("kind", ["mmpp", "uniform"])
+    def test_unknown_kind(self, kind):
+        """Poisson is the one arrival process; ``process`` names it."""
         with pytest.raises(ValueError, match="unknown arrival process"):
-            make_process("uniform", _stream())
-
+            ArrivalConfig(enabled=True, process=kind)

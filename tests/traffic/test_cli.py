@@ -28,22 +28,13 @@ class TestParsing:
         assert arrival.process == "poisson"
         assert arrival.rate == 40.0
 
-    def test_mmpp_with_burst(self):
-        arrival = _parse(["--arrival", "mmpp:25:6"])
-        assert arrival.process == "mmpp"
-        assert arrival.rate == 25.0
-        assert arrival.burst_factor == 6.0
-
     def test_modifiers_flow_through(self):
         arrival = _parse([
             "--arrival", "poisson:10", "--zipf", "1.5",
-            "--scenario", "flash-crowd", "--queue-capacity", "16",
-            "--shed-policy", "drop-oldest",
+            "--queue-capacity", "16",
         ])
         assert arrival.zipf_s == 1.5
-        assert arrival.scenario == "flash-crowd"
         assert arrival.queue_capacity == 16
-        assert arrival.shed_policy == "drop-oldest"
 
 
 class TestRejection:
@@ -51,17 +42,13 @@ class TestRejection:
         with pytest.raises(SystemExit):
             _parse(["--zipf", "1.5"])
 
-    def test_scenario_without_arrival_rejected(self):
-        with pytest.raises(SystemExit):
-            _parse(["--scenario", "diurnal"])
-
     @pytest.mark.parametrize("argv", [
-        ["--queue-capacity", "8"], ["--shed-policy", "drop-oldest"],
-    ], ids=["queue-capacity", "shed-policy"])
+        ["--queue-capacity", "8"],
+    ], ids=["queue-capacity"])
     def test_admission_flags_without_arrival_rejected(self, argv, capsys):
         with pytest.raises(SystemExit):
             _parse(argv)
-        assert "--arrival" in capsys.readouterr().err
+        assert "need --arrival" in capsys.readouterr().err
 
     def test_bad_queue_capacity_rejected(self):
         with pytest.raises(SystemExit):
@@ -69,11 +56,16 @@ class TestRejection:
 
     @pytest.mark.parametrize("spec", [
         "poisson", "poisson:fast", "uniform:10", "mmpp:10:4:9", "poisson:10:4",
+        "mmpp:25:6", "poisson:inf",
     ])
     def test_malformed_arrival_rejected(self, spec):
         with pytest.raises(SystemExit):
             _parse(["--arrival", spec])
 
-    def test_unknown_scenario_rejected(self):
+    @pytest.mark.parametrize("flag,value", [
+        ("--scenario", "flash-crowd"), ("--shed-policy", "drop-oldest"),
+    ])
+    def test_removed_flag_rejected(self, flag, value, capsys):
         with pytest.raises(SystemExit):
-            _parse(["--arrival", "poisson:10", "--scenario", "nope"])
+            _parse(["--arrival", "poisson:10", flag, value])
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

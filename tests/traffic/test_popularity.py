@@ -1,4 +1,4 @@
-"""Popularity model: uniform byte-identity, skew, shifted hotspot, and the
+"""Popularity model: uniform byte-identity, skew, and the
 Zipf sampler's exactness against ``Generator.choice``."""
 
 import numpy as np
@@ -36,16 +36,9 @@ class TestSkew:
         rng = _rng()
         draws = model.pick_many(rng, 50, 4000)
         counts = np.bincount(draws, minlength=50)
-        # rank 0 (object 0, no rotation) is by far the most popular
+        # rank 0 (object 0) is by far the most popular
         assert counts[0] == counts.max()
         assert counts[0] > 4000 / 50 * 5
-
-    def test_set_skew_retargets(self):
-        model = PopularityModel(s=0.0)
-        model.set_skew(2.0)
-        draws = model.pick_many(_rng(), 50, 2000)
-        counts = np.bincount(draws, minlength=50)
-        assert counts[0] > 2000 / 50 * 5
 
     def test_same_seed_same_draws(self):
         model = PopularityModel(s=1.2)
@@ -58,26 +51,6 @@ class TestSkew:
             PopularityModel(s=-1.0)
         with pytest.raises(ValueError):
             PopularityModel().pick(_rng(), 0)
-
-
-class TestHotspot:
-    def test_shift_jumps_hotspot(self):
-        model = PopularityModel(s=2.5)
-        model.set_hotspot_shift(3)
-        assert model.hotspot(10) == 3
-        draws = model.pick_many(_rng(), 10, 2000)
-        counts = np.bincount(draws, minlength=10)
-        assert counts[3] == counts.max()
-
-    def test_rotation_is_a_relabelling(self):
-        """Rotating must permute objects, not change the rank weights:
-        the same stream draws the same ranks either way."""
-        a = PopularityModel(s=1.5)
-        b = PopularityModel(s=1.5)
-        b.set_hotspot_shift(7)
-        draws_a = a.pick_many(_rng(), 20, 50)
-        draws_b = b.pick_many(_rng(), 20, 50)
-        assert [(d + 7) % 20 for d in draws_a] == draws_b
 
 
 def _weights(n, s):
