@@ -13,17 +13,21 @@ def env():
 
 class TestOffer:
     def test_admits_until_capacity(self, env):
-        """A full queue sheds the arrival and keeps what it holds: every
-        offer is admitted or shed, never both."""
         q = AdmissionQueue(env, 0, capacity=2)
         assert q.offer("a") and q.offer("b")
         assert not q.offer("c")          # the arrival is shed
         assert (q.offered, q.admitted, q.shed) == (3, 2, 1)
         assert list(q.items) == ["a", "b"]
-        for i in range(7):
-            assert not q.offer(i)
+
+    def test_accounting_invariant(self, env):
+        """offered == admitted + shed under tail drop (every arrival is
+        either admitted or shed, never both), and a full queue keeps what
+        it holds."""
+        q = AdmissionQueue(env, 0, capacity=3)
+        for i in range(10):
+            q.offer(i)
         assert q.offered == q.admitted + q.shed == 10
-        assert list(q.items) == ["a", "b"]
+        assert list(q.items) == [0, 1, 2]
 
     def test_capacity_validation(self, env):
         with pytest.raises(ValueError):
