@@ -14,7 +14,8 @@ Usage::
     pytest benchmarks/bench_serving.py              # shape assertions
     python benchmarks/bench_serving.py              # table + bisection,
                                                     #   writes BENCH_SERVING.json
-    python benchmarks/bench_serving.py --smoke --jobs 2   # CI grid
+    python benchmarks/bench_serving.py --smoke --jobs 2   # CI grid, writes
+                                                    #   nothing without --out
 """
 
 import argparse
@@ -206,8 +207,9 @@ def main(argv=None) -> int:
     parser.add_argument("--nodes", type=int, default=SERVING_NODES)
     parser.add_argument("--seed", type=int, default=BENCH_SEED)
     parser.add_argument("--horizon", type=float, default=SERVING_HORIZON)
-    parser.add_argument("--out", default="BENCH_SERVING.json",
-                        help="result JSON path ('' = do not write)")
+    parser.add_argument("--out", default=None,
+                        help="result JSON path ('' = do not write; default "
+                             "BENCH_SERVING.json, and nothing under --smoke)")
     add_par_args(parser)
     args = parser.parse_args(argv)
 
@@ -294,11 +296,15 @@ def main(argv=None) -> int:
             print("FAIL: RTS does not out-sustain TFA on the contended cell")
             return 1
 
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    # a smoke table must never replace the checked-in full sweep
+    out = args.out if args.out is not None else (
+        "" if args.smoke else "BENCH_SERVING.json"
+    )
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"\nresults written to {args.out}")
+        print(f"\nresults written to {out}")
     return 0
 
 

@@ -70,6 +70,11 @@ class VersionedObject:
     oid: str
     value: Any
     version: int = 0
+    #: custody epoch: one more on every ownership transfer, which leaves
+    #: ``version`` alone, so ``(version, epoch)`` tells a transfer from a
+    #: duplicate of it.  A re-host starts again at 0 under its fence
+    #: version.
+    epoch: int = 0
     state: ObjectState = ObjectState.FREE
     #: root txid of the live local writer / validator, when not FREE.
     holder: str | None = None
@@ -91,7 +96,7 @@ class VersionedObject:
 
     def __repr__(self) -> str:
         return (
-            f"<Object {self.oid} v{self.version} {self.state.value}"
+            f"<Object {self.oid} v{self.version}e{self.epoch} {self.state.value}"
             + (f" holder={self.holder}" if self.holder else "")
             + ">"
         )

@@ -22,9 +22,9 @@ Responsibilities:
 
 One way to do each thing: a peer is called with
 ``rpc_client.call(dst, ENDPOINT, payload)``; an object's value leaves the
-node through :meth:`TMProxy._send_object`; an arrival nobody waits for is
-decided by :meth:`TMProxy.take_unclaimed`.  The proxy is policy-free —
-all abort/enqueue choices live in the
+node through :meth:`TMProxy._send_object`; whether an arriving transfer
+is installed is decided by :meth:`TMProxy._install_transferred` alone.
+The proxy is policy-free — all abort/enqueue choices live in the
 :class:`~repro.scheduler.base.SchedulerPolicy` bound at construction —
 and holds no optional subsystem: payload resolution
 (:mod:`repro.rpc.payload`) and fault recovery
@@ -53,6 +53,9 @@ _RETRIEVE = ENDPOINTS.get("retrieve")
 
 #: execution-time estimate used before the stats table has history
 FALLBACK_EXEC_ESTIMATE = 0.05
+
+#: the custody mark of an oid this node never held: below every transfer
+_NEVER_HELD = (-1, -1)
 
 
 class Grant:
@@ -132,6 +135,11 @@ class TMProxy:
 
         #: objects owned by this node
         self.store: Dict[str, VersionedObject] = {}
+        #: custody marks: oid -> the highest ``(version, epoch)`` this node
+        #: has accepted or let go.  Kept after the object leaves: a
+        #: transfer at or below it is a duplicate, or older than a copy
+        #: this node already had (:meth:`_install_transferred`).
+        self.custody: Dict[str, Tuple[int, int]] = {}
         #: the paper's scheduling_List: per-object requester queues
         self.queues: Dict[str, RequesterList] = {}
         #: last known owner per object: the node's directory lookup cache
@@ -257,9 +265,8 @@ class TMProxy:
                 continue
 
             if p["granted"]:
-                return self._absorb_grant(root, oid, mode, p, reply)
-
-            if p.get("enqueued"):
+                grant = self._absorb_grant(root, oid, mode, p, reply)
+            elif p.get("enqueued"):
                 # backoff None = parked on the local object lock (no
                 # scheduler budget); bounded by a generous cap purely as
                 # a live-lock safety valve.
@@ -294,16 +301,18 @@ class TMProxy:
                         self._conflict_victim(tx, mode), AbortReason.BACKOFF_EXPIRED,
                         oid=oid, detail=f"backoff {budget:.4f}s expired",
                     )
-                return self._absorb_grant(root, oid, mode, grant_payload, None)
-
-            # Plain rejection: the scheduler chose abort.  Per the paper,
-            # the loser of a busy-object conflict is the *parent*
-            # transaction (§III: "RTS performs two actions for a losing
-            # parent transaction") — the 'level' ablation confines the
-            # abort to the requesting nested level instead.
-            raise TransactionAborted(
-                self._conflict_victim(tx, mode), AbortReason.BUSY_OBJECT, oid=oid
-            )
+                grant = self._absorb_grant(root, oid, mode, grant_payload, None)
+            else:
+                # Plain rejection: the scheduler chose abort.  Per the
+                # paper, the loser of a busy-object conflict is the
+                # *parent* transaction (§III: "RTS performs two actions
+                # for a losing parent transaction") — the 'level' ablation
+                # confines the abort to the requesting nested level.
+                raise TransactionAborted(
+                    self._conflict_victim(tx, mode), AbortReason.BUSY_OBJECT, oid=oid
+                )
+            if grant is not None:
+                return grant
         # The object migrated faster than we could chase it for 256 hops —
         # it is extremely contended; treat as losing a conflict on it.
         raise TransactionAborted(
@@ -347,8 +356,20 @@ class TMProxy:
         mode: ObjectMode,
         payload: Dict[str, Any],
         reply: Optional[Message],
-    ) -> Grant:
+    ) -> Optional[Grant]:
+        """The :class:`Grant` a granted payload makes, or None when it
+        transfers a custody :meth:`_install_transferred` refuses: a
+        re-grant or duplicate of one this node already took.  Its sender
+        is then not the owner, so a hint naming it goes, and the chase
+        goes on."""
         served_by = int(payload["served_by"])
+        if (
+            mode is ObjectMode.ACQUIRE and payload["transferred"]
+            and not self._install_transferred(oid, payload, holder=root.task_id)
+        ):
+            if self.owner_hints.owner(oid) == served_by:
+                self.owner_hints.drop(oid)
+            return None
         owner_clock = (
             reply.clock if reply is not None else int(payload.get("owner_clock", 0))
         )
@@ -364,14 +385,10 @@ class TMProxy:
         )
         root.known_cl[oid] = grant.local_cl
         if mode is ObjectMode.ACQUIRE:
-            if payload.get("transferred"):
-                # Ownership migrated to us with this grant; the object
-                # enters the validation window immediately (we are
-                # mid-commit).
-                self._install_transferred(oid, payload, holder=root.task_id)
-            else:
+            if not payload["transferred"]:
                 # We already owned it (local re-grant): (re-)enter the
-                # validation window.
+                # validation window.  A transfer was installed above,
+                # straight into it (we are mid-commit).
                 obj = self.store[oid]
                 obj.state = ObjectState.VALIDATING
                 obj.holder = root.task_id
@@ -396,12 +413,29 @@ class TMProxy:
 
     def _install_transferred(
         self, oid: str, payload: Dict[str, Any], holder: Optional[str]
-    ) -> None:
-        """Install an object whose ownership just migrated to this node."""
-        existing = self.store.get(oid)
-        if existing is not None and existing.version > int(payload["version"]):
-            return  # late duplicate of a transfer we have moved past
-        obj = VersionedObject(oid, payload["value"], int(payload["version"]))
+    ) -> bool:
+        """THE custody rule: install a transferred object, or drop it.
+
+        A transfer carries the ``(version, epoch)`` its sender stamped.
+        It is installed only when that pair is above this node's custody
+        mark for ``oid`` (:attr:`custody`), and the mark rises to it.  A
+        duplicated, re-granted or late transfer of a custody this node
+        already took is at or below the mark — whether or not the copy
+        is still here — and is dropped.  A newer pair replaces whatever
+        copy is here.  An acquiring ``holder`` holds the new copy;
+        otherwise a local hold on the old copy stays on it, so that
+        holder's commit fails its validation and its abort releases the
+        copy.  Returns whether it installed.
+        """
+        custody = (payload["version"], payload["epoch"])
+        if custody <= self.custody.get(oid, _NEVER_HELD):
+            return False
+        self.custody[oid] = custody
+        obj = VersionedObject(oid, payload["value"], custody[0], custody[1])
+        if holder is None:
+            old = self.store.get(oid)
+            if old is not None:
+                holder = old.holder
         # Custody arrives: the two optional subsystems' call-outs.
         if self.recovery is not None:
             self.recovery.forget(oid)
@@ -431,9 +465,10 @@ class TMProxy:
             home, MessageType.DIR_UPDATE,
             {
                 "oid": oid, "owner": self.node.node_id, "version": None,
-                "value": payload["value"], "value_version": int(payload["version"]),
+                "value": payload["value"], "value_version": custody[0],
             },
         )
+        return True
 
     def _await_handoff(
         self, root: Transaction, oid: str, backoff: float
@@ -581,7 +616,7 @@ class TMProxy:
         payload: Dict[str, Any] = {
             "oid": oid, "txid": txid,
             "granted": True, "transferred": transferred,
-            "value": obj.value, "version": obj.version,
+            "value": obj.value, "version": obj.version, "epoch": obj.epoch + 1,
             "local_cl": local_cl,
             "served_by": self.node.node_id,
             # read from a hand-off only: a grant's is its reply envelope's
@@ -596,6 +631,7 @@ class TMProxy:
                 payload["queue"] = queue.snapshot()
                 payload["bk"] = queue.bk
             del self.store[oid]
+            self.custody[oid] = (obj.version, obj.epoch)
             self._hold_started.pop(oid, None)
             self.owner_hints.put(oid, dst)
             if self.recovery is not None:
@@ -700,12 +736,7 @@ class TMProxy:
         waiter = self._waiters.pop((txid, oid), None)
 
         if waiter is not None and not waiter.triggered:
-            if p.get("transferred"):
-                self._install_transferred(oid, p, holder=txid)
-                # The install is done; hand the waiter a payload that will
-                # not trigger a second install in _absorb_grant.
-                p = dict(p, transferred=False)
-            waiter.succeed(p)
+            waiter.succeed(p)  # _absorb_grant installs a transfer
             return
         # Algorithm 4's else-branch: nobody here needs the object any more.
         self.take_unclaimed(p)
@@ -716,21 +747,19 @@ class TMProxy:
         ``RETRIEVE_RESPONSE`` whose RPC already timed out.
 
         A copy is dropped — shared snapshots carry no state.  A transfer
-        makes this node the owner (the queue shipped with the object):
-        install it and release at once, which forwards it to the next
-        queued requester.  "Do I already have it" — what has to make a
-        duplicated or late transfer harmless (ROADMAP item 1) — is three
-        tests, kept as they were: ``oid in self.store`` on each of the
-        two arrival paths, now the one line below, and on every path
-        :meth:`_install_transferred` lets a *newer* stored copy win.
+        that :meth:`_install_transferred` accepts makes this node the
+        owner (the queue shipped with the object): it is released at
+        once, which forwards it to the next queued requester — unless a
+        local root holds it, whose commit or abort releases it.  A
+        duplicate of a custody already taken is dropped by that rule.
         """
-        if not payload.get("transferred"):
-            return
         oid: str = payload["oid"]
-        if oid in self.store:
-            return
-        self._install_transferred(oid, payload, holder=None)
-        self.release_object(oid, committed=False)
+        if (
+            payload.get("transferred")
+            and self._install_transferred(oid, payload, holder=None)
+            and self.store[oid].holder is None
+        ):
+            self.release_object(oid, committed=False)
 
     def discard_object(self, oid: str) -> None:
         """Drop a stale owned copy (fault recovery only)."""

@@ -103,8 +103,11 @@ class NodeRecovery:
         """Answer a retrieve request for an object this node no longer
         holds from the memory, if it comes from the very requester the
         object was transferred to: the message carrying the single
-        writable copy was lost.  Re-sending is idempotent (the requester
-        drops duplicates of a transfer it already absorbed) and
+        writable copy was lost.  The re-sent payload is the original,
+        custody epoch included, so re-sending is idempotent by
+        construction: a requester that already took that custody (and
+        may have passed it on) drops it under the custody rule of
+        :meth:`~repro.dstm.proxy.TMProxy._install_transferred`.  It also
         refreshes the age: the requester is alive, so the orphan sweep
         must not repatriate under it.
         """
@@ -413,6 +416,9 @@ class HomeRecovery:
         entry.snapshot_value = value
         self.leases.pop(oid, None)
         self.proxy.store[oid] = VersionedObject(oid, value, version)
+        # The re-host is a custody the home took: a late transfer of an
+        # older version must not install over it.
+        self.proxy.custody[oid] = (version, 0)
         self.proxy.owner_hints.put(oid, home)
 
     # -- the home's endpoints -------------------------------------------------

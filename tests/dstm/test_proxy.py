@@ -103,7 +103,7 @@ class TestHandoffForwarding:
         cluster.nodes[0].send(1, MessageType.OBJECT_HANDOFF, {
             "oid": oid, "txid": "t-dead", "mode": "a",
             "granted": True, "transferred": True,
-            "value": 99, "version": 4,
+            "value": 99, "version": 4, "epoch": 1,
             "queue": queue, "bk": 0.25,
             "local_cl": 2, "served_by": 0,
         })
@@ -111,13 +111,16 @@ class TestHandoffForwarding:
 
         # Node 1 absorbed and immediately released: it must not keep it.
         assert not cluster.proxies[1].owns(oid)
-        # t2 got the object, mid-commit, with the rest of the list intact.
+        # t2 got the transfer; its Open_Object installs it, mid-commit,
+        # with the rest of the list intact.
+        assert waiter.triggered
+        granted = waiter.value
+        assert granted["granted"] and granted["transferred"]
+        root = cluster.engines[2].begin(task_id="t2")
+        cluster.proxies[2]._absorb_grant(root, oid, ObjectMode.ACQUIRE, granted, None)
         obj = cluster.proxies[2].store[oid]
         assert (obj.value, obj.version) == (99, 4)
         assert obj.state is ObjectState.VALIDATING and obj.holder == "t2"
-        assert waiter.triggered
-        granted = waiter.value
-        assert granted["granted"] and not granted["transferred"]
         remaining = cluster.proxies[2].queues[oid].snapshot()
         assert [(r.node, r.txid) for r in remaining] == [(3, "t3")]
 

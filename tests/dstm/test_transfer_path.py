@@ -2,11 +2,13 @@
 
 Every way an object's value leaves a node — a grant (copy or transfer),
 the hand-off to the next queued acquirer, the read multicast — is built
-by ``TMProxy._send_object``, and every arrival nobody waits for — the
+by ``TMProxy._send_object``, and whether an arriving transfer is
+installed — a grant, a hand-off, or an arrival nobody waits for (the
 hand-off else-branch of Algorithm 4, a late ``RETRIEVE_RESPONSE`` under
-fault recovery — is decided by ``TMProxy.take_unclaimed``.  These cases
-pin the fields that are *simulated behaviour* on each row of that
-table, with the payload plane off, eager and in proxy mode.
+fault recovery) — is decided by ``TMProxy._install_transferred``, the
+custody rule.  These cases pin the fields that are *simulated
+behaviour* on each row of that table, with the payload plane off, eager
+and in proxy mode.
 """
 
 import pytest
@@ -206,57 +208,108 @@ class TestWhatLeaves:
             assert obj.payload_src == (0 if plane == "proxy" else 1)
 
 
-def transfer_payload(txid="t-dead", version=4, queue=()):
+def transfer_payload(txid="t-dead", version=4, queue=(), epoch=1):
     return {
         "oid": "hot", "txid": txid, "granted": True, "transferred": True,
-        "value": 99, "version": version, "queue": list(queue), "bk": 0.25,
+        "value": 99, "version": version, "epoch": epoch,
+        "queue": list(queue), "bk": 0.25,
         "local_cl": len(queue), "served_by": 0, "owner_clock": 0,
     }
 
 
+def hand_off(cluster, payload, until):
+    """Deliver ``payload`` to node 1 as a hand-off nobody waits for."""
+    cluster.nodes[0].send(1, MessageType.OBJECT_HANDOFF, payload)
+    cluster.run(until=until)
+
+
 class TestWhatArrivesUnclaimed:
-    """``take_unclaimed``: the hand-off else-branch, fault-free."""
+    """``take_unclaimed``: the hand-off else-branch, fault-free.
+
+    Whether a transfer is installed is the custody rule alone
+    (``_install_transferred``): its ``(version, epoch)`` must be above
+    the highest pair the node has accepted or let go.  A newer pair
+    replaces a FREE copy; over a held copy the hold stays on it."""
 
     def test_duplicate_transferred_hand_off_is_dropped(self):
         cluster = make_cluster()
         seen = tap(cluster, 1, MessageType.OBJECT_HANDOFF)
-        cluster.nodes[0].send(1, MessageType.OBJECT_HANDOFF, transfer_payload())
-        cluster.run(until=0.5)
+        hand_off(cluster, transfer_payload(), until=0.5)
         first = cluster.proxies[1].store["hot"]
-        assert (first.value, first.version, first.state) == (99, 4, ObjectState.FREE)
-        cluster.nodes[0].send(
-            1, MessageType.OBJECT_HANDOFF, transfer_payload(version=9)
-        )
-        cluster.run(until=1.0)
+        assert (first.value, first.version, first.epoch) == (99, 4, 1)
+        assert first.state is ObjectState.FREE
+        hand_off(cluster, transfer_payload(), until=1.0)
         # the echo changed nothing and sent nothing (no second DIR_UPDATE)
         assert cluster.proxies[1].store["hot"] is first
         assert [sent for _msg, sent in seen] == [1, 0]
+
+    def test_an_older_pair_is_dropped(self):
+        cluster = make_cluster()
+        seen = tap(cluster, 1, MessageType.OBJECT_HANDOFF)
+        hand_off(cluster, transfer_payload(epoch=3), until=0.5)
+        first = cluster.proxies[1].store["hot"]
+        # an earlier custody of the same version, and an older version
+        # at any epoch
+        hand_off(cluster, transfer_payload(epoch=2), until=1.0)
+        hand_off(cluster, transfer_payload(version=3, epoch=9), until=1.5)
+        assert cluster.proxies[1].store["hot"] is first
+        assert [sent for _msg, sent in seen] == [1, 0, 0]
+
+    def test_newer_transfer_replaces_a_free_copy(self):
+        cluster = make_cluster()
+        seen = tap(cluster, 1, MessageType.OBJECT_HANDOFF)
+        hand_off(cluster, transfer_payload(epoch=3), until=0.5)
+        newer = dict(transfer_payload(version=9, epoch=1), value=5)
+        hand_off(cluster, newer, until=1.0)
+        obj = cluster.proxies[1].store["hot"]
+        assert (obj.value, obj.version, obj.epoch) == (5, 9, 1)
+        assert obj.state is ObjectState.FREE
+        assert cluster.proxies[1].custody["hot"] == (9, 1)
+        assert [sent for _msg, sent in seen] == [1, 1]   # its DIR_UPDATE
+
+    def test_newer_transfer_over_a_held_copy_keeps_the_hold(self):
+        cluster = make_cluster()
+        proxy = cluster.proxies[1]
+        seen = tap(cluster, 1, MessageType.OBJECT_HANDOFF)
+        hand_off(cluster, transfer_payload(), until=0.5)
+        proxy.begin_validation("hot", "t-local")
+        newer = dict(transfer_payload(epoch=2, queue=[queued(2, "t2")]), value=5)
+        hand_off(cluster, newer, until=1.0)
+        # the newer copy is installed, still held by the local root, and
+        # not sent on: only its DIR_UPDATE left
+        obj = proxy.store["hot"]
+        assert (obj.value, obj.epoch) == (5, 2)
+        assert obj.state is ObjectState.VALIDATING and obj.holder == "t-local"
+        assert [sent for _msg, sent in seen] == [1, 1]
+        assert [r.txid for r in proxy.queues["hot"]] == ["t2"]
+        # the holder's abort releases it to the queue that came with it
+        proxy.release_object("hot", committed=False)
+        cluster.run(until=1.5)
+        assert not proxy.owns("hot") and cluster.proxies[2].owns("hot")
 
     def test_transfer_for_a_vanished_waiter_moves_on_in_the_same_event(self):
         cluster = make_cluster()
         waiter = cluster.env.event()
         cluster.proxies[2]._waiters[("t2", "hot")] = waiter
         seen = tap(cluster, 1, MessageType.OBJECT_HANDOFF)
-        cluster.nodes[0].send(
-            1, MessageType.OBJECT_HANDOFF,
-            transfer_payload(queue=[queued(2, "t2"), queued(3, "t3")]),
+        hand_off(
+            cluster, transfer_payload(queue=[queued(2, "t2"), queued(3, "t3")]),
+            until=0.5,
         )
-        cluster.run(until=0.5)
         # installed, registered (DIR_UPDATE) and forwarded inside the one
         # handler call: node 1 never holds it across an event boundary
         assert [sent for _msg, sent in seen] == [2]
         assert not cluster.proxies[1].owns("hot")
-        obj = cluster.proxies[2].store["hot"]
-        assert (obj.value, obj.holder) == (99, "t2") and waiter.triggered
-        assert [r.txid for r in cluster.proxies[2].queues["hot"]] == ["t3"]
+        # t2's Open_Object gets the next custody, with the rest of the queue
+        assert waiter.triggered
+        p = waiter.value
+        assert (p["value"], p["transferred"], p["epoch"]) == (99, True, 2)
+        assert [r.txid for r in p["queue"]] == ["t3"]
 
     def test_read_hand_off_with_no_waiter_is_dropped(self):
         cluster = make_cluster()
         seen = tap(cluster, 1, MessageType.OBJECT_HANDOFF)
-        cluster.nodes[0].send(
-            1, MessageType.OBJECT_HANDOFF, dict(transfer_payload(), transferred=False)
-        )
-        cluster.run(until=0.5)
+        hand_off(cluster, dict(transfer_payload(), transferred=False), until=0.5)
         assert [sent for _msg, sent in seen] == [0]
         assert not cluster.proxies[1].owns("hot")
 
@@ -279,12 +332,67 @@ class TestUnderRecovery:
         cluster.run(until=cluster.env.now + 0.2)
 
     def test_late_transfer_for_an_object_in_the_store_is_dropped(self):
+        """A duplicate of the transfer that installed a copy a local root
+        is validating leaves that copy as it is (it used to replace it,
+        and the next release sent it away from under the validator)."""
         cluster = fault_cluster()
-        held = cluster.proxies[1].store["hot"] = VersionedObject("hot", 1, 2)
+        proxy = cluster.proxies[1]
         seen = tap(cluster, 1, MessageType.RETRIEVE_RESPONSE)
         self.late_response(cluster, transfer_payload())
-        assert cluster.proxies[1].store["hot"] is held
-        assert [sent for _msg, sent in seen] == [0]
+        held = proxy.store["hot"]
+        proxy.begin_validation("hot", "t-local")
+        self.late_response(cluster, transfer_payload(queue=[queued(2, "t2")]))
+        assert proxy.store["hot"] is held
+        assert held.state is ObjectState.VALIDATING and held.holder == "t-local"
+        assert "hot" not in proxy.queues
+        assert [sent for _msg, sent in seen] == [1, 0]
+
+    def test_regrant_after_pass_on_is_dropped(self):
+        """Node 1 took a transfer and passed it on; the same transfer,
+        re-sent, is dropped although node 1's store is empty."""
+        cluster = fault_cluster()
+        proxy = cluster.proxies[1]
+        seen = tap(cluster, 1, MessageType.RETRIEVE_RESPONSE)
+        payload = transfer_payload(queue=[queued(2, "t2")])
+        self.late_response(cluster, payload)
+        assert not proxy.owns("hot") and cluster.proxies[2].owns("hot")
+        self.late_response(cluster, payload)
+        assert [sent for _msg, sent in seen] == [2, 0]   # no DIR_UPDATE
+        assert not proxy.owns("hot")
+        # a waiting requester's grant is refused the same way, and a hint
+        # naming its sender goes
+        proxy.owner_hints.put("hot", 0)
+        root = cluster.engines[1].begin()
+        assert proxy._absorb_grant(root, "hot", ObjectMode.ACQUIRE, payload, None) is None
+        assert not proxy.owns("hot") and proxy.owner_hints.owner("hot") is None
+
+    def test_a_refused_regrant_chases_on_to_the_owner(self):
+        """The requester of a lost transfer took that custody anyway (a
+        hand-off) and passed it on; its retry to the old owner is
+        answered from the re-grant memory, refused, and the chase finds
+        the node the copy went to."""
+        cluster = fault_cluster()
+        root = cluster.engines[1].begin()
+        lost = retrieve(cluster, 1, ObjectMode.ACQUIRE, txid=root.task_id)
+        assert (lost.payload["version"], lost.payload["epoch"]) == (0, 1)
+        cluster.nodes[3].send(
+            1, MessageType.OBJECT_HANDOFF, dict(lost.payload, queue=[queued(2, "t2")])
+        )
+        cluster.run(until=cluster.env.now + 0.5)
+        assert cluster.proxies[2].store[OID].epoch == 2
+        cluster.proxies[1].owner_hints.put(OID, 0)   # the retry's address
+
+        def acquire():
+            grant = yield from cluster.proxies[1].open_object(
+                root, OID, ObjectMode.ACQUIRE
+            )
+            return grant
+
+        grant = cluster.env.run(until=cluster.spawn(acquire()))
+        assert (grant.value, grant.version, grant.served_by) == (7, 0, 2)
+        obj = cluster.proxies[1].store[OID]
+        assert obj.epoch == 3 and obj.holder == root.task_id
+        assert not cluster.proxies[2].owns(OID)
 
     def test_late_transfer_not_in_the_store_is_installed_and_forwarded(self):
         cluster = fault_cluster()
@@ -294,7 +402,7 @@ class TestUnderRecovery:
         self.late_response(cluster, transfer_payload(queue=[queued(2, "t2")]))
         assert [sent for _msg, sent in seen] == [2]   # DIR_UPDATE + hand-off
         assert not cluster.proxies[1].owns("hot")
-        assert cluster.proxies[2].store["hot"].holder == "t2" and waiter.triggered
+        assert waiter.triggered and waiter.value["transferred"]
 
     def test_late_copy_or_rejection_is_dropped(self):
         cluster = fault_cluster()

@@ -1,13 +1,12 @@
-"""ROADMAP item 1, pinned: under faults the fault layer loses committed
-state.
+"""ROADMAP item 1's chaos cell keeps committed state.
 
 The cell is the 12-node reproducer of ``benchmarks/e2e/README.md``
 finding 3 (bank at 50 % reads, RTS, every fault class on, 40 simulated
-seconds).  Each case is a strict xfail: it fails at the violating seed
-today, and the change that fixes the fault layer turns it into an
-unexpected pass — that change must drop the marker.  The seeds were
-found by sweeping cluster seeds 200–711 (ROADMAP item 1 lists every
-failing one); each case runs in 0.2–2.5 host-s.
+seconds).  The seeds below lost money, forked the single writable copy
+or crashed a commit with a ``KeyError`` until a transfer carried a
+custody epoch and its receiver alone dropped a duplicate
+(``TMProxy._install_transferred``); each case pins one of them, found by
+sweeping cluster seeds 200–711, and runs in 0.2–2.5 host-s.
 
 A sanitized run also keeps the committed history
 (``cluster.sanitizer.history``: every committed root plus every re-host),
@@ -16,7 +15,6 @@ so the serializability oracle can name the first broken version fence.
 
 import pytest
 
-from repro.check import InvariantViolation
 from repro.check.oracle import check_history
 from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig
@@ -67,12 +65,12 @@ def history_violations(seed):
 
 
 def test_reading_the_oracle_changes_nothing():
-    """The money oracle is a read.  Ten seconds into seed 200 an account's
-    owner lease has lapsed, so the next directory read would reclaim it;
-    the oracle reports the snapshot such a reclaim would re-host and
-    leaves the reclaim counter, the registry and every store as they
-    were."""
-    cluster, workload = run_chaos_cell(200, horizon=10.0)
+    """The money oracle is a read.  Two seconds into seed 202 some
+    accounts' owner leases have lapsed, so the next directory read would
+    reclaim them; the oracle reports the snapshot such a reclaim would
+    re-host and leaves the reclaim counter, the registry and every store
+    as they were."""
+    cluster, workload = run_chaos_cell(202, horizon=2.0)
 
     def state():
         registry = []
@@ -97,49 +95,45 @@ def test_reading_the_oracle_changes_nothing():
     assert total == workload.expected_total()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="seed 656 ends at 95924 of 96000: committed money is lost",
-)
 def test_seed_656_conserves_money():
+    """Seed 656 used to end at 95924 of 96000."""
     total, expected = chaos_cell(656)
     assert total == expected
 
 
-@pytest.mark.xfail(
-    strict=True, raises=InvariantViolation,
-    reason="inv-single-writable-copy: two nodes hold bank/acct0_3 at one "
-           "version at t=1.2",
-)
 def test_seed_311_keeps_a_single_writable_copy():
-    chaos_cell(311, sanitize=True)
+    """Seed 311 used to trip ``inv-single-writable-copy`` at t = 1.2: n7
+    passed ``bank/acct0_3`` v1 on, then installed a re-grant of the very
+    transfer it had taken."""
+    total, expected = chaos_cell(311, sanitize=True)
+    assert total == expected
 
 
-@pytest.mark.xfail(
-    strict=True, raises=KeyError,
-    reason="TFAEngine._register reads self.proxy.store[oid] for a written "
-           "object this node no longer holds",
-)
 @pytest.mark.parametrize("seed", [337, 349, 390, 453, 619, 665, 694])
 def test_commit_finds_its_written_objects(seed, monkeypatch):
-    """Pinned unsanitized, the way the sweep found them: sanitized, seed
-    619 trips ``inv-single-writable-copy`` at t = 15.4 first."""
+    """These seeds used to raise a ``KeyError`` in
+    ``TFAEngine._register``: a duplicate transfer replaced a copy a local
+    root was validating, and the next release sent it away.  Run
+    unsanitized, the way the sweep found them."""
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    chaos_cell(seed)
+    total, expected = chaos_cell(seed)
+    assert total == expected
 
 
-def test_seed_200_history_serializes():
-    """A clean cell's history is clean.  Seed 200 re-hosts
-    ``bank/acct1_2`` once: without that write in the history the oracle
-    would report the version the re-host installed, and the reads of
-    it, as phantoms."""
-    assert history_violations(200) == []
-
-
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="two commits install bank/acct2_2 v1: duplicate-fence, "
-           "stale-read-value and fence-order",
-)
 def test_seed_656_history_serializes():
+    """Two commits used to install ``bank/acct2_2`` v1 here."""
     assert history_violations(656) == []
+
+
+@pytest.mark.parametrize("seed", range(200, 216))
+def test_sanitized_cell_conserves_money_and_serializes(seed):
+    """Sanitized, so a forked writable copy raises at the violating
+    event; ten of these sixteen seeds did before the custody epoch.
+    Every seed but 200 re-hosts an account: without the re-host writes
+    in the history the oracle would report the versions they install,
+    and the reads of them, as phantoms."""
+    cluster, workload = run_chaos_cell(seed, sanitize=True)
+    total = sum(cluster.authoritative_value(a) for a in workload.accounts)
+    assert total == workload.expected_total()
+    initial = {oid: INITIAL_BALANCE for oid in workload.accounts}
+    assert check_history(cluster.sanitizer.history, initial=initial) == []

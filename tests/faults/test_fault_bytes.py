@@ -28,7 +28,7 @@ FAULTS = FaultConfig(
 
 #: sha256 of the cell's obs JSONL, global id counters reset first
 OBS_JSONL_SHA256 = (
-    "e4df77f59f5125a9d0ba5ce28bc50cdf379e1eb67515cc8820fd573212a9e43a"
+    "b81dfe3a963b1765e16604e9b1b0ba73716325c7bb659a95509c9b5b9e1fcc86"
 )
 
 
