@@ -131,10 +131,8 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-out", metavar="RUN.JSONL", default=None,
                         help="export an obs event log (repro.obs) for the "
                              "highest-drop rts cell; inspect with "
-                             "`python -m repro.obs.report RUN.JSONL`")
-    parser.add_argument("--chrome-out", metavar="TRACE.JSON", default=None,
-                        help="export a Chrome trace_event file (load in "
-                             "Perfetto / chrome://tracing) for the same cell")
+                             "`python -m repro.obs.report RUN.JSONL` (a "
+                             "Chrome trace: add `--chrome OUT.json`)")
     add_par_args(parser)
     args = parser.parse_args(argv)
     if not args.smoke:
@@ -146,9 +144,8 @@ def main(argv=None) -> int:
     specs = []
     for drop, sched in grid:
         obs = None
-        if (drop, sched) == traced_cell and (args.trace_out or args.chrome_out):
-            obs = dict(enabled=True, jsonl_path=args.trace_out,
-                       chrome_path=args.chrome_out)
+        if (drop, sched) == traced_cell and args.trace_out:
+            obs = dict(enabled=True, jsonl_path=args.trace_out)
         specs.append(chaos_spec(sched, drop, seed=args.seed, obs=obs,
                                 nodes=args.nodes))
     sweep = run_cells(specs, jobs=args.jobs, cache_dir=args.cache_dir)
@@ -172,8 +169,6 @@ def main(argv=None) -> int:
     if args.trace_out:
         print(f"obs event log: {args.trace_out} "
               f"(python -m repro.obs.report {args.trace_out})")
-    if args.chrome_out:
-        print(f"chrome trace: {args.chrome_out} (load in Perfetto)")
     return 0
 
 

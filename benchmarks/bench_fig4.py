@@ -88,9 +88,8 @@ def main(argv=None) -> int:
                         help="enable the version-fenced directory lookup cache")
     parser.add_argument("--trace-out", metavar="RUN.JSONL", default=None,
                         help="export an obs event log (largest cell); inspect "
-                             "with `python -m repro.obs.report RUN.JSONL`")
-    parser.add_argument("--chrome-out", metavar="TRACE.JSON", default=None,
-                        help="export a Chrome trace_event file (Perfetto)")
+                             "with `python -m repro.obs.report RUN.JSONL` (a "
+                             "Chrome trace: add `--chrome OUT.json`)")
     parser.add_argument("--profile", action="store_true",
                         help="kernel-profile the largest cell (counters "
                              "mode; timeline unchanged) and print top sites")
@@ -110,9 +109,8 @@ def main(argv=None) -> int:
             kwargs["arrival"] = arrival
         if args.horizon is not None:
             kwargs["horizon"] = args.horizon
-        if nodes == traced and (args.trace_out or args.chrome_out):
-            kwargs["obs"] = dict(enabled=True, jsonl_path=args.trace_out,
-                                 chrome_path=args.chrome_out)
+        if nodes == traced and args.trace_out:
+            kwargs["obs"] = dict(enabled=True, jsonl_path=args.trace_out)
         if nodes == traced and (args.profile or args.profile_folded):
             kwargs["prof"] = dict(enabled=True,
                                   folded_path=args.profile_folded)
@@ -153,8 +151,6 @@ def main(argv=None) -> int:
     if args.trace_out:
         print(f"obs event log: {args.trace_out} "
               f"(python -m repro.obs.report {args.trace_out})")
-    if args.chrome_out:
-        print(f"chrome trace: {args.chrome_out} (load in Perfetto)")
     if args.profile or args.profile_folded:
         for outcome in sweep.in_spec_order():
             snap = outcome.result.extra.get("prof")

@@ -39,7 +39,7 @@ from repro.sim import Environment, Process, RngRegistry, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check import Sanitizer
-    from repro.obs import ObsRecorder
+    from repro.obs import LiveFold
 
 __all__ = ["Cluster"]
 
@@ -76,13 +76,13 @@ class Cluster:
             self.profiler = KernelProfiler(wall=pc.wall).install(self.env)
 
         # Observability (repro.obs).  Strictly additive like faults: the
-        # default ObsConfig(enabled=False) builds no recorder and leaves
+        # default ObsConfig(enabled=False) attaches no sink and leaves
         # the tracer exactly as trace/trace_categories configure it.
         oc = config.obs
         trace_cats = set(config.trace_categories) if config.trace_categories else None
-        self.obs: Optional["ObsRecorder"] = None
+        self.obs: Optional["LiveFold"] = None
         if oc.enabled:
-            from repro.obs import OBS_CATEGORIES, ObsRecorder
+            from repro.obs import OBS_CATEGORIES, JsonlSink, LiveFold
 
             if config.trace and trace_cats is None:
                 cats = None  # the user asked for everything
@@ -91,10 +91,9 @@ class Cluster:
             self.tracer = Tracer(
                 enabled=True, categories=cats, keep_records=config.trace
             )
-            self.obs = ObsRecorder(
-                jsonl_path=oc.jsonl_path, chrome_path=oc.chrome_path
-            )
-            self.tracer.attach_sink(self.obs)
+            if oc.jsonl_path:
+                self.tracer.attach_sink(JsonlSink(oc.jsonl_path))
+            self.obs = self.tracer.attach_sink(LiveFold())
         else:
             self.tracer = Tracer(enabled=config.trace, categories=trace_cats)
         self.topology = Topology(
@@ -120,7 +119,7 @@ class Cluster:
         if plc.enabled:
             self.payload_plane = PayloadPlane(plc, config.num_nodes)
             self.network.cost = WireCostModel(BANDWIDTH, SER_PER_BYTE, CONTROL_SIZE)
-        self.metrics = MetricsCollector(keep_latency_samples=oc.enabled)
+        self.metrics = MetricsCollector()
 
         # RPC substrate (repro.rpc).  Strictly additive: the default
         # RpcConfig (window 0, hint-mode cache) builds no batcher and
@@ -352,10 +351,11 @@ class Cluster:
         self.env.run(until=until)
 
     def finish_obs(self) -> Optional[Dict[str, Any]]:
-        """Flush/close observability exports and return the obs summary.
+        """Close the JSONL export and return the live fold's
+        ``{"events", "phases"}``.
 
         No-op (returns None) when the obs layer is disabled.  Idempotent
-        for the summary; the file sinks are closed on the first call.
+        for the summary; the file sink is closed on the first call.
         """
         if self.obs is None:
             return None

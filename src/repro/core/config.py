@@ -210,21 +210,20 @@ class RpcConfig:
 class ObsConfig:
     """Parameterisation of the observability layer (``repro.obs``).
 
-    With ``enabled=False`` (the default) the cluster builds no recorder
-    and the tracer stays exactly as the ``trace``/``trace_categories``
-    knobs configure it: the disabled path costs one boolean guard per
-    emission site, same as before.  With ``enabled=True`` an
-    :class:`~repro.obs.ObsRecorder` sink is attached to the tracer and
-    every ``repro.obs`` event category is enabled; events stream to the
-    recorder (and optionally to JSONL / Chrome trace files) without
-    unbounded in-memory accumulation.
+    With ``enabled=False`` (the default) the cluster attaches no sink and
+    the tracer stays exactly as the ``trace``/``trace_categories`` knobs
+    configure it: the disabled path costs one boolean guard per emission
+    site.  With ``enabled=True`` every ``repro.obs`` event category is
+    enabled and two sinks are attached: the run's one live fold (an
+    event count and the exact span-phase rows, see
+    :class:`~repro.obs.spans.LiveFold`) and, given ``jsonl_path``, the
+    JSONL stream every other table is computed from
+    (``python -m repro.obs.report``).
     """
 
     enabled: bool = False
     #: stream every event to this JSONL file (None = no file export)
     jsonl_path: Optional[str] = None
-    #: stream a Chrome trace_event (Perfetto-loadable) file here
-    chrome_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         _refuse_unless_enabled(self, "obs")

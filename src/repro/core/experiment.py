@@ -169,7 +169,6 @@ def _extra(
     if cluster.config.arrival.enabled:
         extra.update(executor.traffic_summary())
     if obs_summary is not None:
-        extra["obs_events"] = cluster.obs.events if cluster.obs is not None else 0
         extra["obs"] = obs_summary
     if cluster.config.faults.enabled:
         m = cluster.metrics

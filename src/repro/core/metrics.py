@@ -24,7 +24,7 @@ __all__ = ["MetricsCollector"]
 class MetricsCollector:
     """Aggregates per-cluster transactional statistics."""
 
-    def __init__(self, keep_latency_samples: bool = False) -> None:
+    def __init__(self) -> None:
         self.commits = Counter("commits")
         self.root_aborts = Counter("root_aborts")
         self.aborts_by_reason: Dict[AbortReason, int] = {}
@@ -34,7 +34,7 @@ class MetricsCollector:
         #: children rolled back with their parent)
         self.nested_aborts_parent = Counter("nested_aborts_parent")
         self.nested_commits = Counter("nested_commits")
-        self.commit_latency = Tally("commit_latency", keep_samples=keep_latency_samples)
+        self.commit_latency = Tally("commit_latency")
         self.per_profile_commits: Dict[str, int] = {}
         #: window bounds for throughput computation (simulated seconds)
         self.window_start: float = 0.0
@@ -133,10 +133,6 @@ class MetricsCollector:
         }
         if self.window_end - self.window_start > 0:
             out["throughput"] = self.throughput()
-        if self.commit_latency.keep_samples and self.commit_latency.count > 0:
-            out["commit_latency_p50"] = self.commit_latency.percentile(50)
-            out["commit_latency_p95"] = self.commit_latency.percentile(95)
-            out["commit_latency_p99"] = self.commit_latency.percentile(99)
         return out
 
     def __repr__(self) -> str:

@@ -1,22 +1,22 @@
 """Observability for the D-STM reproduction (``repro.obs``).
 
 Layered on the simulation tracer's sink interface: when enabled (see
-:class:`~repro.core.config.ObsConfig`), the cluster attaches an
-:class:`ObsRecorder` that takes every accepted trace record — already
-the flat schema event — and streams it to exporters while folding it into
-in-memory aggregates (windowed series, and one float per closed span
-phase and finished span for the exact latency rows).
+:class:`~repro.core.config.ObsConfig`), the cluster attaches two sinks
+to the tracer, whose records are already the flat schema events.  A
+:class:`JsonlSink` writes the one stream (given a path), and a
+:class:`LiveFold` keeps the event count and the exact span-phase rows
+the run result carries.  Every other table, and the Chrome trace, is
+computed from the JSONL by the report CLI.
 
 Pieces:
 
 * :mod:`repro.obs.events` — the event schema + validators;
 * :mod:`repro.obs.sink` — the streaming JSONL exporter;
-* :mod:`repro.obs.spans` — the one span fold (recorder, Chrome, report);
-* :mod:`repro.obs.series` — per-node / per-object time-series reducer;
-* :mod:`repro.obs.chrome` — streaming Chrome ``trace_event`` exporter;
-* :mod:`repro.obs.recorder` — the live sink wiring it all together;
+* :mod:`repro.obs.spans` — the one span fold (live fold, report, Chrome);
+* :mod:`repro.obs.series` — the report's per-node / per-object reducer;
+* :mod:`repro.obs.chrome` — the report's Chrome ``trace_event`` exporter;
 * :mod:`repro.obs.report` — the run-report CLI
-  (``python -m repro.obs.report run.jsonl``).
+  (``python -m repro.obs.report run.jsonl [--chrome out.json]``).
 
 DESIGN.md's "Observability" section documents the span model and the
 disabled-path cost contract (one category-guard check per emission site).
@@ -30,10 +30,10 @@ from repro.obs.events import (
     validate_event,
     validate_events,
 )
-from repro.obs.recorder import ObsRecorder
 from repro.obs.series import NodeSeries, ObjectSeries, SeriesTracker
 from repro.obs.sink import JsonlSink, dumps_event
 from repro.obs.spans import (
+    LiveFold,
     Phase,
     PhaseSamples,
     Span,
@@ -49,9 +49,9 @@ __all__ = [
     "SPAN_PHASES",
     "ChromeTraceWriter",
     "JsonlSink",
+    "LiveFold",
     "NodeSeries",
     "ObjectSeries",
-    "ObsRecorder",
     "Phase",
     "PhaseSamples",
     "SchemaError",

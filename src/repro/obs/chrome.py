@@ -11,8 +11,9 @@ depths are counters (``C``).
 
 Timestamps are microseconds (``t * 1e6``): the standard trace_event unit.
 
-The writer is a streaming sink: events are serialised as they complete,
-and it keeps only the pid / tid track maps.  Serialisation is canonical
+``python -m repro.obs.report run.jsonl --chrome OUT`` drives it.  It
+streams: events are serialised as they complete, and it keeps only the
+pid / tid track maps.  Serialisation is canonical
 (sorted keys, compact separators), so same-seed runs export
 byte-identical traces.
 """
@@ -20,7 +21,7 @@ byte-identical traces.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, IO, Optional, Tuple, Union
+from typing import Any, Dict, IO, Tuple
 
 from repro.obs.spans import Phase, Span
 
@@ -36,18 +37,11 @@ def _canon(obj: Dict[str, Any]) -> str:
 class ChromeTraceWriter:
     """Incremental trace_event JSON writer."""
 
-    def __init__(self, path_or_file: Union[str, IO[str]]) -> None:
-        if hasattr(path_or_file, "write"):
-            self._file: IO[str] = path_or_file  # type: ignore[assignment]
-            self._owns = False
-            self.path: Optional[str] = getattr(path_or_file, "name", None)
-        else:
-            self._file = open(path_or_file, "w", encoding="utf-8")
-            self._owns = True
-            self.path = str(path_or_file)
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._file: IO[str] = open(path, "w", encoding="utf-8")
         self._file.write('{"displayTimeUnit":"ms","traceEvents":[')
         self._first = True
-        self._closed = False
         #: pids we have announced with a process_name metadata event
         self._pids: set = set()
         #: (pid, task) -> tid, allocated in first-seen order (deterministic)
@@ -166,11 +160,6 @@ class ChromeTraceWriter:
         )
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._file.write("]}")
-        if self._owns:
+        if not self._file.closed:
+            self._file.write("]}")
             self._file.close()
-        else:
-            self._file.flush()

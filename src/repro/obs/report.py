@@ -12,9 +12,9 @@ the schema (a malformed line exits 1 with one ``schema error:`` line
 naming the file and line; a missing file exits 1 with one ``error:``
 line),
 folds spans with the same :class:`~repro.obs.spans.SpanBuilder` and
-:class:`~repro.obs.spans.PhaseSamples` the live recorder uses — so the
-phase rows equal a run's ``extra["obs"]["phases"]`` exactly — and
-prints:
+:class:`~repro.obs.spans.PhaseSamples` as the run's
+:class:`~repro.obs.spans.LiveFold` — so the phase rows equal a run's
+``extra["obs"]["phases"]`` exactly — and prints:
 
 * a run overview (event count, simulated time range);
 * the per-node table — commits, aborts, abort ratio, throughput, RPC
@@ -33,9 +33,9 @@ prints:
 * the fault timeline (first events, with a truncation note; the cutoff
   is ``--max-fault-lines``).
 
-``--chrome OUT`` additionally re-exports the log as a Chrome
-``trace_event`` file (Perfetto-loadable) — the offline twin of the
-cluster's live ``chrome_path`` exporter.
+``--chrome OUT`` additionally exports the log as a Chrome
+``trace_event`` file (Perfetto-loadable); this is the one way to get
+one.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Per-node and per-object time-series derived from the event stream.
 
-The tracker consumes schema events (see :mod:`repro.obs.events`) in time
-order and maintains:
+The report CLI (:mod:`repro.obs.report`) feeds the tracker a run's
+schema events (see :mod:`repro.obs.events`) in time order; it maintains:
 
 * **per node** — windowed commit/abort counts (throughput and abort-rate
   series), RPC issue/failure totals, lookup-cache hit/miss counts
@@ -17,8 +17,8 @@ order and maintains:
   piggyback-batching totals (``rpc.batch`` events) and a bounded fault
   timeline.
 
-State is O(nodes + objects + windows), never O(events), so the tracker
-can sit inline on the tracer's sink path for arbitrarily long runs.
+State is O(nodes + objects + windows), never O(events), so the report
+reads arbitrarily long logs in bounded memory.
 """
 
 from __future__ import annotations
@@ -426,28 +426,6 @@ class SeriesTracker:
             "fetched_bytes": sum(ps.bytes for ps in self.payload.values()),
             "nodes": self.payload_rows(),
         }
-
-    def snapshot(self) -> Dict[str, Any]:
-        """One JSON-able summary of everything tracked, rates to ``t_max``."""
-        out = {
-            "window": self.window,
-            "events": self.events,
-            "t_min": self.t_min or 0.0,
-            "t_max": self.t_max,
-            "nodes": self.node_rows(),
-            "objects": self.object_rows(),
-            "decisions": self.decision_rows(),
-            "batching": self.batch_row(),
-            "faults": len(self.faults) + self.faults_dropped,
-        }
-        # Only open-loop runs emit traffic.* events; keeping the key out
-        # otherwise leaves every existing snapshot byte-identical.
-        if self.traffic:
-            out["traffic"] = self.traffic_summary()
-        # Likewise, only proxy-mode payload runs emit payload.fetch.
-        if self.payload:
-            out["payload"] = self.payload_summary()
-        return out
 
 
 def _percentile(values: List[float], q: float) -> float:

@@ -6,9 +6,9 @@ The emitters (``core.api``, ``dstm.tfa``, ``dstm.proxy``) publish flat
 them back into :class:`Span` objects with per-phase intervals, parent
 links (nested children) and retry chains (attempts sharing a ``task``
 id), and hands each closed phase and each finished span to its
-consumers — the live recorder's :class:`PhaseSamples`, the Chrome
-exporter, and the report CLI, which also keeps the spans in a
-:class:`SpanList`.
+consumers: a :class:`PhaseSamples` (in the run's :class:`LiveFold` and
+in the report CLI), and, in the report alone, a :class:`SpanList` and
+the Chrome exporter.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.sim.monitor import percentile
 
 __all__ = [
+    "LiveFold",
     "Phase",
     "PhaseSamples",
     "Span",
@@ -185,6 +186,27 @@ class PhaseSamples:
         """Per-name :func:`latency_row`: phases by name, then outcomes."""
         names = sorted(self.samples, key=lambda n: (n.startswith("span."), n))
         return {name: latency_row(self.samples[name]) for name in names}
+
+
+class LiveFold:
+    """Tracer sink: the one fold an obs-enabled run keeps in process.
+
+    It counts events and keeps the exact phase rows; every other table
+    comes from the run's JSONL through :mod:`repro.obs.report`, whose
+    ``phases`` equal :meth:`summary`'s.
+    """
+
+    def __init__(self) -> None:
+        self.events = 0
+        self.samples = PhaseSamples()
+        self._spans = SpanBuilder(self.samples)
+
+    def accept(self, event: Dict[str, Any]) -> None:
+        self.events += 1
+        self._spans.feed(event)
+
+    def summary(self) -> Dict[str, Any]:
+        return {"events": self.events, "phases": self.samples.rows()}
 
 
 def latency_row(samples: List[float]) -> Dict[str, float]:

@@ -51,9 +51,9 @@ class CellSpec:
 
     @property
     def cacheable(self) -> bool:
-        """Cells with the obs layer enabled are never cached: their file
-        exports (``--trace-out`` / ``--chrome-out``) are side effects a
-        cache hit would silently skip, so they always recompute."""
+        """Cells with the obs layer enabled are never cached: their JSONL
+        export (``--trace-out``) is a side effect a cache hit would
+        silently skip, so they always recompute."""
         return not self.config.obs.enabled
 
     def describe(self) -> Dict[str, Any]:

@@ -13,10 +13,9 @@ Execution model (DESIGN.md §3f):
   one canonical JSON round trip — so the sweep's bytes are identical
   whether cells came from this process, a pool worker, or the cache.
 
-Cells that export obs artifacts (``--trace-out``/``--chrome-out``)
-bypass the cache and write their files from whichever process runs
-them: artifact routing is per-cell, so tracing keeps working under
-fan-out.
+Cells that export an obs JSONL (``--trace-out``) bypass the cache and
+write their file from whichever process runs them: artifact routing is
+per-cell, so tracing keeps working under fan-out.
 """
 
 from __future__ import annotations

@@ -10,22 +10,18 @@ a Chrome slice or a test assertion, so consumers must not mutate it.
 Consumers: debugging (:meth:`Tracer.dump`), tests asserting on protocol
 event orderings, the determinism property test (identical seeds must
 produce identical traces), and :mod:`repro.obs`, whose *sinks* (anything
-with ``accept(record)`` and optionally ``close()``) stream every
-accepted record out of the process.  Tracing is off by default and
-filtered by category, so the hot path pays a single dict lookup when
-disabled.
+with ``accept(record)`` and optionally ``close()``) see every accepted
+record.  Tracing is off by default and filtered by category, so the hot
+path pays a single dict lookup when disabled.
 
-In-memory retention (``max_records``, at least 1 when given): unbounded
-by default; **bounded** (``ring=False``) keeps the first ``max_records``
-and drops the tail; **ring** (``ring=True``) keeps the most recent and
-evicts the head — the end of a run is usually where debugging looks.
-``dropped`` counts the loss either way.  Sinks see every accepted record
-regardless, even with ``keep_records=False`` (the streaming-export path).
+The tracer keeps every accepted record in memory unless
+``keep_records=False`` (the obs path: its sinks see the records, the
+tracer holds none).
 """
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import islice
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 __all__ = ["Tracer"]
@@ -41,26 +37,19 @@ def _line(record: Dict[str, Any]) -> str:
 
 
 class Tracer:
-    """Category-filtered, optionally bounded trace collector."""
+    """Category-filtered trace collector."""
 
     def __init__(
         self,
         enabled: bool = False,
         categories: Optional[Iterable[str]] = None,
-        max_records: Optional[int] = None,
-        ring: bool = False,
         keep_records: bool = True,
     ) -> None:
-        if max_records is not None and max_records < 1:
-            raise ValueError(f"max_records must be >= 1, got {max_records}")
         self.enabled = enabled
         self._categories = set(categories) if categories is not None else None
-        self._max = max_records
-        self._ring = bool(ring)
         self._keep = bool(keep_records)
-        self._records: deque = deque()
+        self._records: List[Dict[str, Any]] = []
         self._sinks: List[Any] = []
-        self.dropped = 0
 
     def wants(self, category: str) -> bool:
         """Cheap guard callers can use to skip building detail tuples."""
@@ -72,7 +61,7 @@ class Tracer:
         """Attach a streaming consumer; returns it (for chaining).
 
         Sinks receive every record that passes the category filter,
-        regardless of the in-memory retention mode.
+        whether or not the tracer keeps it.
         """
         self._sinks.append(sink)
         return sink
@@ -88,14 +77,8 @@ class Tracer:
         details["sub"] = subject
         for sink in self._sinks:
             sink.accept(details)
-        if not self._keep:
-            return
-        if self._max is not None and len(self._records) >= self._max:
-            self.dropped += 1
-            if not self._ring:
-                return  # bounded mode: keep the head, drop the tail
-            self._records.popleft()  # ring mode: evict the oldest
-        self._records.append(details)
+        if self._keep:
+            self._records.append(details)
 
     def records(self, category: Optional[str] = None) -> List[Dict[str, Any]]:
         if category is None:
@@ -121,24 +104,10 @@ class Tracer:
     def __iter__(self) -> Iterator[Dict[str, Any]]:
         return iter(self._records)
 
-    def dump(self, limit: Optional[int] = None, tail: Optional[int] = None) -> str:
+    def dump(self, limit: Optional[int] = None) -> str:
         """Human-readable multi-line rendering (for debugging sessions).
 
         One line per record: ``[t] cat sub k=v ...``, details in sorted key
-        order.  ``limit`` takes the first N records; ``tail`` (or a
-        negative ``limit``) takes the last N — the end of the run, which
-        is where debugging sessions almost always want to look.
+        order; ``limit`` takes the first N records.
         """
-        if limit is not None and limit < 0:
-            if tail is not None:
-                raise ValueError("pass either a negative limit or tail, not both")
-            tail = -limit
-        rows: Iterable[Dict[str, Any]]
-        if tail is not None:
-            n = len(self._records)
-            rows = list(self._records)[max(0, n - tail):]
-        elif limit is not None:
-            rows = list(self._records)[:limit]
-        else:
-            rows = self._records
-        return "\n".join(_line(r) for r in rows)
+        return "\n".join(_line(r) for r in islice(self._records, limit))

@@ -55,7 +55,6 @@ class TestValidation:
 #: a setting a disabled subsystem would silently ignore
 IGNORED_SETTINGS = {
     "obs.jsonl_path": (dict(obs=dict(jsonl_path="run.jsonl")), "jsonl_path"),
-    "obs.chrome_path": (dict(obs=dict(chrome_path="run.json")), "chrome_path"),
     "prof.wall": (dict(prof=dict(wall=True)), "wall"),
     "prof.folded_path": (dict(prof=dict(folded_path="run.folded")), "folded_path"),
     "trace_categories": (dict(trace_categories=("txn",)), "trace_categories"),
@@ -66,7 +65,7 @@ IGNORED_SETTINGS = {
 #: a legal non-default value for every field (but ``enabled`` and the
 #: single-valued ones) of each sub-config whose disabled form refuses them all
 NON_DEFAULTS = {
-    ObsConfig: dict(jsonl_path="run.jsonl", chrome_path="run.json"),
+    ObsConfig: dict(jsonl_path="run.jsonl"),
     ProfConfig: dict(wall=True, folded_path="run.folded"),
     ArrivalConfig: dict(rate=5.0, zipf_s=1.2, queue_capacity=8),
     PayloadConfig: dict(proxy=True, size=1024, cache_capacity=4),

@@ -125,6 +125,16 @@ def test_seed_656_history_serializes():
     assert history_violations(656) == []
 
 
+@pytest.mark.xfail(strict=True, reason="a lease reclaim re-hosts over a "
+                   "withdrawn version: phantom-version (ROADMAP item 1)")
+def test_seed_582_history_has_no_version_gap():
+    """A commit registers v_n and aborts; its withdraw lands late, so
+    ``HomeRecovery.reclaim`` re-hosts at ``max(entry.version,
+    snapshot_version) + 1`` and the chain of ``bank/acct8_2`` skips v_n
+    (the bank total holds)."""
+    assert history_violations(582) == []
+
+
 @pytest.mark.parametrize("seed", range(200, 216))
 def test_sanitized_cell_conserves_money_and_serializes(seed):
     """Sanitized, so a forked writable copy raises at the violating

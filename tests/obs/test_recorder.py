@@ -1,4 +1,4 @@
-"""Integration tests: ObsRecorder wired through a live cluster run."""
+"""Integration tests: the obs sinks wired through a live cluster run."""
 
 import json
 
@@ -6,8 +6,9 @@ import pytest
 
 from repro.core.config import ClusterConfig, ObsConfig
 from repro.core.experiment import run_experiment
-from repro.obs import ObsRecorder, latency_row, validate_events
+from repro.obs import LiveFold, latency_row, validate_events
 from repro.obs.events import OBS_CATEGORIES
+from repro.obs.report import load_events, main, summarize
 
 
 def traced_run(tmp_path=None, **obs_kwargs):
@@ -53,13 +54,15 @@ class TestClusterWiring:
 
 
 class TestRecorderThroughRun:
-    def test_experiment_carries_obs_summary(self):
-        r = traced_run()
+    def test_experiment_carries_obs_summary(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        r = traced_run(jsonl_path=str(path))
         assert r.commits > 0
-        assert r.extra["obs_events"] > 0
         obs = r.extra["obs"]
-        assert obs["events"] == r.extra["obs_events"]
-        assert sum(row["commits"] for row in obs["nodes"]) == r.commits
+        assert set(obs) == {"events", "phases"} and obs["events"] > 0
+        # the per-node rows come from the report over the JSONL
+        nodes = summarize(load_events(str(path)))["nodes"]
+        assert sum(row["commits"] for row in nodes) == r.commits
         phases = obs["phases"]
         assert phases["span.commit"]["count"] >= r.commits
         assert phases["open"]["count"] > 0
@@ -71,12 +74,13 @@ class TestRecorderThroughRun:
         path = tmp_path / "run.jsonl"
         r = traced_run(jsonl_path=str(path))
         events = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(events) == r.extra["obs_events"]
+        assert len(events) == r.extra["obs"]["events"]
         assert validate_events(events) == len(events)
 
     def test_chrome_export_loads_as_json(self, tmp_path):
-        path = tmp_path / "run.trace.json"
-        traced_run(chrome_path=str(path))
+        jsonl, path = tmp_path / "run.jsonl", tmp_path / "run.trace.json"
+        traced_run(jsonl_path=str(jsonl))
+        assert main([str(jsonl), "--chrome", str(path)]) == 0
         doc = json.loads(path.read_text())
         assert doc["displayTimeUnit"] == "ms"
         events = doc["traceEvents"]
@@ -97,7 +101,7 @@ class TestRecorderThroughRun:
         assert latency_row(samples) == latency_row(samples[::-1])
 
     def test_recorder_pairs_phases_standalone(self):
-        rec = ObsRecorder()
+        rec = LiveFold()
 
         def feed(t, cat, sub, **kw):
             rec.accept({"t": t, "cat": cat, "sub": sub, **kw})

@@ -110,14 +110,3 @@ class TestDecisionsAndFaults:
                      "src": 0, "dst": 1})
         assert len(tr.faults) == FAULT_TIMELINE_CAP
         assert tr.faults_dropped == 5
-        assert tr.snapshot()["faults"] == FAULT_TIMELINE_CAP + 5
-
-
-def test_snapshot_shape():
-    tr = SeriesTracker(window=0.5)
-    tr.feed(span_end(0.3))
-    snap = tr.snapshot()
-    for key in ("window", "events", "t_min", "t_max", "nodes", "objects",
-                "decisions", "faults"):
-        assert key in snap
-    assert snap["window"] == 0.5 and snap["events"] == 1

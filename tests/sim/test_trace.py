@@ -24,19 +24,6 @@ class TestTracer:
         assert [r["cat"] for r in tr] == ["keep"]
         assert tr.wants("keep") and not tr.wants("drop")
 
-    def test_max_records_bound(self):
-        tr = Tracer(enabled=True, max_records=2)
-        for i in range(5):
-            tr.emit(float(i), "c", "s")
-        assert len(tr) == 2
-        assert tr.dropped == 3
-
-    @pytest.mark.parametrize("bound", [0, -1])
-    @pytest.mark.parametrize("ring", [False, True])
-    def test_max_records_below_one_rejected(self, bound, ring):
-        with pytest.raises(ValueError, match="max_records"):
-            Tracer(enabled=True, max_records=bound, ring=ring)
-
     def test_records_by_category(self):
         tr = Tracer(enabled=True)
         tr.emit(0.0, "a", "1")
@@ -53,32 +40,9 @@ class TestTracer:
             "[    2.000000] dstm.conflict o1",
         ]
         assert tr.dump(limit=0) == ""
-
-    def test_ring_mode_keeps_most_recent(self):
-        tr = Tracer(enabled=True, max_records=2, ring=True)
-        for i in range(5):
-            tr.emit(float(i), "c", f"s{i}")
-        assert [r["sub"] for r in tr] == ["s3", "s4"]
-        assert tr.dropped == 3
-
-    def test_dump_tail(self):
-        tr = Tracer(enabled=True)
-        for i in range(5):
-            tr.emit(float(i), "c", f"s{i}")
-        tail = tr.dump(tail=2)
-        assert "s3" in tail and "s4" in tail and "s0" not in tail
-        # negative limit aliases tail
-        assert tr.dump(limit=-2) == tail
-        assert "s0" in tr.dump(limit=2) and "s4" not in tr.dump(limit=2)
-
-    def test_dump_tail_conflict_raises(self):
-        tr = Tracer(enabled=True)
-        try:
-            tr.dump(limit=-1, tail=1)
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("expected ValueError")
+        assert tr.dump(limit=1) == "[    1.500000] commit       tx1 mode=a node=3"
+        with pytest.raises(ValueError):
+            tr.dump(limit=-1)  # a negative limit is refused, not a tail
 
     def test_sink_sees_all_despite_bounds(self):
         seen = []
@@ -87,7 +51,7 @@ class TestTracer:
             def accept(self, record):
                 seen.append(record["sub"])
 
-        tr = Tracer(enabled=True, max_records=1, keep_records=False)
+        tr = Tracer(enabled=True, keep_records=False)
         tr.attach_sink(Sink())
         for i in range(4):
             tr.emit(float(i), "c", f"s{i}")
