@@ -9,7 +9,7 @@ the per-panel tables the harness prints.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.render import render_ascii_chart, render_series
 from repro.analysis.scales import BENCHMARKS, CONTENTION, SCALES, Scale

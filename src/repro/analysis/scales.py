@@ -9,8 +9,8 @@ five-to-ten shared objects per node).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 __all__ = ["BENCHMARKS", "SCALES", "SWEEP_NODES", "Scale", "parse_nodes"]
 

@@ -99,7 +99,9 @@ class TransactionHandle:
         The child is retried on its own aborts (``max_retries`` >= 0
         bounds that, None = unbounded); ancestor aborts propagate.
         Returns the body's return value once the child merges into this
-        level.
+        level.  A failed attempt is detached from this level and its own
+        subtree dismantled (:meth:`Transaction.dismantle`), so it is
+        freed by reference counting, not left to the cyclic collector.
         """
         if max_retries is not None and max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
@@ -163,8 +165,11 @@ class TransactionHandle:
                     # accounting happens in the ancestor's abort.
                     raise
                 # Detach the dead attempt so unbounded retries cannot grow
-                # the parent's children list (and with it, memory).
+                # the parent's children list (and with it, memory), and
+                # unlink its own subtree: a detached child still forms a
+                # cycle with its children.
                 parent.children.remove(child)
+                child.dismantle()
                 retries += 1
                 stall = engine.proxy.scheduler.retry_backoff(
                     child.root, abort.reason, retries
@@ -200,6 +205,12 @@ def run_root(
     When ``info`` is given, commit metadata (txid, attempts,
     serialized_at) is written into it — the serializability oracle keys
     its replay order on ``serialized_at``.
+
+    Every attempt ends by dismantling its tree
+    (:meth:`Transaction.dismantle`), on the commit exit and on the abort
+    exit before any re-raise: a finished tree then holds no reference
+    cycle, and reference counting frees it as soon as its last holder
+    lets go (DESIGN.md §3, "Memory: no cycles on the transaction path").
     """
     if max_attempts is not None and max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
@@ -232,6 +243,7 @@ def run_root(
                 info["txid"] = root.txid
                 info["attempts"] = attempt + 1
                 info["serialized_at"] = root.serialized_at
+            root.dismantle()
             return result
         except TransactionAborted as abort:
             if abort.victim.root is not root:
@@ -239,6 +251,7 @@ def run_root(
                     f"abort of {abort.victim.txid} escaped to foreign root {root.txid}"
                 ) from abort
             engine.abort_root(root, abort.reason, oid=abort.oid)
+            root.dismantle()
             if span_on:
                 tracer.emit(
                     env.now, "span.end", root.txid,

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.core.cluster import Cluster
-from repro.core.config import ClusterConfig, SchedulerKind
+from repro.core.config import ClusterConfig
 from repro.core.executor import WorkloadExecutor
 
 __all__ = ["ExperimentResult", "run_experiment"]

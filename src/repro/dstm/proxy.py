@@ -105,6 +105,8 @@ class TMProxy:
     ) -> None:
         self.node = node
         self.env = node.env
+        #: cluster size, fixed by the topology: what ``home_node`` reads
+        self.num_nodes = node.network.num_nodes
         self.scheduler = scheduler
         self.tracer = tracer or Tracer()
         #: the typed caller side of the RPC substrate: every call this
@@ -341,7 +343,7 @@ class TMProxy:
         )
 
     def _lookup_owner(self, oid: str) -> Generator[Any, Any, int]:
-        home = home_node(oid, self.node.network.num_nodes)
+        home = home_node(oid, self.num_nodes)
         reply = yield from self.rpc_client.call(home, _DIR_LOOKUP, {"oid": oid})
         p = reply.payload
         if not p["known"]:
@@ -460,7 +462,7 @@ class TMProxy:
         # last-committed value rides along so the home's recovery
         # snapshot stays current even if the eventual commit publish is
         # lost — transfers always carry committed state.
-        home = home_node(oid, self.node.network.num_nodes)
+        home = home_node(oid, self.num_nodes)
         self.node.send(
             home, MessageType.DIR_UPDATE,
             {

@@ -67,6 +67,8 @@ class TFAEngine:
         self.metrics = metrics
         self.node = proxy.node
         self.env = proxy.env
+        #: cluster size: what ``home_node`` reads
+        self.num_nodes = proxy.num_nodes
         self.nesting = NestingModel(nesting)
         self.abort_overhead = float(abort_overhead)
         #: fault mode: default bound on child retries before a nested
@@ -175,7 +177,12 @@ class TFAEngine:
         root = tx.root
         if observed_clock <= root.start_clock:
             return
-        chain = list(tx.ancestors())[::-1]  # root first
+        chain = [tx]
+        level = tx.parent
+        while level is not None:
+            chain.append(level)
+            level = level.parent
+        chain.reverse()  # root first
         stale = yield from self._first_stale(chain, root.acquired)
         if stale is not None:
             level, oid = stale
@@ -209,7 +216,7 @@ class TFAEngine:
         store = self.proxy.store
         client = self.proxy.rpc_client
         submit = client.submit
-        num_nodes = self.node.network.num_nodes
+        num_nodes = self.num_nodes
         checks: List[Tuple[Transaction, str, Any]] = []
         replies: List[Signal] = []
         for level in levels:
@@ -228,7 +235,7 @@ class TFAEngine:
             yield client.join(replies, self._fold_validate)
         for level, oid, verdict in checks:
             if isinstance(verdict, Signal):
-                reply = verdict.value
+                reply = verdict._value  # settled: the join has resumed us
                 if reply is None:
                     raise TransactionAborted(
                         levels[0].root, AbortReason.OWNER_FAILURE, oid=oid,
@@ -381,7 +388,7 @@ class TFAEngine:
         new_versions = {oid: self.proxy.store[oid].version + 1 for oid in root.wset}
         client = self.proxy.rpc_client
         submit = client.submit
-        num_nodes = self.node.network.num_nodes
+        num_nodes = self.num_nodes
         order = sorted(new_versions)
         calls: List[Signal] = []
         for oid in order:
@@ -393,7 +400,7 @@ class TFAEngine:
             calls.append(call)
         yield client.join(calls, self._fold_register)
         for oid, call in zip(order, calls):
-            reply = call.value
+            reply = call._value  # settled: the join has resumed us
             if reply is None:
                 detail = "registration home unreachable"
             elif not reply.payload.get("ok", True):
@@ -496,7 +503,7 @@ class TFAEngine:
         it is a single fire-and-forget send.
         """
         post = self.proxy.rpc_client.post
-        num_nodes = self.node.network.num_nodes
+        num_nodes = self.num_nodes
         for oid in sorted(new_versions):
             post(
                 home_node(oid, num_nodes), _DIR_UPDATE,

@@ -230,24 +230,47 @@ class Transaction:
     def mark_aborted(self) -> List["Transaction"]:
         """Abort this level; returns every transaction killed (self plus
         all *live or committed* descendants — committed children die with
-        their parent under closed nesting)."""
-        killed: List[Transaction] = []
+        their parent under closed nesting), in post-order: each child's
+        subtree in ``children`` order, then the level itself.
 
-        def _kill(tx: "Transaction") -> None:
-            for child in tx.children:
-                if child.status in (TxStatus.LIVE, TxStatus.COMMITTED):
-                    _kill(child)
-            if tx.status in (TxStatus.LIVE, TxStatus.COMMITTED):
-                tx.status = TxStatus.ABORTED
-                killed.append(tx)
-
-        # Committed descendants whose effects were merged upward die too —
-        # but only those committed INTO this subtree's scope. Children list
-        # captures exactly that.
+        Committed descendants whose effects were merged upward die too —
+        but only those committed INTO this subtree's scope, which is
+        exactly what the ``children`` lists hold.  The walk is a loop
+        over an explicit stack, not a recursive closure: a closure that
+        calls itself is a reference cycle per abort (only the cyclic
+        collector frees it), and recursion caps the depth of a chain.
+        Visiting children last-first and reversing the visit order gives
+        the post-order.
+        """
         if self.status is not TxStatus.LIVE:
             raise TransactionError(f"{self.txid}: abort on {self.status.value} transaction")
-        _kill(self)
+        killed: List[Transaction] = []
+        stack = [self]
+        while stack:
+            tx = stack.pop()
+            killed.append(tx)
+            for child in tx.children:
+                if child.status is not TxStatus.ABORTED:
+                    stack.append(child)
+        killed.reverse()
+        for tx in killed:
+            tx.status = TxStatus.ABORTED
         return killed
+
+    def dismantle(self) -> None:
+        """Empty the ``children`` list of every level of this subtree.
+
+        A finished tree is a reference cycle (``parent`` ↔ ``children``);
+        once no level links down, each level is freed by reference
+        counting as soon as its last holder lets go.  Called when a root
+        attempt ends and when a failed child is detached; nothing reads
+        ``children`` after that.
+        """
+        stack = [self]
+        while stack:
+            tx = stack.pop()
+            stack.extend(tx.children)
+            tx.children.clear()
 
     # -- bookkeeping -------------------------------------------------------------
 

@@ -17,7 +17,7 @@ number, which makes the simulation fully deterministic.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 __all__ = [
     "Event",
@@ -305,6 +305,12 @@ class Condition(Event):
     with an ordered dict of the child events that had triggered *successfully*
     by that moment (insertion order = child order).  If any child fails before
     the condition is met, the condition fails with that exception.
+
+    Once decided, the condition lets go of its children (``_events``
+    becomes the empty tuple).  A child that never fires — the losing side of a race —
+    keeps the condition's ``_check`` in its callback list; without the
+    drop the two would form a reference cycle that only the cyclic
+    collector frees.
     """
 
     __slots__ = ("_events", "_count", "_evaluate")
@@ -312,11 +318,12 @@ class Condition(Event):
     def __init__(
         self,
         env: "Environment",  # noqa: F821
-        evaluate: Callable[[list["Event"], int], bool],
+        evaluate: Callable[[Sequence["Event"], int], bool],
         events: Iterable[Event],
     ) -> None:
         Event.__init__(self, env)
-        self._events = children = list(events)
+        children = list(events)
+        self._events: Sequence[Event] = children
         self._evaluate = evaluate
         # One pass over the children: refuse a foreign one, count the
         # triggered and the processed, find the first that already failed.
@@ -335,6 +342,7 @@ class Condition(Event):
         self._count = processed
         if failed is not None:
             failed._defused = True  # as _check does for a later failure
+            self._events = ()
             self.fail(failed._value)
         elif evaluate(children, triggered):
             self.succeed(self._collect())
@@ -345,8 +353,11 @@ class Condition(Event):
                     ev.callbacks.append(check)
 
     def _collect(self) -> dict:
+        """The outcome; the condition is decided, so it drops its children."""
+        events = self._events
+        self._events = ()
         return {
-            ev: ev._value for ev in self._events
+            ev: ev._value for ev in events
             if ev._value is not _PENDING and ev._ok
         }
 
@@ -355,11 +366,20 @@ class Condition(Event):
             return
         if not event._ok:
             event._defused = True
+            self._events = ()
             self.fail(event._value)
             return
         self._count += 1
         if self._evaluate(self._events, self._count):
             self.succeed(self._collect())
+
+
+def _any_done(events: Sequence[Event], count: int) -> bool:
+    return count > 0 or not events
+
+
+def _all_done(events: Sequence[Event], count: int) -> bool:
+    return count >= len(events)
 
 
 class AnyOf(Condition):
@@ -368,7 +388,7 @@ class AnyOf(Condition):
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:  # noqa: F821
-        super().__init__(env, lambda events, count: count > 0 or not events, events)
+        super().__init__(env, _any_done, events)
 
 
 class AllOf(Condition):
@@ -377,4 +397,4 @@ class AllOf(Condition):
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:  # noqa: F821
-        super().__init__(env, lambda events, count: count >= len(events), events)
+        super().__init__(env, _all_done, events)

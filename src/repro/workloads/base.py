@@ -9,7 +9,7 @@ transactions), 0.1 = high contention.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -23,7 +23,7 @@ matching the paper's relative throughput ordering.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Generator, Optional, Tuple
 
 import numpy as np
 

@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 import numpy as np
 
 from repro.core.cluster import Cluster
-from repro.dstm.errors import AbortReason, TransactionAborted
 from repro.workloads.base import Op, Workload
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -3,8 +3,6 @@ the CLI, and end-to-end validation of clean + chaos obs exports."""
 
 import json
 
-import pytest
-
 from repro.check.races import detect_races, main, replay
 from repro.core.config import ClusterConfig, FaultConfig
 from repro.core.experiment import run_experiment

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dstm.directory import DirectoryShard
 from repro.net import MessageType, Network, Node, Topology
-from repro.sim import Environment, RngRegistry
+from repro.sim import RngRegistry
 
 
 @pytest.fixture

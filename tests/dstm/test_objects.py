@@ -1,7 +1,5 @@
 """Unit tests for versioned objects and the home-node hash."""
 
-import pytest
-
 from repro.dstm.objects import (
     ObjectMode,
     ObjectState,

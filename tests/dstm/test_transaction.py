@@ -6,7 +6,6 @@ from repro.dstm.errors import TransactionError
 from repro.dstm.transaction import (
     ETS,
     NestingModel,
-    ReadEntry,
     Transaction,
     TxStatus,
 )

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig, FaultConfig, SchedulerKind
-from repro.dstm.objects import ObjectMode, ObjectState, VersionedObject
+from repro.dstm.objects import ObjectMode, ObjectState
 from repro.net import MessageType
 from repro.rpc.payload import PROXY_SIZE
 from repro.scheduler.queues import Requester, RequesterList

@@ -8,8 +8,6 @@ must return it to the home snapshot *before* lease expiry would re-host
 an older value.
 """
 
-import pytest
-
 from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig, FaultConfig
 from repro.dstm.objects import home_node

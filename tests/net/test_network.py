@@ -4,7 +4,7 @@ import pytest
 
 from repro.net import Message, MessageType, Network, Node, Topology
 from repro.rpc import PeerUnreachable, RetryPolicy, RpcClient
-from repro.sim import Environment, RngRegistry, Tracer
+from repro.sim import RngRegistry, Tracer
 
 #: one 10 ms reply window, no retry
 ONE_WINDOW = RetryPolicy(timeout=0.01, max_retries=0)

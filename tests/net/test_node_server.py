@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import MessageType, Network, Node, Topology
-from repro.sim import Environment, RngRegistry
+from repro.sim import RngRegistry
 
 
 def build(env, n=3, msg_process_time=0.0):

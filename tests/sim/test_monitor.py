@@ -1,7 +1,5 @@
 """Unit and property tests for measurement primitives."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
