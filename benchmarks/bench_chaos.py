@@ -6,14 +6,22 @@ throughput survives as the message drop rate grows, that the ledger
 stays serializable throughout, and that the whole faulted timeline is
 seed-deterministic.
 
+It also owns the chaos *reproducer* (ROADMAP item 1): 12 nodes, bank at
+50 % reads under RTS, every fault class on, 40 simulated seconds.
+``tests/faults/test_chaos_reproducers.py`` pins seeds of it; ``--sweep``
+runs it sanitized over a seed range and names every seed that trips the
+sanitizer, loses money or fails the serializability oracle.
+
 Usage::
 
     pytest benchmarks/bench_chaos.py                       # shape assertions
     python benchmarks/bench_chaos.py --smoke               # throughput-vs-drop table
     python benchmarks/bench_chaos.py --smoke --nodes 40    # at scale
+    python benchmarks/bench_chaos.py --sweep 200-215 --crash-rate 1.0 --jobs 2
 """
 
 import argparse
+import multiprocessing
 import os
 import sys
 
@@ -25,12 +33,22 @@ if __package__ in (None, ""):  # executed as a script: self-locate
 import pytest
 
 from benchmarks.conftest import cell_spec, run_cell
-from repro.core.config import FaultConfig
+from repro.check import InvariantViolation
+from repro.check.oracle import check_history
+from repro.core.cluster import Cluster
+from repro.core.config import ClusterConfig, FaultConfig
+from repro.core.executor import WorkloadExecutor
 from repro.par import add_par_args, run_cells
+from repro.workloads.bank import INITIAL_BALANCE
+from repro.workloads.registry import make_workload
 
 DROP_AXIS = (0.0, 0.01, 0.05)
 CHAOS_NODES = 6
 CHAOS_HORIZON = 6.0
+#: the reproducer's size, length and crash rate
+REPRO_NODES = 12
+REPRO_HORIZON = 40.0
+REPRO_CRASH_RATE = 0.2
 
 
 def chaos_faults(drop_rate: float, **overrides) -> FaultConfig:
@@ -68,6 +86,58 @@ def run_chaos_cell(scheduler, drop_rate, seed=1, read_fraction=0.5,
         faults=chaos_faults(drop_rate, **fault_overrides),
         **({"obs": obs} if obs is not None else {}),
     )
+
+
+def run_reproducer(seed, sanitize=False, horizon=REPRO_HORIZON,
+                   crash_rate=REPRO_CRASH_RATE):
+    """Run the chaos reproducer to ``horizon``; returns the cluster and
+    the bank workload."""
+    cluster = Cluster(ClusterConfig(
+        num_nodes=REPRO_NODES, seed=seed, scheduler="rts", cl_threshold=4,
+        check=dict(sanitize=sanitize),
+        faults=chaos_faults(
+            0.05, crash_rate=crash_rate, crash_duration=0.5,
+            partition_rate=0.1, schedule_horizon=REPRO_HORIZON,
+        ),
+    ))
+    workload = make_workload("bank", read_fraction=0.5)
+    executor = WorkloadExecutor(cluster, workload, workers_per_node=2,
+                                horizon=horizon, max_attempts_per_tx=256)
+    executor.setup()
+    executor.run()
+    return cluster, workload
+
+
+def reproducer_failure(seed, crash_rate=REPRO_CRASH_RATE):
+    """What the sanitized reproducer breaks at ``seed``, or None: the
+    rule the sanitizer raised, the money it lost, or the kinds of
+    violation the serializability oracle finds in its history."""
+    try:
+        cluster, workload = run_reproducer(seed, sanitize=True, crash_rate=crash_rate)
+    except InvariantViolation as exc:
+        return exc.rule_id
+    total = sum(cluster.authoritative_value(a) for a in workload.accounts)
+    if total != workload.expected_total():
+        return f"money {total} of {workload.expected_total()}"
+    initial = {oid: INITIAL_BALANCE for oid in workload.accounts}
+    kinds = {v.kind for v in check_history(cluster.sanitizer.history, initial=initial)}
+    return ", ".join(sorted(kinds)) or None
+
+
+def _sweep_one(job):
+    seed, crash_rate = job
+    return seed, reproducer_failure(seed, crash_rate)
+
+
+def sweep_reproducer(first, last, crash_rate=REPRO_CRASH_RATE, jobs=1):
+    """``[(seed, failure)]`` for every failing seed in ``first..last``."""
+    todo = [(seed, crash_rate) for seed in range(first, last + 1)]
+    if jobs > 1:
+        with multiprocessing.Pool(jobs) as pool:
+            outcomes = pool.map(_sweep_one, todo, chunksize=1)
+    else:
+        outcomes = [_sweep_one(job) for job in todo]
+    return [(seed, failure) for seed, failure in outcomes if failure]
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +203,22 @@ def main(argv=None) -> int:
                              "highest-drop rts cell; inspect with "
                              "`python -m repro.obs.report RUN.JSONL` (a "
                              "Chrome trace: add `--chrome OUT.json`)")
+    parser.add_argument("--sweep", metavar="A-B", default=None,
+                        help="run the sanitized reproducer (12 nodes, 40 "
+                             "sim-s) over seeds A..B and print the failing "
+                             "seeds; exit 1 if there are any")
+    parser.add_argument("--crash-rate", type=float, default=REPRO_CRASH_RATE,
+                        help="the reproducer's crashes per sim-s (--sweep)")
     add_par_args(parser)
     args = parser.parse_args(argv)
+    if args.sweep:
+        first, last = (int(x) for x in args.sweep.split("-"))
+        failures = sweep_reproducer(first, last, args.crash_rate, args.jobs)
+        print(f"reproducer seeds {first}-{last} at crash_rate={args.crash_rate}: "
+              f"{len(failures)} of {last - first + 1} fail")
+        for seed, failure in failures:
+            print(f"FAIL seed {seed}: {failure}")
+        return 1 if failures else 0
     if not args.smoke:
         parser.print_help()
         return 0

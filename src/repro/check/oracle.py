@@ -4,11 +4,9 @@ The sanitizer (:mod:`repro.check.sanitize`, on under
 ``CheckConfig(sanitize=True)``) keeps the committed history: one
 :class:`CommitRecord` per committed root transaction, built by
 :func:`commit_record` — the version anchors the commit validated (its
-read set) and the versions it installed (its write set) — plus one
-write-only record per fault-recovery re-host, which installs a fenced
-version no transaction wrote.  This module decides, offline and purely
-combinatorially, whether that history admits a serial order consistent
-with the version fences:
+read set) and the versions it installed (its write set).  This module
+decides, offline and purely combinatorially, whether that history
+admits a serial order consistent with the version fences:
 
 * **unique fences** — exactly one committed writer installs each
   ``(oid, version)``; two writers on one fence means two commits won the

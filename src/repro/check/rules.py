@@ -103,7 +103,7 @@ INVARIANT_RULES: Dict[str, Rule] = {
         Rule(
             "inv-single-writable-copy",
             "no two nodes hold non-FREE copies of one object at the same "
-            "version",
+            "(gen, version)",
             "at any time there is exactly one writable copy; ownership "
             "changes are serialised through RETRIEVE grants and hand-offs",
             "§II (CC protocol property 2)",
@@ -114,12 +114,13 @@ INVARIANT_RULES: Dict[str, Rule] = {
             "has lapsed and a committed snapshot exists",
             "lease non-overlap: the home never forks an object from under "
             "a live owner",
-            "DESIGN §3b (failure model; single-failure assumption)",
+            "DESIGN §3b (failure model)",
         ),
         Rule(
             "inv-version-fence",
-            "a home's registered version never regresses (withdraw rolls "
-            "back exactly the one provisional bump it matches)",
+            "a home's registered (gen, version) never regresses: withdraw "
+            "rolls back exactly the one provisional bump it matches, and a "
+            "re-host may lower the version only while it raises gen",
             "commit-time global registration is monotone; stale copies and "
             "straggler commits are fenced, not resurrected",
             "§II ('global registration of object ownership')",

@@ -10,9 +10,9 @@ so a protocol bug surfaces at the transition that caused it, not as a
 serializability failure thousands of events later.
 
 It is also the one observer of what committed: :attr:`Sanitizer.history`
-holds a :class:`~repro.check.oracle.CommitRecord` per committed root and
-a write-only one per re-host (lease reclaim or orphan return), in the
-order they happened, for :func:`repro.check.oracle.check_history`; and
+holds a :class:`~repro.check.oracle.CommitRecord` per committed root (a
+re-host writes nothing), in commit order, for
+:func:`repro.check.oracle.check_history`; and
 :attr:`Sanitizer.enqueue_waits` holds every completed hand-off wait (the
 explorer's bounded-enqueue and lost-wakeup properties read it).
 
@@ -93,12 +93,12 @@ class Sanitizer:
     def __init__(self) -> None:
         #: node_id -> TMProxy, for cluster-wide copy scans
         self.proxies: Dict[int, "TMProxy"] = {}
-        #: (home node_id, oid) -> highest version ever registered there
-        self._watermarks: Dict[Tuple[int, str], int] = {}
+        #: (home node_id, oid) -> highest (gen, version) registered there
+        self._watermarks: Dict[Tuple[int, str], Tuple[int, int]] = {}
         #: root-attempt txids that aborted (any reason, incl. OWNER_FAILURE)
         self._dead_txids: Dict[str, str] = {}
-        #: the committed history: one record per committed root and one
-        #: write-only record per re-host, in the order they happened
+        #: the committed history: one record per committed root, in the
+        #: order they committed
         self.history: List[CommitRecord] = []
         #: every completed hand-off wait: (root txid, oid, backoff budget,
         #: time waited, whether the hand-off won the race)
@@ -114,27 +114,26 @@ class Sanitizer:
     def check_single_writable_copy(
         self, oid: str, node: Optional[int] = None, now: Optional[float] = None
     ) -> None:
-        """No two nodes hold non-FREE copies of ``oid`` at one version.
-
-        Distinct versions may coexist non-FREE transiently (a fenced
-        straggler validating against a version the registry has moved
-        past will abort); two live copies *at the same version* mean the
-        single-writable-copy property itself forked.
-        """
+        """No two nodes hold non-FREE copies of ``oid`` at one ``(gen,
+        version)``.  Distinct ones may coexist non-FREE transiently (a
+        fenced straggler validating a copy the registry has moved past
+        will abort); two live copies *at the same one* mean the
+        single-writable-copy property itself forked."""
         self.checks += 1
-        holders: Dict[int, Tuple[int, str]] = {}
+        holders: Dict[Tuple[int, int], Tuple[int, str]] = {}
         for node_id in sorted(self.proxies):
             obj = self.proxies[node_id].store.get(oid)
             if obj is None or obj.state is ObjectState.FREE:
                 continue
-            other = holders.get(obj.version)
+            fence = (obj.gen, obj.version)
+            other = holders.get(fence)
             if other is not None and other[0] != node_id:
                 raise InvariantViolation(
                     "inv-single-writable-copy", oid, node=node, time=now,
-                    version=obj.version, holders=[other[0], node_id],
+                    gen=obj.gen, version=obj.version, holders=[other[0], node_id],
                     holder_txids=[other[1], obj.holder],
                 )
-            holders[obj.version] = (node_id, obj.holder)
+            holders[fence] = (node_id, obj.holder)
 
     # -- inv-version-fence --------------------------------------------------
 
@@ -144,19 +143,20 @@ class Sanitizer:
         oid: str,
         version: Optional[int],
         now: Optional[float] = None,
+        gen: int = 0,
     ) -> None:
-        """A home registered ``version`` for ``oid`` (None = unchanged)."""
+        """A home registered ``oid`` at ``(gen, version)`` (None = unchanged)."""
         self.checks += 1
         if version is None:
             return
         key = (node_id, oid)
         mark = self._watermarks.get(key)
-        if mark is not None and version < mark:
+        if mark is not None and (gen, version) < mark:
             raise InvariantViolation(
                 "inv-version-fence", oid, node=node_id, time=now,
-                registered=version, watermark=mark,
+                registered=(gen, version), watermark=mark,
             )
-        self._watermarks[key] = version
+        self._watermarks[key] = (gen, version)
 
     def note_withdraw(
         self,
@@ -167,7 +167,7 @@ class Sanitizer:
         txid: Optional[str],
         now: Optional[float] = None,
     ) -> None:
-        """A withdraw rolled the registry back: must be exactly one step."""
+        """A withdraw rolled the registry back: exactly one step, in its gen."""
         self.checks += 1
         if new_version != old_version - 1:
             raise InvariantViolation(
@@ -175,7 +175,8 @@ class Sanitizer:
                 withdraw=True, old_version=old_version,
                 new_version=new_version, txid=txid,
             )
-        self._watermarks[(node_id, oid)] = new_version
+        key = (node_id, oid)
+        self._watermarks[key] = (self._watermarks.get(key, (0, 0))[0], new_version)
 
     # -- inv-lease-expired --------------------------------------------------
 
@@ -196,29 +197,12 @@ class Sanitizer:
                 lease_expires_at=lease_expires_at, has_snapshot=has_snapshot,
             )
 
-    def note_rehost(
-        self,
-        node_id: int,
-        oid: str,
-        old_version: int,
-        new_version: int,
-        value: Any,
-        now: float,
-    ) -> None:
-        """A home re-hosts ``value`` as ``oid``'s ``new_version`` (a lease
-        reclaim or an orphan return): the fence must bump, and the
-        history gains the write no transaction made."""
+    def note_rehost(self, node_id: int, oid: str, gen: int, version: int) -> None:
+        """A home re-hosts ``oid`` (lease reclaim or orphan return) at the
+        ``version`` it restores under the new generation ``gen``: the
+        watermark restarts there.  A re-host writes nothing."""
         self.checks += 1
-        if new_version <= old_version:
-            raise InvariantViolation(
-                "inv-version-fence", oid, node=node_id, time=now,
-                rehost=True, old_version=old_version, new_version=new_version,
-            )
-        self._watermarks[(node_id, oid)] = new_version
-        self.history.append(CommitRecord(
-            txid=f"rehost-n{node_id}-{oid}-v{new_version}", node=node_id,
-            serialized_at=now, reads=(), writes=((oid, new_version, value),),
-        ))
+        self._watermarks[(node_id, oid)] = (gen, version)
 
     # -- inv-no-commit-after-owner-failure ----------------------------------
 
@@ -308,7 +292,7 @@ class Sanitizer:
                 )
         home = home_node(oid, len(self.proxies)) if self.proxies else None
         mark = self._watermarks.get((home, oid)) if home is not None else None
-        if mark is not None and version > mark:
+        if mark is not None and version > mark[1]:
             raise InvariantViolation(
                 "inv-payload-fence", oid, node=node, time=now,
                 serving=version, watermark=mark, home=home,

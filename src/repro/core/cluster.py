@@ -207,7 +207,7 @@ class Cluster:
                     rpc_client, self.sanitizer
                 )
             if fc.enabled:
-                proxy.recovery = NodeRecovery(proxy)
+                proxy.recovery = NodeRecovery(proxy, fc.lease_duration)
                 directory.recovery = HomeRecovery(
                     directory, fc.lease_duration, fc.reclaim_grace,
                     proxy, self.metrics,

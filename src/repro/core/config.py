@@ -93,11 +93,6 @@ class FaultConfig:
     crash_rate: float = 0.0
     #: mean crash window length (actual: uniform in [0.5x, 1.5x])
     crash_duration: float = 1.0
-    #: minimum quiet gap between consecutive crash windows.  Crashes are
-    #: generated non-overlapping (single-failure model): with one data
-    #: copy plus the home snapshot, overlapping failures of an owner and
-    #: its home could lose committed state — see DESIGN.md.
-    min_crash_gap: float = 1.5
     #: fault events are generated over [0, schedule_horizon)
     schedule_horizon: float = 60.0
 
@@ -145,10 +140,7 @@ class FaultConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        for name in (
-            "extra_delay_max", "partition_rate", "crash_rate",
-            "min_crash_gap",
-        ):
+        for name in ("extra_delay_max", "partition_rate", "crash_rate"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         for name in (

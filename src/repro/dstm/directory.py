@@ -48,6 +48,9 @@ class DirEntry:
 
     owner: int
     version: int
+    #: custody generation: one more per fault-recovery re-host (the one
+    #: place a generation is minted); registrations leave it alone
+    gen: int = 0
     #: txid of the commit attempt that registered this version (None for
     #: bootstrap/transfer/re-host registrations); a withdraw must match it
     registered_by: Optional[str] = None
@@ -98,19 +101,21 @@ class DirectoryShard:
         value: Any = _UNSET,
         value_version: Optional[int] = None,
         registered_by: Optional[str] = None,
+        gen: int = 0,
     ) -> None:
         """Create or update an entry.  ``version=None`` keeps the old one.
 
         ``value`` (with ``value_version``) records a committed snapshot;
         omitted, the snapshot is untouched.  ``registered_by`` names the
-        commit attempt behind this registration (withdraw matching).
+        commit attempt behind this registration (withdraw matching);
+        ``gen``, its copy's custody generation, only the sanitizer reads.
         """
         entry = self._entries.get(oid)
         if self.sanitizer is not None:
             self.sanitizer.note_register(
                 self.node.node_id, oid,
                 int(version) if version is not None else None,
-                now=self.node.env.now,
+                now=self.node.env.now, gen=gen,
             )
         if entry is None:
             entry = DirEntry(owner=owner, version=version if version is not None else 0)
@@ -230,7 +235,7 @@ class DirectoryShard:
             oid, owner, version,
             value=p["value"] if "value" in p else _UNSET,
             value_version=p.get("value_version"),
-            registered_by=p.get("txid"),
+            registered_by=p.get("txid"), gen=p.get("gen", 0),
         )
         return {"oid": oid, "ok": True}
 

@@ -72,9 +72,11 @@ class VersionedObject:
     version: int = 0
     #: custody epoch: one more on every ownership transfer, which leaves
     #: ``version`` alone, so ``(version, epoch)`` tells a transfer from a
-    #: duplicate of it.  A re-host starts again at 0 under its fence
-    #: version.
+    #: duplicate of it.  A re-host starts again at 0 under a new ``gen``.
     epoch: int = 0
+    #: custody generation: one more per re-host, minted by the home alone;
+    #: a custody is ``(gen, version, epoch)``, compared in that order.
+    gen: int = 0
     state: ObjectState = ObjectState.FREE
     #: root txid of the live local writer / validator, when not FREE.
     holder: str | None = None

@@ -49,13 +49,14 @@ from repro.util.stats import Ewma
 __all__ = ["Grant", "TMProxy"]
 
 _DIR_LOOKUP = ENDPOINTS.get("dir_lookup")
+_DIR_UPDATE = ENDPOINTS.get("dir_update")
 _RETRIEVE = ENDPOINTS.get("retrieve")
 
 #: execution-time estimate used before the stats table has history
 FALLBACK_EXEC_ESTIMATE = 0.05
 
 #: the custody mark of an oid this node never held: below every transfer
-_NEVER_HELD = (-1, -1)
+_NEVER_HELD = (-1, -1, -1)
 
 
 class Grant:
@@ -137,11 +138,11 @@ class TMProxy:
 
         #: objects owned by this node
         self.store: Dict[str, VersionedObject] = {}
-        #: custody marks: oid -> the highest ``(version, epoch)`` this node
-        #: has accepted or let go.  Kept after the object leaves: a
+        #: custody marks: oid -> the highest ``(gen, version, epoch)`` this
+        #: node has accepted or let go.  Kept after the object leaves: a
         #: transfer at or below it is a duplicate, or older than a copy
         #: this node already had (:meth:`_install_transferred`).
-        self.custody: Dict[str, Tuple[int, int]] = {}
+        self.custody: Dict[str, Tuple[int, int, int]] = {}
         #: the paper's scheduling_List: per-object requester queues
         self.queues: Dict[str, RequesterList] = {}
         #: last known owner per object: the node's directory lookup cache
@@ -418,22 +419,23 @@ class TMProxy:
     ) -> bool:
         """THE custody rule: install a transferred object, or drop it.
 
-        A transfer carries the ``(version, epoch)`` its sender stamped.
-        It is installed only when that pair is above this node's custody
-        mark for ``oid`` (:attr:`custody`), and the mark rises to it.  A
-        duplicated, re-granted or late transfer of a custody this node
-        already took is at or below the mark — whether or not the copy
-        is still here — and is dropped.  A newer pair replaces whatever
-        copy is here.  An acquiring ``holder`` holds the new copy;
-        otherwise a local hold on the old copy stays on it, so that
-        holder's commit fails its validation and its abort releases the
-        copy.  Returns whether it installed.
+        A transfer carries the ``(gen, version, epoch)`` its sender
+        stamped.  It is installed only when that custody is above this
+        node's mark for ``oid`` (:attr:`custody`), and the mark rises to
+        it.  A duplicated, re-granted or late transfer of a custody this
+        node already took is at or below the mark — whether or not the
+        copy is still here — and is dropped, as is a copy from before a
+        re-host this node took (a re-host raises ``gen``).  A newer
+        custody replaces whatever copy is here.  An acquiring ``holder``
+        holds the new copy; otherwise a local hold on the old copy stays
+        on it, so that holder's commit fails its validation and its abort
+        releases the copy.  Returns whether it installed.
         """
-        custody = (payload["version"], payload["epoch"])
+        custody = (payload["gen"], payload["version"], payload["epoch"])
         if custody <= self.custody.get(oid, _NEVER_HELD):
             return False
         self.custody[oid] = custody
-        obj = VersionedObject(oid, payload["value"], custody[0], custody[1])
+        obj = VersionedObject(oid, payload["value"], custody[1], custody[2], custody[0])
         if holder is None:
             old = self.store.get(oid)
             if old is not None:
@@ -457,17 +459,17 @@ class TMProxy:
             )
             if self.tracer.wants("obs.queue"):
                 self._trace_queue(oid)
-        # Register ownership with the home directory (asynchronous: the
-        # old owner forwards stragglers to us in the meantime).  The
-        # last-committed value rides along so the home's recovery
-        # snapshot stays current even if the eventual commit publish is
-        # lost — transfers always carry committed state.
-        home = home_node(oid, self.num_nodes)
-        self.node.send(
-            home, MessageType.DIR_UPDATE,
+        # Register ownership with the home directory: a call nobody waits
+        # on (the old owner forwards stragglers to us in the meantime),
+        # retried under fault recovery.  The last-committed value rides
+        # along so the home's recovery snapshot stays current even if the
+        # eventual commit publish is lost — transfers carry committed state.
+        self.rpc_client.post(
+            home_node(oid, self.num_nodes), _DIR_UPDATE,
             {
                 "oid": oid, "owner": self.node.node_id, "version": None,
-                "value": payload["value"], "value_version": custody[0],
+                "value": payload["value"], "value_version": custody[1],
+                "gen": custody[0],
             },
         )
         return True
@@ -619,6 +621,7 @@ class TMProxy:
             "oid": oid, "txid": txid,
             "granted": True, "transferred": transferred,
             "value": obj.value, "version": obj.version, "epoch": obj.epoch + 1,
+            "gen": obj.gen,
             "local_cl": local_cl,
             "served_by": self.node.node_id,
             # read from a hand-off only: a grant's is its reply envelope's
@@ -633,7 +636,7 @@ class TMProxy:
                 payload["queue"] = queue.snapshot()
                 payload["bk"] = queue.bk
             del self.store[oid]
-            self.custody[oid] = (obj.version, obj.epoch)
+            self.custody[oid] = (obj.gen, obj.version, obj.epoch)
             self._hold_started.pop(oid, None)
             self.owner_hints.put(oid, dst)
             if self.recovery is not None:

@@ -303,8 +303,11 @@ class TFAEngine:
         Four phases: :meth:`_acquire` the written objects,
         :meth:`_register` the new versions at their homes,
         :meth:`_validate` the read set, :meth:`_install`.  A read-only
-        root skips the first two.  An abort withdraws the registrations,
-        then aborts the root; any other error releases its objects.
+        root skips the first two.  Under fault recovery a writer whose
+        registrations outlived their lease by its own clock (a home may
+        have re-hosted) aborts with ``OWNER_FAILURE``.  An abort withdraws
+        the registrations, then aborts the root; any other error releases
+        its objects.
         """
         if not root.is_root:
             raise TransactionError(f"{root.txid} is nested; use commit_nested")
@@ -323,10 +326,15 @@ class TFAEngine:
         try:
             if root.wset:
                 yield from self._acquire(root, span_on)
+                registered_at = self.env.now
                 new_versions = yield from self._register(root, span_on)
             validation_started = self.env.now
             yield from self._validate(root, root.acquired, AbortReason.COMMIT_VALIDATION,
                                       "", span_on)
+            recovery = self.proxy.recovery
+            if new_versions and recovery is not None and recovery.lease_lapsed(registered_at):
+                raise TransactionAborted(root, AbortReason.OWNER_FAILURE,
+                                         detail="registration lease lapsed")
         except TransactionAborted as abort:
             if new_versions:
                 # never installed: withdraw the registrations first
@@ -385,7 +393,8 @@ class TFAEngine:
         """
         if span_on:
             self._edge(root, "register", "B")
-        new_versions = {oid: self.proxy.store[oid].version + 1 for oid in root.wset}
+        store = self.proxy.store
+        new_versions = {oid: store[oid].version + 1 for oid in root.wset}
         client = self.proxy.rpc_client
         submit = client.submit
         num_nodes = self.num_nodes
@@ -395,7 +404,8 @@ class TFAEngine:
             call = submit(
                 home_node(oid, num_nodes), _DIR_UPDATE,
                 {"oid": oid, "owner": self.node.node_id,
-                 "version": new_versions[oid], "txid": root.txid},
+                 "version": new_versions[oid], "txid": root.txid,
+                 "gen": store[oid].gen},
             )
             calls.append(call)
         yield client.join(calls, self._fold_register)
@@ -453,14 +463,14 @@ class TFAEngine:
                 self.proxy.payload.plane.note_materialize(self.node.node_id, oid, obj.version)
             self.proxy.owner_hints.note_install(oid, self.node.node_id, new_versions[oid])
         root.status = TxStatus.COMMITTED
-        for oid in sorted(root.wset):
-            self.proxy.release_object(oid, committed=True)
         recovery = self.proxy.recovery
         if recovery is not None:
-            # Fault mode: sync every committed (version, value) to its
-            # home's recovery snapshot.
+            # Fault mode: sync every installed copy to its home's recovery
+            # snapshot, before the release below can hand it on.
             for oid in sorted(root.wset):
-                recovery.publish_commit(oid, new_versions[oid], root.wset[oid])
+                recovery.publish_commit(self.proxy.store[oid])
+        for oid in sorted(root.wset):
+            self.proxy.release_object(oid, committed=True)
         if self.sanitizer is not None:
             # An attempt that aborted (OWNER_FAILURE included) must never
             # reach commit finalisation; the committed root joins the

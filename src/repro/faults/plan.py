@@ -23,9 +23,8 @@ deliveries are dropped at the destination), but its volatile state — the
 object store, directory shard, clocks — survives, as with a process that
 is SIGSTOPped or cut off by its NIC.  Node-local loopback traffic is
 exempt: the process itself keeps running, it is merely unreachable.
-Crash windows are generated non-overlapping with a minimum quiet gap
-(single-failure model); see DESIGN.md's "Failure model" for why one data
-copy plus the home snapshot cannot survive correlated failures.
+Each crash is drawn from the end of the one before, so the crash
+windows never overlap one another; they may overlap partitions.
 """
 
 from __future__ import annotations
@@ -115,9 +114,7 @@ class FaultPlan:
             node = int(rng.integers(self.num_nodes))
             duration = cfg.crash_duration * float(rng.uniform(0.5, 1.5))
             windows.append(CrashWindow(node, t, t + duration))
-            # Enforce the single-failure model: the next crash cannot
-            # begin until this one ended plus the quiet gap.
-            t += duration + cfg.min_crash_gap
+            t += duration
         return windows
 
     def _gen_partitions(self, rng: np.random.Generator) -> List[PartitionWindow]:

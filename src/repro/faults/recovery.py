@@ -15,7 +15,7 @@ cluster has none of this code, its handlers or its processes.
   owner.
 * :class:`HomeRecovery`, one per directory shard
   (``directory.recovery``), is the home's side: ownership leases, the
-  lease reclaim, the transfer and version fences on ``DIR_UPDATE``, the
+  lease reclaim, the custody fence on ``DIR_UPDATE``, the
   withdrawn-txid tombstones, and the ``COMMIT_PUBLISH`` /
   ``LEASE_RENEW`` / ``ORPHAN_RETURN`` endpoints.  The
   :class:`~repro.dstm.directory.DirectoryShard` calls out to it in three
@@ -72,11 +72,12 @@ class NodeRecovery:
     """One node's share of failure recovery; the cluster sets it as its
     proxy's ``recovery``."""
 
-    def __init__(self, proxy: "TMProxy") -> None:
+    def __init__(self, proxy: "TMProxy", lease_duration: float) -> None:
         self.proxy = proxy
         self.node = proxy.node
         self.env = proxy.env
         self.client = proxy.rpc_client
+        self.lease_duration = float(lease_duration)
         #: the re-grant memory: a transferred grant or hand-off deletes
         #: the sender's copy before the message hits the wire, so if
         #: that message is dropped the copy exists nowhere but here.
@@ -98,6 +99,13 @@ class NodeRecovery:
     def forget(self, oid: str) -> None:
         """Custody of ``oid`` arrived (back) here."""
         self.granted.pop(oid, None)
+
+    def lease_lapsed(self, registered_at: float) -> bool:
+        """Whether a registration sent at simulated time ``registered_at``
+        has outlived its lease by this node's clock: from then on its home
+        may re-host the object, so the commit behind it must not install."""
+        clock = self.node.clock
+        return clock.wall_time(self.env.now) - clock.wall_time(registered_at) >= self.lease_duration
 
     def regrant(self, msg: Message) -> bool:
         """Answer a retrieve request for an object this node no longer
@@ -137,24 +145,24 @@ class NodeRecovery:
 
     def _on_lease_ack(self, msg: Message) -> None:
         """Heartbeat ack: the home says some of our copies are stale
-        (a lease reclaim or competing commit advanced past them)."""
+        (a re-host or competing commit advanced past them)."""
         for oid in msg.payload.get("stale", ()):
             obj = self.proxy.store.get(oid)
             if obj is None or obj.state is not ObjectState.FREE:
-                # Held copies are left to the version fence: the commit
+                # Held copies are left to the custody fence: the commit
                 # that holds them will be nacked and discard them itself.
                 continue
             self.proxy.discard_object(oid)
 
-    def publish_commit(self, oid: str, version: int, value: Any) -> None:
-        """Sync a freshly committed ``(version, value)`` to the home's
-        recovery snapshot: a call nobody waits on
+    def publish_commit(self, obj: VersionedObject) -> None:
+        """Sync a freshly committed copy's ``(gen, version, value)`` to
+        the home's recovery snapshot: a call nobody waits on
         (:meth:`~repro.rpc.RpcClient.post`).  If the home stays silent
         through every retry, the periodic heartbeat carries the same
         state as soon as it answers again."""
         self.client.post(
-            home_node(oid, self.node.network.num_nodes), _COMMIT_PUBLISH,
-            {"oid": oid, "version": int(version), "value": value},
+            home_node(obj.oid, self.proxy.num_nodes), _COMMIT_PUBLISH,
+            {"oid": obj.oid, "gen": obj.gen, "version": obj.version, "value": obj.value},
         )
 
     def lease_heartbeat(
@@ -168,13 +176,13 @@ class NodeRecovery:
         """
         if offset > 0.0:
             yield offset
-        num = self.node.network.num_nodes
+        num = self.proxy.num_nodes
         while True:
-            by_home: Dict[int, List[Tuple[str, int, Any]]] = {}
+            by_home: Dict[int, List[Tuple[str, int, int, Any]]] = {}
             for oid in sorted(self.proxy.store):
                 obj = self.proxy.store[oid]
                 by_home.setdefault(home_node(oid, num), []).append(
-                    (oid, obj.version, obj.value)
+                    (oid, obj.gen, obj.version, obj.value)
                 )
             for home, objects in sorted(by_home.items()):
                 if home == self.node.node_id:
@@ -224,12 +232,12 @@ class NodeRecovery:
                 # hand-off forwarding); the memory is just stale.
                 self.granted.pop(oid, None)
                 continue
-            home = home_node(oid, self.node.network.num_nodes)
+            home = home_node(oid, self.proxy.num_nodes)
             try:
                 reply = yield from self.client.call(
                     home, _ORPHAN_RETURN,
                     {
-                        "oid": oid,
+                        "oid": oid, "gen": sent.payload["gen"],
                         "version": int(sent.payload["version"]),
                         "value": sent.payload["value"],
                         "granted_to": sent.requester,
@@ -239,8 +247,8 @@ class NodeRecovery:
                 continue  # silent home: retry on the next sweep
             p = reply.payload
             if p.get("accepted") or p.get("fenced"):
-                # Accepted: the home re-hosted the copy under a fenced
-                # version.  Fenced: the registry already moved past this
+                # Accepted: the home re-hosted the copy under a new
+                # generation.  Fenced: the registry already moved past this
                 # transfer (the requester registered after all, or a
                 # reclaim won).  Either way re-granting from the memory
                 # would resurrect a stale copy — drop it, unless a newer
@@ -259,11 +267,12 @@ class HomeRecovery:
     A *lease* is the instant an entry's registered owner must have been
     heard from by (every registration, heartbeat and commit publish from
     it renews the lease).  An entry whose lease lapsed is *reclaimed* on
-    the next read: the home re-hosts the object from its committed
-    snapshot under a bumped version.  The bump fences the failed owner:
-    its stale copy fails every READ_VALIDATE, its straggler commit
-    registration is nacked by :meth:`fence`, and its post-restart
-    heartbeat learns the copy is stale and drops it.
+    the next read: the home re-hosts the object at its committed
+    snapshot's version under the next custody generation ``gen`` (a
+    re-host writes nothing: only commits mint versions).  The generation
+    fences the failed owner: every home-side test of a copy compares
+    ``(gen, version)``, and an older generation is stale whatever its
+    version.
     """
 
     def __init__(
@@ -312,25 +321,27 @@ class HomeRecovery:
         """The nack for a ``DIR_UPDATE`` that must not register over
         ``entry``, or None to let it through.
 
-        An ownership transfer (no version) carries its copy's committed
-        version as ``value_version``; if the registry has already moved
-        past it (a reclaim, a competing commit) it carries a resurrected
-        stale copy.  A commit registration must advance the version, or
-        repeat the owner's own (an RPC retry after a lost ack); anything
-        else is a straggler fenced off by a reclaim or beaten by a
-        competing committer.  A txid already withdrawn here is a
-        network-duplicated copy of a registration the committer itself
+        A copy from before a re-host is stale whatever its version.  In
+        the entry's generation, an ownership transfer (no version) carries
+        its copy's committed version as ``value_version``; one the registry
+        has moved past (a competing commit) is a resurrected stale copy.
+        A commit registration must advance the version, or repeat the
+        owner's own (an RPC retry after a lost ack); anything else was
+        beaten by a competing committer.  A txid already withdrawn here is
+        a network-duplicated copy of a registration the committer itself
         rolled back.
         """
+        registered = (entry.gen, entry.version)
         version = p.get("version")
         if version is None:
             vv = p.get("value_version")
-            stale = vv is not None and int(vv) < entry.version
+            stale = vv is not None and (p.get("gen", 0), int(vv)) < registered
         else:
             txid = p.get("txid")
+            theirs = (p.get("gen", 0), int(version))
             stale = (
-                int(version) < entry.version
-                or (int(version) == entry.version and entry.owner != p["owner"])
+                theirs < registered
+                or (theirs == registered and entry.owner != p["owner"])
                 or (txid is not None and txid in self.withdrawn.get(p["oid"], ()))
             )
         if not stale:
@@ -373,7 +384,6 @@ class HomeRecovery:
         entry = self.directory.entry(oid)
         assert entry is not None
         old_owner = entry.owner
-        new_version = max(entry.version, entry.snapshot_version) + 1
         sanitizer = self.directory.sanitizer
         if sanitizer is not None:
             sanitizer.note_reclaim(
@@ -381,33 +391,30 @@ class HomeRecovery:
                 lease_expires_at=self.leases.get(oid, math.inf),
                 has_snapshot=entry.has_snapshot,
             )
-        self._rehost(oid, entry, entry.snapshot_value, new_version)
+        self._rehost(oid, entry, entry.snapshot_value, entry.snapshot_version)
         self.metrics.lease_reclaims.increment()
         tracer = self.directory.tracer
         if tracer.wants("fault.reclaim"):
             tracer.emit(
                 self.node.env.now, "fault.reclaim", oid,
-                old_owner=old_owner, version=new_version,
+                old_owner=old_owner, version=entry.version, gen=entry.gen,
             )
 
     def _rehost(self, oid: str, entry: "DirEntry", value: Any, version: int) -> None:
-        """Make the home the owner of ``value`` at fence ``version``.
-
-        A FREE copy already in our store is a stale leftover (we would
-        not be re-hosting if we were the registered owner): it is
-        replaced, or readers keep serving a version the registry has
-        moved past.  Home-hosted entries need no lease until ownership
-        migrates again (the transfer registration re-arms it).  Both
-        re-host paths, lease reclaim and orphan return, come through
-        here, so here the sanitizer checks the fence bump and records
-        the write.
+        """Make the home the owner of ``value`` at the committed
+        ``version`` it restores, under the next custody generation: the
+        one place a generation is minted.  The registry may step back (a
+        registration that never installed is dropped).  A FREE copy
+        already in our store is a stale leftover (we would not be
+        re-hosting if we were the registered owner): it is replaced, or
+        readers keep serving a copy the registry has moved past.
+        Home-hosted entries need no lease until ownership migrates again
+        (the transfer registration re-arms it).
         """
         home = self.node.node_id
-        sanitizer = self.directory.sanitizer
-        if sanitizer is not None:
-            sanitizer.note_rehost(
-                home, oid, entry.version, version, value, now=self.node.env.now
-            )
+        entry.gen += 1
+        if self.directory.sanitizer is not None:
+            self.directory.sanitizer.note_rehost(home, oid, entry.gen, version)
         entry.owner = home
         entry.version = version
         entry.registered_by = None
@@ -415,10 +422,10 @@ class HomeRecovery:
         entry.snapshot_version = version
         entry.snapshot_value = value
         self.leases.pop(oid, None)
-        self.proxy.store[oid] = VersionedObject(oid, value, version)
-        # The re-host is a custody the home took: a late transfer of an
-        # older version must not install over it.
-        self.proxy.custody[oid] = (version, 0)
+        self.proxy.store[oid] = VersionedObject(oid, value, version, gen=entry.gen)
+        # A custody the home took: no transfer from before it may install
+        # over it (TMProxy._install_transferred's rule).
+        self.proxy.custody[oid] = (entry.gen, version, 0)
         self.proxy.owner_hints.put(oid, home)
 
     # -- the home's endpoints -------------------------------------------------
@@ -429,10 +436,11 @@ class HomeRecovery:
         Sent (with retries) right after every fault-mode commit, so the
         home snapshot trails the committed state by at most one publish
         round trip — the window a lease reclaim could otherwise lose.
+        One from before a re-host is stale and changes nothing.
         """
         p = msg.payload
         entry = self.directory.entry(p["oid"])
-        if entry is not None:
+        if entry is not None and p["gen"] == entry.gen:
             entry.note_snapshot(p.get("version"), p.get("value"))
             if entry.owner == msg.src:
                 self.renew(p["oid"])
@@ -442,20 +450,20 @@ class HomeRecovery:
         """Heartbeat from a proxy listing its owned objects.
 
         Renews leases and absorbs snapshots for entries the sender still
-        owns; answers with the oids whose copy at the sender is *stale*
-        (a reclaim or competing commit moved the registered version past
-        it) so the sender can drop them — this is also how a restarted
-        node resynchronises after a crash window.
+        owns in their generation; answers with the oids whose copy at the
+        sender is *stale* (a re-host or competing commit moved the
+        registry past it) so the sender can drop them — this is also how
+        a restarted node resynchronises after a crash window.
         """
         stale: List[str] = []
-        for oid, version, value in msg.payload.get("objects", ()):
+        for oid, gen, version, value in msg.payload.get("objects", ()):
             entry = self.directory.entry(oid)
             if entry is None:
                 continue
-            if entry.owner == msg.src:
+            if entry.owner == msg.src and gen == entry.gen:
                 self.renew(oid)
                 entry.note_snapshot(version, value)
-            elif entry.version > int(version):
+            elif (gen, int(version)) < (entry.gen, entry.version):
                 stale.append(oid)
         return {"stale": stale}
 
@@ -466,19 +474,20 @@ class HomeRecovery:
         and whose requester never re-requested (gave up or crashed); the
         copy it holds is the object's latest committed state.  Accept it
         only while the sender is still the registered owner and the
-        registered version has not moved past the copy — then re-host it
-        here under a bumped (fence) version, exactly like a lease
-        reclaim but from fresher state and without waiting out the
-        lease.  Anything else answers ``fenced``: the registry has
-        already moved on (the requester registered after all, or a
-        reclaim/competing commit won) and the sender must drop its
-        idempotent re-grant cache or it would resurrect a stale copy.
+        registry has not moved past the copy's ``(gen, version)`` — then
+        re-host it here at its version under the next generation,
+        exactly like a lease reclaim but from fresher state and without
+        waiting out the lease.  Anything else answers ``fenced``: the
+        registry has already moved on (the requester registered after
+        all, or a re-host/competing commit won) and the sender must drop
+        its idempotent re-grant cache or it would resurrect a stale copy.
         """
         p = msg.payload
         oid = p["oid"]
         version = int(p["version"])
         entry = self.directory.entry(oid)
-        if entry is None or entry.owner != msg.src or entry.version > version:
+        key = (p["gen"], version)
+        if entry is None or entry.owner != msg.src or key < (entry.gen, entry.version):
             return {
                 "oid": oid, "accepted": False, "fenced": True,
                 "registered_owner": entry.owner if entry else None,
@@ -490,13 +499,12 @@ class HomeRecovery:
             # live local commit will settle the entry.  Not fenced: the
             # sender keeps its cache and retries on a later sweep.
             return {"oid": oid, "accepted": False, "fenced": False}
-        new_version = max(entry.version, version) + 1
-        self._rehost(oid, entry, p["value"], new_version)
+        self._rehost(oid, entry, p["value"], version)
         self.metrics.orphan_returns.increment()
         tracer = self.directory.tracer
         if tracer.wants("fault.orphan_return"):
             tracer.emit(
                 self.node.env.now, "fault.orphan_return", oid,
-                old_owner=msg.src, version=new_version,
+                old_owner=msg.src, version=version, gen=entry.gen,
             )
-        return {"oid": oid, "accepted": True, "version": new_version}
+        return {"oid": oid, "accepted": True, "version": version}

@@ -106,9 +106,9 @@ class LookupCache:
 
         In fenced mode an entry whose recorded version is behind
         ``version`` is stale — the registered version only advances when
-        a commit (or a recovery re-host) moves the object's authority —
-        so it is replaced when the observation names the ``owner`` and
-        dropped otherwise.  Hint mode records nothing and never drops.
+        a commit moves the object's authority — so it is replaced when
+        the observation names the ``owner`` and dropped otherwise.  Hint
+        mode records nothing and never drops.
         """
         if not self.fencing or version is None:
             return

@@ -61,17 +61,18 @@ class TestUnitChecks:
 
     def test_reclaim_and_rehost_must_bump_the_fence(self):
         """Both re-host paths (lease reclaim, orphan return) report the
-        re-host itself; it must bump the fence, and it enters the
-        history as a write no transaction made."""
+        re-host itself.  Its fence is the new custody generation: the
+        version may step back to the restored one, the watermark restarts
+        there, and nothing enters the history (only commits write)."""
         s = Sanitizer()
-        with pytest.raises(InvariantViolation) as exc:
-            s.note_rehost(0, "x", old_version=3, new_version=3, value=7, now=1.0)
-        assert exc.value.rule_id == "inv-version-fence"
+        s.note_register(0, "x", 5)
+        s.note_rehost(0, "x", gen=1, version=3)
         assert s.history == []
-        s.note_rehost(0, "x", old_version=5, new_version=6, value=7, now=2.0)
-        (record,) = s.history
-        assert (record.node, record.serialized_at) == (0, 2.0)
-        assert (record.reads, record.writes) == ((), (("x", 6, 7),))
+        s.note_register(0, "x", 4, gen=1)  # the next commit, new generation
+        with pytest.raises(InvariantViolation) as exc:
+            s.note_register(0, "x", 6)  # a straggler from generation 0
+        assert exc.value.rule_id == "inv-version-fence"
+        assert exc.value.context["watermark"] == (1, 4)
 
     def test_no_commit_after_abort(self):
         s = Sanitizer()
@@ -160,6 +161,10 @@ class TestCorruptedCluster:
             cluster.sanitizer.check_single_writable_copy("obj")
         assert exc.value.rule_id == "inv-single-writable-copy"
         assert sorted(exc.value.context["holders"]) == [0, 1]
+        # a copy from before a re-host at the same version is a fenced
+        # straggler, not a fork
+        forked.gen = 1
+        cluster.sanitizer.check_single_writable_copy("obj")
 
     def test_sanitizer_runs_on_real_transactions(self):
         cluster = self.make_cluster()

@@ -103,7 +103,7 @@ class TestHandoffForwarding:
         cluster.nodes[0].send(1, MessageType.OBJECT_HANDOFF, {
             "oid": oid, "txid": "t-dead", "mode": "a",
             "granted": True, "transferred": True,
-            "value": 99, "version": 4, "epoch": 1,
+            "value": 99, "version": 4, "epoch": 1, "gen": 0,
             "queue": queue, "bk": 0.25,
             "local_cl": 2, "served_by": 0,
         })

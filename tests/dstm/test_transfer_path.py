@@ -208,10 +208,10 @@ class TestWhatLeaves:
             assert obj.payload_src == (0 if plane == "proxy" else 1)
 
 
-def transfer_payload(txid="t-dead", version=4, queue=(), epoch=1):
+def transfer_payload(txid="t-dead", version=4, queue=(), epoch=1, gen=0):
     return {
         "oid": "hot", "txid": txid, "granted": True, "transferred": True,
-        "value": 99, "version": version, "epoch": epoch,
+        "value": 99, "version": version, "epoch": epoch, "gen": gen,
         "queue": list(queue), "bk": 0.25,
         "local_cl": len(queue), "served_by": 0, "owner_clock": 0,
     }
@@ -227,9 +227,10 @@ class TestWhatArrivesUnclaimed:
     """``take_unclaimed``: the hand-off else-branch, fault-free.
 
     Whether a transfer is installed is the custody rule alone
-    (``_install_transferred``): its ``(version, epoch)`` must be above
-    the highest pair the node has accepted or let go.  A newer pair
-    replaces a FREE copy; over a held copy the hold stays on it."""
+    (``_install_transferred``): its ``(gen, version, epoch)`` must be
+    above the highest custody the node has accepted or let go.  A newer
+    custody replaces a FREE copy; over a held copy the hold stays on
+    it."""
 
     def test_duplicate_transferred_hand_off_is_dropped(self):
         cluster = make_cluster()
@@ -246,14 +247,15 @@ class TestWhatArrivesUnclaimed:
     def test_an_older_pair_is_dropped(self):
         cluster = make_cluster()
         seen = tap(cluster, 1, MessageType.OBJECT_HANDOFF)
-        hand_off(cluster, transfer_payload(epoch=3), until=0.5)
+        hand_off(cluster, transfer_payload(epoch=3, gen=1), until=0.5)
         first = cluster.proxies[1].store["hot"]
-        # an earlier custody of the same version, and an older version
-        # at any epoch
-        hand_off(cluster, transfer_payload(epoch=2), until=1.0)
-        hand_off(cluster, transfer_payload(version=3, epoch=9), until=1.5)
+        # an earlier custody of the same version, an older version at any
+        # epoch, and a copy from before the re-host at any version
+        hand_off(cluster, transfer_payload(epoch=2, gen=1), until=1.0)
+        hand_off(cluster, transfer_payload(version=3, epoch=9, gen=1), until=1.5)
+        hand_off(cluster, transfer_payload(version=9, epoch=9), until=2.0)
         assert cluster.proxies[1].store["hot"] is first
-        assert [sent for _msg, sent in seen] == [1, 0, 0]
+        assert [sent for _msg, sent in seen] == [1, 0, 0, 0]
 
     def test_newer_transfer_replaces_a_free_copy(self):
         cluster = make_cluster()
@@ -262,10 +264,15 @@ class TestWhatArrivesUnclaimed:
         newer = dict(transfer_payload(version=9, epoch=1), value=5)
         hand_off(cluster, newer, until=1.0)
         obj = cluster.proxies[1].store["hot"]
-        assert (obj.value, obj.version, obj.epoch) == (5, 9, 1)
+        assert (obj.value, obj.gen, obj.version, obj.epoch) == (5, 0, 9, 1)
         assert obj.state is ObjectState.FREE
-        assert cluster.proxies[1].custody["hot"] == (9, 1)
-        assert [sent for _msg, sent in seen] == [1, 1]   # its DIR_UPDATE
+        assert cluster.proxies[1].custody["hot"] == (0, 9, 1)
+        # a re-hosted copy outranks it at a lower version
+        hand_off(cluster, dict(transfer_payload(version=2, gen=1), value=6), until=1.5)
+        obj = cluster.proxies[1].store["hot"]
+        assert (obj.value, obj.gen, obj.version, obj.epoch) == (6, 1, 2, 1)
+        assert cluster.proxies[1].custody["hot"] == (1, 2, 1)
+        assert [sent for _msg, sent in seen] == [1, 1, 1]   # its DIR_UPDATE
 
     def test_newer_transfer_over_a_held_copy_keeps_the_hold(self):
         cluster = make_cluster()

@@ -2,49 +2,30 @@
 
 The cell is the 12-node reproducer of ``benchmarks/e2e/README.md``
 finding 3 (bank at 50 % reads, RTS, every fault class on, 40 simulated
-seconds).  The seeds below lost money, forked the single writable copy
-or crashed a commit with a ``KeyError`` until a transfer carried a
-custody epoch and its receiver alone dropped a duplicate
+seconds); ``benchmarks/bench_chaos.py`` holds its one config and sweeps
+it (``--sweep A-B``).  The seeds below lost money, forked the single
+writable copy or crashed a commit with a ``KeyError`` until a transfer
+carried a custody epoch and its receiver alone dropped a duplicate
 (``TMProxy._install_transferred``); each case pins one of them, found by
 sweeping cluster seeds 200–711, and runs in 0.2–2.5 host-s.
 
 A sanitized run also keeps the committed history
-(``cluster.sanitizer.history``: every committed root plus every re-host),
+(``cluster.sanitizer.history``: every committed root, and nothing else),
 so the serializability oracle can name the first broken version fence.
 """
 
+import os
+import sys
+
 import pytest
 
-from repro.check.oracle import check_history
-from repro.core.cluster import Cluster
-from repro.core.config import ClusterConfig
-from repro.core.executor import WorkloadExecutor
-from repro.dstm.objects import home_node
-from repro.workloads.bank import INITIAL_BALANCE
-from repro.workloads.registry import make_workload
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", ".."))
 
-
-def run_chaos_cell(seed, sanitize=False, horizon=40.0):
-    """Run the reproducer to ``horizon``; returns the cluster and the
-    bank workload."""
-    config = ClusterConfig(
-        num_nodes=12, seed=seed, scheduler="rts", cl_threshold=4,
-        check=dict(sanitize=sanitize),
-        faults=dict(
-            enabled=True, drop_rate=0.05, duplicate_rate=0.02,
-            extra_delay_rate=0.05, extra_delay_max=0.02, rpc_timeout=0.15,
-            lease_duration=0.8, lease_renew_interval=0.25, reclaim_grace=0.8,
-            crash_rate=0.2, crash_duration=0.5, partition_rate=0.1,
-            schedule_horizon=40.0,
-        ),
-    )
-    cluster = Cluster(config)
-    workload = make_workload("bank", read_fraction=0.5)
-    executor = WorkloadExecutor(cluster, workload, workers_per_node=2,
-                                horizon=horizon, max_attempts_per_tx=256)
-    executor.setup()
-    executor.run()
-    return cluster, workload
+# run_chaos_cell(seed, sanitize=False, horizon=40.0) -> (cluster, workload)
+from benchmarks.bench_chaos import run_reproducer as run_chaos_cell  # noqa: E402
+from repro.check.oracle import check_history  # noqa: E402
+from repro.dstm.objects import home_node  # noqa: E402
+from repro.workloads.bank import INITIAL_BALANCE  # noqa: E402
 
 
 def chaos_cell(seed, sanitize=False):
@@ -65,20 +46,20 @@ def history_violations(seed):
 
 
 def test_reading_the_oracle_changes_nothing():
-    """The money oracle is a read.  Two seconds into seed 202 some
+    """The money oracle is a read.  1.5 sim-s into seed 202 some
     accounts' owner leases have lapsed, so the next directory read would
     reclaim them; the oracle reports the snapshot such a reclaim would
     re-host and leaves the reclaim counter, the registry and every store
     as they were."""
-    cluster, workload = run_chaos_cell(202, horizon=2.0)
+    cluster, workload = run_chaos_cell(202, horizon=1.5)
 
     def state():
         registry = []
         for oid in workload.accounts:
             entry = cluster.directories[home_node(oid, cluster.num_nodes)].entry(oid)
-            registry.append((oid, entry.owner, entry.version))
+            registry.append((oid, entry.owner, entry.gen, entry.version))
         stores = [
-            sorted((oid, obj.version) for oid, obj in proxy.store.items())
+            sorted((oid, obj.gen, obj.version) for oid, obj in proxy.store.items())
             for proxy in cluster.proxies
         ]
         return cluster.metrics.lease_reclaims.value, registry, stores
@@ -125,23 +106,35 @@ def test_seed_656_history_serializes():
     assert history_violations(656) == []
 
 
-@pytest.mark.xfail(strict=True, reason="a lease reclaim re-hosts over a "
-                   "withdrawn version: phantom-version (ROADMAP item 1)")
 def test_seed_582_history_has_no_version_gap():
-    """A commit registers v_n and aborts; its withdraw lands late, so
-    ``HomeRecovery.reclaim`` re-hosts at ``max(entry.version,
-    snapshot_version) + 1`` and the chain of ``bank/acct8_2`` skips v_n
-    (the bank total holds)."""
+    """A commit registers v_n and aborts; its withdraw lands late.  A
+    lease reclaim used to re-host at ``max(entry.version,
+    snapshot_version) + 1``, so the chain of ``bank/acct8_2`` skipped
+    v_n.  A re-host now keeps the snapshot's version and bumps the
+    custody generation instead."""
     assert history_violations(582) == []
+
+
+def test_seed_756_keeps_a_transfer_registered_through_a_partition():
+    """n2 installed ``bank/acct2_5`` v5 and handed it to n3; a partition
+    cut n3 off from the home, and the one send of its transfer
+    registration was lost.  The old owner's lease lapsed, the home
+    re-hosted v4 from under n3 and a later commit installed v5 again
+    (95939 of 96000).  The registration is now retried like every other
+    call nobody waits on."""
+    cluster, workload = run_chaos_cell(756, sanitize=True)
+    total = sum(cluster.authoritative_value(a) for a in workload.accounts)
+    assert total == workload.expected_total()
+    initial = {oid: INITIAL_BALANCE for oid in workload.accounts}
+    assert check_history(cluster.sanitizer.history, initial=initial) == []
 
 
 @pytest.mark.parametrize("seed", range(200, 216))
 def test_sanitized_cell_conserves_money_and_serializes(seed):
     """Sanitized, so a forked writable copy raises at the violating
     event; ten of these sixteen seeds did before the custody epoch.
-    Every seed but 200 re-hosts an account: without the re-host writes
-    in the history the oracle would report the versions they install,
-    and the reads of them, as phantoms."""
+    Re-hosts write nothing to the history: they restore a committed
+    version, so its chain stays contiguous without them."""
     cluster, workload = run_chaos_cell(seed, sanitize=True)
     total = sum(cluster.authoritative_value(a) for a in workload.accounts)
     assert total == workload.expected_total()

@@ -28,7 +28,7 @@ FAULTS = FaultConfig(
 
 #: sha256 of the cell's obs JSONL, global id counters reset first
 OBS_JSONL_SHA256 = (
-    "b81dfe3a963b1765e16604e9b1b0ba73716325c7bb659a95509c9b5b9e1fcc86"
+    "8c3d5173f53d09ccae7e42bff56a80d004ec89eff4105559e9d73ae57e1c658e"
 )
 
 

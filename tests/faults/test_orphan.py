@@ -60,9 +60,11 @@ class TestRepatriation:
 
         assert cluster.metrics.orphan_returns.value == 1
         assert cluster.proxies[0].recovery.granted == {}, "sweep drops the cache"
-        # Re-hosted at home under a fenced (bumped) version.
+        # Re-hosted at home at the returned copy's version, under a new
+        # custody generation.
         obj = cluster.proxies[0].store[oid]
-        assert obj.value == 42 and obj.version > before
+        assert (obj.value, obj.version, obj.gen) == (42, before, 1)
+        assert cluster.directories[0].entry(oid).gen == 1
         assert cluster.directories[0].owner_of(oid) == 0
         assert cluster.directories[0].registered_version(oid) == obj.version
         assert cluster.authoritative_value(oid) == 42

@@ -9,7 +9,7 @@ from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig, FaultConfig
 from repro.core.metrics import MetricsCollector
 from repro.dstm.directory import DirectoryShard
-from repro.dstm.errors import AbortReason
+from repro.dstm.errors import AbortReason, TransactionAborted
 from repro.dstm.objects import home_node
 from repro.dstm.proxy import TMProxy
 from repro.faults import CrashWindow, HomeRecovery, RpcPolicy
@@ -247,13 +247,13 @@ class TestLeases:
         shard.register("z", owner=1, version=3, value="v3", value_version=3)
         before = shard.recovery.leases["z"]
         p = ask(env, nodes[1], 0, MessageType.LEASE_RENEW,
-                {"objects": [("z", 3, "v3")]})
+                {"objects": [("z", 0, 3, "v3")]})
         assert p["stale"] == []
         assert shard.recovery.leases["z"] >= before
         # The registry moves past the copy: next heartbeat learns it.
         shard.register("z", owner=0, version=5, value="v5", value_version=5)
         p = ask(env, nodes[1], 0, MessageType.LEASE_RENEW,
-                {"objects": [("z", 3, "v3")]})
+                {"objects": [("z", 0, 3, "v3")]})
         assert p["stale"] == ["z"]
 
     def test_expired_lease_reclaimed_on_lookup(self, env, dirnet):
@@ -262,8 +262,9 @@ class TestLeases:
         advance(env, 3.0)
         p = ask(env, nodes[1], 0, MessageType.DIR_LOOKUP, {"oid": "r"})
         assert p["owner"] == 0, "home reclaims an expired entry"
-        assert p["version"] == 3, "reclaim fences with a version bump"
-        assert shard.snapshot_of("r") == (3, "snap")
+        assert p["version"] == 2, "a reclaim writes no version"
+        assert shard.entry("r").gen == 1, "it fences with a new generation"
+        assert shard.snapshot_of("r") == (2, "snap")
 
     def test_reclaim_waits_grace_when_commit_was_in_flight(self, env, dirnet):
         nodes, shard = dirnet
@@ -276,7 +277,8 @@ class TestLeases:
         advance(env, 0.6)
         p = ask(env, nodes[1], 0, MessageType.DIR_LOOKUP, {"oid": "g"})
         assert p["owner"] == 0
-        assert p["version"] == 5  # max(4, 3) + 1
+        # back to the snapshot's version: v4 was registered, never installed
+        assert (p["version"], shard.entry("g").gen) == (3, 1)
 
     def test_direct_reads_reclaim_lazily(self, env, dirnet):
         """Regression: ``owner_of``/``lookup`` (the in-process hint paths
@@ -288,8 +290,9 @@ class TestLeases:
         shard.register("d", owner=1, version=2, value="snap", value_version=2)
         advance(env, 3.0)  # lease (1.0) + grace (0.5) long lapsed
         assert shard.owner_of("d") == 0, "owner_of reclaims on read"
-        assert shard.lookup("d") == (0, 3), "reclaim fences with a bump"
-        assert shard.snapshot_of("d") == (3, "snap")
+        assert shard.lookup("d") == (0, 2), "a reclaim keeps the version"
+        assert shard.entry("d").gen == 1
+        assert shard.snapshot_of("d") == (2, "snap")
 
     def test_unexpired_lease_untouched(self, env, dirnet):
         nodes, shard = dirnet
@@ -308,6 +311,121 @@ class TestLeases:
         advance(env, 100.0)
         p = ask(env, nodes[1], 0, MessageType.DIR_LOOKUP, {"oid": "x"})
         assert p["owner"] == 1
+
+
+class TestGenerationFence:
+    """A re-host writes nothing: it keeps the committed version it
+    restores and bumps the entry's custody generation, the one number
+    the home mints.  A copy from the generation before is fenced by
+    that alone, whatever its version."""
+
+    def rehosted(self, env, shard):
+        # v4 was registered by node 1 and never installed; the snapshot
+        # is v3, which the reclaim restores
+        shard.register("g", owner=1, version=4, value="v3", value_version=3)
+        advance(env, 3.0)
+        assert shard.lookup("g") == (0, 3)
+        return shard.entry("g")
+
+    def test_rehost_keeps_the_restored_version_and_bumps_gen(self, env, dirnet):
+        nodes, shard = dirnet
+        entry = self.rehosted(env, shard)
+        assert (entry.owner, entry.gen, entry.version) == (0, 1, 3)
+        assert shard.snapshot_of("g") == (3, "v3")
+        proxy = shard.recovery.proxy
+        obj = proxy.store["g"]
+        assert (obj.value, obj.gen, obj.version, obj.epoch) == ("v3", 1, 3, 0)
+        assert proxy.custody["g"] == (1, 3, 0)
+
+    def test_old_generation_registrations_are_fenced(self, env, dirnet):
+        nodes, shard = dirnet
+        self.rehosted(env, shard)
+        for stale in (
+            {"oid": "g", "owner": 1, "version": 5, "txid": "tx-old", "gen": 0},
+            {"oid": "g", "owner": 1, "version": None, "value": "v9",
+             "value_version": 9, "gen": 0},
+        ):
+            p = ask(env, nodes[1], 0, MessageType.DIR_UPDATE, stale)
+            assert p["ok"] is False
+        assert shard.lookup("g") == (0, 3)
+        # the new generation's next commit goes through
+        p = ask(env, nodes[1], 0, MessageType.DIR_UPDATE,
+                {"oid": "g", "owner": 1, "version": 4, "txid": "tx-new", "gen": 1})
+        assert p["ok"] is True
+
+    def test_old_generation_heartbeat_is_stale(self, env, dirnet):
+        nodes, shard = dirnet
+        self.rehosted(env, shard)
+        p = ask(env, nodes[1], 0, MessageType.LEASE_RENEW,
+                {"objects": [("g", 0, 4, "v4")]})
+        assert p["stale"] == ["g"]
+        assert shard.snapshot_of("g") == (3, "v3")
+
+    def test_old_generation_publish_changes_nothing(self, env, dirnet):
+        nodes, shard = dirnet
+        self.rehosted(env, shard)
+        ask(env, nodes[1], 0, MessageType.COMMIT_PUBLISH,
+            {"oid": "g", "gen": 0, "version": 4, "value": "v4"})
+        assert shard.snapshot_of("g") == (3, "v3")
+        ask(env, nodes[1], 0, MessageType.COMMIT_PUBLISH,
+            {"oid": "g", "gen": 1, "version": 4, "value": "v4"})
+        assert shard.snapshot_of("g") == (4, "v4")
+
+    def test_old_generation_orphan_return_is_fenced(self, env, dirnet):
+        nodes, shard = dirnet
+        self.rehosted(env, shard)
+        # node 1 takes the new generation's copy over
+        p = ask(env, nodes[1], 0, MessageType.DIR_UPDATE,
+                {"oid": "g", "owner": 1, "version": None, "value": "v3",
+                 "value_version": 3, "gen": 1})
+        assert p["ok"] is True
+        p = ask(env, nodes[1], 0, MessageType.ORPHAN_RETURN,
+                {"oid": "g", "gen": 0, "version": 4, "value": "v4", "granted_to": 2})
+        assert (p["accepted"], p["fenced"]) == (False, True)
+        assert shard.lookup("g") == (1, 3)
+        # its own generation's copy comes back under the next one
+        p = ask(env, nodes[1], 0, MessageType.ORPHAN_RETURN,
+                {"oid": "g", "gen": 1, "version": 3, "value": "v3", "granted_to": 2})
+        assert p["accepted"] and shard.lookup("g") == (0, 3)
+        assert shard.entry("g").gen == 2
+
+
+class TestInstallLease:
+    def test_committer_past_its_registration_lease_aborts_and_withdraws(self):
+        """Node 2 registers ``w`` at home 0, then validates ``r`` at home
+        1, which is cut off for 0.5 sim-s.  The validation outlives the
+        registration's 0.3 sim-s lease, after which home 0 may re-host
+        ``w``: the commit must not install.  It aborts with
+        OWNER_FAILURE and withdraws the registration."""
+        fc = FaultConfig(
+            enabled=True, rpc_timeout=0.05, rpc_max_retries=5,
+            rpc_backoff_cap=0.2, lease_duration=0.3, lease_renew_interval=0.1,
+        )
+        cluster = Cluster(ClusterConfig(num_nodes=3, seed=1, faults=fc))
+        assert (home_node("w", 3), home_node("r", 3)) == (0, 1)
+        cluster.alloc("w", 10, node=2)
+        cluster.alloc("r", 5, node=2)
+        engine = cluster.engines[2]
+
+        def commit():
+            root = engine.begin()
+            v = yield from engine.read(root, "r")
+            yield from engine.write(root, "w", v + 10)
+            now = cluster.env.now
+            cluster.fault_plan.crashes.append(CrashWindow(1, now, now + 0.5))
+            try:
+                yield from engine.commit_root(root)
+            except TransactionAborted as exc:
+                return exc.reason, cluster.env.now - now
+            return None, cluster.env.now - now
+
+        reason, took = cluster.env.run(until=cluster.spawn(commit()))
+        assert reason is AbortReason.OWNER_FAILURE and took > 0.3
+        cluster.run(until=cluster.env.now + 0.5)
+        assert cluster.directories[0].registered_version("w") == 0, "withdrawn"
+        obj = cluster.proxies[2].store["w"]
+        assert (obj.value, obj.version) == (10, 0)
+        assert cluster.metrics.commits.value == 0
 
 
 class TestGrantCache:

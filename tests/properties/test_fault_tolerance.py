@@ -32,7 +32,7 @@ DROPPY = dict(
 # well before quiescence.
 CRASHY = dict(
     DROPPY, drop_rate=0.02, crash_rate=0.5, crash_duration=0.5,
-    min_crash_gap=1.0, schedule_horizon=4.0,
+    schedule_horizon=4.0,
 )
 
 
