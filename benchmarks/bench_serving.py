@@ -31,7 +31,7 @@ if __package__ in (None, ""):  # executed as a script: self-locate
 from benchmarks.bench_kernel import git_sha, host_fingerprint
 from benchmarks.conftest import BENCH_SEED, BENCH_WORKERS, cell_spec, run_cell
 from repro.par import add_par_args, run_cells
-from repro.traffic import max_sustainable_rate
+from repro.traffic.stability import max_sustainable_rate
 
 #: the contended serving cell: write-heavy bank transfers over a
 #: Zipf-skewed account population — the regime where scheduling matters

@@ -1,20 +1,22 @@
-"""Public API: cluster facade, atomic transaction runners, metrics,
-workload executor, and the experiment harness."""
+"""Public API: cluster facade, atomic transaction runners, metrics and
+the workload executor.
+
+The experiment harness (``run_experiment``, ``ExperimentResult``) is not
+re-exported: a default cell never runs it, so it lives only in
+:mod:`repro.core.experiment`.
+"""
 
 from repro.core.api import Cluster, SchedulerKind, TransactionHandle
 from repro.core.config import ArrivalConfig, ClusterConfig
 from repro.core.executor import WorkloadExecutor
 from repro.core.metrics import MetricsCollector
-from repro.core.experiment import ExperimentResult, run_experiment
 
 __all__ = [
     "ArrivalConfig",
     "Cluster",
     "ClusterConfig",
-    "ExperimentResult",
     "MetricsCollector",
     "SchedulerKind",
     "TransactionHandle",
     "WorkloadExecutor",
-    "run_experiment",
 ]

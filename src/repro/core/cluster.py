@@ -24,22 +24,28 @@ from repro.dstm.directory import DirectoryShard
 from repro.dstm.objects import home_node
 from repro.dstm.proxy import TMProxy
 from repro.dstm.tfa import TFAEngine
-from repro.faults import FaultInjector, FaultPlan, HomeRecovery, NodeRecovery, RpcPolicy
 from repro.net.clocks import NodeClock
-from repro.net.network import Network, WireCostModel
+from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.topology import Topology
-from repro.rpc import LookupCache, PiggybackBatcher, RpcClient
-from repro.rpc.payload import BANDWIDTH, CONTROL_SIZE, SER_PER_BYTE, PayloadPlane
+from repro.rpc import LookupCache, RpcClient
 from repro.scheduler.backoff import BackoffScheduler
 from repro.scheduler.base import SchedulerPolicy
 from repro.scheduler.rts import RtsScheduler
 from repro.scheduler.tfa_baseline import TfaScheduler
 from repro.sim import Environment, Process, RngRegistry, Tracer
 
+# The import rule: an optional plane (prof, obs, payload, batcher, faults,
+# check) is imported in the branch of ``Cluster.__init__`` that builds it,
+# so a default cell's interpreter never loads it (DESIGN.md, "The import
+# rule"; gated by tests/core/test_import_graph.py).
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check import Sanitizer
+    from repro.faults import FaultInjector, FaultPlan
     from repro.obs import LiveFold
+    from repro.rpc.batch import PiggybackBatcher
+    from repro.rpc.payload import PayloadPlane
+    from repro.rpc.policy import RetryPolicy
 
 __all__ = ["Cluster"]
 
@@ -115,8 +121,13 @@ class Cluster:
         # bulk bytes (declared sizes, transfer + serialization delay,
         # lazy proxy-mode resolution).
         plc = config.payload
-        self.payload_plane: Optional[PayloadPlane] = None
+        self.payload_plane: Optional["PayloadPlane"] = None
         if plc.enabled:
+            from repro.net.network import WireCostModel
+            from repro.rpc.payload import (
+                BANDWIDTH, CONTROL_SIZE, SER_PER_BYTE, PayloadPlane,
+            )
+
             self.payload_plane = PayloadPlane(plc, config.num_nodes)
             self.network.cost = WireCostModel(BANDWIDTH, SER_PER_BYTE, CONTROL_SIZE)
         self.metrics = MetricsCollector()
@@ -126,8 +137,10 @@ class Cluster:
         # never fences a lookup-cache entry, so same-seed runs are
         # byte-identical.
         rc = config.rpc
-        self.batcher: Optional[PiggybackBatcher] = None
+        self.batcher: Optional["PiggybackBatcher"] = None
         if rc.batch_window > 0.0:
+            from repro.rpc.batch import PiggybackBatcher
+
             self.batcher = PiggybackBatcher(
                 self.env, rc.batch_window, tracer=self.tracer
             ).install(self.network)
@@ -138,10 +151,14 @@ class Cluster:
         # leases or RPC timeouts exist and runs are identical to a build
         # without the subsystem.
         fc = config.faults
-        self.fault_plan: Optional[FaultPlan] = None
-        self.fault_injector: Optional[FaultInjector] = None
-        policy: Optional[RpcPolicy] = None
+        self.fault_plan: Optional["FaultPlan"] = None
+        self.fault_injector: Optional["FaultInjector"] = None
+        policy: Optional["RetryPolicy"] = None
         if fc.enabled:
+            from repro.faults import (
+                FaultInjector, FaultPlan, HomeRecovery, NodeRecovery, RpcPolicy,
+            )
+
             self.fault_plan = FaultPlan(fc, self.rngs.stream("faults"), config.num_nodes)
             self.fault_injector = FaultInjector(
                 self.fault_plan, metrics=self.metrics, tracer=self.tracer

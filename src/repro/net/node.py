@@ -100,8 +100,23 @@ class _InboxServer:
         node.messages_processed += 1
         node.total_queueing_delay += env._now - arrived
         # busy stays set across the dispatch: a handler that sends to its
-        # own node queues behind this chain instead of starting a second
-        node._dispatch(msg)
+        # own node queues behind this chain instead of starting a second.
+        # Node._dispatch's clock rule and reply match, inlined: a reply's
+        # service period pushes its waiter's call entry in this frame.
+        clock = node.clock
+        if msg.clock > clock.tfa_clock:
+            clock.advance_to(msg.clock)
+        waiter = (
+            None if msg.reply_to is None
+            else node._pending_replies.pop(msg.reply_to, None)
+        )
+        if waiter is not None and waiter._value is _PENDING:
+            waiter._value = msg  # Signal.succeed, inlined
+            env._seq += 1
+            env._qpush((env._now, PRIORITY_NORMAL, env._seq, waiter._fire, None))
+        else:
+            # a request, or a late reply (falls through to the handlers)
+            node._handle(msg)
         if self.queue:
             env._seq += 1  # Environment.call_later's push, inlined
             env._qpush((
@@ -130,6 +145,9 @@ class Node:
         self.node_id = node_id
         self.clock = clock or NodeClock(node_id)
         self._handlers: Dict[MessageType, Handler] = {}
+        #: request type -> the reply type its handler's result is sent as
+        #: (None: the handler is not a server function)
+        self._reply_types: Dict[MessageType, Optional[MessageType]] = {}
         self._pending_replies: Dict[int, Signal] = {}  # msg_id -> reply
         #: what the profiler and the explorer attribute this node's reply
         #: signals and resend windows to
@@ -152,11 +170,23 @@ class Node:
 
     # -- handler registry -------------------------------------------------------
 
-    def on(self, mtype: MessageType, handler: Handler) -> None:
-        """Register ``handler`` for ``mtype`` (one handler per type)."""
+    def on(
+        self,
+        mtype: MessageType,
+        handler: Handler,
+        reply: Optional[MessageType] = None,
+    ) -> None:
+        """Register ``handler`` for ``mtype`` (one handler per type).
+
+        With a ``reply`` type the handler is a server function: a result
+        other than None is the reply payload, which the dispatch sends
+        back as a ``reply`` message; None withholds the reply.
+        """
         if mtype in self._handlers:
             raise ValueError(f"node {self.node_id}: handler for {mtype} already set")
-        self._handlers[MessageType(mtype)] = handler
+        mtype = MessageType(mtype)
+        self._handlers[mtype] = handler
+        self._reply_types[mtype] = reply
 
     # -- inbound ------------------------------------------------------------------
 
@@ -178,6 +208,11 @@ class Node:
                 return
             # Fall through: unsolicited/late replies go to handlers too
             # (the RTS object hand-off after backoff expiry needs this).
+        self._handle(msg)
+
+    def _handle(self, msg: Message) -> None:
+        """Run ``msg``'s handler: send a server function's reply, run a
+        generator handler as a process."""
         handler = self._handlers.get(msg.mtype)
         if handler is None:
             if msg.reply_to is not None:
@@ -192,7 +227,16 @@ class Node:
                 f"(message {msg!r})"
             )
         result = handler(msg)
-        if result is not None and hasattr(result, "send"):
+        if result is None:
+            return
+        reply_type = self._reply_types.get(msg.mtype)
+        if reply_type is not None:
+            # Node.reply, inlined: the server function's result answers msg
+            self._net_send(Message(
+                reply_type, self.node_id, msg.src, result,
+                self.clock.tfa_clock, msg.msg_id, 0,
+            ))
+        elif hasattr(result, "send"):
             # Handlers may be generator functions: run them as processes.
             self.env.process(result, name=f"n{self.node_id}.{msg.mtype.value}")
 

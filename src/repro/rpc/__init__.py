@@ -1,6 +1,6 @@
 """repro.rpc — the typed RPC substrate over the simulated message plane.
 
-Unifies what grew ad hoc across the stack into four small pieces:
+Unifies what grew ad hoc across the stack into small pieces:
 
 * :class:`RetryPolicy` — the single deadline/retry/backoff policy object
   (``repro.faults.RpcPolicy`` is this class, re-exported);
@@ -9,10 +9,13 @@ Unifies what grew ad hoc across the stack into four small pieces:
 * :class:`RpcClient` — the caller side: endpoint typing + the one retry
   path (the resend chain on :meth:`repro.net.node.Node.submit`'s reply
   signal) + the fan-out join + shared tracing and metrics;
-* :class:`PiggybackBatcher` — per-link send coalescing (window > 0
-  only; the default path is byte-identical to the unbatched build);
 * :class:`LookupCache` — a node's version-fenced directory lookup
   cache; the node's TM proxy owns it.
+
+Two opt-in planes are not re-exported here, so a default run never
+loads them: :class:`repro.rpc.batch.PiggybackBatcher` (per-link send
+coalescing, window > 0 only) and :mod:`repro.rpc.payload` (the payload
+plane, ``payload.enabled`` only).  Import them from their modules.
 
 Everything here is strictly additive: with ``RpcConfig()`` defaults
 (no batching window, hint-mode cache, no policy) a same-seed run is
@@ -20,13 +23,11 @@ event-for-event identical to the pre-rpc build — pinned by
 ``tests/rpc/test_equivalence.py``.
 """
 
-from repro.rpc.batch import PiggybackBatcher
 from repro.rpc.cache import LookupCache
 from repro.rpc.client import RpcClient
 from repro.rpc.endpoint import ENDPOINTS, Endpoint, EndpointRegistry, serve
 from repro.rpc.errors import EndpointError, PeerUnreachable
 from repro.rpc.policy import RetryPolicy
-from repro.rpc.payload import NodePayload, PayloadPlane
 
 __all__ = [
     "ENDPOINTS",
@@ -34,10 +35,7 @@ __all__ = [
     "EndpointError",
     "EndpointRegistry",
     "LookupCache",
-    "NodePayload",
-    "PayloadPlane",
     "PeerUnreachable",
-    "PiggybackBatcher",
     "RetryPolicy",
     "RpcClient",
     "serve",

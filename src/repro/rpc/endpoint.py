@@ -134,20 +134,10 @@ def serve(
     ``fn`` receives the request :class:`Message` and returns the reply
     payload dict (sent back as the endpoint's reply type) or None to
     withhold the reply (the caller's deadline machinery then governs).
-    One-way endpoints never reply; ``fn``'s return value is ignored.
+    The node's dispatch sends the reply itself (``Node.on``'s ``reply``),
+    so no wrapper frame sits between a request and ``fn``.  One-way
+    endpoints never reply: their ``fn`` is a plain handler.
     """
     endpoint = ENDPOINTS.get(name)
-
-    if endpoint.reply is None:
-        def handler(msg: Message) -> None:
-            fn(msg)
-    else:
-        reply, reply_type = node.reply, endpoint.reply
-
-        def handler(msg: Message) -> None:
-            out = fn(msg)
-            if out is not None:
-                reply(msg, reply_type, out)
-
-    node.on(endpoint.request, handler)
+    node.on(endpoint.request, fn, reply=endpoint.reply)
     return endpoint

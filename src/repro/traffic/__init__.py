@@ -8,22 +8,13 @@ Poisson arrivals and ties them together (:mod:`~repro.traffic.engine`).
 Enabled per-run via :class:`repro.core.config.ArrivalConfig`; with
 ``enabled=False`` (the default) the closed-loop path is byte-identical
 to before this package existed.
+
+Only :class:`~repro.traffic.engine.OpenLoopExecutor` is re-exported: the
+other three modules load when an executor builds their objects, so a
+closed-loop run that imports the engine never loads them.  Import their
+names from their modules.
 """
 
-from repro.traffic.admission import AdmissionQueue
 from repro.traffic.engine import OpenLoopExecutor
-from repro.traffic.popularity import PopularityModel
-from repro.traffic.stability import (
-    StabilityMonitor,
-    max_sustainable_rate,
-    stability_verdict,
-)
 
-__all__ = [
-    "AdmissionQueue",
-    "OpenLoopExecutor",
-    "PopularityModel",
-    "StabilityMonitor",
-    "max_sustainable_rate",
-    "stability_verdict",
-]
+__all__ = ["OpenLoopExecutor"]

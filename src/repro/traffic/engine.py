@@ -29,14 +29,17 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 from repro.core.api import run_root
 from repro.dstm.errors import AbortReason, TransactionAborted
 from repro.sim.monitor import Tally
-from repro.traffic.admission import AdmissionQueue
-from repro.traffic.popularity import PopularityModel
-from repro.traffic.stability import StabilityMonitor, stability_verdict
 
+# The arrival plane's modules (admission, popularity, stability) load in
+# the methods that build their objects: a closed-loop cell imports this
+# module and never those (DESIGN.md, "The import rule").
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cluster import Cluster
     from repro.core.config import ArrivalConfig
     from repro.core.metrics import MetricsCollector
+    from repro.traffic.admission import AdmissionQueue
+    from repro.traffic.popularity import PopularityModel
+    from repro.traffic.stability import StabilityMonitor
     from repro.workloads.base import Workload
 
 __all__ = ["OpenLoopExecutor"]
@@ -68,12 +71,14 @@ class OpenLoopExecutor:
         self.horizon = float(horizon)
         self.max_attempts_per_tx = max_attempts_per_tx
 
-        self.popularity: Optional[PopularityModel] = None
+        self.popularity: Optional["PopularityModel"] = None
         if arrival.zipf_s > 0:
+            from repro.traffic.popularity import PopularityModel
+
             self.popularity = PopularityModel(s=arrival.zipf_s)
 
-        self.queues: List[AdmissionQueue] = []
-        self.monitor: Optional[StabilityMonitor] = None
+        self.queues: List["AdmissionQueue"] = []
+        self.monitor: Optional["StabilityMonitor"] = None
         self.abandoned = 0
         self.backlog = 0
         #: arrival→commit sojourn latency (queueing included)
@@ -149,6 +154,9 @@ class OpenLoopExecutor:
 
     def run(self) -> "OpenLoopExecutor":
         """Arrivals for ``horizon`` seconds, then drain in-flight work."""
+        from repro.traffic.admission import AdmissionQueue
+        from repro.traffic.stability import StabilityMonitor
+
         cluster = self.cluster
         env = cluster.env
         self._t_end = env.now + self.horizon
@@ -208,6 +216,8 @@ class OpenLoopExecutor:
 
     def traffic_summary(self) -> Dict[str, Any]:
         """Open-loop extras for :class:`~repro.core.experiment.ExperimentResult`."""
+        from repro.traffic.stability import stability_verdict
+
         offered = self.offered
         shed = self.shed
         shed_rate = shed / offered if offered else 0.0

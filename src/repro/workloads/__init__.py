@@ -12,25 +12,18 @@ Each workload allocates "five to ten shared objects at each node" (§IV-A)
 scaled by node count, issues write transactions structured as a parent
 with closed-nested children, and exposes the low/high-contention read
 mixes (90% / 10% read transactions).
+
+The package re-exports the interface (:class:`Op`, :class:`Workload`)
+and the registry (:data:`WORKLOADS`, :func:`make_workload`), not the six
+classes: :func:`make_workload` imports only the module of the workload
+it builds.  Import a class from its module.
 """
 
 from repro.workloads.base import Op, Workload
-from repro.workloads.bank import BankWorkload
-from repro.workloads.bst import BstWorkload
-from repro.workloads.dht import DhtWorkload
-from repro.workloads.linkedlist import LinkedListWorkload
-from repro.workloads.rbtree import RbTreeWorkload
 from repro.workloads.registry import WORKLOADS, make_workload
-from repro.workloads.vacation import VacationWorkload
 
 __all__ = [
-    "BankWorkload",
-    "BstWorkload",
-    "DhtWorkload",
-    "LinkedListWorkload",
     "Op",
-    "RbTreeWorkload",
-    "VacationWorkload",
     "WORKLOADS",
     "Workload",
     "make_workload",

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cluster import Cluster
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.cluster import Cluster
 
 __all__ = ["Op", "Workload"]
 

@@ -1,50 +1,41 @@
-"""Workload registry: name -> constructor (the six paper benchmarks)."""
+"""Workload registry: short name -> the paper benchmark that builds it.
+
+A name maps to its class's module and attribute, and
+:func:`make_workload` imports the module when it builds the workload, so
+a run loads only the workload it builds (the ``_LAZY`` idiom of
+``repro/__init__.py``).
+"""
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+import importlib
+from typing import TYPE_CHECKING, Any, Dict, Tuple
 
-from repro.workloads.base import Workload
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workloads.base import Workload
 
-__all__ = ["WORKLOADS", "make_workload", "register"]
+__all__ = ["WORKLOADS", "make_workload"]
 
-WORKLOADS: Dict[str, Callable[..., Workload]] = {}
+#: short name -> (module, class); two benchmarks answer to a second name
+WORKLOADS: Dict[str, Tuple[str, str]] = {
+    "bank": ("repro.workloads.bank", "BankWorkload"),
+    "vacation": ("repro.workloads.vacation", "VacationWorkload"),
+    "ll": ("repro.workloads.linkedlist", "LinkedListWorkload"),
+    "linkedlist": ("repro.workloads.linkedlist", "LinkedListWorkload"),
+    "bst": ("repro.workloads.bst", "BstWorkload"),
+    "rbtree": ("repro.workloads.rbtree", "RbTreeWorkload"),
+    "rb": ("repro.workloads.rbtree", "RbTreeWorkload"),
+    "dht": ("repro.workloads.dht", "DhtWorkload"),
+}
 
 
-def register(name: str, factory: Callable[..., Workload]) -> None:
-    if name in WORKLOADS:
-        raise ValueError(f"workload {name!r} already registered")
-    WORKLOADS[name] = factory
-
-
-def make_workload(name: str, **kwargs: Any) -> Workload:
+def make_workload(name: str, **kwargs: Any) -> "Workload":
     """Build a workload by short name ('bank', 'vacation', 'll', ...)."""
     try:
-        factory = WORKLOADS[name.lower()]
+        module_name, attr = WORKLOADS[name.lower()]
     except KeyError:
         raise ValueError(
             f"unknown workload {name!r}; available: {sorted(WORKLOADS)}"
         ) from None
+    factory = getattr(importlib.import_module(module_name), attr)
     return factory(**kwargs)
-
-
-def _populate() -> None:
-    # Imports deferred to avoid circular imports at package-load time.
-    from repro.workloads.bank import BankWorkload
-    from repro.workloads.bst import BstWorkload
-    from repro.workloads.dht import DhtWorkload
-    from repro.workloads.linkedlist import LinkedListWorkload
-    from repro.workloads.rbtree import RbTreeWorkload
-    from repro.workloads.vacation import VacationWorkload
-
-    register("bank", BankWorkload)
-    register("vacation", VacationWorkload)
-    register("ll", LinkedListWorkload)
-    register("linkedlist", LinkedListWorkload)
-    register("bst", BstWorkload)
-    register("rbtree", RbTreeWorkload)
-    register("rb", RbTreeWorkload)
-    register("dht", DhtWorkload)
-
-
-_populate()

@@ -71,7 +71,22 @@ before → after:
 * under ``REPRO_SANITIZE=1``: 130.0 / 231.965 / 282.96 → 129.0 /
   225.98 / 273.98
 
-so the gates are 136 / 228 / 281, about 10 % above the new figures.
+so the gates were 136 / 228 / 281, about 10 % above the new figures.
+
+Measured again later, the same roots took 123.0 / 208.98 / 256.98
+(129.0 / 227.98 / 275.98 sanitized).  Then a served endpoint's reply was
+sent by the node's dispatch (no ``handler`` closure, no ``Node.reply``)
+and a service period matched a reply to its waiter inline (no
+``Node._dispatch`` frame for a reply).  By package, read / write /
+nested, before → after:
+
+* ``net``: 30.0 / 62.99 / 76.99 → 27.0 / 57.99 / 69.99
+* ``rpc``: 12.0 / 22.0 / 28.0 → 11.0 / 20.0 / 25.0
+* total: **123.0 / 208.98 / 256.98 → 119.0 / 201.98 / 246.98**
+* under ``REPRO_SANITIZE=1``: 129.0 / 227.98 / 275.98 → 125.0 /
+  220.98 / 265.98
+
+so the gates are 131 / 222 / 272, about 10 % above the new figures.
 """
 
 import gc
@@ -88,11 +103,11 @@ SRC = Path(repro.__file__).resolve().parent
 ROOTS = 200
 OID = "x0"
 #: frames per committed single-read root
-READ_BUDGET = 136
+READ_BUDGET = 131
 #: frames per committed read-then-write root
-WRITE_BUDGET = 228
+WRITE_BUDGET = 222
 #: frames per committed root whose closed-nested child reads then writes
-NESTED_BUDGET = 281
+NESTED_BUDGET = 272
 
 
 def read_body(tx, oid):

@@ -5,7 +5,7 @@ import pytest
 from repro.core import ClusterConfig, SchedulerKind
 from repro.core.experiment import run_experiment
 from repro.net import Message, MessageType, Network, Node, Topology
-from repro.rpc import PiggybackBatcher
+from repro.rpc.batch import PiggybackBatcher
 from repro.sim import RngRegistry
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Environment
-from repro.traffic import AdmissionQueue
+from repro.traffic.admission import AdmissionQueue
 
 
 @pytest.fixture

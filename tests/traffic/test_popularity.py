@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from repro.sim import RngRegistry
-from repro.traffic import PopularityModel
-from repro.traffic.popularity import zipf_draw
+from repro.traffic.popularity import PopularityModel, zipf_draw
 
 
 def _rng(seed=11):

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.sim import Environment
-from repro.traffic import (
-    AdmissionQueue,
+from repro.traffic.admission import AdmissionQueue
+from repro.traffic.stability import (
     StabilityMonitor,
     max_sustainable_rate,
     stability_verdict,
