@@ -30,11 +30,12 @@ windows never overlap one another; they may overlap partitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.config import FaultConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.rng import Stream
 
 __all__ = ["CrashWindow", "FaultPlan", "MessageFate", "PartitionWindow"]
 
@@ -88,7 +89,7 @@ class FaultPlan:
     def __init__(
         self,
         config: FaultConfig,
-        rng: np.random.Generator,
+        rng: Stream,
         num_nodes: int,
     ) -> None:
         self.config = config
@@ -101,7 +102,7 @@ class FaultPlan:
 
     # -- schedule generation --------------------------------------------
 
-    def _gen_crashes(self, rng: np.random.Generator) -> List[CrashWindow]:
+    def _gen_crashes(self, rng: Stream) -> List[CrashWindow]:
         cfg = self.config
         windows: List[CrashWindow] = []
         if cfg.crash_rate <= 0.0 or self.num_nodes < 2:
@@ -117,7 +118,7 @@ class FaultPlan:
             t += duration
         return windows
 
-    def _gen_partitions(self, rng: np.random.Generator) -> List[PartitionWindow]:
+    def _gen_partitions(self, rng: Stream) -> List[PartitionWindow]:
         cfg = self.config
         windows: List[PartitionWindow] = []
         if cfg.partition_rate <= 0.0 or self.num_nodes < 3:
@@ -130,7 +131,7 @@ class FaultPlan:
                 break
             size = int(rng.integers(1, max_group + 1))
             group = tuple(
-                sorted(rng.choice(self.num_nodes, size=size, replace=False).tolist())
+                sorted(int(i) for i in rng.choice(self.num_nodes, size=size, replace=False))
             )
             duration = cfg.partition_duration * float(rng.uniform(0.5, 1.5))
             windows.append(PartitionWindow(group, t, t + duration))

@@ -13,9 +13,10 @@ model two clocks per node:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.rng import Stream
 
 __all__ = ["NodeClock"]
 
@@ -28,7 +29,7 @@ class NodeClock:
     def __init__(
         self,
         node_id: int,
-        rng: Optional[np.random.Generator] = None,
+        rng: Optional[Stream] = None,
         max_skew: float = 0.5,
         max_drift: float = 1e-4,
     ) -> None:

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.dstm.errors import AbortReason
 from repro.dstm.transaction import Transaction
 from repro.scheduler.base import ConflictContext, ConflictDecision, SchedulerPolicy
+from repro.sim.rng import Generator, Stream
 
 __all__ = ["BackoffScheduler"]
 
@@ -32,9 +31,10 @@ class BackoffScheduler(SchedulerPolicy):
 
     name = "tfa-backoff"
 
-    def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, rng: Optional[Stream] = None) -> None:
         super().__init__()
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        # ``Generator(0)`` draws what ``numpy.random.default_rng(0)`` draws
+        self._rng: Stream = rng if rng is not None else Generator(0)
 
     def on_conflict(self, ctx: ConflictContext) -> ConflictDecision:
         return ConflictDecision.abort(cause="baseline")

@@ -40,9 +40,12 @@ import bisect
 import functools
 import itertools
 import math
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.rng import Stream
 
 __all__ = ["PopularityModel", "zipf_draw"]
 
@@ -73,12 +76,12 @@ def _table(n: int, s: float) -> Tuple[List[float], List[float], int]:
 
 
 def zipf_draw(
-    rng: np.random.Generator, n: int, s: float, size: int, replace: bool
+    rng: Stream, n: int, s: float, size: int, replace: bool
 ) -> List[int]:
     """``size`` ranks from [0, n) with weight ``1/(r+1)^s`` — what
     ``rng.choice(n, size, replace, p=weights)`` returns, as a list."""
     if s == 0:
-        return rng.choice(n, size, replace=replace).tolist()
+        return [int(i) for i in rng.choice(n, size, replace=replace)]
     weights, cdf, positive = _table(n, float(s))
     bisect_right = bisect.bisect_right
     found: List[int] = []
@@ -117,7 +120,7 @@ class PopularityModel:
 
     def pick_many(
         self,
-        rng: np.random.Generator,
+        rng: Stream,
         n: int,
         size: int,
         replace: bool = True,
@@ -127,7 +130,7 @@ class PopularityModel:
             raise ValueError(f"need n >= 1, got {n}")
         return zipf_draw(rng, n, self.s, size, replace)
 
-    def pick(self, rng: np.random.Generator, n: int) -> int:
+    def pick(self, rng: Stream, n: int) -> int:
         """Draw one object index from [0, n)."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")

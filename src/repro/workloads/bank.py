@@ -20,13 +20,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, List, Optional
 
-import numpy as np
-
 from repro.core.cluster import Cluster
 from repro.workloads.base import Op, Workload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.api import TransactionHandle
+    from repro.sim.rng import Stream
 
 __all__ = ["BankWorkload"]
 
@@ -90,7 +89,7 @@ class BankWorkload(Workload):
 
     # ------------------------------------------------------------------
 
-    def create_objects(self, cluster: Cluster, rng: np.random.Generator) -> None:
+    def create_objects(self, cluster: Cluster, rng: Stream) -> None:
         for node in range(cluster.num_nodes):
             for i in range(self.accounts_per_node):
                 oid = f"bank/acct{node}_{i}"
@@ -102,7 +101,7 @@ class BankWorkload(Workload):
 
     # ------------------------------------------------------------------
 
-    def make_write_op(self, node: int, rng: np.random.Generator) -> Op:
+    def make_write_op(self, node: int, rng: Stream) -> Op:
         num_legs = min(int(rng.integers(1, self.max_legs + 1)), len(self.accounts) // 2)
         picks = self.pick_indices(rng, len(self.accounts), 2 * num_legs, replace=False)
         legs = [
@@ -120,7 +119,7 @@ class BankWorkload(Workload):
             is_read=False,
         )
 
-    def make_read_op(self, node: int, rng: np.random.Generator) -> Op:
+    def make_read_op(self, node: int, rng: Stream) -> Op:
         k = min(self.balance_sample, len(self.accounts))
         sample = [
             self.accounts[i]

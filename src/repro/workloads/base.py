@@ -12,16 +12,15 @@ import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cluster import Cluster
+    from repro.sim.rng import Stream
 
 __all__ = ["Op", "Workload"]
 
 
 def zipf_choice(
-    rng: np.random.Generator, n: int, s: float, size: int = 1,
+    rng: Stream, n: int, s: float, size: int = 1,
     replace: bool = True,
 ) -> List[int]:
     """Draw indices from a bounded Zipf(s) distribution over [0, n).
@@ -78,7 +77,7 @@ class Workload(abc.ABC):
     # -- object selection (popularity-aware) ----------------------------
 
     def pick_indices(
-        self, rng: np.random.Generator, n: int, size: int, replace: bool = True
+        self, rng: Stream, n: int, size: int, replace: bool = True
     ) -> Sequence[int]:
         """Draw ``size`` object indices from [0, n).
 
@@ -90,7 +89,7 @@ class Workload(abc.ABC):
             return rng.choice(n, size, replace=replace)
         return self.popularity.pick_many(rng, n, size, replace=replace)
 
-    def pick_key(self, rng: np.random.Generator, n: int) -> int:
+    def pick_key(self, rng: Stream, n: int) -> int:
         """Draw one key from [0, n) (uniform unless popularity-skewed)."""
         if self.popularity is None:
             return int(rng.integers(0, n))
@@ -99,26 +98,26 @@ class Workload(abc.ABC):
     # ------------------------------------------------------------------
 
     @abc.abstractmethod
-    def create_objects(self, cluster: Cluster, rng: np.random.Generator) -> None:
+    def create_objects(self, cluster: Cluster, rng: Stream) -> None:
         """Allocate the shared objects (called once)."""
 
     @abc.abstractmethod
-    def make_read_op(self, node: int, rng: np.random.Generator) -> Op:
+    def make_read_op(self, node: int, rng: Stream) -> Op:
         """Draw a read-only transaction."""
 
     @abc.abstractmethod
-    def make_write_op(self, node: int, rng: np.random.Generator) -> Op:
+    def make_write_op(self, node: int, rng: Stream) -> Op:
         """Draw a write transaction (parent + closed-nested children)."""
 
     # ------------------------------------------------------------------
 
-    def setup(self, cluster: Cluster, rng: np.random.Generator) -> None:
+    def setup(self, cluster: Cluster, rng: Stream) -> None:
         if self._setup_done:
             raise RuntimeError(f"workload {self.name} set up twice")
         self.create_objects(cluster, rng)
         self._setup_done = True
 
-    def make_op(self, node: int, rng: np.random.Generator) -> Op:
+    def make_op(self, node: int, rng: Stream) -> Op:
         """Draw from the read/write mix."""
         if not self._setup_done:
             raise RuntimeError(f"workload {self.name} used before setup()")

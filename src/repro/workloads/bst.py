@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.cluster import Cluster
 from repro.workloads.base import Op, Workload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.api import TransactionHandle
+    from repro.sim.rng import Stream
 
 __all__ = ["BstWorkload"]
 
@@ -147,7 +146,7 @@ class BstWorkload(Workload):
         self.initial_fill = initial_fill
         self.prefix = "bst"
 
-    def create_objects(self, cluster: Cluster, rng: np.random.Generator) -> None:
+    def create_objects(self, cluster: Cluster, rng: Stream) -> None:
         members = [
             int(k) for k in rng.choice(
                 self.key_space,
@@ -189,14 +188,14 @@ class BstWorkload(Workload):
 
     # ------------------------------------------------------------------
 
-    def _key(self, rng: np.random.Generator) -> int:
+    def _key(self, rng: Stream) -> int:
         return self.pick_key(rng, self.key_space)
 
-    def make_write_op(self, node: int, rng: np.random.Generator) -> Op:
+    def make_write_op(self, node: int, rng: Stream) -> Op:
         key = self._key(rng)
         if rng.random() < 0.5:
             return Op(bst_add, (self.prefix, key), "bst.add", is_read=False)
         return Op(bst_remove, (self.prefix, key), "bst.remove", is_read=False)
 
-    def make_read_op(self, node: int, rng: np.random.Generator) -> Op:
+    def make_read_op(self, node: int, rng: Stream) -> Op:
         return Op(bst_contains, (self.prefix, self._key(rng)), "bst.contains", is_read=True)

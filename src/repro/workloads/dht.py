@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.cluster import Cluster
 from repro.workloads.base import Op, Workload, zipf_choice
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.api import TransactionHandle
+    from repro.sim.rng import Stream
 
 __all__ = ["DhtWorkload"]
 
@@ -100,7 +99,7 @@ class DhtWorkload(Workload):
         self.skew = float(skew)
         self.buckets: List[str] = []
 
-    def create_objects(self, cluster: Cluster, rng: np.random.Generator) -> None:
+    def create_objects(self, cluster: Cluster, rng: Stream) -> None:
         for node in range(cluster.num_nodes):
             for i in range(self.buckets_per_node):
                 oid = f"dht/bucket{node}_{i}"
@@ -113,7 +112,7 @@ class DhtWorkload(Workload):
 
     # ------------------------------------------------------------------
 
-    def _draw(self, rng: np.random.Generator, n: int) -> List[str]:
+    def _draw(self, rng: Stream, n: int) -> List[str]:
         size = min(n, len(self.buckets))
         if self.popularity is not None:
             # Open-loop runs: the traffic plane's popularity replaces the
@@ -127,10 +126,10 @@ class DhtWorkload(Workload):
             )
         return [self.buckets[i] for i in idx]
 
-    def _key(self, rng: np.random.Generator) -> str:
+    def _key(self, rng: Stream) -> str:
         return f"k{int(rng.integers(0, self.keys_per_bucket))}"
 
-    def make_write_op(self, node: int, rng: np.random.Generator) -> Op:
+    def make_write_op(self, node: int, rng: Stream) -> Op:
         n = 2 if rng.random() < self.multi_key_prob else 1
         if rng.random() < 0.8:
             puts = [(b, self._key(rng), int(rng.integers(0, 1000))) for b in self._draw(rng, n)]
@@ -138,7 +137,7 @@ class DhtWorkload(Workload):
         removals = [(b, self._key(rng)) for b in self._draw(rng, n)]
         return Op(remove_multi, (removals,), "dht.remove_multi", is_read=False)
 
-    def make_read_op(self, node: int, rng: np.random.Generator) -> Op:
+    def make_read_op(self, node: int, rng: Stream) -> Op:
         n = 2 if rng.random() < self.multi_key_prob else 1
         lookups = [(b, self._key(rng)) for b in self._draw(rng, n)]
         return Op(get_multi, (lookups,), "dht.get_multi", is_read=True)

@@ -24,13 +24,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.cluster import Cluster
 from repro.workloads.base import Op, Workload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.api import TransactionHandle
+    from repro.sim.rng import Stream
 
 __all__ = ["LinkedListWorkload"]
 
@@ -122,7 +121,7 @@ class LinkedListWorkload(Workload):
         #: initial membership per prefix (oracle tests replay from this)
         self.initial_members: dict[str, List[int]] = {}
 
-    def create_objects(self, cluster: Cluster, rng: np.random.Generator) -> None:
+    def create_objects(self, cluster: Cluster, rng: Stream) -> None:
         for li in range(self.lists_per_cluster):
             prefix = f"ll{li}"
             self.prefixes.append(prefix)
@@ -145,17 +144,17 @@ class LinkedListWorkload(Workload):
 
     # ------------------------------------------------------------------
 
-    def _pick(self, rng: np.random.Generator) -> Tuple[str, int]:
+    def _pick(self, rng: Stream) -> Tuple[str, int]:
         prefix = self.prefixes[self.pick_key(rng, len(self.prefixes))]
         key = self.pick_key(rng, self.key_space)
         return prefix, key
 
-    def make_write_op(self, node: int, rng: np.random.Generator) -> Op:
+    def make_write_op(self, node: int, rng: Stream) -> Op:
         prefix, key = self._pick(rng)
         if rng.random() < 0.5:
             return Op(ll_add, (prefix, key), "ll.add", is_read=False)
         return Op(ll_remove, (prefix, key), "ll.remove", is_read=False)
 
-    def make_read_op(self, node: int, rng: np.random.Generator) -> Op:
+    def make_read_op(self, node: int, rng: Stream) -> Op:
         prefix, key = self._pick(rng)
         return Op(ll_contains, (prefix, key), "ll.contains", is_read=True)

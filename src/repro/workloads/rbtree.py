@@ -25,13 +25,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional, Tuple
 
-import numpy as np
-
 from repro.core.cluster import Cluster
 from repro.workloads.base import Op, Workload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.api import TransactionHandle
+    from repro.sim.rng import Stream
 
 __all__ = ["RbTreeWorkload"]
 
@@ -216,7 +215,7 @@ class RbTreeWorkload(Workload):
         self.initial_fill = initial_fill
         self.prefix = "rb"
 
-    def create_objects(self, cluster: Cluster, rng: np.random.Generator) -> None:
+    def create_objects(self, cluster: Cluster, rng: Stream) -> None:
         """Materialise an initial tree built with the same functional
         insert (run in plain Python against a dict)."""
         nodes: dict[int, NodeVal] = {}
@@ -299,14 +298,14 @@ class RbTreeWorkload(Workload):
 
     # ------------------------------------------------------------------
 
-    def _key(self, rng: np.random.Generator) -> int:
+    def _key(self, rng: Stream) -> int:
         return self.pick_key(rng, self.key_space)
 
-    def make_write_op(self, node: int, rng: np.random.Generator) -> Op:
+    def make_write_op(self, node: int, rng: Stream) -> Op:
         key = self._key(rng)
         if rng.random() < 0.5:
             return Op(rb_add, (self.prefix, key), "rb.add", is_read=False)
         return Op(rb_remove, (self.prefix, key), "rb.remove", is_read=False)
 
-    def make_read_op(self, node: int, rng: np.random.Generator) -> Op:
+    def make_read_op(self, node: int, rng: Stream) -> Op:
         return Op(rb_contains, (self.prefix, self._key(rng)), "rb.contains", is_read=True)

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.cluster import Cluster
 from repro.workloads.base import Op, Workload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.api import TransactionHandle
+    from repro.sim.rng import Stream
 
 __all__ = ["VacationWorkload"]
 
@@ -135,7 +134,7 @@ class VacationWorkload(Workload):
         self.resources: dict[str, List[str]] = {kind: [] for kind in RESOURCE_KINDS}
         self.customers: List[str] = []
 
-    def create_objects(self, cluster: Cluster, rng: np.random.Generator) -> None:
+    def create_objects(self, cluster: Cluster, rng: Stream) -> None:
         for node in range(cluster.num_nodes):
             for kind in RESOURCE_KINDS:
                 for i in range(self.rows_per_kind_per_node):
@@ -153,14 +152,14 @@ class VacationWorkload(Workload):
 
     # ------------------------------------------------------------------
 
-    def _pick_resources(self, rng: np.random.Generator) -> List[str]:
+    def _pick_resources(self, rng: Stream) -> List[str]:
         picks = []
         for kind in RESOURCE_KINDS:
             rows = self.resources[kind]
             picks.append(rows[self.pick_key(rng, len(rows))])
         return picks
 
-    def make_write_op(self, node: int, rng: np.random.Generator) -> Op:
+    def make_write_op(self, node: int, rng: Stream) -> Op:
         customer = self.customers[self.pick_key(rng, len(self.customers))]
         if rng.random() < 0.75:
             return Op(
@@ -171,7 +170,7 @@ class VacationWorkload(Workload):
             )
         return Op(cancel_customer, (customer,), "vacation.cancel", is_read=False)
 
-    def make_read_op(self, node: int, rng: np.random.Generator) -> Op:
+    def make_read_op(self, node: int, rng: Stream) -> Op:
         all_rows = [oid for rows in self.resources.values() for oid in rows]
         k = min(self.query_size, len(all_rows))
         idx = self.pick_indices(rng, len(all_rows), k, replace=False)

@@ -6,8 +6,12 @@ every cell) must not load the fault plane, the correctness tooling, the
 observability and profiling packages, the payload plane, the batcher,
 the experiment harness, the arrival plane's helpers, or a workload it
 did not build: each is one more module a ``setup_s`` probe compiles.
-Each opt-in setting, in turn, must load its plane.  Every case runs in
-its own interpreter, since a module once loaded stays in ``sys.modules``.
+Nor may it load numpy, built *and* run (a worker's stream is created at
+its first resume): its streams are ``repro.sim.rng``'s pure-Python
+replica, which hands a stream to numpy only for a draw it does not
+replicate.  Each opt-in setting, in turn, must load its plane.  Every
+case runs in its own interpreter, since a module once loaded stays in
+``sys.modules``.
 """
 
 import json
@@ -48,17 +52,23 @@ from repro.core.executor import WorkloadExecutor
 from repro.workloads.registry import make_workload
 
 cluster = Cluster(ClusterConfig(num_nodes=4, seed=1, **{config!r}))
-executor = WorkloadExecutor(
-    cluster, make_workload({workload!r}), workers_per_node=1, horizon=0.1
-)
+workload = make_workload({workload!r})
+if cluster.config.arrival.enabled:
+    executor = repro.traffic.engine.OpenLoopExecutor(
+        cluster, workload, cluster.config.arrival, service_workers=1, horizon=0.1
+    )
+else:
+    executor = WorkloadExecutor(cluster, workload, workers_per_node=1, horizon=0.1)
 executor.setup()
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro"))))
+executor.run()
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro") or m == "numpy")))
 """
 
 
 def loaded_modules(workload="bank", config=None, sanitize_env=None):
-    """The ``repro`` modules a fresh interpreter holds after building one
-    cell; ``sanitize_env`` is REPRO_SANITIZE's value (unset when None)."""
+    """The ``repro`` modules (and ``numpy``, if loaded) a fresh interpreter
+    holds after building one cell and running it for 0.1 sim-s;
+    ``sanitize_env`` is REPRO_SANITIZE's value (unset when None)."""
     env = {k: v for k, v in os.environ.items() if k != "REPRO_SANITIZE"}
     env["PYTHONPATH"] = SRC
     if sanitize_env is not None:
@@ -81,6 +91,7 @@ def test_default_cell_loads_no_optional_plane(workload):
     modules = loaded_modules(workload)
     leaked = {p: under(modules, p) for p in NEVER if under(modules, p)}
     assert not leaked, leaked
+    assert "numpy" not in modules
     built = WORKLOADS[workload][0]
     assert built in modules
     unbuilt = {m for m, _ in WORKLOADS.values()} - {built}
@@ -104,6 +115,21 @@ def test_default_cell_loads_no_optional_plane(workload):
 )
 def test_each_opt_in_setting_loads_its_plane(config, sanitize_env, plane):
     assert plane in loaded_modules(config=config, sanitize_env=sanitize_env)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # a crash schedule's gaps are ``exponential`` draws: the stream
+        # hands off to numpy as the plan is built
+        dict(faults=dict(enabled=True, crash_rate=0.5)),
+        # so are Poisson inter-arrival times, at each arrival's first resume
+        dict(arrival=dict(enabled=True)),
+    ],
+    ids=["faults", "arrival"],
+)
+def test_a_plane_that_draws_beyond_the_replica_loads_numpy(config):
+    assert "numpy" in loaded_modules(config=config)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

@@ -81,3 +81,34 @@ class TestQueries:
 
     def test_repr(self):
         assert "n=10" in repr(make_topology())
+
+
+class TestMatchesNumpy:
+    """The rows and the mean are built in plain Python; they must equal
+    numpy's vectorised formula bit for bit (numpy is the reference: a
+    failure after a numpy upgrade means its float kernels moved)."""
+
+    @staticmethod
+    def numpy_delays(topo):
+        pos = topo.positions
+        diff = pos[:, None, :] - pos[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=-1))
+        peak = dist.max()
+        scaled = np.zeros_like(dist) if peak <= 0.0 else dist / peak
+        delays = topo.min_delay + scaled * (topo.max_delay - topo.min_delay)
+        np.fill_diagonal(delays, 0.0)
+        return delays
+
+    def test_positions_are_the_streams_uniform_draws(self):
+        topo = make_topology(n=9, seed=5)
+        want = RngRegistry(seed=5).stream("topology").uniform(0.0, 1.0, size=(9, 2))
+        np.testing.assert_array_equal(topo.positions, np.asarray(want).reshape(9, 2))
+
+    def test_rows_and_mean_equal_numpy_for_every_size_to_130(self):
+        for n in range(1, 131):
+            topo = make_topology(n=n, seed=n)
+            delays = self.numpy_delays(topo)
+            assert topo.delay_rows == delays.tolist(), n
+            # numpy's pairwise summation, not a sequential sum
+            want = float(delays.sum() / (n * (n - 1))) if n >= 2 else 0.0
+            assert topo.mean_delay() == want, n
