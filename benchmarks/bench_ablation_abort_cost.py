@@ -4,7 +4,7 @@ The simulator charges aborts their re-communication plus a configurable
 framework rollback cost (``abort_overhead``).  This sweep documents how
 the scheduler comparison depends on that cost — the key fidelity
 parameter separating a pure protocol model from the paper's Java/HyFlow
-testbed (see EXPERIMENTS.md, "What does not reproduce").
+testbed (see EXPERIMENTS.md, "Figure 6 — speedup summary").
 """
 
 import pytest

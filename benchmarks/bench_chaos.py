@@ -89,15 +89,17 @@ def run_chaos_cell(scheduler, drop_rate, seed=1, read_fraction=0.5,
 
 
 def run_reproducer(seed, sanitize=False, horizon=REPRO_HORIZON,
-                   crash_rate=REPRO_CRASH_RATE):
+                   crash_rate=REPRO_CRASH_RATE, **fault_overrides):
     """Run the chaos reproducer to ``horizon``; returns the cluster and
-    the bank workload."""
+    the bank workload.  ``fault_overrides`` are further FaultConfig
+    fields (``partition_duration=3.0``)."""
     cluster = Cluster(ClusterConfig(
         num_nodes=REPRO_NODES, seed=seed, scheduler="rts", cl_threshold=4,
         check=dict(sanitize=sanitize),
         faults=chaos_faults(
             0.05, crash_rate=crash_rate, crash_duration=0.5,
             partition_rate=0.1, schedule_horizon=REPRO_HORIZON,
+            **fault_overrides,
         ),
     ))
     workload = make_workload("bank", read_fraction=0.5)

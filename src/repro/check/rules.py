@@ -135,8 +135,8 @@ INVARIANT_RULES: Dict[str, Rule] = {
         ),
         Rule(
             "inv-cache-coherent",
-            "the lookup cache's internal maps stay consistent and within "
-            "capacity; fenced entries stay dead",
+            "the lookup cache's internal maps stay consistent; fenced "
+            "entries stay dead",
             "location metadata may be stale but never self-contradictory",
             "DESIGN §3d (version-fenced lookup caching)",
         ),

@@ -249,11 +249,6 @@ class Sanitizer:
         self.checks += 1
         owners = cache._owners
         versions = cache._versions
-        if cache.capacity is not None and len(owners) > cache.capacity:
-            raise InvariantViolation(
-                "inv-cache-coherent", "lookup-cache", node=node,
-                entries=len(owners), capacity=cache.capacity,
-            )
         orphaned = [oid for oid in versions if oid not in owners]
         if orphaned:
             raise InvariantViolation(

@@ -28,7 +28,7 @@ from repro.net.clocks import NodeClock
 from repro.net.network import Network
 from repro.net.node import Node
 from repro.net.topology import Topology
-from repro.rpc import LookupCache, RpcClient
+from repro.rpc import LookupCache, RetryPolicy, RpcClient
 from repro.scheduler.backoff import BackoffScheduler
 from repro.scheduler.base import SchedulerPolicy
 from repro.scheduler.rts import RtsScheduler
@@ -45,7 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import LiveFold
     from repro.rpc.batch import PiggybackBatcher
     from repro.rpc.payload import PayloadPlane
-    from repro.rpc.policy import RetryPolicy
 
 __all__ = ["Cluster"]
 
@@ -119,7 +118,7 @@ class Cluster:
         # tests/rpc/test_equivalence.py).  Enabled, the control plane
         # still carries semantic values unchanged; the plane only models
         # bulk bytes (declared sizes, transfer + serialization delay,
-        # lazy proxy-mode resolution).
+        # lazy resolution).
         plc = config.payload
         self.payload_plane: Optional["PayloadPlane"] = None
         if plc.enabled:
@@ -153,17 +152,15 @@ class Cluster:
         fc = config.faults
         self.fault_plan: Optional["FaultPlan"] = None
         self.fault_injector: Optional["FaultInjector"] = None
-        policy: Optional["RetryPolicy"] = None
+        policy: Optional[RetryPolicy] = None
         if fc.enabled:
-            from repro.faults import (
-                FaultInjector, FaultPlan, HomeRecovery, NodeRecovery, RpcPolicy,
-            )
+            from repro.faults import FaultInjector, FaultPlan, HomeRecovery, NodeRecovery
 
             self.fault_plan = FaultPlan(fc, self.rngs.stream("faults"), config.num_nodes)
             self.fault_injector = FaultInjector(
                 self.fault_plan, metrics=self.metrics, tracer=self.tracer
             ).install(self.network)
-            policy = RpcPolicy.from_config(fc)
+            policy = RetryPolicy.from_config(fc)
 
         # Invariant sanitizer (repro.check).  Strictly additive: with the
         # default CheckConfig(sanitize=False) — and REPRO_SANITIZE unset —
@@ -212,7 +209,7 @@ class Cluster:
                 tracer=self.tracer,
                 conflict_scope=config.conflict_scope,
                 rpc_client=rpc_client,
-                cache=LookupCache(fencing=rc.cache, capacity=rc.cache_capacity),
+                cache=LookupCache(fencing=rc.cache),
             )
             if self.sanitizer is not None:
                 self.sanitizer.attach_proxy(node_id, proxy)
@@ -398,7 +395,6 @@ class Cluster:
             "cache_misses": float(misses),
             "cache_hit_rate": hits / probes if probes else 0.0,
             "cache_fences": float(sum(c.fences for c in caches)),
-            "cache_evictions": float(sum(c.evictions for c in caches)),
         }
 
     def rpc_batch_stats(self) -> Dict[str, float]:
@@ -426,9 +422,8 @@ class Cluster:
         return {
             "payload_bytes_on_wire": float(self.network.payload_bytes),
             "control_bytes_on_wire": float(self.network.control_bytes),
-            # bytes riding control-plane grants/hand-offs: full payloads
-            # in eager mode, constant ObjectProxy descriptors in proxy
-            # mode — the flat-vs-linear axis bench_payload plots
+            # bytes riding control-plane grants/hand-offs: constant
+            # ObjectProxy descriptors, whatever the payload size
             "grant_bytes_on_wire": float(
                 self.network.payload_bytes - fetch_bytes
             ),

@@ -186,16 +186,12 @@ class RpcConfig:
     batch_window: float = 0.0
     #: enable version-fenced lookup caching (hint mode when False)
     cache: bool = False
-    #: bound on cached lookup entries per node (None = unbounded)
-    cache_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.batch_window < math.inf:  # an inf window never flushes
             raise ValueError(
                 f"batch_window must be finite and >= 0, got {self.batch_window}"
             )
-        if self.cache_capacity is not None:
-            _check_int("cache_capacity", self.cache_capacity, 1)
 
 
 @dataclass(frozen=True)
@@ -331,35 +327,32 @@ class PayloadConfig:
     bytes-on-wire cost — ``wire / BANDWIDTH + wire * SER_PER_BYTE`` on
     top of the existing link latency, where ``wire`` is the message's
     control envelope (``CONTROL_SIZE``) plus any attached payload bytes;
-    the three constants live in :mod:`repro.rpc.payload`.  Two modes:
+    the three constants live in :mod:`repro.rpc.payload`.
 
-    * ``proxy=False`` (*eager bytes*): object grants, hand-offs and
-      ownership transfers ship the declared payload inline, so protocol
-      traffic scales with object size — today's semantics, now costed.
-    * ``proxy=True`` (*control-plane proxies*, ProxyStore's
-      pass-by-reference model): migrations move only a constant-size
-      ObjectProxy descriptor (the factory node, ``psrc``, beside the
-      version fence); bytes resolve lazily over a ``PAYLOAD_FETCH`` RPC only
-      when the destination actually reads the object, backed by a
-      per-node resolved-bytes cache keyed by the version fences — fence
-      bumps invalidate stale bytes by construction, and validation-only
-      paths commit without ever pulling bytes.
+    Bytes move as *control-plane proxies* (ProxyStore's pass-by-reference
+    model): migrations move only a constant-size ObjectProxy descriptor
+    (the factory node, ``psrc``, beside the version fence); bytes resolve
+    lazily over a ``PAYLOAD_FETCH`` RPC only when the destination
+    actually reads the object, backed by a per-node resolved-bytes cache
+    keyed by the version fences — fence bumps invalidate stale bytes by
+    construction, and validation-only paths commit without ever pulling
+    bytes.
     """
 
     enabled: bool = False
-    #: move ObjectProxy on the control plane + lazy PAYLOAD_FETCH;
-    #: False ships payload bytes inline with grants/hand-offs (eager)
-    proxy: bool = False
+    #: True, the one mode (spelled out by the e2e recipe): grants carry an
+    #: ObjectProxy, bytes resolve by a lazy PAYLOAD_FETCH
+    proxy: bool = True
     #: default declared payload bytes per object (a workload's
     #: ``payload_size`` spec or an ``alloc(payload_size=...)`` overrides)
     size: int = 0
-    #: per-node resolved-bytes cache capacity (objects); None = unbounded
-    cache_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.proxy is not True:
+            raise ValueError(
+                f"proxy must be True, the one payload mode, got {self.proxy!r}"
+            )
         _check_int("size", self.size, 0)
-        if self.cache_capacity is not None:
-            _check_int("cache_capacity", self.cache_capacity, 1)
         _refuse_unless_enabled(self, "payload")
 
 

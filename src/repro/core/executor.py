@@ -35,7 +35,6 @@ class WorkloadExecutor:
         workers_per_node: int = 2,
         horizon: Optional[float] = None,
         stop_after_commits: Optional[int] = None,
-        think_time: float = 0.0,
         max_attempts_per_tx: Optional[int] = 64,
     ) -> None:
         if horizon is None and stop_after_commits is None:
@@ -47,7 +46,6 @@ class WorkloadExecutor:
         self.workers_per_node = workers_per_node
         self.horizon = horizon
         self.stop_after_commits = stop_after_commits
-        self.think_time = float(think_time)
         self.max_attempts_per_tx = max_attempts_per_tx
         self._stop = False
         #: transactions abandoned after max_attempts_per_tx (safety valve;
@@ -102,8 +100,6 @@ class WorkloadExecutor:
                 # transaction burned through max_attempts_per_tx.
                 if abort.reason is not AbortReason.USER_ABORT:
                     self.abandoned += 1
-            if self.think_time > 0:
-                yield self.think_time
 
     # ------------------------------------------------------------------
 

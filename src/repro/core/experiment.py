@@ -201,7 +201,6 @@ def _extra(
     if cluster.payload_plane is not None:
         ps = cluster.payload_stats()
         extra.update(
-            payload_mode="proxy" if cluster.payload_plane.proxy_mode else "eager",
             payload_bytes_on_wire=int(ps["payload_bytes_on_wire"]),
             control_bytes_on_wire=int(ps["control_bytes_on_wire"]),
             grant_bytes_on_wire=int(ps["grant_bytes_on_wire"]),

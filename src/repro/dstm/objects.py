@@ -82,7 +82,7 @@ class VersionedObject:
     holder: str | None = None
     #: payload plane only: node holding the authoritative bytes for the
     #: committed ``version`` (the proxy "factory").  None when the plane
-    #: is off or bytes travel eagerly with the record.
+    #: is off.
     payload_src: int | None = None
 
     def commit_write(self, new_value: Any) -> int:

@@ -83,9 +83,8 @@ class Grant:
         self.owner_clock = owner_clock
         self.local_cl = local_cl
         self.served_by = served_by
-        #: payload plane (proxy mode): node advertised as holding the
-        #: bytes for this version — the ObjectProxy factory.  None when
-        #: the plane is off or bytes rode the grant eagerly.
+        #: payload plane: node advertised as holding the bytes for this
+        #: version — the ObjectProxy factory.  None when the plane is off.
         self.psrc = psrc
 
     def __repr__(self) -> str:
@@ -629,7 +628,7 @@ class TMProxy:
         }
         wire_bytes = 0
         if self.payload is not None:
-            wire_bytes = self.payload.stamp(payload, oid, obj.payload_src)
+            wire_bytes = self.payload.stamp(payload, obj.payload_src)
         if transferred:
             queue = self.queues.pop(oid, None)
             if queue is not None and len(queue):

@@ -128,9 +128,9 @@ class TFAEngine:
         grant = yield from self.proxy.open_object(tx, oid, ObjectMode.READ)
         yield from self.maybe_forward(tx, grant.owner_clock)
         if self.proxy.payload is not None:
-            # Payload plane, proxy mode: the grant carried an ObjectProxy,
-            # and this read is the moment the destination actually touches
-            # the object — resolve the bytes (per-node cache keyed by the
+            # Payload plane: the grant carried an ObjectProxy, and this
+            # read is the moment the destination actually touches the
+            # object — resolve the bytes (per-node cache keyed by the
             # version fence; a miss is one PAYLOAD_FETCH round trip).
             # Repeated reads above never reach here, blind writes and
             # commit-time acquisitions never resolve at all.

@@ -8,9 +8,9 @@ The subsystem has two halves:
   windows, per-message fates); :class:`FaultInjector` installs that plan
   onto a :class:`~repro.net.network.Network`, deciding each message's
   fate at send time and vetoing delivery to crashed nodes;
-* **recovery** — :class:`RpcPolicy` (an alias of
-  :class:`repro.rpc.RetryPolicy`, the stack's single retry/backoff
-  policy object) parameterises the RPC substrate's timeout/retry loop;
+* **recovery** — :class:`repro.rpc.RetryPolicy` (the stack's single
+  retry/backoff policy object) parameterises the RPC substrate's
+  timeout/retry loop;
   :mod:`repro.faults.recovery` holds both sides of bringing a lost copy
   back, which the cluster builds only when ``faults.enabled``: the
   home's side — leases, reclaim, the ``DIR_UPDATE`` fences, orphan
@@ -25,7 +25,7 @@ produce identical fault timelines and therefore bit-identical runs.
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import CrashWindow, FaultPlan, MessageFate, PartitionWindow
-from repro.faults.recovery import HomeRecovery, NodeRecovery, RpcPolicy
+from repro.faults.recovery import HomeRecovery, NodeRecovery
 
 __all__ = [
     "CrashWindow",
@@ -35,5 +35,4 @@ __all__ = [
     "MessageFate",
     "NodeRecovery",
     "PartitionWindow",
-    "RpcPolicy",
 ]

@@ -25,9 +25,8 @@ cluster has none of this code, its handlers or its processes.
   registration or withdraw.
 
 Every call made here is an :class:`repro.rpc.RpcClient` reply signal,
-retried by the one retry path — ``Node.submit``'s resend chain under an
-:class:`RpcPolicy`, the class :class:`repro.rpc.RetryPolicy` re-exported
-under its historic name.
+retried by the one retry path — ``Node.submit``'s resend chain under a
+:class:`repro.rpc.RetryPolicy`.
 """
 from __future__ import annotations
 
@@ -39,15 +38,14 @@ from repro.dstm.objects import ObjectState, VersionedObject, home_node
 from repro.net.message import Message, MessageType
 from repro.rpc.endpoint import ENDPOINTS, serve
 from repro.rpc.errors import PeerUnreachable
-from repro.rpc.policy import RetryPolicy as RpcPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (dstm never imports faults)
     from repro.core.metrics import MetricsCollector
     from repro.dstm.directory import DirectoryShard, DirEntry
     from repro.dstm.proxy import TMProxy
 
-#: tests/rpc/test_policy.py pins the list: one policy class, no second
-__all__ = ["HomeRecovery", "NodeRecovery", "RpcPolicy", "validate_policy"]
+#: tests/rpc/test_policy.py pins the list: no second policy name
+__all__ = ["HomeRecovery", "NodeRecovery", "validate_policy"]
 
 #: withdrawn txids remembered per oid (a bounded ring)
 _TOMBSTONES = 4

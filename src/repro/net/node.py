@@ -253,9 +253,9 @@ class Node:
         """Fire-and-forget send; returns the message (for its id).
 
         ``wire_bytes`` declares payload-plane bytes riding the message
-        (object bodies, eager grants); the network's optional cost model
-        charges them, so they must be set here — before dispatch — not
-        patched onto the message afterwards.
+        (object bodies, ObjectProxy descriptors); the network's optional
+        cost model charges them, so they must be set here — before
+        dispatch — not patched onto the message afterwards.
         """
         msg = Message(
             mtype, self.node_id, dst, payload or {},

@@ -117,7 +117,7 @@ def summarize(
     # key's absence keeps closed-loop summaries byte-identical.
     if series.traffic:
         summary["traffic"] = series.traffic_summary()
-    # Present only for proxy-mode payload runs (payload.fetch events).
+    # Present only for payload-plane runs (payload.fetch events).
     if series.payload:
         summary["payload"] = series.payload_summary()
     # Latency anatomy + wasted work (repro.prof) — present whenever the

@@ -106,7 +106,7 @@ class TrafficSeries:
 
 
 class PayloadSeries:
-    """Payload-plane resolve aggregates for one node (proxy mode only)."""
+    """Payload-plane resolve aggregates for one node."""
 
     __slots__ = ("tag", "hits", "misses", "bytes")
 
@@ -414,7 +414,7 @@ class SeriesTracker:
         return rows
 
     def payload_summary(self) -> Dict[str, Any]:
-        """Cluster-wide payload-plane resolve totals (proxy mode only)."""
+        """Cluster-wide payload-plane resolve totals."""
         hits = sum(ps.hits for ps in self.payload.values())
         misses = sum(ps.misses for ps in self.payload.values())
         probes = hits + misses

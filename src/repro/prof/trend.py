@@ -19,10 +19,9 @@ CLI (``python -m repro.prof.trend``)::
     trend check HISTORY --bench B --regress-pct 20       # vs best previous
 
 ``append`` is the one way into the history.  It accepts a row-shaped
-payload — the ``--out`` files of ``bench_serving`` and ``bench_payload``
-and the ledger's ``--json`` carry a top-level ``metrics`` object — or
-the raw ``bench_kernel --json`` output (its ``events_per_sec`` map
-becomes the metrics).  A row must be attributable: a payload without
+payload — the ledger's ``--json`` carries a top-level ``metrics``
+object — or the raw ``bench_kernel --json`` output (its
+``events_per_sec`` map becomes the metrics).  A row must be attributable: a payload without
 ``git_sha`` gets the short HEAD sha of the checkout the history file
 lives in, and a row still lacking ``git_sha`` or ``host``, or stamped
 ``<sha>-dirty`` (code that is in no commit), is refused unless ``--sha``

@@ -2,8 +2,7 @@
 
 Unifies what grew ad hoc across the stack into small pieces:
 
-* :class:`RetryPolicy` — the single deadline/retry/backoff policy object
-  (``repro.faults.RpcPolicy`` is this class, re-exported);
+* :class:`RetryPolicy` — the single deadline/retry/backoff policy object;
 * :class:`Endpoint` / :data:`ENDPOINTS` / :func:`serve` — the typed
   request/response catalogue of every RPC in the D-STM protocol;
 * :class:`RpcClient` — the caller side: endpoint typing + the one retry

@@ -20,8 +20,11 @@ Two modes:
   version they were learned at; :meth:`note_version` invalidates an
   entry the moment any protocol reply proves the registered version has
   moved past it (an ownership migration elsewhere), so the next open
-  asks the directory instead of chasing a stale owner.  A bounded
-  ``capacity`` evicts oldest-learned entries first.
+  asks the directory instead of chasing a stale owner.
+
+Entries are keyed by oid and every object is allocated at bootstrap, so
+a cache never holds more entries than the cluster has objects: there is
+no capacity bound and no eviction.
 
 Hit/miss counters are host-side only (they never influence simulated
 behaviour) and feed ``Cluster.rpc_cache_stats`` and the ``rpc.cache``
@@ -39,33 +42,23 @@ class LookupCache:
     """oid -> (owner, learned-at-version) with optional version fencing."""
 
     __slots__ = (
-        "fencing", "capacity", "_owners", "_versions",
-        "hits", "misses", "fences", "evictions", "sanitizer",
+        "fencing", "_owners", "_versions",
+        "hits", "misses", "fences", "sanitizer",
     )
 
-    def __init__(self, fencing: bool = False, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, fencing: bool = False) -> None:
         self.fencing = bool(fencing)
-        self.capacity = capacity
         self._owners: Dict[str, int] = {}
         self._versions: Dict[str, int] = {}
         self.hits = 0
         self.misses = 0
         self.fences = 0
-        self.evictions = 0
         #: runtime invariant sanitizer (repro.check); set by the cluster
         #: when CheckConfig.sanitize is on, else mutations skip the check
         self.sanitizer = None
 
     def put(self, oid: str, owner: int, version: Optional[int] = None) -> None:
         """Record that ``oid`` lives at ``owner`` (as of ``version``)."""
-        if self.capacity is not None and oid not in self._owners:
-            while len(self._owners) >= self.capacity:
-                victim = next(iter(self._owners))
-                del self._owners[victim]
-                self._versions.pop(victim, None)
-                self.evictions += 1
         self._owners[oid] = owner
         if version is not None:
             self._versions[oid] = int(version)

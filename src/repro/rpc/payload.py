@@ -15,8 +15,8 @@ pass-by-reference design:
   ``oid -> version fence``.  A fence bump (any committed write) makes
   every remote cache entry stale *by construction* — no invalidation
   traffic exists or is needed;
-* in proxy mode, :meth:`NodePayload.resolve_payload` consults the cache
-  when a transaction actually **reads** an object and issues a
+* :meth:`NodePayload.resolve_payload` consults the cache when a
+  transaction actually **reads** an object and issues a
   ``PAYLOAD_FETCH`` RPC on a miss; blind writes, commit-time
   acquisitions and validation-only paths never touch the plane, so they
   never pull bytes.
@@ -26,15 +26,13 @@ How bytes resolve is decided in this module only: the protocol core
 only when the plane is on and calls :meth:`~NodePayload.stamp` where a
 value leaves the node, :meth:`~NodePayload.adopt` where custody arrives.
 
-In eager mode there are no fetches: grants and hand-offs bill the full
-declared size inline (``Message.wire_bytes``), which is the pre-split
-behaviour made visible — the baseline ``bench_payload`` compares
-against.
+Every cache is keyed by oid and every object is allocated at bootstrap,
+so a cache never holds more entries than the cluster has objects: no
+capacity bound or eviction is needed.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
 
 from repro.net.message import Message, MessageType
@@ -52,7 +50,7 @@ __all__ = [
     "SER_PER_BYTE",
 ]
 
-#: control-plane bytes a proxy-mode grant carries: the ObjectProxy
+#: control-plane bytes a value-carrying grant ships: the ObjectProxy
 #: descriptor itself
 PROXY_SIZE = 64
 #: the bandwidth every link shares, bytes/second (125 MB/s = 1 Gbit/s)
@@ -67,21 +65,18 @@ class NodePayload:
     """One node's resolved-bytes cache (oid -> version fence)."""
 
     __slots__ = (
-        "plane", "node_id", "cache", "capacity",
+        "plane", "node_id", "cache",
         "hits", "misses", "fetches", "served", "refused",
         "client", "sanitizer",
     )
 
-    def __init__(
-        self, plane: "PayloadPlane", node_id: int, capacity: Optional[int]
-    ) -> None:
+    def __init__(self, plane: "PayloadPlane", node_id: int) -> None:
         self.plane = plane
         self.node_id = node_id
         #: resolved bytes held here: oid -> the version fence they are
         #: valid at.  One entry per oid (bytes for an older fence are
         #: garbage the moment a newer fence exists).
-        self.cache: "OrderedDict[str, int]" = OrderedDict()
-        self.capacity = capacity
+        self.cache: Dict[str, int] = {}
         self.hits = 0
         self.misses = 0
         #: PAYLOAD_FETCH RPCs this node issued (client side)
@@ -103,28 +98,21 @@ class NodePayload:
         client.node.on(MessageType.PAYLOAD_FETCH, self._on_payload_fetch)
         return self
 
-    def stamp(
-        self, payload: Dict[str, Any], oid: str, payload_src: Optional[int]
-    ) -> int:
-        """A grant or hand-off carrying ``oid``'s value is about to leave
-        this node in ``payload``; returns the bytes it ships.  Proxy mode
+    def stamp(self, payload: Dict[str, Any], payload_src: Optional[int]) -> int:
+        """A grant or hand-off carrying an object's value is about to
+        leave this node in ``payload``; returns the bytes it ships.  It
         advertises the byte factory instead of shipping the payload (the
-        bulk bytes resolve lazily at the reader)."""
-        if self.plane.proxy_mode:
-            payload["psrc"] = payload_src
-        return self.plane.grant_bytes(oid)
+        bulk bytes resolve lazily at the reader), so it ships only the
+        constant ObjectProxy descriptor."""
+        payload["psrc"] = payload_src
+        return PROXY_SIZE
 
     def adopt(self, obj: Any, psrc: Optional[int]) -> None:
         """Custody of ``obj`` (a :class:`~repro.dstm.objects.VersionedObject`)
-        just migrated to this node with a message advertising ``psrc``."""
-        if self.plane.proxy_mode:
-            # Ownership migrated; the bytes did not.  Keep pointing at
-            # the factory until a commit materializes new bytes here.
-            obj.payload_src = int(psrc) if psrc is not None else None
-        else:
-            # Eager mode: the payload rode the transfer inline.
-            obj.payload_src = self.node_id
-            self.plane.note_materialize(self.node_id, obj.oid, obj.version)
+        just migrated to this node with a message advertising ``psrc``.
+        Ownership migrated; the bytes did not.  Keep pointing at the
+        factory until a commit materializes new bytes here."""
+        obj.payload_src = int(psrc) if psrc is not None else None
 
     def resolve_payload(
         self, oid: str, version: int, psrc: Optional[int]
@@ -132,7 +120,6 @@ class NodePayload:
         """Materialise at this node the bytes behind a grant of ``oid`` at
         ``version`` advertising ``psrc`` (generator; ``yield from``).
 
-        Proxy mode only — eager mode shipped the bytes with the grant.
         The resolved-bytes cache is keyed by the version fence, so a hit
         costs nothing and a fence bump (any committed write) misses by
         construction.  A miss fetches from the grant's advertised
@@ -143,8 +130,6 @@ class NodePayload:
         arbitrates staleness exactly as before.
         """
         plane = self.plane
-        if not plane.proxy_mode:
-            return
         hit = self.lookup(oid, version)
         client = self.client
         if client.tracer.wants("payload.fetch"):
@@ -219,7 +204,6 @@ class NodePayload:
         hit = self.cache.get(oid) == version
         if hit:
             self.hits += 1
-            self.cache.move_to_end(oid)
         else:
             self.misses += 1
         return hit
@@ -230,42 +214,15 @@ class NodePayload:
         if stale is not None and stale > version:
             return  # never replace bytes with an older fence
         self.cache[oid] = version
-        self.cache.move_to_end(oid)
-        if self.capacity is not None and len(self.cache) > self.capacity:
-            # Evict LRU-first, but authoritative copies are pinned:
-            # dropping the only bytes of a current fence would orphan
-            # the payload.  May overshoot capacity if everything is
-            # pinned — correctness beats the bound.
-            for victim in list(self.cache.keys()):
-                if len(self.cache) <= self.capacity:
-                    break
-                if self.plane.source.get(victim) == self.node_id:
-                    continue
-                del self.cache[victim]
 
     def cache_version(self, oid: str) -> Optional[int]:
         return self.cache.get(oid)
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "fetches": self.fetches,
-            "served": self.served,
-            "refused": self.refused,
-            "cached": len(self.cache),
-        }
 
 
 class PayloadPlane:
     """Cluster-wide payload bookkeeping (sizes, byte sources, caches)."""
 
     def __init__(self, config: "PayloadConfig", num_nodes: int) -> None:
-        self.config = config
-        self.num_nodes = num_nodes
-        #: proxy mode moves ObjectProxy descriptors + lazy fetches;
-        #: eager mode bills full payloads inline with grants/hand-offs
-        self.proxy_mode = bool(config.proxy)
         self.default_size = int(config.size)
         #: declared payload bytes per oid
         self.sizes: Dict[str, int] = {}
@@ -277,8 +234,7 @@ class PayloadPlane:
         #: leaves the bytes that rode control-plane grants/hand-offs
         self.fetch_bytes = 0
         self.nodes: Dict[int, NodePayload] = {
-            n: NodePayload(self, n, config.cache_capacity)
-            for n in range(num_nodes)
+            n: NodePayload(self, n) for n in range(num_nodes)
         }
 
     # -- bootstrap ------------------------------------------------------
@@ -298,18 +254,10 @@ class PayloadPlane:
 
     def note_materialize(self, node: int, oid: str, version: int) -> None:
         """Bytes for ``(oid, version)`` just came into being at ``node``
-        (a committed write, or an eager inline transfer).  The node
-        becomes the factory for this fence."""
+        (a committed write).  The node becomes the factory for this
+        fence."""
         self.source[oid] = node
         self.nodes[node].install(oid, version)
-
-    def grant_bytes(self, oid: str) -> int:
-        """Payload bytes a value-carrying grant/hand-off ships on the
-        wire: the full declared size in eager mode, only the constant
-        ObjectProxy descriptor in proxy mode."""
-        if self.proxy_mode:
-            return PROXY_SIZE
-        return self.size_of(oid)
 
     # -- reporting ------------------------------------------------------
 
@@ -328,8 +276,3 @@ class PayloadPlane:
         t = self.totals()
         probes = t["hits"] + t["misses"]
         return t["hits"] / probes if probes else 0.0
-
-    def stats(self) -> Dict[str, Dict[str, int]]:
-        return {
-            f"n{n}": node.stats() for n, node in sorted(self.nodes.items())
-        }

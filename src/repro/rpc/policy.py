@@ -5,11 +5,10 @@ and withdraws, validation fan-outs, fault-recovery publishes, the orphan
 sweep) is issued under a :class:`RetryPolicy` when faults are enabled.
 Before ``repro.rpc`` existed the growing-timeout logic was duplicated
 between ``faults/recovery.py`` (the knobs) and the call sites in
-``net/node.py`` / ``dstm/proxy.py`` (the loops); both now delegate here
-— ``repro.faults.RpcPolicy`` *is* this class (re-exported), and the one
-retry path, :meth:`repro.net.node.Node.submit`'s timer resend chain,
-consumes it directly: the chain drives the call's reply signal, so a
-caller never knows whether its call was retried.
+``net/node.py`` / ``dstm/proxy.py`` (the loops); both now delegate
+here, and the one retry path, :meth:`repro.net.node.Node.submit`'s timer
+resend chain, consumes it directly: the chain drives the call's reply
+signal, so a caller never knows whether its call was retried.
 
 Retry semantics: attempt 0 waits ``timeout``; each subsequent attempt
 multiplies the wait by ``backoff_factor`` up to ``backoff_cap`` — the

@@ -13,19 +13,16 @@ process.  The detector reduces a run to that verdict:
   window means — the tail of the run must not be growing away from its
   head, and admission control must not be shedding a material fraction
   of the offered load (a queue kept "bounded" by dropping work is not a
-  stable server, it is a saturated one);
-* :func:`max_sustainable_rate` bisects an offered-rate axis against any
-  ``probe(rate) -> stable`` predicate — the driver ``bench_serving.py``
-  uses to locate each scheduler's saturation point.
+  stable server, it is a saturated one).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Sequence, Tuple
+from typing import Any, Dict, Generator, List, Sequence
 
 from repro.sim import Environment
 
-__all__ = ["StabilityMonitor", "max_sustainable_rate", "stability_verdict"]
+__all__ = ["StabilityMonitor", "stability_verdict"]
 
 
 def stability_verdict(
@@ -125,45 +122,3 @@ class StabilityMonitor:
     def stop(self) -> None:
         self._stopped = True
 
-
-def max_sustainable_rate(
-    probe: Callable[[float], bool],
-    lo: float,
-    hi: float,
-    *,
-    tol: float | None = None,
-    max_iters: int = 16,
-) -> Tuple[float, List[Tuple[float, bool]]]:
-    """Bisect for the highest stable offered rate in ``[lo, hi]``.
-
-    ``probe(rate)`` runs one cell at that rate and returns its stability
-    verdict; stability is assumed monotone in the rate (true for every
-    workload here: more offered load never helps).  Returns the best
-    known-stable rate (0.0 when even ``lo`` is unstable) plus the probe
-    log ``[(rate, stable), ...]`` in evaluation order.
-    """
-    if not 0 < lo < hi:
-        raise ValueError(f"need 0 < lo < hi, got lo={lo} hi={hi}")
-    probes: List[Tuple[float, bool]] = []
-    lo_ok = bool(probe(lo))
-    probes.append((lo, lo_ok))
-    if not lo_ok:
-        return 0.0, probes
-    hi_ok = bool(probe(hi))
-    probes.append((hi, hi_ok))
-    if hi_ok:
-        return hi, probes
-    if tol is None:
-        tol = (hi - lo) / 16.0
-    best = lo
-    for _ in range(max_iters):
-        if hi - lo <= tol:
-            break
-        mid = (lo + hi) / 2.0
-        ok = bool(probe(mid))
-        probes.append((mid, ok))
-        if ok:
-            best = lo = mid
-        else:
-            hi = mid
-    return best, probes

@@ -6,9 +6,9 @@ out-of-band ``PAYLOAD_FETCH`` exchange.  That reshapes the trace the
 race detector replays — fetch round-trips interleave between the
 acquisition events whose ordering the detector reconstructs.  This test
 pins that the happens-before model stays sound under the split: a
-``bench_payload --smoke``-equivalent proxy cell exports an obs trace
-that really contains ``payload.fetch`` traffic, and the detector finds
-zero races in it (no false positives from the extra plane)."""
+read-mostly proxy cell exports an obs trace that really contains
+``payload.fetch`` traffic, and the detector finds zero races in it (no
+false positives from the extra plane)."""
 
 import pytest
 
@@ -17,8 +17,8 @@ from repro.core.config import ClusterConfig
 from repro.core.experiment import run_experiment
 from repro.obs.report import load_events
 
-# Mirrors benchmarks/bench_payload.py: the read-mostly bank cell that
-# the --smoke grid runs, at the smoke horizon.
+# A read-mostly bank cell, so most grants are copies whose bytes
+# resolve by fetch, at a short horizon.
 PAYLOAD_WORKLOAD = "bank"
 PAYLOAD_READ_FRACTION = 0.9
 PAYLOAD_NODES = 8

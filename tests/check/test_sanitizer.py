@@ -10,7 +10,8 @@ from repro.core.config import CheckConfig, ClusterConfig, FaultConfig
 from repro.core.experiment import run_experiment
 from repro.dstm.objects import ObjectState, home_node
 from repro.dstm.transaction import ReadEntry, Transaction
-from repro.faults.recovery import RpcPolicy, validate_policy
+from repro.faults.recovery import validate_policy
+from repro.rpc import RetryPolicy
 
 CHAOS = FaultConfig(
     enabled=True,
@@ -97,7 +98,7 @@ class TestUnitChecks:
         from repro.rpc.cache import LookupCache
 
         s = Sanitizer()
-        cache = LookupCache(fencing=True, capacity=4)
+        cache = LookupCache(fencing=True)
         cache.put("a", 1, version=3)
         s.check_cache(cache)
         # Corrupt: a version record with no owner entry.
@@ -107,8 +108,8 @@ class TestUnitChecks:
         assert exc.value.rule_id == "inv-cache-coherent"
 
     def test_policy_validation(self):
-        pol = RpcPolicy(timeout=0.1, max_retries=3, backoff_factor=2.0,
-                        backoff_cap=0.4)
+        pol = RetryPolicy(timeout=0.1, max_retries=3, backoff_factor=2.0,
+                          backoff_cap=0.4)
         assert validate_policy(pol) is pol
 
     def test_violation_is_structured(self):

@@ -45,6 +45,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             Cluster(ClusterConfig(num_nodes=2, conflict_scope="bogus"))
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_eager_payload_mode_is_refused(self, enabled):
+        """Payloads move as ObjectProxy descriptors only: ``proxy`` has
+        one accepted value, as ``ArrivalConfig.process`` has."""
+        with pytest.raises(ValueError, match="proxy must be True"):
+            PayloadConfig(enabled=enabled, proxy=False)
+        assert PayloadConfig(enabled=True).proxy is True
+
     @pytest.mark.parametrize("name", ["burst_factor", "scenario", "shed_policy"])
     def test_removed_arrival_field_is_unknown(self, name):
         with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
@@ -59,7 +67,7 @@ IGNORED_SETTINGS = {
     "prof.folded_path": (dict(prof=dict(folded_path="run.folded")), "folded_path"),
     "trace_categories": (dict(trace_categories=("txn",)), "trace_categories"),
     "arrival.zipf_s": (dict(arrival=dict(zipf_s=1.2)), "zipf_s"),
-    "payload.proxy": (dict(payload=dict(proxy=True)), "proxy"),
+    "payload.size": (dict(payload=dict(size=1024)), "size"),
 }
 
 #: a legal non-default value for every field (but ``enabled`` and the
@@ -68,11 +76,11 @@ NON_DEFAULTS = {
     ObsConfig: dict(jsonl_path="run.jsonl"),
     ProfConfig: dict(wall=True, folded_path="run.folded"),
     ArrivalConfig: dict(rate=5.0, zipf_s=1.2, queue_capacity=8),
-    PayloadConfig: dict(proxy=True, size=1024, cache_capacity=4),
+    PayloadConfig: dict(size=1024),
 }
 
 #: fields whose one legal value is the default, so there is nothing to refuse
-SINGLE_VALUED = {"process"}
+SINGLE_VALUED = {"process", "proxy"}
 
 
 class TestIgnoredSettingsRejected:

@@ -73,8 +73,6 @@ INT_FIELDS = [
     (config.ClusterConfig, "num_nodes"),
     (config.ClusterConfig, "cl_threshold"),
     (config.ArrivalConfig, "queue_capacity"),
-    (config.RpcConfig, "cache_capacity"),
-    (config.PayloadConfig, "cache_capacity"),
     (config.PayloadConfig, "size"),
 ]
 

@@ -6,9 +6,8 @@ or (ii) a parameter the paper names; a value nobody turns is a module
 constant next to its one reader.  DESIGN.md §2 keeps the two survivors
 tables ("`ClusterConfig` survivors", "Sub-config survivors"); this file
 holds the code to them, so a new knob is a deliberate, documented edit —
-and so is dropping one.  A sub-config row may instead be "deferred" to
-the ROADMAP item whose measurement decides it, and ``FaultConfig`` is
-left out by name until ROADMAP item 1a turns its knobs.
+and so is dropping one.  ``FaultConfig`` is left out by name until
+ROADMAP item 1a turns its knobs.
 """
 
 import dataclasses
@@ -25,7 +24,7 @@ SWEEPER_DIRS = ("src/repro/analysis/", "benchmarks/", "examples/")
 HEADING = "### `ClusterConfig` survivors"
 SUB_HEADING = "### Sub-config survivors"
 ROW = re.compile(r"^\| `(\w+)` \| (i|ii) \| (.+) \|$")
-SUB_ROW = re.compile(r"^\| `(\w+)\.(\w+)` \| (i|ii|deferred) \| (.+) \|$")
+SUB_ROW = re.compile(r"^\| `(\w+)\.(\w+)` \| (i|ii) \| (.+) \|$")
 #: sub-configs left out of the census, and the ROADMAP item they wait on
 EXCLUDED = {"FaultConfig": "item 1a"}
 
@@ -121,11 +120,3 @@ def test_paper_sub_parameters_cite_their_passage():
     for cls, field, kind, where in SUB_ROWS:
         assert kind != "ii" or "§" in where, f"{cls}.{field}: no paper passage named"
 
-
-@pytest.mark.parametrize(
-    "where",
-    [pytest.param(w, id=f"{c}.{f}") for c, f, kind, w in SUB_ROWS
-     if kind == "deferred"],
-)
-def test_deferred_sub_field_names_roadmap_item_2(where):
-    assert "ROADMAP item 2" in where

@@ -79,10 +79,3 @@ class TestOpLog:
         for when, seq, op, _result in ex.op_log:
             assert when is not None
             assert op.profile.startswith("bank.")
-
-    def test_think_time_slows_issue_rate(self):
-        c1, _, e1 = make(horizon=3.0)
-        e1.setup(); e1.run()
-        c2, _, e2 = make(horizon=3.0, think_time=0.5)
-        e2.setup(); e2.run()
-        assert c2.metrics.commits.value < c1.metrics.commits.value

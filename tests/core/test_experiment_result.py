@@ -89,8 +89,8 @@ class TestServingExtras:
         assert restored.extra["stable"] is False
 
     def test_serving_json_round_trip(self):
-        """Through JSON (the repro.par cache and BENCH_SERVING.json
-        encoding) the verdict and counters survive exactly."""
+        """Through JSON (the repro.par cache's encoding) the verdict and
+        counters survive exactly."""
         result = make_result(extra=dict(SERVING_EXTRA))
         data = json.loads(json.dumps(result.to_dict()))
         restored = ExperimentResult.from_dict(data)
@@ -100,7 +100,6 @@ class TestServingExtras:
 #: the extras a payload-plane (repro.rpc.payload) run attaches
 PAYLOAD_EXTRA = {
     "abandoned": 0,
-    "payload_mode": "proxy",
     "payload_bytes_on_wire": 195_051_584,
     "control_bytes_on_wire": 483_072,
     "grant_bytes_on_wire": 16_448,
@@ -116,7 +115,6 @@ class TestPayloadExtras:
         row = make_result(extra=dict(PAYLOAD_EXTRA)).row()
         assert row["payload_cache_hit_rate"] == 0.3309
         assert row["payload_bytes_on_wire"] == 195_051_584
-        assert row["payload_mode"] == "proxy"
         assert row["grant_bytes_on_wire"] == 16_448
 
     def test_payload_round_trip_is_exact(self):
@@ -126,8 +124,8 @@ class TestPayloadExtras:
         assert restored.extra["payload_cache_hit_rate"] == 0.33093525
 
     def test_payload_json_round_trip(self):
-        """Through JSON (the repro.par cache and BENCH_PAYLOAD.json
-        encoding) the byte counters and hit rate survive exactly."""
+        """Through JSON (the repro.par cache's encoding) the byte
+        counters and hit rate survive exactly."""
         result = make_result(extra=dict(PAYLOAD_EXTRA))
         data = json.loads(json.dumps(result.to_dict()))
         restored = ExperimentResult.from_dict(data)

@@ -7,8 +7,7 @@ installed — a grant, a hand-off, or an arrival nobody waits for (the
 hand-off else-branch of Algorithm 4, a late ``RETRIEVE_RESPONSE`` under
 fault recovery) — is decided by ``TMProxy._install_transferred``, the
 custody rule.  These cases pin the fields that are *simulated
-behaviour* on each row of that table, with the payload plane off, eager
-and in proxy mode.
+behaviour* on each row of that table, with the payload plane off and on.
 """
 
 import pytest
@@ -24,7 +23,6 @@ SIZE = 4096
 #: plane -> (PayloadConfig kwargs, bytes a value-carrying message ships)
 PLANES = {
     "off": (None, 0),
-    "eager": (dict(enabled=True, proxy=False, size=SIZE), SIZE),
     "proxy": (dict(enabled=True, proxy=True, size=SIZE), PROXY_SIZE),
 }
 OID = "x"
@@ -203,9 +201,9 @@ class TestWhatLeaves:
         if plane == "off":
             assert obj.payload_src is None
         else:
-            # proxy mode keeps pointing at the factory; eager mode shipped
-            # the bytes, so the new owner holds them
-            assert obj.payload_src == (0 if plane == "proxy" else 1)
+            # the new owner keeps pointing at the factory: the bytes did
+            # not move with the custody
+            assert obj.payload_src == 0
 
 
 def transfer_payload(txid="t-dead", version=4, queue=(), epoch=1, gen=0):

@@ -21,7 +21,8 @@ import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", ".."))
 
-# run_chaos_cell(seed, sanitize=False, horizon=40.0) -> (cluster, workload)
+# run_chaos_cell(seed, sanitize=False, horizon=40.0, **fault_overrides)
+#     -> (cluster, workload)
 from benchmarks.bench_chaos import run_reproducer as run_chaos_cell  # noqa: E402
 from repro.check.oracle import check_history  # noqa: E402
 from repro.dstm.objects import home_node  # noqa: E402
@@ -140,3 +141,22 @@ def test_sanitized_cell_conserves_money_and_serializes(seed):
     assert total == workload.expected_total()
     initial = {oid: INITIAL_BALANCE for oid in workload.accounts}
     assert check_history(cluster.sanitizer.history, initial=initial) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: a partition longer than lease_duration + "
+    "reclaim_grace re-hosts an object whose last commit had not yet "
+    "published to its home, and that commit is lost (95995 of 96000)",
+)
+def test_seed_223_survives_a_long_partition():
+    """Seed 223 is clean at the cell's 0.5-s partitions.  With 3-s
+    partitions the home re-hosts an account from under a commit whose
+    publish had not landed: the money oracle ends 5 short, and the
+    history shows a duplicate fence, a fence-order break, a precedence
+    cycle and a stale read."""
+    cluster, workload = run_chaos_cell(223, sanitize=True, partition_duration=3.0)
+    total = sum(cluster.authoritative_value(a) for a in workload.accounts)
+    initial = {oid: INITIAL_BALANCE for oid in workload.accounts}
+    violations = check_history(cluster.sanitizer.history, initial=initial)
+    assert (total, violations) == (workload.expected_total(), [])

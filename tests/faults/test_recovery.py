@@ -12,17 +12,19 @@ from repro.dstm.directory import DirectoryShard
 from repro.dstm.errors import AbortReason, TransactionAborted
 from repro.dstm.objects import home_node
 from repro.dstm.proxy import TMProxy
-from repro.faults import CrashWindow, HomeRecovery, RpcPolicy
+from repro.faults import CrashWindow, HomeRecovery
 from repro.net import MessageType, Network, Node, Topology
-from repro.rpc import PeerUnreachable
+from repro.rpc import PeerUnreachable, RetryPolicy
 from repro.scheduler.tfa_baseline import TfaScheduler
 from repro.sim import RngRegistry
 
 
 class TestRpcPolicy:
+    """The RPC retry policy the fault layer builds from its config."""
+
     def test_timeout_ladder_grows_to_cap(self):
-        pol = RpcPolicy(timeout=0.1, max_retries=4, backoff_factor=2.0,
-                        backoff_cap=0.5)
+        pol = RetryPolicy(timeout=0.1, max_retries=4, backoff_factor=2.0,
+                          backoff_cap=0.5)
         assert [pol.nth_timeout(i) for i in range(5)] == pytest.approx(
             [0.1, 0.2, 0.4, 0.5, 0.5]
         )
@@ -31,17 +33,17 @@ class TestRpcPolicy:
     def test_from_config_maps_fields(self):
         fc = FaultConfig(rpc_timeout=0.3, rpc_max_retries=2,
                          rpc_backoff_factor=3.0, rpc_backoff_cap=1.2)
-        pol = RpcPolicy.from_config(fc)
+        pol = RetryPolicy.from_config(fc)
         assert (pol.timeout, pol.max_retries) == (0.3, 2)
         assert pol.nth_timeout(1) == pytest.approx(0.9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RpcPolicy(timeout=0.0)
+            RetryPolicy(timeout=0.0)
         with pytest.raises(ValueError):
-            RpcPolicy(backoff_factor=0.5)
+            RetryPolicy(backoff_factor=0.5)
         with pytest.raises(ValueError):
-            RpcPolicy(timeout=0.5, backoff_cap=0.4)
+            RetryPolicy(timeout=0.5, backoff_cap=0.4)
 
 
 def silent_peer_cluster(**fault_kw):

@@ -1,7 +1,5 @@
 """The version-fenced lookup cache, in both of its modes."""
 
-import pytest
-
 from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig
 from repro.rpc import LookupCache
@@ -107,28 +105,6 @@ class TestFencedMode:
         assert cache.owner("x") == 3 and cache.fences == 0
 
 
-class TestCapacity:
-    def test_oldest_learned_evicted_first(self):
-        cache = LookupCache(fencing=True, capacity=2)
-        cache.put("a", 1, version=1)
-        cache.put("b", 2, version=1)
-        cache.put("c", 3, version=1)
-        assert cache.owner("a") is None
-        assert cache.owner("b") == 2 and cache.owner("c") == 3
-        assert cache.evictions == 1
-
-    def test_update_does_not_evict(self):
-        cache = LookupCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 5)               # refresh, not insert
-        assert cache.evictions == 0 and cache.owner("b") == 2
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            LookupCache(capacity=0)
-
-
 def test_stats_shape():
     """Cluster.rpc_cache_stats sums the proxies' caches."""
     cluster = Cluster(ClusterConfig(num_nodes=2, seed=1, rpc=dict(cache=True)))
@@ -140,5 +116,43 @@ def test_stats_shape():
     first.note_version("x", 2)
     assert cluster.rpc_cache_stats() == {
         "cache_hits": 1.0, "cache_misses": 1.0, "cache_hit_rate": 0.5,
-        "cache_fences": 1.0, "cache_evictions": 0.0,
+        "cache_fences": 1.0,
     }
+
+
+#: the serve_proxy_bank_8 ledger cell: open-loop Poisson at 1 tx/s over
+#: a Zipf-1.2 account population, proxy payloads, fenced cache, batcher
+SERVE_CELL = dict(
+    num_nodes=8, scheduler="rts", cl_threshold=4,
+    arrival=dict(enabled=True, rate=1.0, zipf_s=1.2),
+    payload=dict(enabled=True, size=1 << 20),
+    rpc=dict(cache=True, batch_window=0.002),
+)
+#: the ledger smoke's horizon for that cell (its 900 sim-s / 6)
+SHORT_HORIZON = 150.0
+
+
+def test_no_cache_outgrows_the_allocated_objects():
+    """Both per-node caches are keyed by oid and every object is
+    allocated at bootstrap, so neither can hold more entries than the
+    cluster has objects, however long the run: there is no bound to set
+    and nothing to evict.  Checked on the serving cell at 4x a short
+    horizon."""
+    from repro.traffic.engine import OpenLoopExecutor
+    from repro.workloads.registry import make_workload
+
+    cluster = Cluster(ClusterConfig(seed=1, **SERVE_CELL))
+    workload = make_workload("bank", read_fraction=0.2)
+    executor = OpenLoopExecutor(
+        cluster, workload, cluster.config.arrival,
+        service_workers=2, horizon=4 * SHORT_HORIZON,
+    )
+    executor.setup()
+    executor.run()
+    objects = len(workload.accounts)
+    lookup = [len(p.owner_hints._owners) for p in cluster.proxies]
+    resolved = [len(n.cache) for n in cluster.payload_plane.nodes.values()]
+    assert cluster.metrics.commits.value > 400
+    assert max(lookup) <= objects and max(resolved) <= objects
+    # not vacuous: the caches did fill up over the run
+    assert max(lookup) > objects // 2 and max(resolved) > objects // 2

@@ -1,9 +1,9 @@
 """The payload plane: resolve caches, wire-cost model, proxy-mode runs.
 
 Unit level: :class:`NodePayload` / :class:`PayloadPlane` bookkeeping and
-:class:`WireCostModel` delay arithmetic.  Integration level: eager vs
-proxy byte accounting, lazy ``PAYLOAD_FETCH`` resolution, fence-keyed
-cache hits, and the sanitized proxy-cache coherence lens.
+:class:`WireCostModel` delay arithmetic.  Integration level: descriptor
+byte accounting, lazy ``PAYLOAD_FETCH`` resolution, fence-keyed cache
+hits, and the sanitized proxy-cache coherence lens.
 """
 
 import pytest
@@ -47,25 +47,6 @@ class TestNodePayload:
         cache.install("x", 3)   # a straggler reply lands late
         assert cache.cache_version("x") == 5
 
-    def test_lru_eviction_skips_pinned_authoritative_copies(self):
-        plane = make_plane(cache_capacity=2)
-        plane.register("a", 0, size=10)      # node 0 is a's factory
-        cache = plane.nodes[0]
-        cache.install("b", 1)
-        cache.install("c", 1)                # capacity exceeded
-        # "a" is LRU but pinned (this node holds the authoritative
-        # bytes); "b" is the oldest evictable entry.
-        assert cache.cache_version("a") == 0
-        assert cache.cache_version("b") is None
-        assert cache.cache_version("c") == 1
-
-    def test_all_pinned_overshoots_capacity(self):
-        plane = make_plane(cache_capacity=1)
-        plane.register("a", 0, size=10)
-        plane.register("b", 0, size=10)
-        assert plane.nodes[0].cache_version("a") == 0
-        assert plane.nodes[0].cache_version("b") == 0
-
 
 class TestPayloadPlane:
     def test_register_and_size_of(self):
@@ -83,14 +64,6 @@ class TestPayloadPlane:
         plane.note_materialize(2, "a", 7)
         assert plane.source["a"] == 2
         assert plane.nodes[2].cache_version("a") == 7
-
-    def test_grant_bytes_by_mode(self):
-        eager = make_plane(size=4_096, proxy=False)
-        proxy = make_plane(size=4_096, proxy=True)
-        eager.register("a", 0)
-        proxy.register("a", 0)
-        assert eager.grant_bytes("a") == 4_096
-        assert proxy.grant_bytes("a") == 64
 
     def test_hit_rate_over_all_nodes(self):
         plane = make_plane()
@@ -143,14 +116,14 @@ class TestWireCostModel:
 
 
 # ---------------------------------------------------------------------------
-# integration: eager vs proxy over a live cluster
+# integration: proxy payloads over a live cluster
 # ---------------------------------------------------------------------------
 
 SIZE = 1_000_000
 
 
-def cluster(proxy, **over):
-    cfg_kw = dict(enabled=True, proxy=proxy, size=SIZE)
+def cluster(**over):
+    cfg_kw = dict(enabled=True, size=SIZE)
     cfg_kw.update(over.pop("payload", {}))
     return Cluster(ClusterConfig(
         num_nodes=4, seed=7, payload=PayloadConfig(**cfg_kw), **over,
@@ -168,16 +141,7 @@ def read_only(tx):
     return v
 
 
-class TestEagerMode:
-    def test_grants_bill_the_full_payload(self):
-        c = cluster(proxy=False)
-        c.alloc("x1", 0)
-        c.run_transaction(incr, node=2)
-        stats = c.payload_stats()
-        assert stats["payload_bytes_on_wire"] >= SIZE
-        assert stats["payload_fetches"] == 0
-        assert stats["grant_bytes_on_wire"] == stats["payload_bytes_on_wire"]
-
+class TestProxyMode:
     def test_remote_cost_model_slows_large_payloads(self):
         def one_run(size):
             c = Cluster(ClusterConfig(
@@ -190,10 +154,8 @@ class TestEagerMode:
 
         assert one_run(100_000_000) > one_run(1_024)
 
-
-class TestProxyMode:
     def test_grants_ship_only_the_descriptor(self):
-        c = cluster(proxy=True)
+        c = cluster()
         c.alloc("x1", 0)
         c.run_transaction(incr, node=2)
         stats = c.payload_stats()
@@ -204,7 +166,7 @@ class TestProxyMode:
         assert stats["grant_bytes_on_wire"] < SIZE / 100
 
     def test_repeat_read_at_same_fence_hits_the_cache(self):
-        c = cluster(proxy=True)
+        c = cluster()
         c.alloc("x1", 0)
         c.run_transaction(read_only, node=2)
         fetches_after_first = c.payload_stats()["payload_fetches"]
@@ -214,23 +176,13 @@ class TestProxyMode:
         assert stats["payload_cache_hits"] >= 1
 
     def test_committed_write_bumps_fence_and_refetches(self):
-        c = cluster(proxy=True)
+        c = cluster()
         c.alloc("x1", 0)
         c.run_transaction(read_only, node=2)
         before = c.payload_stats()["payload_fetches"]
         c.run_transaction(incr, node=3)      # fence bump at node 3
         c.run_transaction(read_only, node=2)  # node 2's bytes now stale
         assert c.payload_stats()["payload_fetches"] > before
-
-    def test_proxy_cheaper_than_eager_on_the_wire(self):
-        def total_bytes(proxy):
-            c = cluster(proxy=proxy)
-            c.alloc("x1", 0)
-            for node in (1, 2, 3):
-                c.run_transaction(incr, node=node)
-            return c.payload_stats()["grant_bytes_on_wire"]
-
-        assert total_bytes(proxy=True) * 10 < total_bytes(proxy=False)
 
     def test_sanitized_proxy_run_is_clean(self):
         """The inv-payload-fence lens holds over a full sanitized run."""
@@ -242,7 +194,6 @@ class TestProxyMode:
         result = run_experiment("bank", cfg, read_fraction=0.9,
                                 workers_per_node=2, horizon=4.0)
         assert result.commits > 0
-        assert result.extra["payload_mode"] == "proxy"
         assert result.extra["payload_fetches"] > 0
 
 
@@ -251,7 +202,7 @@ class TestPayloadFenceLens:
         from repro.check.sanitize import InvariantViolation, Sanitizer
         from repro.dstm.objects import home_node
 
-        c = cluster(proxy=True)
+        c = cluster()
         san = Sanitizer()
         for node_id, proxy in enumerate(c.proxies):
             san.attach_proxy(node_id, proxy)
@@ -268,7 +219,7 @@ class TestPayloadFenceLens:
     def test_serving_from_a_different_fence_raises(self):
         from repro.check.sanitize import InvariantViolation, Sanitizer
 
-        c = cluster(proxy=True)
+        c = cluster()
         san = Sanitizer()
         for node_id, proxy in enumerate(c.proxies):
             san.attach_proxy(node_id, proxy)
@@ -280,7 +231,7 @@ class TestPayloadFenceLens:
         from repro.check.sanitize import Sanitizer
         from repro.dstm.objects import home_node
 
-        c = cluster(proxy=True)
+        c = cluster()
         san = Sanitizer()
         for node_id, proxy in enumerate(c.proxies):
             san.attach_proxy(node_id, proxy)

@@ -43,17 +43,17 @@ class TestSinglePolicyObject:
     """The refactor's no-duplication guarantee: faults and net both
     delegate to the one policy class in repro.rpc."""
 
-    def test_faults_rpcpolicy_is_the_rpc_retrypolicy(self):
-        from repro.faults import RpcPolicy
+    def test_faults_exports_no_second_policy_name(self):
+        import repro.faults
         from repro.faults import recovery
 
-        assert RpcPolicy is RetryPolicy
-        assert recovery.RpcPolicy is RetryPolicy
-        # The module exports both sides of recovery plus the one policy
-        # class and the repro.check consistency gate over it — still no
-        # second policy object.
+        # The one policy class is repro.rpc.RetryPolicy, under that one
+        # name: faults exports both sides of recovery and the
+        # repro.check consistency gate over the policy, and no alias.
+        assert not hasattr(repro.faults, "RpcPolicy")
+        assert not hasattr(recovery, "RpcPolicy")
         assert recovery.__all__ == [
-            "HomeRecovery", "NodeRecovery", "RpcPolicy", "validate_policy",
+            "HomeRecovery", "NodeRecovery", "validate_policy",
         ]
 
     def test_node_submit_honours_policy_ladder(self, env):

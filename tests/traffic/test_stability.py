@@ -1,14 +1,10 @@
-"""Stability detector: verdicts, windowed monitor, bisection driver."""
+"""Stability detector: verdicts and the windowed monitor."""
 
 import pytest
 
 from repro.sim import Environment
 from repro.traffic.admission import AdmissionQueue
-from repro.traffic.stability import (
-    StabilityMonitor,
-    max_sustainable_rate,
-    stability_verdict,
-)
+from repro.traffic.stability import StabilityMonitor, stability_verdict
 
 
 class TestVerdict:
@@ -80,29 +76,3 @@ class TestMonitor:
         with pytest.raises(ValueError):
             StabilityMonitor(Environment(), [], window=0.0)
 
-
-class TestBisection:
-    def test_finds_threshold(self):
-        probes = []
-
-        def probe(rate):
-            probes.append(rate)
-            return rate <= 7.3
-
-        best, log = max_sustainable_rate(probe, 1.0, 16.0, tol=0.1)
-        assert 7.3 - 0.1 <= best <= 7.3
-        assert log == [(r, r <= 7.3) for r in probes]
-
-    def test_all_stable_returns_hi(self):
-        best, log = max_sustainable_rate(lambda r: True, 1.0, 8.0)
-        assert best == 8.0
-        assert len(log) == 2             # lo + hi, no bisection needed
-
-    def test_all_unstable_returns_zero(self):
-        best, log = max_sustainable_rate(lambda r: False, 1.0, 8.0)
-        assert best == 0.0
-        assert len(log) == 1             # lo failing short-circuits
-
-    def test_rejects_bad_bracket(self):
-        with pytest.raises(ValueError):
-            max_sustainable_rate(lambda r: True, 8.0, 1.0)
