@@ -22,7 +22,7 @@ admits a serial order consistent with the version fences:
   serialization time is a violation even without a full cycle.
 
 The oracle is deliberately engine-agnostic: it sees only the records, so
-a future scheduler (the ROADMAP's zoo) is checked by the same code.
+every scheduler is checked by the same code.
 """
 
 from __future__ import annotations

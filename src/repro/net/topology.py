@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     from repro.sim.rng import Stream
 
-__all__ = ["Topology", "MS"]
+__all__ = ["Topology", "MS", "pairwise_sum"]
 
 #: One millisecond in simulation time units (we simulate in seconds).
 MS = 1e-3
@@ -56,7 +56,7 @@ class Topology:
         self.delay_rows: List[List[float]] = self._delay_rows()
         n = self.num_nodes
         self._mean_delay: float = (
-            _pairwise_sum([d for row in self.delay_rows for d in row]) / (n * (n - 1))
+            pairwise_sum([d for row in self.delay_rows for d in row]) / (n * (n - 1))
             if n >= 2 else 0.0
         )
 
@@ -137,7 +137,7 @@ class Topology:
         )
 
 
-def _pairwise_sum(values: List[float]) -> float:
+def pairwise_sum(values: List[float]) -> float:
     """``numpy.add.reduce`` over a contiguous float64 run: blocks of up to
     128 values summed in eight interleaved lanes, longer runs split in two
     at a multiple of eight (numpy's ``pairwise_sum``)."""
@@ -161,4 +161,4 @@ def _pairwise_sum(values: List[float]) -> float:
         return total
     half = n // 2
     half -= half % 8
-    return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    return pairwise_sum(values[:half]) + pairwise_sum(values[half:])

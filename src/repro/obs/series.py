@@ -7,9 +7,8 @@ schema events (see :mod:`repro.obs.events`) in time order; it maintains:
   series), RPC issue/failure totals, lookup-cache hit/miss counts
   (``rpc.cache`` events), an RPC in-flight gauge
   (:class:`~repro.sim.monitor.TimeWeighted`) and an *unreachability EWMA*
-  fed from RPC outcomes and crash/restart fault events.  The EWMA is the
-  signal the ROADMAP's partition-aware scheduling item needs: a node
-  whose value is high has recently timed out or crashed.
+  fed from RPC outcomes and crash/restart fault events.  A node whose
+  EWMA is high has recently timed out or crashed.
 * **per object** — a queue-depth gauge (``obs.queue`` events), conflict
   counts (``dstm.conflict``) and ownership-migration counts
   (``dir.owner``): the top-contended-objects view.

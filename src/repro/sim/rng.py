@@ -9,17 +9,18 @@ the property that keeps experiment sweeps comparable across code changes.
 
 A stream is a :class:`Generator`: a pure-Python replica of
 ``numpy.random.Generator(PCG64(SeedSequence(entropy=seed,
-spawn_key=(crc32(name),))))`` for the draws a default run makes —
-``random()``, scalar or sized ``uniform`` and ``integers``, and ``choice``
-over an integer population — value for value and state for state.  Any
-other method or argument shape (``exponential``, ``random(size)``,
-``choice(..., p=w)``, an array population, ``bit_generator``, ...) hands
-the stream's exact PCG64 state to a real numpy ``Generator``: the first
+spawn_key=(crc32(name),))))`` for the draws the simulation makes —
+``random()`` and ``random(size)``, scalar or sized ``uniform`` and
+``integers`` (``integers(high)`` included), scalar ``exponential`` (numpy's
+ziggurat, :mod:`repro.sim.ziggurat`) and ``choice`` over an integer
+population — value for value and state for state.  Any other method or
+argument shape (a sized ``exponential``, ``choice(..., p=w)``, an array
+population, ``standard_normal``, ``bit_generator``, ...) hands the
+stream's exact PCG64 state to a real numpy ``Generator``: the first
 moment numpy is imported.  From then on every draw on that stream goes to
-numpy, so the fault, serving and analysis planes see numpy's generator
-unchanged, and a default cell never imports numpy at all (DESIGN.md, "The
-import rule").  A sized replica draw returns a list where numpy returns an
-array; draw sites index and iterate, which both support.
+numpy, and no run the repo ships imports numpy for its streams (DESIGN.md,
+"The import rule").  A sized replica draw returns a list where numpy
+returns an array; draw sites index and iterate, which both support.
 
 numpy stays the reference: ``tests/sim/test_rng_replica.py`` compares
 every replica draw and the state it leaves against numpy's own.
@@ -186,10 +187,12 @@ class Generator:
 
     # -- the replicated draws ---------------------------------------------
 
-    def random(self, *args: Any, **kwargs: Any) -> Any:
-        """One double in [0, 1); any argument hands off."""
-        if args or kwargs:
-            return self._hand_off().random(*args, **kwargs)
+    def random(self, size: Any = None, *args: Any, **kwargs: Any) -> Any:
+        """One double in [0, 1), or a list of ``size`` of them."""
+        if size is not None or args or kwargs:
+            if args or kwargs or type(size) is not int or size < 0:
+                return self._hand_off().random(size, *args, **kwargs)
+            return [self.random() for _ in range(size)]
         state = (self._state * _PCG_MULT + self._inc) & _M128
         self._state = state
         rot = state >> 122
@@ -216,8 +219,11 @@ class Generator:
     def integers(
         self, low: Any, high: Any = None, size: Any = None, *args: Any, **kwargs: Any
     ) -> Any:
-        """Ints in ``[low, high)`` — numpy's Lemire draws for a range below
-        2**32; one or ``size`` of them."""
+        """Ints in ``[low, high)``, or ``[0, low)`` without ``high`` —
+        numpy's Lemire draws for a range below 2**32; one or ``size`` of
+        them."""
+        if high is None and type(low) is int:
+            low, high = 0, low
         if (
             args or kwargs
             or type(low) is not int or type(high) is not int
@@ -229,6 +235,13 @@ class Generator:
         if size is None:
             return low + self._bounded((span,))[0]
         return [low + v for v in self._bounded((span,) * size)]
+
+    def exponential(self, scale: Any = 1.0, size: Any = None) -> Any:
+        """One exponential of mean ``scale``: ``scale`` times numpy's
+        ziggurat draw; a ``size`` hands off."""
+        if size is not None or type(scale) not in (float, int) or not 0.0 < scale < math.inf:
+            return self._hand_off().exponential(scale, size)
+        return scale * _ziggurat().standard_exponential(self)
 
     def choice(
         self, a: Any, size: Any = None, replace: Any = True, *args: Any, **kwargs: Any
@@ -265,6 +278,15 @@ class Generator:
                 idx.append(val)
             _shuffle(idx, 1, draws[k:])
         return idx[0] if size is None else idx
+
+    def _next64(self) -> int:
+        """The stream's next 64-bit output (``random()`` keeps its top 53
+        bits)."""
+        state = (self._state * _PCG_MULT + self._inc) & _M128
+        self._state = state
+        rot = state >> 122
+        x = ((state >> 64) ^ state) & _M64
+        return x >> rot | (x << (64 - rot)) & _M64
 
     def _bounded(self, spans: Iterable[int]) -> List[int]:
         """One value in ``[0, span]`` per span (each below 2**32):
@@ -315,7 +337,8 @@ class Generator:
         gen.bit_generator.state = self.state
         self._numpy = gen
         vars(self).update(
-            random=gen.random, uniform=gen.uniform, integers=gen.integers, choice=gen.choice
+            random=gen.random, uniform=gen.uniform, integers=gen.integers,
+            exponential=gen.exponential, choice=gen.choice,
         )
         return gen
 
@@ -334,6 +357,15 @@ class Generator:
         if self._numpy is not None:
             return f"<Generator handed off to {self._numpy!r}>"
         return f"<Generator PCG64 replica state={self._state:#x}>"
+
+
+@functools.lru_cache(maxsize=None)
+def _ziggurat() -> Any:
+    """:mod:`repro.sim.ziggurat`, loaded on the process's first
+    exponential draw, so a run that draws none never builds its tables."""
+    from repro.sim import ziggurat
+
+    return ziggurat
 
 
 def _shuffle(data: List[int], first: int, draws: List[int]) -> None:

@@ -28,10 +28,14 @@ validation, ``cumsum`` and ``np.unique``:
   is what ``np.unique(return_index=True)`` plus ``sort`` yields.
 
 The CDF is ``accumulate`` then division by its last entry — numpy's
-``np.cumsum(p); cdf /= cdf[-1]``, addition for addition.  ``s = 0``
-stays on ``rng.choice`` / ``rng.integers``: that is the closed-loop draw
-the uniform path must equal byte for byte, and numpy's uniform sampler is
-faster than a Python replica of it.
+``np.cumsum(p); cdf /= cdf[-1]``, addition for addition.  The weights are
+built in plain Python as numpy's ``1.0 / np.power(arange(1, n + 1), s)``
+then ``/= sum``, with the sum in numpy's pairwise order, so the module
+never imports numpy.  Python's ``**`` is libm's ``pow``; numpy's SIMD
+``pow`` can differ from it by an ulp (DESIGN.md, "The import rule"), so
+a table equals libm's on every host, and numpy's where its ``pow`` is
+libm's.  ``s = 0`` stays on ``rng.choice`` / ``rng.integers``: that is
+the closed-loop draw the uniform path must equal byte for byte.
 """
 
 from __future__ import annotations
@@ -40,9 +44,10 @@ import bisect
 import functools
 import itertools
 import math
+import sys
 from typing import TYPE_CHECKING, List, Tuple
 
-import numpy as np
+from repro.net.topology import pairwise_sum
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.rng import Stream
@@ -50,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["PopularityModel", "zipf_draw"]
 
 #: numpy's tolerance on ``sum(p) == 1`` in ``Generator.choice``
-_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+_SUM_ATOL = math.sqrt(sys.float_info.epsilon)
 
 
 def _cdf(weights: List[float]) -> List[float]:
@@ -60,19 +65,28 @@ def _cdf(weights: List[float]) -> List[float]:
     return [c / last for c in cdf]
 
 
+def _weight(rank: int, s: float) -> float:
+    """``1 / rank**s``; 0.0 where the power overflows, as numpy's
+    ``1 / inf`` is."""
+    try:
+        return 1.0 / float(rank) ** s
+    except OverflowError:
+        return 0.0
+
+
 @functools.lru_cache(maxsize=None)
 def _table(n: int, s: float) -> Tuple[List[float], List[float], int]:
     """Rank weights ``1/(r+1)^s`` normalised, their CDF, and how many
     are positive (a large ``s`` underflows the tail to 0)."""
-    array = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), s)
-    array /= array.sum()
-    weights = array.tolist()
+    raw = [_weight(rank, s) for rank in range(1, n + 1)]
+    norm = pairwise_sum(raw)
+    weights = [w / norm for w in raw]
     total = math.fsum(weights)
     if math.isnan(total):
         raise ValueError("Probabilities contain NaN")
     if abs(total - 1.0) > _SUM_ATOL:
         raise ValueError("Probabilities do not sum to 1")
-    return weights, _cdf(weights), int(np.count_nonzero(array > 0))
+    return weights, _cdf(weights), sum(1 for w in weights if w > 0)
 
 
 def zipf_draw(
@@ -86,7 +100,7 @@ def zipf_draw(
     bisect_right = bisect.bisect_right
     found: List[int] = []
     if replace:
-        for x in rng.random(size).tolist():
+        for x in rng.random(size):
             found.append(bisect_right(cdf, x))
         return found
     if size > n:
@@ -96,7 +110,7 @@ def zipf_draw(
     if positive < size:
         raise ValueError("Fewer non-zero entries in p than size")
     while len(found) < size:
-        draws = rng.random(size - len(found)).tolist()
+        draws = rng.random(size - len(found))
         if found:
             weights = list(weights)
             for rank in found:

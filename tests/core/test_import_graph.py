@@ -9,7 +9,9 @@ did not build: each is one more module a ``setup_s`` probe compiles.
 Nor may it load numpy, built *and* run (a worker's stream is created at
 its first resume): its streams are ``repro.sim.rng``'s pure-Python
 replica, which hands a stream to numpy only for a draw it does not
-replicate.  Each opt-in setting, in turn, must load its plane.  Every
+replicate.  The fault, arrival and Zipf planes draw only replicated
+shapes, so they load no numpy either.  Each opt-in setting, in turn, must
+load its plane.  Every
 case runs in its own interpreter, since a module once loaded stays in
 ``sys.modules``.
 """
@@ -52,7 +54,7 @@ from repro.core.executor import WorkloadExecutor
 from repro.workloads.registry import make_workload
 
 cluster = Cluster(ClusterConfig(num_nodes=4, seed=1, **{config!r}))
-workload = make_workload({workload!r})
+workload = make_workload({workload!r}, **{workload_args!r})
 if cluster.config.arrival.enabled:
     executor = repro.traffic.engine.OpenLoopExecutor(
         cluster, workload, cluster.config.arrival, service_workers=1, horizon=0.1
@@ -65,7 +67,7 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro") or m == 
 """
 
 
-def loaded_modules(workload="bank", config=None, sanitize_env=None):
+def loaded_modules(workload="bank", config=None, sanitize_env=None, workload_args=None):
     """The ``repro`` modules (and ``numpy``, if loaded) a fresh interpreter
     holds after building one cell and running it for 0.1 sim-s;
     ``sanitize_env`` is REPRO_SANITIZE's value (unset when None)."""
@@ -73,7 +75,9 @@ def loaded_modules(workload="bank", config=None, sanitize_env=None):
     env["PYTHONPATH"] = SRC
     if sanitize_env is not None:
         env["REPRO_SANITIZE"] = sanitize_env
-    code = BUILD.format(config=config or {}, workload=workload)
+    code = BUILD.format(
+        config=config or {}, workload=workload, workload_args=workload_args or {}
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env=env, timeout=120,
@@ -118,18 +122,25 @@ def test_each_opt_in_setting_loads_its_plane(config, sanitize_env, plane):
 
 
 @pytest.mark.parametrize(
-    "config",
+    "workload, workload_args, config, plane",
     [
-        # a crash schedule's gaps are ``exponential`` draws: the stream
-        # hands off to numpy as the plan is built
-        dict(faults=dict(enabled=True, crash_rate=0.5)),
-        # so are Poisson inter-arrival times, at each arrival's first resume
-        dict(arrival=dict(enabled=True)),
+        # a crash and partition schedule: ``exponential`` gaps,
+        # ``integers(high)`` victims, ``choice`` groups
+        (
+            "bank", {}, dict(faults=dict(enabled=True, crash_rate=20.0, partition_rate=20.0)),
+            "repro.faults.plan",
+        ),
+        # Poisson inter-arrival gaps, and Zipf keys through ``random(size)``
+        ("bank", {}, dict(arrival=dict(enabled=True, zipf_s=1.2)), "repro.traffic.popularity"),
+        # the DHT's static skew reaches the same Zipf table
+        ("dht", dict(skew=1.0), {}, "repro.traffic.popularity"),
     ],
-    ids=["faults", "arrival"],
+    ids=["faults", "arrival", "dht"],
 )
-def test_a_plane_that_draws_beyond_the_replica_loads_numpy(config):
-    assert "numpy" in loaded_modules(config=config)
+def test_a_plane_beyond_the_default_cell_loads_no_numpy(workload, workload_args, config, plane):
+    modules = loaded_modules(workload, config=config, workload_args=workload_args)
+    assert plane in modules
+    assert "numpy" not in modules
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

@@ -14,12 +14,14 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 import repro
 from repro.sim import RngRegistry
+from repro.sim import ziggurat
 from repro.sim.rng import Generator, _stable_key
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
@@ -64,9 +66,14 @@ def assert_same_state(gen, ref):
 
 def random_draw(pick):
     """One replicated draw, its arguments chosen by ``pick``."""
-    kind = pick.randrange(7)
+    kind = pick.randrange(9)
     if kind == 0:
-        return "random", ()
+        return "random", (pick.randrange(6),) if pick.random() < 0.3 else ()
+    if kind == 7:
+        return "exponential", (pick.choice([1e-3, 0.5, 1, 40.0]),)
+    if kind == 8:
+        high = pick.choice([1, 2, 7, 640, 2**32])
+        return "integers", (high,) + ((None, pick.randrange(6)) if pick.random() < 0.3 else ())
     if kind == 1:
         low = pick.uniform(-5.0, 5.0)
         size = (pick.randrange(6),) if pick.random() < 0.3 else ()
@@ -162,6 +169,60 @@ class TestDraws:
                 assert_same_state(gen, ref)
 
 
+class TestExponential:
+    """numpy's 256-layer ziggurat: most draws stop inside a layer; the
+    rest take a double for the tail (layer 0) or the wedge, where a
+    rejected draw starts over."""
+
+    def test_every_branch_matches_numpy(self):
+        paths = set()
+        for seed in range(2):
+            gen, ref = reference_pair(seed)
+            outputs = []
+
+            def counted(raw=gen._next64):
+                outputs.append(raw())
+                return outputs[-1]
+
+            gen._next64 = counted
+            for _ in range(5000):
+                outputs.clear()
+                assert gen.exponential(0.5) == ref.exponential(0.5)
+                ri = outputs[-1] >> 3
+                idx = ri & 0xFF
+                if len(outputs) > 1:
+                    paths.add("wedge rejected")
+                if ri >> 8 >= ziggurat.KE[idx]:
+                    paths.add("tail" if idx == 0 else "wedge")
+            assert_same_state(gen, ref)
+        assert paths == {"tail", "wedge", "wedge rejected"}
+
+    def test_the_default_scale_is_one(self):
+        gen, ref = reference_pair(5)
+        assert [gen.exponential() for _ in range(20)] == [ref.exponential() for _ in range(20)]
+        assert_same_state(gen, ref)
+
+    def test_tables_follow_the_marsaglia_tsang_recurrence(self):
+        # ``FE`` and ``WE`` are numpy's constants; ``KE`` has no exact
+        # recurrence and is covered by the draws above
+        with localcontext() as ctx:
+            ctx.prec = 60
+            # the right edge to numpy's 29 digits, which the double rounds
+            r = Decimal("7.6971174701310497140446280481")
+            assert float(r) == ziggurat.ZIGGURAT_EXP_R
+            v = (-r).exp() * (1 + r)
+            xs = [r]
+            for _ in range(254):
+                xs.append(-(v / xs[-1] + (-xs[-1]).exp()).ln())
+            xs.reverse()
+            two53 = Decimal(2) ** 53
+            assert list(ziggurat.FE) == [1.0] + [float((-x).exp()) for x in xs]
+            assert list(ziggurat.WE) == [float(v * r.exp() / two53)] + [
+                float(x / two53) for x in xs
+            ]
+        assert len(ziggurat.KE) == 256
+
+
 class TestHandOff:
     def test_unreplicated_draw_hands_the_exact_state_to_numpy(self):
         gen, ref = reference_pair(11)
@@ -169,9 +230,11 @@ class TestHandOff:
         # leave a buffered 32-bit half behind, which must travel too
         while not gen.state["has_uint32"]:
             assert gen.integers(0, 10) == ref.integers(0, 10)
-        assert gen.exponential(2.0) == ref.exponential(2.0)
+        assert gen.standard_normal() == ref.standard_normal()
         assert handed_off(gen)
-        # the replica-named draws now go to numpy: same values, same types
+        # the replica-named draws now go to numpy: same values, same types;
+        # the replica's own state is stale, so a draw it kept would differ
+        assert gen.exponential(2.0) == ref.exponential(2.0)
         assert gen.integers(0, 10) == ref.integers(0, 10)
         assert gen.random() == ref.random()
         assert np.array_equal(gen.choice(640, 6, replace=False), ref.choice(640, 6, replace=False))
@@ -181,14 +244,16 @@ class TestHandOff:
     @pytest.mark.parametrize(
         "method, args, kwargs",
         [
-            ("random", (3,), {}),
+            ("random", (3, np.float32), {}),
             ("uniform", (0.0, 1.0, (2, 2)), {}),
-            ("integers", (5,), {}),
+            ("integers", (5,), {"dtype": np.int32}),
             ("integers", (0, 2**40), {}),
             ("integers", (0, 10), {"endpoint": True}),
             ("choice", (5, 3, True, [0.1, 0.2, 0.3, 0.2, 0.2]), {}),
             ("choice", ([10, 20, 30], 2), {}),
             ("standard_normal", (), {}),
+            ("exponential", (1.0, 3), {}),
+            ("exponential", (0.0,), {}),
         ],
     )
     def test_any_other_shape_is_numpys_answer(self, method, args, kwargs):
@@ -215,12 +280,14 @@ class TestHandOff:
 
 
 def test_replica_draws_load_no_numpy():
-    # a sized draw, a choice and a stream creation stay in pure Python
+    # sized draws, a choice, an exponential and a stream creation stay in
+    # pure Python
     # (``tests/core/test_import_graph.py`` checks whole cells)
     code = (
         "import sys; from repro.sim import RngRegistry\n"
         "g = RngRegistry(1).stream('w')\n"
         "g.random(); g.uniform(0, 1, 4); g.integers(0, 9, 3); g.choice(640, 6, replace=False)\n"
+        "g.random(4); g.integers(9); g.exponential(2.0)\n"
         "print('numpy' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=SRC)

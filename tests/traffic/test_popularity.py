@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.sim import RngRegistry
-from repro.traffic.popularity import PopularityModel, zipf_draw
+from repro.traffic.popularity import PopularityModel, _table, zipf_draw
 
 
 def _rng(seed=11):
@@ -55,6 +55,31 @@ class TestSkew:
 def _weights(n, s):
     w = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), s)
     return w / w.sum()
+
+
+class TestTableMatchesNumpy:
+    """``_table`` builds numpy's weights without numpy: ``1 / r**s``
+    through Python's ``**`` (libm's ``pow``), normalised by numpy's
+    pairwise sum (``repro.net.topology.pairwise_sum``).
+    At s = 1.0 and 2.0 numpy's ``pow`` rounds as libm's does on every
+    host; elsewhere its SIMD ``pow`` may differ by an ulp."""
+
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    @pytest.mark.parametrize("n", [1, 8, 9, 129, 1000, 4099])
+    def test_weights_and_positive_count(self, s, n):
+        weights, cdf, positive = _table(n, s)
+        want = _weights(n, s)
+        assert weights == want.tolist()
+        assert cdf == (np.cumsum(want) / np.cumsum(want)[-1]).tolist()
+        assert positive == n
+
+    def test_an_overflowing_power_is_a_zero_weight(self):
+        # 2**1100 overflows: numpy's 1/inf is 0, Python's ** raises
+        with np.errstate(over="ignore"):
+            want = _weights(9, 1100.0)
+        weights, _, positive = _table(9, 1100.0)
+        assert weights == want.tolist() == [1.0] + [0.0] * 8
+        assert positive == int(np.count_nonzero(want > 0)) == 1
 
 
 class TestSamplerMatchesNumpy:
