@@ -126,6 +126,12 @@ INVARIANT_RULES: Dict[str, Rule] = {
             "§II ('global registration of object ownership')",
         ),
         Rule(
+            "inv-durable",
+            "a re-host restores at least the version the last commit installed",
+            "durability: a re-host from an older snapshot loses a commit",
+            "§II (the one writable copy survives) / DESIGN §3b",
+        ),
+        Rule(
             "inv-no-commit-after-owner-failure",
             "a transaction attempt aborted by OWNER_FAILURE (or any abort) "
             "never subsequently commits",
@@ -153,8 +159,8 @@ INVARIANT_RULES: Dict[str, Rule] = {
             "inv-retry-policy",
             "the RPC retry policy's windows grow monotonically to the cap "
             "and its derived bounds are self-consistent",
-            "recovery timing: orphan-sweep and requester-gave-up deadlines "
-            "derive from worst_case_wait",
+            "recovery timing: a caller gives up on a silent peer after "
+            "worst_case_wait",
             "DESIGN §3b (RPC timeout/retry)",
         ),
     )

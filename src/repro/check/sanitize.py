@@ -1,9 +1,9 @@
 """The runtime invariant sanitizer — ``CheckConfig.sanitize=True``.
 
 A cluster-scoped observer the protocol layers call at every ownership
-transition: directory registration/withdraw, lease reclaim, orphan
-repatriation, object grant/install, commit finalisation, and lookup-cache
-mutation.  Each hook re-checks one of the paper's safety properties
+transition: directory registration/withdraw, lease reclaim, object
+grant/install, commit finalisation, and lookup-cache mutation.  Each
+hook re-checks one of the paper's safety properties
 (``inv-*`` in :mod:`repro.check.rules`) against live state and raises a
 structured :class:`InvariantViolation` the moment a transition breaks it —
 so a protocol bug surfaces at the transition that caused it, not as a
@@ -97,6 +97,8 @@ class Sanitizer:
         self._watermarks: Dict[Tuple[int, str], Tuple[int, int]] = {}
         #: root-attempt txids that aborted (any reason, incl. OWNER_FAILURE)
         self._dead_txids: Dict[str, str] = {}
+        #: oid -> the version its last committed write installed
+        self._committed: Dict[str, int] = {}
         #: the committed history: one record per committed root, in the
         #: order they committed
         self.history: List[CommitRecord] = []
@@ -197,11 +199,18 @@ class Sanitizer:
                 lease_expires_at=lease_expires_at, has_snapshot=has_snapshot,
             )
 
-    def note_rehost(self, node_id: int, oid: str, gen: int, version: int) -> None:
-        """A home re-hosts ``oid`` (lease reclaim or orphan return) at the
-        ``version`` it restores under the new generation ``gen``: the
-        watermark restarts there.  A re-host writes nothing."""
+    def note_rehost(self, node_id: int, oid: str, gen: int, version: int,
+                    now: Optional[float] = None) -> None:
+        """A home re-hosts ``oid`` (a lease reclaim) at the ``version`` it
+        restores under the new generation ``gen``: the watermark restarts
+        there.  A re-host writes nothing, and loses nothing: ``version``
+        is at least the last one a commit installed (``inv-durable``)."""
         self.checks += 1
+        if version < self._committed.get(oid, version):
+            raise InvariantViolation(
+                "inv-durable", oid, node=node_id, time=now,
+                restored=version, committed=self._committed[oid], gen=gen,
+            )
         self._watermarks[(node_id, oid)] = (gen, version)
 
     # -- inv-no-commit-after-owner-failure ----------------------------------
@@ -230,6 +239,7 @@ class Sanitizer:
                 time=now, abort_reason=reason,
             )
         self.history.append(commit_record(root, new_versions, node))
+        self._committed.update(new_versions)
 
     # -- what the explorer reads ----------------------------------------------
 

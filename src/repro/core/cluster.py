@@ -221,11 +221,11 @@ class Cluster:
                     rpc_client, self.sanitizer
                 )
             if fc.enabled:
-                proxy.recovery = NodeRecovery(proxy, fc.lease_duration)
                 directory.recovery = HomeRecovery(
                     directory, fc.lease_duration, fc.reclaim_grace,
                     proxy, self.metrics,
                 )
+                proxy.recovery = NodeRecovery(proxy, fc.lease_duration, directory.recovery)
             engine = TFAEngine(
                 proxy,
                 self.metrics,
@@ -250,17 +250,6 @@ class Cluster:
                     proxy.recovery.lease_heartbeat(interval, offset=offset),
                     name=f"n{node_id}.heartbeat",
                 )
-            if fc.orphan_sweep_interval is not None:
-                # Orphan repatriation sweeps, staggered like heartbeats.
-                sweep = fc.orphan_sweep_interval
-                for node_id, proxy in enumerate(self.proxies):
-                    offset = sweep * (node_id + 1) / (config.num_nodes + 1)
-                    self.env.process(
-                        proxy.recovery.orphan_sweep(
-                            sweep, min_age=fc.orphan_min_age, offset=offset
-                        ),
-                        name=f"n{node_id}.orphan_sweep",
-                    )
 
         self._task_ids = itertools.count(1)
         self._alloc_count = 0

@@ -113,17 +113,6 @@ class FaultConfig:
     #: ahead of the snapshot (a commit may be mid-flight)
     reclaim_grace: float = 1.5
 
-    # -- recovery: orphan repatriation ----------------------------------
-    #: period of the owner-side sweep that returns abandoned transferred
-    #: copies (granted, never re-requested, never registered elsewhere)
-    #: to the home snapshot before lease expiry would reclaim them.
-    #: None (default) disables the sweep.
-    orphan_sweep_interval: Optional[float] = None
-    #: a granted entry must be at least this old before the sweep may
-    #: repatriate it; None derives the floor from the RPC policy's
-    #: worst-case retry wait (the requester must have given up first).
-    orphan_min_age: Optional[float] = None
-
     # -- recovery: retry bounds -----------------------------------------
     #: nested (closed) transactions abort-and-retry at their own level;
     #: under faults a read can stay stale forever (e.g. a straggler
@@ -163,10 +152,6 @@ class FaultConfig:
                 "lease_renew_interval must be < lease_duration or leases "
                 "expire between heartbeats even on healthy nodes"
             )
-        if self.orphan_sweep_interval is not None and not self.orphan_sweep_interval > 0:
-            raise ValueError("orphan_sweep_interval must be > 0 (or None)")
-        if self.orphan_min_age is not None and not self.orphan_min_age >= 0:
-            raise ValueError("orphan_min_age must be >= 0 (or None)")
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,6 @@ def _extra(
             rpc_retries=m.rpc_retries.value,
             lease_reclaims=m.lease_reclaims.value,
             crash_aborts=m.crash_aborts.value,
-            orphan_returns=m.orphan_returns.value,
         )
     rc = cluster.config.rpc
     if rc.cache:

@@ -45,8 +45,6 @@ class MetricsCollector:
         self.rpc_timeouts = Counter("rpc_timeouts")
         self.rpc_retries = Counter("rpc_retries")
         self.lease_reclaims = Counter("lease_reclaims")
-        #: abandoned transferred copies repatriated by the orphan sweep
-        self.orphan_returns = Counter("orphan_returns")
         #: root aborts caused by an unreachable owner/home (OWNER_FAILURE)
         self.crash_aborts = Counter("crash_aborts")
 
@@ -128,7 +126,6 @@ class MetricsCollector:
             "rpc_timeouts": float(self.rpc_timeouts.value),
             "rpc_retries": float(self.rpc_retries.value),
             "lease_reclaims": float(self.lease_reclaims.value),
-            "orphan_returns": float(self.orphan_returns.value),
             "crash_aborts": float(self.crash_aborts.value),
         }
         if self.window_end - self.window_start > 0:

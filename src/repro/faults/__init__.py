@@ -13,11 +13,11 @@ The subsystem has two halves:
   timeout/retry loop;
   :mod:`repro.faults.recovery` holds both sides of bringing a lost copy
   back, which the cluster builds only when ``faults.enabled``: the
-  home's side — leases, reclaim, the ``DIR_UPDATE`` fences, orphan
-  returns — is one :class:`HomeRecovery` per directory shard, the
-  owner's side — the re-grant memory, the late-response and lease-ack
-  handlers, the heartbeat, commit-publish and orphan-sweep processes —
-  one :class:`NodeRecovery` per node.
+  home's side — leases, the lease reclaim, the ``DIR_UPDATE`` fences —
+  is one :class:`HomeRecovery` per directory shard, the owner's side —
+  the re-grant memory, the late-response and lease-ack handlers, the
+  commit publish and the heartbeat process — one :class:`NodeRecovery`
+  per node.
 
 Everything is driven from config-seeded RNG streams: identical seeds
 produce identical fault timelines and therefore bit-identical runs.

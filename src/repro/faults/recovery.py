@@ -7,7 +7,7 @@ cluster has none of this code, its handlers or its processes.
 * :class:`NodeRecovery`, one per node (``proxy.recovery``), is the
   owner's side: the re-grant memory, the handlers for a
   ``RETRIEVE_RESPONSE`` whose RPC waiter is gone and for lease acks, the
-  commit publish, and the heartbeat and orphan-sweep processes.  The
+  commit publish, and the heartbeat process.  The
   protocol core (:class:`~repro.dstm.proxy.TMProxy`) calls out to it in
   three places — :meth:`~NodeRecovery.remember` where custody leaves a
   node, :meth:`~NodeRecovery.forget` where it arrives,
@@ -17,7 +17,7 @@ cluster has none of this code, its handlers or its processes.
   (``directory.recovery``), is the home's side: ownership leases, the
   lease reclaim, the custody fence on ``DIR_UPDATE``, the
   withdrawn-txid tombstones, and the ``COMMIT_PUBLISH`` /
-  ``LEASE_RENEW`` / ``ORPHAN_RETURN`` endpoints.  The
+  ``LEASE_RENEW`` endpoints.  The
   :class:`~repro.dstm.directory.DirectoryShard` calls out to it in three
   places — :meth:`~HomeRecovery.reclaim` before a read,
   :meth:`~HomeRecovery.fence` before an update registers,
@@ -37,7 +37,6 @@ from repro.check.sanitize import validate_policy
 from repro.dstm.objects import ObjectState, VersionedObject, home_node
 from repro.net.message import Message, MessageType
 from repro.rpc.endpoint import ENDPOINTS, serve
-from repro.rpc.errors import PeerUnreachable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (dstm never imports faults)
     from repro.core.metrics import MetricsCollector
@@ -51,36 +50,34 @@ __all__ = ["HomeRecovery", "NodeRecovery", "validate_policy"]
 _TOMBSTONES = 4
 
 _COMMIT_PUBLISH = ENDPOINTS.get("commit_publish")
-_ORPHAN_RETURN = ENDPOINTS.get("orphan_return")
 
 
 class Transfer(NamedTuple):
     """The last ownership transfer a node sent for one oid: to which
-    node and root txid, the payload and wire bytes as sent, and when
-    (a re-send to a requester still asking refreshes it)."""
+    node and root txid, and the payload and wire bytes as sent."""
 
     requester: int
     txid: str
     payload: Dict[str, Any]
     wire_bytes: int
-    at: float
 
 
 class NodeRecovery:
     """One node's share of failure recovery; the cluster sets it as its
     proxy's ``recovery``."""
 
-    def __init__(self, proxy: "TMProxy", lease_duration: float) -> None:
+    def __init__(self, proxy: "TMProxy", lease_duration: float, home: "HomeRecovery") -> None:
         self.proxy = proxy
         self.node = proxy.node
         self.env = proxy.env
         self.client = proxy.rpc_client
         self.lease_duration = float(lease_duration)
+        #: this node's directory side, which leases the oids it homes
+        self.home = home
         #: the re-grant memory: a transferred grant or hand-off deletes
         #: the sender's copy before the message hits the wire, so if
         #: that message is dropped the copy exists nowhere but here.
-        #: Entries leave when the object comes back or the orphan sweep
-        #: hands them to the home.
+        #: Entries leave when the object comes back or is re-hosted here.
         self.granted: Dict[str, Transfer] = {}
         self.node.on(MessageType.RETRIEVE_RESPONSE, self._on_late_retrieve_response)
         self.node.on(MessageType.LEASE_RENEW_ACK, self._on_lease_ack)
@@ -89,10 +86,10 @@ class NodeRecovery:
         self, oid: str, requester: int, txid: str,
         payload: Dict[str, Any], wire_bytes: int,
     ) -> None:
-        """Custody of ``oid`` is leaving for ``requester`` in ``payload``."""
-        self.granted[oid] = Transfer(
-            requester, txid, dict(payload), wire_bytes, self.env.now
-        )
+        """Custody of ``oid`` is leaving for ``requester`` in ``payload``;
+        if this node homes ``oid``, its own entry is leased from now on."""
+        self.granted[oid] = Transfer(requester, txid, dict(payload), wire_bytes)
+        self._renew_if_home(oid)
 
     def forget(self, oid: str) -> None:
         """Custody of ``oid`` arrived (back) here."""
@@ -113,20 +110,24 @@ class NodeRecovery:
         custody epoch included, so re-sending is idempotent by
         construction: a requester that already took that custody (and
         may have passed it on) drops it under the custody rule of
-        :meth:`~repro.dstm.proxy.TMProxy._install_transferred`.  It also
-        refreshes the age: the requester is alive, so the orphan sweep
-        must not repatriate under it.
+        :meth:`~repro.dstm.proxy.TMProxy._install_transferred`.  The
+        requester is alive, so the lease of an oid this node homes is
+        re-armed.
         """
         oid = msg.payload["oid"]
         sent = self.granted.get(oid)
         if sent is None or (sent.requester, sent.txid) != (msg.src, msg.payload["txid"]):
             return False
-        self.granted[oid] = sent._replace(at=self.env.now)
+        self._renew_if_home(oid)
         self.node.reply(
             msg, MessageType.RETRIEVE_RESPONSE, dict(sent.payload),
             wire_bytes=sent.wire_bytes,
         )
         return True
+
+    def _renew_if_home(self, oid: str) -> None:
+        if home_node(oid, self.proxy.num_nodes) == self.node.node_id:
+            self.home.renew(oid)
 
     def _on_late_retrieve_response(self, msg: Message) -> None:
         """A RETRIEVE_RESPONSE whose RPC waiter is gone (timed out, or a
@@ -188,75 +189,6 @@ class NodeRecovery:
                 self.node.send(home, MessageType.LEASE_RENEW, {"objects": objects})
             yield interval
 
-    def orphan_sweep(
-        self,
-        interval: float,
-        min_age: Optional[float] = None,
-        offset: float = 0.0,
-    ) -> Generator[Any, Any, None]:
-        """Infinite sweep process: repatriate abandoned transferred copies.
-
-        A transfer whose message was lost leaves the single writable copy
-        existing only in :attr:`granted`.  Normally the requester's RPC
-        retries pick it up; if the requester gave up (its root aborted
-        with ``OWNER_FAILURE``) or crashed, the copy is orphaned —
-        unreachable until the home's lease reclaim re-hosts it from a
-        possibly older snapshot.  The sweep returns such copies to the
-        home (``ORPHAN_RETURN``) *before* lease expiry, so the object
-        comes back under its latest committed value.
-
-        ``min_age`` gates repatriation: an entry younger than it may still
-        be claimed by the requester's in-flight retries.  The default is
-        the RPC policy's worst-case retry wait — by then the requester has
-        provably given up (or will be served by the home's fenced copy).
-        """
-        if min_age is None:
-            min_age = self.client.policy.worst_case_wait()
-        if offset > 0.0:
-            yield offset
-        while True:
-            yield interval
-            yield from self._sweep_orphans(min_age)
-
-    def _sweep_orphans(self, min_age: float) -> Generator[Any, Any, None]:
-        now = self.env.now
-        cache = self.proxy.owner_hints
-        for oid in sorted(self.granted):
-            sent = self.granted.get(oid)
-            if sent is None or now - sent.at < min_age:
-                continue
-            if oid in self.proxy.store:
-                # The object came home through another path (late
-                # hand-off forwarding); the memory is just stale.
-                self.granted.pop(oid, None)
-                continue
-            home = home_node(oid, self.proxy.num_nodes)
-            try:
-                reply = yield from self.client.call(
-                    home, _ORPHAN_RETURN,
-                    {
-                        "oid": oid, "gen": sent.payload["gen"],
-                        "version": int(sent.payload["version"]),
-                        "value": sent.payload["value"],
-                        "granted_to": sent.requester,
-                    },
-                )
-            except PeerUnreachable:
-                continue  # silent home: retry on the next sweep
-            p = reply.payload
-            if p.get("accepted") or p.get("fenced"):
-                # Accepted: the home re-hosted the copy under a new
-                # generation.  Fenced: the registry already moved past this
-                # transfer (the requester registered after all, or a
-                # reclaim won).  Either way re-granting from the memory
-                # would resurrect a stale copy — drop it, unless a newer
-                # transfer replaced the entry while this RPC was in flight.
-                current = self.granted.get(oid)
-                if current is not None and current.at == sent.at:
-                    self.granted.pop(oid, None)
-                if cache.owner(oid) == sent.requester:
-                    cache.drop(oid)
-
 
 class HomeRecovery:
     """One home's share of failure recovery; the cluster sets it as its
@@ -264,13 +196,14 @@ class HomeRecovery:
 
     A *lease* is the instant an entry's registered owner must have been
     heard from by (every registration, heartbeat and commit publish from
-    it renews the lease).  An entry whose lease lapsed is *reclaimed* on
-    the next read: the home re-hosts the object at its committed
-    snapshot's version under the next custody generation ``gen`` (a
-    re-host writes nothing: only commits mint versions).  The generation
-    fences the failed owner: every home-side test of a copy compares
-    ``(gen, version)``, and an older generation is stale whatever its
-    version.
+    it renews the lease); an entry the home owns, while its proxy has let
+    the copy go (:meth:`NodeRecovery.remember`).  An entry whose lease
+    lapsed is *reclaimed* on the next read: the home re-hosts the object
+    at its committed snapshot's version under the next custody
+    generation ``gen`` (a re-host writes nothing: only commits mint
+    versions).  The generation fences the failed owner: every home-side
+    test of a copy compares ``(gen, version)``, and an older generation
+    is stale whatever its version.
     """
 
     def __init__(
@@ -297,7 +230,6 @@ class HomeRecovery:
         self.withdrawn: Dict[str, List[str]] = {}
         serve(self.node, "commit_publish", self._on_commit_publish)
         serve(self.node, "lease_renew", self._on_lease_renew)
-        serve(self.node, "orphan_return", self._on_orphan_return)
 
     # -- the shard's call-outs ------------------------------------------------
 
@@ -353,18 +285,18 @@ class HomeRecovery:
     def reclaimable(self, oid: str) -> bool:
         """Whether a read of ``oid`` now would reclaim it; acts on nothing.
 
-        Yes when a remote owner's lease has lapsed and the home has a
+        Yes when the owner's lease has lapsed and the home has a
         snapshot to restore from.  When the registered version is ahead
         of the snapshot a commit was in flight at the crash; since
         registration precedes installation the snapshot is still the
         full committed state, but an extra ``reclaim_grace`` lets a live
         committer's retries land first.  Never while our own proxy holds
-        a copy mid-validation: that local commit will either register
-        (healing the entry) or release, and reclaiming under it would
-        fork the object.
+        the registered copy, or any copy mid-validation: that local
+        commit will either register (healing the entry) or release, and
+        reclaiming under it would fork the object.
         """
         entry = self.directory.entry(oid)
-        if entry is None or entry.owner == self.node.node_id or not entry.has_snapshot:
+        if entry is None or not entry.has_snapshot:
             return False
         now = self.node.now_local
         expires = self.leases.get(oid, math.inf)
@@ -373,7 +305,9 @@ class HomeRecovery:
         if entry.snapshot_version < entry.version and now < expires + self.reclaim_grace:
             return False
         local = self.proxy.store.get(oid)
-        return local is None or local.state is ObjectState.FREE
+        return local is None or (
+            entry.owner != self.node.node_id and local.state is ObjectState.FREE
+        )
 
     def reclaim(self, oid: str) -> None:
         """Re-host ``oid`` from the home's snapshot if :meth:`reclaimable`."""
@@ -404,15 +338,19 @@ class HomeRecovery:
         one place a generation is minted.  The registry may step back (a
         registration that never installed is dropped).  A FREE copy
         already in our store is a stale leftover (we would not be
-        re-hosting if we were the registered owner): it is replaced, or
-        readers keep serving a copy the registry has moved past.
-        Home-hosted entries need no lease until ownership migrates again
-        (the transfer registration re-arms it).
+        re-hosting if we held the registered copy): it is replaced, or
+        readers keep serving a copy the registry has moved past.  Our
+        re-grant memory of the object goes too: it is of the fenced
+        generation.
+        Home-hosted entries need no lease until this node lets the copy
+        go again (:meth:`NodeRecovery.remember` re-arms it).
         """
         home = self.node.node_id
         entry.gen += 1
         if self.directory.sanitizer is not None:
-            self.directory.sanitizer.note_rehost(home, oid, entry.gen, version)
+            self.directory.sanitizer.note_rehost(
+                home, oid, entry.gen, version, now=self.node.env.now
+            )
         entry.owner = home
         entry.version = version
         entry.registered_by = None
@@ -420,6 +358,7 @@ class HomeRecovery:
         entry.snapshot_version = version
         entry.snapshot_value = value
         self.leases.pop(oid, None)
+        self.proxy.recovery.forget(oid)
         self.proxy.store[oid] = VersionedObject(oid, value, version, gen=entry.gen)
         # A custody the home took: no transfer from before it may install
         # over it (TMProxy._install_transferred's rule).
@@ -464,45 +403,3 @@ class HomeRecovery:
             elif (gen, int(version)) < (entry.gen, entry.version):
                 stale.append(oid)
         return {"stale": stale}
-
-    def _on_orphan_return(self, msg: Message) -> Dict[str, Any]:
-        """An old owner returns a transferred copy nobody came to claim.
-
-        The sender granted an ownership transfer whose response was lost
-        and whose requester never re-requested (gave up or crashed); the
-        copy it holds is the object's latest committed state.  Accept it
-        only while the sender is still the registered owner and the
-        registry has not moved past the copy's ``(gen, version)`` — then
-        re-host it here at its version under the next generation,
-        exactly like a lease reclaim but from fresher state and without
-        waiting out the lease.  Anything else answers ``fenced``: the
-        registry has already moved on (the requester registered after
-        all, or a re-host/competing commit won) and the sender must drop
-        its idempotent re-grant cache or it would resurrect a stale copy.
-        """
-        p = msg.payload
-        oid = p["oid"]
-        version = int(p["version"])
-        entry = self.directory.entry(oid)
-        key = (p["gen"], version)
-        if entry is None or entry.owner != msg.src or key < (entry.gen, entry.version):
-            return {
-                "oid": oid, "accepted": False, "fenced": True,
-                "registered_owner": entry.owner if entry else None,
-                "registered_version": entry.version if entry else None,
-            }
-        local = self.proxy.store.get(oid)
-        if local is not None and local.state is not ObjectState.FREE:
-            # Our own proxy is mid-validation on a copy of this object; a
-            # live local commit will settle the entry.  Not fenced: the
-            # sender keeps its cache and retries on a later sweep.
-            return {"oid": oid, "accepted": False, "fenced": False}
-        self._rehost(oid, entry, p["value"], version)
-        self.metrics.orphan_returns.increment()
-        tracer = self.directory.tracer
-        if tracer.wants("fault.orphan_return"):
-            tracer.emit(
-                self.node.env.now, "fault.orphan_return", oid,
-                old_owner=msg.src, version=version, gen=entry.gen,
-            )
-        return {"oid": oid, "accepted": True, "version": version}

@@ -54,8 +54,6 @@ class MessageType(str, enum.Enum):
     # Failure recovery (repro.faults): ownership-lease heartbeats
     LEASE_RENEW = "lease_renew"              # owner -> home: I'm alive
     LEASE_RENEW_ACK = "lease_renew_ack"      # home -> owner: + stale oids
-    ORPHAN_RETURN = "orphan_return"          # owner -> home: abandoned copy back
-    ORPHAN_RETURN_ACK = "orphan_return_ack"  # home -> owner: accepted / fenced
 
     # Payload plane (repro.rpc.payload): lazy out-of-band byte transfer
     PAYLOAD_FETCH = "payload_fetch"          # reader -> byte factory

@@ -59,8 +59,8 @@ Categories (the span/series/audit model; see DESIGN.md "Observability"):
     it changes.
 ``fault.*``
     Fault-injection and recovery events (drops, duplicates, delays,
-    crash/restart and partition windows, RPC retries, orphan
-    repatriation) — see :mod:`repro.faults`.
+    crash/restart and partition windows, RPC retries, lease reclaims)
+    — see :mod:`repro.faults`.
 
 Validation here is deliberately hand-rolled (no jsonschema dependency):
 :func:`validate_event` checks the base shape plus per-category required
@@ -111,7 +111,6 @@ OBS_CATEGORIES = frozenset(
         "fault.partition",
         "fault.partition_end",
         "fault.rpc_retry",
-        "fault.orphan_return",
     }
 )
 

@@ -111,9 +111,6 @@ for _ep in (
     # Failure recovery (repro.faults)
     Endpoint("lease_renew", MessageType.LEASE_RENEW,
              MessageType.LEASE_RENEW_ACK, required=("objects",)),
-    Endpoint("orphan_return", MessageType.ORPHAN_RETURN,
-             MessageType.ORPHAN_RETURN_ACK,
-             required=("oid", "version", "value")),
     # Payload plane (repro.rpc.payload): lazy out-of-band byte resolve
     Endpoint("payload_fetch", MessageType.PAYLOAD_FETCH,
              MessageType.PAYLOAD_FETCH_REPLY, required=("oid", "version")),

@@ -1,8 +1,8 @@
 """The deadline/retry/backoff policy — the *one* place timeout shapes live.
 
 Every RPC in the system (proxy object opens, directory registrations
-and withdraws, validation fan-outs, fault-recovery publishes, the orphan
-sweep) is issued under a :class:`RetryPolicy` when faults are enabled.
+and withdraws, validation fan-outs, fault-recovery publishes) is issued
+under a :class:`RetryPolicy` when faults are enabled.
 Before ``repro.rpc`` existed the growing-timeout logic was duplicated
 between ``faults/recovery.py`` (the knobs) and the call sites in
 ``net/node.py`` / ``dstm/proxy.py`` (the loops); both now delegate

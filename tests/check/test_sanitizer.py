@@ -61,8 +61,8 @@ class TestUnitChecks:
                        has_snapshot=True)
 
     def test_reclaim_and_rehost_must_bump_the_fence(self):
-        """Both re-host paths (lease reclaim, orphan return) report the
-        re-host itself.  Its fence is the new custody generation: the
+        """The one re-host path, the lease reclaim, reports the re-host
+        itself.  Its fence is the new custody generation: the
         version may step back to the restored one, the watermark restarts
         there, and nothing enters the history (only commits write)."""
         s = Sanitizer()
@@ -74,6 +74,25 @@ class TestUnitChecks:
             s.note_register(0, "x", 6)  # a straggler from generation 0
         assert exc.value.rule_id == "inv-version-fence"
         assert exc.value.context["watermark"] == (1, 4)
+
+    def test_rehost_must_restore_the_last_committed_version(self):
+        """``inv-durable``: a re-host from a snapshot older than the last
+        commit's version loses that commit.  A version that was only
+        registered, never committed, may be stepped back over."""
+        s = Sanitizer()
+        s.note_rehost(0, "y", gen=1, version=0)  # nothing committed yet
+        tx = Transaction(node=0)
+        tx.wset["x"] = 6
+        tx.serialized_at = 1.0
+        s.note_register(0, "x", 4)
+        s.note_commit(tx, {"x": 4}, node=0)
+        s.note_register(0, "x", 5)  # registered, never installed
+        s.note_rehost(0, "x", gen=1, version=4)
+        with pytest.raises(InvariantViolation) as exc:
+            s.note_rehost(0, "x", gen=2, version=3, now=2.0)
+        assert exc.value.rule_id == "inv-durable"
+        assert (exc.value.context["restored"], exc.value.context["committed"]) == (3, 4)
+        assert exc.value.time == 2.0
 
     def test_no_commit_after_abort(self):
         s = Sanitizer()

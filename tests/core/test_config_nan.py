@@ -42,7 +42,7 @@ def test_the_table_walks_every_config_class():
         "ArrivalConfig", "ClusterConfig", "FaultConfig", "RetryPolicy",
         "RpcConfig",
     }
-    assert len(FLOAT_FIELDS) == 27
+    assert len(FLOAT_FIELDS) == 25
 
 
 @pytest.mark.parametrize("cls, name", FLOAT_FIELDS)

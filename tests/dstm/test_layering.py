@@ -195,7 +195,7 @@ def process_names(cluster):
 def background(cluster):
     return sorted(
         n for n in process_names(cluster)
-        if n.endswith((".heartbeat", ".orphan_sweep"))
+        if n.endswith(".heartbeat")
     )
 
 
@@ -213,8 +213,7 @@ def test_default_cluster_has_neither_subsystem():
     assert [d.recovery for d in cluster.directories] == [None] * 3
     for node in cluster.nodes:
         assert sorted(m.value for m in node._handlers) == ALGORITHM_HANDLERS
-        for mtype in (MessageType.COMMIT_PUBLISH, MessageType.LEASE_RENEW,
-                      MessageType.ORPHAN_RETURN):
+        for mtype in (MessageType.COMMIT_PUBLISH, MessageType.LEASE_RENEW):
             assert mtype not in node._handlers
         assert MessageType.LEASE_RENEW_ACK not in node._handlers
         assert MessageType.PAYLOAD_FETCH not in node._handlers
@@ -224,25 +223,18 @@ def test_default_cluster_has_neither_subsystem():
 
 
 def test_faults_enabled_builds_recovery_only():
-    fc = FaultConfig(enabled=True, orphan_sweep_interval=0.5)
+    fc = FaultConfig(enabled=True)
     cluster = Cluster(ClusterConfig(num_nodes=3, seed=1, faults=fc))
     for node, proxy, directory in zip(cluster.nodes, cluster.proxies, cluster.directories):
         assert proxy.recovery is not None and proxy.recovery.proxy is proxy
         assert directory.recovery is not None and directory.recovery.proxy is proxy
+        assert proxy.recovery.home is directory.recovery
         assert proxy.payload is None
         assert MessageType.LEASE_RENEW_ACK in node._handlers
-        assert MessageType.ORPHAN_RETURN in node._handlers
+        assert MessageType.COMMIT_PUBLISH in node._handlers
         assert MessageType.RETRIEVE_RESPONSE in node._handlers
         assert MessageType.PAYLOAD_FETCH not in node._handlers
-    assert background(cluster) == sorted(
-        [f"n{i}.heartbeat" for i in range(3)]
-        + [f"n{i}.orphan_sweep" for i in range(3)]
-    )
-
-
-def test_faults_without_a_sweep_interval_runs_no_sweep():
-    cluster = Cluster(ClusterConfig(num_nodes=2, seed=1, faults=FaultConfig(enabled=True)))
-    assert background(cluster) == ["n0.heartbeat", "n1.heartbeat"]
+    assert background(cluster) == [f"n{i}.heartbeat" for i in range(3)]
 
 
 def test_payload_enabled_builds_the_plane_only():

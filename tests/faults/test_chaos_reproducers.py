@@ -24,6 +24,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", ".."))
 # run_chaos_cell(seed, sanitize=False, horizon=40.0, **fault_overrides)
 #     -> (cluster, workload)
 from benchmarks.bench_chaos import run_reproducer as run_chaos_cell  # noqa: E402
+from repro.check import InvariantViolation  # noqa: E402
 from repro.check.oracle import check_history  # noqa: E402
 from repro.dstm.objects import home_node  # noqa: E402
 from repro.workloads.bank import INITIAL_BALANCE  # noqa: E402
@@ -145,16 +146,19 @@ def test_sanitized_cell_conserves_money_and_serializes(seed):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=InvariantViolation,
     reason="ROADMAP item 1: a partition longer than lease_duration + "
     "reclaim_grace re-hosts an object whose last commit had not yet "
-    "published to its home, and that commit is lost (95995 of 96000)",
+    "published to its home; the sanitizer raises inv-durable at that "
+    "reclaim",
 )
 def test_seed_223_survives_a_long_partition():
     """Seed 223 is clean at the cell's 0.5-s partitions.  With 3-s
     partitions the home re-hosts an account from under a commit whose
-    publish had not landed: the money oracle ends 5 short, and the
-    history shows a duplicate fence, a fence-order break, a precedence
-    cycle and a stale read."""
+    publish had not landed.  Unsanitized, the money oracle ends 5 short
+    and the history shows a duplicate fence, a fence-order break, a
+    precedence cycle and a stale read; sanitized, the run stops at the
+    reclaim with ``inv-durable``."""
     cluster, workload = run_chaos_cell(223, sanitize=True, partition_duration=3.0)
     total = sum(cluster.authoritative_value(a) for a in workload.accounts)
     initial = {oid: INITIAL_BALANCE for oid in workload.accounts}

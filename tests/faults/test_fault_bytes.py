@@ -5,7 +5,7 @@ pins a faulted one: the obs JSONL of the chaos smoke cell (bank at 50 %
 reads, RTS, 6 nodes, 6 simulated seconds, the ``bench_chaos`` regime at
 a 5 % drop rate) with crashes and partitions switched on as well, so
 that every fault timer runs too: retry windows, duplicates, extra
-delays, heartbeats, orphan sweeps and the crash and partition trace
+delays, heartbeats, lease reclaims and the crash and partition trace
 markers.  Every event, with its simulated timestamp, is part of the
 digest.  A change that means to keep the fault-mode schedule leaves the
 constant alone.  A change that moves it on purpose re-records the

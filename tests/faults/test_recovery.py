@@ -12,7 +12,7 @@ from repro.dstm.directory import DirectoryShard
 from repro.dstm.errors import AbortReason, TransactionAborted
 from repro.dstm.objects import home_node
 from repro.dstm.proxy import TMProxy
-from repro.faults import CrashWindow, HomeRecovery
+from repro.faults import CrashWindow, HomeRecovery, NodeRecovery
 from repro.net import MessageType, Network, Node, Topology
 from repro.rpc import PeerUnreachable, RetryPolicy
 from repro.scheduler.tfa_baseline import TfaScheduler
@@ -106,10 +106,12 @@ def dirnet(env):
     network = Network(env, topo)
     nodes = [Node(env, network, i) for i in range(2)]
     shard = DirectoryShard(nodes[0])
+    proxy = TMProxy(nodes[0], TfaScheduler())
     shard.recovery = HomeRecovery(
         shard, lease_duration=1.0, reclaim_grace=0.5,
-        proxy=TMProxy(nodes[0], TfaScheduler()), metrics=MetricsCollector(),
+        proxy=proxy, metrics=MetricsCollector(),
     )
+    proxy.recovery = NodeRecovery(proxy, 1.0, shard.recovery)
     return nodes, shard
 
 
@@ -284,10 +286,9 @@ class TestLeases:
 
     def test_direct_reads_reclaim_lazily(self, env, dirnet):
         """Regression: ``owner_of``/``lookup`` (the in-process hint paths
-        used by the proxy and the recovery sweep) must enforce lapsed
-        leases exactly like a DIR_LOOKUP message — a stale hint here sent
-        requesters chasing a dead owner until some RPC happened to fire
-        the reclaim."""
+        the proxy uses) must enforce lapsed leases exactly like a
+        DIR_LOOKUP message — a stale hint here sent requesters chasing a
+        dead owner until some RPC happened to fire the reclaim."""
         nodes, shard = dirnet
         shard.register("d", owner=1, version=2, value="snap", value_version=2)
         advance(env, 3.0)  # lease (1.0) + grace (0.5) long lapsed
@@ -372,24 +373,6 @@ class TestGenerationFence:
         ask(env, nodes[1], 0, MessageType.COMMIT_PUBLISH,
             {"oid": "g", "gen": 1, "version": 4, "value": "v4"})
         assert shard.snapshot_of("g") == (4, "v4")
-
-    def test_old_generation_orphan_return_is_fenced(self, env, dirnet):
-        nodes, shard = dirnet
-        self.rehosted(env, shard)
-        # node 1 takes the new generation's copy over
-        p = ask(env, nodes[1], 0, MessageType.DIR_UPDATE,
-                {"oid": "g", "owner": 1, "version": None, "value": "v3",
-                 "value_version": 3, "gen": 1})
-        assert p["ok"] is True
-        p = ask(env, nodes[1], 0, MessageType.ORPHAN_RETURN,
-                {"oid": "g", "gen": 0, "version": 4, "value": "v4", "granted_to": 2})
-        assert (p["accepted"], p["fenced"]) == (False, True)
-        assert shard.lookup("g") == (1, 3)
-        # its own generation's copy comes back under the next one
-        p = ask(env, nodes[1], 0, MessageType.ORPHAN_RETURN,
-                {"oid": "g", "gen": 1, "version": 3, "value": "v3", "granted_to": 2})
-        assert p["accepted"] and shard.lookup("g") == (0, 3)
-        assert shard.entry("g").gen == 2
 
 
 class TestInstallLease:

@@ -40,8 +40,7 @@ class TestRegistry:
         names = {ep.name for ep in ENDPOINTS}
         assert names >= {
             "dir_lookup", "dir_update", "retrieve", "handoff",
-            "read_validate", "commit_publish", "lease_renew",
-            "orphan_return", "ping",
+            "read_validate", "commit_publish", "lease_renew", "ping",
         }
 
     def test_request_type_roundtrip(self):
