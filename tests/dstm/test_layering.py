@@ -237,6 +237,11 @@ def test_faults_enabled_builds_recovery_only():
     assert background(cluster) == [f"n{i}.heartbeat" for i in range(3)]
 
 
+def test_faults_without_a_sweep_interval_runs_no_sweep():
+    cluster = Cluster(ClusterConfig(num_nodes=2, seed=1, faults=FaultConfig(enabled=True)))
+    assert background(cluster) == ["n0.heartbeat", "n1.heartbeat"]
+
+
 def test_payload_enabled_builds_the_plane_only():
     pc = PayloadConfig(enabled=True, proxy=True, size=1024)
     cluster = Cluster(ClusterConfig(num_nodes=3, seed=1, payload=pc))

@@ -418,7 +418,7 @@ class TestUnderRecovery:
         assert not cluster.proxies[1].owns("hot")
 
     @pytest.mark.parametrize("plane", sorted(PLANES))
-    def test_retry_is_regranted_from_the_memory(self, plane):
+    def test_retry_is_regranted_from_the_memory_and_refreshes_the_envelope_clock(self, plane):
         cluster = fault_cluster(plane)
         memory = cluster.proxies[0].recovery.granted
         cluster.nodes[0].clock.advance_to(5)
