@@ -12,6 +12,11 @@ Four layers, one rule namespace (:mod:`repro.check.rules`):
   explorer (``python -m repro.check.explore --nodes 2 --txns 2``), with
   its serializability oracle in :mod:`repro.check.oracle`.
 
+Beside them, :mod:`repro.check.ab` checks a perf claim: interleaved
+parent / change host-cost pairs of the end-to-end ledger, digests
+compared on every pair (``python -m repro.check.ab host PARENT CHANGE
+--workload W --pairs N``).
+
 See DESIGN.md §3e for the full rule table.
 """
 

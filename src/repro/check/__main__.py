@@ -3,12 +3,14 @@
 import sys
 
 USAGE = """\
-repro.check has three command-line entry points:
+repro.check has four command-line entry points:
 
   python -m repro.check.lint [paths...]     determinism linter
   python -m repro.check.races RUN.JSONL     trace-replay race detector
   python -m repro.check.explore [--nodes N --txns K --scheduler rts|tfa]
                                             bounded interleaving explorer
+  python -m repro.check.ab host PARENT CHANGE --workload W --pairs N
+                                            interleaved host-cost pairs
 
 Rule reference: DESIGN.md §3e, or `python -m repro.check --rules`.
 """

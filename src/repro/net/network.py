@@ -210,8 +210,14 @@ class Network:
 
     def _deliver_riders(self, riders: List[Message]) -> None:
         arrive = self._arrivals[riders[0].dst]
+        env = self.env
+        # No rider's arrival is the last act of this entry, so none may
+        # deliver its reply in place (Signal.deliver): the guard is down.
+        inline = env._inline
+        env._inline = False
         for msg in riders:
             arrive(msg)
+        env._inline = inline
 
     def __repr__(self) -> str:
         return (

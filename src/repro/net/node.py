@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.net.clocks import NodeClock
 from repro.net.message import Message, MessageType
 from repro.sim import PRIORITY_NORMAL, Environment, Signal
-from repro.sim.events import _PENDING
+from repro.sim.events import _PENDING, _fired
 
 __all__ = ["Node"]
 
@@ -102,7 +102,7 @@ class _InboxServer:
         # busy stays set across the dispatch: a handler that sends to its
         # own node queues behind this chain instead of starting a second.
         # Node._dispatch's clock rule and reply match, inlined: a reply's
-        # service period pushes its waiter's call entry in this frame.
+        # service period delivers it to its waiter in this frame.
         clock = node.clock
         if msg.clock > clock.tfa_clock:
             clock.advance_to(msg.clock)
@@ -111,11 +111,14 @@ class _InboxServer:
             else node._pending_replies.pop(msg.reply_to, None)
         )
         if waiter is not None and waiter._value is _PENDING:
-            waiter._value = msg  # Signal.succeed, inlined
+            # Signal.deliver, inlined: the reply takes its seq here, ahead
+            # of the next period's, and is delivered at the tail below
+            waiter._value = msg
             env._seq += 1
-            env._qpush((env._now, PRIORITY_NORMAL, env._seq, waiter._fire, None))
+            seq = env._seq
         else:
             # a request, or a late reply (falls through to the handlers)
+            waiter = None
             node._handle(msg)
         if self.queue:
             env._seq += 1  # Environment.call_later's push, inlined
@@ -125,6 +128,21 @@ class _InboxServer:
             ))
         else:
             self.busy = False
+        if waiter is None:
+            return
+        queue = env._queue
+        if env._inline and (not queue or queue[0][0] > env._now):
+            # the reply's call entry would be the next pop: run it here
+            env.events_processed += 1
+            if waiter.tap is not None:
+                waiter._fire(None)
+                return
+            consumer = waiter._consumer
+            waiter._consumer = _fired
+            if consumer is not None:
+                consumer(msg)
+        else:
+            env._qpush((env._now, PRIORITY_NORMAL, seq, waiter._fire, None))
 
 
 class Node:
@@ -200,11 +218,8 @@ class Node:
         if msg.reply_to is not None:
             waiter = self._pending_replies.pop(msg.reply_to, None)
             if waiter is not None and waiter._value is _PENDING:
-                # Signal.succeed, inlined: the reply's one call entry
-                waiter._value = msg
-                env = self.env
-                env._seq += 1
-                env._qpush((env._now, PRIORITY_NORMAL, env._seq, waiter._fire, None))
+                # the last act of the arrival's call entry
+                waiter.deliver(msg)
                 return
             # Fall through: unsolicited/late replies go to handlers too
             # (the RTS object hand-off after backoff expiry needs this).

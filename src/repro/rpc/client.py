@@ -198,24 +198,33 @@ class RpcClient:
 
         Each call's reply (a :class:`Message`, or ``None`` from a call
         whose every window expired) goes to ``fold`` in the call entry it
-        lands in; the last one succeeds the join, whose own call entry
-        resumes the waiter.  A join over no calls fires at once.
+        lands in; the last one fires the join, whose own call entry
+        resumes the waiter.  A leg that lands in a reply's delivery is
+        that entry's last act, so it fires the join with
+        :meth:`Signal.deliver <repro.sim.events.Signal.deliver>`; a leg
+        whose reply had landed already runs here, inside the caller's
+        step, and pushes.  A join over no calls fires at once.
         """
         joined = Signal(self.env, self.node.rpc_name)
         pending = len(calls)
         if not pending:
             joined.succeed()
             return joined
+        at_tail = False
 
         def leg(reply: Optional[Message]) -> None:
             nonlocal pending
             fold(reply)
             pending -= 1
             if not pending:
-                joined.succeed()
+                if at_tail:
+                    joined.deliver()
+                else:
+                    joined.succeed()
 
         for call in calls:
             call.then(leg)
+        at_tail = True
         return joined
 
     def __repr__(self) -> str:

@@ -39,7 +39,11 @@ for ``KernelProfiler.dispatch`` (and its call entries for
 ``KernelProfiler.call``).  The schedule the explorer checks, the
 schedule the profiler attributes and the schedule the benchmarks time
 are therefore the same code.  :meth:`Environment.step` is the single-pop
-reference the tests compare that loop against.
+reference the tests compare that loop against.  The one shortcut the
+loop allows is a reply's wake-up run inside the entry that delivers it,
+when that wake-up is exactly the next pop and no tool is installed
+(:meth:`Signal.deliver <repro.sim.events.Signal.deliver>`): same
+order, same ``seq``, same :attr:`~Environment.events_processed`.
 
 Typical use::
 
@@ -135,7 +139,7 @@ class Environment:
     """
 
     __slots__ = (
-        "_now", "_queue", "_qpush", "_seq",
+        "_now", "_queue", "_qpush", "_seq", "_inline",
         "events_processed", "profiler", "controller",
     )
 
@@ -148,6 +152,11 @@ class Environment:
         # with no Python frame on every schedule insert.
         self._qpush = partial(heappush, self._queue)
         self._seq = 0
+        #: True only while :meth:`run` pops with no controller, no
+        #: profiler and no ``max_events``: then a reply delivered as the
+        #: last act of a call entry may run its waiter in that entry
+        #: (:meth:`Signal.deliver <repro.sim.events.Signal.deliver>`)
+        self._inline = False
         #: number of events processed so far (useful for progress/limits)
         self.events_processed = 0
         #: opt-in kernel profiler (:class:`repro.prof.KernelProfiler`);
@@ -318,6 +327,14 @@ class Environment:
         count in :attr:`events_processed`.  A callback that schedules a
         same-time *urgent* event therefore sees it run next: the head is
         re-read from the queue on every turn.
+
+        With no controller, no profiler and no ``max_events`` the loop
+        sets :attr:`_inline` for its duration (cleared in a ``finally``,
+        so :meth:`step` and a run that raised never see it): a reply
+        signal delivered as the last act of a call entry then runs its
+        waiter inside that entry when its own entry would be the next
+        pop (:meth:`Signal.deliver <repro.sim.events.Signal.deliver>`),
+        and still counts in :attr:`events_processed`.
         """
         stop_event: Optional[Event] = None
         stop_time = float("inf")
@@ -336,45 +353,51 @@ class Environment:
         queue = self._queue
         controller = self.controller
         profiler = self.profiler
-        while queue:
-            if stop_event is not None and stop_event._processed:
-                break
-            when = queue[0][0]
-            if when > stop_time:
-                break
-            if limit is not None and self.events_processed >= limit:
-                raise SimulationError(f"exceeded max_events={max_events}")
-            if controller is None:
-                _when, _prio, _seq, fn, arg = heappop(queue)
-            else:
-                entry = self._select(controller)
-                if entry is None:
-                    continue
-                _when, _prio, _seq, fn, arg = entry
-            self._now = when
-            self.events_processed += 1
-
-            if fn is not None:
-                if profiler is None:
-                    fn(arg)
+        # The guard of Signal.deliver: with no tool watching each pop and
+        # no entry limit, the next pop can be run in the entry before it.
+        self._inline = controller is None and profiler is None and limit is None
+        try:
+            while queue:
+                if stop_event is not None and stop_event._processed:
+                    break
+                when = queue[0][0]
+                if when > stop_time:
+                    break
+                if limit is not None and self.events_processed >= limit:
+                    raise SimulationError(f"exceeded max_events={max_events}")
+                if controller is None:
+                    _when, _prio, _seq, fn, arg = heappop(queue)
                 else:
-                    profiler.call(fn, arg)
-                continue
-            event = arg
-            if event._value is _PENDING:
-                # Auto-firing event (Timeout): materialise its value now.
-                event._ok = True
-                event._value = event._fire_value
-            callbacks = event.callbacks
-            event.callbacks = None  # late add_callback() now runs synchronously
-            event._processed = True
-            if profiler is None:
-                for callback in callbacks:
-                    callback(event)
-            else:
-                profiler.dispatch(event, callbacks)
-            if not event._ok and not event._defused:
-                raise event._value
+                    entry = self._select(controller)
+                    if entry is None:
+                        continue
+                    _when, _prio, _seq, fn, arg = entry
+                self._now = when
+                self.events_processed += 1
+
+                if fn is not None:
+                    if profiler is None:
+                        fn(arg)
+                    else:
+                        profiler.call(fn, arg)
+                    continue
+                event = arg
+                if event._value is _PENDING:
+                    # Auto-firing event (Timeout): materialise its value now.
+                    event._ok = True
+                    event._value = event._fire_value
+                callbacks = event.callbacks
+                event.callbacks = None  # late add_callback() now runs synchronously
+                event._processed = True
+                if profiler is None:
+                    for callback in callbacks:
+                        callback(event)
+                else:
+                    profiler.dispatch(event, callbacks)
+                if not event._ok and not event._defused:
+                    raise event._value
+        finally:
+            self._inline = False
 
         if stop_event is not None:
             if not stop_event.triggered:

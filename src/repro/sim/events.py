@@ -192,7 +192,9 @@ class Signal:
     yielded the signal (``Process._step`` resumes inside the call) or the
     function given to :meth:`then`.  ``name`` is what the kernel profiler
     and the explorer attribute the call to; the argument is ``None``, so
-    the explorer never mistakes it for a message arrival.
+    the explorer never mistakes it for a message arrival.  A reply's
+    delivery and a fan-out's last leg fire through :meth:`deliver`,
+    which runs that call in place when it would be the kernel's next pop.
     """
 
     __slots__ = ("env", "name", "tap", "_value", "_consumer")
@@ -230,6 +232,37 @@ class Signal:
         env = self.env
         env._seq += 1  # Environment.call_later's push, inlined
         env._qpush((env._now, PRIORITY_NORMAL, env._seq, self._fire, None))
+
+    def deliver(self, value: Any = None) -> None:
+        """:meth:`succeed` as the last act of the running call entry.
+
+        When that entry's successor would be this signal's own call
+        entry — the kernel is inside ``Environment.run`` with its guard
+        set (no controller, no profiler, no ``max_events``) and the
+        schedule's head is strictly later than now — the call runs here
+        instead: it takes the ``seq`` :meth:`succeed` would push and
+        counts in ``events_processed``, so the schedule, the clock and
+        the count are what the pushed entry would have made them.
+        Otherwise it is pushed, exactly as :meth:`succeed` pushes it.
+        Nothing of the caller's entry may run after this call.
+        """
+        if self._value is not _PENDING:
+            raise EventAlreadyTriggered(f"{self!r} already triggered")
+        self._value = value
+        env = self.env
+        env._seq += 1
+        queue = env._queue
+        if env._inline and (not queue or queue[0][0] > env._now):
+            env.events_processed += 1
+            if self.tap is not None:
+                self._fire(None)
+                return
+            consumer = self._consumer  # _fire without its frame
+            self._consumer = _fired
+            if consumer is not None:
+                consumer(value)
+        else:
+            env._qpush((env._now, PRIORITY_NORMAL, env._seq, self._fire, None))
 
     def then(self, consumer: Callable[[Any], None]) -> None:
         """Make ``consumer(value)`` the one consumer: it runs inside the

@@ -1,5 +1,6 @@
 """Unit tests for the recovery half: RPC retry/backoff, the home's
-leases and version fencing, and crash-abort accounting."""
+leases and version fencing, and crash-abort accounting.  The retry
+policy object itself is tested in ``tests/rpc/test_policy.py``."""
 
 import math
 
@@ -14,36 +15,9 @@ from repro.dstm.objects import home_node
 from repro.dstm.proxy import TMProxy
 from repro.faults import CrashWindow, HomeRecovery, NodeRecovery
 from repro.net import MessageType, Network, Node, Topology
-from repro.rpc import PeerUnreachable, RetryPolicy
+from repro.rpc import PeerUnreachable
 from repro.scheduler.tfa_baseline import TfaScheduler
 from repro.sim import RngRegistry
-
-
-class TestRpcPolicy:
-    """The RPC retry policy the fault layer builds from its config."""
-
-    def test_timeout_ladder_grows_to_cap(self):
-        pol = RetryPolicy(timeout=0.1, max_retries=4, backoff_factor=2.0,
-                          backoff_cap=0.5)
-        assert [pol.nth_timeout(i) for i in range(5)] == pytest.approx(
-            [0.1, 0.2, 0.4, 0.5, 0.5]
-        )
-        assert pol.worst_case_wait() == pytest.approx(1.7)
-
-    def test_from_config_maps_fields(self):
-        fc = FaultConfig(rpc_timeout=0.3, rpc_max_retries=2,
-                         rpc_backoff_factor=3.0, rpc_backoff_cap=1.2)
-        pol = RetryPolicy.from_config(fc)
-        assert (pol.timeout, pol.max_retries) == (0.3, 2)
-        assert pol.nth_timeout(1) == pytest.approx(0.9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(timeout=0.5, backoff_cap=0.4)
 
 
 def silent_peer_cluster(**fault_kw):

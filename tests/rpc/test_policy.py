@@ -22,6 +22,13 @@ class TestRetryPolicy:
         assert pol.nth_timeout(0) == pytest.approx(0.5)
         for i in range(1, 6):
             assert pol.nth_timeout(i) == pytest.approx(0.9)
+        # a ladder that grows, then meets the cap
+        pol = RetryPolicy(timeout=0.1, max_retries=4, backoff_factor=2.0,
+                          backoff_cap=0.5)
+        assert [pol.nth_timeout(i) for i in range(5)] == pytest.approx(
+            [0.1, 0.2, 0.4, 0.5, 0.5]
+        )
+        assert pol.worst_case_wait() == pytest.approx(1.7)
 
     def test_from_config(self):
         fc = FaultConfig(rpc_timeout=0.4, rpc_max_retries=1,
@@ -29,6 +36,11 @@ class TestRetryPolicy:
         pol = RetryPolicy.from_config(fc)
         assert (pol.timeout, pol.max_retries) == (0.4, 1)
         assert pol.nth_timeout(1) == pytest.approx(1.0)
+        fc = FaultConfig(rpc_timeout=0.3, rpc_max_retries=2,
+                         rpc_backoff_factor=3.0, rpc_backoff_cap=1.2)
+        pol = RetryPolicy.from_config(fc)
+        assert (pol.timeout, pol.max_retries) == (0.3, 2)
+        assert pol.nth_timeout(1) == pytest.approx(0.9)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -37,6 +49,10 @@ class TestRetryPolicy:
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError):
             RetryPolicy(timeout=1.0, backoff_cap=0.5)
+        with pytest.raises(ValueError):
+            RetryPolicy(timeout=0.0)
+        with pytest.raises(ValueError):
+            RetryPolicy(backoff_factor=0.5)
 
 
 class TestSinglePolicyObject:
