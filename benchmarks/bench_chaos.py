@@ -52,17 +52,14 @@ REPRO_CRASH_RATE = 0.2
 
 
 def chaos_faults(drop_rate: float, **overrides) -> FaultConfig:
-    """The acceptance-criteria fault regime at a given drop rate."""
+    """The acceptance-criteria fault model at a given drop rate (the
+    recovery timing is the protocol's constants, ``repro.faults.recovery``)."""
     kw = dict(
         enabled=True,
         drop_rate=drop_rate,
         duplicate_rate=0.02,
         extra_delay_rate=0.05,
         extra_delay_max=0.02,
-        rpc_timeout=0.15,
-        lease_duration=0.8,
-        lease_renew_interval=0.25,
-        reclaim_grace=0.8,
     )
     kw.update(overrides)
     return FaultConfig(**kw)

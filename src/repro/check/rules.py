@@ -155,14 +155,6 @@ INVARIANT_RULES: Dict[str, Rule] = {
             "other fence would smuggle stale or unregistered state",
             "DESIGN §3i (payload plane; ProxyStore-style proxies)",
         ),
-        Rule(
-            "inv-retry-policy",
-            "the RPC retry policy's windows grow monotonically to the cap "
-            "and its derived bounds are self-consistent",
-            "recovery timing: a caller gives up on a silent peer after "
-            "worst_case_wait",
-            "DESIGN §3b (RPC timeout/retry)",
-        ),
     )
 }
 

@@ -43,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dstm.proxy import TMProxy
     from repro.dstm.transaction import Transaction
     from repro.rpc.cache import LookupCache
-    from repro.rpc.policy import RetryPolicy
 
 __all__ = ["InvariantViolation", "Sanitizer"]
 
@@ -302,30 +301,3 @@ class Sanitizer:
                 "inv-payload-fence", oid, node=node, time=now,
                 serving=version, watermark=mark, home=home,
             )
-
-    # -- inv-retry-policy ----------------------------------------------------
-
-    def check_policy(self, policy: "RetryPolicy") -> None:
-        """The retry policy's derived timing bounds are self-consistent."""
-        self.checks += 1
-        windows = [policy.nth_timeout(i) for i in range(policy.attempts)]
-        monotone = all(b >= a for a, b in zip(windows, windows[1:]))
-        capped = all(w <= policy.backoff_cap for w in windows)
-        total_ok = abs(sum(windows) - policy.worst_case_wait()) < 1e-12
-        if not (monotone and capped and total_ok and windows):
-            raise InvariantViolation(
-                "inv-retry-policy", "rpc-policy",
-                windows=windows, cap=policy.backoff_cap,
-                worst_case_wait=policy.worst_case_wait(),
-            )
-
-
-def validate_policy(policy: "RetryPolicy") -> "RetryPolicy":
-    """Standalone policy check (used by :mod:`repro.faults.recovery`).
-
-    Returns the policy so call sites can validate inline::
-
-        policy = validate_policy(RetryPolicy.from_config(faults))
-    """
-    Sanitizer().check_policy(policy)
-    return policy

@@ -153,14 +153,17 @@ class Cluster:
         self.fault_plan: Optional["FaultPlan"] = None
         self.fault_injector: Optional["FaultInjector"] = None
         policy: Optional[RetryPolicy] = None
+        nested_retry_cap: Optional[int] = None
         if fc.enabled:
             from repro.faults import FaultInjector, FaultPlan, HomeRecovery, NodeRecovery
+            from repro.faults.recovery import NESTED_RETRY_CAP, RETRY_POLICY
 
             self.fault_plan = FaultPlan(fc, self.rngs.stream("faults"), config.num_nodes)
             self.fault_injector = FaultInjector(
                 self.fault_plan, metrics=self.metrics, tracer=self.tracer
             ).install(self.network)
-            policy = RetryPolicy.from_config(fc)
+            policy = RETRY_POLICY
+            nested_retry_cap = NESTED_RETRY_CAP
 
         # Invariant sanitizer (repro.check).  Strictly additive: with the
         # default CheckConfig(sanitize=False) — and REPRO_SANITIZE unset —
@@ -174,11 +177,6 @@ class Cluster:
             from repro.check import Sanitizer
 
             self.sanitizer = Sanitizer()
-            if policy is not None:
-                # inv-retry-policy: the recovery deadlines derived from
-                # this policy must be self-consistent before any RPC
-                # runs under it.
-                self.sanitizer.check_policy(policy)
 
         clock_rng = self.rngs.stream("clocks")
         self.nodes: List[Node] = []
@@ -221,17 +219,14 @@ class Cluster:
                     rpc_client, self.sanitizer
                 )
             if fc.enabled:
-                directory.recovery = HomeRecovery(
-                    directory, fc.lease_duration, fc.reclaim_grace,
-                    proxy, self.metrics,
-                )
-                proxy.recovery = NodeRecovery(proxy, fc.lease_duration, directory.recovery)
+                directory.recovery = HomeRecovery(directory, proxy, self.metrics)
+                proxy.recovery = NodeRecovery(proxy, directory.recovery)
             engine = TFAEngine(
                 proxy,
                 self.metrics,
                 nesting=config.nesting,
                 abort_overhead=config.abort_overhead,
-                nested_retry_cap=fc.nested_retry_cap if fc.enabled else None,
+                nested_retry_cap=nested_retry_cap,
             )
             if self.sanitizer is not None:
                 engine.sanitizer = self.sanitizer
@@ -241,14 +236,9 @@ class Cluster:
             self.engines.append(engine)
 
         if fc.enabled:
-            # Staggered lease heartbeats (phases spread over one interval
-            # so renewals never burst onto the network simultaneously).
-            interval = fc.lease_renew_interval
             for node_id, proxy in enumerate(self.proxies):
-                offset = interval * (node_id + 1) / (config.num_nodes + 1)
                 self.env.process(
-                    proxy.recovery.lease_heartbeat(interval, offset=offset),
-                    name=f"n{node_id}.heartbeat",
+                    proxy.recovery.lease_heartbeat(), name=f"n{node_id}.heartbeat"
                 )
 
         self._task_ids = itertools.count(1)

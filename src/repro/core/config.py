@@ -68,6 +68,11 @@ class FaultConfig:
     ``enabled=True`` the fault timeline is generated eagerly from the
     dedicated ``"faults"`` RNG stream, so identical seeds give identical
     fault schedules and per-message fates.
+
+    These fields are the fault *model*, which the sweeps vary.  How the
+    protocol recovers — RPC windows, leases, heartbeats, the reclaim
+    grace, the nested retry cap — is one fixed timing, the constants of
+    :mod:`repro.faults.recovery`.
     """
 
     enabled: bool = False
@@ -96,32 +101,6 @@ class FaultConfig:
     #: fault events are generated over [0, schedule_horizon)
     schedule_horizon: float = 60.0
 
-    # -- recovery: RPC timeout/retry ------------------------------------
-    #: initial reply timeout (should exceed one max round trip + queueing)
-    rpc_timeout: float = 0.25
-    #: retries after the first attempt; the timeout doubles each retry
-    rpc_max_retries: int = 5
-    rpc_backoff_factor: float = 2.0
-    rpc_backoff_cap: float = 2.0
-
-    # -- recovery: ownership leases -------------------------------------
-    #: how long a directory entry stays valid without a renewal
-    lease_duration: float = 1.5
-    #: owner heartbeat period (must be well under lease_duration)
-    lease_renew_interval: float = 0.5
-    #: extra wait before reclaiming an entry whose registered version is
-    #: ahead of the snapshot (a commit may be mid-flight)
-    reclaim_grace: float = 1.5
-
-    # -- recovery: retry bounds -----------------------------------------
-    #: nested (closed) transactions abort-and-retry at their own level;
-    #: under faults a read can stay stale forever (e.g. a straggler
-    #: registration the next commit would heal never comes), so after
-    #: this many child retries the abort escalates to the root, whose
-    #: attempts the executor bounds.  Fault-free builds keep the
-    #: unbounded paper semantics.
-    nested_retry_cap: int = 16
-
     def __post_init__(self) -> None:
         # Every range check is negated (``not v >= 0``), as Timeout's is:
         # a NaN fails every comparison, so it fails here, not mid-run.
@@ -132,26 +111,9 @@ class FaultConfig:
         for name in ("extra_delay_max", "partition_rate", "crash_rate"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
-        for name in (
-            "partition_duration", "crash_duration", "schedule_horizon",
-            "rpc_timeout", "lease_duration", "lease_renew_interval",
-            "reclaim_grace",
-        ):
+        for name in ("partition_duration", "crash_duration", "schedule_horizon"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        if not (isinstance(self.rpc_max_retries, int) and self.rpc_max_retries >= 0):
-            raise ValueError("rpc_max_retries must be an int >= 0")
-        if self.nested_retry_cap < 1:
-            raise ValueError("nested_retry_cap must be >= 1")
-        if not self.rpc_backoff_factor >= 1.0:
-            raise ValueError("rpc_backoff_factor must be >= 1")
-        if not self.rpc_backoff_cap >= self.rpc_timeout:
-            raise ValueError("rpc_backoff_cap must be >= rpc_timeout")
-        if not self.lease_renew_interval < self.lease_duration:
-            raise ValueError(
-                "lease_renew_interval must be < lease_duration or leases "
-                "expire between heartbeats even on healthy nodes"
-            )
 
 
 @dataclass(frozen=True)
@@ -438,3 +400,7 @@ class ClusterConfig:
             raise ValueError(
                 "trace_categories is set but neither trace nor obs is enabled"
             )
+        if self.faults.enabled and self.rpc.batch_window > 0:
+            # no sweep batches a faulted run, so the batcher gives no
+            # per-member fault verdict
+            raise ValueError("rpc.batch_window is set but faults are enabled")

@@ -72,8 +72,9 @@ class TFAEngine:
         self.nesting = NestingModel(nesting)
         self.abort_overhead = float(abort_overhead)
         #: fault mode: default bound on child retries before a nested
-        #: abort escalates to the root (None = unbounded, the paper's
-        #: fault-free semantics).  ``TransactionHandle.nested`` reads it.
+        #: abort escalates to the root (``repro.faults.recovery.
+        #: NESTED_RETRY_CAP``; None = unbounded, the paper's fault-free
+        #: semantics).  ``TransactionHandle.nested`` reads it.
         self.nested_retry_cap = nested_retry_cap
         #: runtime invariant sanitizer (repro.check); set by the cluster
         #: when CheckConfig.sanitize is on, else every hook stays a

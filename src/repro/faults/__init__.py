@@ -8,10 +8,11 @@ The subsystem has two halves:
   windows, per-message fates); :class:`FaultInjector` installs that plan
   onto a :class:`~repro.net.network.Network`, deciding each message's
   fate at send time and vetoing delivery to crashed nodes;
-* **recovery** — :class:`repro.rpc.RetryPolicy` (the stack's single
-  retry/backoff policy object) parameterises the RPC substrate's
-  timeout/retry loop;
-  :mod:`repro.faults.recovery` holds both sides of bringing a lost copy
+* **recovery** — one :class:`repro.rpc.RetryPolicy` (the stack's single
+  retry/backoff policy class), :data:`~repro.faults.recovery.RETRY_POLICY`,
+  drives the RPC substrate's timeout/retry loop;
+  :mod:`repro.faults.recovery` holds it with the rest of the protocol's
+  timing constants, and both sides of bringing a lost copy
   back, which the cluster builds only when ``faults.enabled``: the
   home's side — leases, the lease reclaim, the ``DIR_UPDATE`` fences —
   is one :class:`HomeRecovery` per directory shard, the owner's side —

@@ -25,26 +25,54 @@ cluster has none of this code, its handlers or its processes.
   registration or withdraw.
 
 Every call made here is an :class:`repro.rpc.RpcClient` reply signal,
-retried by the one retry path — ``Node.submit``'s resend chain under a
-:class:`repro.rpc.RetryPolicy`.
+retried by the one retry path — ``Node.submit``'s resend chain under
+:data:`RETRY_POLICY`.  The protocol's timing is the module constants
+below, not configuration: one regime, which every fault sweep runs.
 """
 from __future__ import annotations
 
 import math
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, NamedTuple, Optional, Tuple
 
-from repro.check.sanitize import validate_policy
 from repro.dstm.objects import ObjectState, VersionedObject, home_node
 from repro.net.message import Message, MessageType
 from repro.rpc.endpoint import ENDPOINTS, serve
+from repro.rpc.policy import RetryPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (dstm never imports faults)
     from repro.core.metrics import MetricsCollector
     from repro.dstm.directory import DirectoryShard, DirEntry
     from repro.dstm.proxy import TMProxy
 
-#: tests/rpc/test_policy.py pins the list: no second policy name
-__all__ = ["HomeRecovery", "NodeRecovery", "validate_policy"]
+__all__ = [
+    "HomeRecovery",
+    "LEASE_DURATION",
+    "LEASE_RENEW_INTERVAL",
+    "NESTED_RETRY_CAP",
+    "NodeRecovery",
+    "RECLAIM_GRACE",
+    "RETRY_POLICY",
+]
+
+# -- the recovery protocol's timing (one regime; no sweep varies it) ---------
+#: every fault-mode RPC: a 0.15 s first window (over one worst round trip
+#: plus queueing), doubling per retry to a 2 s cap, 5 retries — 6.25 s
+#: before a silent peer is given up on
+RETRY_POLICY = RetryPolicy(timeout=0.15, max_retries=5, backoff_factor=2.0, backoff_cap=2.0)
+#: how long a directory entry stays valid without a renewal
+LEASE_DURATION = 0.8
+#: the owner heartbeat period, well under LEASE_DURATION so a healthy
+#: owner's lease never lapses between two heartbeats
+LEASE_RENEW_INTERVAL = 0.25
+#: extra wait before reclaiming an entry whose registered version is
+#: ahead of its snapshot (a commit may be mid-flight)
+RECLAIM_GRACE = 0.8
+#: under faults a nested read can stay stale forever (a straggler
+#: registration the next commit would heal never comes), so after this
+#: many retries of one closed-nested child its abort escalates to the
+#: root, whose attempts the executor bounds; without faults the cluster
+#: passes no cap (the paper's unbounded nested retry)
+NESTED_RETRY_CAP = 16
 
 #: withdrawn txids remembered per oid (a bounded ring)
 _TOMBSTONES = 4
@@ -66,12 +94,11 @@ class NodeRecovery:
     """One node's share of failure recovery; the cluster sets it as its
     proxy's ``recovery``."""
 
-    def __init__(self, proxy: "TMProxy", lease_duration: float, home: "HomeRecovery") -> None:
+    def __init__(self, proxy: "TMProxy", home: "HomeRecovery") -> None:
         self.proxy = proxy
         self.node = proxy.node
         self.env = proxy.env
         self.client = proxy.rpc_client
-        self.lease_duration = float(lease_duration)
         #: this node's directory side, which leases the oids it homes
         self.home = home
         #: the re-grant memory: a transferred grant or hand-off deletes
@@ -100,7 +127,7 @@ class NodeRecovery:
         has outlived its lease by this node's clock: from then on its home
         may re-host the object, so the commit behind it must not install."""
         clock = self.node.clock
-        return clock.wall_time(self.env.now) - clock.wall_time(registered_at) >= self.lease_duration
+        return clock.wall_time(self.env.now) - clock.wall_time(registered_at) >= LEASE_DURATION
 
     def regrant(self, msg: Message) -> bool:
         """Answer a retrieve request for an object this node no longer
@@ -156,38 +183,37 @@ class NodeRecovery:
     def publish_commit(self, obj: VersionedObject) -> None:
         """Sync a freshly committed copy's ``(gen, version, value)`` to
         the home's recovery snapshot: a call nobody waits on
-        (:meth:`~repro.rpc.RpcClient.post`).  If the home stays silent
-        through every retry, the periodic heartbeat carries the same
-        state as soon as it answers again."""
+        (:meth:`~repro.rpc.RpcClient.post`), retried under
+        :data:`RETRY_POLICY` like any other."""
         self.client.post(
             home_node(obj.oid, self.proxy.num_nodes), _COMMIT_PUBLISH,
             {"oid": obj.oid, "gen": obj.gen, "version": obj.version, "value": obj.value},
         )
 
-    def lease_heartbeat(
-        self, interval: float, offset: float = 0.0
-    ) -> Generator[Any, Any, None]:
-        """Infinite heartbeat process: renew leases on every owned object.
+    def lease_heartbeat(self) -> Generator[Any, Any, None]:
+        """Infinite heartbeat process: every :data:`LEASE_RENEW_INTERVAL`,
+        list each held copy's ``(oid, gen, version)`` to its home, which
+        renews the leases it grants and names the stale copies.
 
         Fire-and-forget (the LEASE_RENEW_ACK handler absorbs answers), so
-        a crashed or partitioned home costs nothing; ``offset`` staggers
-        the per-node phases to avoid synchronized bursts.
+        a crashed or partitioned home costs nothing.  The first beat is
+        staggered by node id across one interval, so the nodes' renewals
+        never burst onto the network together.
         """
-        if offset > 0.0:
-            yield offset
         num = self.proxy.num_nodes
+        yield LEASE_RENEW_INTERVAL * (self.node.node_id + 1) / (num + 1)
         while True:
-            by_home: Dict[int, List[Tuple[str, int, int, Any]]] = {}
+            by_home: Dict[int, List[Tuple[str, int, int]]] = {}
             for oid in sorted(self.proxy.store):
                 obj = self.proxy.store[oid]
                 by_home.setdefault(home_node(oid, num), []).append(
-                    (oid, obj.gen, obj.version, obj.value)
+                    (oid, obj.gen, obj.version)
                 )
             for home, objects in sorted(by_home.items()):
                 if home == self.node.node_id:
                     continue  # our own directory sees our copies directly
                 self.node.send(home, MessageType.LEASE_RENEW, {"objects": objects})
-            yield interval
+            yield LEASE_RENEW_INTERVAL
 
 
 class HomeRecovery:
@@ -209,15 +235,11 @@ class HomeRecovery:
     def __init__(
         self,
         directory: "DirectoryShard",
-        lease_duration: float,
-        reclaim_grace: float,
         proxy: "TMProxy",
         metrics: "MetricsCollector",
     ) -> None:
         self.directory = directory
         self.node = directory.node
-        self.lease_duration = float(lease_duration)
-        self.reclaim_grace = float(reclaim_grace)
         #: the co-located proxy: re-hosted objects land in its store
         self.proxy = proxy
         self.metrics = metrics
@@ -235,7 +257,7 @@ class HomeRecovery:
 
     def renew(self, oid: str) -> None:
         """The registered owner of ``oid`` was just heard from."""
-        self.leases[oid] = self.node.now_local + self.lease_duration
+        self.leases[oid] = self.node.now_local + LEASE_DURATION
 
     def withdrew(self, oid: str, txid: Optional[str]) -> None:
         """The shard honoured a withdraw by commit attempt ``txid``:
@@ -289,7 +311,7 @@ class HomeRecovery:
         snapshot to restore from.  When the registered version is ahead
         of the snapshot a commit was in flight at the crash; since
         registration precedes installation the snapshot is still the
-        full committed state, but an extra ``reclaim_grace`` lets a live
+        full committed state, but an extra :data:`RECLAIM_GRACE` lets a live
         committer's retries land first.  Never while our own proxy holds
         the registered copy, or any copy mid-validation: that local
         commit will either register (healing the entry) or release, and
@@ -302,7 +324,7 @@ class HomeRecovery:
         expires = self.leases.get(oid, math.inf)
         if now < expires:
             return False
-        if entry.snapshot_version < entry.version and now < expires + self.reclaim_grace:
+        if entry.snapshot_version < entry.version and now < expires + RECLAIM_GRACE:
             return False
         local = self.proxy.store.get(oid)
         return local is None or (
@@ -384,22 +406,23 @@ class HomeRecovery:
         return {"oid": p["oid"], "ok": True}
 
     def _on_lease_renew(self, msg: Message) -> Dict[str, Any]:
-        """Heartbeat from a proxy listing its owned objects.
+        """Heartbeat from a proxy listing the copies it holds.
 
-        Renews leases and absorbs snapshots for entries the sender still
-        owns in their generation; answers with the oids whose copy at the
-        sender is *stale* (a re-host or competing commit moved the
-        registry past it) so the sender can drop them — this is also how
-        a restarted node resynchronises after a crash window.
+        Renews the lease of every entry the sender still owns in its
+        generation; answers with the oids whose copy at the sender is
+        *stale* (a re-host or competing commit moved the registry past
+        it) so the sender can drop them — this is also how a restarted
+        node resynchronises after a crash window.  A heartbeat writes no
+        snapshot: the commit publish and the transfer registration
+        already write every committed state.
         """
         stale: List[str] = []
-        for oid, gen, version, value in msg.payload.get("objects", ()):
+        for oid, gen, version in msg.payload.get("objects", ()):
             entry = self.directory.entry(oid)
             if entry is None:
                 continue
             if entry.owner == msg.src and gen == entry.gen:
                 self.renew(oid)
-                entry.note_snapshot(version, value)
             elif (gen, int(version)) < (entry.gen, entry.version):
                 stale.append(oid)
         return {"stale": stale}

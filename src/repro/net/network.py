@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.net.message import Message, MessageType
 from repro.net.topology import Topology
@@ -184,29 +184,6 @@ class Network:
         )
         dup.sent_at = msg.sent_at
         return dup
-
-    # -- batched path (repro.rpc.PiggybackBatcher._flush) -------------------
-
-    def judge_batch(self, batch: List[Tuple[Message, float]]) -> List[Message]:
-        """Fault injection's verdict on a flushed coalescing buffer: each
-        member is judged individually; those whose fate is the plain link
-        delay are returned to ride the batch's one traversal, and a member
-        the injector drops, duplicates or delays falls back to its own
-        arrival call."""
-        riders: List[Message] = []
-        env = self.env
-        injector = self.injector
-        assert injector is not None  # the batcher judges only in fault mode
-        arrive = self._arrivals[batch[0][0].dst]  # one link: one destination
-        for msg, delay in batch:
-            delays = injector.on_send(msg, delay)
-            for i, d in enumerate(delays):
-                member = msg if i == 0 else self._clone(msg)
-                if d == delay:
-                    riders.append(member)
-                else:
-                    env.call_later(d, arrive, member)
-        return riders
 
     def _deliver_riders(self, riders: List[Message]) -> None:
         arrive = self._arrivals[riders[0].dst]

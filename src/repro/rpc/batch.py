@@ -25,9 +25,9 @@ it per push.
 Installed onto a :class:`~repro.net.network.Network` like the fault
 injector; ``window == 0`` (the default config) never constructs one, so
 the legacy per-message path — and byte-identical same-seed runs — is the
-default.  Fault injection composes: each batch member individually
-consults the injector at flush time, so drops/duplicates/extra delays
-keep their per-message semantics.
+default.  It never meets fault injection: ``ClusterConfig`` refuses a
+batching window under ``faults.enabled``, so every member of a flushed
+batch rides.
 """
 
 from __future__ import annotations
@@ -107,15 +107,11 @@ class PiggybackBatcher:
                 src=src, dst=dst, size=size,
             )
         network = self.network
-        if network.injector is None:
-            # every member rides; a loop, since a comprehension is a frame
-            riders: List[Message] = []
-            for msg, _ in batch:
-                riders.append(msg)
-        else:
-            riders = network.judge_batch(batch)
-            if not riders:
-                return
+        # every member rides (the config refuses a batcher under faults);
+        # a loop, since a comprehension is a frame
+        riders: List[Message] = []
+        for msg, _ in batch:
+            riders.append(msg)
         # One link traversal at the first member's delay, pushed inline
         # with the entry call_later would make
         env._seq += 1

@@ -2,7 +2,8 @@
 
 Every RPC in the system (proxy object opens, directory registrations
 and withdraws, validation fan-outs, fault-recovery publishes) is issued
-under a :class:`RetryPolicy` when faults are enabled.
+under a :class:`RetryPolicy` when faults are enabled: the one ladder
+:data:`repro.faults.recovery.RETRY_POLICY`.
 Before ``repro.rpc`` existed the growing-timeout logic was duplicated
 between ``faults/recovery.py`` (the knobs) and the call sites in
 ``net/node.py`` / ``dstm/proxy.py`` (the loops); both now delegate
@@ -20,10 +21,6 @@ closes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.config import FaultConfig
 
 __all__ = ["RetryPolicy"]
 
@@ -48,15 +45,6 @@ class RetryPolicy:
         if not self.backoff_cap >= self.timeout:
             raise ValueError("backoff_cap must be >= timeout")
 
-    @classmethod
-    def from_config(cls, faults: "FaultConfig") -> "RetryPolicy":
-        return cls(
-            timeout=faults.rpc_timeout,
-            max_retries=faults.rpc_max_retries,
-            backoff_factor=faults.rpc_backoff_factor,
-            backoff_cap=faults.rpc_backoff_cap,
-        )
-
     @property
     def attempts(self) -> int:
         """Total send attempts (first try + retries)."""
@@ -65,7 +53,3 @@ class RetryPolicy:
     def nth_timeout(self, attempt: int) -> float:
         """The reply window used on ``attempt`` (0-based)."""
         return min(self.timeout * self.backoff_factor**attempt, self.backoff_cap)
-
-    def worst_case_wait(self) -> float:
-        """Total simulated time an unreachable peer can cost one RPC."""
-        return sum(self.nth_timeout(i) for i in range(self.max_retries + 1))

@@ -144,8 +144,6 @@ class TestRealTraces:
         chaos = FaultConfig(
             enabled=True, drop_rate=0.05, duplicate_rate=0.02,
             extra_delay_rate=0.05, extra_delay_max=0.02,
-            rpc_timeout=0.15, lease_duration=0.8,
-            lease_renew_interval=0.25, reclaim_grace=0.8,
         )
         trace = self.export_trace(tmp_path, "chaos.jsonl", faults=chaos)
         out, races = detect_races(load_events(trace))

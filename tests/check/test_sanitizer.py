@@ -10,8 +10,6 @@ from repro.core.config import CheckConfig, ClusterConfig, FaultConfig
 from repro.core.experiment import run_experiment
 from repro.dstm.objects import ObjectState, home_node
 from repro.dstm.transaction import ReadEntry, Transaction
-from repro.faults.recovery import validate_policy
-from repro.rpc import RetryPolicy
 
 CHAOS = FaultConfig(
     enabled=True,
@@ -19,10 +17,6 @@ CHAOS = FaultConfig(
     duplicate_rate=0.02,
     extra_delay_rate=0.05,
     extra_delay_max=0.02,
-    rpc_timeout=0.15,
-    lease_duration=0.8,
-    lease_renew_interval=0.25,
-    reclaim_grace=0.8,
 )
 
 
@@ -125,11 +119,6 @@ class TestUnitChecks:
         with pytest.raises(InvariantViolation) as exc:
             s.check_cache(cache)
         assert exc.value.rule_id == "inv-cache-coherent"
-
-    def test_policy_validation(self):
-        pol = RetryPolicy(timeout=0.1, max_retries=3, backoff_factor=2.0,
-                          backoff_cap=0.4)
-        assert validate_policy(pol) is pol
 
     def test_violation_is_structured(self):
         s = Sanitizer()

@@ -42,7 +42,7 @@ def test_the_table_walks_every_config_class():
         "ArrivalConfig", "ClusterConfig", "FaultConfig", "RetryPolicy",
         "RpcConfig",
     }
-    assert len(FLOAT_FIELDS) == 25
+    assert len(FLOAT_FIELDS) == 19
 
 
 @pytest.mark.parametrize("cls, name", FLOAT_FIELDS)
@@ -59,7 +59,6 @@ def test_infinite_arrival_rate_is_refused():
 
 
 @pytest.mark.parametrize("cls, name", [
-    (config.FaultConfig, "rpc_max_retries"),
     (RetryPolicy, "max_retries"),
 ])
 def test_retry_count_must_be_an_int(cls, name):

@@ -6,8 +6,10 @@ or (ii) a parameter the paper names; a value nobody turns is a module
 constant next to its one reader.  DESIGN.md §2 keeps the two survivors
 tables ("`ClusterConfig` survivors", "Sub-config survivors"); this file
 holds the code to them, so a new knob is a deliberate, documented edit —
-and so is dropping one.  ``FaultConfig`` is left out by name until
-ROADMAP item 1a turns its knobs.
+and so is dropping one.  ``FaultConfig`` holds only the fault model
+since ROADMAP item 1a's census made the recovery timing constants of
+``repro.faults.recovery``; it is left out by name because
+``partition_duration`` is turned only by item 17's long-partition sweep.
 """
 
 import dataclasses
@@ -26,7 +28,7 @@ SUB_HEADING = "### Sub-config survivors"
 ROW = re.compile(r"^\| `(\w+)` \| (i|ii) \| (.+) \|$")
 SUB_ROW = re.compile(r"^\| `(\w+)\.(\w+)` \| (i|ii) \| (.+) \|$")
 #: sub-configs left out of the census, and the ROADMAP item they wait on
-EXCLUDED = {"FaultConfig": "item 1a"}
+EXCLUDED = {"FaultConfig": "item 17"}
 
 
 def section(heading):

@@ -50,8 +50,7 @@ VACATION_HORIZON = 4.0
 #: a bank cell with every fault class on
 FAULTS = dict(
     enabled=True, drop_rate=0.05, duplicate_rate=0.02,
-    extra_delay_rate=0.05, extra_delay_max=0.02, rpc_timeout=0.15,
-    lease_duration=0.8, lease_renew_interval=0.25, reclaim_grace=0.8,
+    extra_delay_rate=0.05, extra_delay_max=0.02,
     crash_rate=0.2, crash_duration=0.5, partition_rate=0.1,
     schedule_horizon=10.0,
 )

@@ -196,7 +196,8 @@ class TestSilentHome:
         for oid in oids:
             cluster.alloc(oid, 0, node=0)
         self.silence(cluster, oids[1], MessageType.READ_VALIDATE)
-        wait = cluster.proxies[1].rpc_client.policy.worst_case_wait()
+        policy = cluster.proxies[1].rpc_client.policy
+        wait = sum(policy.nth_timeout(i) for i in range(policy.attempts))
         submits = spy_on_submits(cluster.proxies[1].rpc_client)
         engine = cluster.engines[1]
         tx = reads(engine, [(oid, 0) for oid in oids])
@@ -232,7 +233,8 @@ class TestSilentHome:
             cluster.alloc(oid, 0, node=1)
         self.silence(cluster, oids[2], MessageType.DIR_UPDATE)
         client = cluster.proxies[1].rpc_client
-        wait = client.policy.worst_case_wait()
+        policy = client.policy
+        wait = sum(policy.nth_timeout(i) for i in range(policy.attempts))
         submits = spy_on_submits(client)
         posts = []
         original_post = client.post

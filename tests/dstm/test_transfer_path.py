@@ -16,6 +16,7 @@ from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig, FaultConfig, SchedulerKind
 from repro.dstm.objects import ObjectMode, ObjectState
 from repro.net import MessageType
+from repro.rpc import RetryPolicy
 from repro.rpc.payload import PROXY_SIZE
 from repro.scheduler.queues import Requester, RequesterList
 
@@ -320,9 +321,11 @@ class TestWhatArrivesUnclaimed:
 
 
 def fault_cluster(plane="off"):
-    return make_cluster(
-        plane, faults=FaultConfig(enabled=True, rpc_timeout=0.5, rpc_backoff_cap=0.5)
-    )
+    """A recovery-enabled cluster whose calls wait 0.5 s per attempt."""
+    cluster = make_cluster(plane, faults=FaultConfig(enabled=True))
+    for client in cluster.rpc_clients:
+        client.policy = RetryPolicy(timeout=0.5, backoff_cap=0.5)
+    return cluster
 
 
 class TestUnderRecovery:

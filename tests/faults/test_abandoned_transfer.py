@@ -19,18 +19,30 @@ import pytest
 from repro.core.cluster import Cluster
 from repro.core.config import ClusterConfig, FaultConfig
 from repro.dstm.objects import home_node
+from repro.faults import recovery
 from repro.net import MessageType
+from repro.rpc import RetryPolicy
 
 LEASE = 0.5
 
 
-def make_cluster(num_nodes):
-    fc = FaultConfig(
-        enabled=True, rpc_timeout=0.1, rpc_max_retries=1, rpc_backoff_cap=0.2,
-        lease_duration=LEASE, lease_renew_interval=0.2, reclaim_grace=0.2,
+@pytest.fixture(autouse=True)
+def short_recovery(monkeypatch):
+    """These scenarios run on a shorter recovery timing than the
+    protocol's: one retry, a 0.5 s lease and a 0.2 s grace."""
+    monkeypatch.setattr(
+        recovery, "RETRY_POLICY",
+        RetryPolicy(timeout=0.1, max_retries=1, backoff_cap=0.2),
     )
+    monkeypatch.setattr(recovery, "LEASE_DURATION", LEASE)
+    monkeypatch.setattr(recovery, "LEASE_RENEW_INTERVAL", 0.2)
+    monkeypatch.setattr(recovery, "RECLAIM_GRACE", 0.2)
+
+
+def make_cluster(num_nodes):
     return Cluster(ClusterConfig(
-        num_nodes=num_nodes, seed=7, faults=fc, check=dict(sanitize=True),
+        num_nodes=num_nodes, seed=7, faults=FaultConfig(enabled=True),
+        check=dict(sanitize=True),
     ))
 
 

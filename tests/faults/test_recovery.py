@@ -1,6 +1,10 @@
 """Unit tests for the recovery half: RPC retry/backoff, the home's
 leases and version fencing, and crash-abort accounting.  The retry
-policy object itself is tested in ``tests/rpc/test_policy.py``."""
+policy object itself is tested in ``tests/rpc/test_policy.py``.
+
+Several scenarios here run on a shorter or longer recovery timing than
+the protocol's, set through :func:`recovery_timing` or the ``dirnet``
+fixture."""
 
 import math
 
@@ -13,27 +17,46 @@ from repro.dstm.directory import DirectoryShard
 from repro.dstm.errors import AbortReason, TransactionAborted
 from repro.dstm.objects import home_node
 from repro.dstm.proxy import TMProxy
-from repro.faults import CrashWindow, HomeRecovery, NodeRecovery
+from repro.faults import CrashWindow, HomeRecovery, NodeRecovery, recovery
 from repro.net import MessageType, Network, Node, Topology
-from repro.rpc import PeerUnreachable
+from repro.rpc import PeerUnreachable, RetryPolicy
 from repro.scheduler.tfa_baseline import TfaScheduler
 from repro.sim import RngRegistry
 
 
-def silent_peer_cluster(**fault_kw):
+def recovery_timing(monkeypatch, policy, **constants):
+    """Build this test's clusters on their own recovery timing: ``policy``
+    is the retry ladder, and each keyword (``LEASE_DURATION=0.3``) sets
+    that constant of :mod:`repro.faults.recovery`."""
+    monkeypatch.setattr(recovery, "RETRY_POLICY", policy)
+    for name, value in constants.items():
+        monkeypatch.setattr(recovery, name, value)
+
+
+def silent_peer_cluster():
     """Two-node cluster where node 1 is crashed for the whole run."""
-    fc = FaultConfig(enabled=True, **fault_kw)
+    fc = FaultConfig(enabled=True)
     cluster = Cluster(ClusterConfig(num_nodes=2, seed=1, faults=fc))
     cluster.fault_plan.crashes.append(CrashWindow(1, 0.0, math.inf))
     return cluster
 
 
+def test_recovery_timing_is_consistent():
+    """The protocol's timing constants hold the relations the config once
+    checked: a healthy owner renews before its lease lapses, the retry
+    cap covers the first window, and a reclaim has a grace."""
+    assert recovery.LEASE_RENEW_INTERVAL < recovery.LEASE_DURATION
+    assert recovery.RETRY_POLICY.backoff_cap >= recovery.RETRY_POLICY.timeout
+    assert recovery.RECLAIM_GRACE > 0
+    assert recovery.NESTED_RETRY_CAP >= 1
+
+
 class TestProxyRetries:
-    def test_backoff_timing_and_counters(self):
-        cluster = silent_peer_cluster(
-            rpc_timeout=0.1, rpc_max_retries=3, rpc_backoff_factor=2.0,
-            rpc_backoff_cap=0.4,
-        )
+    def test_backoff_timing_and_counters(self, monkeypatch):
+        policy = RetryPolicy(timeout=0.1, max_retries=3, backoff_factor=2.0,
+                             backoff_cap=0.4)
+        recovery_timing(monkeypatch, policy)
+        cluster = silent_peer_cluster()
         proxy = cluster.proxies[0]
         outcome = {}
 
@@ -47,16 +70,19 @@ class TestProxyRetries:
         cluster.spawn(proc())
         cluster.run(until=5.0)
         # 0.1 + 0.2 + 0.4 + 0.4: the growing timeout IS the backoff.
+        assert proxy.rpc_client.policy is policy
         assert outcome["at"] == pytest.approx(
-            proxy.rpc_client.policy.worst_case_wait()
+            sum(policy.nth_timeout(i) for i in range(policy.attempts))
         )
         assert "4x" in str(outcome["exc"])
         assert cluster.metrics.rpc_timeouts.value == 4
         assert cluster.metrics.rpc_retries.value == 3
 
-    def test_reply_before_timeout_costs_nothing(self):
-        fc = FaultConfig(enabled=True, rpc_timeout=5.0, rpc_backoff_cap=5.0)
-        cluster = Cluster(ClusterConfig(num_nodes=2, seed=1, faults=fc))
+    def test_reply_before_timeout_costs_nothing(self, monkeypatch):
+        recovery_timing(monkeypatch, RetryPolicy(timeout=5.0, backoff_cap=5.0))
+        cluster = Cluster(ClusterConfig(
+            num_nodes=2, seed=1, faults=FaultConfig(enabled=True),
+        ))
         cluster.alloc("x", 7, node=0)
         proxy = cluster.proxies[1 - home_node("x", 2)]
         got = {}
@@ -74,18 +100,19 @@ class TestProxyRetries:
 
 
 @pytest.fixture
-def dirnet(env):
+def dirnet(env, monkeypatch):
+    """Home node 0's shard and proxy with recovery attached, on a 1.0 s
+    lease and a 0.5 s reclaim grace."""
+    monkeypatch.setattr(recovery, "LEASE_DURATION", 1.0)
+    monkeypatch.setattr(recovery, "RECLAIM_GRACE", 0.5)
     rngs = RngRegistry(seed=3)
     topo = Topology(2, rngs.stream("topology"))
     network = Network(env, topo)
     nodes = [Node(env, network, i) for i in range(2)]
     shard = DirectoryShard(nodes[0])
     proxy = TMProxy(nodes[0], TfaScheduler())
-    shard.recovery = HomeRecovery(
-        shard, lease_duration=1.0, reclaim_grace=0.5,
-        proxy=proxy, metrics=MetricsCollector(),
-    )
-    proxy.recovery = NodeRecovery(proxy, 1.0, shard.recovery)
+    shard.recovery = HomeRecovery(shard, proxy=proxy, metrics=MetricsCollector())
+    proxy.recovery = NodeRecovery(proxy, shard.recovery)
     return nodes, shard
 
 
@@ -225,13 +252,13 @@ class TestLeases:
         shard.register("z", owner=1, version=3, value="v3", value_version=3)
         before = shard.recovery.leases["z"]
         p = ask(env, nodes[1], 0, MessageType.LEASE_RENEW,
-                {"objects": [("z", 0, 3, "v3")]})
+                {"objects": [("z", 0, 3)]})
         assert p["stale"] == []
         assert shard.recovery.leases["z"] >= before
         # The registry moves past the copy: next heartbeat learns it.
         shard.register("z", owner=0, version=5, value="v5", value_version=5)
         p = ask(env, nodes[1], 0, MessageType.LEASE_RENEW,
-                {"objects": [("z", 0, 3, "v3")]})
+                {"objects": [("z", 0, 3)]})
         assert p["stale"] == ["z"]
 
     def test_expired_lease_reclaimed_on_lookup(self, env, dirnet):
@@ -334,7 +361,7 @@ class TestGenerationFence:
         nodes, shard = dirnet
         self.rehosted(env, shard)
         p = ask(env, nodes[1], 0, MessageType.LEASE_RENEW,
-                {"objects": [("g", 0, 4, "v4")]})
+                {"objects": [("g", 0, 4)]})
         assert p["stale"] == ["g"]
         assert shard.snapshot_of("g") == (3, "v3")
 
@@ -350,16 +377,19 @@ class TestGenerationFence:
 
 
 class TestInstallLease:
-    def test_committer_past_its_registration_lease_aborts_and_withdraws(self):
+    def test_committer_past_its_registration_lease_aborts_and_withdraws(
+        self, monkeypatch,
+    ):
         """Node 2 registers ``w`` at home 0, then validates ``r`` at home
         1, which is cut off for 0.5 sim-s.  The validation outlives the
         registration's 0.3 sim-s lease, after which home 0 may re-host
         ``w``: the commit must not install.  It aborts with
         OWNER_FAILURE and withdraws the registration."""
-        fc = FaultConfig(
-            enabled=True, rpc_timeout=0.05, rpc_max_retries=5,
-            rpc_backoff_cap=0.2, lease_duration=0.3, lease_renew_interval=0.1,
+        recovery_timing(
+            monkeypatch, RetryPolicy(timeout=0.05, max_retries=5, backoff_cap=0.2),
+            LEASE_DURATION=0.3, LEASE_RENEW_INTERVAL=0.1, RECLAIM_GRACE=1.5,
         )
+        fc = FaultConfig(enabled=True)
         cluster = Cluster(ClusterConfig(num_nodes=3, seed=1, faults=fc))
         assert (home_node("w", 3), home_node("r", 3)) == (0, 1)
         cluster.alloc("w", 10, node=2)
@@ -391,14 +421,15 @@ class TestGrantCache:
     """A transferred grant deletes the owner's copy before the response
     is on the wire; a dropped response must be recoverable by retry."""
 
-    def _cluster(self):
-        fc = FaultConfig(enabled=True, rpc_timeout=0.5, rpc_backoff_cap=0.5)
+    def _cluster(self, monkeypatch):
+        recovery_timing(monkeypatch, RetryPolicy(timeout=0.5, backoff_cap=0.5))
+        fc = FaultConfig(enabled=True)
         cluster = Cluster(ClusterConfig(num_nodes=2, seed=5, faults=fc))
         cluster.alloc("x", 42, node=0)
         return cluster
 
-    def test_retry_after_lost_transfer_is_regranted(self):
-        cluster = self._cluster()
+    def test_retry_after_lost_transfer_is_regranted(self, monkeypatch):
+        cluster = self._cluster(monkeypatch)
         env, nodes = cluster.env, cluster.nodes
         req = {"oid": "x", "txid": "root1", "mode": "a"}
         replies = []
@@ -420,8 +451,8 @@ class TestGrantCache:
         assert replies[1]["granted"] and replies[1]["transferred"]
         assert replies[1]["value"] == 42
 
-    def test_other_transactions_are_not_served_from_cache(self):
-        cluster = self._cluster()
+    def test_other_transactions_are_not_served_from_cache(self, monkeypatch):
+        cluster = self._cluster(monkeypatch)
         nodes = cluster.nodes
         replies = []
 
@@ -462,12 +493,12 @@ class TestReclaimRefreshesStaleLocalCopy:
 
 
 class TestCrashRecoveryEndToEnd:
-    def test_object_of_crashed_owner_recovered_and_abort_counted(self):
-        fc = FaultConfig(
-            enabled=True, rpc_timeout=0.1, rpc_max_retries=2,
-            rpc_backoff_cap=0.2, lease_duration=0.6,
-            lease_renew_interval=0.2, reclaim_grace=0.3,
+    def test_object_of_crashed_owner_recovered_and_abort_counted(self, monkeypatch):
+        recovery_timing(
+            monkeypatch, RetryPolicy(timeout=0.1, max_retries=2, backoff_cap=0.2),
+            LEASE_DURATION=0.6, LEASE_RENEW_INTERVAL=0.2, RECLAIM_GRACE=0.3,
         )
+        fc = FaultConfig(enabled=True)
         cluster = Cluster(ClusterConfig(num_nodes=3, seed=2, faults=fc))
         home = home_node("obj", 3)
         owner = (home + 1) % 3

@@ -111,7 +111,8 @@ class TestRpc:
         def client(env):
             with pytest.raises(PeerUnreachable):
                 yield from rpc.call(1, "ping")
-            return env.now == pytest.approx(ONE_WINDOW.worst_case_wait())
+            windows = [ONE_WINDOW.nth_timeout(i) for i in range(ONE_WINDOW.attempts)]
+            return env.now == pytest.approx(sum(windows))
 
         p = env.process(client(env))
         env.run()

@@ -23,8 +23,6 @@ SCHEDULERS = [SchedulerKind.TFA, SchedulerKind.RTS]
 DROPPY = dict(
     enabled=True, drop_rate=0.05, duplicate_rate=0.02,
     extra_delay_rate=0.05, extra_delay_max=0.02,
-    rpc_timeout=0.15, lease_duration=0.8, lease_renew_interval=0.25,
-    reclaim_grace=0.8,
 )
 
 # Node crashes on top of a (milder) lossy network.  Crash windows are

@@ -87,6 +87,14 @@ class TestCoalescing:
         with pytest.raises(ValueError, match="batch_window must be finite"):
             ClusterConfig(rpc=dict(batch_window=float("inf")))
 
+    def test_config_refuses_a_window_under_faults(self):
+        """No sweep batches a faulted run, so the batcher never judges a
+        fault fate: the combination is refused at construction."""
+        with pytest.raises(ValueError, match="batch_window is set but faults"):
+            ClusterConfig(rpc=dict(batch_window=0.002), faults=dict(enabled=True))
+        ClusterConfig(rpc=dict(batch_window=0.002))
+        ClusterConfig(faults=dict(enabled=True))
+
 
 class TestClusterWithBatching:
     CFG = dict(num_nodes=6, seed=9, scheduler=SchedulerKind.RTS,

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.core.config import FaultConfig
 from repro.rpc import RetryPolicy
+
+
+def windows(pol):
+    """Every attempt's reply window, first try to last retry."""
+    return [pol.nth_timeout(i) for i in range(pol.attempts)]
 
 
 class TestRetryPolicy:
@@ -14,7 +18,7 @@ class TestRetryPolicy:
         assert [pol.nth_timeout(i) for i in range(3)] == pytest.approx(
             [0.2, 0.4, 0.8]
         )
-        assert pol.worst_case_wait() == pytest.approx(1.4)
+        assert sum(windows(pol)) == pytest.approx(1.4)
 
     def test_cap_flattens_the_ladder(self):
         pol = RetryPolicy(timeout=0.5, max_retries=5, backoff_factor=3.0,
@@ -28,19 +32,15 @@ class TestRetryPolicy:
         assert [pol.nth_timeout(i) for i in range(5)] == pytest.approx(
             [0.1, 0.2, 0.4, 0.5, 0.5]
         )
-        assert pol.worst_case_wait() == pytest.approx(1.7)
+        assert sum(windows(pol)) == pytest.approx(1.7)
 
-    def test_from_config(self):
-        fc = FaultConfig(rpc_timeout=0.4, rpc_max_retries=1,
-                         rpc_backoff_factor=2.5, rpc_backoff_cap=2.0)
-        pol = RetryPolicy.from_config(fc)
-        assert (pol.timeout, pol.max_retries) == (0.4, 1)
-        assert pol.nth_timeout(1) == pytest.approx(1.0)
-        fc = FaultConfig(rpc_timeout=0.3, rpc_max_retries=2,
-                         rpc_backoff_factor=3.0, rpc_backoff_cap=1.2)
-        pol = RetryPolicy.from_config(fc)
-        assert (pol.timeout, pol.max_retries) == (0.3, 2)
-        assert pol.nth_timeout(1) == pytest.approx(0.9)
+    def test_the_recovery_ladder(self):
+        """The one ladder every fault-mode call runs under: a silent peer
+        is given up on after 6.25 simulated seconds."""
+        from repro.faults.recovery import RETRY_POLICY
+
+        assert windows(RETRY_POLICY) == pytest.approx([0.15, 0.3, 0.6, 1.2, 2.0, 2.0])
+        assert sum(windows(RETRY_POLICY)) == pytest.approx(6.25)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -64,13 +64,10 @@ class TestSinglePolicyObject:
         from repro.faults import recovery
 
         # The one policy class is repro.rpc.RetryPolicy, under that one
-        # name: faults exports both sides of recovery and the
-        # repro.check consistency gate over the policy, and no alias.
+        # name: faults holds one instance of it and no alias.
         assert not hasattr(repro.faults, "RpcPolicy")
         assert not hasattr(recovery, "RpcPolicy")
-        assert recovery.__all__ == [
-            "HomeRecovery", "NodeRecovery", "validate_policy",
-        ]
+        assert type(recovery.RETRY_POLICY) is RetryPolicy
 
     def test_node_submit_honours_policy_ladder(self, env):
         """Node.submit's resend chain is the one retry path: a silent peer
@@ -99,7 +96,7 @@ class TestSinglePolicyObject:
         )
         reply.then(lambda value: outcome.update(at=env.now, value=value))
         env.run()
-        assert outcome == {"at": pytest.approx(pol.worst_case_wait()),
+        assert outcome == {"at": pytest.approx(sum(windows(pol))),
                            "value": None}
         assert reply.processed  # resolved, never failed: a join waits for it
         assert seen == [

@@ -75,7 +75,8 @@ class TestSubmit:
         silent = client.submit(1, "ping")
         env.run()
         assert silent.processed and silent.value is None
-        assert env.now - start == pytest.approx(pol.worst_case_wait())
+        windows = [pol.nth_timeout(i) for i in range(pol.attempts)]
+        assert env.now - start == pytest.approx(sum(windows))
         assert client.calls == 2 and client.failures == 1
 
         def caller():
