@@ -35,7 +35,7 @@ import pytest
 from benchmarks.conftest import cell_spec, run_cell
 from repro.check import InvariantViolation
 from repro.check.oracle import check_history
-from repro.core.cluster import Cluster
+from repro.core.cluster import Cluster, reset_run_ids
 from repro.core.config import ClusterConfig, FaultConfig
 from repro.core.executor import WorkloadExecutor
 from repro.par import add_par_args, run_cells
@@ -89,7 +89,10 @@ def run_reproducer(seed, sanitize=False, horizon=REPRO_HORIZON,
                    crash_rate=REPRO_CRASH_RATE, **fault_overrides):
     """Run the chaos reproducer to ``horizon``; returns the cluster and
     the bank workload.  ``fault_overrides`` are further FaultConfig
-    fields (``partition_duration=3.0``)."""
+    fields (``partition_duration=3.0``).  Ids restart first, so a seed's
+    txids are the same whatever ran before it in the process (a sweep's
+    pool worker runs many seeds)."""
+    reset_run_ids()
     cluster = Cluster(ClusterConfig(
         num_nodes=REPRO_NODES, seed=seed, scheduler="rts", cl_threshold=4,
         check=dict(sanitize=sanitize),

@@ -50,7 +50,6 @@ obs-style JSONL counterexample plus a one-line repro command::
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import re
 import sys
@@ -510,14 +509,13 @@ def run_interleaving(
 def _run_once(cfg: ExploreConfig, prefix: Sequence[int]) -> RunOutcome:
     from repro.check.sanitize import InvariantViolation
     from repro.core import ClusterConfig, SchedulerKind
-    from repro.core.cluster import Cluster
+    from repro.core.cluster import Cluster, reset_run_ids
     from repro.core.config import CheckConfig
-    from repro.dstm.transaction import Transaction
     from repro.scheduler.rts import RtsScheduler
 
-    # Fresh txid counter per run: replayed counterexamples must carry
-    # the same transaction names as the run that found them.
-    Transaction._ids = itertools.count(1)
+    # Fresh ids per run: replayed counterexamples must carry the same
+    # transaction names as the run that found them.
+    reset_run_ids()
 
     cluster = Cluster(ClusterConfig(
         num_nodes=cfg.nodes,

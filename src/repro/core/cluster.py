@@ -18,12 +18,14 @@ import itertools
 import os
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
 
+import repro.net.message as _message
 from repro.core.config import ClusterConfig, SchedulerKind
 from repro.core.metrics import MetricsCollector
 from repro.dstm.directory import DirectoryShard
 from repro.dstm.objects import home_node
 from repro.dstm.proxy import TMProxy
 from repro.dstm.tfa import TFAEngine
+from repro.dstm.transaction import Transaction
 from repro.net.clocks import NodeClock
 from repro.net.network import Network
 from repro.net.node import Node
@@ -41,12 +43,12 @@ from repro.sim import Environment, Process, RngRegistry, Tracer
 # rule"; gated by tests/core/test_import_graph.py).
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.check import Sanitizer
-    from repro.faults import FaultInjector, FaultPlan
+    from repro.faults import FaultPlan
     from repro.obs import LiveFold
     from repro.rpc.batch import PiggybackBatcher
     from repro.rpc.payload import PayloadPlane
 
-__all__ = ["Cluster"]
+__all__ = ["Cluster", "reset_run_ids"]
 
 #: clock skew/drift bounds for the asynchronous node clocks
 MAX_CLOCK_SKEW = 0.05
@@ -55,6 +57,17 @@ MAX_CLOCK_DRIFT = 1e-5
 #: positive: a zero-cost local conflict/retry cycle would let a spinning
 #: transaction starve the event loop without advancing time)
 LOCAL_LOOPBACK_DELAY = 2e-5
+
+
+def reset_run_ids() -> None:
+    """Restart the process-global transaction and message ids at 1.
+
+    A run's ids (in its history, traces and exports) otherwise depend on
+    what the process ran before, so a sweep cell, an explorer run or a
+    chaos reproducer seed calls this first.  Never call it mid-run.
+    """
+    Transaction._ids = itertools.count(1)
+    _message._msg_ids = itertools.count(1)
 
 
 class Cluster:
@@ -146,21 +159,20 @@ class Cluster:
         self.rpc_clients: List[RpcClient] = []
 
         # Fault injection (repro.faults).  Strictly additive: with the
-        # default FaultConfig(enabled=False) no injector, heartbeats,
+        # default FaultConfig(enabled=False) no fault plan, heartbeats,
         # leases or RPC timeouts exist and runs are identical to a build
         # without the subsystem.
         fc = config.faults
         self.fault_plan: Optional["FaultPlan"] = None
-        self.fault_injector: Optional["FaultInjector"] = None
         policy: Optional[RetryPolicy] = None
         nested_retry_cap: Optional[int] = None
         if fc.enabled:
-            from repro.faults import FaultInjector, FaultPlan, HomeRecovery, NodeRecovery
+            from repro.faults import FaultPlan, HomeRecovery, NodeRecovery
             from repro.faults.recovery import NESTED_RETRY_CAP, RETRY_POLICY
 
-            self.fault_plan = FaultPlan(fc, self.rngs.stream("faults"), config.num_nodes)
-            self.fault_injector = FaultInjector(
-                self.fault_plan, metrics=self.metrics, tracer=self.tracer
+            self.fault_plan = FaultPlan(
+                fc, self.rngs.stream("faults"), config.num_nodes,
+                metrics=self.metrics, tracer=self.tracer,
             ).install(self.network)
             policy = RETRY_POLICY
             nested_retry_cap = NESTED_RETRY_CAP

@@ -62,7 +62,7 @@ def _check_int(name: str, value: Any, lower: int) -> None:
 class FaultConfig:
     """Parameterisation of the deterministic fault-injection layer.
 
-    With ``enabled=False`` (the default) the cluster builds no injector,
+    With ``enabled=False`` (the default) the cluster builds no fault plan,
     starts no heartbeats and arms no RPC timeouts: every code path is
     byte-identical to a fault-free build (strict additivity).  With
     ``enabled=True`` the fault timeline is generated eagerly from the

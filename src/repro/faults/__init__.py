@@ -5,9 +5,9 @@ The subsystem has two halves:
 * **injection** — :class:`FaultPlan` turns a
   :class:`~repro.core.config.FaultConfig` plus the dedicated ``"faults"``
   RNG stream into a concrete fault timeline (crash windows, partition
-  windows, per-message fates); :class:`FaultInjector` installs that plan
-  onto a :class:`~repro.net.network.Network`, deciding each message's
-  fate at send time and vetoing delivery to crashed nodes;
+  windows, per-message fates) and is the network's one fault seam:
+  installed onto a :class:`~repro.net.network.Network`, it decides each
+  message's fate at send time and vetoes delivery to crashed nodes;
 * **recovery** — one :class:`repro.rpc.RetryPolicy` (the stack's single
   retry/backoff policy class), :data:`~repro.faults.recovery.RETRY_POLICY`,
   drives the RPC substrate's timeout/retry loop;
@@ -24,16 +24,13 @@ Everything is driven from config-seeded RNG streams: identical seeds
 produce identical fault timelines and therefore bit-identical runs.
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import CrashWindow, FaultPlan, MessageFate, PartitionWindow
+from repro.faults.plan import CrashWindow, FaultPlan, PartitionWindow
 from repro.faults.recovery import HomeRecovery, NodeRecovery
 
 __all__ = [
     "CrashWindow",
-    "FaultInjector",
     "FaultPlan",
     "HomeRecovery",
-    "MessageFate",
     "NodeRecovery",
     "PartitionWindow",
 ]

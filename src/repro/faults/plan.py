@@ -1,12 +1,15 @@
-"""Fault timelines: crash/partition schedules and per-message fates.
+"""The fault plan: crash/partition schedules, per-message fates, and the
+network's one fault seam.
 
 A :class:`FaultPlan` is built once per cluster from the config-seeded
-``"faults"`` RNG stream.  The schedule part (crash and partition windows)
-is generated eagerly over ``[0, schedule_horizon)`` at construction; the
-per-message part (drop / duplicate / extra delay) draws lazily from the
-same stream, in network send order.  Both are therefore pure functions of
-``(seed, FaultConfig, num_nodes)``: identical seeds give identical fault
-timelines, which is what makes chaos runs bit-reproducible.
+``"faults"`` RNG stream and installed onto the cluster's
+:class:`~repro.net.network.Network`.  The schedule part (crash and
+partition windows) is generated eagerly over ``[0, schedule_horizon)``
+at construction; the per-message part (drop / duplicate / extra delay)
+draws lazily from the same stream, in network send order.  Both are
+therefore pure functions of ``(seed, FaultConfig, num_nodes)``:
+identical seeds give identical fault timelines, which is what makes
+chaos runs bit-reproducible.
 
 Every fault class shares that one stream, so turning one class on or
 off re-deals the others: enabling crashes shifts the draws the partition
@@ -25,19 +28,29 @@ is SIGSTOPped or cut off by its NIC.  Node-local loopback traffic is
 exempt: the process itself keeps running, it is merely unreachable.
 Each crash is drawn from the end of the one before, so the crash
 windows never overlap one another; they may overlap partitions.
+
+The network asks the plan about each send (:meth:`FaultPlan.on_send`)
+and each arrival (:meth:`FaultPlan.on_deliver`).  The plan only
+*observes and filters*; all recovery (RPC retries, leases,
+abort-on-owner-failure) lives in the protocol layers, as it would
+against a real lossy network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.config import FaultConfig
+from repro.sim import Environment, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.metrics import MetricsCollector
+    from repro.net.message import Message
+    from repro.net.network import Network
     from repro.sim.rng import Stream
 
-__all__ = ["CrashWindow", "FaultPlan", "MessageFate", "PartitionWindow"]
+__all__ = ["CrashWindow", "FaultPlan", "PartitionWindow"]
 
 
 @dataclass(frozen=True)
@@ -66,35 +79,24 @@ class PartitionWindow:
         return (a in self.group) != (b in self.group)
 
 
-@dataclass(frozen=True)
-class MessageFate:
-    """What the plan decided for one message at send time."""
-
-    #: None = delivered; otherwise "drop" | "partition" | "src_crashed"
-    drop_reason: Optional[str] = None
-    duplicated: bool = False
-    extra_delay: float = 0.0
-
-    @property
-    def delivered(self) -> bool:
-        return self.drop_reason is None
-
-
-_CLEAN = MessageFate()
-
-
 class FaultPlan:
-    """The concrete fault timeline for one simulated run."""
+    """The concrete fault timeline for one simulated run, and the seam
+    through which it acts on a network."""
 
     def __init__(
         self,
         config: FaultConfig,
         rng: Stream,
         num_nodes: int,
+        metrics: Optional["MetricsCollector"] = None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         self.config = config
         self.num_nodes = int(num_nodes)
         self._rng = rng
+        self.metrics = metrics
+        self.tracer = tracer or Tracer()
+        self.network: Optional["Network"] = None
         # Generation order is fixed (crashes, then partitions, then lazy
         # per-message draws) so the stream decomposes deterministically.
         self.crashes: List[CrashWindow] = self._gen_crashes(rng)
@@ -145,27 +147,36 @@ class FaultPlan:
     def link_blocked(self, a: int, b: int, t: float) -> bool:
         return any(w.blocks(a, b, t) for w in self.partitions)
 
-    # -- per-message decisions ------------------------------------------
+    # -- the network seam ------------------------------------------------
 
-    def message_fate(self, src: int, dst: int, now: float) -> MessageFate:
-        """Decide one remote message's fate.
+    def install(self, network: "Network") -> "FaultPlan":
+        if network.faults is not None:
+            raise ValueError("network already has a fault plan")
+        network.faults = self
+        self.network = network
+        self._schedule_window_traces(network.env)
+        return self
 
-        Draws only for the probabilistic classes that are enabled, in the
-        order drop, duplicate, extra delay, all from the one ``"faults"``
-        stream: enabling one class shifts the draws every later class
-        sees, so it does perturb their sequences (module docstring).
+    def on_send(self, msg: "Message", base_delay: float) -> List[float]:
+        """Delivery delays for ``msg``: none = dropped, two = duplicated.
+
+        Loopback never fails: a crashed node is isolated, not dead.  A
+        remote send draws only for the enabled probabilistic classes, in
+        the order drop, duplicate, extra delay (module docstring).
         """
-        cfg = self.config
+        src = msg.src
+        dst = msg.dst
         if src == dst:
-            # Loopback never fails: a crashed node is isolated, not dead.
-            return _CLEAN
-        if self.is_crashed(src, now):
-            return MessageFate(drop_reason="src_crashed")
-        if self.link_blocked(src, dst, now):
-            return MessageFate(drop_reason="partition")
+            return [base_delay]
+        now = self.network.env.now
+        cfg = self.config
         rng = self._rng
+        if self.is_crashed(src, now):
+            return self._drop(msg, "src_crashed")
+        if self.link_blocked(src, dst, now):
+            return self._drop(msg, "partition")
         if cfg.drop_rate > 0.0 and rng.random() < cfg.drop_rate:
-            return MessageFate(drop_reason="drop")
+            return self._drop(msg, "drop")
         duplicated = cfg.duplicate_rate > 0.0 and rng.random() < cfg.duplicate_rate
         extra = 0.0
         if (
@@ -174,15 +185,73 @@ class FaultPlan:
             and rng.random() < cfg.extra_delay_rate
         ):
             extra = float(rng.uniform(0.0, cfg.extra_delay_max))
-        if not duplicated and extra == 0.0:
-            return _CLEAN
-        return MessageFate(duplicated=duplicated, extra_delay=extra)
+        tracer = self.tracer
+        delay = base_delay + extra
+        if extra > 0.0 and tracer.wants("fault.delay"):
+            tracer.emit(
+                now, "fault.delay", f"msg{msg.msg_id}",
+                mtype=msg.mtype.value, extra=extra,
+            )
+        if not duplicated:
+            return [delay]
+        if self.metrics is not None:
+            self.metrics.fault_duplicates.increment()
+        if tracer.wants("fault.dup"):
+            tracer.emit(
+                now, "fault.dup", f"msg{msg.msg_id}",
+                mtype=msg.mtype.value, src=src, dst=dst,
+            )
+        return [delay, delay]
 
-    def deliver_blocked(self, dst: int, t: float) -> bool:
-        """True when an in-flight message must be dropped at delivery
-        (the destination is crashed at arrival time).  Partitions do not
-        affect in-flight messages: they were already on the wire."""
-        return self.is_crashed(dst, t)
+    def on_deliver(self, msg: "Message") -> bool:
+        """False when the destination is crashed at arrival time.
+
+        Loopback is exempt here too.  Partitions do not affect in-flight
+        messages: they cut links at send time, and these were already on
+        the wire.
+        """
+        if msg.src == msg.dst or not self.is_crashed(msg.dst, self.network.env.now):
+            return True
+        self._drop(msg, "dst_crashed")
+        return False
+
+    # -- internals -------------------------------------------------------
+
+    def _drop(self, msg: "Message", reason: str) -> List[float]:
+        if self.metrics is not None:
+            self.metrics.fault_drops.increment()
+        if self.tracer.wants("fault.drop"):
+            self.tracer.emit(
+                self.network.env.now, "fault.drop", f"msg{msg.msg_id}",
+                mtype=msg.mtype.value, src=msg.src, dst=msg.dst, reason=reason,
+            )
+        return []
+
+    def _schedule_window_traces(self, env: Environment) -> None:
+        """Emit crash/restart and partition trace events at their
+        scheduled instants.
+
+        Only scheduled when the tracer actually wants the category, so an
+        untraced run's event stream is untouched.
+        """
+        marks = []
+        if self.tracer.wants("fault.crash"):
+            for w in self.crashes:
+                marks.append((w.start, ("fault.crash", f"n{w.node}", {"until": w.end})))
+                marks.append((w.end, ("fault.restart", f"n{w.node}", {"since": w.start})))
+        if self.tracer.wants("fault.partition"):
+            for i, w in enumerate(self.partitions):
+                group = ",".join(str(n) for n in w.group)
+                marks.append((w.start, ("fault.partition", f"part{i}",
+                                        {"group": group, "until": w.end})))
+                marks.append((w.end, ("fault.partition_end", f"part{i}",
+                                      {"since": w.start})))
+        for t, mark in marks:
+            env.call_later(max(t - env.now, 0.0), self._emit_mark, mark)
+
+    def _emit_mark(self, mark: Tuple[str, str, Dict[str, Any]]) -> None:
+        category, subject, details = mark
+        self.tracer.emit(self.network.env.now, category, subject, **details)
 
     def __repr__(self) -> str:
         return (

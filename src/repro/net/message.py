@@ -12,23 +12,10 @@ import enum
 import itertools
 from typing import Any, Dict, Optional
 
-__all__ = ["Message", "MessageType", "reset_msg_ids"]
+__all__ = ["Message", "MessageType"]
 
+#: process-global; :func:`repro.core.cluster.reset_run_ids` restarts it
 _msg_ids = itertools.count(1)
-
-
-def reset_msg_ids() -> None:
-    """Restart the process-global message-id counter at 1.
-
-    Message ids only need to be unique within one simulation; the counter
-    is global, so a cell's ids (and therefore its exported traces) depend
-    on how many cells ran earlier in the same process.  The parallel
-    sweep engine (``repro.par``) calls this before every cell so a cell's
-    artifacts are identical whether it runs first, later, serially, or in
-    a pool worker.  Never call it mid-simulation.
-    """
-    global _msg_ids
-    _msg_ids = itertools.count(1)
 
 
 class MessageType(str, enum.Enum):
@@ -101,7 +88,7 @@ class Message:
         self.clock = clock
         #: id of the request this message answers, if any
         self.reply_to = reply_to
-        # the module global, read at call time: reset_msg_ids() rebinds it
+        # the module global, read at call time: reset_run_ids() rebinds it
         self.msg_id = next(_msg_ids)
         #: simulation time the message was sent (set by the network)
         self.sent_at = 0.0

@@ -25,7 +25,7 @@ from repro.net.topology import Topology
 from repro.sim import PRIORITY_NORMAL, Counter, Environment, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultPlan
     from repro.net.node import Node
     from repro.rpc.batch import PiggybackBatcher
 
@@ -84,10 +84,10 @@ class Network:
         #: node id -> its inbox's ``arrive``, bound once at attach: the
         #: function every arrival call entry runs
         self._arrivals: Dict[int, Callable[[Message], None]] = {}
-        #: optional :class:`repro.faults.FaultInjector`; when set, it
-        #: decides each message's fate (drop / duplicate / extra delay)
-        #: at send time and can veto delivery (crashed destination).
-        self.injector: Optional["FaultInjector"] = None
+        #: optional :class:`repro.faults.FaultPlan`; when set, it decides
+        #: each message's fate (drop / duplicate / extra delay) at send
+        #: time and can veto delivery (crashed destination).
+        self.faults: Optional["FaultPlan"] = None
         #: optional :class:`repro.rpc.PiggybackBatcher`; when set, remote
         #: sends coalesce per link for one window before flushing (local
         #: sends never batch — they are function calls, not wire traffic).
@@ -158,8 +158,8 @@ class Network:
             )
         if self.batcher is not None and remote:
             return self.batcher.enqueue(msg, delay)
-        if self.injector is not None:
-            delays = self.injector.on_send(msg, delay)
+        if self.faults is not None:
+            delays = self.faults.on_send(msg, delay)
             if not delays:
                 return now + delay  # dropped on the wire
             for i, d in enumerate(delays):

@@ -69,8 +69,8 @@ class _InboxServer:
         service period if the server is idle.
         """
         network = self.network
-        injector = network.injector
-        if injector is not None and not injector.on_deliver(msg):
+        faults = network.faults
+        if faults is not None and not faults.on_deliver(msg):
             return  # destination crashed while the message was in flight
         network.messages_delivered.value += 1
         node = self.node

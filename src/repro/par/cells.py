@@ -20,9 +20,9 @@ from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
 
 from repro import __version__
+from repro.core.cluster import reset_run_ids
 from repro.core.config import ClusterConfig
 from repro.core.experiment import ExperimentResult, run_experiment
-from repro.net.message import reset_msg_ids
 
 __all__ = ["CellSpec", "canonical_json", "cell_key"]
 
@@ -71,11 +71,11 @@ class CellSpec:
     def run(self) -> ExperimentResult:
         """Execute the cell (in whatever process we are in).
 
-        Resets the process-global message-id counter first, so a cell's
-        results and exported traces are identical whether it runs first,
-        later, serially, or inside a pool worker.
+        Restarts the process-global transaction and message ids first, so
+        a cell's results and exported traces are identical whether it runs
+        first, later, serially, or inside a pool worker.
         """
-        reset_msg_ids()
+        reset_run_ids()
         return run_experiment(
             self.workload,
             self.config,

@@ -23,7 +23,7 @@ own, which is why the window must be finite and positive: nothing checks
 it per push.
 
 Installed onto a :class:`~repro.net.network.Network` like the fault
-injector; ``window == 0`` (the default config) never constructs one, so
+plan; ``window == 0`` (the default config) never constructs one, so
 the legacy per-message path — and byte-identical same-seed runs — is the
 default.  It never meets fault injection: ``ClusterConfig`` refuses a
 batching window under ``faults.enabled``, so every member of a flushed

@@ -78,6 +78,21 @@ def test_reading_the_oracle_changes_nothing():
     assert total == workload.expected_total()
 
 
+def test_a_seed_names_its_transactions_alike_after_another_seed():
+    """A sweep's pool worker runs many seeds in one process.  Transaction
+    and message ids are process-global, so a seed's committed history
+    used to carry different txids when another seed ran before it; the
+    reproducer now restarts both counters first."""
+
+    def txids(seed):
+        cluster, _ = run_chaos_cell(seed, sanitize=True, horizon=1.0)
+        return [record.txid for record in cluster.sanitizer.history]
+
+    first = txids(201)
+    txids(200)
+    assert first and txids(201) == first
+
+
 def test_seed_656_conserves_money():
     """Seed 656 used to end at 95924 of 96000."""
     total, expected = chaos_cell(656)

@@ -13,9 +13,9 @@ constant in the same commit and says why.
 """
 
 import hashlib
-import itertools
 
 from repro.core import ClusterConfig, SchedulerKind
+from repro.core.cluster import reset_run_ids
 from repro.core.config import FaultConfig, ObsConfig
 from repro.core.experiment import run_experiment
 
@@ -32,12 +32,8 @@ OBS_JSONL_SHA256 = (
 
 
 def test_chaos_cell_obs_jsonl_matches_the_recorded_sha(tmp_path):
-    import repro.dstm.transaction as tx_module
-    from repro.net.message import reset_msg_ids
-
     # the export embeds the process-global transaction and message ids
-    tx_module.Transaction._ids = itertools.count(1)
-    reset_msg_ids()
+    reset_run_ids()
     path = tmp_path / "chaos.jsonl"
     cfg = ClusterConfig(
         num_nodes=6, seed=1, scheduler=SchedulerKind.RTS, cl_threshold=4,

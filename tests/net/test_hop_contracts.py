@@ -6,10 +6,11 @@ import re
 from pathlib import Path
 
 import repro
+from repro.core.cluster import reset_run_ids
 from repro.core.config import FaultConfig
-from repro.faults import CrashWindow, FaultInjector, FaultPlan
+from repro.core.metrics import MetricsCollector
+from repro.faults import CrashWindow, FaultPlan
 from repro.net import Message, MessageType, Network, Node, NodeClock, Topology
-from repro.net.message import reset_msg_ids
 from repro.sim import RngRegistry
 
 SVC = 0.004
@@ -39,14 +40,14 @@ class TestMessage:
         assert Message(MessageType.PING, 0, 1, wire_bytes=512).wire_bytes == 512
 
     def test_ids_restart_at_one_after_reset(self):
-        reset_msg_ids()
+        reset_run_ids()
         assert Message(MessageType.PING, 0, 1).msg_id == 1
         assert Message(MessageType.PING, 0, 1).msg_id == 2
-        reset_msg_ids()
+        reset_run_ids()
         assert Message(MessageType.PING, 0, 1).msg_id == 1
 
     def test_repr(self):
-        reset_msg_ids()
+        reset_run_ids()
         assert repr(Message(MessageType.PING, 0, 1, clock=3)) == (
             "<Message #1 ping 0->1 clk=3>"
         )
@@ -113,14 +114,16 @@ class TestDeliveryOrder:
 
     def test_crashed_destination_vetoes_before_anything_counts(self, env):
         network, nodes, rngs = build(env, msg_process_time=SVC)
-        plan = FaultPlan(FaultConfig(enabled=True), rngs.stream("faults"), 2)
-        injector = FaultInjector(plan).install(network)
+        plan = FaultPlan(
+            FaultConfig(enabled=True), rngs.stream("faults"), 2,
+            metrics=MetricsCollector(),
+        ).install(network)
         delay = network.topology.delay(0, 1)
         plan.crashes.append(CrashWindow(1, delay / 2, delay * 10))
         nodes[1].on(MessageType.PING, lambda m: None)
         nodes[0].send(1, MessageType.PING)
         env.run()
-        assert injector.delivery_drops == 1
+        assert plan.metrics.fault_drops.value == 1
         assert network.messages_sent.value == 1
         assert network.messages_delivered.value == 0
         inbox = nodes[1]._inbox

@@ -1,7 +1,7 @@
 """``Node.submit``: a request whose handle is its reply signal."""
 
+from repro.core.cluster import reset_run_ids
 from repro.net import MessageType, Network, Node, Topology
-from repro.net.message import reset_msg_ids
 from repro.rpc import RpcClient
 from repro.sim import Environment, RngRegistry
 
@@ -67,7 +67,7 @@ class TestReplyEvent:
 
         outcomes = []
         for blocking in (True, False):
-            reset_msg_ids()
+            reset_run_ids()
             env = Environment()
             _, nodes = build(env)
             proc = env.process(script(env, nodes, blocking))

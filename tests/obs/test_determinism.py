@@ -8,27 +8,16 @@ Two properties the exporters promise:
   with obs on reports exactly the same metrics as one with obs off.
 """
 
-import itertools
-
+from repro.core.cluster import reset_run_ids
 from repro.core.config import ClusterConfig, ObsConfig
 from repro.core.experiment import run_experiment
 from repro.obs.report import main
 
 
-def _reset_global_counters():
-    # Global monotonic ids survive across runs in one process; exports
-    # embed them, so byte-identity needs a fresh count per run.
-    import repro.dstm.transaction as _tx
-    import repro.net.message as _msg
-
-    _tx.Transaction._ids = itertools.count(1)
-    _msg._msg_ids = itertools.count(1)
-
-
 def _run(tmp_path, tag, **cfg_kwargs):
     """One traced run; returns its result, its JSONL bytes and the bytes
     of the report's Chrome export of that JSONL."""
-    _reset_global_counters()
+    reset_run_ids()
     jsonl = tmp_path / f"{tag}.jsonl"
     chrome = tmp_path / f"{tag}.trace.json"
     cfg = ClusterConfig(
@@ -58,7 +47,7 @@ class TestByteIdentity:
 
     def test_different_seed_differs(self, tmp_path):
         _, jsonl1, _ = _run(tmp_path, "s7")
-        _reset_global_counters()
+        reset_run_ids()
         path = tmp_path / "s8.jsonl"
         cfg = ClusterConfig(num_nodes=4, seed=8,
                             obs=ObsConfig(enabled=True, jsonl_path=str(path)))
@@ -79,7 +68,7 @@ class TestStrictAdditivity:
         from repro.core.executor import WorkloadExecutor
         from repro.workloads.registry import make_workload
 
-        _reset_global_counters()
+        reset_run_ids()
         cluster = Cluster(cfg)
         executor = WorkloadExecutor(
             cluster, make_workload("bank", read_fraction=0.9),

@@ -80,7 +80,7 @@ class TestZeroFaultInertness:
         assert m.rpc_retries.value == 0
         assert m.lease_reclaims.value == 0
         assert m.crash_aborts.value == 0
-        assert cluster.fault_injector is None
+        assert cluster.fault_plan is None and cluster.network.faults is None
         assert all(p.rpc_client.policy is None for p in cluster.proxies)
 
 

@@ -27,7 +27,6 @@ fix), re-record the pins in the same commit and say why in its message.
 """
 
 import hashlib
-import itertools
 
 import pytest
 
@@ -122,12 +121,10 @@ def test_obs_timeline_matches_the_recorded_sha(tmp_path):
     """The timeline-level referee: every obs event of the 12-node bank
     cell, timestamps included, is byte-for-byte what the recorded build
     exported — and watching does not move the digest."""
-    import repro.dstm.transaction as tx_module
-    from repro.net.message import reset_msg_ids
+    from repro.core.cluster import reset_run_ids
 
     # exports embed the process-global transaction and message ids
-    tx_module.Transaction._ids = itertools.count(1)
-    reset_msg_ids()
+    reset_run_ids()
     cell = ("bank", 12, 1)
     path = tmp_path / "obs.jsonl"
     result = run_cell(*cell, obs=ObsConfig(enabled=True, jsonl_path=str(path)))
@@ -208,12 +205,11 @@ def test_passthrough_controller_is_byte_identical():
     """A controller that always returns 0 must reproduce the
     uncontrolled schedule event-for-event — the explorer's soundness
     rests on the controlled loop being a faithful copy of run()."""
-    from repro.core.cluster import Cluster
-    from repro.dstm.transaction import Transaction
+    from repro.core.cluster import Cluster, reset_run_ids
     from repro.sim import ScheduleController
 
     def run_once(controller):
-        Transaction._ids = itertools.count(1)
+        reset_run_ids()
         cluster = Cluster(ClusterConfig(
             num_nodes=4, seed=2, scheduler=SchedulerKind.RTS, cl_threshold=4,
         ))

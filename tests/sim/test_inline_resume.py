@@ -15,17 +15,15 @@ a pure host-cost change:
   ``run()`` that raised.
 """
 
-import itertools
 import sys
 
 import pytest
 
-import repro.dstm.transaction as tx_module
 from repro.core import ClusterConfig, SchedulerKind
+from repro.core.cluster import reset_run_ids
 from repro.core.config import ObsConfig
 from repro.core.experiment import run_experiment
 from repro.net import Network, Node, Topology
-from repro.net.message import reset_msg_ids
 from repro.prof.kernel import KernelProfiler
 from repro.rpc import RpcClient, serve
 from repro.sim import Environment, RngRegistry, ScheduleController, Signal
@@ -47,8 +45,7 @@ def run_cell(tmp_path, name, *, heap_path):
     """One seeded cell with its obs JSONL; ``heap_path`` forces every
     reply through the schedule.  Returns (digest, events, jsonl, fires)."""
     workload, nodes, seed, reads, extra = CELLS[name]
-    tx_module.Transaction._ids = itertools.count(1)
-    reset_msg_ids()
+    reset_run_ids()
     path = tmp_path / f"{name}-{heap_path}.jsonl"
     cfg = ClusterConfig(
         num_nodes=nodes, seed=seed, scheduler=SchedulerKind.RTS,
